@@ -10,12 +10,12 @@ Evaluation is pure: no shared mutable state, safe to sample in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ChartMismatchError, DerivativeOrderError, EngelLabError
-from .jets import Jet
+from .jets import Jet, jet_bilinear, jet_bracket, jet_dot
 
 INF_ORDER = math.inf
 
@@ -127,38 +127,43 @@ class _FieldBase:
         jets = self.taylor(point, 1)
         return np.array([j.gradient() for j in jets])
 
+    # -- arithmetic ------------------------------------------------------------
 
-class VectorField(_FieldBase):
-    """A smooth vector field on a chart, evaluable with derivatives."""
+    def _combine(self, rule, *others, name=""):
+        """A field of this type whose component jets are ``rule`` applied to
+        the taylor jets of ``self`` and ``others``, evaluable to the smallest
+        order any operand allows."""
+        operands = (self,) + others
+        for other in others:
+            _same_chart(self, other)
+
+        def tfn(coords, order):
+            return rule(*[f.taylor(coords, order) for f in operands])
+
+        return type(self)(self.chart, taylor_fn=tfn,
+                          max_order=min(f.max_order for f in operands), name=name)
 
     def __add__(self, other):
-        _same_chart(self, other)
-        cap = min(self.max_order, other.max_order)
-        a, b = self, other
+        if isinstance(other, _FieldBase) and other.n_components == self.n_components:
+            return self._combine(lambda a, b: [x + y for x, y in zip(a, b)], other,
+                                 name=f"({self.name}+{other.name})")
+        if self.n_components == 1 and isinstance(other, (int, float)):
+            s = float(other)
+            return self._combine(lambda a: [a[0] + s])
+        return NotImplemented
 
-        def tfn(coords, order):
-            return [x + y for x, y in zip(a.taylor(coords, order), b.taylor(coords, order))]
+    __radd__ = __add__
 
-        return VectorField(self.chart, taylor_fn=tfn, max_order=cap,
-                           name=f"({self.name}+{other.name})")
-
-    def __mul__(self, scalar):
-        a = self
-        if isinstance(scalar, ScalarField):
-            _same_chart(self, scalar)
-            cap = min(self.max_order, scalar.max_order)
-
-            def tfn(coords, order):
-                s = scalar.taylor(coords, order)[0]
-                return [s * x for x in a.taylor(coords, order)]
-
-            return VectorField(self.chart, taylor_fn=tfn, max_order=cap)
-        s = float(scalar)
-
-        def tfn(coords, order):
-            return [x * s for x in a.taylor(coords, order)]
-
-        return VectorField(self.chart, taylor_fn=tfn, max_order=self.max_order)
+    def __mul__(self, other):
+        if isinstance(other, _FieldBase):
+            # the scalar factor's jet goes first in every Jet product, and a
+            # product of two scalar fields keeps its written order
+            scalar, field = (self, other) if self.n_components == 1 else (other, self)
+            if scalar.n_components != 1:
+                return NotImplemented
+            return field._combine(lambda x, s: [s[0] * c for c in x], scalar)
+        s = float(other)
+        return self._combine(lambda x: [c * s for c in x])
 
     __rmul__ = __mul__
 
@@ -166,7 +171,11 @@ class VectorField(_FieldBase):
         return self * -1.0
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other if isinstance(other, _FieldBase) else -float(other))
+
+
+class VectorField(_FieldBase):
+    """A smooth vector field on a chart, evaluable with derivatives."""
 
 
 class OneForm(_FieldBase):
@@ -175,12 +184,7 @@ class OneForm(_FieldBase):
     def pair(self, X, point, order=0):
         """Jet of ``alpha(X)`` at ``point``."""
         _same_chart(self, X)
-        a = self.taylor(point, order)
-        v = X.taylor(point, order)
-        acc = a[0] * v[0]
-        for i in range(1, self.chart.dim):
-            acc = acc + a[i] * v[i]
-        return acc
+        return jet_dot(self.taylor(point, order), X.taylor(point, order))
 
     def d_matrix(self, point, order=0):
         """Jets of the exterior derivative, ``d alpha_{ij} = d_i a_j - d_j a_i``.
@@ -194,42 +198,7 @@ class OneForm(_FieldBase):
     def d_apply(self, X, Y, point, order=0):
         """Jet of ``d alpha (X, Y)`` at ``point``."""
         M = self.d_matrix(point, order)
-        xv = X.taylor(point, order)
-        yv = Y.taylor(point, order)
-        n = self.chart.dim
-        acc = None
-        for i in range(n):
-            for j in range(n):
-                term = M[i][j] * xv[i] * yv[j]
-                acc = term if acc is None else acc + term
-        return acc
-
-    def __mul__(self, scalar):
-        a = self
-        if isinstance(scalar, ScalarField):
-            def tfn(coords, order):
-                s = scalar.taylor(coords, order)[0]
-                return [s * x for x in a.taylor(coords, order)]
-            return OneForm(self.chart, taylor_fn=tfn,
-                           max_order=min(self.max_order, scalar.max_order))
-        s = float(scalar)
-
-        def tfn(coords, order):
-            return [x * s for x in a.taylor(coords, order)]
-
-        return OneForm(self.chart, taylor_fn=tfn, max_order=self.max_order)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        _same_chart(self, other)
-        a, b = self, other
-
-        def tfn(coords, order):
-            return [x + y for x, y in zip(a.taylor(coords, order), b.taylor(coords, order))]
-
-        return OneForm(self.chart, taylor_fn=tfn,
-                       max_order=min(self.max_order, other.max_order))
+        return jet_bilinear(M, X.taylor(point, order), Y.taylor(point, order))
 
 
 class ScalarField(_FieldBase):
@@ -237,59 +206,8 @@ class ScalarField(_FieldBase):
 
     n_components = 1
 
-    def __mul__(self, other):
-        a = self
-        if isinstance(other, ScalarField):
-            _same_chart(self, other)
-
-            def tfn(coords, order):
-                return [a.jet(coords, order) * other.jet(coords, order)]
-
-            return ScalarField(self.chart, taylor_fn=tfn,
-                               max_order=min(self.max_order, other.max_order))
-        if isinstance(other, (VectorField, OneForm)):
-            return other * self
-        s = float(other)
-
-        def tfn(coords, order):
-            return [a.jet(coords, order) * s]
-
-        return ScalarField(self.chart, taylor_fn=tfn, max_order=self.max_order)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __add__(self, other):
-        a = self
-        if isinstance(other, (int, float)):
-            s = float(other)
-
-            def tfn(coords, order):
-                return [a.jet(coords, order) + s]
-
-            return ScalarField(self.chart, taylor_fn=tfn, max_order=self.max_order)
-        _same_chart(self, other)
-
-        def tfn(coords, order):
-            return [a.jet(coords, order) + other.jet(coords, order)]
-
-        return ScalarField(self.chart, taylor_fn=tfn,
-                           max_order=min(self.max_order, other.max_order))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, ScalarField) else -float(other))
-
     def reciprocal(self):
-        a = self
-
-        def tfn(coords, order):
-            return [a.jet(coords, order).reciprocal()]
-
-        return ScalarField(self.chart, taylor_fn=tfn, max_order=self.max_order)
+        return self._combine(lambda a: [a[0].reciprocal()])
 
     def jet(self, point, order):
         return self.taylor(point, order)[0]
@@ -333,22 +251,13 @@ def lie_bracket(X, Y):
     Evaluable to one order less than its arguments; bilinear and antisymmetric.
     """
     _same_chart(X, Y)
-    n = X.chart.dim
     cap = min(X.max_order, Y.max_order) - 1
     if cap < 0:
         raise DerivativeOrderError("bracket arguments must be evaluable to order >= 1")
 
     def tfn(coords, order):
-        xj = X.taylor(coords, order + 1)
-        yj = Y.taylor(coords, order + 1)
-        out = []
-        for i in range(n):
-            acc = None
-            for j in range(n):
-                term = yj[i].derivative(j) * xj[j] - xj[i].derivative(j) * yj[j]
-                acc = term if acc is None else acc + term
-            out.append(acc.truncated(order))
-        return out
+        B = jet_bracket(X.taylor(coords, order + 1), Y.taylor(coords, order + 1))
+        return [c.truncated(order) for c in B]
 
     return VectorField(X.chart, taylor_fn=tfn, max_order=cap,
                        name=f"[{X.name},{Y.name}]")
@@ -362,11 +271,7 @@ def lie_derivative_scalar(X, f):
     def tfn(coords, order):
         xj = X.taylor(coords, order)
         fj = f.jet(coords, order + 1)
-        acc = None
-        for j in range(n):
-            term = fj.derivative(j) * xj[j]
-            acc = term if acc is None else acc + term
-        return [acc.truncated(order)]
+        return [jet_dot([fj.derivative(j) for j in range(n)], xj).truncated(order)]
 
     return ScalarField(X.chart, taylor_fn=tfn,
                        max_order=min(X.max_order, f.max_order - 1))

@@ -32,7 +32,7 @@ from .jets import Jet, multi_indices
 from .normal_form import (LegendrianPairJet, ODE_CHART, _linear_pushforward,
                           extract_ode, normalize_pair, pair_from_ode)
 from .prolongation import ParallelizedContact, contactify, prolong
-from .reporting import Report, render
+from .reporting import Report, render, worst_of
 from .zoll import (SingleChartSpace, SphereAtlas, central_projection_check,
                    closedness_report, euclidean_metric, hamiltonian_alignment,
                    legendre_ray_map, legendre_ray_map_inverse, revolution_metric,
@@ -40,19 +40,6 @@ from .zoll import (SingleChartSpace, SphereAtlas, central_projection_check,
 
 ENGEL_CHART = Chart("engel", ("x", "y", "z", "w"))
 CONTACT_CHART = Chart("standard_contact", ("x", "y", "z"))
-
-_DEFAULTS = {
-    "verify-engel": dict(samples=1000, tol=1e-8),
-    "prolong": dict(samples=500, tol=1e-8),
-    "contactify": dict(samples=60, tol=1e-8),
-    "normal-form": dict(samples=50, tol=1e-10),
-    "realize": dict(samples=200, tol=1e-6),
-    "gray": dict(samples=20, tol=1e-6),
-    "zoll-closedness": dict(samples=50, tol=1e-6),
-    "central-projection": dict(samples=50, tol=1e-7),
-    "so3": dict(samples=1000, tol=1e-9),
-}
-
 
 def _load_config(path):
     if path is None:
@@ -85,7 +72,7 @@ def _frame_fields(cfg, chart, key, defaults):
 # -- suites -------------------------------------------------------------------
 
 
-def _suite_verify_engel(cfg, rng, samples, tol, report):
+def _suite_verify_engel(cfg, rng, samples, tol, report, seed):
     chart = _chart(cfg, "coords", ENGEL_CHART)
     fields, texts = _frame_fields(cfg, chart, "frame",
                                   [["0", "0", "0", "1"], ["1", "w", "y", "0"]])
@@ -107,7 +94,7 @@ def _suite_verify_engel(cfg, rng, samples, tol, report):
         worst = 0.0
         for p in pts:
             ld = characteristic_line(frame, p)
-            worst = max(worst, ld.angle_to(np.asarray(direction, dtype=float)))
+            worst = worst_of(worst, ld.angle_to(np.asarray(direction, dtype=float)))
         report.add("characteristic-line", samples, tol, worst)
     return {"frame": texts}
 
@@ -121,7 +108,7 @@ def _base_contact(cfg):
     return ParallelizedContact(chart, v0, v1), texts
 
 
-def _suite_prolong(cfg, rng, samples, tol, report):
+def _suite_prolong(cfg, rng, samples, tol, report, seed):
     contact, texts = _base_contact(cfg)
     full = bool(cfg.get("full_circle", False))
     check_pts = rng.uniform(-1.0, 1.0, (10, 3))
@@ -135,13 +122,13 @@ def _suite_prolong(cfg, rng, samples, tol, report):
             failures += 1
             continue
         ld = characteristic_line(frame, q)
-        worst = max(worst, ld.angle_to([0.0, 0.0, 0.0, 1.0]))
+        worst = worst_of(worst, ld.angle_to([0.0, 0.0, 0.0, 1.0]))
     report.add("engel-flag", samples, 0, failures)
     report.add("characteristic-line", samples, tol, worst)
     return {"legendrian_frame": texts, "full_circle": full}
 
 
-def _suite_contactify(cfg, rng, samples, tol, report):
+def _suite_contactify(cfg, rng, samples, tol, report, seed):
     contact, texts = _base_contact(cfg)
     domain = prolong(contact, full_circle=bool(cfg.get("full_circle", False)))
     values = cfg.get("slices", [0.0, 0.7, 1.3])
@@ -154,7 +141,7 @@ def _suite_contactify(cfg, rng, samples, tol, report):
             m = rng.uniform(-1.0, 1.0, 3)
             got = [induced.v0(m), induced.v1(m)]
             want = [contact.v0(m), contact.v1(m)]
-            worst = max(worst, plane_principal_angle(got, want))
+            worst = worst_of(worst, plane_principal_angle(got, want))
     report.add("slice-plane-recovery", per * len(values), tol, worst)
     return {"legendrian_frame": texts, "slices": values}
 
@@ -194,16 +181,16 @@ def _normal_pair_of(f_jet):
                              [one.copy(), f_jet.copy(), y], order)
 
 
-def _suite_normal_form(cfg, rng, samples, tol, report):
+def _suite_normal_form(cfg, rng, samples, tol, report, seed):
     worst_res, worst_f0, worst_idem = 0.0, 0.0, 0.0
     for _ in range(samples):
         pair = _random_pair(rng)
         res = normalize_pair(pair)
-        worst_res = max(worst_res, res.verify(pair))
-        worst_f0 = max(worst_f0, abs(res.f_jet.value))
+        worst_res = worst_of(worst_res, res.verify(pair))
+        worst_f0 = worst_of(worst_f0, abs(res.f_jet.value))
         res2 = normalize_pair(_normal_pair_of(res.f_jet))
         k = res2.f_jet.order
-        worst_idem = max(worst_idem, res2.f_jet.max_coeff_diff(res.f_jet.truncated(k)))
+        worst_idem = worst_of(worst_idem, res2.f_jet.max_coeff_diff(res.f_jet.truncated(k)))
     report.add("pushforward-residual", samples, tol, worst_res)
     report.add("f-constant-term", samples, 0, worst_f0)
     report.add("idempotence", samples, tol, worst_idem)
@@ -222,7 +209,7 @@ def _suite_normal_form(cfg, rng, samples, tol, report):
     return echo
 
 
-def _suite_realize(cfg, rng, samples, tol, report):
+def _suite_realize(cfg, rng, samples, tol, report, seed):
     contact, texts = _base_contact(cfg)
     domain = prolong(contact)
     support = tuple(cfg.get("support", (0.25, 1.3)))
@@ -248,7 +235,7 @@ def _suite_realize(cfg, rng, samples, tol, report):
     for m in rng.uniform(-1.0, 1.0, (10, 3)):
         for th in (0.02, domain.theta_max - 0.02):
             q = np.append(m, th)
-            outside = max(outside, float(np.max(np.abs(
+            outside = worst_of(outside, float(np.max(np.abs(
                 deformed.W(q) - np.array([0.0, 0.0, 0.0, 1.0])))))
     report.add("unperturbed-outside-support", 20, 0, outside)
 
@@ -257,7 +244,7 @@ def _suite_realize(cfg, rng, samples, tol, report):
         top = bottom_to_top(deformed, m, tol=1e-10)
         ref, _, _ = integrate(lambda t, y: gen.X(np.append(y, t))[:3], m,
                               0.0, domain.theta_max, tol=1e-11)
-        worst = max(worst, float(np.max(np.abs(top - ref))))
+        worst = worst_of(worst, float(np.max(np.abs(top - ref))))
     report.add("bottom-to-top", 3, tol, worst)
     return {"h": h_text, "support": list(support), "legendrian_frame": texts}
 
@@ -276,7 +263,7 @@ def _gray_path(cfg):
     return ContactFormPath(chart, rule), comps
 
 
-def _suite_gray(cfg, rng, samples, tol, report):
+def _suite_gray(cfg, rng, samples, tol, report, seed):
     path, comps = _gray_path(cfg)
     t_max = float(cfg.get("t_max", 0.3))
     n_grid = int(cfg.get("grid", 5))
@@ -289,14 +276,16 @@ def _suite_gray(cfg, rng, samples, tol, report):
     worst_plane, worst_L = 0.0, 0.0
     for x0 in pts:
         d = sol.pullback_defect(x0)
-        worst_plane = max(worst_plane, d["plane_defect"])
-        worst_L = max(worst_L, d["L_defect"])
+        worst_plane = worst_of(worst_plane, d["plane_defect"])
+        worst_L = worst_of(worst_L, d["L_defect"])
     report.add("plane-pullback", samples, tol, worst_plane)
     report.add("legendrian-preserved", samples, tol, worst_L)
 
     fine = gray_solve(path, L, np.linspace(0.0, t_max, 2 * n_grid - 1))
-    worst_fine = max(fine.pullback_defect(x0)["plane_defect"] for x0 in pts[:5])
-    coarse = max(sol.pullback_defect(x0)["plane_defect"] for x0 in pts[:5])
+    worst_fine = coarse = 0.0
+    for x0 in pts[:5]:
+        worst_fine = worst_of(worst_fine, fine.pullback_defect(x0)["plane_defect"])
+        coarse = worst_of(coarse, sol.pullback_defect(x0)["plane_defect"])
     ratio = worst_fine / max(coarse, 1e-300)
     report.add("refinement-halving", 5, 0.6, ratio,
                detail=f"coarse {coarse:.3e} fine {worst_fine:.3e}")
@@ -360,16 +349,16 @@ def _suite_central_projection(cfg, rng, samples, tol, report, seed):
         ray = rng.normal(size=2)
         p = legendre_ray_map(metric, x, ray)
         back = legendre_ray_map_inverse(metric, x, p)
-        worst_rt = max(worst_rt, float(np.max(np.abs(back - ray / math.sqrt(
+        worst_rt = worst_of(worst_rt, float(np.max(np.abs(back - ray / math.sqrt(
             float(ray @ metric.matrix(x) @ ray))))))
-        worst_al = max(worst_al, hamiltonian_alignment(
+        worst_al = worst_of(worst_al, hamiltonian_alignment(
             metric, np.append(x, rng.uniform(0.0, 2.0 * math.pi))))
     report.add("legendre-roundtrip", 20, 1e-10, worst_rt)
     report.add("hamiltonian-alignment", 20, 1e-6, worst_al)
     return {"arc": float(cfg.get("arc", 1.2))}
 
 
-def _suite_so3(cfg, rng, samples, tol, report):
+def _suite_so3(cfg, rng, samples, tol, report, seed):
     domain = so3_engel_frame(full_circle=bool(cfg.get("full_circle", False)))
     frame = domain.frame()
     failures = 0
@@ -388,7 +377,7 @@ def _suite_so3(cfg, rng, samples, tol, report):
         v = rng.normal(size=3)
         v *= rng.uniform(0.0, 0.7) / np.linalg.norm(v)
         for A, B, C in table:
-            worst = max(worst, float(np.max(np.abs(lie_bracket(A, B)(v) - C(v)))))
+            worst = worst_of(worst, float(np.max(np.abs(lie_bracket(A, B)(v) - C(v)))))
     report.add("so3-bracket-table", 20, tol, worst)
     return {}
 
@@ -396,31 +385,29 @@ def _suite_so3(cfg, rng, samples, tol, report):
 # -- driver -------------------------------------------------------------------
 
 
+# name -> (suite, default samples, default tolerance)
+SUITES = {
+    "verify-engel": (_suite_verify_engel, 1000, 1e-8),
+    "prolong": (_suite_prolong, 500, 1e-8),
+    "contactify": (_suite_contactify, 60, 1e-8),
+    "normal-form": (_suite_normal_form, 50, 1e-10),
+    "realize": (_suite_realize, 200, 1e-6),
+    "gray": (_suite_gray, 20, 1e-6),
+    "zoll-closedness": (_suite_zoll_closedness, 50, 1e-6),
+    "central-projection": (_suite_central_projection, 50, 1e-7),
+    "so3": (_suite_so3, 1000, 1e-9),
+}
+
+
 def run(command, cfg, seed, samples, tol):
     """Execute one suite and return the filled report."""
+    if command not in SUITES:
+        raise ConfigError(f"unknown command {command!r}")
+    suite = SUITES[command][0]
     rng = np.random.default_rng(seed)
     report = Report(command=command, config_echo={})
     t0 = time.perf_counter()
-    if command == "verify-engel":
-        echo = _suite_verify_engel(cfg, rng, samples, tol, report)
-    elif command == "prolong":
-        echo = _suite_prolong(cfg, rng, samples, tol, report)
-    elif command == "contactify":
-        echo = _suite_contactify(cfg, rng, samples, tol, report)
-    elif command == "normal-form":
-        echo = _suite_normal_form(cfg, rng, samples, tol, report)
-    elif command == "realize":
-        echo = _suite_realize(cfg, rng, samples, tol, report)
-    elif command == "gray":
-        echo = _suite_gray(cfg, rng, samples, tol, report)
-    elif command == "zoll-closedness":
-        echo = _suite_zoll_closedness(cfg, rng, samples, tol, report, seed)
-    elif command == "central-projection":
-        echo = _suite_central_projection(cfg, rng, samples, tol, report, seed)
-    elif command == "so3":
-        echo = _suite_so3(cfg, rng, samples, tol, report)
-    else:
-        raise ConfigError(f"unknown command {command!r}")
+    echo = suite(cfg, rng, samples, tol, report, seed)
     report.config_echo = {"seed": seed, "samples": samples, "tolerance": tol, **echo}
     report.wall_time_s = time.perf_counter() - t0
     return report
@@ -431,7 +418,7 @@ def build_parser():
         prog="engellab",
         description="Numerical verification suites for Engel structures.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DEFAULTS:
+    for name in SUITES:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=0)
@@ -446,10 +433,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        _, default_samples, default_tol = SUITES[args.command]
         samples = args.samples if args.samples is not None else \
-            int(cfg.get("samples", _DEFAULTS[args.command]["samples"]))
-        tol = args.tol if args.tol is not None else \
-            float(cfg.get("tol", _DEFAULTS[args.command]["tol"]))
+            int(cfg.get("samples", default_samples))
+        tol = args.tol if args.tol is not None else float(cfg.get("tol", default_tol))
         if samples <= 0 or tol <= 0:
             raise ConfigError("samples and tol must be positive")
         report = run(args.command, cfg, args.seed, samples, tol)

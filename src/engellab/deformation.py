@@ -22,9 +22,9 @@ from .calculus import (ScalarField, VectorField, _coords_of,
                        lie_derivative_scalar)
 from .distributions import DistributionFrame, reeb_field, reeb_vector
 from .errors import EngelLabError, GeometryError
-from .flow import _rk4_step, flow
-from .jets import Jet
-from .prolongation import EngelDomain, Slice, lift_field, lift_form
+from .flow import flow, integrate_nonautonomous
+from .jets import Jet, jet_bilinear, jet_cross, jet_dot
+from .prolongation import Slice, lift_field, lift_form
 
 # window margin below which exp(-1/s) is treated as exactly zero
 _WINDOW_EDGE = 1e-2
@@ -122,26 +122,6 @@ def _normalizer_inverse(base):
 
     return ScalarField(base.chart, taylor_fn=tfn, max_order=base.alpha.max_order - 1,
                        name="1/dalpha(V0,V1)")
-
-
-def contact_hamiltonian_field(h, alpha, V, U):
-    """X = h Z + X_h on a contact 3-chart, with alpha conformally normalized
-    internally so that d alpha(V, U) = 1."""
-
-    def tfn(coords, order):
-        c = alpha.d_apply(V, U, coords, order)
-        if abs(c.value) < 1e-13:
-            raise GeometryError("d alpha degenerates on the contact planes", point=coords)
-        return [c.reciprocal()]
-
-    inv_c = ScalarField(alpha.chart, taylor_fn=tfn, max_order=alpha.max_order - 1)
-    alpha_hat = alpha * inv_c
-    Z = reeb_field(alpha_hat)
-    dhV = lie_derivative_scalar(V, h)
-    dhU = lie_derivative_scalar(U, h)
-    X = h * Z + (-dhU) * V + dhV * U
-    X.name = f"X_[{getattr(h, 'name', 'h')}]"
-    return X
 
 
 class DeformedEngel:
@@ -286,12 +266,6 @@ class ContactFormPath:
                        name=f"d/dt {self.name}[{t:.4f}]")
 
 
-def _cross(a, b):
-    return [a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0]]
-
-
 @dataclass
 class GraySolution:
     """Solved Moser system for a contact-form path with fixed Legendrian L.
@@ -315,33 +289,16 @@ class GraySolution:
         dot = self.path.dot_at(t)
         Lj = self.L.taylor(coords, order)
         a = form.taylor(coords, order)
-        Ej = _cross(a, Lj)
+        Ej = jet_cross(a, Lj)
         M = form.d_matrix(coords, order)
-
-        def d_pair(u, v):
-            acc = None
-            for i in range(3):
-                for j in range(3):
-                    term = M[i][j] * u[i] * v[j]
-                    acc = term if acc is None else acc + term
-            return acc
-
         dj = dot.taylor(coords, order)
-
-        def pair(cov, vec):
-            acc = None
-            for i in range(3):
-                term = cov[i] * vec[i]
-                acc = term if acc is None else acc + term
-            return acc
-
-        dLE = d_pair(Lj, Ej)
+        dLE = jet_bilinear(M, Lj, Ej)
         scale = max(np.linalg.norm([c.value for c in Lj]) *
                     np.linalg.norm([c.value for c in Ej]), 1e-300)
         if abs(dLE.value) < 1e-12 * scale:
             raise GeometryError("d theta_t degenerates on the contact planes", point=coords)
-        u = -1.0 * pair(dj, Ej) * dLE.reciprocal()
-        v = pair(dj, Lj) * dLE.reciprocal()
+        u = -1.0 * jet_dot(dj, Ej) * dLE.reciprocal()
+        v = jet_dot(dj, Lj) * dLE.reciprocal()
         return [u * li + v * ei for li, ei in zip(Lj, Ej)], u, v
 
     def check_hypothesis(self, points, times=None):
@@ -351,7 +308,6 @@ class GraySolution:
         worst = 0.0
         for t in times:
             dot = self.path.dot_at(t)
-            form = self.path.form_at(t)
             for x in points:
                 num = abs(float(dot.pair(self.L, x).value))
                 den = max(np.linalg.norm(dot(x)) * np.linalg.norm(self.L(x)), 1e-300)
@@ -388,14 +344,9 @@ class GraySolution:
         V = np.zeros((3, 0)) if vectors is None else np.atleast_2d(np.asarray(vectors, float))
         if V.shape[0] != 3 and V.size:
             V = V.T
-        y = np.concatenate([x0, V.ravel(), [0.0]])
-        f = self._rhs(V.shape[1])
-        for a, b in zip(self.t_grid[:-1], self.t_grid[1:]):
-            h = (b - a) / substeps
-            t = a
-            for _ in range(substeps):
-                y = _rk4_step(f, t, y, h)
-                t += h
+        y = integrate_nonautonomous(self._rhs(V.shape[1]),
+                                    np.concatenate([x0, V.ravel(), [0.0]]),
+                                    self.t_grid, substeps)
         end = y[:3]
         cols = y[3:3 + V.size].reshape(3, V.shape[1]) if V.size else None
         return end, cols, y[-1]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .calculus import OneForm, Point, VectorField, _coords_of, lie_bracket
 from .errors import EngelLabError, GeometryError
-from .jets import Jet, jet_solve
+from .jets import jet_cross, jet_dot
 
 DEFAULT_RANK_TOL = 1e-7
 
@@ -215,8 +215,7 @@ def reeb_vector(alpha, p):
 def _reeb_jets(alpha, coords, order):
     M = alpha.d_matrix(coords, order)
     v = [M[1][2], M[2][0], M[0][1]]
-    a = alpha.taylor(coords, order)
-    pairing = a[0] * v[0] + a[1] * v[1] + a[2] * v[2]
+    pairing = jet_dot(alpha.taylor(coords, order), v)
     if abs(pairing.value) < 1e-13:
         raise GeometryError("form is not contact at the point (alpha ^ d alpha = 0)", point=coords)
     inv = pairing.reciprocal()
@@ -242,11 +241,7 @@ def annihilator_form(v0, v1, name=""):
         raise EngelLabError("annihilator construction needs a 3-dimensional chart")
 
     def tfn(coords, order):
-        a = v0.taylor(coords, order)
-        b = v1.taylor(coords, order)
-        return [a[1] * b[2] - a[2] * b[1],
-                a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0]]
+        return jet_cross(v0.taylor(coords, order), v1.taylor(coords, order))
 
     return OneForm(v0.chart, taylor_fn=tfn,
                    max_order=min(v0.max_order, v1.max_order), name=name)

@@ -9,7 +9,6 @@ non-autonomous systems, which the deformation module needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,8 @@ def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None):
 
     Local error per step is held below ``tol`` (scaled by state magnitude).
     Returns ``(y, est_error, steps)``.  ``observer(t_prev, y_prev, t, y, h)``
-    is called after each accepted step.
+    is called after each accepted step.  A non-finite error estimate (a NaN
+    or overflowing right-hand side) raises :class:`IntegrationError`.
     """
     y = np.asarray(y0, dtype=float)
     t = t0
@@ -63,6 +63,8 @@ def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None):
         y_two = _rk4_step(f, t + 0.5 * h, y_half, 0.5 * h)
         scale = 1.0 + np.max(np.abs(y))
         err = np.max(np.abs(y_two - y_full)) / 15.0 / scale
+        if not np.isfinite(err):
+            raise IntegrationError(f"non-finite error estimate at t = {float(t):.6g}")
         if err <= tol or abs(h) < 1e-13 * (1.0 + abs(t)):
             # a tiny closing step (h capped to the remaining span) is fine;
             # an underflowing step in mid-span means the controller stalled
@@ -107,7 +109,7 @@ def flow(X, p, t, tol=DEFAULT_TOL, max_steps=200000):
     return FlowResult(Point(chart, y), t, steps, err)
 
 
-def _augmented_rhs(X, n, k, time_dependent_rhs=None, jac=None):
+def _augmented_rhs(X, n, k):
     """RHS for state + k transported vectors (variational equation)."""
 
     def f(t, y):

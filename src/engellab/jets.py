@@ -20,8 +20,6 @@ from .errors import DerivativeOrderError, EngelLabError
 
 MAX_ORDER = 6
 
-_ZERO_TOL = 0.0  # coefficients are kept exactly; no silent dropping
-
 
 def _zero_index(n):
     return (0,) * n
@@ -333,19 +331,56 @@ def log(x):
     return x.log() if isinstance(x, Jet) else math.log(x)
 
 
-# -- jet tuples: composition, inversion, pushforward -------------------------------
+# -- jet tuples: contractions, brackets, composition, inversion, pushforward ------
 
 
 def _as_tuple(jets):
     return list(jets) if isinstance(jets, (list, tuple)) else [jets]
 
 
-def jet_compose(outer, inner, allow_constant=False):
+def jet_dot(a, b):
+    """``sum_i a_i b_i``, accumulated left to right."""
+    acc = a[0] * b[0]
+    for i in range(1, len(a)):
+        acc = acc + a[i] * b[i]
+    return acc
+
+
+def jet_bilinear(M, u, v):
+    """``sum_ij M_ij u_i v_j``, rows outer, each term ``(M_ij u_i) v_j``."""
+    acc = None
+    for i, row in enumerate(M):
+        for j, m in enumerate(row):
+            term = m * u[i] * v[j]
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def jet_cross(a, b):
+    """Cross product of two 3-component tuples."""
+    return [a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
+def jet_bracket(A, B):
+    """Lie bracket ``DB.A - DA.B`` of two jet-tuple vector fields (order
+    drops by one)."""
+    n = len(A)
+    out = []
+    for i in range(n):
+        acc = None
+        for j in range(n):
+            term = B[i].derivative(j) * A[j] - A[i].derivative(j) * B[j]
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def jet_compose(outer, inner):
     """Taylor coefficients of ``outer o inner``, truncated at the common order.
 
-    ``inner`` must map the origin to the origin (zero constant terms) unless
-    the caller explicitly opts out, in which case the result is the truncation
-    of the polynomial composition.
+    ``inner`` must map the origin to the origin (zero constant terms).
     """
     inner = _as_tuple(inner)
     single = isinstance(outer, Jet)
@@ -353,10 +388,9 @@ def jet_compose(outer, inner, allow_constant=False):
     m = outs[0].n
     if len(inner) != m:
         raise EngelLabError(f"composition arity mismatch: outer has {m} vars, inner has {len(inner)} components")
-    if not allow_constant:
-        for g in inner:
-            if abs(g.value) > 1e-13:
-                raise EngelLabError("inner jets must have zero constant term (shift explicitly)")
+    for g in inner:
+        if abs(g.value) > 1e-13:
+            raise EngelLabError("inner jets must have zero constant term (shift explicitly)")
     order = min(min(o.order for o in outs), min(g.order for g in inner))
     n = inner[0].n
     # precompute powers of each inner component
@@ -456,14 +490,8 @@ def jet_pushforward(change, field, inverse=None):
     n = change[0].n
     if inverse is None:
         inverse = jet_invert(change)
-    pushed = []
-    for i in range(len(change)):
-        acc = None
-        for j in range(n):
-            term = change[i].derivative(j) * field[j]
-            acc = term if acc is None else acc + term
-        pushed.append(jet_compose(acc, inverse))
-    return pushed
+    return [jet_compose(jet_dot([c.derivative(j) for j in range(n)], field), inverse)
+            for c in change]
 
 
 def jet_solve(A, b):

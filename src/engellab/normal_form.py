@@ -24,23 +24,10 @@ import numpy as np
 
 from .calculus import Chart, VectorField
 from .errors import EngelLabError, GeometryError
-from .jets import (MAX_ORDER, Jet, jet_compose, jet_identity, jet_invert,
-                   jet_pushforward)
+from .jets import (MAX_ORDER, Jet, jet_bracket, jet_compose, jet_identity,
+                   jet_invert, jet_pushforward)
 
 ODE_CHART = Chart("ode_slope", ("x", "y", "p"))
-
-
-def jet_bracket(A, B):
-    """Lie bracket of two jet-tuple vector fields (order drops by one)."""
-    n = len(A)
-    out = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            term = B[i].derivative(j) * A[j] - A[i].derivative(j) * B[j]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
 
 
 def jet_polyval(jet, values):
@@ -188,11 +175,6 @@ class NormalFormResult:
         return worst
 
 
-def _compose_scale(scalar_new, total_change):
-    """Pull a scalar jet in current coordinates back to the input ones."""
-    return jet_compose(scalar_new, total_change)
-
-
 def normalize_pair(pair, contact_tol=1e-9):
     """Bring a Legendrian pair jet to the normal form
     ``Y = d/dy``, ``X = d/dx + y d/dz + f d/dy`` with ``f(0) = 0``.
@@ -231,7 +213,7 @@ def normalize_pair(pair, contact_tol=1e-9):
         apply_linear(np.diag([-1.0, 1.0, 1.0]), "flip-x")
 
     r = X[0].reciprocal()
-    X_scale = _compose_scale(r, total)
+    X_scale = jet_compose(r, total)
     X = [r * c for c in X]
     steps.append({"step": "divide-X", "pivot": 1.0 / r.value})
 
@@ -255,7 +237,7 @@ def normalize_pair(pair, contact_tol=1e-9):
     X = jet_pushforward(sub, X, inverse=sub_inv)
     total = jet_compose(sub, total)
     h = jet_compose(f3.derivative(1), sub_inv)  # new Y = h d/dy
-    Y_scale = Y_scale * _compose_scale(h, total).reciprocal()
+    Y_scale = Y_scale * jet_compose(h, total).reciprocal()
     steps.append({"step": "substitute-ybar", "twist": twist})
 
     a = -0.5 * X[1].value
@@ -303,18 +285,8 @@ def pair_from_ode(f, chart=ODE_CHART, name="ode"):
     """
     V0 = VectorField(chart, components=lambda xs: [0.0, 0.0, 1.0], name=f"{name}.V0")
     if isinstance(f, Jet):
-        def rule(xs):
-            acc = None
-            for kidx, v in f.c.items():
-                term = v
-                for x, e in zip(xs, kidx):
-                    if e:
-                        term = term * x ** e
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = 0.0
-            return [1.0, xs[2], acc]
-        V1 = VectorField(chart, components=rule, name=f"{name}.V1")
+        V1 = VectorField(chart, components=lambda xs: [1.0, xs[2], jet_polyval(f, xs)],
+                         name=f"{name}.V1")
     elif hasattr(f, "taylor"):
         def tfn(coords, ordr):
             fj = f.taylor(coords, ordr)[0]

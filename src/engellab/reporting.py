@@ -14,6 +14,12 @@ from dataclasses import dataclass, field
 from . import __version__
 
 
+def worst_of(worst, defect):
+    """Fold one defect into the running worst; NaN is sticky, because
+    ``max(0.0, nan)`` is 0.0 and would turn a NaN defect into a pass."""
+    return defect if (defect != defect or defect > worst) else worst
+
+
 @dataclass
 class CheckRecord:
     """One verification check: pass iff max_defect <= tolerance."""

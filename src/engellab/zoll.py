@@ -14,14 +14,14 @@ start and the first return candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import Chart, OneForm, ScalarField, VectorField
+from .calculus import Chart, OneForm, VectorField
 from .errors import EngelLabError, GeometryError, IntegrationError
 from .flow import integrate
-from .jets import Jet
+from .jets import Jet, jet_bilinear, jet_dot
 from .prolongation import ParallelizedContact, prolong
 
 
@@ -67,16 +67,9 @@ class SurfaceMetric:
         Ginv = self.inverse_jets([[g.truncated(order) for g in row] for row in G])
         dG = [[[G[l][k].derivative(positions[j] if n_vars != 2 else j).truncated(order)
                 for k in range(2)] for l in range(2)] for j in range(2)]
-        Gam = [[[None] * 2 for _ in range(2)] for _ in range(2)]
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    acc = None
-                    for l in range(2):
-                        term = Ginv[i][l] * (dG[j][l][k] + dG[k][l][j] - dG[l][j][k])
-                        acc = term if acc is None else acc + term
-                    Gam[i][j][k] = acc * 0.5
-        return Gam
+        return [[[jet_dot(Ginv[i], [dG[j][l][k] + dG[k][l][j] - dG[l][j][k]
+                                    for l in range(2)]) * 0.5
+                  for k in range(2)] for j in range(2)] for i in range(2)]
 
     def christoffel(self, p):
         Gam = self.christoffel_jets(np.asarray(p, dtype=float), 0)
@@ -169,11 +162,8 @@ class UnitTangentChart:
                 acc = term if acc is None else acc + term
             F.append(acc)
         # psidot = g(F, uperp): the unique fiber speed keeping u geodesic
-        psidot = None
-        for i in range(2):
-            for j in range(2):
-                term = G[i][j].truncated(order) * F[i] * uperp[j].truncated(order)
-                psidot = term if psidot is None else psidot + term
+        psidot = jet_bilinear([[g.truncated(order) for g in row] for row in G], F,
+                              [c.truncated(order) for c in uperp])
         return [u[0].truncated(order), u[1].truncated(order), psidot]
 
     def _v1_value(self, coords):
@@ -208,15 +198,7 @@ class UnitTangentChart:
 
     def _alpha_jets(self, coords, order):
         G, u, uperp = self._unit_jets(coords, order)
-        a = []
-        for j in range(2):
-            acc = None
-            for i in range(2):
-                term = G[i][j] * uperp[i]
-                acc = term if acc is None else acc + term
-            a.append(acc)
-        a.append(Jet(3, order))
-        return a
+        return [jet_dot([G[0][j], G[1][j]], uperp) for j in range(2)] + [Jet(3, order)]
 
     def unit_vector(self, p):
         _, u, _ = self._unit_jets(np.asarray(p, dtype=float), 0)
@@ -598,13 +580,7 @@ def hamiltonian_alignment(metric, state):
     coords = np.asarray(state, dtype=float)
     G = metric.jets(coords, 1, n_vars=3, positions=(0, 1))
     _, u, _ = ut._unit_jets(coords, 1)
-    pj = []
-    for i in range(2):
-        acc = None
-        for j in range(2):
-            term = G[i][j] * u[j]
-            acc = term if acc is None else acc + term
-        pj.append(acc)
+    pj = [jet_dot(G[i], u) for i in range(2)]
     v1 = ut.V1.taylor(coords, 1)
     push = np.zeros(4)
     push[0], push[1] = v1[0].value, v1[1].value

@@ -2,7 +2,8 @@
 pass/fail line per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-complete; the whole gate stays well under five minutes.
+complete; the whole gate took 467 s single-process (Python 3.11, 2-CPU
+machine).
 """
 
 import math

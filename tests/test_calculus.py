@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from engellab.calculus import (Chart, Point, ScalarField, VectorField,
+from engellab.calculus import (Chart, OneForm, Point, ScalarField, VectorField,
                                constant_field, coordinate_field, lie_bracket,
                                lie_derivative_scalar)
 from engellab.errors import ChartMismatchError, DerivativeOrderError, EngelLabError
-from engellab.expressions import scalar_field_from_expr, vector_field_from_exprs
+from engellab.errors import IntegrationError
+from engellab.expressions import (one_form_from_exprs, scalar_field_from_expr,
+                                  vector_field_from_exprs)
 from engellab.flow import flow, flow_to_section, flow_transported, integrate
 
 CH3 = Chart("c3", ("x", "y", "z"))
@@ -138,6 +140,58 @@ def test_scalar_field_arithmetic():
     assert np.allclose((f * X)(p), f(p) * np.asarray(X(p)))
     assert abs(lie_derivative_scalar(X, f)(p) - (p[1] * p[1] + p[0])) < 1e-13
 
+    # order-2 combinators against componentwise jet arithmetic, bit for bit
+    # (Jet products are not commutative in the low bits: the scalar goes first)
+    def same(field, want):
+        got = field.taylor(p, 2)
+        assert len(got) == len(want)
+        assert all(a.order == 2 and a.max_coeff_diff(b) == 0.0 for a, b in zip(got, want))
+
+    Y = vector_field_from_exprs(CH3, ["x*z", "sin(y)", "1 + y^2"])
+    a = one_form_from_exprs(CH3, ["z", "x*y", "cos(x)"])
+    b = one_form_from_exprs(CH3, ["1", "y^2", "exp(x)"])
+    fj, gj = f.jet(p, 2), g.jet(p, 2)
+    Xj, Yj, aj, bj = (F.taylor(p, 2) for F in (X, Y, a, b))
+    same(X + Y, [x + y for x, y in zip(Xj, Yj)])
+    same(X - Y, [x - y for x, y in zip(Xj, Yj)])
+    same(X * 2.5, [x * 2.5 for x in Xj])
+    same(2.5 * X, [x * 2.5 for x in Xj])
+    same(X * f, [fj * x for x in Xj])
+    same(f * X, [fj * x for x in Xj])
+    same(a + b, [x + y for x, y in zip(aj, bj)])
+    same(a * 2.5, [x * 2.5 for x in aj])
+    same(a * f, [fj * x for x in aj])
+    same(f * a, [fj * x for x in aj])
+    same(f * g, [fj * gj])
+    same(g * f, [gj * fj])
+    same(f + 1.5, [fj + 1.5])
+    same(1.5 + f, [fj + 1.5])
+    same(f - 1.5, [fj - 1.5])
+    same(g.reciprocal(), [gj.reciprocal()])
+    assert isinstance(a + b, OneForm) and isinstance(f * a, OneForm)
+    assert isinstance(f * X, VectorField) and isinstance(f * g, ScalarField)
+
+    # the result is evaluable to the smallest operand cap
+    X3 = VectorField(CH3, components=X.components, max_order=3)
+    a3 = OneForm(CH3, components=a.components, max_order=3)
+    f2 = ScalarField(CH3, components=f.components, max_order=2)
+    assert (X3 + Y).max_order == 3 and (Y - X3).max_order == 3
+    assert (X3 * 2.0).max_order == 3 and (X3 * f2).max_order == 2
+    assert (a3 + b).max_order == 3 and (f2 * a3).max_order == 2
+    assert (f2 * g).max_order == 2 and (g + f2).max_order == 2
+    assert (f2 + 1.0).max_order == 2 and f2.reciprocal().max_order == 2
+    with pytest.raises(DerivativeOrderError):
+        (X3 * f2).taylor(p, 3)
+
+    other = Chart("other", ("x", "y", "z"))
+    Xo = vector_field_from_exprs(other, ["1", "0", "0"])
+    ao = one_form_from_exprs(other, ["1", "0", "0"])
+    fo = scalar_field_from_expr(other, "x")
+    for combine in (lambda: X + Xo, lambda: X - Xo, lambda: X * fo, lambda: fo * X,
+                    lambda: a + ao, lambda: a * fo, lambda: f * fo, lambda: f + fo):
+        with pytest.raises(ChartMismatchError):
+            combine()
+
 
 def test_flow_constant_and_rotation():
     X = constant_field(CH4, [1, 0, 0, 0])
@@ -172,9 +226,15 @@ def test_flow_against_scipy():
 def test_flow_bounds_enforced():
     ch = Chart("bounded", ("x",), bounds=((-1.0, 1.0),))
     X = constant_field(ch, [1.0])
-    from engellab.errors import IntegrationError
     with pytest.raises(IntegrationError):
         flow(X, [0.0], 5.0)
+
+
+def test_integrate_rejects_nonfinite_rhs():
+    # a NaN error estimate compares false against every tolerance; the step
+    # controller must stop instead of growing the step forever
+    with pytest.raises(IntegrationError):
+        integrate(lambda t, y: np.array([np.nan]), [0.0], 0.0, 1.0)
 
 
 def test_transport_matches_analytic_jacobian():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from engellab import cli
 from engellab.cli import main
 
 
@@ -59,6 +60,27 @@ def test_geometry_error_exits_three(capsys, tmp_path):
     assert code == 3
     assert "geometry error" in err
     assert "at point" in err  # offending point is logged
+
+
+def test_expression_domain_error_exits_three(capsys, tmp_path):
+    # sqrt of a negative coordinate: a geometry error at the sample point,
+    # not a crash with a traceback
+    p = tmp_path / "sqrt.json"
+    p.write_text(json.dumps({"frame": [["0", "0", "0", "1"], ["1", "w", "sqrt(x)*y", "0"]]}))
+    code, out, err = run_cli(capsys, "verify-engel", "--config", str(p),
+                             "--samples", "20")
+    assert code == 3
+    assert "geometry error" in err
+    assert "at point" in err
+
+
+def test_nan_defect_in_middle_sample_fails(monkeypatch):
+    defects = iter([0.0, float("nan"), 0.0])
+    monkeypatch.setattr(cli, "plane_principal_angle", lambda got, want: next(defects))
+    report = cli.run("contactify", {"slices": [0.0]}, 0, 3, 1e-8)
+    rec, = report.records
+    assert rec.max_defect != rec.max_defect
+    assert not rec.passed and not report.passed
 
 
 def test_deterministic_report_body(capsys, tmp_path):
