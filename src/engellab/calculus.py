@@ -4,11 +4,18 @@ A field is defined either by a component rule (a callable evaluated with
 generic arithmetic, so it works on floats and on :class:`~engellab.jets.Jet`
 seeds alike) or by a custom ``taylor_fn`` for fields produced by geometric
 constructions (brackets, pointwise linear solves, frame recombinations).
-Evaluation is pure: no shared mutable state, safe to sample in parallel.
+Evaluation is pure.  Within one evaluation scope each (field, order, point)
+is evaluated once: the outermost :meth:`_FieldBase.taylor` call opens a memo
+that the nested calls of composite and bracket closures share, and
+:func:`evaluation_scope` widens it to a whole pointwise check.  The memo lives
+in a context variable and is dropped when its scope closes, so nothing
+outlives one evaluation and parallel sampling stays safe.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -18,6 +25,23 @@ from .errors import ChartMismatchError, DerivativeOrderError, EngelLabError
 from .jets import Jet, jet_bilinear, jet_bracket, jet_dot
 
 INF_ORDER = math.inf
+
+# jets by (field, order, coordinate bytes) of the open evaluation scope; the
+# key holds the field itself so a field freed mid-scope cannot alias by id
+_MEMO = contextvars.ContextVar("taylor_memo", default=None)
+
+
+@contextlib.contextmanager
+def evaluation_scope():
+    """Share field jets across every ``taylor`` call made inside the block."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 @dataclass(frozen=True)
@@ -95,6 +119,22 @@ class _FieldBase:
                 f"field {self.name or type(self).__name__!r} only evaluable to order {self.max_order}, got {order}"
             )
         coords = _coords_of(point, self.chart)
+        memo, token = _MEMO.get(), None
+        if memo is None:
+            # the outermost call opens the scope and closes it on the way out
+            memo = {}
+            token = _MEMO.set(memo)
+        try:
+            key = (self, order, coords.tobytes())
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = self._evaluate(coords, order)
+            return list(out)
+        finally:
+            if token is not None:
+                _MEMO.reset(token)
+
+    def _evaluate(self, coords, order):
         if self.taylor_fn is not None:
             jets = self.taylor_fn(coords, order)
         else:
@@ -108,7 +148,7 @@ class _FieldBase:
             out.append(j.truncated(order))
         if len(out) != self._ncomp():
             raise EngelLabError(f"rule returned {len(out)} components, expected {self._ncomp()}")
-        return out
+        return tuple(out)
 
     def __call__(self, point):
         coords = _coords_of(point, self.chart)

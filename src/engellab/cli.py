@@ -220,7 +220,7 @@ def _suite_realize(cfg, rng, samples, tol, report, seed):
     grid = [np.append(m, th) for m in rng.uniform(-1.0, 1.0, (max(10, samples // 10), 3))
             for th in np.linspace(support[0] + 0.05, support[1] - 0.05, 7)]
     deformed = realize_isotopy(domain, gen, samples=grid, validate=True)
-    g_min = min(deformed.g(q) for q in grid)
+    g_min = min(deformed.spin_samples)
     report.add("spin-margin", len(grid), 0.5, abs(g_min), detail=f"min g = {g_min:.6f}")
 
     frame = deformed.frame()

@@ -142,6 +142,7 @@ class DeformedEngel:
         self.W.name = "W"
         self.g = self._spin_field()
         self.f = self._twist_field()
+        self.spin_samples = []  # g at the points realize_isotopy validated
 
     @property
     def char_field(self):
@@ -196,16 +197,19 @@ def realize_isotopy(domain, generator, samples=None, validate=True):
     """Tilt the domain's vertical field by the generator.
 
     With ``validate`` on and sample points given (4d coordinates), raises
-    :class:`GeometryError` at the first point where the spin g drops to -1 or
-    below; the deformed structure stops being Engel exactly there.
+    :class:`GeometryError` at the first point where the spin g is not above
+    -1 (a NaN spin included); the deformed structure stops being Engel
+    exactly at g = -1.  The validated spins are kept, in sample order, in
+    ``spin_samples``.
     """
     dom = DeformedEngel(domain, generator)
     if validate and samples is not None:
         for q in samples:
             gq = dom.g(q)
-            if gq <= -1.0:
+            if not gq > -1.0:
                 raise GeometryError(
-                    f"deformation too large: spin g = {gq:.6f} <= -1", point=q)
+                    f"deformation too large: spin g = {gq:.6f} is not above -1", point=q)
+            dom.spin_samples.append(gq)
     return dom
 
 

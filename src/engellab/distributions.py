@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import OneForm, Point, VectorField, _coords_of, lie_bracket
+from .calculus import (OneForm, Point, VectorField, _coords_of, evaluation_scope,
+                       lie_bracket)
 from .errors import EngelLabError, GeometryError
 from .jets import jet_cross, jet_dot
 
@@ -113,16 +114,17 @@ def flag_generators(frame):
 
 def flag_ranks(frame, p, tol=DEFAULT_RANK_TOL):
     """Ranks of D, D^2, D^3 at ``p`` via singular values of the evaluated
-    generators."""
+    generators; all generators share one evaluation scope at ``p``."""
     st1, st2, st3 = flag_generators(frame)
-    cols1 = [f(p) for f in st1]
-    r1, sv1 = _rank_of(cols1, tol)
-    if r1 < frame.rank:
-        raise GeometryError(f"frame degenerate at {p}", point=p)
-    cols2 = cols1 + [f(p) for f in st2[len(st1):]]
-    r2, sv2 = _rank_of(cols2, tol)
-    cols3 = cols2 + [f(p) for f in st3[len(st2):]]
-    r3, sv3 = _rank_of(cols3, tol)
+    with evaluation_scope():
+        cols1 = [f(p) for f in st1]
+        r1, sv1 = _rank_of(cols1, tol)
+        if r1 < frame.rank:
+            raise GeometryError(f"frame degenerate at {p}", point=p)
+        cols2 = cols1 + [f(p) for f in st2[len(st1):]]
+        r2, sv2 = _rank_of(cols2, tol)
+        cols3 = cols2 + [f(p) for f in st3[len(st2):]]
+        r3, sv3 = _rank_of(cols3, tol)
     return FlagReport(point=p, ranks=(r1, r2, r3), singular_values=[sv1, sv2, sv3], tol=tol)
 
 
@@ -172,15 +174,16 @@ def characteristic_line(frame, p, tol=DEFAULT_RANK_TOL, orient=None):
         raise EngelLabError("characteristic line needs a rank-2 frame")
     X, Y = frame.fields
     B = lie_bracket(X, Y)
-    x0, y0, b0 = X(p), Y(p), B(p)
-    # orthogonal complement of D^2 in coordinates, via SVD
-    M2 = np.column_stack([x0, y0, b0])
-    U, sv, _ = np.linalg.svd(M2)
-    if sv[2] <= tol * sv[0]:
-        raise GeometryError("distribution is not Engel at the point (rank D^2 < 3)", point=p)
-    normal = U[:, 3]
-    c1 = float(normal @ lie_bracket(B, X)(p))
-    c2 = float(normal @ lie_bracket(B, Y)(p))
+    with evaluation_scope():
+        x0, y0, b0 = X(p), Y(p), B(p)
+        # orthogonal complement of D^2 in coordinates, via SVD
+        M2 = np.column_stack([x0, y0, b0])
+        U, sv, _ = np.linalg.svd(M2)
+        if sv[2] <= tol * sv[0]:
+            raise GeometryError("distribution is not Engel at the point (rank D^2 < 3)", point=p)
+        normal = U[:, 3]
+        c1 = float(normal @ lie_bracket(B, X)(p))
+        c2 = float(normal @ lie_bracket(B, Y)(p))
     scale = max(abs(c1), abs(c2))
     if scale <= tol * max(np.linalg.norm(b0), 1.0):
         raise GeometryError("characteristic kernel is not one-dimensional numerically", point=p)

@@ -20,7 +20,7 @@ import re
 
 from . import jets
 from .calculus import OneForm, ScalarField, VectorField
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, ExpressionDomainError, JetDomainError
 
 _FUNCS = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp,
           "sqrt": jets.sqrt, "log": jets.log}
@@ -55,14 +55,16 @@ class Expression:
         self._ast = _Parser(_tokenize(text), set(variables)).parse()
 
     def __call__(self, env):
-        """Evaluate on floats or jets; a domain error, division by zero or
-        overflow becomes a :class:`GeometryError` at the evaluation point."""
+        """Evaluate on floats or jets; a domain error (of a float or a jet
+        function), division by zero or overflow becomes a
+        :class:`~engellab.errors.ExpressionDomainError` (a geometry error)
+        at the evaluation point."""
         try:
             return _eval(self._ast, env)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError, JetDomainError) as exc:
             point = [v.value if isinstance(v, jets.Jet) else v
                      for v in (env[name] for name in self.variables)]
-            raise GeometryError(f"{self.text!r}: {exc}", point=point) from exc
+            raise ExpressionDomainError(f"{self.text!r}: {exc}", point=point) from exc
 
     def __repr__(self):
         return f"Expression({self.text!r})"

@@ -28,8 +28,10 @@ class FlowResult:
     transport: np.ndarray = None  # optional transported-vector columns
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
+def _rk4_step(f, t, y, h, k1=None):
+    """One classical RK4 step; ``k1 = f(t, y)`` may be passed in when known."""
+    if k1 is None:
+        k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
@@ -58,8 +60,10 @@ def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None):
             raise IntegrationError("integrator exceeded step budget")
         if sign * (t + h - t1) > 0.0:
             h = t1 - t
-        y_full = _rk4_step(f, t, y, h)
-        y_half = _rk4_step(f, t, y, 0.5 * h)
+        # the full step and the first half step start from the same slope
+        k1 = f(t, y)
+        y_full = _rk4_step(f, t, y, h, k1)
+        y_half = _rk4_step(f, t, y, 0.5 * h, k1)
         y_two = _rk4_step(f, t + 0.5 * h, y_half, 0.5 * h)
         scale = 1.0 + np.max(np.abs(y))
         err = np.max(np.abs(y_two - y_full)) / 15.0 / scale
@@ -176,10 +180,10 @@ def flow_to_section(X, p, section, tol=DEFAULT_TOL, section_tol=1e-10,
         if s0 * s1 < 0.0 or s1 == 0.0:
             # bisect the step fraction; each trial is one RK4 substep
             lo, hi = 0.0, h
-            y_lo = y_prev
+            k1 = rhs(t0, y_prev)
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                y_mid = _rk4_step(rhs, t0, y_prev, mid)
+                y_mid = _rk4_step(rhs, t0, y_prev, mid, k1)
                 sm = section(y_mid[:n])
                 if abs(sm) < section_tol:
                     crossing.update(t=t0 + mid, y=y_mid)
@@ -188,7 +192,7 @@ def flow_to_section(X, p, section, tol=DEFAULT_TOL, section_tol=1e-10,
                     hi = mid
                 else:
                     lo = mid
-            crossing.update(t=t0 + hi, y=_rk4_step(rhs, t0, y_prev, hi))
+            crossing.update(t=t0 + hi, y=_rk4_step(rhs, t0, y_prev, hi, k1))
 
     t_end = max_time
     y, err, steps = integrate(rhs, y0, 0.0, t_end, tol=tol, max_steps=max_steps, observer=obs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from .errors import DerivativeOrderError, EngelLabError
+from .errors import DerivativeOrderError, EngelLabError, JetDomainError
 
 MAX_ORDER = 6
 
@@ -187,14 +187,14 @@ class Jet:
     def reciprocal(self):
         a0 = self.value
         if a0 == 0.0:
-            raise EngelLabError("jet division by a series with zero constant term")
+            raise JetDomainError("jet division by a series with zero constant term")
         series = [(-1.0) ** m / a0 ** (m + 1) for m in range(self.order + 1)]
         return self._analytic(series)
 
     def sqrt(self):
         a0 = self.value
         if a0 <= 0.0:
-            raise EngelLabError("jet sqrt requires positive constant term")
+            raise JetDomainError("jet sqrt requires positive constant term")
         series, coef = [], math.sqrt(a0)
         for m in range(self.order + 1):
             series.append(coef)
@@ -209,7 +209,7 @@ class Jet:
     def log(self):
         a0 = self.value
         if a0 <= 0.0:
-            raise EngelLabError("jet log requires positive constant term")
+            raise JetDomainError("jet log requires positive constant term")
         series = [math.log(a0)]
         for m in range(1, self.order + 1):
             series.append((-1.0) ** (m + 1) / (m * a0 ** m))

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import Chart, OneForm, VectorField
-from .errors import EngelLabError, GeometryError, IntegrationError
+from .errors import (EngelLabError, ExpressionDomainError, GeometryError,
+                     IntegrationError)
 from .flow import integrate
 from .jets import Jet, jet_bilinear, jet_dot
 from .prolongation import ParallelizedContact, prolong
@@ -473,6 +474,8 @@ def closedness_report(space, n_samples=50, max_arclength=30.0, tol=1e-10,
             ok, s, d, _, _ = first_return(space, state, chart,
                                           max_arclength=max_arclength, tol=tol)
             note = "" if ok else "no return within budget"
+        except ExpressionDomainError:
+            raise  # the configured metric is undefined here, whatever the sample
         except (GeometryError, IntegrationError) as exc:
             ok, s, d, note = False, math.nan, math.inf, str(exc)
         samples.append(SampleReturn(state=state, chart=chart, returned=ok,

@@ -3,15 +3,22 @@ scipy oracles."""
 
 import math
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from engellab import calculus
 from engellab.calculus import (Chart, OneForm, Point, ScalarField, VectorField,
-                               constant_field, coordinate_field, lie_bracket,
-                               lie_derivative_scalar)
+                               constant_field, coordinate_field, evaluation_scope,
+                               lie_bracket, lie_derivative_scalar)
+from engellab.distributions import DistributionFrame, flag_ranks
 from engellab.errors import ChartMismatchError, DerivativeOrderError, EngelLabError
 from engellab.errors import IntegrationError
+from engellab.jets import Jet, jet_bracket, multi_indices
 from engellab.expressions import (one_form_from_exprs, scalar_field_from_expr,
                                   vector_field_from_exprs)
 from engellab.flow import flow, flow_to_section, flow_transported, integrate
@@ -191,6 +198,105 @@ def test_scalar_field_arithmetic():
                     lambda: a + ao, lambda: a * fo, lambda: f * fo, lambda: f + fo):
         with pytest.raises(ChartMismatchError):
             combine()
+
+
+def counting_field(chart, calls, rule):
+    """A taylor_fn field computing ``rule`` on jet seeds that records each
+    (order, point) it is evaluated at."""
+
+    def tfn(coords, order):
+        calls[(order, tuple(coords))] += 1
+        return rule(Jet.seeds(coords, order))
+
+    return VectorField(chart, taylor_fn=tfn, name="leaf")
+
+
+def test_memo_evaluates_shared_leaf_once_per_taylor_call():
+    calls = Counter()
+    L = counting_field(CH4, calls, lambda s: [1.0 + 0.0 * s[0], s[3], s[1], 0.0 * s[0]])
+    W = coordinate_field(CH4, 3)
+    s = scalar_field_from_expr(CH4, "1 + x*w")
+    C = (W + L) + L * s - L * 0.5
+    p = [0.3, -0.2, 0.5, 0.1]
+    got = C.taylor(p, 2)
+    assert calls == {(2, tuple(p)): 1}
+    # the same jets as the composite evaluated from its parts, bit for bit
+    w, l, sj = W.taylor(p, 2), L.taylor(p, 2), s.jet(p, 2)
+    want = [(a + b) + sj * b - b * 0.5 for a, b in zip(w, l)]
+    assert [g.c for g in got] == [v.c for v in want]
+
+
+def test_memo_evaluates_shared_leaf_once_per_flag_point():
+    # frame {W + L, L} spans the standard Engel plane; L is the leaf of the
+    # composite field, of both frame slots and of every bracket
+    calls = Counter()
+    L = counting_field(CH4, calls, lambda s: [1.0 + 0.0 * s[0], s[3], s[1], 0.0 * s[0]])
+    W = coordinate_field(CH4, 3)
+    frame = DistributionFrame([W + L, L])
+    p = [0.3, -0.2, 0.5, 0.1]
+    assert flag_ranks(frame, p).ranks == (2, 3, 4)
+    assert calls == {(k, tuple(p)): 1 for k in (0, 1, 2)}
+    calls.clear()
+    q = [0.1, 0.4, -0.3, 0.7]
+    flag_ranks(frame, p)
+    flag_ranks(frame, q)
+    assert calls == {(k, tuple(x)): 1 for k in (0, 1, 2) for x in (p, q)}
+
+
+def test_memo_separates_points_in_one_scope():
+    calls = Counter()
+    L = counting_field(CH3, calls, lambda s: [s[0] * s[1], s[2], s[0] + 1.0])
+    p, q = [0.2, 0.3, -0.1], [0.2, 0.3, 0.4]
+    alone = [[j.c for j in L.taylor(x, 1)] for x in (p, q)]
+    calls.clear()
+    with evaluation_scope():
+        shared = [[j.c for j in L.taylor(x, 1)] for x in (p, q, p, q)]
+    assert shared == alone + alone
+    assert calls == {(1, tuple(p)): 1, (1, tuple(q)): 1}
+
+
+def test_memo_scope_closes_on_return_and_on_error():
+    L = counting_field(CH3, Counter(), lambda s: [s[0], s[1], s[2]])
+    lie_bracket(L, L * 2.0).taylor([0.1, 0.2, 0.3], 1)
+    assert calculus._MEMO.get() is None
+
+    def failing(coords, order):
+        raise EngelLabError("rule failed")
+
+    bad = L + VectorField(CH3, taylor_fn=failing)
+    with pytest.raises(EngelLabError):
+        bad.taylor([0.1, 0.2, 0.3], 1)
+    assert calculus._MEMO.get() is None
+    with pytest.raises(EngelLabError):
+        with evaluation_scope():
+            L.taylor([0.1, 0.2, 0.3], 1)
+            bad([0.1, 0.2, 0.3])
+    assert calculus._MEMO.get() is None
+
+
+def _jet_fields(n, order):
+    """Strategy: tuples of n random polynomial jets (one vector field)."""
+    idx = multi_indices(n, order)
+    coeffs = st.lists(st.floats(-1.0, 1.0), min_size=len(idx), max_size=len(idx))
+    return st.lists(coeffs, min_size=n, max_size=n).map(
+        lambda rows: [Jet(n, order, dict(zip(idx, row))) for row in rows])
+
+
+def _max_coeff(jets):
+    return max((abs(v) for j in jets for v in j.c.values()), default=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_jet_fields(3, 3), _jet_fields(3, 3), _jet_fields(3, 3))
+def test_jet_bracket_antisymmetry_and_jacobi(X, Y, Z):
+    B = jet_bracket(X, Y)
+    assert _max_coeff([a + b for a, b in zip(B, jet_bracket(Y, X))]) < 1e-12
+    assert _max_coeff(jet_bracket(X, X)) == 0.0
+    cyc = [jet_bracket(X, jet_bracket(Y, Z)), jet_bracket(Y, jet_bracket(Z, X)),
+           jet_bracket(Z, jet_bracket(X, Y))]
+    total = [a + b + c for a, b, c in zip(*cyc)]
+    assert all(j.order == 1 for j in total)
+    assert _max_coeff(total) < 1e-10
 
 
 def test_flow_constant_and_rotation():

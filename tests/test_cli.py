@@ -74,6 +74,21 @@ def test_expression_domain_error_exits_three(capsys, tmp_path):
     assert "at point" in err
 
 
+def test_jet_domain_error_exits_three(capsys, tmp_path):
+    # the profile is evaluated on jets along geodesics; sqrt of a negative
+    # u is a geometry error at the point, not a bare library error or a
+    # sample that merely did not return
+    p = tmp_path / "profile.json"
+    p.write_text(json.dumps({"metric": "revolution", "profile": "sqrt(u)",
+                             "expect_return": False}))
+    code, out, err = run_cli(capsys, "zoll-closedness", "--config", str(p),
+                             "--samples", "4")
+    assert code == 3
+    assert "geometry error" in err
+    assert "jet sqrt" in err
+    assert "at point" in err
+
+
 def test_nan_defect_in_middle_sample_fails(monkeypatch):
     defects = iter([0.0, float("nan"), 0.0])
     monkeypatch.setattr(cli, "plane_principal_angle", lambda got, want: next(defects))

@@ -128,6 +128,23 @@ def test_spin_guard_trips_for_large_amplitude():
         realize_isotopy(dom, gen, samples=samples)
 
 
+def test_spin_guard_fails_loudly_on_nan(monkeypatch):
+    # a NaN spin after a valid one is neither <= -1 nor a margin: it must
+    # stop the realization instead of passing validation
+    from engellab.calculus import ScalarField
+    from engellab.deformation import DeformedEngel
+
+    monkeypatch.setattr(DeformedEngel, "_spin_field", lambda self: ScalarField(
+        self.chart, components=lambda xs: [float("nan") if xs[0] > 0.0 else 0.5]))
+    dom = prolong(standard_contact())
+    gen = ContactIsotopyGenerator(dom, scalar_field_from_expr(dom.chart, "0.05*x"), SUPPORT)
+    good, bad = [-0.5, 0.1, 0.2, 0.6], [0.5, 0.1, 0.2, 0.6]
+    assert realize_isotopy(dom, gen, samples=[good]).spin_samples == [0.5]
+    with pytest.raises(GeometryError) as info:
+        realize_isotopy(dom, gen, samples=[good, bad, good])
+    assert info.value.point == bad
+
+
 def test_spin_measures_bracket_degeneracy():
     # [V, W] = -f V - (1 + g) U: the deformed frame loses the rank-3 step
     # exactly on the locus g = -1, which is why the guard is sharp
