@@ -42,9 +42,11 @@ def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None):
     """Adaptive RK4 (step doubling) for ``dy/dt = f(t, y)`` from t0 to t1.
 
     Local error per step is held below ``tol`` (scaled by state magnitude).
-    Returns ``(y, est_error, steps)``.  ``observer(t_prev, y_prev, t, y, h)``
-    is called after each accepted step.  A non-finite error estimate (a NaN
-    or overflowing right-hand side) raises :class:`IntegrationError`.
+    Returns ``(y, est_error, steps)`` with ``steps`` the accepted steps.
+    ``observer(t_prev, y_prev, t, y, h)`` is called after each accepted step.
+    Every attempted step, rejected ones included, counts toward
+    ``max_steps``.  A non-finite error estimate (a NaN or overflowing
+    right-hand side) raises :class:`IntegrationError`.
     """
     y = np.asarray(y0, dtype=float)
     t = t0
@@ -54,10 +56,11 @@ def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None):
     sign = 1.0 if span > 0 else -1.0
     h = sign * min(abs(span), max(abs(span) / 16.0, 1e-6))
     est_error = 0.0
-    steps = 0
+    steps = attempts = 0
     while sign * (t1 - t) > 0.0:
-        if steps >= max_steps:
+        if attempts >= max_steps:
             raise IntegrationError("integrator exceeded step budget")
+        attempts += 1
         if sign * (t + h - t1) > 0.0:
             h = t1 - t
         # the full step and the first half step start from the same slope

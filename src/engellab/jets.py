@@ -7,53 +7,127 @@ at the jet's order, so arithmetic is exact up to rounding.  Jets double as the
 derivative-propagation engine for vector fields (evaluate the component rule on
 seed jets) and as the substrate of the normal-form algorithm.
 
-Orders are capped at :data:`MAX_ORDER`; the normal-form pipeline needs at most
-order 6 and keeping things dense keeps composition simple.
+The store is sparse: a dict from multi-index tuples to coefficients, holding
+only the terms that were set.  The arithmetic is table-driven: for each
+variable count, a cached graded table numbers every multi-index up to degree
+``MAX_ORDER + 1`` and holds its degree, the index of each pairwise sum and of
+each unit shift, so products and derivatives look indices up instead of
+building tuples per term.  Orders are capped at :data:`MAX_ORDER`; the
+normal-form pipeline needs at most order 6.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import accumulate
+from operator import add, sub
 
 from .errors import DerivativeOrderError, EngelLabError, JetDomainError
 
 MAX_ORDER = 6
 
 
-def _zero_index(n):
-    return (0,) * n
+def _check_order(order):
+    if order < 0 or order > MAX_ORDER:
+        raise DerivativeOrderError(f"jet order {order} outside [0, {MAX_ORDER}]")
+
+
+def _of_degree(n, d):
+    """The multi-indices of degree ``d`` in ``n`` variables, in
+    lexicographic order."""
+    if n == 0:
+        return [()] if d == 0 else []
+    return [(e,) + rest for e in range(d + 1) for rest in _of_degree(n - 1, d - e)]
+
+
+class _Graded:
+    """Graded multi-index table for ``n`` variables.
+
+    ``keys`` lists every multi-index of degree at most ``MAX_ORDER + 1`` by
+    degree, lexicographically within a degree; ``pos`` inverts it.  Since the
+    table is graded, the multi-indices of degree at most ``d`` are exactly the
+    positions below ``count[d]``.  ``zero`` is the multi-index of degree 0
+    and ``units[i]`` the one of ``x_i``.  ``sums[p][q]`` is the position of
+    ``keys[p] + keys[q]`` for every pair of degree at most ``MAX_ORDER``;
+    ``down[i][p]`` and ``up[i][p]`` are the positions of ``keys[p]`` with
+    exponent ``i`` lowered (None at exponent 0) or raised (None past the
+    table).
+    """
+
+    __slots__ = ("zero", "units", "keys", "pos", "degree", "count", "sums", "down", "up")
+
+    def __init__(self, n):
+        top = MAX_ORDER + 1
+        layers = [_of_degree(n, d) for d in range(top + 1)]
+        keys = [k for layer in layers for k in layer]
+        pos = {k: p for p, k in enumerate(keys)}
+        degree = [d for d, layer in enumerate(layers) for _ in layer]
+        count = list(accumulate(len(layer) for layer in layers))
+        self.zero = keys[0]
+        self.keys = keys
+        self.pos = pos
+        self.degree = degree
+        self.count = count
+        self.sums = [[pos[tuple(map(add, k1, k2))] for k2 in keys[:count[MAX_ORDER - d1]]]
+                     if d1 <= MAX_ORDER else [] for k1, d1 in zip(keys, degree)]
+        self.units = units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        self.down = [[pos[tuple(map(sub, k, u))] if k[i] else None for k in keys]
+                     for i, u in enumerate(units)]
+        self.up = [[pos.get(tuple(map(add, k, u))) for k in keys] for u in units]
+
+
+class _Tables(dict):
+    """Variable count -> its :class:`_Graded` table, built on first use.
+    A table depends on the variable count alone, so one per process is
+    shared by every jet."""
+
+    def __missing__(self, n):
+        table = self[n] = _Graded(n)
+        return table
+
+
+_TABLES = _Tables()
+
+
+def _jet(n, order, c):
+    """A jet around the coefficient dict ``c`` (taken, not copied), for
+    results whose order the kernel already knows to be valid."""
+    j = object.__new__(Jet)
+    j.n = n
+    j.order = order
+    j.c = c
+    return j
 
 
 class Jet:
-    """Dense truncated power series in ``n`` variables."""
+    """Truncated power series in ``n`` variables, stored sparsely as a dict
+    from multi-index tuples to coefficients.
+
+    Keys must be multi-indices of degree at most ``MAX_ORDER + 1``; the
+    table lookups of the arithmetic fail with ``KeyError`` on other keys.
+    """
 
     __slots__ = ("n", "order", "c")
 
     def __init__(self, n, order, coeffs=None):
-        if order < 0 or order > MAX_ORDER:
-            raise DerivativeOrderError(f"jet order {order} outside [0, {MAX_ORDER}]")
+        _check_order(order)
         self.n = n
         self.order = order
         self.c = dict(coeffs) if coeffs else {}
 
     # -- constructors -----------------------------------------------------
 
-    @classmethod
-    def constant(cls, value, n, order):
-        j = cls(n, order)
-        if value != 0.0:
-            j.c[_zero_index(n)] = float(value)
-        return j
+    @staticmethod
+    def constant(value, n, order):
+        _check_order(order)
+        return _jet(n, order, {_TABLES[n].zero: float(value)} if value != 0.0 else {})
 
-    @classmethod
-    def variable(cls, i, n, order, base=0.0):
+    @staticmethod
+    def variable(i, n, order, base=0.0):
         """The coordinate function ``x_i`` expanded around ``x_i = base``."""
-        j = cls.constant(base, n, order)
+        j = Jet.constant(base, n, order)
         if order >= 1:
-            idx = [0] * n
-            idx[i] = 1
-            j.c[tuple(idx)] = 1.0
+            j.c[_TABLES[n].units[i]] = 1.0
         return j
 
     @staticmethod
@@ -68,60 +142,57 @@ class Jet:
 
     @property
     def value(self):
-        return self.c.get(_zero_index(self.n), 0.0)
-
-    def coefficient(self, idx):
-        return self.c.get(tuple(idx), 0.0)
-
-    def partial(self, idx):
-        """The partial derivative ``d^alpha f`` at the base point."""
-        idx = tuple(idx)
-        fact = 1.0
-        for e in idx:
-            fact *= math.factorial(e)
-        return self.c.get(idx, 0.0) * fact
+        return self.c.get(_TABLES[self.n].zero, 0.0)
 
     def gradient(self):
-        g = [0.0] * self.n
-        for i in range(self.n):
-            idx = [0] * self.n
-            idx[i] = 1
-            g[i] = self.c.get(tuple(idx), 0.0)
-        return g
+        c = self.c
+        return [c.get(u, 0.0) for u in _TABLES[self.n].units]
 
     def truncated(self, order):
         if order >= self.order:
-            return Jet(self.n, min(order, self.order), self.c)
-        return Jet(self.n, order, {k: v for k, v in self.c.items() if sum(k) <= order})
+            return _jet(self.n, self.order, dict(self.c))
+        _check_order(order)
+        t = _TABLES[self.n]
+        pos, lim = t.pos, t.count[order]
+        return _jet(self.n, order, {k: v for k, v in self.c.items() if pos[k] < lim})
 
     def copy(self):
-        return Jet(self.n, self.order, self.c)
+        return _jet(self.n, self.order, dict(self.c))
 
     # -- ring operations ----------------------------------------------------
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise EngelLabError(f"jet variable count mismatch: {self.n} vs {other.n}")
+    #
+    # Results equal the plain nested loops bit for bit: terms are visited in
+    # the operands' dict order, a coefficient made by a product, or by the
+    # second operand of a sum, starts as ``0.0 + term`` (so a -0.0 term
+    # stores 0.0), and keys enter the result in first-visit order, which
+    # later sums iterate in.
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            out = self.copy()
+            c = dict(self.c)
             if other != 0.0:
-                z = _zero_index(self.n)
-                out.c[z] = out.c.get(z, 0.0) + float(other)
-            return out
-        self._check(other)
+                z = _TABLES[self.n].zero
+                c[z] = c.get(z, 0.0) + float(other)
+            return _jet(self.n, self.order, c)
+        if self.n != other.n:
+            raise EngelLabError(f"jet variable count mismatch: {self.n} vs {other.n}")
         order = min(self.order, other.order)
-        out = Jet(self.n, order, {k: v for k, v in self.c.items() if sum(k) <= order})
-        for k, v in other.c.items():
-            if sum(k) <= order:
-                out.c[k] = out.c.get(k, 0.0) + v
-        return out
+        a, b = self.c, other.c
+        if not (a or b):
+            return _jet(self.n, order, {})
+        t = _TABLES[self.n]
+        pos, lim = t.pos, t.count[order]
+        out = {k: v for k, v in a.items() if pos[k] < lim}
+        get = out.get
+        for k, v in b.items():
+            if pos[k] < lim:
+                out[k] = get(k, 0.0) + v
+        return _jet(self.n, order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.n, self.order, {k: -v for k, v in self.c.items()})
+        return _jet(self.n, self.order, {k: -v for k, v in self.c.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -float(other))
@@ -130,22 +201,57 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        n = self.n
         if not isinstance(other, Jet):
             s = float(other)
-            return Jet(self.n, self.order, {k: v * s for k, v in self.c.items()})
-        self._check(other)
+            return _jet(n, self.order, {k: v * s for k, v in self.c.items()})
+        if n != other.n:
+            raise EngelLabError(f"jet variable count mismatch: {n} vs {other.n}")
         order = min(self.order, other.order)
-        out = {}
-        for k1, v1 in self.c.items():
-            d1 = sum(k1)
-            if d1 > order:
+        a, b = self.c, other.c
+        if not a or not b:
+            return _jet(n, order, {})
+        t = _TABLES[n]
+        if order == 0:
+            z = t.zero
+            if z in a and z in b:
+                return _jet(n, 0, {z: 0.0 + a[z] * b[z]})
+            return _jet(n, 0, {})
+        pos, count, degree, sums, keys = t.pos, t.count, t.degree, t.sums, t.keys
+        lim = count[order]
+        if len(a) == 1:
+            # one term: each product term lands on its own key, in b's order
+            (k1, v1), = a.items()
+            p = pos[k1]
+            if p >= lim:
+                return _jet(n, order, {})
+            row, room = sums[p], count[order - degree[p]]
+            return _jet(n, order, {keys[row[q]]: 0.0 + v1 * v2
+                                   for k2, v2 in b.items() if (q := pos[k2]) < room})
+        # the other operand's terms within the order, once; then, per
+        # remaining degree budget, those that fit it (in dict order)
+        terms = [(q, v2) for k2, v2 in b.items() if (q := pos[k2]) < lim]
+        fitting = {}
+        acc = [None] * lim
+        first = []
+        for k1, v1 in a.items():
+            p = pos[k1]
+            if p >= lim:
                 continue
-            for k2, v2 in other.c.items():
-                if d1 + sum(k2) > order:
-                    continue
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, 0.0) + v1 * v2
-        return Jet(self.n, order, out)
+            room = count[order - degree[p]]
+            inner = fitting.get(room)
+            if inner is None:
+                inner = fitting[room] = [qv for qv in terms if qv[0] < room]
+            row = sums[p]
+            for q, v2 in inner:
+                r = row[q]
+                x = acc[r]
+                if x is None:
+                    acc[r] = 0.0 + v1 * v2
+                    first.append(r)
+                else:
+                    acc[r] = x + v1 * v2
+        return _jet(n, order, {keys[r]: acc[r] for r in first})
 
     __rmul__ = __mul__
 
@@ -231,26 +337,29 @@ class Jet:
 
     def derivative(self, i):
         """Partial derivative with respect to variable ``i`` (order drops by 1)."""
-        out = Jet(self.n, max(self.order - 1, 0))
+        order = max(self.order - 1, 0)
+        t = _TABLES[self.n]
+        pos, lim, down, keys = t.pos, t.count[order + 1], t.down[i], t.keys
+        out = {}
         for k, v in self.c.items():
-            if k[i] == 0:
-                continue
-            kk = list(k)
-            kk[i] -= 1
-            if sum(kk) <= out.order:
-                out.c[tuple(kk)] = v * k[i]
-        return out
+            p = pos[k]
+            q = down[p]
+            if q is not None and p < lim:
+                out[keys[q]] = v * k[i]
+        return _jet(self.n, order, out)
 
     def antiderivative(self, i):
         """Antiderivative in variable ``i`` with zero constant of integration
         (order grows by 1, capped at :data:`MAX_ORDER`)."""
-        out = Jet(self.n, min(self.order + 1, MAX_ORDER))
+        order = min(self.order + 1, MAX_ORDER)
+        t = _TABLES[self.n]
+        pos, lim, up, keys = t.pos, t.count[order - 1], t.up[i], t.keys
+        out = {}
         for k, v in self.c.items():
-            kk = list(k)
-            kk[i] += 1
-            if sum(kk) <= out.order:
-                out.c[tuple(kk)] = v / kk[i]
-        return out
+            p = pos[k]
+            if p < lim:
+                out[keys[up[p]]] = v / (k[i] + 1)
+        return _jet(self.n, order, out)
 
     # -- variable bookkeeping ----------------------------------------------------
 
@@ -284,17 +393,6 @@ class Jet:
         return out
 
     # -- comparison / display ------------------------------------------------------
-
-    def allclose(self, other, atol=1e-12):
-        if isinstance(other, (int, float)):
-            other = Jet.constant(other, self.n, self.order)
-        keys = set(self.c) | set(other.c)
-        order = min(self.order, other.order)
-        return all(
-            abs(self.c.get(k, 0.0) - other.c.get(k, 0.0)) <= atol
-            for k in keys
-            if sum(k) <= order
-        )
 
     def max_coeff_diff(self, other):
         keys = set(self.c) | set(other.c)
@@ -396,15 +494,18 @@ def jet_compose(outer, inner):
     # precompute powers of each inner component
     powers = []
     for g in inner:
+        g = g.truncated(order)
         p = [Jet.constant(1.0, n, order)]
         for _ in range(order):
-            p.append(p[-1] * g.truncated(order))
+            p.append(p[-1] * g)
         powers.append(p)
+    t = _TABLES[m]
+    pos, lim = t.pos, t.count[order]
     results = []
     for o in outs:
         acc = Jet(n, order)
         for k, v in o.c.items():
-            if sum(k) > order:
+            if pos[k] >= lim:
                 continue
             term = Jet.constant(v, n, order)
             for j, e in enumerate(k):
@@ -494,35 +595,9 @@ def jet_pushforward(change, field, inverse=None):
             for c in change]
 
 
-def jet_solve(A, b):
-    """Solve ``A x = b`` where entries are jets, by Gaussian elimination with
-    pivoting on constant terms."""
-    m = len(A)
-    rows = [list(A[i]) + [b[i]] for i in range(m)]
-    n = len(A[0])
-    if m < n:
-        raise EngelLabError("underdetermined jet system")
-    perm = list(range(m))
-    for col in range(n):
-        piv = max(range(col, m), key=lambda r: abs(rows[r][col].value))
-        if abs(rows[piv][col].value) < 1e-13:
-            raise EngelLabError("jet linear system is singular at the base point")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        perm[col], perm[piv] = perm[piv], perm[col]
-        inv = rows[col][col].reciprocal()
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(m):
-            if r != col:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
-
-
 def multi_indices(n, order):
-    """All multi-indices with |alpha| <= order, graded order."""
-    out = []
-    for total in range(order + 1):
-        for idx in product(range(total + 1), repeat=n):
-            if sum(idx) == total:
-                out.append(idx)
-    return out
+    """All multi-indices with |alpha| <= order, graded order (by degree,
+    lexicographically within a degree)."""
+    _check_order(order)
+    t = _TABLES[n]
+    return t.keys[:t.count[order]]

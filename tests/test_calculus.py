@@ -343,6 +343,20 @@ def test_integrate_rejects_nonfinite_rhs():
         integrate(lambda t, y: np.array([np.nan]), [0.0], 0.0, 1.0)
 
 
+def test_integrate_budget_counts_rejected_steps():
+    # the opening step is far too long for this oscillation, so the
+    # controller rejects some attempts: fewer than 50 steps are accepted,
+    # but more than 50 are attempted, and the rejected ones count too
+    def f(t, y):
+        return np.array([math.cos(400.0 * t)])
+
+    accepted = []
+    integrate(f, [0.0], 0.0, 0.05, tol=1e-9, observer=lambda *args: accepted.append(args))
+    assert len(accepted) < 50
+    with pytest.raises(IntegrationError, match="step budget"):
+        integrate(f, [0.0], 0.0, 0.05, tol=1e-9, max_steps=50)
+
+
 def test_transport_matches_analytic_jacobian():
     # linear field: transport is the matrix exponential
     ch2 = Chart("plane", ("x", "y"))
