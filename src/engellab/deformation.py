@@ -25,6 +25,7 @@ from .errors import EngelLabError, GeometryError
 from .flow import flow, integrate_nonautonomous
 from .jets import Jet, jet_bilinear, jet_cross, jet_dot
 from .prolongation import Slice, lift_field, lift_form
+from .reporting import worst_of
 
 # window margin below which exp(-1/s) is treated as exactly zero
 _WINDOW_EDGE = 1e-2
@@ -307,7 +308,8 @@ class GraySolution:
 
     def check_hypothesis(self, points, times=None):
         """dot-theta_t must annihilate L; returns the worst relative pairing
-        and raises if it exceeds the stated tolerance."""
+        and raises unless it is within the stated tolerance (a NaN pairing
+        at any point raises)."""
         times = times if times is not None else [self.t_grid[0], self.t_grid[-1]]
         worst = 0.0
         for t in times:
@@ -315,8 +317,8 @@ class GraySolution:
             for x in points:
                 num = abs(float(dot.pair(self.L, x).value))
                 den = max(np.linalg.norm(dot(x)) * np.linalg.norm(self.L(x)), 1e-300)
-                worst = max(worst, num / den)
-        if worst > self.hypothesis_tol:
+                worst = worst_of(worst, num / den)
+        if not worst <= self.hypothesis_tol:
             raise GeometryError(
                 f"dot theta_t does not annihilate L (relative pairing {worst:.3e})")
         self.checks.append({"check": "hypothesis", "worst": worst})

@@ -280,7 +280,26 @@ class Jet:
 
     def _analytic(self, series):
         """Compose with a univariate function given its Taylor coefficients
-        ``series[m] = f^(m)(a0)/m!`` around this jet's constant term."""
+        ``series[m] = f^(m)(a0)/m!`` around this jet's constant term.
+
+        At order 0 or 1 the sum is written out, ``series[0]`` plus
+        ``series[1]`` times each term of degree at most 1 of ``self - a0`` in
+        this jet's key order.  It equals the loop below bit for bit, signs
+        of zeros and key order included, since every product term lands in
+        a sum with 0.0 or ``series[0]`` there as here."""
+        if self.order <= 1:
+            t = _TABLES[self.n]
+            z = t.zero
+            s0 = series[0]
+            out = {z: float(s0)} if s0 != 0.0 else {}
+            if self.order == 1 and len(series) > 1 and series[1] != 0.0:
+                s1 = float(series[1])
+                pos, lim, get = t.pos, t.count[1], out.get
+                for k, v in self.c.items():
+                    if pos[k] < lim:
+                        # the constant term of self - a0 is a0 - a0: zero, or NaN
+                        out[k] = get(k, 0.0) + (v - v if k == z else v) * s1
+            return _jet(self.n, self.order, out)
         d = self - self.value
         out = Jet.constant(series[0], self.n, self.order)
         power = Jet.constant(1.0, self.n, self.order)

@@ -26,6 +26,7 @@ from .calculus import Chart, VectorField
 from .errors import EngelLabError, GeometryError
 from .jets import (MAX_ORDER, Jet, jet_bracket, jet_compose, jet_identity,
                    jet_invert, jet_pushforward)
+from .reporting import worst_of
 
 ODE_CHART = Chart("ode_slope", ("x", "y", "p"))
 
@@ -171,7 +172,7 @@ class NormalFormResult:
         worst = 0.0
         for got, want in [(Ys[0], zero), (Ys[1], one), (Ys[2], zero),
                           (Xs[0], one), (Xs[1], self.f_jet), (Xs[2], ident[1])]:
-            worst = max(worst, got.max_coeff_diff(want))
+            worst = worst_of(worst, got.max_coeff_diff(want))
         return worst
 
 

@@ -20,15 +20,22 @@ import numpy as np
 
 from .calculus import Chart, OneForm, VectorField
 from .errors import (EngelLabError, ExpressionDomainError, GeometryError,
-                     IntegrationError)
+                     IntegrationError, JetDomainError)
 from .flow import integrate
 from .jets import Jet, jet_bilinear, jet_dot
 from .prolongation import ParallelizedContact, prolong
+from .reporting import worst_of
 
 
 class SurfaceMetric:
     """A Riemannian metric on a 2-chart, given by a matrix rule evaluable
-    with generic arithmetic (floats or jets)."""
+    with generic arithmetic (floats or jets).
+
+    The rule is the one description of the metric.  ``jets`` and
+    ``christoffel_jets`` evaluate it on seed jets of any order;
+    ``value_and_gradient`` evaluates it once on order-1 seeds and returns
+    floats, from which ``christoffel`` forms the symbols in floats.
+    """
 
     def __init__(self, chart, g_rule, name=""):
         if chart.dim != 2:
@@ -46,6 +53,13 @@ class SurfaceMetric:
         if n_vars != 2:
             out = [[g.embed(n_vars, list(positions)) for g in row] for row in out]
         return out
+
+    def value_and_gradient(self, p):
+        """The floats g[i][j] and dg[i][j][k] = d_k g_ij at ``p``, read from
+        one evaluation of the rule on order-1 seeds."""
+        G = self.jets(p, 1)
+        return ([[g.value for g in row] for row in G],
+                [[g.gradient() for g in row] for row in G])
 
     def matrix(self, p):
         G = self.jets(np.asarray(p, dtype=float), 0)
@@ -73,9 +87,42 @@ class SurfaceMetric:
                   for k in range(2)] for j in range(2)] for i in range(2)]
 
     def christoffel(self, p):
-        Gam = self.christoffel_jets(np.asarray(p, dtype=float), 0)
-        return np.array([[[Gam[i][j][k].value for k in range(2)] for j in range(2)]
-                         for i in range(2)])
+        """Gamma^i_jk at ``p`` as an array, in floats."""
+        return np.array(_christoffel(*self.value_and_gradient(p)))
+
+
+def _christoffel(g, dg):
+    """Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_jl - d_l g_jk) in floats, from
+    g[i][j] and dg[i][j][k] = d_k g_ij, with the 2x2 inverse by formula."""
+    (g00, g01), (g10, g11) = g
+    det = g00 * g11 - g01 * g10
+    if abs(det) < 1e-13:
+        raise GeometryError("metric degenerates")
+    inv = ((g11 / det, -g01 / det), (-g10 / det, g00 / det))
+    first = [[[dg[l][k][j] + dg[j][l][k] - dg[j][k][l] for k in (0, 1)] for j in (0, 1)]
+             for l in (0, 1)]
+    return [[[0.5 * (i0 * f0 + i1 * f1) for f0, f1 in zip(first[0][j], first[1][j])]
+             for j in (0, 1)] for i0, i1 in inv]
+
+
+def _frame(g, dg):
+    """The Gram-Schmidt frame E1 = (a, 0), E2 = (w0 b, b) in floats, with
+    a = g00^-1/2, w0 = -g01/g00 and b = (g11 + w0 g01)^-1/2, and the two
+    partials of each by the chain rule: returns (a, w0, b), (da, dw0, db)."""
+    (g00, g01), (_, g11) = g
+    (d00, d01), (_, d11) = dg
+    if g00 <= 0.0:
+        raise JetDomainError("metric is not positive definite: g00 <= 0")
+    a = 1.0 / math.sqrt(g00)
+    w0 = -g01 / g00
+    n2 = g11 + w0 * g01
+    if n2 <= 0.0:
+        raise JetDomainError("metric is not positive definite: det g <= 0")
+    b = 1.0 / math.sqrt(n2)
+    da = [-0.5 * a * d / g00 for d in d00]
+    dw0 = [(-e + g01 * d / g00) / g00 for d, e in zip(d00, d01)]
+    db = [-0.5 * b * (d11[k] + dw0[k] * g01 + w0 * d01[k]) / n2 for k in (0, 1)]
+    return (a, w0, b), (da, dw0, db)
 
 
 def euclidean_metric(name="plane"):
@@ -168,42 +215,35 @@ class UnitTangentChart:
         return [u[0].truncated(order), u[1].truncated(order), psidot]
 
     def _v1_value(self, coords):
-        """Plain-float evaluation (2-variable order-1 jets for the metric
-        only); the geodesic field sits in every integrator's inner loop."""
-        G = self.metric.jets(coords[:2], 1)
-        g00, g01, g11 = G[0][0], G[0][1], G[1][1]
-        a = g00.sqrt().reciprocal()
-        w0 = -1.0 * g01 * g00.reciprocal()
-        b = (g11 + w0 * g01).sqrt().reciprocal()
+        """V1 at order 0 in plain floats; the geodesic field sits in every
+        integrator's inner loop.  The only jets are those of one evaluation
+        of the metric rule on order-1 seeds (``value_and_gradient``); the
+        frame, its partials, u, F and psidot = g(F, u_perp) are floats."""
+        g, dg = self.metric.value_and_gradient(coords[:2])
+        (a, w0, b), (da, dw0, db) = _frame(g, dg)
         cp, sp = math.cos(coords[2]), math.sin(coords[2])
-        u0 = cp * a + sp * (w0 * b)
-        u1 = sp * b
-        up0 = -sp * a.value + cp * (w0 * b).value
-        up1 = cp * b.value
-        gv = np.array([[g00.value, g01.value], [g01.value, g11.value]])
-        dg = np.array([[g00.gradient(), g01.gradient()],
-                       [g01.gradient(), g11.gradient()]])  # dg[i][j][k] = d_k g_ij
-        ginv = np.linalg.inv(gv)
-        uv = np.array([u0.value, u1.value])
-        du = np.array([u0.gradient(), u1.gradient()])  # du[i][k] = d_k u^i
-        F = np.zeros(2)
-        for i in range(2):
-            F[i] = -float(du[i] @ uv)
-            for j in range(2):
-                for k in range(2):
-                    Gam = 0.5 * sum(ginv[i, l] * (dg[l, k, j] + dg[j, l, k] - dg[j, k, l])
-                                    for l in range(2))
-                    F[i] -= Gam * uv[j] * uv[k]
-        psidot = float(np.array([up0, up1]) @ gv @ F)
-        return [float(uv[0]), float(uv[1]), psidot]
+        wb = w0 * b
+        u0, u1 = cp * a + sp * wb, sp * b
+        du = ([cp * da[k] + sp * (dw0[k] * b + w0 * db[k]) for k in (0, 1)],
+              [sp * db[k] for k in (0, 1)])  # du[i][k] = d_k u^i
+        Gam = _christoffel(g, dg)
+        F = [-(dui[0] * u0 + dui[1] * u1)
+             - (Gi[0][0] * u0 * u0 + Gi[0][1] * u0 * u1 + Gi[1][0] * u1 * u0 + Gi[1][1] * u1 * u1)
+             for dui, Gi in zip(du, Gam)]
+        up0, up1 = -sp * a + cp * wb, cp * b
+        psidot = (up0 * (g[0][0] * F[0] + g[0][1] * F[1])
+                  + up1 * (g[1][0] * F[0] + g[1][1] * F[1]))
+        return [u0, u1, psidot]
 
     def _alpha_jets(self, coords, order):
         G, u, uperp = self._unit_jets(coords, order)
         return [jet_dot([G[0][j], G[1][j]], uperp) for j in range(2)] + [Jet(3, order)]
 
     def unit_vector(self, p):
-        _, u, _ = self._unit_jets(np.asarray(p, dtype=float), 0)
-        return np.array([u[0].value, u[1].value])
+        """Coordinate components of the unit vector at angle psi, in floats."""
+        (a, w0, b), _ = _frame(*self.metric.value_and_gradient(p[:2]))
+        cp, sp = math.cos(p[2]), math.sin(p[2])
+        return np.array([cp * a + sp * (w0 * b), sp * b])
 
     def pair(self):
         return ParallelizedContact(self.chart, self.V0, self.V1, alpha=self.alpha)
@@ -359,6 +399,9 @@ class SphereAtlas:
     def needs_transition(self, state, chart):
         return np.hypot(state[0], state[1]) > self.switch_radius
 
+    def escaped(self, state, chart):
+        return False  # the atlas covers the whole sphere
+
     def transition(self, state, chart):
         """Inversion x -> r^2 x / |x|^2; the conformal frames make the new
         fiber angle the Euclidean angle of the pushed direction."""
@@ -432,7 +475,7 @@ def first_return(space, state, chart, max_arclength=30.0, tol=1e-10,
     while s < max_arclength:
         y, ch = _integrate_chunk(space, y, ch, chunk, tol)
         s += chunk
-        if getattr(space, "escaped", lambda *_: False)(y, ch):
+        if space.escaped(y, ch):
             return False, s, math.inf, y, ch
         d = np.linalg.norm(space.embed(y, ch) - start)
         if not departed:
@@ -482,7 +525,7 @@ def closedness_report(space, n_samples=50, max_arclength=30.0, tol=1e-10,
                                     arclength=s, defect=d, note=note))
         if ok:
             n_ret += 1
-            worst = max(worst, d)
+            worst = worst_of(worst, d)
     return ClosednessReport(samples=samples, seed=seed, max_defect=worst,
                             n_returned=n_ret)
 

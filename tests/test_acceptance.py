@@ -2,7 +2,7 @@
 pass/fail line per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-complete; the whole gate took 257 s single-process (Python 3.11, 2-CPU
+complete; the whole gate took 173 s single-process (Python 3.11, 2-CPU
 machine).
 """
 

@@ -189,6 +189,20 @@ def test_hypothesis_check():
         gray_solve(bad, L_field(), np.linspace(0, 1, 5), sample_points=pts)
 
 
+def test_hypothesis_check_fails_on_nan_pairing():
+    # a NaN pairing after a good point is neither above the tolerance nor
+    # droppable: the check must raise instead of reporting the good worst
+    def components(s):
+        bad = float("nan") if s[0].value > 0.0 else 0.0
+        return [s[3] * s[0] - s[1], s[3] * bad, 1.0 + 0.0 * s[0]]
+
+    pts = [[-0.5, 0.1, 0.2], [0.5, 0.1, 0.2], [-0.3, 0.4, 0.1]]
+    assert gray_solve(_path(components), L_field(), np.linspace(0, 1, 5),
+                      sample_points=pts[:1]).checks[0]["worst"] == 0.0
+    with pytest.raises(GeometryError, match="nan"):
+        gray_solve(_path(components), L_field(), np.linspace(0, 1, 5), sample_points=pts)
+
+
 def test_moser_field_transverse_component_vanishes():
     path = _path(lambda s: [s[3] * (0.2 * (s[0] + 2 * s[2]).sin() + 0.3 * s[1] * s[2]) - s[1],
                             0.0 * s[1],

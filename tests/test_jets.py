@@ -346,6 +346,14 @@ def test_analytic_bit_for_bit(pair, series):
     assert bits(a._analytic(series)) == bits(ref_analytic(a, series))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: jets(n, max_order=1)),
+       st.lists(COEFFS, min_size=1, max_size=3))
+def test_analytic_low_order_bit_for_bit(a, series):
+    # orders 0 and 1 take the written-out path; every other order the loop
+    assert bits(a._analytic(series)) == bits(ref_analytic(a, series))
+
+
 def test_kernel_results_own_their_dicts():
     a = jet_of_expr(1 + X + X * Y, (X, Y), 3)
     for got in (a.copy(), a.truncated(3), a.truncated(2), a + 0.0, a * 1.0, a + Jet(2, 3)):

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from engellab.calculus import lie_bracket
+from engellab.calculus import Chart, lie_bracket
 from engellab.distributions import flag_ranks, is_contact
 from engellab.errors import GeometryError
 from engellab.flow import integrate
-from engellab.zoll import (SingleChartSpace, SphereAtlas, UnitTangentChart,
+from engellab.zoll import (SingleChartSpace, SphereAtlas, SurfaceMetric, UnitTangentChart,
                            central_projection, central_projection_check,
                            closedness_report, euclidean_metric, first_return,
                            geodesic_pair, hamiltonian_alignment,
@@ -40,26 +40,52 @@ def fd_christoffel(metric, p, h=1e-6):
     return Gam
 
 
+def sine_revolution_metric():
+    return revolution_metric(lambda u: 2.0 + u.sin() if hasattr(u, "sin") else 2.0 + math.sin(u))
+
+
+def skew_metric():
+    """Neither diagonal nor conformal: g01 != 0 reaches every w0 term of the
+    Gram-Schmidt frame, which the sphere and revolution metrics never do."""
+    def rule(xs):
+        x, y = xs
+        g01 = 0.2 * x * y + 0.1 * y
+        return [[1.0 + 0.3 * x * x, g01], [g01, 2.0 + 0.5 * y * y + 0.1 * x]]
+
+    return SurfaceMetric(Chart("skew", ("x", "y")), rule, name="skew")
+
+
+METRICS = (stereographic_sphere_metric, sine_revolution_metric, skew_metric)
+
+
 def test_christoffel_against_finite_differences():
-    for metric in (stereographic_sphere_metric(),
-                   revolution_metric(lambda u: 2.0 + (u).sin() if hasattr(u, "sin")
-                                     else 2.0 + math.sin(u))):
+    for metric in (m() for m in METRICS):
         rng = np.random.default_rng(0)
         for _ in range(5):
             p = rng.uniform(-0.8, 0.8, 2)
             got = metric.christoffel(p)
             want = fd_christoffel(metric, p)
-            assert np.max(np.abs(got - want)) < 1e-7
+            assert np.max(np.abs(got - want)) < 1e-7, metric.name
 
 
 def test_geodesic_field_fast_path_matches_jets():
-    ut = UnitTangentChart(stereographic_sphere_metric())
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        q = np.append(rng.uniform(-1.5, 1.5, 2), rng.uniform(0, 2 * math.pi))
-        fast = ut._v1_value(q)
-        jets = [j.value for j in ut._v1_jets(q, 1)]
-        assert np.max(np.abs(np.asarray(fast) - jets)) < 1e-13
+    for ut in (UnitTangentChart(m()) for m in METRICS):
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            q = np.append(rng.uniform(-1.5, 1.5, 2), rng.uniform(0, 2 * math.pi))
+            fast = ut._v1_value(q)
+            jets = [j.value for j in ut._v1_jets(q, 1)]
+            assert np.max(np.abs(np.asarray(fast) - jets)) < 1e-13, ut.metric.name
+
+
+def test_unit_vector_matches_jet_frame():
+    for ut in (UnitTangentChart(m()) for m in METRICS):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            q = np.append(rng.uniform(-1.5, 1.5, 2), rng.uniform(0, 2 * math.pi))
+            _, u, _ = ut._unit_jets(q, 1)
+            assert np.max(np.abs(ut.unit_vector(q) - [c.value for c in u])) < 1e-14, \
+                ut.metric.name
 
 
 def test_unit_speed_and_contact():
