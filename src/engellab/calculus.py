@@ -145,7 +145,9 @@ class _FieldBase:
         for j in jets:
             if not isinstance(j, Jet):
                 j = Jet.constant(float(j), self.chart.dim, order)
-            out.append(j.truncated(order))
+            elif j.order != order:
+                j = j.truncated(order)
+            out.append(j)
         if len(out) != self._ncomp():
             raise EngelLabError(f"rule returned {len(out)} components, expected {self._ncomp()}")
         return tuple(out)

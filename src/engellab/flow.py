@@ -1,10 +1,17 @@
-"""Flows of vector fields: adaptive RK4 with step doubling, variational
+"""Flows of vector fields: an adaptive embedded Runge-Kutta pair, variational
 transport, and event detection on section constraints.
 
 Trajectories in this library are short and smooth (theta spans at most a full
-circle), so a classical 4th-order one-step method with step-doubling error
-control is enough; stiff problems are out of scope.  The same core integrates
-non-autonomous systems, which the deformation module needs.
+circle), so one explicit pair is enough; stiff problems are out of scope.
+``integrate`` runs the Dormand-Prince pair RK5(4) (DOPRI5; Dormand & Prince,
+J. Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.5): it advances with the fifth-order solution and controls the error of
+the embedded fourth-order one.  The last stage of a step is the slope at its
+end point and the first stage of the next step (FSAL), so an attempted step
+costs six right-hand-side evaluations.  ``flow_to_section`` locates a
+crossing on the step that makes it.  Non-autonomous systems that need a
+fixed grid (Gray's method measures fourth-order refinement) use
+``integrate_nonautonomous``, classical RK4.
 """
 
 from __future__ import annotations
@@ -28,10 +35,41 @@ class FlowResult:
     transport: np.ndarray = None  # optional transported-vector columns
 
 
-def _rk4_step(f, t, y, h, k1=None):
-    """One classical RK4 step; ``k1 = f(t, y)`` may be passed in when known."""
-    if k1 is None:
-        k1 = f(t, y)
+# DOPRI5 tableau: nodes, stage rows, fifth-order weights (also the row of
+# the seventh stage, which is therefore the end-point slope), and the weights
+# of the fifth- minus fourth-order solution over all seven stages
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _lincomb(y, h, weights, ks):
+    """``y + h * sum(w * k)`` over the nonzero weights."""
+    acc = None
+    for w, k in zip(weights, ks):
+        if w != 0.0:
+            acc = w * k if acc is None else acc + w * k
+    return y + h * acc
+
+
+def _dopri_step(f, t, y, h, k1):
+    """One DOPRI5 step of size ``h`` from ``(t, y)`` with ``k1 = f(t, y)``:
+    returns the stages k1..k6 and the fifth-order solution (five new
+    right-hand-side evaluations)."""
+    ks = [k1]
+    for c, row in zip(_C, _A):
+        ks.append(f(t + c * h, _lincomb(y, h, row, ks)))
+    return ks, _lincomb(y, h, _B, ks)
+
+
+def _rk4_step(f, t, y, h):
+    """One classical RK4 step (the fixed-grid integrator's)."""
+    k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
@@ -39,14 +77,16 @@ def _rk4_step(f, t, y, h, k1=None):
 
 
 def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None):
-    """Adaptive RK4 (step doubling) for ``dy/dt = f(t, y)`` from t0 to t1.
+    """Adaptive DOPRI5 for ``dy/dt = f(t, y)`` from t0 to t1.
 
     Local error per step is held below ``tol`` (scaled by state magnitude).
     Returns ``(y, est_error, steps)`` with ``steps`` the accepted steps.
-    ``observer(t_prev, y_prev, t, y, h)`` is called after each accepted step.
-    Every attempted step, rejected ones included, counts toward
-    ``max_steps``.  A non-finite error estimate (a NaN or overflowing
-    right-hand side) raises :class:`IntegrationError`.
+    ``observer(t_prev, y_prev, t, y, h, k_prev, k)`` is called after each
+    accepted step with the slopes ``f`` at both ends; when it returns true,
+    integration stops there and ``y`` is the state at ``t``.  Every attempted
+    step, rejected ones included, counts toward ``max_steps``.  A non-finite
+    error estimate (a NaN or overflowing right-hand side) raises
+    :class:`IntegrationError`.
     """
     y = np.asarray(y0, dtype=float)
     t = t0
@@ -57,19 +97,17 @@ def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None):
     h = sign * min(abs(span), max(abs(span) / 16.0, 1e-6))
     est_error = 0.0
     steps = attempts = 0
+    k1 = f(t, y)
     while sign * (t1 - t) > 0.0:
         if attempts >= max_steps:
             raise IntegrationError("integrator exceeded step budget")
         attempts += 1
         if sign * (t + h - t1) > 0.0:
             h = t1 - t
-        # the full step and the first half step start from the same slope
-        k1 = f(t, y)
-        y_full = _rk4_step(f, t, y, h, k1)
-        y_half = _rk4_step(f, t, y, 0.5 * h, k1)
-        y_two = _rk4_step(f, t + 0.5 * h, y_half, 0.5 * h)
+        ks, y_new = _dopri_step(f, t, y, h, k1)
+        ks.append(f(t + h, y_new))
         scale = 1.0 + np.max(np.abs(y))
-        err = np.max(np.abs(y_two - y_full)) / 15.0 / scale
+        err = np.max(np.abs(_lincomb(0.0, h, _E, ks))) / scale
         if not np.isfinite(err):
             raise IntegrationError(f"non-finite error estimate at t = {float(t):.6g}")
         if err <= tol or abs(h) < 1e-13 * (1.0 + abs(t)):
@@ -77,14 +115,12 @@ def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None):
             # an underflowing step in mid-span means the controller stalled
             if abs(h) < 1e-14 and sign * (t + h - t1) < 0.0:
                 raise IntegrationError("step underflow (stiffness?)")
-            t_prev, y_prev = t, y
-            t = t + h
-            # local extrapolation: the two half steps plus the Richardson term
-            y = y_two + (y_two - y_full) / 15.0
+            t_prev, y_prev, k_prev = t, y, k1
+            t, y, k1 = t + h, y_new, ks[6]
             est_error += err * scale
             steps += 1
-            if observer is not None:
-                observer(t_prev, y_prev, t, y, h)
+            if observer is not None and observer(t_prev, y_prev, t, y, h, k_prev, k1):
+                break
         # step-size update (growth capped)
         if err > 0.0:
             h *= min(4.0, max(0.1, 0.9 * (tol / err) ** 0.2))
@@ -109,7 +145,7 @@ def flow(X, p, t, tol=DEFAULT_TOL, max_steps=200000):
     chart = X.chart
     y0 = _coords_of(p, chart)
 
-    def obs(t0, y0_, t1, y1, h):
+    def obs(t0, y0_, t1, y1, h, k0, k1):
         _check_bounds(chart, y1)
 
     y, err, steps = integrate(_field_rhs(X), y0, 0.0, t, tol=tol, max_steps=max_steps, observer=obs)
@@ -144,11 +180,54 @@ def flow_transported(X, p, t, vectors, tol=DEFAULT_TOL, max_steps=200000):
     return FlowResult(endpoint, t, steps, err, transport=y[n:].reshape(n, k))
 
 
+def _hermite(y0, y1, d0, d1, theta):
+    """Cubic Hermite interpolant of a step at fraction ``theta`` from its end
+    states and its end slopes times the step size (``d = h k``)."""
+    return (1.0 - theta) * y0 + theta * y1 + theta * (theta - 1.0) * (
+        (1.0 - 2.0 * theta) * (y1 - y0) + (theta - 1.0) * d0 + theta * d1)
+
+
+def _illinois(trial, lo, s_lo, hi, s_hi, x, tol, max_iter):
+    """Root of a scalar function bracketed by ``(lo, s_lo)`` and
+    ``(hi, s_hi)`` (values of opposite signs) by regula falsi with the
+    Illinois halving of a retained end.  ``trial(x)`` returns the value at
+    ``x`` and a payload; ``x`` is the first trial point (None: the secant
+    point).  Returns ``(x, payload)`` of the first trial with value below
+    ``tol`` in magnitude, or of the smallest one after ``max_iter`` trials."""
+    best = None
+    side = 0
+    for _ in range(max_iter):
+        if x is None:
+            x = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
+        s, payload = trial(x)
+        if best is None or abs(s) < best[0]:
+            best = (abs(s), x, payload)
+        if abs(s) < tol or not min(lo, hi) < x < max(lo, hi):
+            break
+        if (s < 0.0) == (s_lo < 0.0):
+            lo, s_lo = x, s
+            if side < 0:
+                s_hi *= 0.5
+            side = -1
+        else:
+            hi, s_hi = x, s
+            if side > 0:
+                s_lo *= 0.5
+            side = 1
+        x = None
+    return best[1], best[2]
+
+
 def flow_to_section(X, p, section, tol=DEFAULT_TOL, section_tol=1e-10,
                     max_time=50.0, min_time=1e-6, vectors=None, max_steps=200000):
     """Integrate ``X`` from ``p`` until the scalar constraint ``section(x)``
-    first crosses zero (after ``min_time``), locating the crossing by
-    bisection on the final step to ``|section| < section_tol``.
+    first crosses zero (after ``min_time``) and stop there.
+
+    The crossing is located on the step that makes it: the root on the
+    step's cubic Hermite interpolant is tried first, with one fresh DOPRI5
+    step from the step start (which reuses the start slope), and Illinois
+    iteration on fresh steps follows until ``|section| < section_tol``.  The
+    returned state and transport are therefore integrator states.
 
     Returns a :class:`FlowResult` whose ``time`` is the crossing time.  If
     ``vectors`` is given, they are transported to the crossing as well.
@@ -169,36 +248,34 @@ def flow_to_section(X, p, section, tol=DEFAULT_TOL, section_tol=1e-10,
 
     crossing = {}
 
-    def obs(t0, y_prev, t1, y_new, h):
+    def obs(t0, y_prev, t1, y_new, h, k0, k1):
         _check_bounds(chart, y_new[:n])
-        if crossing:
-            return
+        if t1 < min_time:
+            return False
         s0 = section(y_prev[:n])
         s1 = section(y_new[:n])
-        if t1 < min_time:
-            return
         if s0 == 0.0 and t0 >= min_time:
             crossing.update(t=t0, y=y_prev)
-            return
-        if s0 * s1 < 0.0 or s1 == 0.0:
-            # bisect the step fraction; each trial is one RK4 substep
-            lo, hi = 0.0, h
-            k1 = rhs(t0, y_prev)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                y_mid = _rk4_step(rhs, t0, y_prev, mid, k1)
-                sm = section(y_mid[:n])
-                if abs(sm) < section_tol:
-                    crossing.update(t=t0 + mid, y=y_mid)
-                    return
-                if s0 * sm < 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            crossing.update(t=t0 + hi, y=_rk4_step(rhs, t0, y_prev, hi, k1))
+        elif s1 == 0.0:
+            crossing.update(t=t1, y=y_new)
+        elif s0 * s1 < 0.0:
+            x0, x1, d0, d1 = y_prev[:n], y_new[:n], h * k0[:n], h * k1[:n]
 
-    t_end = max_time
-    y, err, steps = integrate(rhs, y0, 0.0, t_end, tol=tol, max_steps=max_steps, observer=obs)
+            def on_interpolant(theta):
+                return section(_hermite(x0, x1, d0, d1, theta)), None
+
+            def fresh_step(tau):
+                y = _dopri_step(rhs, t0, y_prev, tau, k0)[1]
+                return section(y[:n]), y
+
+            theta, _ = _illinois(on_interpolant, 0.0, s0, 1.0, s1, None,
+                                 1e-2 * section_tol, 60)
+            tau, y = _illinois(fresh_step, 0.0, s0, h, s1, theta * h, section_tol, 60)
+            crossing.update(t=t0 + tau, y=y)
+        return bool(crossing)
+
+    _, err, steps = integrate(rhs, y0, 0.0, max_time, tol=tol, max_steps=max_steps,
+                              observer=obs)
     if not crossing:
         raise IntegrationError("no section crossing within the time budget")
     yc = crossing["y"]

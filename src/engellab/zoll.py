@@ -458,7 +458,9 @@ def first_return(space, state, chart, max_arclength=30.0, tol=1e-10,
     """Integrate a contact element until its embedded image first comes back
     within ``capture`` of the start after having departed, then refine the
     return time by a Newton solve on the section through the start point
-    (plane normal to the initial embedded tangent).
+    (plane normal to the initial embedded tangent).  The refinement stops at
+    the first step that does not halve the section value, or when the step
+    falls below 1e-12, and after at most 20 steps.
 
     Returns (returned, arclength, defect, final_state, final_chart).
     """
@@ -488,14 +490,16 @@ def first_return(space, state, chart, max_arclength=30.0, tol=1e-10,
             slope = float((space.embed(yp, cp) - space.embed(ym, cm)) @ T0) / (2 * h)
             if abs(slope) < 0.1:
                 slope = math.copysign(0.1, slope if slope != 0.0 else 1.0)
+            f = float((space.embed(y, ch) - start) @ T0)
             for _ in range(20):
-                f = float((space.embed(y, ch) - start) @ T0)
-                delta = -f / slope
-                delta = max(-2 * chunk, min(2 * chunk, delta))
+                delta = max(-2 * chunk, min(2 * chunk, -f / slope))
                 if abs(delta) < 1e-12:
                     break
                 y, ch = _integrate_chunk(space, y, ch, delta, tol)
                 s += delta
+                f_prev, f = f, float((space.embed(y, ch) - start) @ T0)
+                if abs(f) > 0.5 * abs(f_prev):
+                    break  # Newton no longer halves f: it is at its rounding floor
             defect = float(np.linalg.norm(space.embed(y, ch) - start))
             return True, s, defect, y, ch
     return False, s, math.inf, y, ch

@@ -299,6 +299,45 @@ def test_jet_bracket_antisymmetry_and_jacobi(X, Y, Z):
     assert _max_coeff(total) < 1e-10
 
 
+def _bits(jets):
+    return [(j.order, [(k, float(v).hex()) for k, v in j.c.items()]) for j in jets]
+
+
+def _former_evaluation(raw, n, order):
+    """The former ``_FieldBase._evaluate`` loop: every component through
+    ``Jet.constant`` (floats) and one more ``truncated(order)`` copy."""
+    return [(j if isinstance(j, Jet) else Jet.constant(float(j), n, order)).truncated(order)
+            for j in raw]
+
+
+_CONSTANTS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3, 1e-300])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), st.integers(0, 2),
+       st.lists(_CONSTANTS, min_size=3, max_size=3), st.integers(0, 1))
+def test_field_evaluation_bit_for_bit(coords, order, consts, extra):
+    # constant fields, rule fields mixing jets and floats, and taylor_fn
+    # fields returning jets above, at and below the requested order: values,
+    # signs of zeros and key order equal the former evaluation's
+    a, b, c = consts
+
+    def rule(xs):
+        return [xs[0] * xs[1] + a, b, (xs[2] * 0.5 + c).sin()]
+
+    def tfn(coords_, order_):
+        seeds = Jet.seeds(coords_, order_ + extra)
+        return [seeds[0] * seeds[2], c, Jet.constant(a, 3, max(order_ - extra, 0))]
+
+    cases = [(constant_field(CH3, consts), lambda: list(consts)),
+             (VectorField(CH3, components=rule), lambda: rule(Jet.seeds(coords, order))),
+             (VectorField(CH3, taylor_fn=tfn), lambda: tfn(np.asarray(coords), order))]
+    for field, raw in cases:
+        got = field.taylor(coords, order)
+        assert _bits(got) == _bits(_former_evaluation(raw(), 3, order))
+        assert all(j.order <= order for j in got)
+
+
 def test_flow_constant_and_rotation():
     X = constant_field(CH4, [1, 0, 0, 0])
     res = flow(X, [0, 0, 0, 0], 1.0)
@@ -346,15 +385,39 @@ def test_integrate_rejects_nonfinite_rhs():
 def test_integrate_budget_counts_rejected_steps():
     # the opening step is far too long for this oscillation, so the
     # controller rejects some attempts: fewer than 50 steps are accepted,
-    # but more than 50 are attempted, and the rejected ones count too
+    # but more than 50 are attempted (45 accepted steps take 55 attempts),
+    # and the rejected ones count too
     def f(t, y):
         return np.array([math.cos(400.0 * t)])
 
     accepted = []
-    integrate(f, [0.0], 0.0, 0.05, tol=1e-9, observer=lambda *args: accepted.append(args))
+    integrate(f, [0.0], 0.0, 0.056, tol=1e-9, observer=lambda *args: accepted.append(args))
     assert len(accepted) < 50
     with pytest.raises(IntegrationError, match="step budget"):
-        integrate(f, [0.0], 0.0, 0.05, tol=1e-9, max_steps=50)
+        integrate(f, [0.0], 0.0, 0.056, tol=1e-9, max_steps=50)
+
+
+def test_integrate_observer_sees_slopes_and_stops():
+    R = vector_field_from_exprs(Chart("plane", ("x", "y")), ["-y", "x"])
+    seen = []
+
+    def obs(t0, y0, t1, y1, h, k0, k1):
+        seen.append((t1, y1))
+        assert np.array_equal(k0, R(y0)) and np.array_equal(k1, R(y1))
+        return t1 > 0.5
+
+    y, _, steps = integrate(lambda t, y: R(y), [1.0, 0.0], 0.0, 3.0, tol=1e-10, observer=obs)
+    assert steps == len(seen) and seen[-1][0] > 0.5 >= seen[-2][0]
+    assert np.array_equal(y, seen[-1][1])
+
+
+def test_rotation_flow_achieved_error_tracks_tol():
+    # the full circle of the rotation field: the error actually achieved
+    # stays within ten times the requested tolerance
+    R = vector_field_from_exprs(Chart("plane", ("x", "y")), ["-y", "x"])
+    for tol in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12):
+        got = flow(R, [1.0, 0.0], 2.0 * math.pi, tol=tol).endpoint.coords
+        assert np.max(np.abs(got - [1.0, 0.0])) < 10.0 * tol
 
 
 def test_transport_matches_analytic_jacobian():
@@ -375,3 +438,42 @@ def test_flow_to_section_circle():
                           min_time=1e-3, max_time=10.0)
     assert abs(res.endpoint.coords[1]) < 1e-9
     assert res.time < math.pi  # first crossing, not a later one
+
+
+def test_flow_to_section_event_time_against_scipy():
+    R = vector_field_from_exprs(Chart("plane", ("x", "y")), ["-y", "x"])
+
+    def section(y):
+        return float(y[0] * y[0] + 2.0 * y[1] - 1.2)
+
+    res = flow_to_section(R, [1.0, -0.3], section, tol=1e-11, max_time=10.0)
+
+    def event(t, y):
+        return section(y)
+
+    event.terminal = True
+    ref = solve_ivp(lambda t, y: R(y), (0.0, 10.0), [1.0, -0.3], events=event,
+                    rtol=1e-12, atol=1e-13)
+    assert abs(res.time - ref.t_events[0][0]) < 1e-9
+    assert np.max(np.abs(res.endpoint.coords - ref.y_events[0][0])) < 1e-9
+    assert abs(section(res.endpoint.coords)) < 1e-10
+
+
+def test_flow_to_section_stops_at_the_crossing():
+    # a constant field crosses x = 1 at time 1; integrating on to a far
+    # larger time budget must not cost more than one extra step
+    count = [0]
+
+    def rule(xs):
+        count[0] += 1
+        return [1.0, 0.5]
+
+    X = VectorField(Chart("plane", ("x", "y")), components=rule)
+    evals = {}
+    for budget in (1.5, 100.0):
+        count[0] = 0
+        res = flow_to_section(X, [0.0, 0.0], lambda y: float(y[0] - 1.0), max_time=budget)
+        assert abs(res.time - 1.0) < 1e-10
+        assert np.allclose(res.endpoint.coords, [1.0, 0.5], atol=1e-10)
+        evals[budget] = count[0]
+    assert evals[100.0] <= evals[1.5] + 6

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from engellab import zoll
 from engellab.calculus import Chart, lie_bracket
 from engellab.distributions import flag_ranks, is_contact
 from engellab.errors import GeometryError
@@ -122,6 +123,37 @@ def test_sphere_first_return_period():
     assert ok
     assert defect < 1e-7
     assert abs(s - 2.0 * math.pi) < 1e-7
+
+
+def test_return_refinement_stops_at_the_noise_floor(monkeypatch):
+    # the Newton refinement of the return stops at the first step that does
+    # not halve the section value f = (e - e(start)) . T0: below that, f is
+    # rounding noise and further steps only walk on it
+    calls = []
+    inner = zoll._integrate_chunk
+
+    def logged(space, state, chart, ds, tol):
+        out = inner(space, state, chart, ds, tol)
+        calls.append((ds, out))
+        return out
+
+    monkeypatch.setattr(zoll, "_integrate_chunk", logged)
+    atlas = SphereAtlas()
+    state, ch = atlas.start_state([0.4, -0.3], 1.1)
+    ok, s, defect, _, _ = first_return(atlas, state, ch, tol=1e-10)
+    assert ok and defect < 1e-7
+    # calls: the two tangent probes at the start, the chunks, the two slope
+    # probes at the capture, then one call per Newton step
+    start = atlas.embed(state, ch)
+    (_, plus), (_, minus) = calls[:2]
+    T0 = atlas.embed(*plus) - atlas.embed(*minus)
+    T0 /= np.linalg.norm(T0)
+    last_chunk = max(i for i, (ds, _) in enumerate(calls) if ds == 0.25)
+    states = [calls[last_chunk][1]] + [out for _, out in calls[last_chunk + 3:]]
+    f = [abs(float((atlas.embed(*st) - start) @ T0)) for st in states]
+    assert len(f) >= 2
+    not_halved = [i for i in range(1, len(f)) if f[i] > 0.5 * f[i - 1]]
+    assert not not_halved or not_halved[0] == len(f) - 1
 
 
 def test_closedness_report_sphere_and_plane():
