@@ -4,6 +4,8 @@ A field is defined either by a component rule (a callable evaluated with
 generic arithmetic, so it works on floats and on :class:`~engellab.jets.Jet`
 seeds alike) or by a custom ``taylor_fn`` for fields produced by geometric
 constructions (brackets, pointwise linear solves, frame recombinations).
+Given ``(dim, N)`` coordinates, a field evaluates a batch of N points in one
+pass, on jets with one array entry per point (see :mod:`engellab.jets`).
 Evaluation is pure.  Within one evaluation scope each (field, order, point)
 is evaluated once: the outermost :meth:`_FieldBase.taylor` call opens a memo
 that the nested calls of composite and bracket closures share, and
@@ -26,8 +28,9 @@ from .jets import Jet, jet_bilinear, jet_bracket, jet_dot
 
 INF_ORDER = math.inf
 
-# jets by (field, order, coordinate bytes) of the open evaluation scope; the
-# key holds the field itself so a field freed mid-scope cannot alias by id
+# jets by (field, order, coordinate shape and bytes) of the open evaluation
+# scope; the key holds the field itself so a field freed mid-scope cannot
+# alias by id, and the shape so a point and a one-point batch stay apart
 _MEMO = contextvars.ContextVar("taylor_memo", default=None)
 
 
@@ -42,6 +45,28 @@ def evaluation_scope():
         yield
     finally:
         _MEMO.reset(token)
+
+
+# errors after which a batch re-runs point by point: library errors, NumPy
+# float errors (raised where Python floats raise or go on silently), math
+# domain errors, and rules that branch on values, so run on floats only
+_BATCH_ERRORS = (EngelLabError, ArithmeticError, ValueError, TypeError)
+
+
+def over_points(points, batch, one):
+    """Evaluate a sequence of points, or an ``(N, dim)`` array, as one batch:
+    ``batch(coords)`` on the ``(dim, N)`` coordinates, with NumPy's float
+    errors raised.  If the batch raises, ``[one(p) for p in points]`` runs
+    instead, so that an error, and the point it carries, are those a loop
+    over the points raises."""
+    rows = np.asarray(points, dtype=float)
+    if not len(rows):
+        return []
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return batch(np.ascontiguousarray(rows.T))
+    except _BATCH_ERRORS:
+        return [one(p) for p in points]
 
 
 @dataclass(frozen=True)
@@ -113,7 +138,9 @@ class _FieldBase:
         return self.chart.dim if self.n_components is None else self.n_components
 
     def taylor(self, point, order):
-        """Jets of the components around ``point``, to total degree ``order``."""
+        """Jets of the components around ``point``, to total degree
+        ``order``; around each point of a batch for ``(dim, N)``
+        coordinates."""
         if order > self.max_order:
             raise DerivativeOrderError(
                 f"field {self.name or type(self).__name__!r} only evaluable to order {self.max_order}, got {order}"
@@ -125,7 +152,7 @@ class _FieldBase:
             memo = {}
             token = _MEMO.set(memo)
         try:
-            key = (self, order, coords.tobytes())
+            key = (self, order, coords.shape, coords.tobytes())
             out = memo.get(key)
             if out is None:
                 out = memo[key] = self._evaluate(coords, order)
@@ -153,7 +180,16 @@ class _FieldBase:
         return tuple(out)
 
     def __call__(self, point):
+        """Component values at a point; for ``(dim, N)`` coordinates, an
+        ``(n_components, N)`` array of the values at each point of the batch,
+        from order-0 jets (a scalar field gives its ``(N,)`` row)."""
         coords = _coords_of(point, self.chart)
+        if coords.ndim == 2:
+            jets = self.taylor(coords, 0)
+            arr = np.empty((len(jets), coords.shape[1]))
+            for row, j in zip(arr, jets):
+                row[:] = j.value
+            return arr[0] if self.n_components == 1 else arr
         if self.taylor_fn is None:
             vals = self.components(list(coords))
             vals = [vals] if not hasattr(vals, "__len__") else vals
@@ -277,11 +313,6 @@ def coordinate_field(chart, i, name=None):
     vec = [0.0] * chart.dim
     vec[i] = 1.0
     return constant_field(chart, vec, name=name or f"d/d{chart.coords[i]}")
-
-
-def constant_form(chart, covec, name=""):
-    covec = [float(v) for v in covec]
-    return OneForm(chart, components=lambda xs: list(covec), name=name)
 
 
 # -- Lie bracket ---------------------------------------------------------------

@@ -81,8 +81,7 @@ def _suite_verify_engel(cfg, rng, samples, tol, report, seed):
     frame = DistributionFrame(fields)
     pts = rng.uniform(-1.0, 1.0, (samples, 4))
     failures, detail = 0, ""
-    for p in pts:
-        rep = flag_ranks(frame, p)
+    for p, rep in zip(pts, flag_ranks(frame, pts)):
         if not rep.is_engel:
             failures += 1
             if not detail:
@@ -92,8 +91,7 @@ def _suite_verify_engel(cfg, rng, samples, tol, report, seed):
     direction = cfg.get("char_direction", [0.0, 0.0, 0.0, 1.0] if "frame" not in cfg else None)
     if failures == 0 and direction is not None:
         worst = 0.0
-        for p in pts:
-            ld = characteristic_line(frame, p)
+        for ld in characteristic_line(frame, pts):
             worst = worst_of(worst, ld.angle_to(np.asarray(direction, dtype=float)))
         report.add("characteristic-line", samples, tol, worst)
     return {"frame": texts}
@@ -114,18 +112,21 @@ def _suite_prolong(cfg, rng, samples, tol, report, seed):
     check_pts = rng.uniform(-1.0, 1.0, (10, 3))
     domain = prolong(contact, full_circle=full, check_points=check_pts)
     frame = domain.frame()
-    failures, worst = 0, 0.0
-    for _ in range(samples):
-        q = np.append(rng.uniform(-1.0, 1.0, 3), rng.uniform(0.0, domain.theta_max))
-        rep = flag_ranks(frame, q)
-        if not rep.is_engel:
-            failures += 1
-            continue
-        ld = characteristic_line(frame, q)
+    qs = _domain_points(rng, samples, domain.theta_max)
+    engel = np.array([rep.is_engel for rep in flag_ranks(frame, qs)], dtype=bool)
+    failures, worst = samples - int(engel.sum()), 0.0
+    for ld in characteristic_line(frame, qs[engel]):
         worst = worst_of(worst, ld.angle_to([0.0, 0.0, 0.0, 1.0]))
     report.add("engel-flag", samples, 0, failures)
     report.add("characteristic-line", samples, tol, worst)
     return {"legendrian_frame": texts, "full_circle": full}
+
+
+def _domain_points(rng, samples, theta_max):
+    """``samples`` domain points (base in [-1, 1]^3, then theta), drawn point
+    by point."""
+    return np.array([np.append(rng.uniform(-1.0, 1.0, 3), rng.uniform(0.0, theta_max))
+                     for _ in range(samples)])
 
 
 def _suite_contactify(cfg, rng, samples, tol, report, seed):
@@ -223,12 +224,8 @@ def _suite_realize(cfg, rng, samples, tol, report, seed):
     g_min = min(deformed.spin_samples)
     report.add("spin-margin", len(grid), 0.5, abs(g_min), detail=f"min g = {g_min:.6f}")
 
-    frame = deformed.frame()
-    failures = 0
-    for _ in range(samples):
-        q = np.append(rng.uniform(-1.0, 1.0, 3), rng.uniform(0.0, domain.theta_max))
-        if not flag_ranks(frame, q).is_engel:
-            failures += 1
+    qs = _domain_points(rng, samples, domain.theta_max)
+    failures = sum(not rep.is_engel for rep in flag_ranks(deformed.frame(), qs))
     report.add("engel-flag", samples, 0, failures)
 
     outside = 0.0
@@ -360,14 +357,12 @@ def _suite_central_projection(cfg, rng, samples, tol, report, seed):
 
 def _suite_so3(cfg, rng, samples, tol, report, seed):
     domain = so3_engel_frame(full_circle=bool(cfg.get("full_circle", False)))
-    frame = domain.frame()
-    failures = 0
+    qs = []
     for _ in range(samples):
         v = rng.normal(size=3)
         v *= rng.uniform(0.0, 0.7) / np.linalg.norm(v)
-        q = np.append(v, rng.uniform(0.0, domain.theta_max))
-        if not flag_ranks(frame, q).is_engel:
-            failures += 1
+        qs.append(np.append(v, rng.uniform(0.0, domain.theta_max)))
+    failures = sum(not rep.is_engel for rep in flag_ranks(domain.frame(), np.array(qs)))
     report.add("engel-flag", samples, 0, failures)
 
     K, I, J = so3_frame_fields()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .calculus import (ScalarField, VectorField, _coords_of,
-                       lie_derivative_scalar)
+                       lie_derivative_scalar, over_points)
 from .distributions import DistributionFrame, reeb_field, reeb_vector
 from .errors import EngelLabError, GeometryError
 from .flow import flow, integrate_nonautonomous
@@ -40,11 +40,20 @@ def bump_window(chart4, lo, hi, name="window"):
 
     def tfn(coords, order):
         th = coords[3]
-        if th - lo < _WINDOW_EDGE or hi - th < _WINDOW_EDGE:
+        outside = (th - lo < _WINDOW_EDGE) | (hi - th < _WINDOW_EDGE)
+        if outside.all():
             return [Jet(4, order)]
+        masked = outside.any()
+        if masked:
+            # a batch reaching outside: those points take the center, so
+            # that exp sees no overflowing argument, and are zeroed after
+            th = np.where(outside, 0.5 * (lo + hi), th)
         tj = Jet.variable(3, 4, order, base=th)
         arg = (tj - lo).reciprocal() + (hi - tj).reciprocal()
-        return [(Jet.constant(peak, 4, order) - arg).exp()]
+        w = (Jet.constant(peak, 4, order) - arg).exp()
+        if masked:
+            w.c = {k: np.where(outside, 0.0, v) for k, v in w.c.items()}
+        return [w]
 
     return ScalarField(chart4, taylor_fn=tfn, name=name)
 
@@ -117,7 +126,7 @@ def _normalizer_inverse(base):
 
     def tfn(coords, order):
         c = base.alpha.d_apply(base.v0, base.v1, coords, order)
-        if abs(c.value) < 1e-13:
+        if np.any(abs(c.value) < 1e-13):
             raise GeometryError("d alpha degenerates on the contact planes", point=coords)
         return [c.reciprocal()]
 
@@ -200,18 +209,22 @@ def realize_isotopy(domain, generator, samples=None, validate=True):
     With ``validate`` on and sample points given (4d coordinates), raises
     :class:`GeometryError` at the first point where the spin g is not above
     -1 (a NaN spin included); the deformed structure stops being Engel
-    exactly at g = -1.  The validated spins are kept, in sample order, in
-    ``spin_samples``.
+    exactly at g = -1.  The samples are evaluated as one batch.  The
+    validated spins are kept, in sample order, in ``spin_samples``.
     """
     dom = DeformedEngel(domain, generator)
     if validate and samples is not None:
-        for q in samples:
-            gq = dom.g(q)
-            if not gq > -1.0:
-                raise GeometryError(
-                    f"deformation too large: spin g = {gq:.6f} is not above -1", point=q)
-            dom.spin_samples.append(gq)
+        def spins(coords):
+            return [_checked_spin(q, gq) for q, gq in zip(samples, dom.g(coords))]
+
+        dom.spin_samples = over_points(samples, spins, lambda q: _checked_spin(q, dom.g(q)))
     return dom
+
+
+def _checked_spin(q, gq):
+    if not gq > -1.0:
+        raise GeometryError(f"deformation too large: spin g = {gq:.6f} is not above -1", point=q)
+    return float(gq)
 
 
 def bottom_to_top(deformed, m, tol=1e-9):

@@ -4,6 +4,11 @@ line field, and Reeb fields.
 Rank decisions use a relative singular-value cutoff (default 1e-7 of the
 largest singular value per stage); reports carry the full singular values so
 near-degenerate cases can be audited instead of silently misclassified.
+
+:func:`flag_ranks` and :func:`characteristic_line` take one point or an
+``(N, dim)`` array of points.  A batch is evaluated in one evaluation scope
+with one stacked SVD per stage, and gives one result per row, each equal bit
+for bit to the result at that point alone.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (OneForm, Point, VectorField, _coords_of, evaluation_scope,
-                       lie_bracket)
+                       lie_bracket, over_points)
 from .errors import EngelLabError, GeometryError
 from .jets import jet_cross, jet_dot
 
@@ -42,10 +47,6 @@ class DistributionFrame:
     @property
     def dim(self):
         return self.chart.dim
-
-    def matrix(self, p):
-        """Columns = frame fields evaluated at p."""
-        return np.column_stack([f(p) for f in self.fields])
 
 
 @dataclass
@@ -85,12 +86,19 @@ class LineDirection:
         return float(np.arccos(min(1.0, c)))
 
 
-def _rank_of(cols, tol):
-    M = np.column_stack(cols)
+def _matrices(cols):
+    """The frame matrices of evaluated columns, one per point: ``(1, dim, k)``
+    from ``(dim,)`` values at a point, ``(N, dim, k)`` from ``(dim, N)``
+    values of a batch."""
+    M = np.stack(cols, axis=-1)
+    return M[None] if M.ndim == 2 else M.transpose(1, 0, 2)
+
+
+def _ranks(M, tol):
+    """Numerical ranks and singular values of stacked matrices."""
     sv = np.linalg.svd(M, compute_uv=False)
-    smax = sv[0] if len(sv) else 0.0
-    rank = int(np.sum(sv > tol * smax)) if smax > 0 else 0
-    return rank, sv
+    smax = sv[:, 0]
+    return np.where(smax > 0, np.sum(sv > tol * smax[:, None], axis=1), 0), sv
 
 
 def flag_generators(frame):
@@ -114,18 +122,29 @@ def flag_generators(frame):
 
 def flag_ranks(frame, p, tol=DEFAULT_RANK_TOL):
     """Ranks of D, D^2, D^3 at ``p`` via singular values of the evaluated
-    generators; all generators share one evaluation scope at ``p``."""
+    generators; all generators share one evaluation scope at ``p``.
+
+    For an ``(N, dim)`` array of points, the list of the N reports."""
+    if np.ndim(p) == 2:
+        return over_points(p, lambda coords: _flag_reports(frame, p, coords, tol),
+                           lambda q: flag_ranks(frame, q, tol))
+    return _flag_reports(frame, [p], p, tol)[0]
+
+
+def _flag_reports(frame, points, coords, tol):
     st1, st2, st3 = flag_generators(frame)
     with evaluation_scope():
-        cols1 = [f(p) for f in st1]
-        r1, sv1 = _rank_of(cols1, tol)
-        if r1 < frame.rank:
-            raise GeometryError(f"frame degenerate at {p}", point=p)
-        cols2 = cols1 + [f(p) for f in st2[len(st1):]]
-        r2, sv2 = _rank_of(cols2, tol)
-        cols3 = cols2 + [f(p) for f in st3[len(st2):]]
-        r3, sv3 = _rank_of(cols3, tol)
-    return FlagReport(point=p, ranks=(r1, r2, r3), singular_values=[sv1, sv2, sv3], tol=tol)
+        cols1 = [f(coords) for f in st1]
+        r1, sv1 = _ranks(_matrices(cols1), tol)
+        if (r1 < frame.rank).any():
+            raise GeometryError(f"frame degenerate at {points[0]}", point=points[0])
+        cols2 = cols1 + [f(coords) for f in st2[len(st1):]]
+        r2, sv2 = _ranks(_matrices(cols2), tol)
+        cols3 = cols2 + [f(coords) for f in st3[len(st2):]]
+        r3, sv3 = _ranks(_matrices(cols3), tol)
+    return [FlagReport(point=q, ranks=(int(r1[k]), int(r2[k]), int(r3[k])),
+                       singular_values=[sv1[k], sv2[k], sv3[k]], tol=tol)
+            for k, q in enumerate(points)]
 
 
 def is_engel(frame, p, tol=DEFAULT_RANK_TOL):
@@ -156,9 +175,8 @@ def is_contact(frame_or_form, p, tol=DEFAULT_RANK_TOL):
     if frame.dim != 3 or frame.rank != 2:
         raise EngelLabError("contact frame test needs 2 fields on a 3-dimensional chart")
     v0, v1 = frame.fields
-    cols = [v0(p), v1(p), lie_bracket(v0, v1)(p)]
-    r, _ = _rank_of(cols, tol)
-    return r == 3
+    r, _ = _ranks(_matrices([v0(p), v1(p), lie_bracket(v0, v1)(p)]), tol)
+    return int(r[0]) == 3
 
 
 def characteristic_line(frame, p, tol=DEFAULT_RANK_TOL, orient=None):
@@ -169,39 +187,56 @@ def characteristic_line(frame, p, tol=DEFAULT_RANK_TOL, orient=None):
     (Engel domains pass their vertical field so that positive motion rotates
     contact directions counterclockwise); otherwise the first sufficiently
     nonzero component is made positive.
+
+    For an ``(N, dim)`` array of points, the list of the N directions.
     """
     if frame.rank != 2:
         raise EngelLabError("characteristic line needs a rank-2 frame")
+    if np.ndim(p) == 2:
+        return over_points(p, lambda coords: _lines(frame, p, coords, tol, orient),
+                           lambda q: characteristic_line(frame, q, tol, orient))
+    return _lines(frame, [p], p, tol, orient)[0]
+
+
+def _lines(frame, points, coords, tol, orient):
     X, Y = frame.fields
     B = lie_bracket(X, Y)
     with evaluation_scope():
-        x0, y0, b0 = X(p), Y(p), B(p)
+        vals = [X(coords), Y(coords), B(coords)]
         # orthogonal complement of D^2 in coordinates, via SVD
-        M2 = np.column_stack([x0, y0, b0])
-        U, sv, _ = np.linalg.svd(M2)
-        if sv[2] <= tol * sv[0]:
-            raise GeometryError("distribution is not Engel at the point (rank D^2 < 3)", point=p)
-        normal = U[:, 3]
-        c1 = float(normal @ lie_bracket(B, X)(p))
-        c2 = float(normal @ lie_bracket(B, Y)(p))
-    scale = max(abs(c1), abs(c2))
-    if scale <= tol * max(np.linalg.norm(b0), 1.0):
-        raise GeometryError("characteristic kernel is not one-dimensional numerically", point=p)
-    # [[X,Y], aX + bY] mod D^2 has coefficient a*c1 + b*c2 (the non-tensorial
-    # terms land inside D^2); kernel direction is (c2, -c1) in frame coords
-    v = c2 * x0 - c1 * y0
-    if orient is not None:
-        ref = np.asarray(orient, dtype=float)
-        if abs(float(v @ ref)) > 1e-14 and float(v @ ref) < 0.0:
-            v = -v
-        convention = "aligned-with-reference"
-    else:
-        nz = np.argmax(np.abs(v))
-        if v[nz] < 0:
-            v = -v
-        convention = "first-nonzero-positive"
-    base = p if isinstance(p, Point) else frame.chart.point(p)
-    return LineDirection(base=base, direction=v, sign_convention=convention)
+        U, sv, _ = np.linalg.svd(_matrices(vals))
+        if (sv[:, 2] <= tol * sv[:, 0]).any():
+            raise GeometryError("distribution is not Engel at the point (rank D^2 < 3)",
+                                point=points[0])
+        vals += [lie_bracket(B, X)(coords), lie_bracket(B, Y)(coords)]
+    # one contiguous (N, dim) block per field, so each point's vectors are
+    # laid out as at a single point
+    x0, y0, b0, bx, by = (np.ascontiguousarray(np.reshape(v, (len(v), -1)).T) for v in vals)
+    out = []
+    for k, q in enumerate(points):
+        normal = U[k, :, 3]
+        c1 = float(normal @ bx[k])
+        c2 = float(normal @ by[k])
+        scale = max(abs(c1), abs(c2))
+        if scale <= tol * max(np.linalg.norm(b0[k]), 1.0):
+            raise GeometryError("characteristic kernel is not one-dimensional numerically",
+                                point=q)
+        # [[X,Y], aX + bY] mod D^2 has coefficient a*c1 + b*c2 (the non-tensorial
+        # terms land inside D^2); kernel direction is (c2, -c1) in frame coords
+        v = c2 * x0[k] - c1 * y0[k]
+        if orient is not None:
+            ref = np.asarray(orient, dtype=float)
+            if abs(float(v @ ref)) > 1e-14 and float(v @ ref) < 0.0:
+                v = -v
+            convention = "aligned-with-reference"
+        else:
+            nz = np.argmax(np.abs(v))
+            if v[nz] < 0:
+                v = -v
+            convention = "first-nonzero-positive"
+        base = q if isinstance(q, Point) else frame.chart.point(q)
+        out.append(LineDirection(base=base, direction=v, sign_convention=convention))
+    return out
 
 
 def reeb_vector(alpha, p):
@@ -219,7 +254,7 @@ def _reeb_jets(alpha, coords, order):
     M = alpha.d_matrix(coords, order)
     v = [M[1][2], M[2][0], M[0][1]]
     pairing = jet_dot(alpha.taylor(coords, order), v)
-    if abs(pairing.value) < 1e-13:
+    if np.any(abs(pairing.value) < 1e-13):
         raise GeometryError("form is not contact at the point (alpha ^ d alpha = 0)", point=coords)
     inv = pairing.reciprocal()
     return [vi * inv for vi in v]

@@ -2,10 +2,19 @@
 
 A :class:`Jet` stores the Taylor coefficients of a smooth function around an
 (implicit) base point: ``f = sum c[alpha] * dx**alpha`` over multi-indices with
-``|alpha| <= order``.  Coefficients are plain floats; all operations truncate
-at the jet's order, so arithmetic is exact up to rounding.  Jets double as the
+``|alpha| <= order``.  All operations truncate at the jet's order, so
+arithmetic is exact up to rounding.  Jets double as the
 derivative-propagation engine for vector fields (evaluate the component rule on
 seed jets) and as the substrate of the normal-form algorithm.
+
+A coefficient is a float at one base point, or a 1-D float64 array with one
+entry per point of a batch, so one pass of a rule evaluates every point.
+Entry ``i`` of a result equals, bit for bit, the float the same operations
+give at point ``i`` alone: the arithmetic is IEEE in both, and the Taylor
+series of the analytic functions are computed entry by entry by the one-point
+code, with :mod:`math` and Python's float power (NumPy's may round
+differently) and its domain checks.  A batch keeps zero constants that a
+point drops.
 
 The store is sparse: a dict from multi-index tuples to coefficients, holding
 only the terms that were set.  The arithmetic is table-driven: for each
@@ -22,14 +31,76 @@ import math
 from itertools import accumulate
 from operator import add, sub
 
+import numpy as np
+
 from .errors import DerivativeOrderError, EngelLabError, JetDomainError
 
 MAX_ORDER = 6
+_ARRAY = np.ndarray
 
 
 def _check_order(order):
     if order < 0 or order > MAX_ORDER:
         raise DerivativeOrderError(f"jet order {order} outside [0, {MAX_ORDER}]")
+
+
+def _entrywise(f, x):
+    """``f(x)`` at one point, ``f`` of each entry of a batch's array."""
+    if isinstance(x, _ARRAY):
+        return np.array([f(v) for v in x.tolist()])
+    return f(x)
+
+
+def _series(series_of, a0, order):
+    """``series_of(a0, order)`` at one point; in a batch, the series of each
+    entry, gathered into one array per coefficient."""
+    if isinstance(a0, _ARRAY):
+        return [np.array(c) for c in zip(*[series_of(v, order) for v in a0.tolist()])]
+    return series_of(a0, order)
+
+
+# Taylor coefficients f^(m)(a0)/m!, m <= order, of the analytic functions
+
+def _reciprocal_series(a0, order):
+    if a0 == 0.0:
+        raise JetDomainError("jet division by a series with zero constant term")
+    return [(-1.0) ** m / a0 ** (m + 1) for m in range(order + 1)]
+
+
+def _sqrt_series(a0, order):
+    if a0 <= 0.0:
+        raise JetDomainError("jet sqrt requires positive constant term")
+    series, coef = [], math.sqrt(a0)
+    for m in range(order + 1):
+        series.append(coef)
+        coef *= (0.5 - m) / ((m + 1) * a0)
+    return series
+
+
+def _exp_series(a0, order):
+    e0 = math.exp(a0)
+    return [e0 / math.factorial(m) for m in range(order + 1)]
+
+
+def _log_series(a0, order):
+    if a0 <= 0.0:
+        raise JetDomainError("jet log requires positive constant term")
+    series = [math.log(a0)]
+    for m in range(1, order + 1):
+        series.append((-1.0) ** (m + 1) / (m * a0 ** m))
+    return series
+
+
+def _sin_series(a0, order):
+    s0, c0 = math.sin(a0), math.cos(a0)
+    cycle = [s0, c0, -s0, -c0]
+    return [cycle[m % 4] / math.factorial(m) for m in range(order + 1)]
+
+
+def _cos_series(a0, order):
+    s0, c0 = math.sin(a0), math.cos(a0)
+    cycle = [c0, -s0, -c0, s0]
+    return [cycle[m % 4] / math.factorial(m) for m in range(order + 1)]
 
 
 def _of_degree(n, d):
@@ -120,6 +191,8 @@ class Jet:
     @staticmethod
     def constant(value, n, order):
         _check_order(order)
+        if isinstance(value, _ARRAY):
+            return _jet(n, order, {_TABLES[n].zero: value})
         return _jet(n, order, {_TABLES[n].zero: float(value)} if value != 0.0 else {})
 
     @staticmethod
@@ -132,11 +205,13 @@ class Jet:
 
     @staticmethod
     def seeds(coords, order, n=None):
-        """Identity jets centered at ``coords`` (one per variable)."""
+        """Identity jets centered at ``coords`` (one per variable); a
+        ``(dim, N)`` array gives the seeds of a batch of N points."""
         coords = list(coords)
         if n is None:
             n = len(coords)
-        return [Jet.variable(i, n, order, base=float(coords[i])) for i in range(n)]
+        return [Jet.variable(i, n, order, base=c if isinstance(c, _ARRAY) else float(c))
+                for i, c in enumerate(coords[:n])]
 
     # -- basic access ------------------------------------------------------
 
@@ -170,9 +245,9 @@ class Jet:
     def __add__(self, other):
         if not isinstance(other, Jet):
             c = dict(self.c)
-            if other != 0.0:
+            if isinstance(other, _ARRAY) or other != 0.0:
                 z = _TABLES[self.n].zero
-                c[z] = c.get(z, 0.0) + float(other)
+                c[z] = c.get(z, 0.0) + (other if isinstance(other, _ARRAY) else float(other))
             return _jet(self.n, self.order, c)
         if self.n != other.n:
             raise EngelLabError(f"jet variable count mismatch: {self.n} vs {other.n}")
@@ -195,7 +270,7 @@ class Jet:
         return _jet(self.n, self.order, {k: -v for k, v in self.c.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -float(other))
+        return self + (-other if isinstance(other, (Jet, _ARRAY)) else -float(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -203,7 +278,7 @@ class Jet:
     def __mul__(self, other):
         n = self.n
         if not isinstance(other, Jet):
-            s = float(other)
+            s = other if isinstance(other, _ARRAY) else float(other)
             return _jet(n, self.order, {k: v * s for k, v in self.c.items()})
         if n != other.n:
             raise EngelLabError(f"jet variable count mismatch: {n} vs {other.n}")
@@ -270,7 +345,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return self * (1.0 / float(other))
+            return self * (1.0 / (other if isinstance(other, _ARRAY) else float(other)))
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -287,13 +362,14 @@ class Jet:
         this jet's key order.  It equals the loop below bit for bit, signs
         of zeros and key order included, since every product term lands in
         a sum with 0.0 or ``series[0]`` there as here."""
+        batch = isinstance(series[0], _ARRAY)  # then every term of the series is
         if self.order <= 1:
             t = _TABLES[self.n]
             z = t.zero
             s0 = series[0]
-            out = {z: float(s0)} if s0 != 0.0 else {}
-            if self.order == 1 and len(series) > 1 and series[1] != 0.0:
-                s1 = float(series[1])
+            out = {z: s0 if batch else float(s0)} if batch or s0 != 0.0 else {}
+            if self.order == 1 and len(series) > 1 and (batch or series[1] != 0.0):
+                s1 = series[1] if batch else float(series[1])
                 pos, lim, get = t.pos, t.count[1], out.get
                 for k, v in self.c.items():
                     if pos[k] < lim:
@@ -305,52 +381,27 @@ class Jet:
         power = Jet.constant(1.0, self.n, self.order)
         for m in range(1, min(len(series), self.order + 1)):
             power = power * d
-            if series[m] != 0.0:
+            if batch or series[m] != 0.0:
                 out = out + power * series[m]
         return out
 
     def reciprocal(self):
-        a0 = self.value
-        if a0 == 0.0:
-            raise JetDomainError("jet division by a series with zero constant term")
-        series = [(-1.0) ** m / a0 ** (m + 1) for m in range(self.order + 1)]
-        return self._analytic(series)
+        return self._analytic(_series(_reciprocal_series, self.value, self.order))
 
     def sqrt(self):
-        a0 = self.value
-        if a0 <= 0.0:
-            raise JetDomainError("jet sqrt requires positive constant term")
-        series, coef = [], math.sqrt(a0)
-        for m in range(self.order + 1):
-            series.append(coef)
-            coef *= (0.5 - m) / ((m + 1) * a0)
-        return self._analytic(series)
+        return self._analytic(_series(_sqrt_series, self.value, self.order))
 
     def exp(self):
-        e0 = math.exp(self.value)
-        series = [e0 / math.factorial(m) for m in range(self.order + 1)]
-        return self._analytic(series)
+        return self._analytic(_series(_exp_series, self.value, self.order))
 
     def log(self):
-        a0 = self.value
-        if a0 <= 0.0:
-            raise JetDomainError("jet log requires positive constant term")
-        series = [math.log(a0)]
-        for m in range(1, self.order + 1):
-            series.append((-1.0) ** (m + 1) / (m * a0 ** m))
-        return self._analytic(series)
+        return self._analytic(_series(_log_series, self.value, self.order))
 
     def sin(self):
-        s0, c0 = math.sin(self.value), math.cos(self.value)
-        cycle = [s0, c0, -s0, -c0]
-        series = [cycle[m % 4] / math.factorial(m) for m in range(self.order + 1)]
-        return self._analytic(series)
+        return self._analytic(_series(_sin_series, self.value, self.order))
 
     def cos(self):
-        s0, c0 = math.sin(self.value), math.cos(self.value)
-        cycle = [c0, -s0, -c0, s0]
-        series = [cycle[m % 4] / math.factorial(m) for m in range(self.order + 1)]
-        return self._analytic(series)
+        return self._analytic(_series(_cos_series, self.value, self.order))
 
     # -- calculus --------------------------------------------------------------
 
@@ -421,7 +472,8 @@ class Jet:
 
     def __repr__(self):
         terms = sorted(self.c.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        body = " + ".join(f"{v:.6g}*x^{k}" for k, v in terms if v != 0.0) or "0"
+        body = " + ".join(f"{v if isinstance(v, _ARRAY) else format(v, '.6g')}*x^{k}"
+                          for k, v in terms if np.any(v != 0.0)) or "0"
         return f"Jet[{self.n} vars, order {self.order}]({body})"
 
 
@@ -429,23 +481,23 @@ class Jet:
 
 
 def sin(x):
-    return x.sin() if isinstance(x, Jet) else math.sin(x)
+    return x.sin() if isinstance(x, Jet) else _entrywise(math.sin, x)
 
 
 def cos(x):
-    return x.cos() if isinstance(x, Jet) else math.cos(x)
+    return x.cos() if isinstance(x, Jet) else _entrywise(math.cos, x)
 
 
 def exp(x):
-    return x.exp() if isinstance(x, Jet) else math.exp(x)
+    return x.exp() if isinstance(x, Jet) else _entrywise(math.exp, x)
 
 
 def sqrt(x):
-    return x.sqrt() if isinstance(x, Jet) else math.sqrt(x)
+    return x.sqrt() if isinstance(x, Jet) else _entrywise(math.sqrt, x)
 
 
 def log(x):
-    return x.log() if isinstance(x, Jet) else math.log(x)
+    return x.log() if isinstance(x, Jet) else _entrywise(math.log, x)
 
 
 # -- jet tuples: contractions, brackets, composition, inversion, pushforward ------

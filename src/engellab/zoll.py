@@ -276,7 +276,7 @@ def _so3_field(omega, name):
         a, b, c = xs
         w2 = 1.0 - (a * a + b * b + c * c)
         if isinstance(w2, Jet):
-            if w2.value <= 0.0:
+            if np.any(w2.value <= 0.0):
                 raise GeometryError("quaternion chart leaves the unit ball")
             w = w2.sqrt()
         else:

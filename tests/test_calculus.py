@@ -255,6 +255,44 @@ def test_memo_separates_points_in_one_scope():
     assert calls == {(1, tuple(p)): 1, (1, tuple(q)): 1}
 
 
+def test_memo_separates_a_point_from_a_one_point_batch():
+    # (4,) and (4, 1) coordinates have the same bytes; they are different
+    # evaluations, one on floats and one on arrays
+    calls = Counter()
+
+    def tfn(coords, order):
+        calls[(order, coords.shape)] += 1
+        return Jet.seeds(coords, order)
+
+    L = VectorField(CH4, taylor_fn=tfn)
+    p = np.array([0.3, -0.2, 0.5, 0.1])
+    with evaluation_scope():
+        one, batch = L.taylor(p, 1), L.taylor(p[:, None], 1)
+        assert L.taylor(p, 1)[0].c is one[0].c
+        assert L.taylor(p[:, None], 1)[0].c is batch[0].c
+    assert calls == {(1, (4,)): 1, (1, (4, 1)): 1}
+    assert isinstance(one[2].value, float)
+    assert batch[2].value.shape == (1,) and batch[2].value[0] == one[2].value
+    assert L(p[:, None]).shape == (4, 1)
+
+
+def test_flag_batch_evaluates_shared_leaf_once_per_order():
+    # the frame of test_memo_evaluates_shared_leaf_once_per_flag_point at five
+    # points: one batch evaluation per order, no point-by-point re-run
+    calls = Counter()
+
+    def tfn(coords, order):
+        calls[(order, coords.shape)] += 1
+        s = Jet.seeds(coords, order)
+        return [1.0 + 0.0 * s[0], s[3], s[1], 0.0 * s[0]]
+
+    L = VectorField(CH4, taylor_fn=tfn)
+    frame = DistributionFrame([coordinate_field(CH4, 3) + L, L])
+    pts = np.random.default_rng(2).uniform(-1.0, 1.0, (5, 4))
+    assert [r.ranks for r in flag_ranks(frame, pts)] == [(2, 3, 4)] * 5
+    assert calls == {(k, (4, 5)): 1 for k in (0, 1, 2)}
+
+
 def test_memo_scope_closes_on_return_and_on_error():
     L = counting_field(CH3, Counter(), lambda s: [s[0], s[1], s[2]])
     lie_bracket(L, L * 2.0).taylor([0.1, 0.2, 0.3], 1)

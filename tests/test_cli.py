@@ -3,10 +3,14 @@ handling."""
 
 import json
 
+import numpy as np
 import pytest
 
 from engellab import cli
 from engellab.cli import main
+from engellab.distributions import DistributionFrame, flag_ranks
+from engellab.errors import GeometryError
+from engellab.expressions import vector_field_from_exprs
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +76,27 @@ def test_expression_domain_error_exits_three(capsys, tmp_path):
     assert code == 3
     assert "geometry error" in err
     assert "at point" in err
+
+
+def test_batch_error_reports_the_point_of_the_sample_loop(capsys, tmp_path):
+    # the flag samples run as one batch; the error printed is the one a loop
+    # over the samples raises first, at a sample after the first
+    frame = [["0", "0", "0", "1"], ["1", "w", "y + log(x + 0.5)", "0"]]
+    p = tmp_path / "log.json"
+    p.write_text(json.dumps({"frame": frame}))
+    code, out, err = run_cli(capsys, "verify-engel", "--config", str(p),
+                             "--samples", "30", "--seed", "4")
+    assert code == 3
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, (30, 4))
+    first = int(np.argmax(pts[:, 0] <= -0.5))
+    assert first > 0
+    fields = [vector_field_from_exprs(cli.ENGEL_CHART, comp) for comp in frame]
+    with pytest.raises(GeometryError) as loop:
+        for q in pts:
+            flag_ranks(DistributionFrame(fields), q)
+    assert np.array_equal(loop.value.point, pts[first])
+    assert err.strip() == (f"geometry error: {loop.value} at point "
+                           f"{np.round(pts[first], 6).tolist()}")
 
 
 def test_jet_domain_error_exits_three(capsys, tmp_path):

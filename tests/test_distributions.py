@@ -1,17 +1,24 @@
 """Derived flags, contact and Engel tests, characteristic line, Reeb fields."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from engellab.calculus import Chart, constant_field, lie_bracket
+from engellab.calculus import Chart, evaluation_scope
+from engellab.deformation import ContactIsotopyGenerator, realize_isotopy
 from engellab.distributions import (DistributionFrame, characteristic_line,
-                                    flag_ranks, is_contact, is_engel,
-                                    plane_principal_angle, reeb_field,
+                                    flag_generators, flag_ranks, is_contact,
+                                    is_engel, plane_principal_angle, reeb_field,
                                     reeb_vector, annihilator_form)
-from engellab.errors import EngelLabError, GeometryError
-from engellab.expressions import one_form_from_exprs, vector_field_from_exprs
+from engellab.errors import ExpressionDomainError, GeometryError
+from engellab.expressions import (one_form_from_exprs, scalar_field_from_expr,
+                                  vector_field_from_exprs)
+from engellab.prolongation import ParallelizedContact, prolong
+from engellab.zoll import so3_engel_frame
 
 CH3 = Chart("c3", ("x", "y", "z"))
 CH4 = Chart("c4", ("x", "y", "z", "w"))
@@ -152,3 +159,118 @@ def test_plane_principal_angle_accuracy():
         w = c * v + s * np.array([0, 0, 1.0, 0])
         got = plane_principal_angle([u, v], [u, w])
         assert abs(got - angle) < 1e-12 + 1e-10 * angle
+
+
+# -- batches: one evaluation of N points equals N evaluations of one ------------
+
+
+def _contact(v0, v1):
+    return ParallelizedContact(CH3, vector_field_from_exprs(CH3, v0),
+                               vector_field_from_exprs(CH3, v1))
+
+
+SUPPORT = (0.25, 1.3)
+
+
+@functools.cache
+def batch_frame(name):
+    """The frames the CLI suites and the acceptance gate sample."""
+    if name == "normal-form":
+        return standard_engel_frame()
+    if name == "so3":
+        return so3_engel_frame().frame()
+    standard = _contact(["0", "1", "0"], ["1", "0", "y"])
+    if name == "prolonged":
+        return prolong(standard).frame()
+    if name == "perturbed":
+        return prolong(_contact(["0.1*z", "1 + 0.1*x", "0.05*x*y"],
+                                ["1", "0.1*sin(z)", "y + 0.1*x"])).frame()
+    dom = prolong(standard)
+    h = scalar_field_from_expr(dom.chart, "0.05*sin(x) + 0.04*z*cos(y) + 0.03*y")
+    return realize_isotopy(dom, ContactIsotopyGenerator(dom, h, SUPPORT),
+                           validate=False).frame()
+
+
+def batch_points(name, raw):
+    """Map unit-cube draws into the frame's sampling domain (the SO(3) base
+    inside the ball of radius 0.7).  Deformed-frame batches also hold points
+    outside the bump support and within 1e-2 of both its edges, where the
+    window is cut off at one point and masked in a batch."""
+    pts = np.array(raw, dtype=float)
+    if name == "so3":
+        pts[:, :3] *= 0.7 / np.sqrt(3.0)
+    pts[:, 3] *= 0.5 * math.pi
+    if name == "deformed":
+        lo, hi = SUPPORT
+        edges = [0.1, lo - 0.004, lo + 0.006, lo + 0.012, hi - 0.009, hi + 0.003]
+        pts = np.vstack([pts, [[0.3 - 0.1 * k, 0.2, -0.4 + 0.1 * k, th]
+                               for k, th in enumerate(edges)]])
+    return pts
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+unit = st.floats(-1.0, 1.0)
+point_sets = st.lists(st.tuples(unit, unit, unit, st.floats(0.0, 1.0)), min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("name", ["normal-form", "prolonged", "perturbed", "so3", "deformed"])
+@settings(max_examples=12, deadline=None)
+@given(raw=point_sets)
+def test_batch_equals_points_bit_for_bit(name, raw):
+    frame = batch_frame(name)
+    pts = batch_points(name, raw)
+    batch = flag_ranks(frame, pts)
+    lines = characteristic_line(frame, pts)
+    generators = flag_generators(frame)[2]
+    with evaluation_scope():
+        values = [f(pts.T) for f in generators]
+    assert len(batch) == len(lines) == len(pts)
+    for k, p in enumerate(pts):
+        one = flag_ranks(frame, p)
+        assert batch[k].ranks == one.ranks == (2, 3, 4)
+        for got, want in zip(batch[k].singular_values, one.singular_values):
+            assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(lines[k].direction),
+                              bits(characteristic_line(frame, p).direction))
+        with evaluation_scope():
+            for f, v in zip(generators, values):
+                assert np.array_equal(bits(v[:, k]), bits(f(p)))
+
+
+def test_empty_batch():
+    frame = standard_engel_frame()
+    assert flag_ranks(frame, np.zeros((0, 4))) == []
+    assert characteristic_line(frame, np.zeros((0, 4))) == []
+
+
+def test_batch_raises_at_first_domain_error_point():
+    # log(x + 0.5) is undefined at samples 3 and 5; the batch raises
+    # what a loop over the samples raises: the error at sample 3
+    frame = DistributionFrame([vector_field_from_exprs(CH4, ["0", "0", "0", "1"]),
+                               vector_field_from_exprs(CH4, ["1", "w", "y + log(x + 0.5)", "0"])])
+    pts = np.random.default_rng(5).uniform(0.0, 1.0, (8, 4))
+    pts[3, 0], pts[5, 0] = -0.7, -0.9
+    for fn in (flag_ranks, characteristic_line):
+        with pytest.raises(ExpressionDomainError) as batch:
+            fn(frame, pts)
+        with pytest.raises(ExpressionDomainError) as alone:
+            fn(frame, pts[3])
+        assert str(batch.value) == str(alone.value)
+        assert np.array_equal(batch.value.point, pts[3])
+
+
+def test_batch_raises_at_first_degenerate_point():
+    frame = DistributionFrame([vector_field_from_exprs(CH4, ["x", "0", "0", "0"]),
+                               vector_field_from_exprs(CH4, ["0", "1", "0", "0"])])
+    pts = np.random.default_rng(6).uniform(0.5, 1.0, (6, 4))
+    pts[2, 0] = pts[4, 0] = 0.0
+    with pytest.raises(GeometryError) as batch:
+        flag_ranks(frame, pts)
+    with pytest.raises(GeometryError) as alone:
+        flag_ranks(frame, pts[2])
+    assert str(batch.value) == str(alone.value)
+    assert batch.value.point is not None
+    assert np.array_equal(batch.value.point, pts[2])

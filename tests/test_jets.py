@@ -10,7 +10,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engellab.errors import DerivativeOrderError, EngelLabError
+from engellab import jets as jets_mod
+from engellab.errors import DerivativeOrderError, EngelLabError, JetDomainError
 from engellab.jets import (MAX_ORDER, Jet, jet_compose, jet_identity,
                            jet_invert, jet_pushforward, linear_part,
                            multi_indices)
@@ -352,6 +353,41 @@ def test_analytic_bit_for_bit(pair, series):
 def test_analytic_low_order_bit_for_bit(a, series):
     # orders 0 and 1 take the written-out path; every other order the loop
     assert bits(a._analytic(series)) == bits(ref_analytic(a, series))
+
+
+def test_batched_analytic_equals_points_bit_for_bit():
+    # a batch jet carries one array entry per point; every function of it
+    # must give, entry by entry, the bits the same function gives at that
+    # point alone.  NumPy's exp, log and power round differently from math
+    # and Python's float power on some of these inputs
+    rng = np.random.default_rng(11)
+    N = 3000
+    for order in (0, 1, 2):
+        coeffs = {k: rng.uniform(0.05, 3.0, N) if sum(k) == 0 else rng.uniform(-1.0, 1.0, N)
+                  for k in multi_indices(2, order)}
+        batch = Jet(2, order, coeffs)
+        for name in ("exp", "log", "sqrt", "sin", "cos", "reciprocal"):
+            got = getattr(batch, name)()
+            for i in range(N):
+                want = getattr(Jet(2, order, {k: float(v[i]) for k, v in coeffs.items()}), name)()
+                assert list(got.c) == list(want.c)
+                assert [float(np.broadcast_to(c, (N,))[i]).hex() for c in got.c.values()] == \
+                    [float(c).hex() for c in want.c.values()]
+    values = rng.uniform(0.05, 3.0, N)
+    for fn, ref in ((jets_mod.exp, math.exp), (jets_mod.log, math.log),
+                    (jets_mod.sin, math.sin), (jets_mod.sqrt, math.sqrt)):
+        assert [v.hex() for v in fn(values).tolist()] == [ref(v).hex() for v in values.tolist()]
+
+
+def test_batch_jet_domain_checks_and_repr():
+    # a domain check fails if any entry fails it
+    batch = Jet.variable(0, 1, 2, base=np.array([0.5, 1.0, -0.25, 2.0]))
+    for fn in (Jet.log, Jet.sqrt):
+        with pytest.raises(JetDomainError):
+            fn(batch)
+    with pytest.raises(JetDomainError):
+        Jet.variable(0, 1, 2, base=np.array([0.5, 0.0])).reciprocal()
+    assert repr(batch) == "Jet[1 vars, order 2]([ 0.5   1.   -0.25  2.  ]*x^(0,) + 1*x^(1,))"
 
 
 def test_kernel_results_own_their_dicts():
