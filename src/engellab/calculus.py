@@ -5,7 +5,7 @@ generic arithmetic, so it works on floats and on :class:`~engellab.jets.Jet`
 seeds alike) or by a custom ``taylor_fn`` for fields produced by geometric
 constructions (brackets, pointwise linear solves, frame recombinations).
 Given ``(dim, N)`` coordinates, a field evaluates a batch of N points in one
-pass, on jets with one array entry per point (see :mod:`engellab.jets`).
+pass, on jets with one coefficient row per point (see :mod:`engellab.jets`).
 Evaluation is pure.  Within one evaluation scope each (field, order, point)
 is evaluated once: the outermost :meth:`_FieldBase.taylor` call opens a memo
 that the nested calls of composite and bracket closures share, and

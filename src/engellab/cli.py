@@ -56,15 +56,37 @@ def _load_config(path):
     return cfg
 
 
+def _conforms(value, kind):
+    if isinstance(kind, list):
+        return (isinstance(value, list) and value != []
+                and all(_conforms(v, kind[0]) for v in value))
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _cfg(cfg, key, kind, default=None):
+    """The config value at ``key``, checked to be of ``kind`` (``int``,
+    ``float``, ``bool`` or ``str``, or ``[kind]`` for a non-empty list of
+    them; an int is a float too), or ``default`` when the key is absent.  A
+    value of another kind is a ConfigError naming the key."""
+    if key not in cfg:
+        return default
+    value = cfg[key]
+    if not _conforms(value, kind):
+        raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
+    return float(value) if kind is float else value
+
+
 def _chart(cfg, key, default):
-    coords = cfg.get(key)
+    coords = _cfg(cfg, key, [str], None)
     if coords is None:
         return default
     return Chart("config", tuple(coords))
 
 
 def _frame_fields(cfg, chart, key, defaults):
-    texts = cfg.get(key, defaults)
+    texts = _cfg(cfg, key, [[str]], defaults)
     return [vector_field_from_exprs(chart, comp, name=f"{key}[{i}]")
             for i, comp in enumerate(texts)], texts
 
@@ -88,7 +110,8 @@ def _suite_verify_engel(cfg, rng, samples, tol, report, seed):
                 detail = f"ranks {rep.ranks} at {np.round(p, 4).tolist()}"
     report.add("engel-flag", samples, 0, failures, detail=detail)
 
-    direction = cfg.get("char_direction", [0.0, 0.0, 0.0, 1.0] if "frame" not in cfg else None)
+    direction = _cfg(cfg, "char_direction", [float],
+                     [0.0, 0.0, 0.0, 1.0] if "frame" not in cfg else None)
     if failures == 0 and direction is not None:
         worst = 0.0
         for ld in characteristic_line(frame, pts):
@@ -108,7 +131,7 @@ def _base_contact(cfg):
 
 def _suite_prolong(cfg, rng, samples, tol, report, seed):
     contact, texts = _base_contact(cfg)
-    full = bool(cfg.get("full_circle", False))
+    full = _cfg(cfg, "full_circle", bool, False)
     check_pts = rng.uniform(-1.0, 1.0, (10, 3))
     domain = prolong(contact, full_circle=full, check_points=check_pts)
     frame = domain.frame()
@@ -131,8 +154,8 @@ def _domain_points(rng, samples, theta_max):
 
 def _suite_contactify(cfg, rng, samples, tol, report, seed):
     contact, texts = _base_contact(cfg)
-    domain = prolong(contact, full_circle=bool(cfg.get("full_circle", False)))
-    values = cfg.get("slices", [0.0, 0.7, 1.3])
+    domain = prolong(contact, full_circle=_cfg(cfg, "full_circle", bool, False))
+    values = _cfg(cfg, "slices", [float], [0.0, 0.7, 1.3])
     per = max(1, samples // len(values))
     worst = 0.0
     for value in values:
@@ -140,18 +163,15 @@ def _suite_contactify(cfg, rng, samples, tol, report, seed):
         induced = contactify(domain.frame(), slc)
         for _ in range(per):
             m = rng.uniform(-1.0, 1.0, 3)
-            got = [induced.v0(m), induced.v1(m)]
-            want = [contact.v0(m), contact.v1(m)]
-            worst = worst_of(worst, plane_principal_angle(got, want))
+            worst = worst_of(worst, plane_principal_angle(induced.plane_basis(m).T,
+                                                          contact.plane_basis(m).T))
     report.add("slice-plane-recovery", per * len(values), tol, worst)
     return {"legendrian_frame": texts, "slices": values}
 
 
 def _random_jet(rng, order, const=0.0, amp=0.3):
-    j = Jet(3, order)
-    for k in multi_indices(3, order):
-        j.c[k] = const if sum(k) == 0 else rng.uniform(-amp, amp) / (1.0 + sum(k)) ** 2
-    return j
+    return Jet(3, order, {k: rng.uniform(-amp, amp) / (1.0 + sum(k)) ** 2 if sum(k) else const
+                          for k in multi_indices(3, order)})
 
 
 def _random_pair(rng, order=4):
@@ -197,24 +217,26 @@ def _suite_normal_form(cfg, rng, samples, tol, report, seed):
     report.add("idempotence", samples, tol, worst_idem)
 
     echo = {}
-    if "ode" in cfg:
-        f = scalar_field_from_expr(ODE_CHART, cfg["ode"], name="f")
+    ode_text = _cfg(cfg, "ode", str, None)
+    if ode_text is not None:
+        f = scalar_field_from_expr(ODE_CHART, ode_text, name="f")
         v0, v1 = pair_from_ode(f)
         pair = LegendrianPairJet.from_fields(v0, v1, [0.0, 0.0, 0.0])
         res = normalize_pair(pair)
         ode = extract_ode(res)
         report.add("ode-residual", 1, tol, res.verify(pair),
                    detail="; ".join(s["step"] for s in res.steps))
-        echo = {"ode": cfg["ode"], "steps": res.steps,
-                "f_coeffs": {"".join(map(str, k)): v for k, v in sorted(ode.f_jet.c.items())}}
+        echo = {"ode": ode_text, "steps": res.steps,
+                "f_coeffs": {"".join(map(str, k)): v
+                             for k, v in sorted(ode.f_jet.items()) if v != 0.0}}
     return echo
 
 
 def _suite_realize(cfg, rng, samples, tol, report, seed):
     contact, texts = _base_contact(cfg)
     domain = prolong(contact)
-    support = tuple(cfg.get("support", (0.25, 1.3)))
-    h_text = cfg.get("h", "0.05*sin(x) + 0.04*z*cos(y) + 0.03*y")
+    support = tuple(_cfg(cfg, "support", [float], [0.25, 1.3]))
+    h_text = _cfg(cfg, "h", str, "0.05*sin(x) + 0.04*z*cos(y) + 0.03*y")
     h = scalar_field_from_expr(domain.chart, h_text, name="h")
     gen = ContactIsotopyGenerator(domain, h, support)
 
@@ -248,7 +270,7 @@ def _suite_realize(cfg, rng, samples, tol, report, seed):
 
 def _gray_path(cfg):
     chart = CONTACT_CHART
-    comps = cfg.get("form_components",
+    comps = _cfg(cfg, "form_components", [str],
                     ["t*(0.2*sin(x + 2*z) + 0.3*y*z) - y", "0*y",
                      "1 + t*(0.15*x + 0.2*y + 0.05*z^2)"])
     exprs = [Expression(c, chart.coords + ("t",)) for c in comps]
@@ -262,9 +284,9 @@ def _gray_path(cfg):
 
 def _suite_gray(cfg, rng, samples, tol, report, seed):
     path, comps = _gray_path(cfg)
-    t_max = float(cfg.get("t_max", 0.3))
-    n_grid = int(cfg.get("grid", 5))
-    L = constant_field(CONTACT_CHART, cfg.get("legendrian", [0.0, 1.0, 0.0]), name="L")
+    t_max = _cfg(cfg, "t_max", float, 0.3)
+    n_grid = _cfg(cfg, "grid", int, 5)
+    L = constant_field(CONTACT_CHART, _cfg(cfg, "legendrian", [float], [0.0, 1.0, 0.0]), name="L")
     pts = rng.uniform(-1.0, 1.0, (samples, 3))
 
     sol = gray_solve(path, L, np.linspace(0.0, t_max, n_grid), sample_points=pts[:10])
@@ -290,32 +312,35 @@ def _suite_gray(cfg, rng, samples, tol, report, seed):
 
 
 def _space_from_config(cfg):
-    kind = cfg.get("metric", "sphere")
+    kind = _cfg(cfg, "metric", str, "sphere")
     if kind == "sphere":
-        radius = float(cfg.get("radius", 1.0))
+        radius = _cfg(cfg, "radius", float, 1.0)
         return SphereAtlas(radius), {"metric": "sphere", "radius": radius}, 2.0 * math.pi * radius
     if kind == "plane":
-        return SingleChartSpace(euclidean_metric(), bound=cfg.get("bound", 50.0)), \
+        return SingleChartSpace(euclidean_metric(), bound=_cfg(cfg, "bound", float, 50.0)), \
             {"metric": "plane"}, None
     if kind == "revolution":
-        text = cfg["profile"]
+        text = _cfg(cfg, "profile", str)
+        if text is None:
+            raise ConfigError("config key 'profile' is required")
         expr = Expression(text, ("u",))
 
         def profile(u):
             return expr({"u": u})
 
         metric = revolution_metric(profile)
-        space = SingleChartSpace(metric, periodic=(False, True), bound=cfg.get("bound"))
-        return space, {"metric": "revolution", "profile": text}, cfg.get("period")
+        space = SingleChartSpace(metric, periodic=(False, True),
+                                 bound=_cfg(cfg, "bound", float, None))
+        return space, {"metric": "revolution", "profile": text}, _cfg(cfg, "period", float, None)
     raise ConfigError(f"unknown metric kind {kind!r} (sphere | plane | revolution)")
 
 
 def _suite_zoll_closedness(cfg, rng, samples, tol, report, seed):
     space, echo, period = _space_from_config(cfg)
     rep = closedness_report(space, n_samples=samples, seed=seed,
-                            max_arclength=float(cfg.get("max_arclength", 30.0)),
-                            sample_radius=float(cfg.get("sample_radius", 1.5)))
-    expect = bool(cfg.get("expect_return", echo["metric"] == "sphere"))
+                            max_arclength=_cfg(cfg, "max_arclength", float, 30.0),
+                            sample_radius=_cfg(cfg, "sample_radius", float, 1.5))
+    expect = _cfg(cfg, "expect_return", bool, echo["metric"] == "sphere")
     if expect:
         report.add("all-return", samples, 0, samples - rep.n_returned)
         report.add("return-defect", samples, tol, rep.max_defect)
@@ -335,8 +360,8 @@ def _suite_zoll_closedness(cfg, rng, samples, tol, report, seed):
 
 
 def _suite_central_projection(cfg, rng, samples, tol, report, seed):
-    out = central_projection_check(n_geodesics=samples, seed=seed,
-                                   arc=float(cfg.get("arc", 1.2)))
+    arc = _cfg(cfg, "arc", float, 1.2)
+    out = central_projection_check(n_geodesics=samples, seed=seed, arc=arc)
     report.add("line-fit", out["n_arcs"], tol, out["max_residual"])
 
     metric = stereographic_sphere_metric()
@@ -352,11 +377,11 @@ def _suite_central_projection(cfg, rng, samples, tol, report, seed):
             metric, np.append(x, rng.uniform(0.0, 2.0 * math.pi))))
     report.add("legendre-roundtrip", 20, 1e-10, worst_rt)
     report.add("hamiltonian-alignment", 20, 1e-6, worst_al)
-    return {"arc": float(cfg.get("arc", 1.2))}
+    return {"arc": arc}
 
 
 def _suite_so3(cfg, rng, samples, tol, report, seed):
-    domain = so3_engel_frame(full_circle=bool(cfg.get("full_circle", False)))
+    domain = so3_engel_frame(full_circle=_cfg(cfg, "full_circle", bool, False))
     qs = []
     for _ in range(samples):
         v = rng.normal(size=3)
@@ -430,8 +455,8 @@ def main(argv=None):
         cfg = _load_config(args.config)
         _, default_samples, default_tol = SUITES[args.command]
         samples = args.samples if args.samples is not None else \
-            int(cfg.get("samples", default_samples))
-        tol = args.tol if args.tol is not None else float(cfg.get("tol", default_tol))
+            _cfg(cfg, "samples", int, default_samples)
+        tol = args.tol if args.tol is not None else _cfg(cfg, "tol", float, default_tol)
         if samples <= 0 or tol <= 0:
             raise ConfigError("samples and tol must be positive")
         report = run(args.command, cfg, args.seed, samples, tol)

@@ -18,13 +18,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .calculus import (ScalarField, VectorField, _coords_of,
+from .calculus import (OneForm, ScalarField, VectorField, _coords_of, lie_bracket,
                        lie_derivative_scalar, over_points)
-from .distributions import DistributionFrame, reeb_field, reeb_vector
+from .distributions import (DistributionFrame, plane_principal_angle, reeb_field,
+                            reeb_vector)
 from .errors import EngelLabError, GeometryError
 from .flow import flow, integrate_nonautonomous
 from .jets import Jet, jet_bilinear, jet_cross, jet_dot
-from .prolongation import Slice, lift_field, lift_form
+from .prolongation import Slice, lift
 from .reporting import worst_of
 
 # window margin below which exp(-1/s) is treated as exactly zero
@@ -52,7 +53,7 @@ def bump_window(chart4, lo, hi, name="window"):
         arg = (tj - lo).reciprocal() + (hi - tj).reciprocal()
         w = (Jet.constant(peak, 4, order) - arg).exp()
         if masked:
-            w.c = {k: np.where(outside, 0.0, v) for k, v in w.c.items()}
+            w = Jet(4, order, {k: np.where(outside, 0.0, v) for k, v in w.items()})
         return [w]
 
     return ScalarField(chart4, taylor_fn=tfn, name=name)
@@ -84,9 +85,9 @@ class ContactIsotopyGenerator:
 
         inv_c = _normalizer_inverse(base)
         alpha_hat3 = base.alpha * inv_c
-        self.alpha_hat = lift_form(chart4, alpha_hat3, name="alpha_hat")
+        self.alpha_hat = lift(chart4, alpha_hat3, name="alpha_hat")
         self.normalizer = inv_c
-        self.Z = lift_field(chart4, reeb_field(alpha_hat3), name="Z")
+        self.Z = lift(chart4, reeb_field(alpha_hat3), name="Z")
 
         if self.h is None:
             self.X = VectorField(chart4, components=lambda xs: [0.0] * 4, name="X")
@@ -102,7 +103,6 @@ class ContactIsotopyGenerator:
 
         Uses the identity L_X alpha (Y) = X(alpha(Y)) - alpha([X, Y]).
         """
-        from .calculus import lie_bracket
         a = self.alpha_hat
         out = 0.0
         for Yf in (self.domain.V, self.domain.U):
@@ -147,11 +147,10 @@ class DeformedEngel:
         self.theta_max = domain.theta_max
         self.V = domain.V
         self.U = domain.U
-        self.vertical = domain.vertical
         self.W = domain.vertical + generator.X
         self.W.name = "W"
         self.g = self._spin_field()
-        self.f = self._twist_field()
+        self.f = self._coefficient_field(False, "f")
         self.spin_samples = []  # g at the points realize_isotopy validated
 
     @property
@@ -164,21 +163,9 @@ class DeformedEngel:
     def theta_slice(self, value):
         return Slice(self.chart, 3, float(value))
 
-    @property
-    def bottom(self):
-        return self.theta_slice(0.0)
-
-    @property
-    def top(self):
-        return self.theta_slice(self.theta_max if self.full_circle else 0.5 * math.pi)
-
-    def point(self, m, theta):
-        return self.domain.point(m, theta)
-
-    def _coefficient_field(self, pick_second):
+    def _coefficient_field(self, pick_second, name):
         """Coefficient of [X, V] = f V + g U via the normalized d alpha:
         g = d alpha_hat(V, [X,V]), f = d alpha_hat([X,V], U)."""
-        from .calculus import lie_bracket
         gen = self.generator
         B = lie_bracket(gen.X, self.V)
         a = gen.alpha_hat
@@ -190,17 +177,10 @@ class DeformedEngel:
             return [a.d_apply(B, U, coords, order)]
 
         return ScalarField(self.chart, taylor_fn=tfn,
-                           max_order=min(a.max_order - 1, B.max_order))
+                           max_order=min(a.max_order - 1, B.max_order), name=name)
 
     def _spin_field(self):
-        g = self._coefficient_field(True)
-        g.name = "g"
-        return g
-
-    def _twist_field(self):
-        f = self._coefficient_field(False)
-        f.name = "f"
-        return f
+        return self._coefficient_field(True, "g")
 
 
 def realize_isotopy(domain, generator, samples=None, validate=True):
@@ -234,11 +214,8 @@ def bottom_to_top(deformed, m, tol=1e-9):
     W has unit vertical speed, so the flow time equals the theta span.
     """
     m = np.asarray(_coords_of(m, None), dtype=float)
-    if m.shape == (4,):
-        q0 = m
-    else:
-        q0 = np.append(m, 0.0)
-    span = deformed.top.value - q0[3]
+    q0 = m if m.shape == (4,) else np.append(m, 0.0)
+    span = deformed.theta_max - q0[3]
     res = flow(deformed.W, q0, span, tol=tol)
     return res.endpoint.coords[:3]
 
@@ -267,7 +244,6 @@ class ContactFormPath:
         def tfn(coords, order):
             return [j.restrict(3) for j in path._ext_jets(coords, t, order)]
 
-        from .calculus import OneForm
         return OneForm(self.chart, taylor_fn=tfn, max_order=self.max_order,
                        name=f"{self.name}[{t:.4f}]")
 
@@ -279,7 +255,6 @@ class ContactFormPath:
             jets = path._ext_jets(coords, t, order + 1)
             return [j.derivative(3).restrict(3) for j in jets]
 
-        from .calculus import OneForm
         return OneForm(self.chart, taylor_fn=tfn, max_order=self.max_order - 1,
                        name=f"d/dt {self.name}[{t:.4f}]")
 
@@ -374,7 +349,6 @@ class GraySolution:
         """Transport a basis of ker theta_0 at x0 and the L direction; report
         the endpoint, the plane-angle defect against ker theta_T, and the
         angle defect of the transported L direction."""
-        from .distributions import plane_principal_angle
         form0 = self.path.form_at(self.t_grid[0])
         a = form0(x0)
         m = int(np.argmin(np.abs(a)))

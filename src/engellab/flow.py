@@ -165,21 +165,6 @@ def _augmented_rhs(X, n, k):
     return f
 
 
-def flow_transported(X, p, t, vectors, tol=DEFAULT_TOL, max_steps=200000):
-    """Flow ``p`` along ``X`` while transporting ``vectors`` (columns) by the
-    variational equation ``J' = DX(x) J``."""
-    chart = X.chart
-    n = chart.dim
-    V = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if V.shape[0] != n:
-        V = V.T
-    k = V.shape[1]
-    y0 = np.concatenate([_coords_of(p, chart), V.ravel()])
-    y, err, steps = integrate(_augmented_rhs(X, n, k), y0, 0.0, t, tol=tol, max_steps=max_steps)
-    endpoint = Point(chart, y[:n])
-    return FlowResult(endpoint, t, steps, err, transport=y[n:].reshape(n, k))
-
-
 def _hermite(y0, y1, d0, d1, theta):
     """Cubic Hermite interpolant of a step at fraction ``theta`` from its end
     states and its end slopes times the step size (``d = h k``)."""

@@ -7,29 +7,25 @@ arithmetic is exact up to rounding.  Jets double as the
 derivative-propagation engine for vector fields (evaluate the component rule on
 seed jets) and as the substrate of the normal-form algorithm.
 
-A coefficient is a float at one base point, or a 1-D float64 array with one
-entry per point of a batch, so one pass of a rule evaluates every point.
-Entry ``i`` of a result equals, bit for bit, the float the same operations
-give at point ``i`` alone: the arithmetic is IEEE in both, and the Taylor
-series of the analytic functions are computed entry by entry by the one-point
-code, with :mod:`math` and Python's float power (NumPy's may round
-differently) and its domain checks.  A batch keeps zero constants that a
-point drops.
-
-The store is sparse: a dict from multi-index tuples to coefficients, holding
-only the terms that were set.  The arithmetic is table-driven: for each
-variable count, a cached graded table numbers every multi-index up to degree
-``MAX_ORDER + 1`` and holds its degree, the index of each pairwise sum and of
-each unit shift, so products and derivatives look indices up instead of
-building tuples per term.  Orders are capped at :data:`MAX_ORDER`; the
-normal-form pipeline needs at most order 6.
+The store is dense: one float64 array per jet, ``c[..., p]`` the coefficient
+of the multi-index at position ``p`` of a graded table, of shape ``(count,)``
+at one point and ``(N, count)`` for a batch of N points (a point jet
+broadcasts against a batch jet).  Sums and truncations are slices,
+derivatives and changes of variables gathers, and the one product routine
+adds each coefficient's term pairs in graded order from 0.0.  A batch row
+equals its point's jet bit for bit: the arithmetic runs in the same order, and
+the series of the analytic functions are computed entry by entry by the
+one-point code (with :mod:`math`, whose rounding NumPy's may not share, and
+its domain checks).  Orders are capped at :data:`MAX_ORDER`; the normal-form
+pipeline needs at most order 6.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import accumulate
-from operator import add, sub
+from operator import add
 
 import numpy as np
 
@@ -111,57 +107,131 @@ def _of_degree(n, d):
     return [(e,) + rest for e in range(d + 1) for rest in _of_degree(n - 1, d - e)]
 
 
-class _Graded:
-    """Graded multi-index table for ``n`` variables.
+class _Lazy(dict):
+    """Key -> ``build(key)``, built on first use and kept."""
 
-    ``keys`` lists every multi-index of degree at most ``MAX_ORDER + 1`` by
-    degree, lexicographically within a degree; ``pos`` inverts it.  Since the
-    table is graded, the multi-indices of degree at most ``d`` are exactly the
-    positions below ``count[d]``.  ``zero`` is the multi-index of degree 0
-    and ``units[i]`` the one of ``x_i``.  ``sums[p][q]`` is the position of
-    ``keys[p] + keys[q]`` for every pair of degree at most ``MAX_ORDER``;
-    ``down[i][p]`` and ``up[i][p]`` are the positions of ``keys[p]`` with
-    exponent ``i`` lowered (None at exponent 0) or raised (None past the
-    table).
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _Graded:
+    """Graded multi-index table for ``n`` variables, and the kernel's index
+    tables.
+
+    ``keys`` lists every multi-index of degree at most ``MAX_ORDER`` by
+    degree, lexicographically within a degree; ``pos`` inverts it, and the
+    multi-indices of degree at most ``d`` are the first ``count[d]``.
+    ``units[i]`` is the position of ``x_i``; ``nonconstant[order]`` is 0.0
+    at the constant term, 1.0 elsewhere.  Built on first use of an order:
+    ``products[order] = (P, Q, R, size, rounds)`` lists every pair of
+    positions ``(P[j], Q[j])`` with degrees summing to at most ``order`` in
+    p-major order, ``R[j]`` the position of their sum, and in round ``k`` the
+    ``k``-th pair after the first of each coefficient; ``derivatives[order][i]``
+    gives, for each term of degree below ``order``, the position of the term
+    with exponent ``i`` raised, and that exponent.
     """
 
-    __slots__ = ("zero", "units", "keys", "pos", "degree", "count", "sums", "down", "up")
+    __slots__ = ("n", "keys", "pos", "count", "units", "nonconstant", "products", "derivatives")
 
     def __init__(self, n):
-        top = MAX_ORDER + 1
-        layers = [_of_degree(n, d) for d in range(top + 1)]
+        layers = [_of_degree(n, d) for d in range(MAX_ORDER + 1)]
         keys = [k for layer in layers for k in layer]
-        pos = {k: p for p, k in enumerate(keys)}
-        degree = [d for d, layer in enumerate(layers) for _ in layer]
-        count = list(accumulate(len(layer) for layer in layers))
-        self.zero = keys[0]
+        self.n = n
         self.keys = keys
-        self.pos = pos
-        self.degree = degree
-        self.count = count
-        self.sums = [[pos[tuple(map(add, k1, k2))] for k2 in keys[:count[MAX_ORDER - d1]]]
-                     if d1 <= MAX_ORDER else [] for k1, d1 in zip(keys, degree)]
-        self.units = units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        self.down = [[pos[tuple(map(sub, k, u))] if k[i] else None for k in keys]
-                     for i, u in enumerate(units)]
-        self.up = [[pos.get(tuple(map(add, k, u))) for k in keys] for u in units]
+        self.pos = {k: p for p, k in enumerate(keys)}
+        self.count = list(accumulate(len(layer) for layer in layers))
+        self.units = np.array([self.pos[tuple(int(j == i) for j in range(n))] for i in range(n)])
+        self.nonconstant = [np.array([0.0] + [1.0] * (size - 1)) for size in self.count]
+        self.products = _Lazy(self._products)
+        self.derivatives = _Lazy(self._derivatives)
+
+    def _products(self, order):
+        keys, count = self.keys, self.count
+        pairs = [(p, q) for p in range(count[order]) for q in range(count[order - sum(keys[p])])]
+        P, Q = np.array(pairs).T.copy()
+        R = np.array([self.pos[tuple(map(add, keys[p], keys[q]))] for p, q in pairs])
+        by_sum = np.argsort(R, kind="stable")
+        rank = np.empty(len(R), dtype=int)
+        rank[by_sum] = np.arange(len(R)) - np.searchsorted(R[by_sum], R[by_sum])
+        rounds = [(R[rank == k], np.flatnonzero(rank == k)) for k in range(1, rank.max() + 1)]
+        return P, Q, R, count[order], rounds
+
+    def _derivatives(self, order):
+        below = self.keys[:self.count[order - 1]]
+        return [(np.array([self.pos[k[:i] + (k[i] + 1,) + k[i + 1:]] for k in below]),
+                 np.array([k[i] + 1.0 for k in below]))
+                for i in range(self.n)]
 
 
-class _Tables(dict):
-    """Variable count -> its :class:`_Graded` table, built on first use.
-    A table depends on the variable count alone, so one per process is
-    shared by every jet."""
-
-    def __missing__(self, n):
-        table = self[n] = _Graded(n)
-        return table
+# variable count -> its table; a table depends on the variable count alone,
+# so one per process is shared by every jet
+_TABLES = _Lazy(_Graded)
 
 
-_TABLES = _Tables()
+@functools.cache
+def _relabel_table(n, order, n_new, positions):
+    """Where each term of degree at most ``order`` in ``n`` variables lands
+    when old variable ``j`` becomes variable ``positions[j]`` of ``n_new``:
+    its position there, or one past the last term if a variable whose
+    position is None occurs in it; and the number of terms there."""
+    new = _TABLES[n_new]
+    size = new.count[order]
+    dst = []
+    for k in _TABLES[n].keys[:_TABLES[n].count[order]]:
+        kk = tuple(sum(e for e, j in zip(k, positions) if j == v) for v in range(n_new))
+        dst.append(new.pos[kk] if sum(kk) == sum(k) else size)
+    return np.array(dst), size
+
+
+def _take(c, index):
+    """``c[..., index]``; at a point by plain indexing, which costs less."""
+    return c[index] if c.ndim == 1 else c[:, index]
+
+
+def _accumulate(index, terms, size):
+    """Add ``terms[..., j]`` into position ``index[j]`` of a last axis of
+    length ``size``, one term after another from 0.0 (``np.bincount`` adds
+    its weights in order), each row of a batch on its own."""
+    if terms.ndim == 1:
+        return np.bincount(index, terms, size)
+    rows = len(terms)
+    flat = (index + size * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, terms.ravel(), rows * size).reshape(rows, size)
+
+
+def _product(a, b, table):
+    """The coefficients of the product of two jets with coefficients ``a``
+    and ``b``, from the product table of the result's order: every
+    coefficient sums its term pairs from 0.0 in the table's order."""
+    P, Q, R, size, rounds = table
+    if a.ndim == 1 and b.ndim == 1:
+        return np.bincount(R, a[P] * b[Q], size)
+    # a batch, coefficient axis first: the first pair of coefficient r is
+    # (0, r), and each round adds the next pair of every coefficient
+    t = _rows(a, P) * _rows(b, Q)
+    out = 0.0 + t[:size]
+    for rows, cols in rounds:
+        out[rows] += t[cols]
+    return out.T
+
+
+def _rows(c, index):
+    """The coefficients at positions ``index`` as rows over the batch."""
+    return c[index, None] if c.ndim == 1 else c.T[index]
+
+
+def _scalar(s):
+    """A float factor, or a batch's array shaped to scale each row."""
+    return s[:, None] if isinstance(s, _ARRAY) else float(s)
 
 
 def _jet(n, order, c):
-    """A jet around the coefficient dict ``c`` (taken, not copied), for
+    """A jet around the coefficient array ``c`` (taken, not copied), for
     results whose order the kernel already knows to be valid."""
     j = object.__new__(Jet)
     j.n = n
@@ -171,162 +241,137 @@ def _jet(n, order, c):
 
 
 class Jet:
-    """Truncated power series in ``n`` variables, stored sparsely as a dict
-    from multi-index tuples to coefficients.
+    """Truncated power series in ``n`` variables, stored densely: ``c[..., p]``
+    is the coefficient of the multi-index at position ``p`` of the graded
+    table.
 
-    Keys must be multi-indices of degree at most ``MAX_ORDER + 1``; the
-    table lookups of the arithmetic fail with ``KeyError`` on other keys.
+    ``coeffs`` maps multi-index tuples to coefficients (floats, or arrays
+    over a batch); keys must be multi-indices of degree at most ``order``,
+    others fail with ``KeyError``.
     """
 
     __slots__ = ("n", "order", "c")
 
     def __init__(self, n, order, coeffs=None):
         _check_order(order)
+        coeffs = dict(coeffs or {})
         self.n = n
         self.order = order
-        self.c = dict(coeffs) if coeffs else {}
+        rows = np.broadcast_shapes(*(np.shape(v) for v in coeffs.values()))
+        self.c = np.zeros(rows + (_TABLES[n].count[order],))
+        for k, v in coeffs.items():
+            self[k] = v
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def constant(value, n, order):
         _check_order(order)
-        if isinstance(value, _ARRAY):
-            return _jet(n, order, {_TABLES[n].zero: value})
-        return _jet(n, order, {_TABLES[n].zero: float(value)} if value != 0.0 else {})
+        c = np.zeros(getattr(value, "shape", ()) + (_TABLES[n].count[order],))
+        c.T[0] = 0.0 + value  # a zero constant is +0.0
+        return _jet(n, order, c)
 
     @staticmethod
     def variable(i, n, order, base=0.0):
         """The coordinate function ``x_i`` expanded around ``x_i = base``."""
         j = Jet.constant(base, n, order)
         if order >= 1:
-            j.c[_TABLES[n].units[i]] = 1.0
+            j.c.T[_TABLES[n].units[i]] = 1.0
         return j
 
     @staticmethod
-    def seeds(coords, order, n=None):
+    def seeds(coords, order):
         """Identity jets centered at ``coords`` (one per variable); a
         ``(dim, N)`` array gives the seeds of a batch of N points."""
-        coords = list(coords)
-        if n is None:
-            n = len(coords)
-        return [Jet.variable(i, n, order, base=c if isinstance(c, _ARRAY) else float(c))
-                for i, c in enumerate(coords[:n])]
+        return [Jet.variable(i, len(coords), order, base=c if isinstance(c, _ARRAY) else float(c))
+                for i, c in enumerate(coords)]
 
     # -- basic access ------------------------------------------------------
 
+    def _position(self, k):
+        p = _TABLES[self.n].pos[tuple(k)]
+        if p >= self.c.shape[-1]:
+            raise KeyError(f"multi-index {tuple(k)} above the jet's order {self.order}")
+        return p
+
+    def __getitem__(self, k):
+        """The coefficient of multi-index ``k``: a float at one point, an
+        array over a batch."""
+        c, p = self.c, self._position(k)
+        return float(c[p]) if c.ndim == 1 else c[:, p]
+
+    def __setitem__(self, k, value):
+        self.c.T[self._position(k)] = value
+
+    def items(self):
+        """``(multi-index, coefficient)`` for every term, in graded order."""
+        c = self.c
+        keys = _TABLES[self.n].keys[:c.shape[-1]]
+        return zip(keys, c.tolist() if c.ndim == 1 else c.T)
+
     @property
     def value(self):
-        return self.c.get(_TABLES[self.n].zero, 0.0)
+        c = self.c
+        return float(c[0]) if c.ndim == 1 else c[:, 0]
 
     def gradient(self):
-        c = self.c
-        return [c.get(u, 0.0) for u in _TABLES[self.n].units]
+        if self.order == 0:
+            return [0.0] * self.n
+        g = _take(self.c, _TABLES[self.n].units)
+        return g.tolist() if g.ndim == 1 else list(g.T)
 
     def truncated(self, order):
-        if order >= self.order:
-            return _jet(self.n, self.order, dict(self.c))
+        order = min(order, self.order)
         _check_order(order)
-        t = _TABLES[self.n]
-        pos, lim = t.pos, t.count[order]
-        return _jet(self.n, order, {k: v for k, v in self.c.items() if pos[k] < lim})
+        return _jet(self.n, order, self.c[..., :_TABLES[self.n].count[order]].copy())
 
     def copy(self):
-        return _jet(self.n, self.order, dict(self.c))
+        return self.truncated(self.order)
 
     # -- ring operations ----------------------------------------------------
-    #
-    # Results equal the plain nested loops bit for bit: terms are visited in
-    # the operands' dict order, a coefficient made by a product, or by the
-    # second operand of a sum, starts as ``0.0 + term`` (so a -0.0 term
-    # stores 0.0), and keys enter the result in first-visit order, which
-    # later sums iterate in.
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            c = dict(self.c)
-            if isinstance(other, _ARRAY) or other != 0.0:
-                z = _TABLES[self.n].zero
-                c[z] = c.get(z, 0.0) + (other if isinstance(other, _ARRAY) else float(other))
+            batch = isinstance(other, _ARRAY)
+            c = np.tile(self.c, (len(other), 1)) if batch and self.c.ndim == 1 else self.c.copy()
+            if batch or other != 0.0:  # a float zero keeps the sign of a zero constant
+                c.T[0] += other
             return _jet(self.n, self.order, c)
-        if self.n != other.n:
-            raise EngelLabError(f"jet variable count mismatch: {self.n} vs {other.n}")
-        order = min(self.order, other.order)
-        a, b = self.c, other.c
-        if not (a or b):
-            return _jet(self.n, order, {})
-        t = _TABLES[self.n]
-        pos, lim = t.pos, t.count[order]
-        out = {k: v for k, v in a.items() if pos[k] < lim}
-        get = out.get
-        for k, v in b.items():
-            if pos[k] < lim:
-                out[k] = get(k, 0.0) + v
-        return _jet(self.n, order, out)
+        a, b, order = self._aligned(other)
+        return _jet(self.n, order, a + b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _jet(self.n, self.order, {k: -v for k, v in self.c.items()})
+        return _jet(self.n, self.order, -self.c)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, (Jet, _ARRAY)) else -float(other))
+        if not isinstance(other, Jet):
+            return self + (-other if isinstance(other, _ARRAY) else -float(other))
+        a, b, order = self._aligned(other)
+        return _jet(self.n, order, a - b)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _aligned(self, other):
+        """Both coefficient arrays truncated to the common order, and it."""
+        if self.n != other.n:
+            raise EngelLabError(f"jet variable count mismatch: {self.n} vs {other.n}")
+        if self.order == other.order:
+            return self.c, other.c, self.order
+        order = min(self.order, other.order)
+        size = _TABLES[self.n].count[order]
+        return self.c[..., :size], other.c[..., :size], order
+
     def __mul__(self, other):
         n = self.n
         if not isinstance(other, Jet):
-            s = other if isinstance(other, _ARRAY) else float(other)
-            return _jet(n, self.order, {k: v * s for k, v in self.c.items()})
+            return _jet(n, self.order, self.c * _scalar(other))
         if n != other.n:
             raise EngelLabError(f"jet variable count mismatch: {n} vs {other.n}")
-        order = min(self.order, other.order)
-        a, b = self.c, other.c
-        if not a or not b:
-            return _jet(n, order, {})
-        t = _TABLES[n]
-        if order == 0:
-            z = t.zero
-            if z in a and z in b:
-                return _jet(n, 0, {z: 0.0 + a[z] * b[z]})
-            return _jet(n, 0, {})
-        pos, count, degree, sums, keys = t.pos, t.count, t.degree, t.sums, t.keys
-        lim = count[order]
-        if len(a) == 1:
-            # one term: each product term lands on its own key, in b's order
-            (k1, v1), = a.items()
-            p = pos[k1]
-            if p >= lim:
-                return _jet(n, order, {})
-            row, room = sums[p], count[order - degree[p]]
-            return _jet(n, order, {keys[row[q]]: 0.0 + v1 * v2
-                                   for k2, v2 in b.items() if (q := pos[k2]) < room})
-        # the other operand's terms within the order, once; then, per
-        # remaining degree budget, those that fit it (in dict order)
-        terms = [(q, v2) for k2, v2 in b.items() if (q := pos[k2]) < lim]
-        fitting = {}
-        acc = [None] * lim
-        first = []
-        for k1, v1 in a.items():
-            p = pos[k1]
-            if p >= lim:
-                continue
-            room = count[order - degree[p]]
-            inner = fitting.get(room)
-            if inner is None:
-                inner = fitting[room] = [qv for qv in terms if qv[0] < room]
-            row = sums[p]
-            for q, v2 in inner:
-                r = row[q]
-                x = acc[r]
-                if x is None:
-                    acc[r] = 0.0 + v1 * v2
-                    first.append(r)
-                else:
-                    acc[r] = x + v1 * v2
-        return _jet(n, order, {keys[r]: acc[r] for r in first})
+        order = self.order if self.order <= other.order else other.order
+        return _jet(n, order, _product(self.c, other.c, _TABLES[n].products[order]))
 
     __rmul__ = __mul__
 
@@ -355,35 +400,21 @@ class Jet:
 
     def _analytic(self, series):
         """Compose with a univariate function given its Taylor coefficients
-        ``series[m] = f^(m)(a0)/m!`` around this jet's constant term.
-
-        At order 0 or 1 the sum is written out, ``series[0]`` plus
-        ``series[1]`` times each term of degree at most 1 of ``self - a0`` in
-        this jet's key order.  It equals the loop below bit for bit, signs
-        of zeros and key order included, since every product term lands in
-        a sum with 0.0 or ``series[0]`` there as here."""
+        ``series[m] = f^(m)(a0)/m!`` around this jet's constant term:
+        ``sum_m series[m] d^m`` with ``d = self - a0``, one power of ``d``
+        at a time."""
+        n, order = self.n, self.order
+        t = _TABLES[n]
         batch = isinstance(series[0], _ARRAY)  # then every term of the series is
-        if self.order <= 1:
-            t = _TABLES[self.n]
-            z = t.zero
-            s0 = series[0]
-            out = {z: s0 if batch else float(s0)} if batch or s0 != 0.0 else {}
-            if self.order == 1 and len(series) > 1 and (batch or series[1] != 0.0):
-                s1 = series[1] if batch else float(series[1])
-                pos, lim, get = t.pos, t.count[1], out.get
-                for k, v in self.c.items():
-                    if pos[k] < lim:
-                        # the constant term of self - a0 is a0 - a0: zero, or NaN
-                        out[k] = get(k, 0.0) + (v - v if k == z else v) * s1
-            return _jet(self.n, self.order, out)
-        d = self - self.value
-        out = Jet.constant(series[0], self.n, self.order)
-        power = Jet.constant(1.0, self.n, self.order)
-        for m in range(1, min(len(series), self.order + 1)):
-            power = power * d
+        # the constant term times 0 is, like a0 - a0, zero (or NaN)
+        power = d = self.c * t.nonconstant[order]
+        out = Jet.constant(series[0], n, order).c
+        for m in range(1, min(len(series), order + 1)):
+            if m > 1:
+                power = _product(power, d, t.products[order])
             if batch or series[m] != 0.0:
-                out = out + power * series[m]
-        return out
+                out = out + power * _scalar(series[m])
+        return _jet(n, order, out)
 
     def reciprocal(self):
         return self._analytic(_series(_reciprocal_series, self.value, self.order))
@@ -407,97 +438,66 @@ class Jet:
 
     def derivative(self, i):
         """Partial derivative with respect to variable ``i`` (order drops by 1)."""
-        order = max(self.order - 1, 0)
-        t = _TABLES[self.n]
-        pos, lim, down, keys = t.pos, t.count[order + 1], t.down[i], t.keys
-        out = {}
-        for k, v in self.c.items():
-            p = pos[k]
-            q = down[p]
-            if q is not None and p < lim:
-                out[keys[q]] = v * k[i]
-        return _jet(self.n, order, out)
+        if self.order == 0:
+            return _jet(self.n, 0, np.zeros(self.c.shape))
+        src, exponent = _TABLES[self.n].derivatives[self.order][i]
+        return _jet(self.n, self.order - 1, _take(self.c, src) * exponent)
 
     def antiderivative(self, i):
         """Antiderivative in variable ``i`` with zero constant of integration
         (order grows by 1, capped at :data:`MAX_ORDER`)."""
         order = min(self.order + 1, MAX_ORDER)
-        t = _TABLES[self.n]
-        pos, lim, up, keys = t.pos, t.count[order - 1], t.up[i], t.keys
-        out = {}
-        for k, v in self.c.items():
-            p = pos[k]
-            if p < lim:
-                out[keys[up[p]]] = v / (k[i] + 1)
-        return _jet(self.n, order, out)
+        dst, exponent = _TABLES[self.n].derivatives[order][i]
+        c = np.zeros(self.c.shape[:-1] + (_TABLES[self.n].count[order],))
+        c.T[dst] = (self.c[..., :len(dst)] / exponent).T
+        return _jet(self.n, order, c)
 
     # -- variable bookkeeping ----------------------------------------------------
 
     def embed(self, n_new, positions):
         """Reinterpret in ``n_new`` variables, old variable ``j`` becoming
         variable ``positions[j]``."""
-        out = Jet(n_new, self.order)
-        for k, v in self.c.items():
-            kk = [0] * n_new
-            for j, e in enumerate(k):
-                kk[positions[j]] += e
-            out.c[tuple(kk)] = out.c.get(tuple(kk), 0.0) + v
-        return out
+        return self._relabel(n_new, tuple(positions))
 
     def restrict(self, i):
         """Restrict to the hyperplane where variable ``i`` stays at its base
         value, dropping that variable slot."""
-        out = Jet(self.n - 1, self.order)
-        for k, v in self.c.items():
-            if k[i] != 0:
-                continue
-            out.c[k[:i] + k[i + 1:]] = v
-        return out
+        return self._relabel(self.n - 1, tuple(None if j == i else j - (j > i)
+                                               for j in range(self.n)))
 
     def swap_vars(self, i, j):
-        out = Jet(self.n, self.order)
-        for k, v in self.c.items():
-            kk = list(k)
-            kk[i], kk[j] = kk[j], kk[i]
-            out.c[tuple(kk)] = v
-        return out
+        positions = list(range(self.n))
+        positions[i], positions[j] = j, i
+        return self._relabel(self.n, tuple(positions))
+
+    def _relabel(self, n_new, positions):
+        dst, size = _relabel_table(self.n, self.order, n_new, positions)
+        return _jet(n_new, self.order, _accumulate(dst, self.c, size + 1)[..., :size])
 
     # -- comparison / display ------------------------------------------------------
 
     def max_coeff_diff(self, other):
-        keys = set(self.c) | set(other.c)
-        order = min(self.order, other.order)
-        diffs = [abs(self.c.get(k, 0.0) - other.c.get(k, 0.0)) for k in keys if sum(k) <= order]
-        return max(diffs, default=0.0)
+        size = _TABLES[self.n].count[min(self.order, other.order)]
+        return float(np.max(np.abs(self.c[..., :size] - other.c[..., :size])))
 
     def __repr__(self):
-        terms = sorted(self.c.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         body = " + ".join(f"{v if isinstance(v, _ARRAY) else format(v, '.6g')}*x^{k}"
-                          for k, v in terms if np.any(v != 0.0)) or "0"
+                          for k, v in self.items() if np.any(v != 0.0)) or "0"
         return f"Jet[{self.n} vars, order {self.order}]({body})"
 
 
 # -- generic smooth functions (dispatch on Jet vs number) ------------------------
 
 
-def sin(x):
-    return x.sin() if isinstance(x, Jet) else _entrywise(math.sin, x)
+def _dispatch(f):
+    def on(x):
+        return getattr(x, f.__name__)() if isinstance(x, Jet) else _entrywise(f, x)
+
+    on.__name__ = f.__name__
+    return on
 
 
-def cos(x):
-    return x.cos() if isinstance(x, Jet) else _entrywise(math.cos, x)
-
-
-def exp(x):
-    return x.exp() if isinstance(x, Jet) else _entrywise(math.exp, x)
-
-
-def sqrt(x):
-    return x.sqrt() if isinstance(x, Jet) else _entrywise(math.sqrt, x)
-
-
-def log(x):
-    return x.log() if isinstance(x, Jet) else _entrywise(math.log, x)
+sin, cos, exp, sqrt, log = map(_dispatch, (math.sin, math.cos, math.exp, math.sqrt, math.log))
 
 
 # -- jet tuples: contractions, brackets, composition, inversion, pushforward ------
@@ -549,7 +549,11 @@ def jet_bracket(A, B):
 def jet_compose(outer, inner):
     """Taylor coefficients of ``outer o inner``, truncated at the common order.
 
-    ``inner`` must map the origin to the origin (zero constant terms).
+    ``inner`` must map the origin to the origin (zero constant terms).  The
+    monomials ``inner^k`` are built in graded order, each by one product
+    ``inner^(k - e_i) * inner_i`` with ``i`` its first variable; every result
+    coefficient then sums the outer coefficients times the monomials in
+    graded order.
     """
     inner = _as_tuple(inner)
     single = isinstance(outer, Jet)
@@ -558,32 +562,24 @@ def jet_compose(outer, inner):
     if len(inner) != m:
         raise EngelLabError(f"composition arity mismatch: outer has {m} vars, inner has {len(inner)} components")
     for g in inner:
-        if abs(g.value) > 1e-13:
+        if np.any(np.abs(g.value) > 1e-13):
             raise EngelLabError("inner jets must have zero constant term (shift explicitly)")
     order = min(min(o.order for o in outs), min(g.order for g in inner))
     n = inner[0].n
-    # precompute powers of each inner component
-    powers = []
-    for g in inner:
-        g = g.truncated(order)
-        p = [Jet.constant(1.0, n, order)]
-        for _ in range(order):
-            p.append(p[-1] * g)
-        powers.append(p)
     t = _TABLES[m]
-    pos, lim = t.pos, t.count[order]
+    size = t.count[order]
+    monomials = [Jet.constant(1.0, n, order)]
+    for k in t.keys[1:size]:
+        i = next(i for i, e in enumerate(k) if e)
+        monomials.append(monomials[t.pos[k[:i] + (k[i] - 1,) + k[i + 1:]]] * inner[i])
+    table = np.stack(np.broadcast_arrays(*[mono.c for mono in monomials]), axis=-2)
+    width = table.shape[-1]
+    index = np.tile(np.arange(width), size)
     results = []
     for o in outs:
-        acc = Jet(n, order)
-        for k, v in o.c.items():
-            if pos[k] >= lim:
-                continue
-            term = Jet.constant(v, n, order)
-            for j, e in enumerate(k):
-                if e:
-                    term = term * powers[j][e]
-            acc = acc + term
-        results.append(acc)
+        terms = o.c[..., :size, None] * table
+        results.append(_jet(n, order, _accumulate(
+            index, terms.reshape(terms.shape[:-2] + (size * width,)), width)))
     return results[0] if single else results
 
 
@@ -593,31 +589,7 @@ def jet_identity(n, order):
 
 def linear_part(change):
     """Degree-1 coefficient matrix of an origin-preserving jet tuple."""
-    n = change[0].n
-    A = [[0.0] * n for _ in range(len(change))]
-    for i, f in enumerate(change):
-        g = f.gradient()
-        for j in range(n):
-            A[i][j] = g[j]
-    return A
-
-
-def _mat_inv(A):
-    n = len(A)
-    aug = [list(row) + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if abs(aug[piv][col]) < 1e-14:
-            raise EngelLabError("singular linear part")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [v / f for v in aug[col]]
-        for r in range(n):
-            if r != col:
-                fr = aug[r][col]
-                if fr:
-                    aug[r] = [v - fr * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return [f.gradient() for f in change]
 
 
 def jet_invert(change):
@@ -631,20 +603,16 @@ def jet_invert(change):
     for f in change:
         if abs(f.value) > 1e-13:
             raise EngelLabError("jet_invert requires an origin-preserving change")
-    Ainv = _mat_inv(linear_part(change))
-    # G <- G + (id - G o F) o Ainv ; each pass fixes one more order
+    A = np.array(linear_part(change))
+    if not np.linalg.cond(A) < 1e14:
+        raise EngelLabError("singular linear part")
+    # G <- G + (id - G o F) o A^-1, from G = A^-1; each pass fixes one more order
     ident = jet_identity(n, order)
-    G = []
-    for i in range(n):
-        g = Jet(n, order)
-        for j in range(n):
-            if Ainv[i][j] != 0.0:
-                g = g + ident[j] * Ainv[i][j]
-        G.append(g)
+    inverse_linear = [jet_dot(ident, row.tolist()) for row in np.linalg.inv(A)]
+    G = inverse_linear
     for _ in range(order - 1):
         GF = jet_compose(G, change)
-        R = [ident[i] - GF[i] for i in range(n)]
-        corr = jet_compose(R, [sum((ident[j] * Ainv[i][j] for j in range(n)), Jet(n, order)) for i in range(n)])
+        corr = jet_compose([ident[i] - GF[i] for i in range(n)], inverse_linear)
         G = [G[i] + corr[i] for i in range(n)]
     return G
 

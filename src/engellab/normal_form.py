@@ -18,13 +18,14 @@ for audit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .calculus import Chart, VectorField
 from .errors import EngelLabError, GeometryError
-from .jets import (MAX_ORDER, Jet, jet_bracket, jet_compose, jet_identity,
+from .jets import (MAX_ORDER, Jet, jet_bracket, jet_compose, jet_dot, jet_identity,
                    jet_invert, jet_pushforward)
 from .reporting import worst_of
 
@@ -34,12 +35,8 @@ ODE_CHART = Chart("ode_slope", ("x", "y", "p"))
 def jet_polyval(jet, values):
     """Evaluate the truncated polynomial of a jet at a displacement."""
     acc = 0.0
-    for k, v in jet.c.items():
-        term = v
-        for x, e in zip(values, k):
-            if e:
-                term = term * x ** e
-        acc = acc + term
+    for k, v in jet.items():
+        acc = acc + math.prod((x ** e for x, e in zip(values, k) if e), start=v)
     return acc
 
 
@@ -78,26 +75,15 @@ class StraightenResult:
 
 def _linear_change(A, order):
     """Jet tuple of x -> A x."""
-    n = len(A)
-    ident = jet_identity(n, order)
-    out = []
-    for i in range(n):
-        acc = Jet(n, order)
-        for j in range(n):
-            if A[i][j] != 0.0:
-                acc = acc + ident[j] * float(A[i][j])
-        out.append(acc)
-    return out
+    ident = jet_identity(len(A), order)
+    return [jet_dot(ident, [float(a) for a in row]) for row in A]
 
 
 def _linear_pushforward(A, field):
     """Exact pushforward through x -> A x (no order loss)."""
-    n = len(field)
     order = min(f.order for f in field)
-    inv = _linear_change(np.linalg.inv(A), order)
-    comp = jet_compose(field, inv)
-    return [sum((comp[j] * float(A[i][j]) for j in range(n) if A[i][j] != 0.0),
-                Jet(n, order)) for i in range(n)]
+    comp = jet_compose(field, _linear_change(np.linalg.inv(A), order))
+    return [jet_dot(comp, [float(a) for a in row]) for row in A]
 
 
 def straighten(Y_jet, order=None):
@@ -251,7 +237,7 @@ def normalize_pair(pair, contact_tol=1e-9):
         steps.append({"step": "quadratic-shear", "a": a})
 
     f = X[1]
-    f.c.pop((0, 0, 0), None)  # constant is zero by construction; drop roundoff
+    f[(0, 0, 0)] = 0.0  # constant is zero by construction; drop roundoff
     return NormalFormResult(change=total, Y_scale=Y_scale, X_scale=X_scale,
                             f_jet=f, steps=steps)
 

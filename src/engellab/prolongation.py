@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (Chart, Point, VectorField, _coords_of,
-                       coordinate_field, lie_bracket)
+from .calculus import (Chart, VectorField, _coords_of,
+                       coordinate_field, evaluation_scope, lie_bracket)
 from .distributions import (DistributionFrame, LineDirection, annihilator_form,
                             characteristic_line, is_contact)
 from .errors import EngelLabError, GeometryError
@@ -47,7 +47,11 @@ class ParallelizedContact:
         return DistributionFrame([self.v0, self.v1])
 
     def plane_basis(self, m):
-        return np.column_stack([self.v0(m), self.v1(m)])
+        """The frame at ``m`` as the two columns of a matrix; both fields
+        are evaluated in one evaluation scope, so the jets they share are
+        computed once."""
+        with evaluation_scope():
+            return np.column_stack([self.v0(m), self.v1(m)])
 
     def check(self, points, tol=1e-7):
         """Contact at each point and (when a form was supplied) annihilation."""
@@ -95,8 +99,9 @@ class Slice:
         return np.delete(np.asarray(v, dtype=float), self.axis)
 
 
-def lift_field(chart4, field3, name=""):
-    """Extend a field on M to M x S^1 with zero vertical component."""
+def lift(chart4, field3, name=""):
+    """Extend a vector field or one-form on M to M x S^1 with zero vertical
+    component; the lift has the type of ``field3``."""
 
     def tfn(coords, order):
         jets3 = field3.taylor(coords[:3], order)
@@ -104,22 +109,8 @@ def lift_field(chart4, field3, name=""):
         out.append(Jet(4, order))
         return out
 
-    return VectorField(chart4, taylor_fn=tfn, max_order=field3.max_order,
-                       name=name or f"lift({field3.name})")
-
-
-def lift_form(chart4, alpha3, name=""):
-    """Extend a one-form on M to M x S^1 with zero vertical component."""
-    from .calculus import OneForm
-
-    def tfn(coords, order):
-        jets3 = alpha3.taylor(coords[:3], order)
-        out = [j.embed(4, [0, 1, 2]) for j in jets3]
-        out.append(Jet(4, order))
-        return out
-
-    return OneForm(chart4, taylor_fn=tfn, max_order=alpha3.max_order,
-                   name=name or f"lift({alpha3.name})")
+    return type(field3)(chart4, taylor_fn=tfn, max_order=field3.max_order,
+                        name=name or f"lift({field3.name})")
 
 
 class EngelDomain:
@@ -164,17 +155,6 @@ class EngelDomain:
 
     def theta_slice(self, value):
         return Slice(self.chart, 3, float(value))
-
-    @property
-    def bottom(self):
-        return self.theta_slice(0.0)
-
-    @property
-    def top(self):
-        return self.theta_slice(self.theta_max if self.full_circle else 0.5 * math.pi)
-
-    def point(self, m, theta):
-        return Point(self.chart, np.append(np.asarray(m, dtype=float), theta))
 
 
 def prolong(contact, full_circle=False, check_points=None):
@@ -331,7 +311,7 @@ def slice_transport(domain, slice_a, slice_b, m, tol=DEFAULT_TOL, min_time=1e-6)
     cb = contactify(domain.frame(), slice_b)
     m = np.asarray(m, dtype=float)
     q0 = slice_a.embed_coords(m)
-    basis = np.column_stack([slice_a.embed_vector(ca.v0(m)), slice_a.embed_vector(ca.v1(m))])
+    basis = np.column_stack([slice_a.embed_vector(v) for v in ca.plane_basis(m).T])
 
     target = slice_b.value
     if slice_a.axis == slice_b.axis and abs(slice_a.value - slice_b.value) < 1e-12:
@@ -354,7 +334,7 @@ def slice_transport(domain, slice_a, slice_b, m, tol=DEFAULT_TOL, min_time=1e-6)
         T[:, k] -= (T[slice_b.axis, k] / Wy[slice_b.axis]) * Wy
     image = slice_b.project_coords(y)
     T3 = np.column_stack([slice_b.project_vector(T[:, k]) for k in range(T.shape[1])])
-    target_basis = np.column_stack([cb.v0(image), cb.v1(image)])
+    target_basis = cb.plane_basis(image)
     A, _, _, _ = np.linalg.lstsq(target_basis, T3, rcond=None)
     residual = T3 - target_basis @ A
     defect = np.linalg.norm(residual) / max(np.linalg.norm(T3), 1e-300)

@@ -21,7 +21,7 @@ from engellab.errors import IntegrationError
 from engellab.jets import Jet, jet_bracket, multi_indices
 from engellab.expressions import (one_form_from_exprs, scalar_field_from_expr,
                                   vector_field_from_exprs)
-from engellab.flow import flow, flow_to_section, flow_transported, integrate
+from engellab.flow import flow, flow_to_section, integrate
 
 CH3 = Chart("c3", ("x", "y", "z"))
 CH4 = Chart("c4", ("x", "y", "z", "w"))
@@ -223,7 +223,7 @@ def test_memo_evaluates_shared_leaf_once_per_taylor_call():
     # the same jets as the composite evaluated from its parts, bit for bit
     w, l, sj = W.taylor(p, 2), L.taylor(p, 2), s.jet(p, 2)
     want = [(a + b) + sj * b - b * 0.5 for a, b in zip(w, l)]
-    assert [g.c for g in got] == [v.c for v in want]
+    assert _bits(got) == _bits(want)
 
 
 def test_memo_evaluates_shared_leaf_once_per_flag_point():
@@ -247,10 +247,10 @@ def test_memo_separates_points_in_one_scope():
     calls = Counter()
     L = counting_field(CH3, calls, lambda s: [s[0] * s[1], s[2], s[0] + 1.0])
     p, q = [0.2, 0.3, -0.1], [0.2, 0.3, 0.4]
-    alone = [[j.c for j in L.taylor(x, 1)] for x in (p, q)]
+    alone = [[j.c.tolist() for j in L.taylor(x, 1)] for x in (p, q)]
     calls.clear()
     with evaluation_scope():
-        shared = [[j.c for j in L.taylor(x, 1)] for x in (p, q, p, q)]
+        shared = [[j.c.tolist() for j in L.taylor(x, 1)] for x in (p, q, p, q)]
     assert shared == alone + alone
     assert calls == {(1, tuple(p)): 1, (1, tuple(q)): 1}
 
@@ -321,7 +321,7 @@ def _jet_fields(n, order):
 
 
 def _max_coeff(jets):
-    return max((abs(v) for j in jets for v in j.c.values()), default=0.0)
+    return max((abs(v) for j in jets for _, v in j.items()), default=0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,7 +338,7 @@ def test_jet_bracket_antisymmetry_and_jacobi(X, Y, Z):
 
 
 def _bits(jets):
-    return [(j.order, [(k, float(v).hex()) for k, v in j.c.items()]) for j in jets]
+    return [(j.order, [(k, float(v).hex()) for k, v in j.items()]) for j in jets]
 
 
 def _former_evaluation(raw, n, order):
@@ -459,14 +459,19 @@ def test_rotation_flow_achieved_error_tracks_tol():
 
 
 def test_transport_matches_analytic_jacobian():
-    # linear field: transport is the matrix exponential
-    ch2 = Chart("plane", ("x", "y"))
+    # linear field on the plane, with a clock s' = 1 so that the section
+    # s = 0.7 is crossed at time 0.7: the transport of the plane's vectors
+    # is the matrix exponential, and their clock components stay zero
+    ch3 = Chart("plane_clock", ("x", "y", "s"))
     A = np.array([[0.3, -1.0], [1.0, 0.2]])
-    X = VectorField(ch2, components=lambda xs: [A[0, 0] * xs[0] + A[0, 1] * xs[1],
-                                                A[1, 0] * xs[0] + A[1, 1] * xs[1]])
-    res = flow_transported(X, [0.5, 0.2], 0.7, np.eye(2), tol=1e-11)
+    X = VectorField(ch3, components=lambda xs: [A[0, 0] * xs[0] + A[0, 1] * xs[1],
+                                                A[1, 0] * xs[0] + A[1, 1] * xs[1], 1.0])
+    res = flow_to_section(X, [0.5, 0.2, 0.0], lambda y: float(y[2] - 0.7), tol=1e-11,
+                          max_time=2.0, vectors=np.eye(3)[:, :2])
     from scipy.linalg import expm
-    assert np.max(np.abs(res.transport - expm(0.7 * A))) < 1e-8
+    assert abs(res.time - 0.7) < 1e-9
+    assert np.max(np.abs(res.transport[:2] - expm(0.7 * A))) < 1e-8
+    assert not np.any(res.transport[2])
 
 
 def test_flow_to_section_circle():

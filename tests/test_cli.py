@@ -50,6 +50,22 @@ def test_bad_config_exits_two(capsys, tmp_path):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("command,cfg,key", [
+    ("verify-engel", {"samples": "many"}, "samples"),
+    ("gray", {"grid": "five"}, "grid"),
+    ("contactify", {"slices": 0.5}, "slices"),
+    ("zoll-closedness", {"metric": "plane", "bound": "far"}, "bound"),
+])
+def test_wrong_typed_config_value_exits_two(capsys, tmp_path, command, cfg, key):
+    # a config value of the wrong type is a config error naming its key,
+    # not a traceback
+    p = tmp_path / "typed.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, command, "--config", str(p))
+    assert code == 2
+    assert "config error" in err and repr(key) in err
+
+
 def test_missing_config_exits_two(capsys):
     code, out, err = run_cli(capsys, "verify-engel", "--config", "/nonexistent.json")
     assert code == 2

@@ -36,7 +36,7 @@ def random_f(rng, order=4, amp=0.3):
     for k in multi_indices(3, order):
         if sum(k) == 0:
             continue
-        f.c[k] = rng.uniform(-amp, amp) / (1.0 + sum(k)) ** 2
+        f[k] = rng.uniform(-amp, amp) / (1.0 + sum(k)) ** 2
     return f
 
 
@@ -66,7 +66,7 @@ def test_straighten_shear_field():
         assert g.max_coeff_diff(w) < 1e-13
     # the z target coordinate is z - x y
     zc = st.change[2]
-    assert abs(zc.c.get((1, 1, 0), 0.0) + 1.0) < 1e-13
+    assert abs(zc[(1, 1, 0)] + 1.0) < 1e-13
 
 
 def test_straighten_scaled_field():
@@ -74,7 +74,7 @@ def test_straighten_scaled_field():
     Y = field_jets(["0", "1 + x", "0"])
     st = straighten(Y)
     assert abs(st.scale.value - 1.0) < 1e-13
-    assert abs(st.scale.c.get((1, 0, 0), 0.0) + 1.0) < 1e-13
+    assert abs(st.scale[(1, 0, 0)] + 1.0) < 1e-13
     pushed = jet_pushforward(st.change, [st.scale * j for j in Y])
     assert pushed[1].max_coeff_diff(Jet.constant(1.0, 3, 3)) < 1e-13
 
@@ -91,16 +91,15 @@ def test_normal_form_residuals_random():
         pair = random_pair(rng)
         res = normalize_pair(pair)
         assert res.verify(pair) < 1e-10
-        assert res.f_jet.c.get((0, 0, 0), 0.0) == 0.0
+        assert res.f_jet[(0, 0, 0)] == 0.0
 
 
 def test_normal_form_idempotent():
     # a pair already in normal form yields the identity change and the same f
     rng = np.random.default_rng(1)
     f = random_f(rng)
-    f.c.pop((0, 0, 0), None)
-    f.c.pop((0, 1, 0), None)
-    f.c[(0, 1, 0)] = 0.0
+    f[(0, 0, 0)] = 0.0
+    f[(0, 1, 0)] = 0.0
     pair = normal_pair(f)
     res = normalize_pair(pair)
     ident = jet_identity(3, min(j.order for j in res.change))
@@ -154,7 +153,7 @@ def test_normal_form_scale_equivariance():
 def test_ode_roundtrip_exact():
     rng = np.random.default_rng(3)
     f = random_f(rng, order=4)
-    f.c.pop((0, 0, 0), None)
+    f[(0, 0, 0)] = 0.0
     # build the pair of y'' = f(x, y, p), normalize, and extract the equation
     V0, V1 = pair_from_ode(f)
     pair = LegendrianPairJet.from_fields(V0, V1, [0.0, 0.0, 0.0], order=4)
@@ -166,8 +165,8 @@ def test_ode_roundtrip_exact():
 
 def test_ode_rhs_matches_polynomial():
     f = Jet(3, 3)
-    f.c[(1, 1, 0)] = 2.0   # f = 2 x y + p^2
-    f.c[(0, 0, 2)] = 1.0
+    f[(1, 1, 0)] = 2.0   # f = 2 x y + p^2
+    f[(0, 0, 2)] = 1.0
     ode = ODE2(f_jet=f)
     assert abs(ode.f(0.5, 0.3, 0.2) - (2 * 0.5 * 0.3 + 0.04)) < 1e-14
     assert np.allclose(ode.rhs(0.5, [0.3, 0.2]), [0.2, 0.34])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from engellab import calculus
 from engellab.calculus import Chart
 from engellab.distributions import (flag_ranks, characteristic_line,
                                     is_contact, plane_principal_angle)
@@ -76,6 +77,28 @@ def test_contactify_recovers_contact_planes():
             plane = [c * v0 + s * v1, -s * v0 + c * v1]
             ang = plane_principal_angle(got, plane)
             assert ang < 1e-8, (theta, m, ang)
+
+
+def test_plane_basis_evaluates_shared_jets_once(monkeypatch):
+    # one contactify sample: both induced fields read X = d/dtheta, Y = V
+    # and [X, Y] (whose order-1 jets need V0 and V1); in one scope that is
+    # 11 field evaluations, where the two fields alone make 20
+    dom = prolong(standard_contact())
+    induced = contactify(dom.frame(), dom.theta_slice(0.7))
+    m = np.array([0.3, -0.2, 0.5])
+    calls = []
+    evaluate = calculus._FieldBase._evaluate
+
+    def counted(field, coords, order):
+        calls.append((field.name, order))
+        return evaluate(field, coords, order)
+
+    monkeypatch.setattr(calculus._FieldBase, "_evaluate", counted)
+    basis = induced.plane_basis(m)
+    assert len(calls) == 11
+    calls.clear()
+    assert np.array_equal(basis, np.column_stack([induced.v0(m), induced.v1(m)]))
+    assert len(calls) == 20
 
 
 def test_contactify_tangent_slice_raises():
