@@ -268,7 +268,9 @@ class Jet:
     def constant(value, n, order):
         _check_order(order)
         c = np.zeros(getattr(value, "shape", ()) + (_TABLES[n].count[order],))
-        c.T[0] = 0.0 + value  # a zero constant is +0.0
+        # a float zero constant is +0.0; a batch keeps its values as given,
+        # signs of zeros included, as the float rules of expression fields do
+        c.T[0] = value if isinstance(value, _ARRAY) else 0.0 + value
         return _jet(n, order, c)
 
     @staticmethod
