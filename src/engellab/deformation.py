@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .calculus import (OneForm, ScalarField, VectorField, _coords_of, lie_bracket,
-                       lie_derivative_scalar, over_points)
+from .calculus import (OneForm, ScalarField, VectorField, _coords_of, evaluation_scope,
+                       lie_bracket, lie_derivative_scalar, over_points)
 from .distributions import (DistributionFrame, plane_principal_angle, reeb_field,
                             reeb_vector)
 from .errors import EngelLabError, GeometryError
@@ -86,7 +86,6 @@ class ContactIsotopyGenerator:
         inv_c = _normalizer_inverse(base)
         alpha_hat3 = base.alpha * inv_c
         self.alpha_hat = lift(chart4, alpha_hat3, name="alpha_hat")
-        self.normalizer = inv_c
         self.Z = lift(chart4, reeb_field(alpha_hat3), name="Z")
 
         if self.h is None:
@@ -212,8 +211,12 @@ def bottom_to_top(deformed, m, tol=1e-9):
     base component is the contact map realized by the deformation.
 
     W has unit vertical speed, so the flow time equals the theta span.
+    ``(N, 3)`` base points flow from the bottom slice as one stack of lanes.
     """
     m = np.asarray(_coords_of(m, None), dtype=float)
+    if m.ndim == 2:
+        q0 = np.column_stack([m, np.zeros(len(m))])
+        return flow(deformed.W, q0, deformed.theta_max, tol=tol).endpoint[:, :3]
     q0 = m if m.shape == (4,) else np.append(m, 0.0)
     span = deformed.theta_max - q0[3]
     res = flow(deformed.W, q0, span, tol=tol)
@@ -274,21 +277,20 @@ class GraySolution:
     hypothesis_tol: float = 1e-8
     checks: list = dc_field(default_factory=list)
 
-    def moser_field_jets(self, t, coords, order):
+    def moser_field_jets(self, t, coords, order, forms=None):
         """Jets of X_t at a state: X = u L + v E with E = theta x L, where u
         solves the horizontal equation and v (the transverse component)
-        vanishes when the hypothesis dot-theta(L) = 0 holds."""
-        form = self.path.form_at(t)
-        dot = self.path.dot_at(t)
+        vanishes when the hypothesis dot-theta(L) = 0 holds.  ``forms`` is
+        the pair ``(form_at(t), dot_at(t))`` when the caller has built it."""
+        form, dot = forms or (self.path.form_at(t), self.path.dot_at(t))
         Lj = self.L.taylor(coords, order)
         a = form.taylor(coords, order)
         Ej = jet_cross(a, Lj)
         M = form.d_matrix(coords, order)
         dj = dot.taylor(coords, order)
         dLE = jet_bilinear(M, Lj, Ej)
-        scale = max(np.linalg.norm([c.value for c in Lj]) *
-                    np.linalg.norm([c.value for c in Ej]), 1e-300)
-        if abs(dLE.value) < 1e-12 * scale:
+        scale = np.sqrt(sum(c.value * c.value for c in Lj) * sum(c.value * c.value for c in Ej))
+        if np.any(abs(dLE.value) < 1e-12 * np.maximum(scale, 1e-300)):
             raise GeometryError("d theta_t degenerates on the contact planes", point=coords)
         u = -1.0 * jet_dot(dj, Ej) * dLE.reciprocal()
         v = jet_dot(dj, Lj) * dLE.reciprocal()
@@ -316,60 +318,65 @@ class GraySolution:
         sol = self
 
         def f(t, y):
-            x = y[:3]
-            jets, u, v = sol.moser_field_jets(t, x, 1)
-            val = np.array([j.value for j in jets])
-            DX = np.array([j.gradient() for j in jets])
-            cols = y[3:3 + 3 * n_vec].reshape(3, n_vec) if n_vec else np.zeros((3, 0))
-            out = [val, (DX @ cols).ravel()]
-            # logarithmic conformal scale: dg/dt = -dot theta_t(R_t) along the flow
-            form = sol.path.form_at(t)
-            R = reeb_vector(form, x)
-            out.append([-float(np.dot(sol.path.dot_at(t)(x), R))])
-            return np.concatenate(out)
+            x = y.T[:3]
+            with evaluation_scope():
+                forms = sol.path.form_at(t), sol.path.dot_at(t)
+                jets = sol.moser_field_jets(t, x, 1, forms)[0]
+                R, dot = reeb_vector(forms[0], x), forms[1](x)
+            # lane by lane on contiguous rows, so that the products are those
+            # of a lone point; last, the log conformal scale dg/dt = -dot theta_t(R_t)
+            lanes = [np.ascontiguousarray(np.atleast_2d(a)) for a in (
+                y, np.array([j.value for j in jets]).T, dot.T, R.T,
+                np.array([j.gradient() for j in jets]).reshape(3, 3, -1).transpose(2, 0, 1))]
+            out = [np.concatenate([val, (DX @ yl[3:3 + 3 * n_vec].reshape(3, n_vec)).ravel(),
+                                   [-float(np.dot(d, r))]]) for yl, val, d, r, DX in zip(*lanes)]
+            return out[0] if y.ndim == 1 else np.array(out)
 
         return f
 
     def transport(self, x0, vectors=None, substeps=1):
         """Integrate the isotopy from ``x0`` over the grid, carrying optional
         vector columns and the log-scale; fixed-grid RK4 so that refining
-        ``t_grid`` refines the answer."""
+        ``t_grid`` refines the answer.  ``(N, 3)`` start points, with
+        ``(N, 3, k)`` vectors, run as one stack of lanes."""
         x0 = np.asarray(x0, dtype=float)
-        V = np.zeros((3, 0)) if vectors is None else np.atleast_2d(np.asarray(vectors, float))
-        if V.shape[0] != 3 and V.size:
+        lead = x0.shape[:-1]
+        V = np.zeros(lead + (3, 0)) if vectors is None else np.asarray(vectors, float)
+        V = np.atleast_2d(V) if V.ndim < 2 else V
+        if V.ndim == 2 and V.shape[0] != 3 and V.size:
             V = V.T
-        y = integrate_nonautonomous(self._rhs(V.shape[1]),
-                                    np.concatenate([x0, V.ravel(), [0.0]]),
-                                    self.t_grid, substeps)
-        end = y[:3]
-        cols = y[3:3 + V.size].reshape(3, V.shape[1]) if V.size else None
-        return end, cols, y[-1]
+        k = V.shape[-1]
+        y = integrate_nonautonomous(self._rhs(k), np.concatenate(
+            [x0, V.reshape(lead + (-1,)), np.zeros(lead + (1,))], -1), self.t_grid, substeps)
+        cols = y[..., 3:3 + 3 * k].reshape(lead + (3, k)) if k else None
+        return y[..., :3], cols, y.T[-1]
+
+    def _plane(self, t, x):
+        """Two vectors spanning ker theta_t at x."""
+        a = self.path.form_at(t)(x)
+        b1 = np.cross(a, np.eye(3)[int(np.argmin(np.abs(a)))])
+        return b1, np.cross(a, b1)
 
     def pullback_defect(self, x0, substeps=1):
         """Transport a basis of ker theta_0 at x0 and the L direction; report
         the endpoint, the plane-angle defect against ker theta_T, and the
-        angle defect of the transported L direction."""
-        form0 = self.path.form_at(self.t_grid[0])
-        a = form0(x0)
-        m = int(np.argmin(np.abs(a)))
-        e = np.eye(3)[m]
-        b1 = np.cross(a, e)
-        b2 = np.cross(a, b1)
-        Lv = self.L(x0)
-        end, cols, g_log = self.transport(x0, vectors=np.column_stack([b1, b2, Lv]),
-                                          substeps=substeps)
-        formT = self.path.form_at(self.t_grid[-1])
-        aT = formT(end)
-        mT = int(np.argmin(np.abs(aT)))
-        c1 = np.cross(aT, np.eye(3)[mT])
-        c2 = np.cross(aT, c1)
-        plane_defect = plane_principal_angle([cols[:, 0], cols[:, 1]], [c1, c2])
+        angle defect of the transported L direction.  ``(N, 3)`` start
+        points are transported as one stack and give a list of reports."""
+        x0 = np.asarray(x0, dtype=float)
+        V = [np.column_stack([*self._plane(self.t_grid[0], x), self.L(x)])
+             for x in np.atleast_2d(x0)]
+        runs = self.transport(x0, V[0] if x0.ndim == 1 else np.array(V), substeps)
+        return self._defects(*runs) if x0.ndim == 1 else [self._defects(*r) for r in zip(*runs)]
+
+    def _defects(self, end, cols, g_log):
+        plane_defect = plane_principal_angle([cols[:, 0], cols[:, 1]],
+                                             self._plane(self.t_grid[-1], end))
         LT = self.L(end)
         cosang = abs(np.dot(cols[:, 2], LT)) / max(
             np.linalg.norm(cols[:, 2]) * np.linalg.norm(LT), 1e-300)
-        L_defect = float(np.arccos(min(1.0, cosang)))
+        # min(cosang, 1.0), not min(1.0, cosang): a NaN cosine stays NaN
         return {"endpoint": end, "plane_defect": float(plane_defect),
-                "L_defect": L_defect, "g_log": float(g_log)}
+                "L_defect": float(np.arccos(min(cosang, 1.0))), "g_log": float(g_log)}
 
 
 def gray_solve(path, L, t_grid, sample_points=None, hypothesis_tol=1e-8):

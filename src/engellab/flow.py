@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import Point, _coords_of
+from .calculus import Point, _coords_of, over_points
 from .errors import IntegrationError
 
 DEFAULT_TOL = 1e-9
@@ -28,7 +28,7 @@ DEFAULT_TOL = 1e-9
 
 @dataclass
 class FlowResult:
-    endpoint: Point
+    endpoint: Point  # or the end states of a stack of lanes
     time: float
     step_count: int
     est_error: float
@@ -67,15 +67,6 @@ def _dopri_step(f, t, y, h, k1):
     return ks, _lincomb(y, h, _B, ks)
 
 
-def _rk4_step(f, t, y, h):
-    """One classical RK4 step (the fixed-grid integrator's)."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None):
     """Adaptive DOPRI5 for ``dy/dt = f(t, y)`` from t0 to t1.
 
@@ -87,51 +78,81 @@ def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None):
     step, rejected ones included, counts toward ``max_steps``.  A non-finite
     error estimate (a NaN or overflowing right-hand side) raises
     :class:`IntegrationError`.
+
+    The rows of an ``(N, dim)`` ``y0`` are lanes, each with the steps,
+    budget, observer calls and state of its own run; ``f`` gets the
+    unfinished lanes, with their times, once per stage.  The result holds
+    every lane's state and error estimate and all their steps.  Errors are
+    those of a loop over the lanes (:func:`~engellab.calculus.over_points`).
     """
     y = np.asarray(y0, dtype=float)
-    t = t0
-    span = t1 - t0
-    if span == 0.0:
-        return y, 0.0, 0
+    if y.ndim == 1:
+        return _dopri(lambda t, s: f(t, s[0])[None], y[None], t0, t1, tol, max_steps,
+                      observer)[0]
+
+    def rhs(t, s):
+        return f(np.ravel(t) if np.ndim(t) else np.full(len(s), t), s)
+
+    ys, est, steps = zip(*over_points(
+        y, lambda coords: _dopri(rhs, coords.T, t0, t1, tol, max_steps, observer),
+        lambda lane: integrate(f, lane, t0, t1, tol, max_steps, observer)))
+    return np.array(ys), np.array(est), sum(steps)
+
+
+def _dopri(f, y, t0, t1, tol, max_steps, observer):
+    """The DOPRI5 loop over the lanes ``y`` (rows), with the controller per
+    lane on scalars, giving ``(state, error, steps)`` per lane; ``f`` gets the
+    stage times as a column, or as a number while one lane is left."""
+    n, span = len(y), t1 - t0
     sign = 1.0 if span > 0 else -1.0
-    h = sign * min(abs(span), max(abs(span) / 16.0, 1e-6))
-    est_error = 0.0
-    steps = attempts = 0
-    k1 = f(t, y)
-    while sign * (t1 - t) > 0.0:
-        if attempts >= max_steps:
-            raise IntegrationError("integrator exceeded step budget")
-        attempts += 1
-        if sign * (t + h - t1) > 0.0:
-            h = t1 - t
-        ks, y_new = _dopri_step(f, t, y, h, k1)
-        ks.append(f(t + h, y_new))
-        scale = 1.0 + np.max(np.abs(y))
-        err = np.max(np.abs(_lincomb(0.0, h, _E, ks))) / scale
-        if not np.isfinite(err):
-            raise IntegrationError(f"non-finite error estimate at t = {float(t):.6g}")
-        if err <= tol or abs(h) < 1e-13 * (1.0 + abs(t)):
-            # a tiny closing step (h capped to the remaining span) is fine;
-            # an underflowing step in mid-span means the controller stalled
-            if abs(h) < 1e-14 and sign * (t + h - t1) < 0.0:
-                raise IntegrationError("step underflow (stiffness?)")
-            t_prev, y_prev, k_prev = t, y, k1
-            t, y, k1 = t + h, y_new, ks[6]
-            est_error += err * scale
-            steps += 1
-            if observer is not None and observer(t_prev, y_prev, t, y, h, k_prev, k1):
-                break
-        # step-size update (growth capped)
-        if err > 0.0:
-            h *= min(4.0, max(0.1, 0.9 * (tol / err) ** 0.2))
-        else:
-            h *= 4.0
-    return y, est_error, steps
+    t, h = [t0] * n, [sign * min(abs(span), max(abs(span) / 16.0, 1e-6))] * n
+    est, attempts, steps, out = [0.0] * n, [0] * n, [0] * n, list(y)
+    lanes = list(range(n)) if span != 0.0 else []
+    k1 = f(t0, y) if lanes else None
+    while lanes:
+        for i in lanes:
+            if attempts[i] >= max_steps:
+                raise IntegrationError("integrator exceeded step budget")
+            attempts[i] += 1
+            if sign * (t[i] + h[i] - t1) > 0.0:
+                h[i] = t1 - t[i]
+        tc, hc = (t[lanes[0]], h[lanes[0]]) if len(lanes) == 1 else (
+            np.array([[t[i]] for i in lanes]), np.array([[h[i]] for i in lanes]))
+        ks, y_new = _dopri_step(f, tc, y, hc, k1)
+        ks.append(f(tc + hc, y_new))
+        scale = 1.0 + np.max(np.abs(y), axis=1)
+        err = np.max(np.abs(_lincomb(0.0, hc, _E, ks)), axis=1) / scale
+        take, keep = [], []
+        for j, i in enumerate(lanes):
+            e, ti, hi = err[j], t[i], h[i]
+            if not np.isfinite(e):
+                raise IntegrationError(f"non-finite error estimate at t = {float(ti):.6g}")
+            # step-size update (growth capped)
+            h[i] = hi * (min(4.0, max(0.1, 0.9 * (tol / e) ** 0.2)) if e > 0.0 else 4.0)
+            take.append(e <= tol or abs(hi) < 1e-13 * (1.0 + abs(ti)))
+            if take[-1]:
+                # a tiny closing step (h capped to the remaining span) is fine;
+                # an underflowing step in mid-span means the controller stalled
+                if abs(hi) < 1e-14 and sign * (ti + hi - t1) < 0.0:
+                    raise IntegrationError("step underflow (stiffness?)")
+                t[i], est[i], steps[i] = ti + hi, est[i] + e * scale[j], steps[i] + 1
+                if observer is not None and observer(ti, y[j], t[i], y_new[j], hi, k1[j],
+                                                     ks[6][j]) or sign * (t1 - t[i]) <= 0.0:
+                    out[i] = y_new[j]
+                    continue
+            keep.append(j)
+        if not all(take):
+            take = np.array(take)[:, None]
+            y_new, ks[6] = np.where(take, y_new, y), np.where(take, ks[6], k1)
+        y, k1 = y_new, ks[6]
+        if len(keep) < len(lanes):
+            y, k1, lanes = y[keep], k1[keep], [lanes[j] for j in keep]
+    return list(zip(out, est, steps))
 
 
 def _field_rhs(X):
     def f(t, y):
-        return X(y)
+        return X(y.T).T
     return f
 
 
@@ -141,7 +162,8 @@ def _check_bounds(chart, y):
 
 
 def flow(X, p, t, tol=DEFAULT_TOL, max_steps=200000):
-    """Flow the point ``p`` for time ``t`` along ``X``."""
+    """Flow the point ``p`` for time ``t`` along ``X``; the rows of an
+    ``(N, dim)`` ``p`` flow as lanes (see :func:`integrate`)."""
     chart = X.chart
     y0 = _coords_of(p, chart)
 
@@ -149,7 +171,7 @@ def flow(X, p, t, tol=DEFAULT_TOL, max_steps=200000):
         _check_bounds(chart, y1)
 
     y, err, steps = integrate(_field_rhs(X), y0, 0.0, t, tol=tol, max_steps=max_steps, observer=obs)
-    return FlowResult(Point(chart, y), t, steps, err)
+    return FlowResult(Point(chart, y) if y.ndim == 1 else y, t, steps, err)
 
 
 def _augmented_rhs(X, n, k):
@@ -274,13 +296,27 @@ def integrate_nonautonomous(f, y0, t_grid, substeps=1):
     """Fixed-grid RK4 for ``dy/dt = f(t, y)`` over the node times ``t_grid``.
 
     One RK4 step per grid interval (times ``substeps``); refinement of the
-    grid therefore directly controls the error.  Returns the endpoint.
+    grid therefore directly controls the error.  Returns the endpoint, and
+    raises :class:`IntegrationError` at the first non-finite state.  The rows
+    of an ``(N, dim)`` ``y0`` are lanes on the grid, and ``f`` gets them all
+    (errors as in :func:`integrate`).
     """
+    def run(y):
+        start = y
+        for a, b in zip(t_grid[:-1], t_grid[1:]):
+            h = (b - a) / substeps
+            t = a
+            for _ in range(substeps):  # one classical RK4 step
+                k1 = f(t, y)
+                k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+                k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+                k4 = f(t + h, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t += h
+                if not np.isfinite(y).all():
+                    raise IntegrationError(f"non-finite state at t = {float(t):.6g} "
+                                           f"on the lane from {start.tolist()}")
+        return y
+
     y = np.asarray(y0, dtype=float)
-    for a, b in zip(t_grid[:-1], t_grid[1:]):
-        h = (b - a) / substeps
-        t = a
-        for _ in range(substeps):
-            y = _rk4_step(f, t, y, h)
-            t += h
-    return y
+    return np.array(over_points(y, lambda coords: run(coords.T), run)) if y.ndim == 2 else run(y)

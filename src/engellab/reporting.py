@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 from . import __version__
 
 
-def worst_of(worst, defect):
-    """Fold one defect into the running worst; NaN is sticky, because
+def worst_of(worst, *defects):
+    """Fold defects into the running worst; NaN is sticky, because
     ``max(0.0, nan)`` is 0.0 and would turn a NaN defect into a pass."""
-    return defect if (defect != defect or defect > worst) else worst
+    for defect in defects:
+        worst = defect if (defect != defect or defect > worst) else worst
+    return worst
 
 
 @dataclass

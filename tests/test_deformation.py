@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from engellab.calculus import Chart, lie_bracket
+from engellab.calculus import Chart, VectorField, lie_bracket
 from engellab.distributions import flag_ranks
-from engellab.errors import EngelLabError, GeometryError
+from engellab.errors import EngelLabError, GeometryError, IntegrationError
 from engellab.expressions import scalar_field_from_expr, vector_field_from_exprs
 from engellab.flow import integrate
 from engellab.prolongation import ParallelizedContact, prolong
@@ -115,6 +115,14 @@ def test_bottom_to_top_matches_direct_integration():
         ref, _, _ = integrate(lambda t, y: gen.X(np.append(y, t))[:3],
                               m, 0.0, dom.theta_max, tol=1e-11)
         assert np.max(np.abs(got - ref)) < 1e-9
+
+
+def test_bottom_to_top_of_a_stack_equals_single_calls():
+    dom, gen, deformed = make_deformed("0.05*sin(x) + 0.04*z*cos(y) + 0.03*y")
+    ms = np.random.default_rng(6).uniform(-0.5, 0.5, (3, 3))
+    got = bottom_to_top(deformed, ms, tol=1e-10)
+    want = [bottom_to_top(deformed, m, tol=1e-10) for m in ms]
+    assert got.shape == (3, 3) and got.tobytes() == np.array(want).tobytes()
 
 
 def test_spin_guard_trips_for_large_amplitude():
@@ -253,3 +261,61 @@ def test_legendrian_is_preserved():
     for _ in range(5):
         rep = sol.pullback_defect(rng.uniform(-0.5, 0.5, 3))
         assert rep["L_defect"] < 1e-9
+
+
+def _moser_path(calls=None):
+    def components(s):
+        if calls is not None:
+            calls.append(s[0].order)
+        return [s[3] * (0.2 * (s[0] + 2 * s[2]).sin() + 0.3 * s[1] * s[2]) - s[1],
+                0.0 * s[1], 1.0 + s[3] * (0.15 * s[0] + 0.2 * s[1] + 0.05 * s[2] * s[2])]
+    return _path(components)
+
+
+def test_pullback_defect_of_a_stack_equals_single_calls():
+    sol = gray_solve(_moser_path(), L_field(), np.linspace(0, 1, 5))
+    pts = np.random.default_rng(12).uniform(-0.5, 0.5, (6, 3))
+    stacked = sol.pullback_defect(pts)
+    for x, got in zip(pts, stacked):
+        want = sol.pullback_defect(x)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+    ends, cols, g_log = sol.transport(pts, vectors=np.tile(np.eye(3), (6, 1, 1)))
+    end, col, g = sol.transport(pts[4], vectors=np.eye(3))
+    assert ends[4].tobytes() == end.tobytes() and cols[4].tobytes() == col.tobytes()
+    assert g_log[4] == g
+
+
+def test_moser_rhs_shares_the_form_jets_with_the_reeb_term():
+    # one right-hand side evaluates the path at order 1 for theta_t (shared
+    # by the Moser field and the Reeb vector) and for d/dt theta_t at order
+    # 0, at order 2 for d theta_t and for d/dt theta_t at order 1, and at
+    # order 0 for the Reeb pairing: five rule calls, not six
+    calls = []
+    sol = gray_solve(_moser_path(calls), L_field(), np.linspace(0, 1, 5))
+    sol._rhs(0)(0.3, np.array([0.1, -0.2, 0.3, 0.0]))
+    assert sorted(calls) == [0, 1, 1, 2, 2]
+
+
+def test_transport_raises_at_a_nan_right_hand_side():
+    # L turns NaN off x < 0.3: the Moser field does too, and the
+    # transported state must fail at that time instead of passing silently
+    L = VectorField(CH3, components=lambda xs: [
+        0.0, 1.0 if getattr(xs[0], "value", xs[0]) < 0.3 else math.nan, 0.0])
+    sol = gray_solve(_moser_path(), L, np.linspace(0, 1, 5))
+    sol.pullback_defect([0.0, 0.1, 0.2])
+    with pytest.raises(IntegrationError, match="non-finite state at t = 0.25"):
+        sol.pullback_defect([0.35, 0.1, 0.2])
+    with pytest.raises(IntegrationError, match="non-finite state"):
+        sol.pullback_defect([[0.0, 0.1, 0.2], [0.35, 0.1, 0.2]])
+
+
+def test_nan_legendrian_column_fails_loudly(monkeypatch):
+    # a NaN transported L column gives a NaN angle defect, never 0.0
+    sol = gray_solve(_moser_path(), L_field(), np.linspace(0, 1, 5))
+    x = np.array([0.1, 0.2, -0.1])
+    end, cols, g = sol.transport(x, vectors=np.eye(3))
+    cols[:, 2] = math.nan
+    monkeypatch.setattr(sol, "transport", lambda *args, **kwargs: (end, cols, g))
+    assert math.isnan(sol.pullback_defect(x)["L_defect"])
