@@ -58,10 +58,10 @@ def over_points(points, batch, one):
     ``batch(coords)`` on the ``(dim, N)`` coordinates, with NumPy's float
     errors raised.  If the batch raises, ``[one(p) for p in points]`` runs
     instead, so that an error, and the point it carries, are those a loop
-    over the points raises."""
+    over the points raises; so does a lone point, which gains nothing."""
     rows = np.asarray(points, dtype=float)
-    if not len(rows):
-        return []
+    if len(rows) < 2:
+        return [one(p) for p in points]
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return batch(np.ascontiguousarray(rows.T))

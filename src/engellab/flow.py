@@ -120,8 +120,8 @@ def _dopri(f, y, t0, t1, tol, max_steps, observer):
             np.array([[t[i]] for i in lanes]), np.array([[h[i]] for i in lanes]))
         ks, y_new = _dopri_step(f, tc, y, hc, k1)
         ks.append(f(tc + hc, y_new))
-        scale = 1.0 + np.max(np.abs(y), axis=1)
-        err = np.max(np.abs(_lincomb(0.0, hc, _E, ks)), axis=1) / scale
+        scale = 1.0 + np.abs(y).max(axis=1)
+        err = np.abs(_lincomb(0.0, hc, _E, ks)).max(axis=1) / scale
         take, keep = [], []
         for j, i in enumerate(lanes):
             e, ti, hi = err[j], t[i], h[i]
