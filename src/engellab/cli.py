@@ -294,7 +294,8 @@ def _suite_gray(cfg, rng, samples, tol, report, seed):
     defects = sol.pullback_defect(pts)
     plane = [d["plane_defect"] for d in defects]
     report.add("plane-pullback", samples, tol, worst_of(0.0, *plane))
-    report.add("legendrian-preserved", samples, tol, worst_of(0.0, *(d["L_defect"] for d in defects)))
+    report.add("legendrian-preserved", samples, tol,
+               worst_of(0.0, *(d["L_defect"] for d in defects)))
 
     fine = gray_solve(path, L, np.linspace(0.0, t_max, 2 * n_grid - 1))
     worst_fine = worst_of(0.0, *(d["plane_defect"] for d in fine.pullback_defect(pts[:5])))
