@@ -16,9 +16,11 @@ deformed frame, and ``normalize_pair`` / ``verify`` on a random order-4 pair
 of the ``normal-form`` suite.
 
 L3, trajectories: one call of the Zoll right-hand side V1
-(``SphereAtlas.field("north")`` at a fixed state), the first return on the
-round sphere from chart point (0.4, -0.3) with fiber angle 1.1 at tol 1e-10,
-the full-circle ``slice_transport`` of the standard prolongation from
+(``SphereAtlas.field("north")`` at a fixed state) and one of its order-1
+jets at that state (the jet path of brackets and of the Hamiltonian
+alignment check), the first return on the round sphere from chart point
+(0.4, -0.3) with fiber angle 1.1 at tol 1e-10, the full-circle
+``slice_transport`` of the standard prolongation from
 m = (0.2, -0.1, 0.3) at tol 1e-11 (acceptance criterion 7's call), and
 ``development_angle`` at q = (0.1, -0.2, 0.3, 1.0) at tol 1e-11 (criterion
 8's inclusion call).
@@ -214,6 +216,7 @@ def l3_items(items, counts):
         return development_angle(std, Q, tol=TRAJECTORY_TOL)
 
     items["v1_rhs_call"] = per_call_us(lambda: X(STATE))
+    items["v1_jets_order1"] = per_call_us(lambda: X.taylor(STATE, 1))
     items["first_return_sphere"] = per_call_us(
         lambda: first_return(atlas, STATE.copy(), "north", tol=RETURN_TOL))
     items["slice_transport_full_circle"] = per_call_us(transport)

@@ -171,7 +171,7 @@ class _FieldBase:
         out = []
         for j in jets:
             if not isinstance(j, Jet):
-                j = Jet.constant(float(j), self.chart.dim, order)
+                j = Jet.constant(j, self.chart.dim, order)
             elif j.order != order:
                 j = j.truncated(order)
             out.append(j)

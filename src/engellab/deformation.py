@@ -20,8 +20,8 @@ import numpy as np
 
 from .calculus import (OneForm, ScalarField, VectorField, _coords_of, evaluation_scope,
                        lie_bracket, lie_derivative_scalar, over_points)
-from .distributions import (DistributionFrame, plane_principal_angle, reeb_field,
-                            reeb_vector)
+from .distributions import (DistributionFrame, line_angle, plane_principal_angle,
+                            reeb_field, reeb_vector)
 from .errors import EngelLabError, GeometryError
 from .flow import flow, integrate_nonautonomous
 from .jets import Jet, jet_bilinear, jet_cross, jet_dot
@@ -371,12 +371,8 @@ class GraySolution:
     def _defects(self, end, cols, g_log):
         plane_defect = plane_principal_angle([cols[:, 0], cols[:, 1]],
                                              self._plane(self.t_grid[-1], end))
-        LT = self.L(end)
-        cosang = abs(np.dot(cols[:, 2], LT)) / max(
-            np.linalg.norm(cols[:, 2]) * np.linalg.norm(LT), 1e-300)
-        # min(cosang, 1.0), not min(1.0, cosang): a NaN cosine stays NaN
         return {"endpoint": end, "plane_defect": float(plane_defect),
-                "L_defect": float(np.arccos(min(cosang, 1.0))), "g_log": float(g_log)}
+                "L_defect": line_angle(cols[:, 2], self.L(end)), "g_log": float(g_log)}
 
 
 def gray_solve(path, L, t_grid, sample_points=None, hypothesis_tol=1e-8):

@@ -13,6 +13,7 @@ for bit to the result at that point alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +82,18 @@ class LineDirection:
     def angle_to(self, other):
         """Unoriented angle between lines (in [0, pi/2])."""
         v = other.direction if isinstance(other, LineDirection) else np.asarray(other, float)
-        v = v / np.linalg.norm(v)
-        c = abs(float(np.dot(self.direction, v)))
-        return float(np.arccos(min(1.0, c)))
+        return line_angle(self.direction, v)
+
+
+def line_angle(u, v):
+    """Unoriented angle in [0, pi/2] between the lines of two nonzero
+    vectors, atan2(|v - (v.u) u|, |v.u|) on unit vectors.  The sine keeps
+    small angles to rounding, where arccos of the cosine reads about 1e-8
+    between identical lines; a NaN stays NaN."""
+    u = u / np.linalg.norm(u)
+    v = v / np.linalg.norm(v)
+    c = float(np.dot(u, v))
+    return math.atan2(float(np.linalg.norm(v - c * u)), abs(c))
 
 
 def _matrices(cols):
@@ -296,4 +306,5 @@ def plane_principal_angle(basis_a, basis_b):
     B = np.linalg.qr(np.column_stack(basis_b))[0]
     R = B - A @ (A.T @ B)
     s = np.linalg.svd(R, compute_uv=False)
-    return float(np.arcsin(min(1.0, s.max() if len(s) else 0.0)))
+    # min(x, 1.0), not min(1.0, x): a NaN sine stays NaN
+    return float(np.arcsin(min(s.max() if len(s) else 0.0, 1.0)))

@@ -170,8 +170,8 @@ def check_slice_transverse(domain_like, slc, p, min_angle=TRANSVERSALITY_MIN_ANG
     point must exceed ``min_angle``."""
     q = slc.embed_coords(p) if len(np.atleast_1d(p)) == 3 else np.asarray(p, float)
     ld = characteristic_line(domain_like.frame(), q)
-    angle = math.asin(min(1.0, abs(ld.direction[slc.axis])))
-    if angle <= min_angle:
+    angle = math.asin(min(abs(ld.direction[slc.axis]), 1.0))
+    if not angle > min_angle:  # a NaN angle fails too
         raise GeometryError("slice is not transverse to the characteristic line field", point=q)
     return angle
 

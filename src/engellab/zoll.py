@@ -21,8 +21,9 @@ import numpy as np
 from .calculus import Chart, OneForm, VectorField
 from .errors import (EngelLabError, ExpressionDomainError, GeometryError,
                      IntegrationError, JetDomainError)
+from .distributions import line_angle
 from .flow import integrate
-from .jets import Jet, jet_bilinear, jet_dot
+from .jets import Jet, cos, jet_dot, sin, sqrt
 from .prolongation import ParallelizedContact, prolong
 from .reporting import worst_of
 
@@ -31,10 +32,10 @@ class SurfaceMetric:
     """A Riemannian metric on a 2-chart, given by a matrix rule evaluable
     with generic arithmetic (floats or jets).
 
-    The rule is the one description of the metric.  ``jets`` and
-    ``christoffel_jets`` evaluate it on seed jets of any order;
-    ``value_and_gradient`` evaluates it once on order-1 seeds and returns
-    floats, from which ``christoffel`` forms the symbols in floats.
+    The rule is the one description of the metric.  ``jets`` evaluates it on
+    seed jets of any order; ``value_and_gradient`` evaluates it once on
+    order-1 seeds and returns the floats g and dg, from which ``christoffel``
+    forms the symbols.
     """
 
     def __init__(self, chart, g_rule, name=""):
@@ -68,61 +69,96 @@ class SurfaceMetric:
             raise GeometryError("metric is not positive definite", point=p)
         return M
 
-    def inverse_jets(self, G):
-        det = G[0][0] * G[1][1] - G[0][1] * G[1][0]
-        if abs(det.value) < 1e-13:
-            raise GeometryError("metric degenerates")
-        inv = det.reciprocal()
-        return [[G[1][1] * inv, -1.0 * G[0][1] * inv],
-                [-1.0 * G[1][0] * inv, G[0][0] * inv]]
-
-    def christoffel_jets(self, coords, order, n_vars=2, positions=(0, 1)):
-        """Gamma^i_jk as jets (one derivative of g consumed)."""
-        G = self.jets(coords, order + 1, n_vars, positions)
-        Ginv = self.inverse_jets([[g.truncated(order) for g in row] for row in G])
-        dG = [[[G[l][k].derivative(positions[j] if n_vars != 2 else j).truncated(order)
-                for k in range(2)] for l in range(2)] for j in range(2)]
-        return [[[jet_dot(Ginv[i], [dG[j][l][k] + dG[k][l][j] - dG[l][j][k]
-                                    for l in range(2)]) * 0.5
-                  for k in range(2)] for j in range(2)] for i in range(2)]
-
     def christoffel(self, p):
         """Gamma^i_jk at ``p`` as an array, in floats."""
         return np.array(_christoffel(*self.value_and_gradient(p)))
 
 
-def _christoffel(g, dg):
-    """Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_jl - d_l g_jk) in floats, from
-    g[i][j] and dg[i][j][k] = d_k g_ij, with the 2x2 inverse by formula."""
+def _value(x):
+    """The value of a float or a jet: a float at a point, an array over a
+    batch."""
+    return x.value if isinstance(x, Jet) else x
+
+
+def _anywhere(holds):
+    """A comparison of values as it is at a point; over a batch, whether it
+    holds at any point.  A float comparison stays one comparison, since the
+    domain checks sit in the integrator's inner loop."""
+    return holds.any() if isinstance(holds, np.ndarray) else holds
+
+
+# The contact-element formulas below use generic arithmetic only: on floats
+# they give values, on jets in (x1, x2, psi) the jets of the same functions.
+
+def _inverse(g):
+    """g^-1 by the 2x2 formula."""
     (g00, g01), (g10, g11) = g
     det = g00 * g11 - g01 * g10
-    if abs(det) < 1e-13:
+    if _anywhere(abs(_value(det)) < 1e-13):
         raise GeometryError("metric degenerates")
-    inv = ((g11 / det, -g01 / det), (-g10 / det, g00 / det))
+    return ((g11 / det, -g01 / det), (-g10 / det, g00 / det))
+
+
+def _christoffel(g, dg):
+    """Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_jl - d_l g_jk) from g[i][j]
+    and dg[i][j][k] = d_k g_ij."""
     first = [[[dg[l][k][j] + dg[j][l][k] - dg[j][k][l] for k in (0, 1)] for j in (0, 1)]
              for l in (0, 1)]
     return [[[0.5 * (i0 * f0 + i1 * f1) for f0, f1 in zip(first[0][j], first[1][j])]
-             for j in (0, 1)] for i0, i1 in inv]
+             for j in (0, 1)] for i0, i1 in _inverse(g)]
 
 
 def _frame(g, dg):
-    """The Gram-Schmidt frame E1 = (a, 0), E2 = (w0 b, b) in floats, with
+    """The Gram-Schmidt frame E1 = (a, 0), E2 = (w0 b, b), with
     a = g00^-1/2, w0 = -g01/g00 and b = (g11 + w0 g01)^-1/2, and the two
     partials of each by the chain rule: returns (a, w0, b), (da, dw0, db)."""
     (g00, g01), (_, g11) = g
     (d00, d01), (_, d11) = dg
-    if g00 <= 0.0:
+    if _anywhere(_value(g00) <= 0.0):
         raise JetDomainError("metric is not positive definite: g00 <= 0")
-    a = 1.0 / math.sqrt(g00)
+    a = 1.0 / sqrt(g00)
     w0 = -g01 / g00
     n2 = g11 + w0 * g01
-    if n2 <= 0.0:
+    if _anywhere(_value(n2) <= 0.0):
         raise JetDomainError("metric is not positive definite: det g <= 0")
-    b = 1.0 / math.sqrt(n2)
+    b = 1.0 / sqrt(n2)
     da = [-0.5 * a * d / g00 for d in d00]
     dw0 = [(-e + g01 * d / g00) / g00 for d, e in zip(d00, d01)]
     db = [-0.5 * b * (d11[k] + dw0[k] * g01 + w0 * d01[k]) / n2 for k in (0, 1)]
     return (a, w0, b), (da, dw0, db)
+
+
+def _contact_element(g, dg, psi):
+    """The unit vector u at fiber angle psi, its normal u_perp = du/dpsi, and
+    the fiber speed psidot = g(F, u_perp), F^i = -d_k u^i u^k - Gamma^i_jk
+    u^j u^k, that keeps u geodesic; from g, dg (as in ``_christoffel``) and
+    psi."""
+    (a, w0, b), (da, dw0, db) = _frame(g, dg)
+    cp, sp = cos(psi), sin(psi)
+    wb = w0 * b
+    u0, u1 = cp * a + sp * wb, sp * b
+    du = ([cp * da[k] + sp * (dw0[k] * b + w0 * db[k]) for k in (0, 1)],
+          [sp * db[k] for k in (0, 1)])  # du[i][k] = d_k u^i
+    Gam = _christoffel(g, dg)
+    F = [-(dui[0] * u0 + dui[1] * u1)
+         - (Gi[0][0] * u0 * u0 + Gi[0][1] * u0 * u1 + Gi[1][0] * u1 * u0 + Gi[1][1] * u1 * u1)
+         for dui, Gi in zip(du, Gam)]
+    up0, up1 = -sp * a + cp * wb, cp * b
+    psidot = (up0 * (g[0][0] * F[0] + g[0][1] * F[1])
+              + up1 * (g[1][0] * F[0] + g[1][1] * F[1]))
+    return (u0, u1), (up0, up1), psidot
+
+
+def _inputs(metric, coords, order):
+    """g, dg and psi at (x1, x2, psi) = ``coords``: floats at order 0; at
+    order k, jets of order k in those 3 variables, dg the partials of g's
+    jets of order k + 1."""
+    if order == 0:
+        return (*metric.value_and_gradient(coords[:2]), coords[2])
+    G = metric.jets(coords, order + 1, n_vars=3, positions=(0, 1))
+    return ([[c.truncated(order) for c in row] for row in G],
+            [[[c.derivative(k) for k in (0, 1)] for c in row] for row in G],
+            Jet.variable(2, 3, order, base=coords[2]))
 
 
 def euclidean_metric(name="plane"):
@@ -138,8 +174,7 @@ def stereographic_sphere_metric(radius=1.0, which="north"):
 
     def rule(xs):
         q = xs[0] * xs[0] + xs[1] * xs[1]
-        lam = 4.0 * r2 * r2 * ((q + r2) ** 2).reciprocal() if isinstance(q, Jet) \
-            else 4.0 * r2 * r2 / (q + r2) ** 2
+        lam = 4.0 * r2 * r2 / (q + r2) ** 2
         return [[lam, 0.0], [0.0, lam]]
 
     return SurfaceMetric(ch, rule, name=f"round_sphere_{which}")
@@ -161,8 +196,10 @@ class UnitTangentChart:
     """Chart (x1, x2, psi) on the unit tangent bundle of a surface metric.
 
     psi is measured against the Gram-Schmidt orthonormal frame (E1 along
-    d/dx1).  The moving unit vector, the geodesic field, and the contact form
-    g(u_perp, dpi .) are all evaluable with derivatives.
+    d/dx1).  The moving unit vector, the geodesic field V1 and the contact
+    form g(u_perp, dpi .) come from one formula, ``_contact_element``,
+    evaluated on floats at order 0 (V1 sits in every integrator's inner loop)
+    and on jets in (x1, x2, psi) above.
     """
 
     def __init__(self, metric):
@@ -174,76 +211,19 @@ class UnitTangentChart:
         self.V1 = VectorField(self.chart, taylor_fn=self._v1_jets, name="V1")
         self.alpha = OneForm(self.chart, taylor_fn=self._alpha_jets, name="alpha")
 
-    def _frame_jets(self, coords, order):
-        """Orthonormal frame columns E1, E2 and metric jets, in 3 variables."""
-        G = self.metric.jets(coords, order, n_vars=3, positions=(0, 1))
-        a = G[0][0].sqrt().reciprocal()
-        E1 = [a, Jet(3, order)]
-        w0 = -1.0 * G[0][1] * G[0][0].reciprocal()
-        nrm2 = G[1][1] + w0 * G[0][1]
-        b = nrm2.sqrt().reciprocal()
-        E2 = [w0 * b, b]
-        return G, E1, E2
-
-    def _unit_jets(self, coords, order):
-        """Coordinate components of the unit vector at angle psi and of its
-        psi-derivative (the g-rotated normal)."""
-        G, E1, E2 = self._frame_jets(coords, order)
-        psi = Jet.variable(2, 3, order, base=coords[2])
-        cp, sp = psi.cos(), psi.sin()
-        u = [cp * E1[i] + sp * E2[i] for i in range(2)]
-        uperp = [-1.0 * sp * E1[i] + cp * E2[i] for i in range(2)]
-        return G, u, uperp
-
     def _v1_jets(self, coords, order):
-        if order == 0:
-            return self._v1_value(coords)
-        G, u, uperp = self._unit_jets(coords, order + 1)
-        Gam = self.metric.christoffel_jets(coords, order, n_vars=3, positions=(0, 1))
-        F = []
-        for i in range(2):
-            acc = None
-            for j in range(2):
-                term = -1.0 * u[i].derivative(j) * u[j]
-                for k in range(2):
-                    term = term - Gam[i][j][k] * u[j] * u[k]
-                acc = term if acc is None else acc + term
-            F.append(acc)
-        # psidot = g(F, uperp): the unique fiber speed keeping u geodesic
-        psidot = jet_bilinear([[g.truncated(order) for g in row] for row in G], F,
-                              [c.truncated(order) for c in uperp])
-        return [u[0].truncated(order), u[1].truncated(order), psidot]
-
-    def _v1_value(self, coords):
-        """V1 at order 0 in plain floats; the geodesic field sits in every
-        integrator's inner loop.  The only jets are those of one evaluation
-        of the metric rule on order-1 seeds (``value_and_gradient``); the
-        frame, its partials, u, F and psidot = g(F, u_perp) are floats."""
-        g, dg = self.metric.value_and_gradient(coords[:2])
-        (a, w0, b), (da, dw0, db) = _frame(g, dg)
-        cp, sp = math.cos(coords[2]), math.sin(coords[2])
-        wb = w0 * b
-        u0, u1 = cp * a + sp * wb, sp * b
-        du = ([cp * da[k] + sp * (dw0[k] * b + w0 * db[k]) for k in (0, 1)],
-              [sp * db[k] for k in (0, 1)])  # du[i][k] = d_k u^i
-        Gam = _christoffel(g, dg)
-        F = [-(dui[0] * u0 + dui[1] * u1)
-             - (Gi[0][0] * u0 * u0 + Gi[0][1] * u0 * u1 + Gi[1][0] * u1 * u0 + Gi[1][1] * u1 * u1)
-             for dui, Gi in zip(du, Gam)]
-        up0, up1 = -sp * a + cp * wb, cp * b
-        psidot = (up0 * (g[0][0] * F[0] + g[0][1] * F[1])
-                  + up1 * (g[1][0] * F[0] + g[1][1] * F[1]))
-        return [u0, u1, psidot]
+        u, _, psidot = _contact_element(*_inputs(self.metric, coords, order))
+        return [u[0], u[1], psidot]
 
     def _alpha_jets(self, coords, order):
-        G, u, uperp = self._unit_jets(coords, order)
-        return [jet_dot([G[0][j], G[1][j]], uperp) for j in range(2)] + [Jet(3, order)]
+        g, dg, psi = _inputs(self.metric, coords, order)
+        _, uperp, _ = _contact_element(g, dg, psi)
+        return [jet_dot([g[0][j], g[1][j]], uperp) for j in range(2)] + [0.0]
 
     def unit_vector(self, p):
         """Coordinate components of the unit vector at angle psi, in floats."""
-        (a, w0, b), _ = _frame(*self.metric.value_and_gradient(p[:2]))
-        cp, sp = math.cos(p[2]), math.sin(p[2])
-        return np.array([cp * a + sp * (w0 * b), sp * b])
+        u, _, _ = _contact_element(*_inputs(self.metric, p, 0))
+        return np.array(u)
 
     def pair(self):
         return ParallelizedContact(self.chart, self.V0, self.V1, alpha=self.alpha)
@@ -275,14 +255,9 @@ def _so3_field(omega, name):
     def rule(xs):
         a, b, c = xs
         w2 = 1.0 - (a * a + b * b + c * c)
-        if isinstance(w2, Jet):
-            if np.any(w2.value <= 0.0):
-                raise GeometryError("quaternion chart leaves the unit ball")
-            w = w2.sqrt()
-        else:
-            if w2 <= 0.0:
-                raise GeometryError("quaternion chart leaves the unit ball")
-            w = math.sqrt(w2)
+        if _anywhere(_value(w2) <= 0.0):
+            raise GeometryError("quaternion chart leaves the unit ball")
+        w = sqrt(w2)
         # vector part of q * (0, e/2)
         return [0.5 * (w * e[0] + b * e[2] - c * e[1]),
                 0.5 * (w * e[1] + c * e[0] - a * e[2]),
@@ -403,19 +378,20 @@ class SphereAtlas:
         return False  # the atlas covers the whole sphere
 
     def transition(self, state, chart):
-        """Inversion x -> r^2 x / |x|^2; the conformal frames make the new
-        fiber angle the Euclidean angle of the pushed direction."""
+        """Inversion x -> r^2 x / |x|^2: the unit vector is pushed through
+        its differential, and the new fiber angle read in the target chart's
+        frame, w = cos(psi) E1 + sin(psi) E2."""
         x = state[:2]
         q = float(x @ x)
         if q < 1e-12:
             raise GeometryError("transition at the chart center", point=state)
         r2 = self.radius * self.radius
         x_new = r2 * x / q
-        v = np.array([math.cos(state[2]), math.sin(state[2])])
         D = (r2 / q) * (np.eye(2) - 2.0 * np.outer(x, x) / q)
-        w = D @ v
-        psi_new = math.atan2(w[1], w[0])
+        w = D @ self._ut(chart).unit_vector(state)
         other = "south" if chart == "north" else "north"
+        (a, w0, b), _ = _frame(*self._ut(other).metric.value_and_gradient(x_new))
+        psi_new = math.atan2(w[1] / b, (w[0] - w0 * w[1]) / a)
         return np.array([x_new[0], x_new[1], psi_new]), other
 
     def sphere_point(self, state, chart):
@@ -610,8 +586,7 @@ def legendre_ray_map_inverse(metric, x, p):
 def kinetic_hamiltonian_field(metric, x, p):
     """The Hamiltonian field of H = (1/2) g^ij p_i p_j at (x, p), computed
     from derivative jets of the inverse metric: (dH/dp, -dH/dx)."""
-    G = metric.jets(np.asarray(x, dtype=float), 1)
-    Ginv = metric.inverse_jets(G)
+    Ginv = _inverse(metric.jets(np.asarray(x, dtype=float), 1))
     p = np.asarray(p, dtype=float)
     dHdp = np.zeros(2)
     dHdx = np.zeros(2)
@@ -626,19 +601,11 @@ def kinetic_hamiltonian_field(metric, x, p):
 def hamiltonian_alignment(metric, state):
     """Angle between the Legendre-pushed geodesic field and the kinetic
     Hamiltonian field at the matching cotangent point."""
-    ut = UnitTangentChart(metric)
     coords = np.asarray(state, dtype=float)
-    G = metric.jets(coords, 1, n_vars=3, positions=(0, 1))
-    _, u, _ = ut._unit_jets(coords, 1)
-    pj = [jet_dot(G[i], u) for i in range(2)]
-    v1 = ut.V1.taylor(coords, 1)
-    push = np.zeros(4)
-    push[0], push[1] = v1[0].value, v1[1].value
-    for i in range(2):
-        g = pj[i].gradient()
-        push[2 + i] = sum(g[k] * v1[k].value for k in range(3))
-    x = coords[:2]
-    p = np.array([pj[0].value, pj[1].value])
-    XH = kinetic_hamiltonian_field(metric, x, p)
-    c = abs(float(push @ XH)) / max(np.linalg.norm(push) * np.linalg.norm(XH), 1e-300)
-    return float(np.arccos(min(1.0, c)))
+    g, dg, psi = _inputs(metric, coords, 1)
+    u, _, psidot = _contact_element(g, dg, psi)
+    pj = [jet_dot(g[i], u) for i in range(2)]  # p_i = g_ij u^j
+    v1 = [u[0].value, u[1].value, psidot.value]
+    push = v1[:2] + [sum(d * v for d, v in zip(p.gradient(), v1)) for p in pj]
+    XH = kinetic_hamiltonian_field(metric, coords[:2], np.array([p.value for p in pj]))
+    return line_angle(np.array(push), XH)

@@ -2,13 +2,14 @@
 handling."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from engellab import cli
 from engellab.cli import main
-from engellab.distributions import DistributionFrame, flag_ranks
+from engellab.distributions import DistributionFrame, LineDirection, flag_ranks
 from engellab.errors import GeometryError
 from engellab.expressions import vector_field_from_exprs
 
@@ -128,6 +129,30 @@ def test_jet_domain_error_exits_three(capsys, tmp_path):
     assert "geometry error" in err
     assert "jet sqrt" in err
     assert "at point" in err
+
+
+def test_sheared_engel_frame_reads_its_characteristic_line(capsys, tmp_path):
+    # the standard Engel frame after a linear shear: its characteristic line
+    # is exactly (1, 2, 3, 1), so the line angle must read rounding (arccos
+    # of the cosine read up to 2e-8 here and failed the 1e-8 check)
+    p = tmp_path / "sheared.json"
+    p.write_text(json.dumps({"frame": [["1", "2", "3", "1"], ["1", "w", "y - 2*w", "0"]],
+                             "char_direction": [1, 2, 3, 1]}))
+    code, out, err = run_cli(capsys, "verify-engel", "--config", str(p), "--format", "json")
+    assert code == 0, out
+    check, = [c for c in json.loads(out)["checks"] if c["name"] == "characteristic-line"]
+    assert check["max_defect"] < 1e-14
+
+
+def test_nan_direction_is_a_nan_angle_and_fails(capsys, tmp_path):
+    # min(1.0, nan) is 1.0, so the arccos angle read a NaN direction as 0.0
+    ld = LineDirection(base=None, direction=np.array([0.0, 0.0, 0.0, 1.0]))
+    assert math.isnan(ld.angle_to([math.nan, 0.0, 0.0, 1.0]))
+    p = tmp_path / "nan_direction.json"
+    p.write_text('{"char_direction": [NaN, 0, 0, 1]}')
+    code, out, _ = run_cli(capsys, "verify-engel", "--config", str(p), "--samples", "20")
+    assert code == 1
+    assert "overall: FAIL" in out
 
 
 def test_nan_defect_in_middle_sample_fails(monkeypatch):

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from engellab import calculus
+from engellab import calculus, prolongation
 from engellab.calculus import Chart
-from engellab.distributions import (flag_ranks, characteristic_line,
+from engellab.distributions import (LineDirection, flag_ranks, characteristic_line,
                                     is_contact, plane_principal_angle)
 from engellab.errors import EngelLabError, GeometryError
 from engellab.expressions import vector_field_from_exprs
@@ -114,12 +114,17 @@ def test_contactify_tangent_slice_raises():
         contactify(dom.base.frame(), slc)  # wrong rank/dimension
 
 
-def test_slice_transversality_check():
+def test_slice_transversality_check(monkeypatch):
     dom = prolong(standard_contact())
     slc = dom.theta_slice(0.3)
     assert check_slice_transverse(dom, slc, [0.1, 0.2, 0.3]) > 1.0
     with pytest.raises(GeometryError):
         check_slice_transverse(dom, Slice(dom.chart, 0, 0.0), [0.0, 0.2, 0.3, 0.1])
+    # a NaN characteristic direction is a NaN angle, which fails the check
+    monkeypatch.setattr(prolongation, "characteristic_line", lambda frame, q: LineDirection(
+        base=q, direction=np.array([0.0, 0.0, 0.0, math.nan])))
+    with pytest.raises(GeometryError):
+        check_slice_transverse(dom, slc, [0.1, 0.2, 0.3])
 
 
 def test_development_is_theta_rotation_on_standard_domain():

@@ -11,6 +11,7 @@ from engellab.calculus import Chart, lie_bracket
 from engellab.distributions import flag_ranks, is_contact
 from engellab.errors import GeometryError
 from engellab.flow import integrate
+from engellab.jets import Jet
 from engellab.zoll import (SingleChartSpace, SphereAtlas, SurfaceMetric, UnitTangentChart,
                            central_projection, central_projection_check,
                            closedness_report, euclidean_metric, first_return,
@@ -69,24 +70,33 @@ def test_christoffel_against_finite_differences():
             assert np.max(np.abs(got - want)) < 1e-7, metric.name
 
 
-def test_geodesic_field_fast_path_matches_jets():
+def test_geodesic_field_jets_solve_the_geodesic_equation():
+    # along V1 the base point moves with velocity u(x, psi), so its
+    # acceleration is du/dt = d_x u . u + d_psi u . psidot, read from V1's
+    # order-1 jets; it must equal -Gamma(u, u) with the Christoffel symbols
+    # of the metric matrix by finite differences.  alpha's order-1 jets pair
+    # to zero with V0 and V1, as functions and not only at the point.  A
+    # batch of the states gives each state's jets bit for bit.
     for ut in (UnitTangentChart(m()) for m in METRICS):
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            q = np.append(rng.uniform(-1.5, 1.5, 2), rng.uniform(0, 2 * math.pi))
-            fast = ut._v1_value(q)
-            jets = [j.value for j in ut._v1_jets(q, 1)]
-            assert np.max(np.abs(np.asarray(fast) - jets)) < 1e-13, ut.metric.name
-
-
-def test_unit_vector_matches_jet_frame():
-    for ut in (UnitTangentChart(m()) for m in METRICS):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            q = np.append(rng.uniform(-1.5, 1.5, 2), rng.uniform(0, 2 * math.pi))
-            _, u, _ = ut._unit_jets(q, 1)
-            assert np.max(np.abs(ut.unit_vector(q) - [c.value for c in u])) < 1e-14, \
+        states = np.column_stack([rng.uniform(-1.5, 1.5, (10, 2)), rng.uniform(0, 2 * math.pi, 10)])
+        for field, order in ((ut.V1, 0), (ut.V1, 1), (ut.alpha, 0), (ut.alpha, 1)):
+            rows = np.array([[j.c for j in field.taylor(q, order)] for q in states])
+            batch = np.array([np.broadcast_to(j.c, rows[:, 0].shape)
+                              for j in field.taylor(states.T, order)])
+            assert np.array_equal(batch.transpose(1, 0, 2), rows), (ut.metric.name, order)
+        for q in states:
+            v1 = ut.V1.taylor(q, 1)
+            speed = np.array([j.value for j in v1])
+            u = speed[:2]
+            accel = np.array([np.dot(j.gradient(), speed) for j in v1[:2]])
+            Gam = fd_christoffel(ut.metric, q[:2])
+            assert np.max(np.abs(accel + np.einsum("ijk,j,k->i", Gam, u, u))) < 1e-7, \
                 ut.metric.name
+            alpha = ut.alpha.taylor(q, 1)
+            for V in (ut.V0.taylor(q, 1), v1):
+                pairing = sum((a * v for a, v in zip(alpha, V)), Jet(3, 1))
+                assert np.max(np.abs(pairing.c)) < 1e-12, ut.metric.name
 
 
 def test_unit_speed_and_contact():
@@ -258,7 +268,7 @@ def test_revolution_metric_meridians_close():
     metric = revolution_metric(lambda u: 2.0 + 0.0 * u)
     ut = UnitTangentChart(metric)
     # cylinder rho = 2: the circle u = const, psi = pi/2 has psidot = 0
-    v = ut._v1_value([0.3, 0.1, 0.5 * math.pi])
+    v = ut.V1([0.3, 0.1, 0.5 * math.pi])
     assert abs(v[0]) < 1e-14
     assert abs(v[2]) < 1e-14
     assert abs(v[1] - 0.5) < 1e-14  # coordinate speed 1/rho
