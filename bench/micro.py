@@ -19,9 +19,11 @@ L3, trajectories: one call of the Zoll right-hand side V1
 (``SphereAtlas.field("north")`` at a fixed state) and one of its order-1
 jets at that state (the jet path of brackets and of the Hamiltonian
 alignment check), the first return on the round sphere from chart point
-(0.4, -0.3) with fiber angle 1.1 at tol 1e-10, the full-circle
-``slice_transport`` of the standard prolongation from
-m = (0.2, -0.1, 0.3) at tol 1e-11 (acceptance criterion 7's call), and
+(0.4, -0.3) with fiber angle 1.1 at tol 1e-10, one arc of
+``central_projection_check`` (its first arc at seed 1: 40 samples over
+arclength 1.2 at tol 1e-11), the full-circle ``slice_transport`` of the
+standard prolongation from m = (0.2, -0.1, 0.3) at tol 1e-11 (acceptance
+criterion 7's call), and
 ``development_angle`` at q = (0.1, -0.2, 0.3, 1.0) at tol 1e-11 (criterion
 8's inclusion call).
 
@@ -29,10 +31,10 @@ Each item is timed in 11 samples of a batch sized to take about 50 ms; the
 JSON printed holds the median and quartiles of the time per call in
 microseconds (per point for the batch item).  The ``counts`` block holds
 untimed counts: the field evaluations (``_FieldBase.taylor`` calls) of one
-deformed flag point and of the 200-point batch, the geodesic-field
-evaluations of the return, and the evaluations of the variational
-right-hand side (state plus transported vectors, event location included)
-of the transport and the development.
+deformed flag point, of the 200-point batch and of the arc, the
+geodesic-field evaluations of the return, and the evaluations of the
+variational right-hand side (state plus transported vectors, event location
+included) of the transport and the development.
 
 Imports engellab from the ``src/`` next to this directory and builds jets
 only through ``Jet(n, order, {multi_index: value})``, so the same file copied
@@ -58,7 +60,7 @@ from engellab.expressions import scalar_field_from_expr  # noqa: E402
 from engellab.jets import Jet, jet_compose, jet_invert, multi_indices  # noqa: E402
 from engellab.normal_form import normalize_pair  # noqa: E402
 from engellab.prolongation import development_angle, prolong, slice_transport  # noqa: E402
-from engellab.zoll import SphereAtlas, first_return  # noqa: E402
+from engellab.zoll import SphereAtlas, central_projection_check, first_return  # noqa: E402
 
 SIZES = ((4, 3), (3, 4))
 LOW_ORDERS = ((3, 0), (3, 1))
@@ -67,6 +69,7 @@ REALIZE_H = "0.05*sin(x) + 0.04*z*cos(y) + 0.03*y"
 REALIZE_SUPPORT = (0.25, 1.3)
 STATE = np.array([0.4, -0.3, 1.1])
 RETURN_TOL = 1e-10
+ARC_SEED = 1
 TRAJECTORY_TOL = 1e-11
 M = np.array([0.2, -0.1, 0.3])
 Q = np.array([0.1, -0.2, 0.3, 1.0])
@@ -215,15 +218,20 @@ def l3_items(items, counts):
     def develop():
         return development_angle(std, Q, tol=TRAJECTORY_TOL)
 
+    def arc():
+        return central_projection_check(n_geodesics=1, seed=ARC_SEED)
+
     items["v1_rhs_call"] = per_call_us(lambda: X(STATE))
     items["v1_jets_order1"] = per_call_us(lambda: X.taylor(STATE, 1))
     items["first_return_sphere"] = per_call_us(
         lambda: first_return(atlas, STATE.copy(), "north", tol=RETURN_TOL))
+    items["central_projection_arc"] = per_call_us(arc)
     items["slice_transport_full_circle"] = per_call_us(transport)
     items["development_angle"] = per_call_us(develop)
     counting = CountingAtlas()
     first_return(counting, STATE.copy(), "north", tol=RETURN_TOL)
     counts["first_return_field_evals"] = counting.evals
+    counts["central_projection_field_evals"] = taylor_calls(arc)
     counts["slice_transport_rhs_evals"] = rhs_evals(transport)
     counts["development_angle_rhs_evals"] = rhs_evals(develop)
 

@@ -340,8 +340,8 @@ def _suite_zoll_closedness(cfg, rng, samples, tol, report, seed):
         report.add("all-return", samples, 0, samples - rep.n_returned)
         report.add("return-defect", samples, tol, rep.max_defect)
         if period is not None:
-            spread = max((abs(s.arclength - period) for s in rep.samples if s.returned),
-                         default=math.inf)
+            spreads = [abs(s.arclength - period) for s in rep.samples if s.returned]
+            spread = worst_of(*spreads) if spreads else math.inf
             report.add("arclength-period", samples, tol, spread,
                        detail=f"period {period:.8f}")
     else:

@@ -107,8 +107,8 @@ class ContactIsotopyGenerator:
         for Yf in (self.domain.V, self.domain.U):
             s1 = lie_derivative_scalar(self.X, _pair_scalar(a, Yf))
             s2 = _pair_scalar(a, lie_bracket(self.X, Yf))
-            scale = max(np.linalg.norm(self.X(q)), 1.0)
-            out = max(out, abs(s1(q) - s2(q)) / scale)
+            scale = worst_of(1.0, np.linalg.norm(self.X(q)))
+            out = worst_of(out, abs(s1(q) - s2(q)) / scale)
         return out
 
 

@@ -67,10 +67,11 @@ def _dopri_step(f, t, y, h, k1):
     return ks, _lincomb(y, h, _B, ks)
 
 
-def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None):
+def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None, h0=None):
     """Adaptive DOPRI5 for ``dy/dt = f(t, y)`` from t0 to t1.
 
-    Local error per step is held below ``tol`` (scaled by state magnitude).
+    Local error per step is held below ``tol`` (scaled by state magnitude);
+    the first step tried is ``h0`` (default: a sixteenth of the span).
     Returns ``(y, est_error, steps)`` with ``steps`` the accepted steps.
     ``observer(t_prev, y_prev, t, y, h, k_prev, k)`` is called after each
     accepted step with the slopes ``f`` at both ends; when it returns true,
@@ -88,24 +89,24 @@ def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None):
     y = np.asarray(y0, dtype=float)
     if y.ndim == 1:
         return _dopri(lambda t, s: f(t, s[0])[None], y[None], t0, t1, tol, max_steps,
-                      observer)[0]
+                      observer, h0)[0]
 
     def rhs(t, s):
         return f(np.ravel(t) if np.ndim(t) else np.full(len(s), t), s)
 
     ys, est, steps = zip(*over_points(
-        y, lambda coords: _dopri(rhs, coords.T, t0, t1, tol, max_steps, observer),
-        lambda lane: integrate(f, lane, t0, t1, tol, max_steps, observer)))
+        y, lambda coords: _dopri(rhs, coords.T, t0, t1, tol, max_steps, observer, h0),
+        lambda lane: integrate(f, lane, t0, t1, tol, max_steps, observer, h0)))
     return np.array(ys), np.array(est), sum(steps)
 
 
-def _dopri(f, y, t0, t1, tol, max_steps, observer):
+def _dopri(f, y, t0, t1, tol, max_steps, observer, h0):
     """The DOPRI5 loop over the lanes ``y`` (rows), with the controller per
     lane on scalars, giving ``(state, error, steps)`` per lane; ``f`` gets the
     stage times as a column, or as a number while one lane is left."""
     n, span = len(y), t1 - t0
     sign = 1.0 if span > 0 else -1.0
-    t, h = [t0] * n, [sign * min(abs(span), max(abs(span) / 16.0, 1e-6))] * n
+    t, h = [t0] * n, [sign * min(abs(span), h0 or max(abs(span) / 16.0, 1e-6))] * n
     est, attempts, steps, out = [0.0] * n, [0] * n, [0] * n, list(y)
     lanes = list(range(n)) if span != 0.0 else []
     k1 = f(t0, y) if lanes else None
@@ -178,11 +179,10 @@ def _augmented_rhs(X, n, k):
     """RHS for state + k transported vectors (variational equation)."""
 
     def f(t, y):
-        x = y[:n]
-        J = y[n:].reshape(n, k)
-        v = X(x)
-        DX = X.jacobian(x)
-        return np.concatenate([v, (DX @ J).ravel()])
+        jets = X.taylor(y[:n], 1)  # values and Jacobian from one evaluation
+        v = np.array([j.value for j in jets])
+        DX = np.array([j.gradient() for j in jets])
+        return np.concatenate([v, (DX @ y[n:].reshape(n, k)).ravel()])
 
     return f
 
@@ -225,16 +225,32 @@ def _illinois(trial, lo, s_lo, hi, s_hi, x, tol, max_iter):
     return best[1], best[2]
 
 
+def _locate_crossing(rhs, section, t0, y0, y1, h, k0, k1, s0, s1, tol, n=None):
+    """``(tau, y)`` at the zero of ``section`` (of the first ``n`` entries;
+    ``s0``, ``s1`` of opposite signs) on the step ``(t0, y0, k0)`` -> ``(t0 +
+    h, y1, k1)``: the root on the step's cubic Hermite interpolant is the
+    first trial, then Illinois on fresh steps until ``|section| < tol``."""
+    x0, x1, d0, d1 = y0[:n], y1[:n], h * k0[:n], h * k1[:n]
+
+    def on_interpolant(theta):
+        return section(_hermite(x0, x1, d0, d1, theta)), None
+
+    def fresh_step(tau):
+        y = _dopri_step(rhs, t0, y0, tau, k0)[1]
+        return section(y[:n]), y
+
+    theta, _ = _illinois(on_interpolant, 0.0, s0, 1.0, s1, None, 1e-2 * tol, 60)
+    return _illinois(fresh_step, 0.0, s0, h, s1, theta * h, tol, 60)
+
+
 def flow_to_section(X, p, section, tol=DEFAULT_TOL, section_tol=1e-10,
                     max_time=50.0, min_time=1e-6, vectors=None, max_steps=200000):
     """Integrate ``X`` from ``p`` until the scalar constraint ``section(x)``
     first crosses zero (after ``min_time``) and stop there.
 
-    The crossing is located on the step that makes it: the root on the
-    step's cubic Hermite interpolant is tried first, with one fresh DOPRI5
-    step from the step start (which reuses the start slope), and Illinois
-    iteration on fresh steps follows until ``|section| < section_tol``.  The
-    returned state and transport are therefore integrator states.
+    The crossing is located on the step that makes it
+    (:func:`_locate_crossing`, to ``|section| < section_tol``), so the
+    returned state and transport are integrator states.
 
     Returns a :class:`FlowResult` whose ``time`` is the crossing time.  If
     ``vectors`` is given, they are transported to the crossing as well.
@@ -266,18 +282,8 @@ def flow_to_section(X, p, section, tol=DEFAULT_TOL, section_tol=1e-10,
         elif s1 == 0.0:
             crossing.update(t=t1, y=y_new)
         elif s0 * s1 < 0.0:
-            x0, x1, d0, d1 = y_prev[:n], y_new[:n], h * k0[:n], h * k1[:n]
-
-            def on_interpolant(theta):
-                return section(_hermite(x0, x1, d0, d1, theta)), None
-
-            def fresh_step(tau):
-                y = _dopri_step(rhs, t0, y_prev, tau, k0)[1]
-                return section(y[:n]), y
-
-            theta, _ = _illinois(on_interpolant, 0.0, s0, 1.0, s1, None,
-                                 1e-2 * section_tol, 60)
-            tau, y = _illinois(fresh_step, 0.0, s0, h, s1, theta * h, section_tol, 60)
+            tau, y = _locate_crossing(rhs, section, t0, y_prev, y_new, h, k0, k1, s0, s1,
+                                      section_tol, n)
             crossing.update(t=t0 + tau, y=y)
         return bool(crossing)
 

@@ -22,7 +22,7 @@ from .calculus import Chart, OneForm, VectorField
 from .errors import (EngelLabError, ExpressionDomainError, GeometryError,
                      IntegrationError, JetDomainError)
 from .distributions import line_angle
-from .flow import integrate
+from .flow import _dopri_step, _field_rhs, _locate_crossing, integrate
 from .jets import Jet, cos, jet_dot, sin, sqrt
 from .prolongation import ParallelizedContact, prolong
 from .reporting import worst_of
@@ -329,15 +329,16 @@ class SingleChartSpace:
     def start_state(self, x, psi):
         return np.append(np.asarray(x, dtype=float), psi), "main"
 
-    def embed(self, state, chart):
+    def embed(self, state, chart, order=0):
+        """Coordinates, periodic ones and psi on the circle (order 1: jets)."""
+        x = state if order == 0 else Jet.seeds(state, 1)
         out = []
-        for i in range(2):
-            if self.periodic[i]:
-                out.extend([math.cos(state[i]), math.sin(state[i])])
-            else:
-                out.append(state[i])
-        out.extend([math.cos(state[2]), math.sin(state[2])])
-        return np.asarray(out)
+        for i in range(3):
+            out.extend([cos(x[i]), sin(x[i])] if i == 2 or self.periodic[i] else [x[i]])
+        return np.array(out)
+
+    def point(self, state, chart):
+        return self.embed(state, chart)[:-2]  # the base-point entries
 
     def field(self, chart):
         return self.ut.V1
@@ -394,7 +395,7 @@ class SphereAtlas:
         psi_new = math.atan2(w[1] / b, (w[0] - w0 * w[1]) / a)
         return np.array([x_new[0], x_new[1], psi_new]), other
 
-    def sphere_point(self, state, chart):
+    def point(self, state, chart):
         """Embedding into R^3: inverse stereographic projection (the south
         chart is glued by the inversion, which flips the pole)."""
         x1, x2 = state[0], state[1]
@@ -408,77 +409,80 @@ class SphereAtlas:
             p = np.array([p[0], p[1], -p[2]])
         return p
 
-    def embed(self, state, chart):
-        """Point and unit tangent in R^6 (chart-independent)."""
-        p = self.sphere_point(state, chart)
-        eps = 1e-5
-        ut = self._ut(chart)
-        u = ut.unit_vector(state)
-        step = np.array([eps * u[0], eps * u[1], 0.0])
-        dp = (self.sphere_point(state + step, chart) -
-              self.sphere_point(state - step, chart)) / (2.0 * eps)
-        n = np.linalg.norm(dp)
-        return np.concatenate([p, dp / max(n, 1e-300)])
+    def embed(self, state, chart, order=0):
+        """Point and unit tangent in R^6 (chart-independent), the tangent along
+        d(point) u ~ (den u - 2 (x.u) x, 2 r (x.u)), den = |x|^2 + r^2 (order 1: jets)."""
+        ut, r = self._ut(chart), self.radius
+        x, u = (state, ut.unit_vector(state)) if order == 0 else (
+            Jet.seeds(state, 1), ut.V1.taylor(state, 1)[:2])
+        xu, den = x[0] * u[0] + x[1] * u[1], x[0] * x[0] + x[1] * x[1] + r * r
+        dp = np.array([den * u[0] - 2.0 * xu * x[0], den * u[1] - 2.0 * xu * x[1],
+                       (-2.0 if chart == "south" else 2.0) * r * xu])
+        return np.concatenate([self.point(x, chart), dp / sqrt(dp @ dp)])
 
 
-def _integrate_chunk(space, state, chart, ds, tol):
-    X = space.field(chart)
-    y, err, steps = integrate(lambda t, s: X(s), state, 0.0, ds, tol=tol)
-    if space.needs_transition(y, chart):
-        y, chart = space.transition(y, chart)
-    return y, chart
+def _geodesic(space, state, chart, length, tol, on_step):
+    """Follow the geodesic field from ``state`` for arclength ``length``, one
+    ``integrate`` run per chart segment; ``on_step(rhs, chart, t0, y0, t1,
+    y1, h, k0, k1)`` observes each step and ends the geodesic by returning
+    true, as does an escape.  Returns the arclength, state and chart there."""
+    # later segments open at the last accepted step; the integrator's default,
+    # a sixteenth of the span, would send trial stages off the chart
+    s, y, ch, h0 = 0.0, state, chart, 1.0 / 64.0
+    while True:
+        rhs, stop = _field_rhs(space.field(ch)), {}  # the field is only called
+
+        def observe(t0, y0, t1, y1, h, k0, k1, ch=ch, rhs=rhs, stop=stop):
+            nonlocal h0
+            h0 = h
+            end = on_step(rhs, ch, t0, y0, t1, y1, h, k0, k1) or space.escaped(y1, ch)
+            if end or space.needs_transition(y1, ch):
+                stop.update(t=float(t1), y=y1, end=end)
+            return bool(stop)
+
+        y_end = integrate(rhs, y, s, length, tol=tol, observer=observe, h0=h0)[0]
+        if not stop or stop["end"]:
+            return stop.get("t", length), stop.get("y", y_end), ch
+        s, (y, ch) = stop["t"], space.transition(stop["y"], ch)
 
 
 def first_return(space, state, chart, max_arclength=30.0, tol=1e-10,
-                 chunk=0.25, capture=0.6, min_departure=1.0):
-    """Integrate a contact element until its embedded image first comes back
-    within ``capture`` of the start after having departed, then refine the
-    return time by a Newton solve on the section through the start point
-    (plane normal to the initial embedded tangent).  The refinement stops at
-    the first step that does not halve the section value, or when the step
-    falls below 1e-12, and after at most 20 steps.
-
-    Returns (returned, arclength, defect, final_state, final_chart).
-    """
-    start = space.embed(state, chart)
-    # embedded tangent at the start, by central difference along the flow
-    h = 1e-4
-    yp, cp = _integrate_chunk(space, state.copy(), chart, h, tol)
-    ym, cm = _integrate_chunk(space, state.copy(), chart, -h, tol)
-    T0 = space.embed(yp, cp) - space.embed(ym, cm)
+                 capture=0.6, min_departure=1.0):
+    """Integrate a contact element until its embedded image e first comes
+    back within ``capture`` of the start after departing beyond
+    ``min_departure``, and stop on the section f = (e - e(start)) . T0 = 0,
+    T0 the derivative of e along the flow at the start.  The gates are
+    checked on each step, by the cheap base point (``space.point``) where
+    that decides them; a sign change of f on a step that ends inside
+    ``capture`` is located on that step, to |f| at its rounding floor.
+    Returns (returned, arclength, defect, final_state, final_chart)."""
+    start, base = space.embed(state, chart), space.point(state, chart)
+    T0 = np.array([e.gradient() for e in space.embed(state, chart, order=1)]) @ space.field(chart)(state)
     T0 /= np.linalg.norm(T0)
-    s = 0.0
-    y, ch = state.copy(), chart
-    departed = False
-    while s < max_arclength:
-        y, ch = _integrate_chunk(space, y, ch, chunk, tol)
-        s += chunk
-        if space.escaped(y, ch):
-            return False, s, math.inf, y, ch
-        d = np.linalg.norm(space.embed(y, ch) - start)
+    departed, found = False, []
+
+    def section(y, ch):
+        e = space.embed(y, ch) - start
+        return float(e @ T0), float(np.linalg.norm(e))
+
+    def on_step(rhs, ch, t0, y0, t1, y1, h, k0, k1):
+        nonlocal departed
+        dist = np.linalg.norm(space.point(y1, ch) - base)  # at most |e - start|
         if not departed:
-            departed = d > min_departure
-            continue
-        if d < capture:
-            # slope of the section function f(s) = (e(s) - start) . T0
-            yp, cp = _integrate_chunk(space, y.copy(), ch, h, tol)
-            ym, cm = _integrate_chunk(space, y.copy(), ch, -h, tol)
-            slope = float((space.embed(yp, cp) - space.embed(ym, cm)) @ T0) / (2 * h)
-            if abs(slope) < 0.1:
-                slope = math.copysign(0.1, slope if slope != 0.0 else 1.0)
-            f = float((space.embed(y, ch) - start) @ T0)
-            for _ in range(20):
-                delta = max(-2 * chunk, min(2 * chunk, -f / slope))
-                if abs(delta) < 1e-12:
-                    break
-                y, ch = _integrate_chunk(space, y, ch, delta, tol)
-                s += delta
-                f_prev, f = f, float((space.embed(y, ch) - start) @ T0)
-                if abs(f) > 0.5 * abs(f_prev):
-                    break  # Newton no longer halves f: it is at its rounding floor
-            defect = float(np.linalg.norm(space.embed(y, ch) - start))
-            return True, s, defect, y, ch
-    return False, s, math.inf, y, ch
+            departed = dist > min_departure or section(y1, ch)[1] > min_departure
+        elif dist < capture:
+            (f0, _), (f1, d1) = section(y0, ch), section(y1, ch)
+            if d1 < capture and (f0 * f1 < 0.0 or f1 == 0.0):
+                tau, y = _locate_crossing(rhs, lambda x: section(x, ch)[0], t0, y0, y1, h,
+                                          k0, k1, f0, f1, 1e-15)
+                found.append((float(t0 + tau), y))
+        return bool(found)
+
+    s, y, ch = _geodesic(space, state, chart, max_arclength, tol, on_step)
+    if not found:
+        return False, s, math.inf, y, ch
+    (s, y), = found
+    return True, s, float(np.linalg.norm(space.embed(y, ch) - start)), y, ch
 
 
 def closedness_report(space, n_samples=50, max_arclength=30.0, tol=1e-10,
@@ -533,9 +537,13 @@ def line_fit_residual(points):
 def central_projection_check(n_geodesics=50, seed=0, arc=1.2, n_points=40,
                              tol_integration=1e-11):
     """Integrate great-circle arcs near the pole, project centrally, and fit
-    lines; returns the per-arc and maximal perpendicular residuals."""
+    lines; returns the per-arc and maximal perpendicular residuals.  An arc
+    is one integration per chart segment; its sample k is the state at
+    arclength k * arc / n_points, from a fresh step of the accepted step
+    that contains it, and the arc ends there or at a height <= 0.05."""
     rng = np.random.default_rng(seed)
     atlas = SphereAtlas()
+    ds = arc / n_points
     residuals = []
     for _ in range(n_geodesics):
         # start high on the sphere: chart origin is the south pole, so radii
@@ -545,19 +553,25 @@ def central_projection_check(n_geodesics=50, seed=0, arc=1.2, n_points=40,
         ang = rng.uniform(0.0, 2.0 * math.pi)
         psi = rng.uniform(0.0, 2.0 * math.pi)
         y = np.array([r * math.cos(ang), r * math.sin(ang), psi])
-        ch = "north"
         pts = []
-        for _ in range(n_points):
-            p = atlas.sphere_point(y, ch)
-            if p[2] <= 0.05:
-                break
-            pts.append(central_projection(p))
-            y, ch = _integrate_chunk(atlas, y, ch, arc / n_points, tol_integration)
+
+        def on_step(rhs, ch, t0, y0, t1, y1, h, k0, k1, pts=pts):
+            while len(pts) < n_points and len(pts) * ds <= t1:
+                tau = len(pts) * ds - t0
+                p = atlas.point(y1 if tau == h else _dopri_step(rhs, t0, y0, tau, k0)[1], ch)
+                if p[2] <= 0.05:
+                    return True
+                pts.append(central_projection(p))
+            return False
+
+        # sample 0 is the start, the end of a step of size 0
+        if not on_step(None, "north", 0.0, y, 0.0, y, 0.0, None, None):
+            _geodesic(atlas, y, "north", (n_points - 1) * ds, tol_integration, on_step)
         if len(pts) >= 5:
             residuals.append(line_fit_residual(pts))
     if not residuals:
         raise GeometryError("no arcs stayed on the open hemisphere")
-    return {"residuals": residuals, "max_residual": float(max(residuals)),
+    return {"residuals": residuals, "max_residual": float(worst_of(*residuals)),
             "n_arcs": len(residuals)}
 
 

@@ -12,6 +12,7 @@ from engellab.cli import main
 from engellab.distributions import DistributionFrame, LineDirection, flag_ranks
 from engellab.errors import GeometryError
 from engellab.expressions import vector_field_from_exprs
+from engellab.zoll import ClosednessReport, SampleReturn
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +163,17 @@ def test_nan_defect_in_middle_sample_fails(monkeypatch):
     rec, = report.records
     assert rec.max_defect != rec.max_defect
     assert not rec.passed and not report.passed
+
+
+def test_nan_arclength_fails_the_period_check(monkeypatch):
+    # a returned sample with a NaN arclength must not vanish from the spread
+    samples = [SampleReturn(state=np.zeros(3), chart="north", returned=True,
+                            arclength=s, defect=0.0) for s in (2 * math.pi, math.nan, 2 * math.pi)]
+    monkeypatch.setattr(cli, "closedness_report", lambda space, **kw: ClosednessReport(
+        samples=samples, seed=0, max_defect=0.0, n_returned=3))
+    report = cli.run("zoll-closedness", {}, 0, 3, 1e-6)
+    spread = {rec.name: rec for rec in report.records}["arclength-period"]
+    assert math.isnan(spread.max_defect) and not spread.passed and not report.passed
 
 
 def test_deterministic_report_body(capsys, tmp_path):

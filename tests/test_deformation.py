@@ -64,6 +64,20 @@ def test_generator_is_contact_automorphism():
         assert gen.automorphism_residual(q) < 1e-12
 
 
+def test_automorphism_residual_keeps_a_nan(monkeypatch):
+    # a NaN pairing on the first contact direction must survive the fold
+    # over both directions
+    from engellab import deformation
+
+    dom = prolong(standard_contact())
+    gen = ContactIsotopyGenerator(dom, scalar_field_from_expr(dom.chart, "0.05*sin(x)"), SUPPORT)
+    calls, inner = [], deformation.lie_derivative_scalar
+    monkeypatch.setattr(deformation, "lie_derivative_scalar", lambda X, f: (
+        lambda q: math.nan) if not calls.append(f) and len(calls) == 1 else inner(X, f))
+    assert math.isnan(gen.automorphism_residual([0.1, -0.2, 0.3, 0.775]))
+    assert len(calls) == 2
+
+
 def test_spin_against_wedge_ratio_oracle():
     # g = d alpha_hat(V, [X, V]) should reproduce the U-coefficient of
     # [X, V] expanded in the frame (V, U, Z)

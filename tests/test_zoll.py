@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
+from scipy.integrate import solve_ivp
 
 from engellab import zoll
 from engellab.calculus import Chart, lie_bracket
@@ -135,35 +137,98 @@ def test_sphere_first_return_period():
     assert abs(s - 2.0 * math.pi) < 1e-7
 
 
-def test_return_refinement_stops_at_the_noise_floor(monkeypatch):
-    # the Newton refinement of the return stops at the first step that does
-    # not halve the section value f = (e - e(start)) . T0: below that, f is
-    # rounding noise and further steps only walk on it
-    calls = []
-    inner = zoll._integrate_chunk
+def test_return_is_one_integration_per_chart_segment(monkeypatch):
+    # a return integrates each chart segment once, the first from arclength
+    # 0 at the opening step 1/64 and each later one from where the one
+    # before stopped for its transition: no restarts, no probes.  The return
+    # is located on the step that makes it, so the section value
+    # f = (e - e(start)) . T0 is at its rounding floor there
+    calls, stops = [], []
+    inner = zoll.integrate
 
-    def logged(space, state, chart, ds, tol):
-        out = inner(space, state, chart, ds, tol)
-        calls.append((ds, out))
-        return out
+    def logged(f, y0, t0, t1, **kw):
+        calls.append((t0, kw.get("h0")))
+        return inner(f, y0, t0, t1, **kw)
 
-    monkeypatch.setattr(zoll, "_integrate_chunk", logged)
+    monkeypatch.setattr(zoll, "integrate", logged)
     atlas = SphereAtlas()
+    transition = atlas.transition
+    monkeypatch.setattr(atlas, "transition", lambda y, ch: stops.append(y) or transition(y, ch))
     state, ch = atlas.start_state([0.4, -0.3], 1.1)
-    ok, s, defect, _, _ = first_return(atlas, state, ch, tol=1e-10)
-    assert ok and defect < 1e-7
-    # calls: the two tangent probes at the start, the chunks, the two slope
-    # probes at the capture, then one call per Newton step
+    ok, s, defect, y, ych = first_return(atlas, state, ch, tol=1e-10)
+    assert ok and defect < 1e-7 and abs(s - 2.0 * math.pi) < 1e-7
+    assert len(stops) >= 1 and len(calls) == len(stops) + 1
+    assert calls[0] == (0.0, 1.0 / 64.0)
+    assert all(np.hypot(*stop[:2]) > atlas.switch_radius for stop in stops)
+    times = [t0 for t0, _ in calls] + [s]
+    assert all(a < b for a, b in zip(times, times[1:]))
     start = atlas.embed(state, ch)
-    (_, plus), (_, minus) = calls[:2]
-    T0 = atlas.embed(*plus) - atlas.embed(*minus)
-    T0 /= np.linalg.norm(T0)
-    last_chunk = max(i for i, (ds, _) in enumerate(calls) if ds == 0.25)
-    states = [calls[last_chunk][1]] + [out for _, out in calls[last_chunk + 3:]]
-    f = [abs(float((atlas.embed(*st) - start) @ T0)) for st in states]
-    assert len(f) >= 2
-    not_halved = [i for i in range(1, len(f)) if f[i] > 0.5 * f[i - 1]]
-    assert not not_halved or not_halved[0] == len(f) - 1
+    T0 = np.concatenate([start[3:], -start[:3]]) / math.sqrt(2.0)  # see the embed test
+    assert abs(float((atlas.embed(y, ych) - start) @ T0)) <= 1e-15
+
+
+def test_embed_and_its_jets_match_sympy():
+    # the embedded tangent is the differential of inverse stereographic
+    # projection applied to the g-unit vector at fiber angle psi, which for
+    # the conformal round metric is (cos psi, sin psi) (|x|^2 + 1) / 2;
+    # embed's six entries and their order-1 jets must match sympy's, and
+    # the jets applied to V1 give d/ds (p, t) = (t, -p) along great circles,
+    # the normal of the return's section
+    x1, x2, psi = sp.symbols("x1 x2 psi")
+    den = x1 ** 2 + x2 ** 2 + 1
+    p = sp.Matrix([2 * x1 / den, 2 * x2 / den, (x1 ** 2 + x2 ** 2 - 1) / den])
+    t = p.jacobian([x1, x2]) * sp.Matrix([sp.cos(psi), sp.sin(psi)]) * den / 2
+    t = t / sp.sqrt(t.dot(t))
+    atlas = SphereAtlas()
+    rng = np.random.default_rng(12)
+    for chart, flip in (("north", 1), ("south", -1)):
+        e = sp.Matrix([p[0], p[1], flip * p[2], t[0], t[1], flip * t[2]])
+        value = sp.lambdify((x1, x2, psi), e)
+        partials = sp.lambdify((x1, x2, psi), e.jacobian([x1, x2, psi]))
+        for _ in range(5):
+            q = np.append(rng.uniform(-1.8, 1.8, 2), rng.uniform(0, 2 * math.pi))
+            want = np.array(value(*q), dtype=float).ravel()
+            assert np.max(np.abs(atlas.embed(q, chart) - want)) < 1e-14
+            jets = atlas.embed(q, chart, order=1)
+            assert np.max(np.abs([j.value for j in jets] - want)) < 1e-14
+            got = np.array([j.gradient() for j in jets])
+            assert np.max(np.abs(got - np.array(partials(*q), dtype=float))) < 1e-13
+            along = got @ atlas.field(chart)(q)
+            assert np.max(np.abs(along - np.concatenate([want[3:], -want[:3]]))) < 1e-13
+
+
+def test_arc_samples_match_scipy(monkeypatch):
+    # sample k of an arc is the integrator state at arclength k * arc /
+    # n_points; on the unit sphere a geodesic solves p'' = -p in R^3, here
+    # integrated by scipy from each arc's embedded start with t_eval at the
+    # sample arclengths
+    starts, points = [], []
+    geodesic, project = zoll._geodesic, zoll.central_projection
+
+    def logged_geodesic(space, state, chart, *args):
+        starts.append((space.embed(state, chart), len(points) - 1))  # sample 0 is taken
+        return geodesic(space, state, chart, *args)
+
+    monkeypatch.setattr(zoll, "_geodesic", logged_geodesic)
+    monkeypatch.setattr(zoll, "central_projection", lambda p: points.append(p) or project(p))
+    arc, n_points = 1.2, 40
+    central_projection_check(n_geodesics=6, seed=6, arc=arc, n_points=n_points)
+    ends = [first for _, first in starts[1:]] + [len(points)]
+    assert len(starts) == 6 and max(b - a for (_, a), b in zip(starts, ends)) == n_points
+    for (e0, first), end in zip(starts, ends):
+        s = np.arange(end - first) * (arc / n_points)
+        sol = solve_ivp(lambda _, z: np.concatenate([z[3:], -z[:3]]), (0.0, s[-1]), e0,
+                        method="DOP853", t_eval=s, rtol=1e-13, atol=1e-13)
+        assert np.max(np.abs(np.array(points[first:end]) - sol.y[:3].T)) < 1e-9
+
+
+def test_central_projection_keeps_a_nan_residual(monkeypatch):
+    # a NaN line-fit residual on one arc must not vanish from the maximum
+    fits, inner = [], zoll.line_fit_residual
+    monkeypatch.setattr(zoll, "line_fit_residual",
+                        lambda pts: math.nan if fits.append(pts) or len(fits) == 2 else inner(pts))
+    rep = central_projection_check(n_geodesics=4, seed=1)
+    assert len(fits) == 4 and math.isnan(rep["max_residual"])
 
 
 def test_closedness_report_sphere_and_plane():
