@@ -9,6 +9,13 @@ at 4 variables order 3 and 3 variables order 4, and mul at order 0 and 1 in
 for compose and invert is an origin-preserving tuple with a diagonally
 dominant linear part.
 
+L1, composite fields: the contact isotopy generator X of the ``realize``
+suite (its default Hamiltonian and support) at order 0 on a three-lane
+stack, the shape of the stacked integrations that dominate that suite.  Its
+``counts`` are the field evaluations (``_FieldBase._evaluate`` calls) and the
+Jet products (``Jet.__mul__`` and ``__rmul__`` with two jet operands) of one
+call.
+
 L2, pointwise geometry: ``flag_ranks`` at one point of the standard
 prolongation and of the deformed frame of the ``realize`` suite (its default
 Hamiltonian and support), the cost per point of one 200-point batch of that
@@ -65,6 +72,7 @@ from engellab.zoll import SphereAtlas, central_projection_check, first_return  #
 SIZES = ((4, 3), (3, 4))
 LOW_ORDERS = ((3, 0), (3, 1))
 BATCH = 200
+LANES = 3
 REALIZE_H = "0.05*sin(x) + 0.04*z*cos(y) + 0.03*y"
 REALIZE_SUPPORT = (0.25, 1.3)
 STATE = np.array([0.4, -0.3, 1.1])
@@ -134,6 +142,33 @@ def rhs_evals(fn):
     return count[0]
 
 
+def evaluations_and_products(fn):
+    """Field evaluations (``_FieldBase._evaluate`` calls) and products of two
+    jets made by ``fn()``."""
+    saved = {name: getattr(cls, name) for cls, name in (
+        (calculus._FieldBase, "_evaluate"), (Jet, "__mul__"), (Jet, "__rmul__"))}
+    count = {"evaluate": 0, "products": 0}
+
+    def evaluate(self, coords, order):
+        count["evaluate"] += 1
+        return saved["_evaluate"](self, coords, order)
+
+    def product(name):
+        def counting(a, b):
+            count["products"] += isinstance(b, Jet)
+            return saved[name](a, b)
+        return counting
+
+    calculus._FieldBase._evaluate = evaluate
+    Jet.__mul__, Jet.__rmul__ = product("__mul__"), product("__rmul__")
+    try:
+        fn()
+    finally:
+        calculus._FieldBase._evaluate = saved["_evaluate"]
+        Jet.__mul__, Jet.__rmul__ = saved["__mul__"], saved["__rmul__"]
+    return count["evaluate"], count["products"]
+
+
 def dense_jet(rng, n, order, const):
     return Jet(n, order, {k: const if sum(k) == 0 else rng.uniform(-1.0, 1.0)
                           for k in multi_indices(n, order)})
@@ -168,10 +203,25 @@ def l0_items(items):
         items[f"mul_n{n}_o{order}"] = per_call_us(lambda: a * b)
 
 
-def l2_items(items, counts):
+def realize_generator():
     domain = prolong(cli._base_contact({})[0])
     h = scalar_field_from_expr(domain.chart, REALIZE_H, name="h")
-    gen = ContactIsotopyGenerator(domain, h, REALIZE_SUPPORT)
+    return domain, ContactIsotopyGenerator(domain, h, REALIZE_SUPPORT)
+
+
+def l1_items(items, counts):
+    _, gen = realize_generator()
+    rng = np.random.default_rng(4)
+    stack = np.column_stack([rng.uniform(-0.5, 0.5, (LANES, 3)),
+                             rng.uniform(*REALIZE_SUPPORT, LANES)]).T.copy()
+    items[f"generator_x_{LANES}_lanes"] = per_call_us(lambda: gen.X(stack))
+    evaluations, products = evaluations_and_products(lambda: gen.X(stack))
+    counts[f"generator_x_{LANES}_lanes_evaluations"] = evaluations
+    counts[f"generator_x_{LANES}_lanes_jet_products"] = products
+
+
+def l2_items(items, counts):
+    domain, gen = realize_generator()
     deformed = realize_isotopy(domain, gen, validate=False).frame()
     pts = cli._domain_points(np.random.default_rng(4), BATCH, domain.theta_max)
     q = pts[0]
@@ -239,6 +289,7 @@ def l3_items(items, counts):
 def main():
     items, counts = {}, {}
     l0_items(items)
+    l1_items(items, counts)
     l2_items(items, counts)
     l3_items(items, counts)
     print(json.dumps({"python": platform.python_version(), "samples": SAMPLES,

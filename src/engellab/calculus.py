@@ -6,10 +6,12 @@ seeds alike) or by a custom ``taylor_fn`` for fields produced by geometric
 constructions (brackets, pointwise linear solves, frame recombinations).
 Given ``(dim, N)`` coordinates, a field evaluates a batch of N points in one
 pass, on jets with one coefficient row per point (see :mod:`engellab.jets`).
-Evaluation is pure.  Within one evaluation scope each (field, order, point)
-is evaluated once: the outermost :meth:`_FieldBase.taylor` call opens a memo
-that the nested calls of composite and bracket closures share, and
-:func:`evaluation_scope` widens it to a whole pointwise check.  The memo lives
+Evaluation is pure.  Within one evaluation scope a memo holds each (field,
+point)'s jets at the highest order asked so far: a lower order gets them
+truncated, bit for bit the jets of an evaluation at that order, and a higher
+order evaluates and replaces them.  The outermost :meth:`_FieldBase.taylor`
+call opens the memo that the nested calls of composite and bracket closures
+share, and :func:`evaluation_scope` widens it to a pointwise check.  It lives
 in a context variable and is dropped when its scope closes, so nothing
 outlives one evaluation and parallel sampling stays safe.
 """
@@ -24,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartMismatchError, DerivativeOrderError, EngelLabError
-from .jets import Jet, jet_bilinear, jet_bracket, jet_dot
+from .jets import Jet, jet_bracket, jet_dot, jet_two_form
 
 INF_ORDER = math.inf
 
-# jets by (field, order, coordinate shape and bytes) of the open evaluation
-# scope; the key holds the field itself so a field freed mid-scope cannot
-# alias by id, and the shape so a point and a one-point batch stay apart
+# (highest order evaluated, its jets) by (field, coordinate shape and bytes)
+# of the open evaluation scope; the key holds the field itself so a field freed
+# mid-scope cannot alias by id, and the shape so a point and a one-point batch
+# stay apart
 _MEMO = contextvars.ContextVar("taylor_memo", default=None)
 
 
@@ -152,11 +155,11 @@ class _FieldBase:
             memo = {}
             token = _MEMO.set(memo)
         try:
-            key = (self, order, coords.shape, coords.tobytes())
-            out = memo.get(key)
-            if out is None:
-                out = memo[key] = self._evaluate(coords, order)
-            return list(out)
+            key = (self, coords.shape, coords.tobytes())
+            hit = memo.get(key)
+            if hit is None or hit[0] < order:
+                hit = memo[key] = (order, self._evaluate(coords, order))
+            return list(hit[1]) if hit[0] == order else [j.truncated(order) for j in hit[1]]
         finally:
             if token is not None:
                 _MEMO.reset(token)
@@ -265,18 +268,23 @@ class OneForm(_FieldBase):
         return jet_dot(self.taylor(point, order), X.taylor(point, order))
 
     def d_matrix(self, point, order=0):
-        """Jets of the exterior derivative, ``d alpha_{ij} = d_i a_j - d_j a_i``.
+        """Jets of the exterior derivative, ``d alpha_{ij} = d_i a_j - d_j a_i``,
+        above the diagonal; below it their exact negations, and zeros on it.
 
         Consumes one derivative order of the form.
         """
         a = self.taylor(point, order + 1)
         n = self.chart.dim
-        return [[a[j].derivative(i) - a[i].derivative(j) for j in range(n)] for i in range(n)]
+        zero = Jet.constant(np.zeros(a[0].c.shape[:-1]), n, order)
+        up = {(i, j): a[j].derivative(i) - a[i].derivative(j)
+              for i in range(n) for j in range(i + 1, n)}
+        return [[up[i, j] if i < j else -up[j, i] if i > j else zero for j in range(n)]
+                for i in range(n)]
 
     def d_apply(self, X, Y, point, order=0):
         """Jet of ``d alpha (X, Y)`` at ``point``."""
         M = self.d_matrix(point, order)
-        return jet_bilinear(M, X.taylor(point, order), Y.taylor(point, order))
+        return jet_two_form(M, X.taylor(point, order), Y.taylor(point, order))
 
 
 class ScalarField(_FieldBase):
@@ -329,8 +337,7 @@ def lie_bracket(X, Y):
         raise DerivativeOrderError("bracket arguments must be evaluable to order >= 1")
 
     def tfn(coords, order):
-        B = jet_bracket(X.taylor(coords, order + 1), Y.taylor(coords, order + 1))
-        return [c.truncated(order) for c in B]
+        return jet_bracket(X.taylor(coords, order + 1), Y.taylor(coords, order + 1))
 
     return VectorField(X.chart, taylor_fn=tfn, max_order=cap,
                        name=f"[{X.name},{Y.name}]")
@@ -344,7 +351,7 @@ def lie_derivative_scalar(X, f):
     def tfn(coords, order):
         xj = X.taylor(coords, order)
         fj = f.jet(coords, order + 1)
-        return [jet_dot([fj.derivative(j) for j in range(n)], xj).truncated(order)]
+        return [jet_dot([fj.derivative(j) for j in range(n)], xj)]
 
     return ScalarField(X.chart, taylor_fn=tfn,
                        max_order=min(X.max_order, f.max_order - 1))

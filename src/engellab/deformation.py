@@ -24,7 +24,7 @@ from .distributions import (DistributionFrame, line_angle, plane_principal_angle
                             reeb_field, reeb_vector)
 from .errors import EngelLabError, GeometryError
 from .flow import flow, integrate_nonautonomous
-from .jets import Jet, jet_bilinear, jet_cross, jet_dot
+from .jets import Jet, jet_cross, jet_dot, jet_two_form
 from .prolongation import Slice, lift
 from .reporting import worst_of
 
@@ -288,7 +288,7 @@ class GraySolution:
         Ej = jet_cross(a, Lj)
         M = form.d_matrix(coords, order)
         dj = dot.taylor(coords, order)
-        dLE = jet_bilinear(M, Lj, Ej)
+        dLE = jet_two_form(M, Lj, Ej)
         scale = np.sqrt(sum(c.value * c.value for c in Lj) * sum(c.value * c.value for c in Ej))
         if np.any(abs(dLE.value) < 1e-12 * np.maximum(scale, 1e-300)):
             raise GeometryError("d theta_t degenerates on the contact planes", point=coords)
@@ -351,11 +351,16 @@ class GraySolution:
         cols = y[..., 3:3 + 3 * k].reshape(lead + (3, k)) if k else None
         return y[..., :3], cols, y.T[-1]
 
-    def _plane(self, t, x):
-        """Two vectors spanning ker theta_t at x."""
-        a = self.path.form_at(t)(x)
-        b1 = np.cross(a, np.eye(3)[int(np.argmin(np.abs(a)))])
-        return b1, np.cross(a, b1)
+    def _frames(self, t, points):
+        """At each of the ``(N, 3)`` points, two vectors spanning ker theta_t
+        and then L, as columns; theta_t and L are evaluated on the stack."""
+        def frame(a, L):
+            b1 = np.cross(a, np.eye(3)[int(np.argmin(np.abs(a)))])
+            return np.column_stack([b1, np.cross(a, b1), L])
+
+        form = self.path.form_at(t)
+        return over_points(points, lambda xs: list(map(frame, form(xs).T, self.L(xs).T)),
+                           lambda x: frame(form(x), self.L(x)))
 
     def pullback_defect(self, x0, substeps=1):
         """Transport a basis of ker theta_0 at x0 and the L direction; report
@@ -363,16 +368,13 @@ class GraySolution:
         angle defect of the transported L direction.  ``(N, 3)`` start
         points are transported as one stack and give a list of reports."""
         x0 = np.asarray(x0, dtype=float)
-        V = [np.column_stack([*self._plane(self.t_grid[0], x), self.L(x)])
-             for x in np.atleast_2d(x0)]
-        runs = self.transport(x0, V[0] if x0.ndim == 1 else np.array(V), substeps)
-        return self._defects(*runs) if x0.ndim == 1 else [self._defects(*r) for r in zip(*runs)]
-
-    def _defects(self, end, cols, g_log):
-        plane_defect = plane_principal_angle([cols[:, 0], cols[:, 1]],
-                                             self._plane(self.t_grid[-1], end))
-        return {"endpoint": end, "plane_defect": float(plane_defect),
-                "L_defect": line_angle(cols[:, 2], self.L(end)), "g_log": float(g_log)}
+        V = np.array(self._frames(self.t_grid[0], np.atleast_2d(x0)))
+        runs = self.transport(x0, V[0] if x0.ndim == 1 else V, substeps)
+        ends, cols, g_log = (np.asarray(r)[None] if x0.ndim == 1 else r for r in runs)
+        reports = [{"endpoint": e, "plane_defect": plane_principal_angle(c.T[:2], f.T[:2]),
+                    "L_defect": line_angle(c[:, 2], f[:, 2]), "g_log": float(g)}
+                   for e, c, g, f in zip(ends, cols, g_log, self._frames(self.t_grid[-1], ends))]
+        return reports[0] if x0.ndim == 1 else reports
 
 
 def gray_solve(path, L, t_grid, sample_points=None, hypothesis_tol=1e-8):

@@ -517,12 +517,13 @@ def jet_dot(a, b):
     return acc
 
 
-def jet_bilinear(M, u, v):
-    """``sum_ij M_ij u_i v_j``, rows outer, each term ``(M_ij u_i) v_j``."""
+def jet_two_form(M, u, v):
+    """``sum_ij M_ij u_i v_j`` for an antisymmetric ``M``, from the entries
+    above the diagonal: ``sum_{i<j} M_ij (u_i v_j - u_j v_i)``, rows outer."""
     acc = None
     for i, row in enumerate(M):
-        for j, m in enumerate(row):
-            term = m * u[i] * v[j]
+        for j in range(i + 1, len(row)):
+            term = row[j] * (u[i] * v[j] - u[j] * v[i])
             acc = term if acc is None else acc + term
     return acc
 

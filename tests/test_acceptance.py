@@ -2,8 +2,8 @@
 pass/fail line per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-complete; the whole gate took 63 s single-process (Python 3.11, 2-CPU
-machine), 29 s of it criterion 5 and 26 s criterion 9.  Criteria 1, 2, 3
+complete; the whole gate took 51 s single-process (Python 3.11, 2-CPU
+machine), 19 s of it criterion 5 and 23 s criterion 9.  Criteria 1, 2, 3
 and 5 draw their flag samples (and criterion 5 its spin probes) point by
 point and evaluate them as one batch.
 """

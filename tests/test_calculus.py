@@ -293,6 +293,41 @@ def test_flag_batch_evaluates_shared_leaf_once_per_order():
     assert calls == {(k, (4, 5)): 1 for k in (0, 1, 2)}
 
 
+def test_memo_serves_lower_orders_as_slices_of_the_highest():
+    # within a scope a field is evaluated at the highest order asked so far;
+    # a lower order is a truncation of those jets, bit for bit the jets a
+    # fresh evaluation at that order gives
+    calls = Counter()
+    L = counting_field(CH3, calls, lambda s: [s[0] * s[1], (s[2] + 0.5).sin(),
+                                              s[0] / (2.0 + s[1])])
+    p = [0.2, 0.3, -0.1]
+    fresh = {k: _bits(L.taylor(p, k)) for k in (0, 1, 2, 3)}
+    calls.clear()
+    with evaluation_scope():
+        got = [L.taylor(p, k) for k in (2, 0, 1, 2)]
+        assert calls == {(2, tuple(p)): 1}
+        # a higher order evaluates again and replaces the entry
+        got += [L.taylor(p, k) for k in (3, 1, 3)]
+    assert calls == {(2, tuple(p)): 1, (3, tuple(p)): 1}
+    assert [_bits(j) for j in got] == [fresh[k] for k in (2, 0, 1, 2, 3, 1, 3)]
+
+
+def test_d_matrix_is_antisymmetric_and_batch_rows_equal_points():
+    alpha = one_form_from_exprs(CH3, ["-y*exp(x) + z^2", "sin(x*z)", "exp(x) + x*y/(2 + z)"])
+    pts = np.random.default_rng(14).uniform(-1.0, 1.0, (4, 3))
+    for order in (0, 1, 2):
+        batch = alpha.d_matrix(np.ascontiguousarray(pts.T), order)
+        for r, p in enumerate(pts):
+            M, a = alpha.d_matrix(p, order), alpha.taylor(p, order + 1)
+            for i in range(3):
+                assert M[i][i].order == order and not np.any(M[i][i].c)
+                for j in range(3):
+                    assert batch[i][j].c[r].tobytes() == M[i][j].c.tobytes()
+                    if i < j:
+                        assert M[j][i].c.tobytes() == (-M[i][j].c).tobytes()
+                        assert _bits([M[i][j]]) == _bits([a[j].derivative(i) - a[i].derivative(j)])
+
+
 def test_memo_scope_closes_on_return_and_on_error():
     L = counting_field(CH3, Counter(), lambda s: [s[0], s[1], s[2]])
     lie_bracket(L, L * 2.0).taylor([0.1, 0.2, 0.3], 1)

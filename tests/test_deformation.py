@@ -2,11 +2,13 @@
 solver."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from engellab.calculus import Chart, VectorField, lie_bracket
+from engellab import calculus, cli
+from engellab.calculus import Chart, VectorField, evaluation_scope, lie_bracket
 from engellab.distributions import flag_ranks
 from engellab.errors import EngelLabError, GeometryError, IntegrationError
 from engellab.expressions import scalar_field_from_expr, vector_field_from_exprs
@@ -302,14 +304,14 @@ def test_pullback_defect_of_a_stack_equals_single_calls():
 
 
 def test_moser_rhs_shares_the_form_jets_with_the_reeb_term():
-    # one right-hand side evaluates the path at order 1 for theta_t (shared
-    # by the Moser field and the Reeb vector) and for d/dt theta_t at order
-    # 0, at order 2 for d theta_t and for d/dt theta_t at order 1, and at
-    # order 0 for the Reeb pairing: five rule calls, not six
+    # one right-hand side evaluates the path at order 1 for theta_t and at
+    # order 2 for d theta_t and for d/dt theta_t at order 1; theta_t at order
+    # 1 and 0 for the Reeb vector, and d/dt theta_t at order 0, are slices of
+    # those jets: three rule calls
     calls = []
     sol = gray_solve(_moser_path(calls), L_field(), np.linspace(0, 1, 5))
     sol._rhs(0)(0.3, np.array([0.1, -0.2, 0.3, 0.0]))
-    assert sorted(calls) == [0, 1, 1, 2, 2]
+    assert sorted(calls) == [1, 2, 2]
 
 
 def test_transport_raises_at_a_nan_right_hand_side():
@@ -333,3 +335,55 @@ def test_nan_legendrian_column_fails_loudly(monkeypatch):
     cols[:, 2] = math.nan
     monkeypatch.setattr(sol, "transport", lambda *args, **kwargs: (end, cols, g))
     assert math.isnan(sol.pullback_defect(x)["L_defect"])
+
+
+def _realize_generator():
+    """The generator of the realize suite at its defaults."""
+    dom = prolong(cli._base_contact({})[0])
+    h = scalar_field_from_expr(dom.chart, "0.05*sin(x) + 0.04*z*cos(y) + 0.03*y", name="h")
+    return ContactIsotopyGenerator(dom, h, SUPPORT)
+
+
+def test_generator_evaluates_each_field_at_its_highest_order(monkeypatch):
+    # X at order 0 on a three-lane stack: the rescaled base form (unnamed)
+    # is read at order 1 by the Reeb field's d alpha and at order 0 by its
+    # pairing, and the second is a slice of the first, so 1/dalpha(V0,V1)
+    # and what it reads are evaluated at orders 1 and 2 only
+    gen = _realize_generator()
+    stack = np.random.default_rng(15).uniform([-0.5] * 3 + [0.3], [0.5] * 3 + [1.2], (3, 4)).T
+    calls, requests, highest = Counter(), [], {}
+    evaluate, taylor = calculus._FieldBase._evaluate, calculus._FieldBase.taylor
+
+    def counted(field, coords, order):
+        calls[(field.name, order)] += 1
+        highest[(field, coords.shape, coords.tobytes())] = order
+        return evaluate(field, coords, order)
+
+    def recorded(field, point, order):
+        coords = np.array(point)
+        sliced = highest.get((field, coords.shape, coords.tobytes()), -1) > order
+        out = taylor(field, point, order)
+        requests.append((field, coords, order, sliced, out))
+        return out
+
+    monkeypatch.setattr(calculus._FieldBase, "_evaluate", counted)
+    monkeypatch.setattr(calculus._FieldBase, "taylor", recorded)
+    gen.X(stack)
+    assert calls == {
+        ("X", 0): 1, ("(+)", 0): 1, ("", 0): 7, ("", 1): 2, ("Z", 0): 1, ("Reeb()", 0): 1,
+        ("1/dalpha(V0,V1)", 1): 1, ("ann(V0,V1)", 1): 1, ("ann(V0,V1)", 2): 1,
+        ("legendrian_frame[0]", 1): 1, ("legendrian_frame[0]", 2): 1,
+        ("legendrian_frame[1]", 1): 1, ("legendrian_frame[1]", 2): 1,
+        ("h", 0): 1, ("h", 1): 1, ("window", 0): 1, ("window", 1): 1,
+        ("V", 0): 1, ("U", 0): 1}
+    # every request, the slices included, is bit for bit the jets a fresh
+    # scope evaluates at that order
+    monkeypatch.undo()
+    assert sorted((f.name, o) for f, _, o, sliced, _ in requests if sliced) == [
+        ("", 0), ("legendrian_frame[0]", 0), ("legendrian_frame[0]", 0),
+        ("legendrian_frame[0]", 1), ("legendrian_frame[1]", 0), ("legendrian_frame[1]", 0),
+        ("legendrian_frame[1]", 1)]
+    for field, coords, order, _, got in requests:
+        with evaluation_scope():
+            want = field._evaluate(coords, order)
+        assert [(j.order, j.c.tobytes()) for j in got] == [(j.order, j.c.tobytes()) for j in want]

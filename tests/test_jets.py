@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from engellab import jets as jets_mod
 from engellab.errors import DerivativeOrderError, EngelLabError, JetDomainError
 from engellab.jets import (MAX_ORDER, Jet, jet_compose, jet_identity,
-                           jet_invert, jet_pushforward, linear_part,
+                           jet_invert, jet_pushforward, jet_two_form, linear_part,
                            multi_indices)
 
 X, Y, Z = sp.symbols("x y z")
@@ -475,3 +475,55 @@ def test_compose_invert_round_trips(change):
     for comp in (jet_compose(inv, change), jet_compose(change, inv)):
         for c, i_ in zip(comp, ident):
             assert c.max_coeff_diff(i_) < 1e-10
+
+
+@st.composite
+def two_form_operands(draw, order=2):
+    """An antisymmetric matrix of jets, its upper entries drawn and the lower
+    ones their negations, and two jet vectors, in 2 to 4 variables."""
+    n = draw(st.integers(2, 4))
+    M = [[Jet(n, order)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            M[i][j] = draw(dense_jets(n, order))
+            M[j][i] = -M[i][j]
+    u = [draw(dense_jets(n, order)) for _ in range(n)]
+    v = [draw(dense_jets(n, order)) for _ in range(n)]
+    return M, u, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_form_operands())
+def test_two_form_contraction_equals_the_double_sum(operands):
+    M, u, v = operands
+    want = None
+    for i in range(len(M)):
+        for j in range(len(M)):
+            term = M[i][j] * u[i] * v[j]
+            want = term if want is None else want + term
+    assert jet_two_form(M, u, v).max_coeff_diff(want) <= 1e-12
+    # swapping the vectors negates the contraction
+    assert jet_two_form(M, v, u).max_coeff_diff(-want) <= 1e-12
+
+
+def test_two_form_batch_rows_equal_their_points_bit_for_bit():
+    rng = np.random.default_rng(13)
+    n, order, N = 3, 2, 5
+    idx = multi_indices(n, order)
+
+    def batch():
+        return Jet(n, order, {k: rng.uniform(-1.0, 1.0, N) for k in idx})
+
+    def row(j, r):
+        return Jet(n, order, {k: float(c[r]) for k, c in j.items()})
+
+    M = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            M[i][j] = batch()
+    u, v = [batch() for _ in range(n)], [batch() for _ in range(n)]
+    got = jet_two_form(M, u, v)
+    for r in range(N):
+        point = jet_two_form([[m and row(m, r) for m in line] for line in M],
+                             [row(j, r) for j in u], [row(j, r) for j in v])
+        assert got.c[r].tobytes() == point.c.tobytes()
