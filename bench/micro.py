@@ -7,14 +7,17 @@ L0, the jet kernel: Jet mul, add and sin, ``jet_compose`` and ``jet_invert``
 at 4 variables order 3 and 3 variables order 4, and mul at order 0 and 1 in
 3 variables.  Operands are dense random jets from a fixed seed; the change
 for compose and invert is an origin-preserving tuple with a diagonally
-dominant linear part.
+dominant linear part.  The batch product of two dense batch jets: 3
+variables at orders 0, 1 and 2 over 3 rows (a stack of lanes), and 4
+variables at order 2 over 200 rows (a flag batch).
 
 L1, composite fields: the contact isotopy generator X of the ``realize``
 suite (its default Hamiltonian and support) at order 0 on a three-lane
 stack, the shape of the stacked integrations that dominate that suite.  Its
 ``counts`` are the field evaluations (``_FieldBase._evaluate`` calls) and the
-Jet products (``Jet.__mul__`` and ``__rmul__`` with two jet operands) of one
-call.
+Jet products (``Jet.__mul__`` and ``__rmul__`` with two jet operands) of the
+first call of a new generator and of the second call, which may reuse what
+the first recorded.
 
 L2, pointwise geometry: ``flag_ranks`` at one point of the standard
 prolongation and of the deformed frame of the ``realize`` suite (its default
@@ -73,6 +76,7 @@ SIZES = ((4, 3), (3, 4))
 LOW_ORDERS = ((3, 0), (3, 1))
 BATCH = 200
 LANES = 3
+BATCH_PRODUCTS = ((3, 0, LANES), (3, 1, LANES), (3, 2, LANES), (4, 2, BATCH))
 REALIZE_H = "0.05*sin(x) + 0.04*z*cos(y) + 0.03*y"
 REALIZE_SUPPORT = (0.25, 1.3)
 STATE = np.array([0.4, -0.3, 1.1])
@@ -201,6 +205,11 @@ def l0_items(items):
     for n, order in LOW_ORDERS:
         a, b = dense_jet(rng, n, order, 0.7), dense_jet(rng, n, order, -0.4)
         items[f"mul_n{n}_o{order}"] = per_call_us(lambda: a * b)
+    rows_rng = np.random.default_rng(4)
+    for n, order, rows in BATCH_PRODUCTS:
+        a, b = (Jet(n, order, {k: rows_rng.uniform(-1.0, 1.0, rows)
+                               for k in multi_indices(n, order)}) for _ in range(2))
+        items[f"mul_n{n}_o{order}_batch{rows}"] = per_call_us(lambda: a * b)
 
 
 def realize_generator():
@@ -214,10 +223,11 @@ def l1_items(items, counts):
     rng = np.random.default_rng(4)
     stack = np.column_stack([rng.uniform(-0.5, 0.5, (LANES, 3)),
                              rng.uniform(*REALIZE_SUPPORT, LANES)]).T.copy()
+    for call in ("", "_second_call"):
+        evaluations, products = evaluations_and_products(lambda: gen.X(stack))
+        counts[f"generator_x_{LANES}_lanes{call}_evaluations"] = evaluations
+        counts[f"generator_x_{LANES}_lanes{call}_jet_products"] = products
     items[f"generator_x_{LANES}_lanes"] = per_call_us(lambda: gen.X(stack))
-    evaluations, products = evaluations_and_products(lambda: gen.X(stack))
-    counts[f"generator_x_{LANES}_lanes_evaluations"] = evaluations
-    counts[f"generator_x_{LANES}_lanes_jet_products"] = products
 
 
 def l2_items(items, counts):

@@ -12,8 +12,11 @@ truncated, bit for bit the jets of an evaluation at that order, and a higher
 order evaluates and replaces them.  The outermost :meth:`_FieldBase.taylor`
 call opens the memo that the nested calls of composite and bracket closures
 share, and :func:`evaluation_scope` widens it to a pointwise check.  It lives
-in a context variable and is dropped when its scope closes, so nothing
-outlives one evaluation and parallel sampling stays safe.
+in a context variable and is dropped when its scope closes, so no jets
+outlive one evaluation and parallel sampling stays safe.  A plan does: kept on
+the root field per order, it holds the highest order at which the first
+outermost call evaluated each field, and later ones evaluate each planned
+field once, at that order, however the orders are asked.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from .jets import Jet, jet_bracket, jet_dot, jet_two_form
 INF_ORDER = math.inf
 
 # (highest order evaluated, its jets) by (field, coordinate shape and bytes)
-# of the open evaluation scope; the key holds the field itself so a field freed
-# mid-scope cannot alias by id, and the shape so a point and a one-point batch
-# stay apart
+# of the open evaluation scope, and its plan by the key None; the key holds
+# the field itself so a field freed mid-scope cannot alias by id, and the shape
+# so a point and a one-point batch stay apart
 _MEMO = contextvars.ContextVar("taylor_memo", default=None)
 
 
@@ -43,7 +46,7 @@ def evaluation_scope():
     if _MEMO.get() is not None:
         yield
         return
-    token = _MEMO.set({})
+    token = _MEMO.set({None: {}})
     try:
         yield
     finally:
@@ -136,6 +139,7 @@ class _FieldBase:
         self.taylor_fn = taylor_fn
         self.max_order = max_order
         self.name = name
+        self._plans = {}  # order -> plan of the outermost calls at that order
 
     def _ncomp(self):
         return self.chart.dim if self.n_components is None else self.n_components
@@ -143,7 +147,9 @@ class _FieldBase:
     def taylor(self, point, order):
         """Jets of the components around ``point``, to total degree
         ``order``; around each point of a batch for ``(dim, N)``
-        coordinates."""
+        coordinates.  An outermost call runs under this field's plan for
+        ``order``, the first records it; the field itself is evaluated at
+        ``order``, and :func:`evaluation_scope` blocks have no plan."""
         if order > self.max_order:
             raise DerivativeOrderError(
                 f"field {self.name or type(self).__name__!r} only evaluable to order {self.max_order}, got {order}"
@@ -151,15 +157,24 @@ class _FieldBase:
         coords = _coords_of(point, self.chart)
         memo, token = _MEMO.get(), None
         if memo is None:
-            # the outermost call opens the scope and closes it on the way out
-            memo = {}
+            # the outermost call opens the scope under the plan that its first
+            # call at this order recorded, and closes it on the way out
+            plan = self._plans.get(order)
+            memo = {None: plan or {}}
             token = _MEMO.set(memo)
         try:
             key = (self, coords.shape, coords.tobytes())
             hit = memo.get(key)
             if hit is None or hit[0] < order:
-                hit = memo[key] = (order, self._evaluate(coords, order))
-            return list(hit[1]) if hit[0] == order else [j.truncated(order) for j in hit[1]]
+                top = max(order, memo[None].get(self, order))
+                hit = memo[key] = (top, self._evaluate(coords, top))
+            out = list(hit[1]) if hit[0] == order else [j.truncated(order) for j in hit[1]]
+            if token is not None and plan is None:
+                self._plans[order] = plan = {}
+                for k, v in memo.items():
+                    if k and k[0] is not self and plan.get(k[0], -1) < v[0]:
+                        plan[k[0]] = v[0]
+            return out
         finally:
             if token is not None:
                 _MEMO.reset(token)

@@ -118,16 +118,9 @@ def flag_generators(frame):
     fields with the stage-2 generators.
     """
     fields = list(frame.fields)
-    brackets = []
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            brackets.append(lie_bracket(fields[i], fields[j]))
+    brackets = [lie_bracket(a, b) for i, a in enumerate(fields) for b in fields[i + 1:]]
     stage2 = fields + brackets
-    stage3 = list(stage2)
-    for f in fields:
-        for b in brackets:
-            stage3.append(lie_bracket(f, b))
-    return fields, stage2, stage3
+    return fields, stage2, stage2 + [lie_bracket(f, b) for f in fields for b in brackets]
 
 
 def flag_ranks(frame, p, tol=DEFAULT_RANK_TOL):
@@ -274,12 +267,8 @@ def reeb_field(alpha):
     """The Reeb vector field of a contact form on a 3-dimensional chart."""
     if alpha.chart.dim != 3:
         raise EngelLabError("Reeb field construction needs a 3-dimensional chart")
-
-    def tfn(coords, order):
-        return _reeb_jets(alpha, coords, order)
-
-    return VectorField(alpha.chart, taylor_fn=tfn, max_order=alpha.max_order - 1,
-                       name=f"Reeb({alpha.name})")
+    return VectorField(alpha.chart, max_order=alpha.max_order - 1, name=f"Reeb({alpha.name})",
+                       taylor_fn=lambda coords, order: _reeb_jets(alpha, coords, order))
 
 
 def annihilator_form(v0, v1, name=""):
@@ -287,12 +276,9 @@ def annihilator_form(v0, v1, name=""):
     realized as the coordinate cross product of their component vectors."""
     if v0.chart.dim != 3:
         raise EngelLabError("annihilator construction needs a 3-dimensional chart")
-
-    def tfn(coords, order):
-        return jet_cross(v0.taylor(coords, order), v1.taylor(coords, order))
-
-    return OneForm(v0.chart, taylor_fn=tfn,
-                   max_order=min(v0.max_order, v1.max_order), name=name)
+    return OneForm(v0.chart, max_order=min(v0.max_order, v1.max_order), name=name,
+                   taylor_fn=lambda coords, order: jet_cross(v0.taylor(coords, order),
+                                                             v1.taylor(coords, order)))
 
 
 def plane_principal_angle(basis_a, basis_b):

@@ -12,11 +12,12 @@ of the multi-index at position ``p`` of a graded table, of shape ``(count,)``
 at one point and ``(N, count)`` for a batch of N points (a point jet
 broadcasts against a batch jet).  Sums and truncations are slices,
 derivatives and changes of variables gathers, and the one product routine
-adds each coefficient's term pairs in graded order from 0.0.  A batch row
-equals its point's jet bit for bit: the arithmetic runs in the same order, and
-the series of the analytic functions are computed entry by entry by the
-one-point code (with :mod:`math`, whose rounding NumPy's may not share, and
-its domain checks).  Orders are capped at :data:`MAX_ORDER`; the normal-form
+adds each coefficient's term pairs in graded order from 0.0, for all the rows
+of a batch in one ``np.bincount`` over the row-shifted result positions.  A
+batch row equals its point's jet bit for bit: the arithmetic runs in the same
+order, and the series of the analytic functions are computed entry by entry by
+the one-point code (with :mod:`math`, whose rounding NumPy's may not share,
+and its domain checks).  Orders are capped at :data:`MAX_ORDER`; the normal-form
 pipeline needs at most order 6.
 """
 
@@ -33,18 +34,14 @@ from .errors import DerivativeOrderError, EngelLabError, JetDomainError
 
 MAX_ORDER = 6
 _ARRAY = np.ndarray
+# the most entries of a flat product index that is kept: every row count of
+# the orders up to 2 over a 200-point sample set, and every stack of lanes
+_KEPT_INDEX = 1 << 14
 
 
 def _check_order(order):
     if order < 0 or order > MAX_ORDER:
         raise DerivativeOrderError(f"jet order {order} outside [0, {MAX_ORDER}]")
-
-
-def _entrywise(f, x):
-    """``f(x)`` at one point, ``f`` of each entry of a batch's array."""
-    if isinstance(x, _ARRAY):
-        return np.array([f(v) for v in x.tolist()])
-    return f(x)
 
 
 def _series(series_of, a0, order):
@@ -128,12 +125,13 @@ class _Graded:
     multi-indices of degree at most ``d`` are the first ``count[d]``.
     ``units[i]`` is the position of ``x_i``; ``nonconstant[order]`` is 0.0
     at the constant term, 1.0 elsewhere.  Built on first use of an order:
-    ``products[order] = (P, Q, R, size, rounds)`` lists every pair of
+    ``products[order] = (P, Q, R, size, flat)`` lists every pair of
     positions ``(P[j], Q[j])`` with degrees summing to at most ``order`` in
-    p-major order, ``R[j]`` the position of their sum, and in round ``k`` the
-    ``k``-th pair after the first of each coefficient; ``derivatives[order][i]``
-    gives, for each term of degree below ``order``, the position of the term
-    with exponent ``i`` raised, and that exponent.
+    p-major order, ``R[j]`` the position of their sum, and ``flat(rows)``
+    the positions ``R + size * row`` over ``rows`` batch rows, flattened
+    (kept for a few row counts, up to :data:`_KEPT_INDEX` entries);
+    ``derivatives[order][i]`` gives, for each term of degree below ``order``,
+    the position of the term with exponent ``i`` raised, and that exponent.
     """
 
     __slots__ = ("n", "keys", "pos", "count", "units", "nonconstant", "products", "derivatives")
@@ -155,11 +153,10 @@ class _Graded:
         pairs = [(p, q) for p in range(count[order]) for q in range(count[order - sum(keys[p])])]
         P, Q = np.array(pairs).T.copy()
         R = np.array([self.pos[tuple(map(add, keys[p], keys[q]))] for p, q in pairs])
-        by_sum = np.argsort(R, kind="stable")
-        rank = np.empty(len(R), dtype=int)
-        rank[by_sum] = np.arange(len(R)) - np.searchsorted(R[by_sum], R[by_sum])
-        rounds = [(R[rank == k], np.flatnonzero(rank == k)) for k in range(1, rank.max() + 1)]
-        return P, Q, R, count[order], rounds
+        size = count[order]
+        flat = functools.lru_cache(maxsize=8)(
+            lambda rows: (R + size * np.arange(rows)[:, None]).ravel())
+        return P, Q, R, size, flat
 
     def _derivatives(self, order):
         below = self.keys[:self.count[order - 1]]
@@ -207,22 +204,17 @@ def _accumulate(index, terms, size):
 def _product(a, b, table):
     """The coefficients of the product of two jets with coefficients ``a``
     and ``b``, from the product table of the result's order: every
-    coefficient sums its term pairs from 0.0 in the table's order."""
-    P, Q, R, size, rounds = table
+    coefficient sums its term pairs from 0.0 in the table's order, each row
+    of a batch on its own, in one ``np.bincount``."""
+    P, Q, R, size, flat = table
+    if size == 1:  # order 0: the one pair of the constant terms
+        return 0.0 + a[..., :1] * b[..., :1]
     if a.ndim == 1 and b.ndim == 1:
         return np.bincount(R, a[P] * b[Q], size)
-    # a batch, coefficient axis first: the first pair of coefficient r is
-    # (0, r), and each round adds the next pair of every coefficient
-    t = _rows(a, P) * _rows(b, Q)
-    out = 0.0 + t[:size]
-    for rows, cols in rounds:
-        out[rows] += t[cols]
-    return out.T
-
-
-def _rows(c, index):
-    """The coefficients at positions ``index`` as rows over the batch."""
-    return c[index, None] if c.ndim == 1 else c.T[index]
+    terms = _take(a, P) * _take(b, Q)
+    rows = len(terms)
+    index = flat(rows) if rows * len(R) <= _KEPT_INDEX else flat.__wrapped__(rows)
+    return np.bincount(index, terms.ravel(), rows * size).reshape(rows, size)
 
 
 def _scalar(s):
@@ -492,8 +484,11 @@ class Jet:
 
 
 def _dispatch(f):
+    """``f`` of a jet, of a float, or of each entry of a batch's array."""
     def on(x):
-        return getattr(x, f.__name__)() if isinstance(x, Jet) else _entrywise(f, x)
+        if isinstance(x, Jet):
+            return getattr(x, f.__name__)()
+        return np.array([f(v) for v in x.tolist()]) if isinstance(x, _ARRAY) else f(x)
 
     on.__name__ = f.__name__
     return on

@@ -85,12 +85,10 @@ class Slice:
         return float(y[self.axis] - self.value)
 
     def embed_coords(self, m):
-        m = np.asarray(m, dtype=float)
-        return np.insert(m, self.axis, self.value)
+        return np.insert(np.asarray(m, dtype=float), self.axis, self.value)
 
     def project_coords(self, q):
-        q = np.asarray(q, dtype=float)
-        return np.delete(q, self.axis)
+        return np.delete(np.asarray(q, dtype=float), self.axis)
 
     def embed_vector(self, v):
         return np.insert(np.asarray(v, dtype=float), self.axis, 0.0)
@@ -104,10 +102,7 @@ def lift(chart4, field3, name=""):
     component; the lift has the type of ``field3``."""
 
     def tfn(coords, order):
-        jets3 = field3.taylor(coords[:3], order)
-        out = [j.embed(4, [0, 1, 2]) for j in jets3]
-        out.append(Jet(4, order))
-        return out
+        return [j.embed(4, [0, 1, 2]) for j in field3.taylor(coords[:3], order)] + [Jet(4, order)]
 
     return type(field3)(chart4, taylor_fn=tfn, max_order=field3.max_order,
                         name=name or f"lift({field3.name})")

@@ -90,13 +90,20 @@ def _anywhere(holds):
 # The contact-element formulas below use generic arithmetic only: on floats
 # they give values, on jets in (x1, x2, psi) the jets of the same functions.
 
+def _over(d):
+    """``x -> x / d``; for a jet ``d``, the product ``x * (1/d)`` that
+    ``Jet.__truediv__`` forms, on one reciprocal series for every ``x``."""
+    return (lambda x, r=d.reciprocal(): x * r) if isinstance(d, Jet) else (lambda x: x / d)
+
+
 def _inverse(g):
     """g^-1 by the 2x2 formula."""
     (g00, g01), (g10, g11) = g
     det = g00 * g11 - g01 * g10
     if _anywhere(abs(_value(det)) < 1e-13):
         raise GeometryError("metric degenerates")
-    return ((g11 / det, -g01 / det), (-g10 / det, g00 / det))
+    over = _over(det)
+    return ((over(g11), over(-g01)), (over(-g10), over(g00)))
 
 
 def _christoffel(g, dg):
@@ -116,15 +123,17 @@ def _frame(g, dg):
     (d00, d01), (_, d11) = dg
     if _anywhere(_value(g00) <= 0.0):
         raise JetDomainError("metric is not positive definite: g00 <= 0")
+    over_g00 = _over(g00)
     a = 1.0 / sqrt(g00)
-    w0 = -g01 / g00
+    w0 = over_g00(-g01)
     n2 = g11 + w0 * g01
     if _anywhere(_value(n2) <= 0.0):
         raise JetDomainError("metric is not positive definite: det g <= 0")
+    over_n2 = _over(n2)
     b = 1.0 / sqrt(n2)
-    da = [-0.5 * a * d / g00 for d in d00]
-    dw0 = [(-e + g01 * d / g00) / g00 for d, e in zip(d00, d01)]
-    db = [-0.5 * b * (d11[k] + dw0[k] * g01 + w0 * d01[k]) / n2 for k in (0, 1)]
+    da = [over_g00(-0.5 * a * d) for d in d00]
+    dw0 = [over_g00(-e + over_g00(g01 * d)) for d, e in zip(d00, d01)]
+    db = [over_n2(-0.5 * b * (d11[k] + dw0[k] * g01 + w0 * d01[k])) for k in (0, 1)]
     return (a, w0, b), (da, dw0, db)
 
 
@@ -279,10 +288,8 @@ def so3_frame_fields():
     Sign convention: with the half-quaternion generators used here the
     brackets close as [K, I] = J, [I, J] = K, [J, K] = I.
     """
-    K = _so3_field([0.0, 0.0, 1.0], "K")
-    I = _so3_field([1.0, 0.0, 0.0], "I")
-    J = _so3_field([0.0, 1.0, 0.0], "J")
-    return K, I, J
+    return (_so3_field([0.0, 0.0, 1.0], "K"), _so3_field([1.0, 0.0, 0.0], "I"),
+            _so3_field([0.0, 1.0, 0.0], "J"))
 
 
 def so3_engel_frame(full_circle=False):

@@ -368,7 +368,7 @@ def test_generator_evaluates_each_field_at_its_highest_order(monkeypatch):
 
     monkeypatch.setattr(calculus._FieldBase, "_evaluate", counted)
     monkeypatch.setattr(calculus._FieldBase, "taylor", recorded)
-    gen.X(stack)
+    first = gen.X(stack)
     assert calls == {
         ("X", 0): 1, ("(+)", 0): 1, ("", 0): 7, ("", 1): 2, ("Z", 0): 1, ("Reeb()", 0): 1,
         ("1/dalpha(V0,V1)", 1): 1, ("ann(V0,V1)", 1): 1, ("ann(V0,V1)", 2): 1,
@@ -387,3 +387,27 @@ def test_generator_evaluates_each_field_at_its_highest_order(monkeypatch):
         with evaluation_scope():
             want = field._evaluate(coords, order)
         assert [(j.order, j.c.tobytes()) for j in got] == [(j.order, j.c.tobytes()) for j in want]
+
+    # later calls run under the plan the first recorded: each field once, at
+    # the highest order the first call asked of it, no (0, 1) or (1, 2) pairs;
+    # the plan stays as recorded, and X at order 1 has a plan of its own
+    plan = dict(gen.X._plans[0])
+    assert set(plan) == {key[0] for key in highest} - {gen.X}
+    assert all(plan[f] == max(o for key, o in highest.items() if key[0] is f) for f in plan)
+    calls.clear()
+    highest.clear()
+    monkeypatch.setattr(calculus._FieldBase, "_evaluate", counted)
+    second = gen.X(stack)
+    assert calls == {
+        ("X", 0): 1, ("(+)", 0): 1, ("", 0): 6, ("", 1): 2, ("Z", 0): 1, ("Reeb()", 0): 1,
+        ("1/dalpha(V0,V1)", 1): 1, ("ann(V0,V1)", 2): 1, ("legendrian_frame[0]", 2): 1,
+        ("legendrian_frame[1]", 2): 1, ("h", 1): 1, ("window", 1): 1, ("V", 0): 1, ("U", 0): 1}
+    assert len(highest) == sum(calls.values())
+    assert all(o == plan.get(key[0], 0) for key, o in highest.items())
+    assert second.tobytes() == first.tobytes()
+    for _ in range(50):
+        gen.X(stack)
+    assert gen.X._plans == {0: plan}
+    gen.X.taylor(stack, 1)
+    assert set(gen.X._plans) == {0, 1} and gen.X._plans[0] == plan
+    assert gen.X._plans[1][gen.h] == 2 and plan[gen.h] == 1

@@ -395,6 +395,41 @@ def test_batched_analytic_equals_points_bit_for_bit():
         assert [v.hex() for v in fn(values).tolist()] == [ref(v).hex() for v in values.tolist()]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batch_products_equal_point_products_bit_for_bit():
+    # one bincount over the row-shifted result positions sums each row's term
+    # pairs in the point kernel's order: every row of a product is the bits of
+    # its points' product, with signed zeros, infinities and NaNs among the
+    # coefficients, batch x batch and a point against a batch in both orders
+    rng = np.random.default_rng(13)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+
+    def coeffs(n, order, N):
+        out = {}
+        for k in multi_indices(n, order):
+            v = rng.uniform(-2.0, 2.0, N)
+            hit = rng.random(N) < 0.25
+            v[hit] = rng.choice(special, hit.sum())
+            out[k] = v
+        return out
+
+    for n, order, N in product((2, 3, 4), (0, 1, 2, 3), (1, 2, 3, 200)):
+        order_b = int(rng.integers(order, 4))  # the product truncates at the lower order
+        ca, cb = coeffs(n, order, N), coeffs(n, order_b, N)
+        a, b = Jet(n, order, ca), Jet(n, order_b, cb)
+        rows = [(Jet(n, order, {k: float(v[i]) for k, v in ca.items()}),
+                 Jet(n, order_b, {k: float(v[i]) for k, v in cb.items()})) for i in range(N)]
+        p, q = rows[0]
+        for got, want in ((a * b, [x * y for x, y in rows]), (b * a, [y * x for x, y in rows]),
+                          (p * b, [p * y for _, y in rows]), (b * p, [y * p for _, y in rows])):
+            assert got.order == want[0].order == order and got.c.shape[0] == N
+            assert [r.tobytes() for r in got.c] == [w.c.tobytes() for w in want]
+    # a NaN stays NaN: a NaN constant term reaches every coefficient
+    nan = Jet(3, 2, {(0, 0, 0): np.array([np.nan, 1.0]), (1, 0, 0): np.array([2.0, 3.0])})
+    prod = nan * Jet.variable(1, 3, 2, base=np.array([0.5, -0.0]))
+    assert np.isnan(prod.c[0]).all() and not np.isnan(prod.c[1]).any()
+
+
 def test_batch_jet_domain_checks_and_repr():
     # a domain check fails if any entry fails it
     batch = Jet.variable(0, 1, 2, base=np.array([0.5, 1.0, -0.25, 2.0]))

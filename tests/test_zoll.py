@@ -101,6 +101,34 @@ def test_geodesic_field_jets_solve_the_geodesic_equation():
                 assert np.max(np.abs(pairing.c)) < 1e-12, ut.metric.name
 
 
+def test_contact_element_builds_each_reciprocal_once(monkeypatch):
+    # one order-1 V1 evaluation on the round sphere: the square roots of g00
+    # and of n2 = g11 - g01^2/g00, the reciprocals of those two, of g00, of n2
+    # and of det g, and sin and cos of psi make 9 series, where each division
+    # used to build its own reciprocal (19); the metric rule's own division
+    # is the tenth.  A division by a jet stays the product x * (1/d) that
+    # Jet.__truediv__ forms, bit for bit
+    ut = SphereAtlas().north
+    calls, in_rule = [], []
+    analytic, rule = Jet._analytic, ut.metric.g_rule
+
+    def counted_rule(xs):
+        before = len(calls)
+        out = rule(xs)
+        in_rule.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(Jet, "_analytic", lambda j, series: calls.append(1) or analytic(j, series))
+    monkeypatch.setattr(ut.metric, "g_rule", counted_rule)
+    ut.V1.taylor(np.array([0.4, -0.3, 1.1]), 1)
+    assert in_rule == [1] and len(calls) == 10
+    monkeypatch.undo()
+    x, d = Jet.seeds([0.4, -0.3, 1.1], 2)[0].sin(), Jet.seeds([0.4, -0.3, 1.1], 2)[1].exp()
+    assert zoll._over(d)(x).c.tobytes() == (x / d).c.tobytes()
+    assert zoll._over(d)(-0.5).c.tobytes() == (-0.5 / d).c.tobytes()
+    assert zoll._over(2.5)(0.7) == 0.7 / 2.5
+
+
 def test_unit_speed_and_contact():
     ut = UnitTangentChart(stereographic_sphere_metric())
     pair = ut.pair()
