@@ -30,6 +30,8 @@ from .reporting import worst_of
 
 # window margin below which exp(-1/s) is treated as exactly zero
 _WINDOW_EDGE = 1e-2
+# the largest relative pairing dot-theta_t(L) that Gray's hypothesis allows
+HYPOTHESIS_TOL = 1e-8
 
 
 def bump_window(chart4, lo, hi, name="window"):
@@ -96,7 +98,7 @@ class ContactIsotopyGenerator:
             self.X = self.h * self.Z + (-dhU) * domain.V + dhV * domain.U
             self.X.name = "X"
 
-    def automorphism_residual(self, q, order=0):
+    def automorphism_residual(self, q):
         """|L_X alpha mod alpha| relative residual on the contact planes:
         the pairing of the Lie derivative with V and U, normalized.
 
@@ -274,7 +276,6 @@ class GraySolution:
     path: ContactFormPath
     L: VectorField
     t_grid: np.ndarray
-    hypothesis_tol: float = 1e-8
     checks: list = dc_field(default_factory=list)
 
     def moser_field_jets(self, t, coords, order, forms=None):
@@ -296,19 +297,18 @@ class GraySolution:
         v = jet_dot(dj, Lj) * dLE.reciprocal()
         return [u * li + v * ei for li, ei in zip(Lj, Ej)], u, v
 
-    def check_hypothesis(self, points, times=None):
-        """dot-theta_t must annihilate L; returns the worst relative pairing
-        and raises unless it is within the stated tolerance (a NaN pairing
-        at any point raises)."""
-        times = times if times is not None else [self.t_grid[0], self.t_grid[-1]]
+    def check_hypothesis(self, points):
+        """dot-theta_t must annihilate L at the first and last grid times;
+        returns the worst relative pairing and raises unless it is within
+        :data:`HYPOTHESIS_TOL` (a NaN pairing at any point raises)."""
         worst = 0.0
-        for t in times:
+        for t in (self.t_grid[0], self.t_grid[-1]):
             dot = self.path.dot_at(t)
             for x in points:
                 num = abs(float(dot.pair(self.L, x).value))
                 den = max(np.linalg.norm(dot(x)) * np.linalg.norm(self.L(x)), 1e-300)
                 worst = worst_of(worst, num / den)
-        if not worst <= self.hypothesis_tol:
+        if not worst <= HYPOTHESIS_TOL:
             raise GeometryError(
                 f"dot theta_t does not annihilate L (relative pairing {worst:.3e})")
         self.checks.append({"check": "hypothesis", "worst": worst})
@@ -334,7 +334,7 @@ class GraySolution:
 
         return f
 
-    def transport(self, x0, vectors=None, substeps=1):
+    def transport(self, x0, vectors=None):
         """Integrate the isotopy from ``x0`` over the grid, carrying optional
         vector columns and the log-scale; fixed-grid RK4 so that refining
         ``t_grid`` refines the answer.  ``(N, 3)`` start points, with
@@ -347,7 +347,7 @@ class GraySolution:
             V = V.T
         k = V.shape[-1]
         y = integrate_nonautonomous(self._rhs(k), np.concatenate(
-            [x0, V.reshape(lead + (-1,)), np.zeros(lead + (1,))], -1), self.t_grid, substeps)
+            [x0, V.reshape(lead + (-1,)), np.zeros(lead + (1,))], -1), self.t_grid)
         cols = y[..., 3:3 + 3 * k].reshape(lead + (3, k)) if k else None
         return y[..., :3], cols, y.T[-1]
 
@@ -362,14 +362,14 @@ class GraySolution:
         return over_points(points, lambda xs: list(map(frame, form(xs).T, self.L(xs).T)),
                            lambda x: frame(form(x), self.L(x)))
 
-    def pullback_defect(self, x0, substeps=1):
+    def pullback_defect(self, x0):
         """Transport a basis of ker theta_0 at x0 and the L direction; report
         the endpoint, the plane-angle defect against ker theta_T, and the
         angle defect of the transported L direction.  ``(N, 3)`` start
         points are transported as one stack and give a list of reports."""
         x0 = np.asarray(x0, dtype=float)
         V = np.array(self._frames(self.t_grid[0], np.atleast_2d(x0)))
-        runs = self.transport(x0, V[0] if x0.ndim == 1 else V, substeps)
+        runs = self.transport(x0, V[0] if x0.ndim == 1 else V)
         ends, cols, g_log = (np.asarray(r)[None] if x0.ndim == 1 else r for r in runs)
         reports = [{"endpoint": e, "plane_defect": plane_principal_angle(c.T[:2], f.T[:2]),
                     "L_defect": line_angle(c[:, 2], f[:, 2]), "g_log": float(g)}
@@ -377,12 +377,11 @@ class GraySolution:
         return reports[0] if x0.ndim == 1 else reports
 
 
-def gray_solve(path, L, t_grid, sample_points=None, hypothesis_tol=1e-8):
+def gray_solve(path, L, t_grid, sample_points=None):
     """Set up the Moser system for a contact-form path containing the fixed
     Legendrian field L in all its kernels; checks the hypothesis at the given
     sample points before returning the solution handle."""
-    sol = GraySolution(path=path, L=L, t_grid=np.asarray(t_grid, dtype=float),
-                       hypothesis_tol=hypothesis_tol)
+    sol = GraySolution(path=path, L=L, t_grid=np.asarray(t_grid, dtype=float))
     if sample_points is not None:
         sol.check_hypothesis(sample_points)
     return sol

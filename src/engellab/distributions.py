@@ -5,6 +5,11 @@ Rank decisions use a relative singular-value cutoff (default 1e-7 of the
 largest singular value per stage); reports carry the full singular values so
 near-degenerate cases can be audited instead of silently misclassified.
 
+:func:`flag_ranks`, :func:`characteristic_line` and the frame test of
+:func:`is_contact` evaluate the frame fields once, at order 2 (order 1 for
+the contact test), and form every bracket they need from those jets with
+:func:`~engellab.jets.jet_bracket`.  The frame columns are the fields'
+values, so a lone point of a component-rule field keeps its float path.
 :func:`flag_ranks` and :func:`characteristic_line` take one point or an
 ``(N, dim)`` array of points.  A batch is evaluated in one evaluation scope
 with one stacked SVD per stage, and gives one result per row, each equal bit
@@ -18,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (OneForm, Point, VectorField, _coords_of, evaluation_scope,
-                       lie_bracket, over_points)
+from .calculus import OneForm, Point, VectorField, _coords_of, evaluation_scope, over_points
 from .errors import EngelLabError, GeometryError
-from .jets import jet_cross, jet_dot
+from .jets import jet_bracket, jet_cross, jet_dot
 
 DEFAULT_RANK_TOL = 1e-7
 
@@ -70,7 +74,6 @@ class LineDirection:
 
     base: object
     direction: np.ndarray
-    sign_convention: str = "first-nonzero-positive"
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
@@ -104,6 +107,12 @@ def _matrices(cols):
     return M[None] if M.ndim == 2 else M.transpose(1, 0, 2)
 
 
+def _values(jets, coords):
+    """The values of jets as a column, as a field call at ``coords`` gives
+    them: ``(dim,)`` at a point, ``(dim, N)`` for a batch of N points."""
+    return np.array([np.broadcast_to(j.value, np.shape(coords)[1:]) for j in jets])
+
+
 def _ranks(M, tol):
     """Numerical ranks and singular values of stacked matrices."""
     sv = np.linalg.svd(M, compute_uv=False)
@@ -111,21 +120,10 @@ def _ranks(M, tol):
     return np.where(smax > 0, np.sum(sv > tol * smax[:, None], axis=1), 0), sv
 
 
-def flag_generators(frame):
-    """Vector fields generating D, D^2, D^3 (as far as rank 2 frames need).
-
-    Stage 2 adds the pairwise brackets; stage 3 adds brackets of the frame
-    fields with the stage-2 generators.
-    """
-    fields = list(frame.fields)
-    brackets = [lie_bracket(a, b) for i, a in enumerate(fields) for b in fields[i + 1:]]
-    stage2 = fields + brackets
-    return fields, stage2, stage2 + [lie_bracket(f, b) for f in fields for b in brackets]
-
-
 def flag_ranks(frame, p, tol=DEFAULT_RANK_TOL):
-    """Ranks of D, D^2, D^3 at ``p`` via singular values of the evaluated
-    generators; all generators share one evaluation scope at ``p``.
+    """Ranks of D, D^2, D^3 at ``p`` via singular values of the frame values,
+    then with the pairwise brackets, then with the brackets of the frame
+    fields with those; all from one order-2 evaluation of the frame at ``p``.
 
     For an ``(N, dim)`` array of points, the list of the N reports."""
     if np.ndim(p) == 2:
@@ -135,16 +133,17 @@ def flag_ranks(frame, p, tol=DEFAULT_RANK_TOL):
 
 
 def _flag_reports(frame, points, coords, tol):
-    st1, st2, st3 = flag_generators(frame)
     with evaluation_scope():
-        cols1 = [f(coords) for f in st1]
-        r1, sv1 = _ranks(_matrices(cols1), tol)
-        if (r1 < frame.rank).any():
-            raise GeometryError(f"frame degenerate at {points[0]}", point=points[0])
-        cols2 = cols1 + [f(coords) for f in st2[len(st1):]]
-        r2, sv2 = _ranks(_matrices(cols2), tol)
-        cols3 = cols2 + [f(coords) for f in st3[len(st2):]]
-        r3, sv3 = _ranks(_matrices(cols3), tol)
+        jets = [f.taylor(coords, 2) for f in frame.fields]
+        cols1 = [f(coords) for f in frame.fields]
+    r1, sv1 = _ranks(_matrices(cols1), tol)
+    if (r1 < frame.rank).any():
+        raise GeometryError(f"frame degenerate at {points[0]}", point=points[0])
+    brackets = [jet_bracket(a, b) for i, a in enumerate(jets) for b in jets[i + 1:]]
+    cols2 = cols1 + [_values(b, coords) for b in brackets]
+    r2, sv2 = _ranks(_matrices(cols2), tol)
+    cols3 = cols2 + [_values(jet_bracket(f, b), coords) for f in jets for b in brackets]
+    r3, sv3 = _ranks(_matrices(cols3), tol)
     return [FlagReport(point=q, ranks=(int(r1[k]), int(r2[k]), int(r3[k])),
                        singular_values=[sv1[k], sv2[k], sv3[k]], tol=tol)
             for k, q in enumerate(points)]
@@ -177,41 +176,41 @@ def is_contact(frame_or_form, p, tol=DEFAULT_RANK_TOL):
         frame = DistributionFrame(list(frame_or_form))
     if frame.dim != 3 or frame.rank != 2:
         raise EngelLabError("contact frame test needs 2 fields on a 3-dimensional chart")
-    v0, v1 = frame.fields
-    r, _ = _ranks(_matrices([v0(p), v1(p), lie_bracket(v0, v1)(p)]), tol)
+    with evaluation_scope():
+        jets = [f.taylor(p, 1) for f in frame.fields]
+        cols = [f(p) for f in frame.fields]
+    r, _ = _ranks(_matrices(cols + [_values(jet_bracket(*jets), p)]), tol)
     return int(r[0]) == 3
 
 
-def characteristic_line(frame, p, tol=DEFAULT_RANK_TOL, orient=None):
+def characteristic_line(frame, p, tol=DEFAULT_RANK_TOL):
     """The characteristic direction of an Engel frame at ``p``: the kernel of
-    ``v -> [[X, Y], v] mod D^2`` inside the plane spanned by the frame.
-
-    ``orient`` optionally fixes the sign by alignment with a reference vector
-    (Engel domains pass their vertical field so that positive motion rotates
-    contact directions counterclockwise); otherwise the first sufficiently
-    nonzero component is made positive.
+    ``v -> [[X, Y], v] mod D^2`` inside the plane spanned by the frame, from
+    one order-2 evaluation of the frame.  Its largest component is made
+    positive.
 
     For an ``(N, dim)`` array of points, the list of the N directions.
     """
     if frame.rank != 2:
         raise EngelLabError("characteristic line needs a rank-2 frame")
     if np.ndim(p) == 2:
-        return over_points(p, lambda coords: _lines(frame, p, coords, tol, orient),
-                           lambda q: characteristic_line(frame, q, tol, orient))
-    return _lines(frame, [p], p, tol, orient)[0]
+        return over_points(p, lambda coords: _lines(frame, p, coords, tol),
+                           lambda q: characteristic_line(frame, q, tol))
+    return _lines(frame, [p], p, tol)[0]
 
 
-def _lines(frame, points, coords, tol, orient):
-    X, Y = frame.fields
-    B = lie_bracket(X, Y)
+def _lines(frame, points, coords, tol):
     with evaluation_scope():
-        vals = [X(coords), Y(coords), B(coords)]
-        # orthogonal complement of D^2 in coordinates, via SVD
-        U, sv, _ = np.linalg.svd(_matrices(vals))
-        if (sv[:, 2] <= tol * sv[:, 0]).any():
-            raise GeometryError("distribution is not Engel at the point (rank D^2 < 3)",
-                                point=points[0])
-        vals += [lie_bracket(B, X)(coords), lie_bracket(B, Y)(coords)]
+        X, Y = (f.taylor(coords, 2) for f in frame.fields)
+        vals = [f(coords) for f in frame.fields]
+    B = jet_bracket(X, Y)
+    vals.append(_values(B, coords))
+    # orthogonal complement of D^2 in coordinates, via SVD
+    U, sv, _ = np.linalg.svd(_matrices(vals))
+    if (sv[:, 2] <= tol * sv[:, 0]).any():
+        raise GeometryError("distribution is not Engel at the point (rank D^2 < 3)",
+                            point=points[0])
+    vals += [_values(jet_bracket(B, X), coords), _values(jet_bracket(B, Y), coords)]
     # one contiguous (N, dim) block per field, so each point's vectors are
     # laid out as at a single point
     x0, y0, b0, bx, by = (np.ascontiguousarray(np.reshape(v, (len(v), -1)).T) for v in vals)
@@ -227,18 +226,10 @@ def _lines(frame, points, coords, tol, orient):
         # [[X,Y], aX + bY] mod D^2 has coefficient a*c1 + b*c2 (the non-tensorial
         # terms land inside D^2); kernel direction is (c2, -c1) in frame coords
         v = c2 * x0[k] - c1 * y0[k]
-        if orient is not None:
-            ref = np.asarray(orient, dtype=float)
-            if abs(float(v @ ref)) > 1e-14 and float(v @ ref) < 0.0:
-                v = -v
-            convention = "aligned-with-reference"
-        else:
-            nz = np.argmax(np.abs(v))
-            if v[nz] < 0:
-                v = -v
-            convention = "first-nonzero-positive"
+        if v[np.argmax(np.abs(v))] < 0:
+            v = -v
         base = q if isinstance(q, Point) else frame.chart.point(q)
-        out.append(LineDirection(base=base, direction=v, sign_convention=convention))
+        out.append(LineDirection(base=base, direction=v))
     return out
 
 

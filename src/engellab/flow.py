@@ -162,7 +162,7 @@ def _check_bounds(chart, y):
         raise IntegrationError(f"trajectory left the declared bounds of chart {chart.name!r}")
 
 
-def flow(X, p, t, tol=DEFAULT_TOL, max_steps=200000):
+def flow(X, p, t, tol=DEFAULT_TOL):
     """Flow the point ``p`` for time ``t`` along ``X``; the rows of an
     ``(N, dim)`` ``p`` flow as lanes (see :func:`integrate`)."""
     chart = X.chart
@@ -171,7 +171,7 @@ def flow(X, p, t, tol=DEFAULT_TOL, max_steps=200000):
     def obs(t0, y0_, t1, y1, h, k0, k1):
         _check_bounds(chart, y1)
 
-    y, err, steps = integrate(_field_rhs(X), y0, 0.0, t, tol=tol, max_steps=max_steps, observer=obs)
+    y, err, steps = integrate(_field_rhs(X), y0, 0.0, t, tol=tol, observer=obs)
     return FlowResult(Point(chart, y) if y.ndim == 1 else y, t, steps, err)
 
 
@@ -243,13 +243,13 @@ def _locate_crossing(rhs, section, t0, y0, y1, h, k0, k1, s0, s1, tol, n=None):
     return _illinois(fresh_step, 0.0, s0, h, s1, theta * h, tol, 60)
 
 
-def flow_to_section(X, p, section, tol=DEFAULT_TOL, section_tol=1e-10,
-                    max_time=50.0, min_time=1e-6, vectors=None, max_steps=200000):
+def flow_to_section(X, p, section, tol=DEFAULT_TOL, max_time=50.0, min_time=1e-6,
+                    vectors=None):
     """Integrate ``X`` from ``p`` until the scalar constraint ``section(x)``
     first crosses zero (after ``min_time``) and stop there.
 
     The crossing is located on the step that makes it
-    (:func:`_locate_crossing`, to ``|section| < section_tol``), so the
+    (:func:`_locate_crossing`, to ``|section| < 1e-10``), so the
     returned state and transport are integrator states.
 
     Returns a :class:`FlowResult` whose ``time`` is the crossing time.  If
@@ -283,12 +283,11 @@ def flow_to_section(X, p, section, tol=DEFAULT_TOL, section_tol=1e-10,
             crossing.update(t=t1, y=y_new)
         elif s0 * s1 < 0.0:
             tau, y = _locate_crossing(rhs, section, t0, y_prev, y_new, h, k0, k1, s0, s1,
-                                      section_tol, n)
+                                      1e-10, n)
             crossing.update(t=t0 + tau, y=y)
         return bool(crossing)
 
-    _, err, steps = integrate(rhs, y0, 0.0, max_time, tol=tol, max_steps=max_steps,
-                              observer=obs)
+    _, err, steps = integrate(rhs, y0, 0.0, max_time, tol=tol, observer=obs)
     if not crossing:
         raise IntegrationError("no section crossing within the time budget")
     yc = crossing["y"]
@@ -298,30 +297,27 @@ def flow_to_section(X, p, section, tol=DEFAULT_TOL, section_tol=1e-10,
     return res
 
 
-def integrate_nonautonomous(f, y0, t_grid, substeps=1):
+def integrate_nonautonomous(f, y0, t_grid):
     """Fixed-grid RK4 for ``dy/dt = f(t, y)`` over the node times ``t_grid``.
 
-    One RK4 step per grid interval (times ``substeps``); refinement of the
-    grid therefore directly controls the error.  Returns the endpoint, and
+    One RK4 step per grid interval; refinement of the grid therefore
+    directly controls the error.  Returns the endpoint, and
     raises :class:`IntegrationError` at the first non-finite state.  The rows
     of an ``(N, dim)`` ``y0`` are lanes on the grid, and ``f`` gets them all
     (errors as in :func:`integrate`).
     """
     def run(y):
         start = y
-        for a, b in zip(t_grid[:-1], t_grid[1:]):
-            h = (b - a) / substeps
-            t = a
-            for _ in range(substeps):  # one classical RK4 step
-                k1 = f(t, y)
-                k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-                k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-                k4 = f(t + h, y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t += h
-                if not np.isfinite(y).all():
-                    raise IntegrationError(f"non-finite state at t = {float(t):.6g} "
-                                           f"on the lane from {start.tolist()}")
+        for t, b in zip(t_grid[:-1], t_grid[1:]):
+            h = b - t
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = f(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(y).all():
+                raise IntegrationError(f"non-finite state at t = {float(t + h):.6g} "
+                                       f"on the lane from {start.tolist()}")
         return y
 
     y = np.asarray(y0, dtype=float)

@@ -190,31 +190,31 @@ def _take(c, index):
     return c[index] if c.ndim == 1 else c[:, index]
 
 
-def _accumulate(index, terms, size):
+def _accumulate(index, terms, size, flat=None):
     """Add ``terms[..., j]`` into position ``index[j]`` of a last axis of
     length ``size``, one term after another from 0.0 (``np.bincount`` adds
-    its weights in order), each row of a batch on its own."""
+    its weights in order), each row of a batch on its own, in one
+    ``np.bincount`` over the positions ``index + size * row`` (``flat``, when
+    the caller has them)."""
     if terms.ndim == 1:
         return np.bincount(index, terms, size)
     rows = len(terms)
-    flat = (index + size * np.arange(rows)[:, None]).ravel()
+    if flat is None:
+        flat = (index + size * np.arange(rows)[:, None]).ravel()
     return np.bincount(flat, terms.ravel(), rows * size).reshape(rows, size)
 
 
 def _product(a, b, table):
     """The coefficients of the product of two jets with coefficients ``a``
     and ``b``, from the product table of the result's order: every
-    coefficient sums its term pairs from 0.0 in the table's order, each row
-    of a batch on its own, in one ``np.bincount``."""
+    coefficient sums its term pairs from 0.0 in the table's order."""
     P, Q, R, size, flat = table
     if size == 1:  # order 0: the one pair of the constant terms
         return 0.0 + a[..., :1] * b[..., :1]
     if a.ndim == 1 and b.ndim == 1:
         return np.bincount(R, a[P] * b[Q], size)
     terms = _take(a, P) * _take(b, Q)
-    rows = len(terms)
-    index = flat(rows) if rows * len(R) <= _KEPT_INDEX else flat.__wrapped__(rows)
-    return np.bincount(index, terms.ravel(), rows * size).reshape(rows, size)
+    return _accumulate(R, terms, size, flat(len(terms)) if terms.size <= _KEPT_INDEX else None)
 
 
 def _scalar(s):

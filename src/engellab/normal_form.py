@@ -86,7 +86,7 @@ def _linear_pushforward(A, field):
     return [jet_dot(comp, [float(a) for a in row]) for row in A]
 
 
-def straighten(Y_jet, order=None):
+def straighten(Y_jet):
     """Flow-box coordinates for a nonvanishing field jet: returns a change
     with ``pushforward(change, scale * Y) = d/dy`` exactly at jet level.
 
@@ -97,8 +97,7 @@ def straighten(Y_jet, order=None):
     than the input).
     """
     Y_jet = list(Y_jet)
-    if order is None:
-        order = min(j.order for j in Y_jet)
+    order = min(j.order for j in Y_jet)
     v0 = np.array([j.value for j in Y_jet])
     if np.linalg.norm(v0) < 1e-12:
         raise GeometryError("field vanishes at the origin; no flow box")
@@ -145,7 +144,7 @@ class NormalFormResult:
     f_jet: Jet
     steps: list = dc_field(default_factory=list)
 
-    def verify(self, pair, atol=1e-10):
+    def verify(self, pair):
         """Recompute both pushforwards from scratch and return the maximum
         coefficient deviation from the normal form."""
         inv = jet_invert(self.change)
@@ -162,7 +161,7 @@ class NormalFormResult:
         return worst
 
 
-def normalize_pair(pair, contact_tol=1e-9):
+def normalize_pair(pair):
     """Bring a Legendrian pair jet to the normal form
     ``Y = d/dy``, ``X = d/dx + y d/dz + f d/dy`` with ``f(0) = 0``.
 
@@ -171,6 +170,8 @@ def normalize_pair(pair, contact_tol=1e-9):
     constant terms of the remaining components; the substitution
     ybar = (d/dz component of X), whose derivative along X becomes the new
     d/dy component; a final quadratic shear removing the constant of f.
+    A twist (the y-derivative of that component at 0) of at most 1e-9 in
+    magnitude is not contact and raises.
     All pushforwards are computed at jet level, and every applied change is
     recorded in ``steps``.
     """
@@ -211,7 +212,7 @@ def normalize_pair(pair, contact_tol=1e-9):
 
     f3 = X[2]
     twist = f3.derivative(1).value
-    if abs(twist) <= contact_tol:
+    if abs(twist) <= 1e-9:
         raise GeometryError("plane field is not contact (zero twist of the d/dz component)")
     if twist < 0.0:
         apply_linear(np.diag([1.0, 1.0, -1.0]), "flip-z")
@@ -262,32 +263,27 @@ def extract_ode(result):
     return ODE2(f_jet=result.f_jet.swap_vars(1, 2))
 
 
-def pair_from_ode(f, chart=ODE_CHART, name="ode"):
-    """The Legendrian pair of an equation y'' = f(x, y, p) in slope
-    coordinates: V0 = d/dp (the straightened line), V1 = d/dx + p d/dy + f d/dp.
+def pair_from_ode(f):
+    """The Legendrian pair of an equation y'' = f(x, y, p) on
+    :data:`ODE_CHART`: V0 = d/dp (the straightened line),
+    V1 = d/dx + p d/dy + f d/dp.
 
-    ``f`` may be a scalar field on the chart, a jet (polynomial model), or a
-    plain callable of generic arithmetic.  The span is contact wherever f is
-    defined, with annihilator dy - p dx.
+    ``f`` is a scalar field on the chart or a jet (polynomial model).  The
+    span is contact wherever f is defined, with annihilator dy - p dx.
     """
-    V0 = VectorField(chart, components=lambda xs: [0.0, 0.0, 1.0], name=f"{name}.V0")
+    V0 = VectorField(ODE_CHART, components=lambda xs: [0.0, 0.0, 1.0], name="ode.V0")
     if isinstance(f, Jet):
-        V1 = VectorField(chart, components=lambda xs: [1.0, xs[2], jet_polyval(f, xs)],
-                         name=f"{name}.V1")
-    elif hasattr(f, "taylor"):
-        def tfn(coords, ordr):
-            fj = f.taylor(coords, ordr)[0]
-            one = Jet.constant(1.0, 3, ordr)
-            pj = Jet.variable(2, 3, ordr, base=coords[2])
-            return [one, pj, fj]
-        V1 = VectorField(chart, taylor_fn=tfn, max_order=f.max_order, name=f"{name}.V1")
-    else:
-        V1 = VectorField(chart, components=lambda xs: [1.0, xs[2], f(xs[0], xs[1], xs[2])],
-                         name=f"{name}.V1")
-    return V0, V1
+        return V0, VectorField(ODE_CHART, name="ode.V1",
+                               components=lambda xs: [1.0, xs[2], jet_polyval(f, xs)])
+
+    def tfn(coords, order):
+        return [Jet.constant(1.0, 3, order), Jet.variable(2, 3, order, base=coords[2]),
+                f.taylor(coords, order)[0]]
+
+    return V0, VectorField(ODE_CHART, taylor_fn=tfn, max_order=f.max_order, name="ode.V1")
 
 
-def prolong_point_map(phi_jets, order=None):
+def prolong_point_map(phi_jets):
     """Jet of the contact lift of a planar map (x, y) -> (X, Y): the slope
     coordinate goes to (Y_x + p Y_y) / (X_x + p X_y).
 
@@ -296,8 +292,7 @@ def prolong_point_map(phi_jets, order=None):
     denominator stays away from zero.
     """
     Xj, Yj = phi_jets
-    if order is None:
-        order = min(Xj.order, Yj.order)
+    order = min(Xj.order, Yj.order)
     Xe = Xj.embed(3, [0, 1]).truncated(order)
     Ye = Yj.embed(3, [0, 1]).truncated(order)
     p = Jet.variable(2, 3, order)

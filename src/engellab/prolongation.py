@@ -53,10 +53,10 @@ class ParallelizedContact:
         with evaluation_scope():
             return np.column_stack([self.v0(m), self.v1(m)])
 
-    def check(self, points, tol=1e-7):
+    def check(self, points):
         """Contact at each point and (when a form was supplied) annihilation."""
         for m in points:
-            if not is_contact(self.frame(), m, tol):
+            if not is_contact(self.frame(), m):
                 raise GeometryError("frame is not contact at a sampled point", point=m)
             a = self.alpha(m)
             scale = np.linalg.norm(a) * max(np.linalg.norm(self.v0(m)), np.linalg.norm(self.v1(m)))
@@ -160,13 +160,13 @@ def prolong(contact, full_circle=False, check_points=None):
     return EngelDomain(contact, full_circle=full_circle)
 
 
-def check_slice_transverse(domain_like, slc, p, min_angle=TRANSVERSALITY_MIN_ANGLE):
+def check_slice_transverse(domain_like, slc, p):
     """Angle between the characteristic line and the slice at an embedded
-    point must exceed ``min_angle``."""
+    point must exceed :data:`TRANSVERSALITY_MIN_ANGLE`."""
     q = slc.embed_coords(p) if len(np.atleast_1d(p)) == 3 else np.asarray(p, float)
     ld = characteristic_line(domain_like.frame(), q)
     angle = math.asin(min(abs(ld.direction[slc.axis]), 1.0))
-    if not angle > min_angle:  # a NaN angle fails too
+    if not angle > TRANSVERSALITY_MIN_ANGLE:  # a NaN angle fails too
         raise GeometryError("slice is not transverse to the characteristic line field", point=q)
     return angle
 
@@ -251,8 +251,7 @@ def development(domain, q, tol=DEFAULT_TOL):
     a = domain.base.alpha(foot)
     scale = np.linalg.norm(a) * np.linalg.norm(direction)
     residual = abs(a @ direction) / max(scale, 1e-300)
-    line = LineDirection(base=domain.base.chart.point(foot), direction=direction,
-                         sign_convention="leaf-transport")
+    line = LineDirection(base=domain.base.chart.point(foot), direction=direction)
     return DevelopmentResult(line=line, foot=foot, contact_residual=residual)
 
 

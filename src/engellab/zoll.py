@@ -453,15 +453,14 @@ def _geodesic(space, state, chart, length, tol, on_step):
         s, (y, ch) = stop["t"], space.transition(stop["y"], ch)
 
 
-def first_return(space, state, chart, max_arclength=30.0, tol=1e-10,
-                 capture=0.6, min_departure=1.0):
+def first_return(space, state, chart, max_arclength=30.0, tol=1e-10):
     """Integrate a contact element until its embedded image e first comes
-    back within ``capture`` of the start after departing beyond
-    ``min_departure``, and stop on the section f = (e - e(start)) . T0 = 0,
-    T0 the derivative of e along the flow at the start.  The gates are
-    checked on each step, by the cheap base point (``space.point``) where
-    that decides them; a sign change of f on a step that ends inside
-    ``capture`` is located on that step, to |f| at its rounding floor.
+    back within 0.6 of the start after departing beyond 1, and stop on the
+    section f = (e - e(start)) . T0 = 0, T0 the derivative of e along the
+    flow at the start.  The gates are checked on each step, by the cheap
+    base point (``space.point``) where that decides them; a sign change of f
+    on a step that ends inside the 0.6 capture is located on that step, to
+    |f| at its rounding floor.
     Returns (returned, arclength, defect, final_state, final_chart)."""
     start, base = space.embed(state, chart), space.point(state, chart)
     T0 = np.array([e.gradient() for e in space.embed(state, chart, order=1)]) @ space.field(chart)(state)
@@ -476,10 +475,10 @@ def first_return(space, state, chart, max_arclength=30.0, tol=1e-10,
         nonlocal departed
         dist = np.linalg.norm(space.point(y1, ch) - base)  # at most |e - start|
         if not departed:
-            departed = dist > min_departure or section(y1, ch)[1] > min_departure
-        elif dist < capture:
+            departed = dist > 1.0 or section(y1, ch)[1] > 1.0
+        elif dist < 0.6:
             (f0, _), (f1, d1) = section(y0, ch), section(y1, ch)
-            if d1 < capture and (f0 * f1 < 0.0 or f1 == 0.0):
+            if d1 < 0.6 and (f0 * f1 < 0.0 or f1 == 0.0):
                 tau, y = _locate_crossing(rhs, lambda x: section(x, ch)[0], t0, y0, y1, h,
                                           k0, k1, f0, f1, 1e-15)
                 found.append((float(t0 + tau), y))
@@ -541,13 +540,13 @@ def line_fit_residual(points):
     return float(np.max(np.abs(Q @ normal)))
 
 
-def central_projection_check(n_geodesics=50, seed=0, arc=1.2, n_points=40,
-                             tol_integration=1e-11):
-    """Integrate great-circle arcs near the pole, project centrally, and fit
-    lines; returns the per-arc and maximal perpendicular residuals.  An arc
-    is one integration per chart segment; its sample k is the state at
-    arclength k * arc / n_points, from a fresh step of the accepted step
-    that contains it, and the arc ends there or at a height <= 0.05."""
+def central_projection_check(n_geodesics=50, seed=0, arc=1.2, n_points=40):
+    """Integrate great-circle arcs near the pole at tol 1e-11, project
+    centrally, and fit lines; returns the per-arc and maximal perpendicular
+    residuals.  An arc is one integration per chart segment; its sample k is
+    the state at arclength k * arc / n_points, from a fresh step of the
+    accepted step that contains it, and the arc ends there or at a height
+    <= 0.05."""
     rng = np.random.default_rng(seed)
     atlas = SphereAtlas()
     ds = arc / n_points
@@ -573,7 +572,7 @@ def central_projection_check(n_geodesics=50, seed=0, arc=1.2, n_points=40,
 
         # sample 0 is the start, the end of a step of size 0
         if not on_step(None, "north", 0.0, y, 0.0, y, 0.0, None, None):
-            _geodesic(atlas, y, "north", (n_points - 1) * ds, tol_integration, on_step)
+            _geodesic(atlas, y, "north", (n_points - 1) * ds, 1e-11, on_step)
         if len(pts) >= 5:
             residuals.append(line_fit_residual(pts))
     if not residuals:

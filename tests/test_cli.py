@@ -165,6 +165,24 @@ def test_nan_defect_in_middle_sample_fails(monkeypatch):
     assert not rec.passed and not report.passed
 
 
+def test_random_pair_draws_have_a_budget(monkeypatch):
+    # a pair check that refuses every draw for far longer than the budget:
+    # the draw loop gives up with a geometry error instead of spinning
+    refused = []
+    accept = cli.LegendrianPairJet
+
+    def refuse(Y, X, order):
+        if len(refused) < 1000:
+            refused.append(1)
+            raise GeometryError("pair is not contact at the origin")
+        return accept(Y, X, order)
+
+    monkeypatch.setattr(cli, "LegendrianPairJet", refuse)
+    with pytest.raises(GeometryError, match="100 random draws"):
+        cli._random_pair(np.random.default_rng(0))
+    assert len(refused) == 100
+
+
 def test_nan_arclength_fails_the_period_check(monkeypatch):
     # a returned sample with a NaN arclength must not vanish from the spread
     samples = [SampleReturn(state=np.zeros(3), chart="north", returned=True,

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from engellab.calculus import Chart, evaluation_scope
 from engellab.deformation import ContactIsotopyGenerator, realize_isotopy
 from engellab.distributions import (DistributionFrame, characteristic_line,
-                                    flag_generators, flag_ranks, is_contact,
+                                    flag_ranks, is_contact,
                                     is_engel, plane_principal_angle, reeb_field,
                                     reeb_vector, annihilator_form)
 from engellab.errors import ExpressionDomainError, GeometryError
 from engellab.expressions import (one_form_from_exprs, scalar_field_from_expr,
                                   vector_field_from_exprs)
+from engellab.jets import jet_bracket
 from engellab.prolongation import ParallelizedContact, prolong
 from engellab.zoll import so3_engel_frame
 
@@ -72,18 +73,16 @@ def test_degenerate_frame_raises():
 
 
 def test_characteristic_line_of_standard_frame():
+    # the line is d/dw in either frame order, and its largest component is
+    # made positive, whichever sign the kernel formula gives
     frame = standard_engel_frame()
     rng = np.random.default_rng(1)
     for _ in range(20):
         p = rng.uniform(-1, 1, 4)
-        ld = characteristic_line(frame, p)
-        assert ld.angle_to([0, 0, 0, 1]) < 1e-10
-
-
-def test_characteristic_line_orientation():
-    frame = standard_engel_frame()
-    ld = characteristic_line(frame, [0, 0, 0, 0], orient=[0, 0, 0, -1.0])
-    assert ld.direction[3] < 0
+        for fr in (frame, DistributionFrame(frame.fields[::-1])):
+            ld = characteristic_line(fr, p)
+            assert ld.angle_to([0, 0, 0, 1]) < 1e-10
+            assert ld.direction[3] > 0.0
 
 
 def test_is_contact_frame_and_form():
@@ -212,6 +211,16 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+def bracket_values(frame, coords):
+    """The values of [X, Y], [X, [X, Y]], [Y, [X, Y]], [[X, Y], X] and
+    [[X, Y], Y] from the frame's order-2 jets at a point or batch."""
+    with evaluation_scope():
+        X, Y = (f.taylor(coords, 2) for f in frame.fields)
+    B = jet_bracket(X, Y)
+    return [[j.value for j in jets] for jets in
+            (B, jet_bracket(X, B), jet_bracket(Y, B), jet_bracket(B, X), jet_bracket(B, Y))]
+
+
 unit = st.floats(-1.0, 1.0)
 point_sets = st.lists(st.tuples(unit, unit, unit, st.floats(0.0, 1.0)), min_size=1, max_size=6)
 
@@ -224,9 +233,7 @@ def test_batch_equals_points_bit_for_bit(name, raw):
     pts = batch_points(name, raw)
     batch = flag_ranks(frame, pts)
     lines = characteristic_line(frame, pts)
-    generators = flag_generators(frame)[2]
-    with evaluation_scope():
-        values = [f(pts.T) for f in generators]
+    values = bracket_values(frame, pts.T)
     assert len(batch) == len(lines) == len(pts)
     for k, p in enumerate(pts):
         one = flag_ranks(frame, p)
@@ -235,9 +242,9 @@ def test_batch_equals_points_bit_for_bit(name, raw):
             assert np.array_equal(bits(got), bits(want))
         assert np.array_equal(bits(lines[k].direction),
                               bits(characteristic_line(frame, p).direction))
-        with evaluation_scope():
-            for f, v in zip(generators, values):
-                assert np.array_equal(bits(v[:, k]), bits(f(p)))
+        for v, w in zip(values, bracket_values(frame, p)):
+            got = [np.broadcast_to(c, len(pts))[k] for c in v]
+            assert np.array_equal(bits(got), bits(w))
 
 
 def test_empty_batch():
