@@ -4,9 +4,10 @@ ROADMAP baseline table.
     python3 bench/micro.py
 
 L0, the jet kernel: Jet mul, add and sin, ``jet_compose`` and ``jet_invert``
-at 4 variables order 3 and 3 variables order 4, and mul at order 0 and 1 in
-3 variables.  Operands are dense random jets from a fixed seed; the change
-for compose and invert is an origin-preserving tuple with a diagonally
+at 4 variables order 3 and 3 variables order 4, ``jet_pushforward`` of a
+dense field at 3 variables order 4, and mul at order 0 and 1 in 3 variables.
+Operands are dense random jets from a fixed seed; the change for compose,
+invert and pushforward is an origin-preserving tuple with a diagonally
 dominant linear part.  The batch product of two dense batch jets: 3
 variables at orders 0, 1 and 2 over 3 rows (a stack of lanes), and 4
 variables at order 2 over 200 rows (a flag batch).
@@ -42,9 +43,12 @@ JSON printed holds the median and quartiles of the time per call in
 microseconds (per point for the batch item).  The ``counts`` block holds
 untimed counts: the field evaluations (``_FieldBase.taylor`` calls) of one
 deformed flag point, of the 200-point batch and of the arc, the
-geodesic-field evaluations of the return, and the evaluations of the
+geodesic-field evaluations of the return, the evaluations of the
 variational right-hand side (state plus transported vectors, event location
-included) of the transport and the development.
+included) of the transport and the development, and the calls of the jet
+product kernel ``jets._product`` in one ``normalize_pair`` and one
+``verify``.  The timings cannot resolve a change at L0 below about 2x on a
+shared machine; the counts are exact.
 
 Imports engellab from the ``src/`` next to this directory and builds jets
 only through ``Jet(n, order, {multi_index: value})``, so the same file copied
@@ -63,11 +67,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from engellab import calculus, cli, flow  # noqa: E402
+from engellab import calculus, cli, flow, jets  # noqa: E402
 from engellab.deformation import ContactIsotopyGenerator, realize_isotopy  # noqa: E402
 from engellab.distributions import flag_ranks  # noqa: E402
 from engellab.expressions import scalar_field_from_expr  # noqa: E402
-from engellab.jets import Jet, jet_compose, jet_invert, multi_indices  # noqa: E402
+from engellab.jets import (Jet, jet_compose, jet_invert, jet_pushforward,  # noqa: E402
+                           multi_indices)
 from engellab.normal_form import normalize_pair  # noqa: E402
 from engellab.prolongation import development_angle, prolong, slice_transport  # noqa: E402
 from engellab.zoll import SphereAtlas, central_projection_check, first_return  # noqa: E402
@@ -146,6 +151,22 @@ def rhs_evals(fn):
     return count[0]
 
 
+def kernel_products(fn):
+    """Calls of the jet product kernel ``jets._product`` made by ``fn()``."""
+    orig, count = jets._product, [0]
+
+    def counting(*args):
+        count[0] += 1
+        return orig(*args)
+
+    jets._product = counting
+    try:
+        fn()
+    finally:
+        jets._product = orig
+    return count[0]
+
+
 def evaluations_and_products(fn):
     """Field evaluations (``_FieldBase._evaluate`` calls) and products of two
     jets made by ``fn()``."""
@@ -202,6 +223,11 @@ def l0_items(items):
         items[f"sin_{size}"] = per_call_us(a.sin)
         items[f"compose_{size}"] = per_call_us(lambda: jet_compose(outer, change))
         items[f"invert_{size}"] = per_call_us(lambda: jet_invert(change))
+        if (n, order) == (3, 4):
+            # its own draws, so the other rows keep their operands
+            field_rng = random.Random(5)
+            field = [dense_jet(field_rng, n, order, 0.5) for _ in range(n)]
+            items[f"pushforward_{size}"] = per_call_us(lambda: jet_pushforward(change, field))
     for n, order in LOW_ORDERS:
         a, b = dense_jet(rng, n, order, 0.7), dense_jet(rng, n, order, -0.4)
         items[f"mul_n{n}_o{order}"] = per_call_us(lambda: a * b)
@@ -247,6 +273,8 @@ def l2_items(items, counts):
     res = normalize_pair(pair)
     items["normalize_pair_o4"] = per_call_us(lambda: normalize_pair(pair))
     items["verify_o4"] = per_call_us(lambda: res.verify(pair))
+    counts["normalize_pair_o4_kernel_products"] = kernel_products(lambda: normalize_pair(pair))
+    counts["verify_o4_kernel_products"] = kernel_products(lambda: res.verify(pair))
 
 
 class CountingAtlas(SphereAtlas):

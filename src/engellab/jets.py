@@ -19,6 +19,12 @@ order, and the series of the analytic functions are computed entry by entry by
 the one-point code (with :mod:`math`, whose rounding NumPy's may not share,
 and its domain checks).  Orders are capped at :data:`MAX_ORDER`; the normal-form
 pipeline needs at most order 6.
+
+Composition goes through :func:`jet_composer`: it builds the table of the
+monomials ``inner^k`` once, a degree at a time (each degree one batch product
+of its parent monomials and the matching inner components), and composes
+every outer given to it from that table, so callers that compose several
+outers through one inner map pay for its table once.
 """
 
 from __future__ import annotations
@@ -124,7 +130,11 @@ class _Graded:
     degree, lexicographically within a degree; ``pos`` inverts it, and the
     multi-indices of degree at most ``d`` are the first ``count[d]``.
     ``units[i]`` is the position of ``x_i``; ``nonconstant[order]`` is 0.0
-    at the constant term, 1.0 elsewhere.  Built on first use of an order:
+    at the constant term, 1.0 elsewhere.  For each nonconstant multi-index
+    ``k``, ``firsts[p]`` is its first variable ``i`` with a nonzero exponent
+    and ``parents[p]`` the position of ``k - e_i`` (both 0 at the constant
+    term), the plan of the monomial tables of :func:`jet_composer`.  Built on
+    first use of an order:
     ``products[order] = (P, Q, R, size, flat)`` lists every pair of
     positions ``(P[j], Q[j])`` with degrees summing to at most ``order`` in
     p-major order, ``R[j]`` the position of their sum, and ``flat(rows)``
@@ -134,7 +144,8 @@ class _Graded:
     the position of the term with exponent ``i`` raised, and that exponent.
     """
 
-    __slots__ = ("n", "keys", "pos", "count", "units", "nonconstant", "products", "derivatives")
+    __slots__ = ("n", "keys", "pos", "count", "units", "nonconstant", "parents", "firsts",
+                 "products", "derivatives")
 
     def __init__(self, n):
         layers = [_of_degree(n, d) for d in range(MAX_ORDER + 1)]
@@ -145,6 +156,10 @@ class _Graded:
         self.count = list(accumulate(len(layer) for layer in layers))
         self.units = np.array([self.pos[tuple(int(j == i) for j in range(n))] for i in range(n)])
         self.nonconstant = [np.array([0.0] + [1.0] * (size - 1)) for size in self.count]
+        firsts = [next((i for i, e in enumerate(k) if e), 0) for k in keys]
+        self.firsts = np.array(firsts)
+        self.parents = np.array([0] + [self.pos[k[:i] + (k[i] - 1,) + k[i + 1:]]
+                                       for k, i in zip(keys[1:], firsts[1:])])
         self.products = _Lazy(self._products)
         self.derivatives = _Lazy(self._derivatives)
 
@@ -531,8 +546,14 @@ def jet_cross(a, b):
 
 
 def jet_bracket(A, B):
-    """Lie bracket ``DB.A - DA.B`` of two jet-tuple vector fields (order
-    drops by one)."""
+    """Lie bracket ``DB.A - DA.B`` of two jet-tuple vector fields, one order
+    below their common order.
+
+    Both tuples are truncated to the common order first, so no product forms
+    terms that the sum then drops; the result is bit for bit the bracket of
+    the untruncated tuples at that order."""
+    order = min(j.order for j in list(A) + list(B))
+    A, B = ([j if j.order == order else j.truncated(order) for j in T] for T in (A, B))
     n = len(A)
     out = []
     for i in range(n):
@@ -544,41 +565,86 @@ def jet_bracket(A, B):
     return out
 
 
-def jet_compose(outer, inner):
-    """Taylor coefficients of ``outer o inner``, truncated at the common order.
+def _check_origin(jets, message):
+    """Raise ``EngelLabError(message)`` unless every constant term is within
+    1e-13 of zero (a NaN one is not)."""
+    for g in jets:
+        v = g.value
+        if not (np.all(np.abs(v) <= 1e-13) if isinstance(v, _ARRAY) else abs(v) <= 1e-13):
+            raise EngelLabError(message)
 
-    ``inner`` must map the origin to the origin (zero constant terms).  The
-    monomials ``inner^k`` are built in graded order, each by one product
-    ``inner^(k - e_i) * inner_i`` with ``i`` its first variable; every result
-    coefficient then sums the outer coefficients times the monomials in
-    graded order.
+
+@functools.cache
+def _compose_index(size, width):
+    """The result position of each (monomial, term) pair of a composition
+    over ``size`` monomials of ``width`` terms, monomial-major."""
+    return np.tile(np.arange(width), size)
+
+
+def jet_composer(inner, order=MAX_ORDER):
+    """``outer -> outer o inner`` for an origin-preserving jet tuple ``inner``.
+
+    The monomials ``inner^k`` in graded order, up to the inner order (or
+    ``order``, if lower), are built once, a degree at a time: degree ``d``
+    is one batch product of the degree ``d - 1`` monomials ``inner^(k - e_i)``
+    times the components ``inner_i``, ``i`` the first variable of ``k``, each
+    row bit for bit the product of its two jets.  The returned function takes
+    an outer jet, or a list of them, in ``len(inner)`` variables and returns
+    the composition truncated at the common order: every coefficient sums the
+    outer coefficients times the monomials in graded order from 0.0.  An
+    outer of lower order reads the leading slice of the table, which is bit
+    for bit the table of that order.
     """
     inner = _as_tuple(inner)
-    single = isinstance(outer, Jet)
-    outs = [outer] if single else list(outer)
-    m = outs[0].n
-    if len(inner) != m:
-        raise EngelLabError(f"composition arity mismatch: outer has {m} vars, inner has {len(inner)} components")
-    for g in inner:
-        if np.any(np.abs(g.value) > 1e-13):
-            raise EngelLabError("inner jets must have zero constant term (shift explicitly)")
-    order = min(min(o.order for o in outs), min(g.order for g in inner))
-    n = inner[0].n
-    t = _TABLES[m]
-    size = t.count[order]
-    monomials = [Jet.constant(1.0, n, order)]
-    for k in t.keys[1:size]:
-        i = next(i for i, e in enumerate(k) if e)
-        monomials.append(monomials[t.pos[k[:i] + (k[i] - 1,) + k[i + 1:]]] * inner[i])
-    table = np.stack(np.broadcast_arrays(*[mono.c for mono in monomials]), axis=-2)
-    width = table.shape[-1]
-    index = np.tile(np.arange(width), size)
-    results = []
-    for o in outs:
-        terms = o.c[..., :size, None] * table
-        results.append(_jet(n, order, _accumulate(
-            index, terms.reshape(terms.shape[:-2] + (size * width,)), width)))
-    return results[0] if single else results
+    _check_origin(inner, "inner jets must have zero constant term (shift explicitly)")
+    m, n = len(inner), inner[0].n
+    if any(g.n != n for g in inner):
+        raise EngelLabError("inner jets must share one variable count")
+    top = min(order, min(g.order for g in inner))
+    t, width = _TABLES[m], _TABLES[n].count[top]
+    # the inner components as one (..., m, width) array, batch axes first
+    comps = np.stack(np.broadcast_arrays(*[g.c[..., :width] for g in inner]), axis=-2)
+    rows = comps.shape[:-2]
+    table = np.zeros(rows + (t.count[top], width))
+    table[..., 0, 0] = 1.0
+    product = _TABLES[n].products[top]
+    for d in range(1, top + 1):
+        lo, hi = t.count[d - 1], t.count[d]
+        a = table[..., t.parents[lo:hi], :].reshape(-1, width)
+        b = comps[..., t.firsts[lo:hi], :].reshape(-1, width)
+        table[..., lo:hi, :] = _product(a, b, product).reshape(rows + (hi - lo, width))
+
+    def compose(outer):
+        single = isinstance(outer, Jet)
+        outs = [outer] if single else list(outer)
+        if outs[0].n != m:
+            raise EngelLabError(f"composition arity mismatch: outer has {outs[0].n} vars, "
+                                f"inner has {m} components")
+        o = min(top, min(x.order for x in outs))
+        size, w = t.count[o], _TABLES[n].count[o]
+        monomials = table[..., :size, :w]
+        index = _compose_index(size, w)
+        results = []
+        for x in outs:
+            terms = x.c[..., :size, None] * monomials
+            results.append(_jet(n, o, _accumulate(index, terms.reshape(terms.shape[:-2] + (-1,)),
+                                                  w)))
+        return results[0] if single else results
+
+    return compose
+
+
+def jet_compose(outer, inner):
+    """Taylor coefficients of ``outer o inner``, truncated at the common
+    order: ``jet_composer(inner)`` applied to ``outer`` (a jet or a list of
+    jets), with the monomial table built only to the outer order.
+
+    ``inner`` must map the origin to the origin (zero constant terms).
+    Callers that compose several outers through one inner should build its
+    :func:`jet_composer` once.
+    """
+    order = outer.order if isinstance(outer, Jet) else min(o.order for o in outer)
+    return jet_composer(inner, order)(outer)
 
 
 def jet_identity(n, order):
@@ -598,9 +664,7 @@ def jet_invert(change):
     change = _as_tuple(change)
     n = change[0].n
     order = min(f.order for f in change)
-    for f in change:
-        if abs(f.value) > 1e-13:
-            raise EngelLabError("jet_invert requires an origin-preserving change")
+    _check_origin(change, "jet_invert requires an origin-preserving change")
     A = np.array(linear_part(change))
     if not np.linalg.cond(A) < 1e14:
         raise EngelLabError("singular linear part")
@@ -608,28 +672,31 @@ def jet_invert(change):
     ident = jet_identity(n, order)
     inverse_linear = [jet_dot(ident, row.tolist()) for row in np.linalg.inv(A)]
     G = inverse_linear
+    through_change, through_linear = jet_composer(change), jet_composer(inverse_linear)
     for _ in range(order - 1):
-        GF = jet_compose(G, change)
-        corr = jet_compose([ident[i] - GF[i] for i in range(n)], inverse_linear)
+        GF = through_change(G)
+        corr = through_linear([ident[i] - GF[i] for i in range(n)])
         G = [G[i] + corr[i] for i in range(n)]
     return G
 
 
-def jet_pushforward(change, field, inverse=None):
+def jet_pushforward(change, field, through=None):
     """Pushforward of a vector field (component jets) through a coordinate
     change, both expressed as origin-based jet tuples.
 
     Returns component jets in the new coordinates:
-    ``(Dchange . field) o change^{-1}``.  One derivative is consumed, so the
-    result is trustworthy one order below the inputs.
+    ``(Dchange . field) o change^{-1}``, every component composed through
+    one monomial table of the inverse.  ``through`` is
+    ``jet_composer(jet_invert(change))``, built here when not given; a caller
+    that composes through the inverse again passes its own.  One derivative
+    is consumed, so the result is trustworthy one order below the inputs.
     """
     change = _as_tuple(change)
     field = _as_tuple(field)
     n = change[0].n
-    if inverse is None:
-        inverse = jet_invert(change)
-    return [jet_compose(jet_dot([c.derivative(j) for j in range(n)], field), inverse)
-            for c in change]
+    if through is None:
+        through = jet_composer(jet_invert(change))
+    return [through(jet_dot([c.derivative(j) for j in range(n)], field)) for c in change]
 
 
 def multi_indices(n, order):

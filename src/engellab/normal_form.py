@@ -25,8 +25,8 @@ import numpy as np
 
 from .calculus import Chart, VectorField
 from .errors import EngelLabError, GeometryError
-from .jets import (MAX_ORDER, Jet, jet_bracket, jet_compose, jet_dot, jet_identity,
-                   jet_invert, jet_pushforward)
+from .jets import (MAX_ORDER, Jet, jet_bracket, jet_compose, jet_composer, jet_dot,
+                   jet_identity, jet_invert, jet_pushforward)
 from .reporting import worst_of
 
 ODE_CHART = Chart("ode_slope", ("x", "y", "p"))
@@ -123,10 +123,8 @@ def straighten(Y_jet):
         g3 = -(c + a * g3.derivative(0) + c * g3.derivative(2)).antiderivative(1)
     ident = jet_identity(3, min(order + 1, MAX_ORDER))
     flowbox = [ident[0] + g1, ident[1], ident[2] + g3]
-    lin = _linear_change(L, min(order + 1, MAX_ORDER))
-    change = jet_compose(flowbox, lin)
-    scale = jet_compose(s, lin)
-    return StraightenResult(change=change, scale=scale)
+    through_lin = jet_composer(_linear_change(L, min(order + 1, MAX_ORDER)))
+    return StraightenResult(change=through_lin(flowbox), scale=through_lin(s))
 
 
 @dataclass
@@ -147,9 +145,9 @@ class NormalFormResult:
     def verify(self, pair):
         """Recompute both pushforwards from scratch and return the maximum
         coefficient deviation from the normal form."""
-        inv = jet_invert(self.change)
-        Ys = jet_pushforward(self.change, [self.Y_scale * j for j in pair.Y_jet], inverse=inv)
-        Xs = jet_pushforward(self.change, [self.X_scale * j for j in pair.X_jet], inverse=inv)
+        through = jet_composer(jet_invert(self.change))
+        Ys = jet_pushforward(self.change, [self.Y_scale * j for j in pair.Y_jet], through)
+        Xs = jet_pushforward(self.change, [self.X_scale * j for j in pair.X_jet], through)
         order = min(j.order for j in Xs)
         ident = jet_identity(3, order)
         zero = Jet(3, order)
@@ -221,10 +219,10 @@ def normalize_pair(pair):
     order = min(j.order for j in X)
     ident = jet_identity(3, order)
     sub = [ident[0], f3.truncated(order), ident[2]]
-    sub_inv = jet_invert(sub)
-    X = jet_pushforward(sub, X, inverse=sub_inv)
+    through_sub_inv = jet_composer(jet_invert(sub))
+    X = jet_pushforward(sub, X, through_sub_inv)
     total = jet_compose(sub, total)
-    h = jet_compose(f3.derivative(1), sub_inv)  # new Y = h d/dy
+    h = through_sub_inv(f3.derivative(1))  # new Y = h d/dy
     Y_scale = Y_scale * jet_compose(h, total).reciprocal()
     steps.append({"step": "substitute-ybar", "twist": twist})
 

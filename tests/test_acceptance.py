@@ -2,9 +2,8 @@
 pass/fail line per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-complete; the whole gate took 38 to 40 s single-process (Python 3.11, shared
-2-CPU machine, two runs), 11 to 14 s of it criterion 5 and 18 to 21 s
-criterion 9.  Criteria 1, 2, 3 and 5 draw their flag samples (and criterion
+complete; the whole gate took 27 s single-process (Python 3.11, shared 2-CPU
+machine, one run), 7.6 s of it criterion 5 and 16.0 s criterion 9.  Criteria 1, 2, 3 and 5 draw their flag samples (and criterion
 5 its spin probes) point by point and evaluate them as one batch.
 """
 

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from engellab import jets as jets_mod
 from engellab.errors import DerivativeOrderError, EngelLabError, JetDomainError
-from engellab.jets import (MAX_ORDER, Jet, jet_compose, jet_identity,
-                           jet_invert, jet_pushforward, jet_two_form, linear_part,
-                           multi_indices)
+from engellab.jets import (MAX_ORDER, Jet, jet_bracket, jet_compose, jet_composer,
+                           jet_identity, jet_invert, jet_pushforward, jet_two_form,
+                           linear_part, multi_indices)
 
 X, Y, Z = sp.symbols("x y z")
 
@@ -128,6 +128,124 @@ def test_compose_rejects_shifted_inner():
     bad = [jet_of_expr(1 + X, (X, Y), 3), jet_of_expr(Y, (X, Y), 3)]
     with pytest.raises(EngelLabError):
         jet_compose(f, bad)
+
+
+def test_nan_constant_term_is_not_at_the_origin():
+    # a NaN passes `abs(v) > 1e-13`; it must fail the origin checks
+    x, y = (Jet.variable(i, 2, 3) for i in range(2))
+    shifted = [x + math.nan, y]
+    with pytest.raises(EngelLabError):
+        jet_compose(x * y + x, shifted)
+    with pytest.raises(EngelLabError):
+        jet_invert(shifted)
+
+
+def compose_by_monomials(outer, inner):
+    """The composition as the kernel formed it before the monomial tables:
+    the monomials ``inner^k`` built in graded order, each by one product
+    ``inner^(k - e_i) * inner_i`` of two jets (``i`` the first variable of
+    ``k``), and every coefficient summed from 0.0 over the outer
+    coefficients times the monomials in graded order."""
+    order = min([o.order for o in outer] + [g.order for g in inner])
+    n = inner[0].n
+    keys = multi_indices(len(inner), order)
+    pos = {k: p for p, k in enumerate(keys)}
+    monomials = [Jet.constant(1.0, n, order)]
+    for k in keys[1:]:
+        i = next(i for i, e in enumerate(k) if e)
+        monomials.append(monomials[pos[k[:i] + (k[i] - 1,) + k[i + 1:]]] * inner[i])
+    results = []
+    for o in outer:
+        acc = 0.0
+        for p, mono in enumerate(monomials):
+            acc = acc + o.c[..., p, None] * mono.c
+        results.append(acc)
+    return results
+
+
+def nan_blind(c):
+    """The bytes of ``c`` with every NaN made one NaN: which of two NaN
+    operands a product or sum passes on depends on NumPy's loop for the
+    operand shapes, so a NaN's sign bit carries no value."""
+    return np.where(np.isnan(c), np.nan, c).tobytes()
+
+
+def origin_map(rng, n, m, order, rows=None):
+    """``m`` origin-preserving jets in ``n`` variables with random terms,
+    some of them signed zeros, infinities or NaNs; over ``rows`` batch rows
+    when given."""
+    shape = () if rows is None else (rows,)
+    special = np.array([0.0, -0.0, np.inf, np.nan, 1.0])
+    out = []
+    for _ in range(m):
+        coeffs = {}
+        for k in multi_indices(n, order):
+            v = rng.uniform(-1.0, 1.0, shape)
+            hit = rng.random(shape) < 0.1
+            v = np.where(hit, rng.choice(special, shape), v)
+            coeffs[k] = np.where(rng.random(shape) < 0.5, 0.0, -0.0) if sum(k) == 0 else v
+        out.append(Jet(n, order, {k: v if rows else float(v) for k, v in coeffs.items()}))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_composer_equals_the_per_monomial_loop_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for n, m, order in product((1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 4)):
+        inner = origin_map(rng, n, m, order)
+        outer = [Jet(m, order, {k: rng.uniform(-1.0, 1.0) for k in multi_indices(m, order)})
+                 for _ in range(2)]
+        through = jet_composer(inner)
+        want = compose_by_monomials(outer, inner)
+        for got in (through(outer), [through(o) for o in outer], jet_compose(outer, inner)):
+            assert [g.order for g in got] == [order, order]
+            assert [nan_blind(g.c) for g in got] == [nan_blind(w) for w in want]
+        # an outer of lower order reads the leading slice of the table
+        for low in range(order):
+            lower = [o.truncated(low) for o in outer]
+            got = through(lower)
+            assert [g.order for g in got] == [low, low]
+            assert ([nan_blind(g.c) for g in got]
+                    == [nan_blind(w) for w in compose_by_monomials(lower, inner)])
+        with pytest.raises(EngelLabError, match="arity mismatch"):
+            through(Jet(m + 1, order))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_composer_batch_rows_equal_their_points_bit_for_bit():
+    # a batch inner, with one component a point jet: each row of the
+    # composition is the composition through that row's inner at a point
+    rng = np.random.default_rng(16)
+    N = 5
+    for n, order in ((2, 3), (3, 4)):
+        inner = origin_map(rng, n, 2, order, rows=N) + origin_map(rng, n, 1, order)
+        outer = Jet(3, order, {k: rng.uniform(-1.0, 1.0) for k in multi_indices(3, order)})
+        got = jet_composer(inner)(outer)
+        assert nan_blind(got.c) == nan_blind(compose_by_monomials([outer], inner)[0])
+        for r in range(N):
+            point = [Jet(n, order, {k: float(v[r]) if np.ndim(v) else v for k, v in g.items()})
+                     for g in inner]
+            assert nan_blind(got.c[r]) == nan_blind(jet_composer(point)(outer).c)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mixed_order_bracket_equals_the_bracket_of_truncated_tuples():
+    # an order-2 tuple against an order-1 one: truncating both to order 1
+    # first gives the bits of the products over the untruncated tuples
+    rng = np.random.default_rng(17)
+    for rows in (None, 4):
+        A = origin_map(rng, 3, 3, 2, rows)
+        B = [j + 0.5 for j in origin_map(rng, 3, 3, 1, rows)]
+        want = []
+        for i in range(3):
+            acc = None
+            for j in range(3):
+                term = B[i].derivative(j) * A[j] - A[i].derivative(j) * B[j]
+                acc = term if acc is None else acc + term
+            want.append(acc)
+        for got in (jet_bracket(A, B), jet_bracket([a.truncated(1) for a in A], B)):
+            assert [g.order for g in got] == [0, 0, 0]
+            assert [nan_blind(g.c) for g in got] == [nan_blind(w.c) for w in want]
 
 
 def test_invert_series_reversion():
