@@ -45,10 +45,13 @@ untimed counts: the field evaluations (``_FieldBase.taylor`` calls) of one
 deformed flag point, of the 200-point batch and of the arc, the
 geodesic-field evaluations of the return, the evaluations of the
 variational right-hand side (state plus transported vectors, event location
-included) of the transport and the development, and the calls of the jet
+included) of the transport and the development, the calls of the jet
 product kernel ``jets._product`` in one ``normalize_pair`` and one
-``verify``.  The timings cannot resolve a change at L0 below about 2x on a
-shared machine; the counts are exact.
+``verify``, and the calls of the contact-form path's rule (the ``gray``
+suite's default path) in one Moser right-hand side, at t = 0.15 and state
+(M, 0) with L = d/dy, and in one ``gray`` run at the suite's defaults.  The
+timings cannot resolve a change at L0 below about 2x on a shared machine;
+the counts are exact.
 
 Imports engellab from the ``src/`` next to this directory and builds jets
 only through ``Jet(n, order, {multi_index: value})``, so the same file copied
@@ -68,7 +71,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from engellab import calculus, cli, flow, jets  # noqa: E402
-from engellab.deformation import ContactIsotopyGenerator, realize_isotopy  # noqa: E402
+from engellab.deformation import (ContactIsotopyGenerator, gray_solve,  # noqa: E402
+                                  realize_isotopy)
 from engellab.distributions import flag_ranks  # noqa: E402
 from engellab.expressions import scalar_field_from_expr  # noqa: E402
 from engellab.jets import (Jet, jet_compose, jet_invert, jet_pushforward,  # noqa: E402
@@ -164,6 +168,27 @@ def kernel_products(fn):
         fn()
     finally:
         jets._product = orig
+    return count[0]
+
+
+def path_rule_calls(fn):
+    """Calls of the rules of the contact-form paths that the CLI builds
+    while ``fn()`` runs, counted by wrapping each rule as it is passed to
+    ``ContactFormPath``."""
+    build, count = cli.ContactFormPath, [0]
+
+    def counting_build(chart, rule):
+        def counting(xs):
+            count[0] += 1
+            return rule(xs)
+
+        return build(chart, counting)
+
+    cli.ContactFormPath = counting_build
+    try:
+        fn()
+    finally:
+        cli.ContactFormPath = build
     return count[0]
 
 
@@ -322,6 +347,16 @@ def l3_items(items, counts):
     counts["central_projection_field_evals"] = taylor_calls(arc)
     counts["slice_transport_rhs_evals"] = rhs_evals(transport)
     counts["development_angle_rhs_evals"] = rhs_evals(develop)
+
+    def moser_rhs():
+        L = calculus.constant_field(cli.CONTACT_CHART, [0.0, 1.0, 0.0])
+        sol = gray_solve(cli._gray_path({})[0], L, np.linspace(0.0, 0.3, 5))
+        sol._rhs(0)(0.15, np.append(M, 0.0))
+
+    _, samples, tol = cli.SUITES["gray"]
+    counts["gray_moser_rhs_path_rule_calls"] = path_rule_calls(moser_rhs)
+    counts["gray_run_path_rule_calls"] = path_rule_calls(
+        lambda: cli.run("gray", {}, 0, samples, tol))
 
 
 def main():

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartMismatchError, DerivativeOrderError, EngelLabError
-from .jets import Jet, jet_bracket, jet_dot, jet_two_form
+from .jets import Jet, jet_bracket, jet_d_matrix, jet_dot, jet_two_form
 
 INF_ORDER = math.inf
 
@@ -283,18 +283,9 @@ class OneForm(_FieldBase):
         return jet_dot(self.taylor(point, order), X.taylor(point, order))
 
     def d_matrix(self, point, order=0):
-        """Jets of the exterior derivative, ``d alpha_{ij} = d_i a_j - d_j a_i``,
-        above the diagonal; below it their exact negations, and zeros on it.
-
-        Consumes one derivative order of the form.
-        """
-        a = self.taylor(point, order + 1)
-        n = self.chart.dim
-        zero = Jet.constant(np.zeros(a[0].c.shape[:-1]), n, order)
-        up = {(i, j): a[j].derivative(i) - a[i].derivative(j)
-              for i in range(n) for j in range(i + 1, n)}
-        return [[up[i, j] if i < j else -up[j, i] if i > j else zero for j in range(n)]
-                for i in range(n)]
+        """Jets of the exterior derivative (:func:`~engellab.jets.jet_d_matrix`)
+        at ``point``; consumes one derivative order of the form."""
+        return jet_d_matrix(self.taylor(point, order + 1))
 
     def d_apply(self, X, Y, point, order=0):
         """Jet of ``d alpha (X, Y)`` at ``point``."""
@@ -312,11 +303,6 @@ class ScalarField(_FieldBase):
 
     def jet(self, point, order):
         return self.taylor(point, order)[0]
-
-    def differential(self, point, order=0):
-        """Gradient jets (components of df)."""
-        j = self.jet(point, order + 1)
-        return [j.derivative(i) for i in range(self.chart.dim)]
 
 
 def _same_chart(a, b):

@@ -65,16 +65,19 @@ def _conforms(value, kind):
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _cfg(cfg, key, kind, default=None):
+def _cfg(cfg, key, kind, default=None, length=None):
     """The config value at ``key``, checked to be of ``kind`` (``int``,
     ``float``, ``bool`` or ``str``, or ``[kind]`` for a non-empty list of
-    them; an int is a float too), or ``default`` when the key is absent.  A
-    value of another kind is a ConfigError naming the key."""
+    them, of ``length`` entries when given; an int is a float too), or
+    ``default`` when the key is absent.  A value of another kind or length is
+    a ConfigError naming the key."""
     if key not in cfg:
         return default
     value = cfg[key]
     if not _conforms(value, kind):
         raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
+    if length is not None and len(value) != length:
+        raise ConfigError(f"config key {key!r} needs {length} entries: {value!r}")
     return float(value) if kind is float else value
 
 
@@ -86,7 +89,11 @@ def _chart(cfg, key, default):
 
 
 def _frame_fields(cfg, chart, key, defaults):
-    texts = _cfg(cfg, key, [[str]], defaults)
+    """The two fields at ``key`` on ``chart``, each a list of component
+    expressions, and their texts."""
+    texts = _cfg(cfg, key, [[str]], defaults, 2)
+    if any(len(comp) != chart.dim for comp in texts):
+        raise ConfigError(f"config key {key!r} needs {chart.dim} components per field")
     return [vector_field_from_exprs(chart, comp, name=f"{key}[{i}]")
             for i, comp in enumerate(texts)], texts
 
@@ -96,10 +103,10 @@ def _frame_fields(cfg, chart, key, defaults):
 
 def _suite_verify_engel(cfg, rng, samples, tol, report, seed):
     chart = _chart(cfg, "coords", ENGEL_CHART)
+    if chart.dim != 4:
+        raise ConfigError("config key 'coords' needs 4 names for verify-engel")
     fields, texts = _frame_fields(cfg, chart, "frame",
                                   [["0", "0", "0", "1"], ["1", "w", "y", "0"]])
-    if len(fields) != 2 or chart.dim != 4:
-        raise ConfigError("verify-engel needs 2 frame fields on a 4-dimensional chart")
     frame = DistributionFrame(fields)
     pts = rng.uniform(-1.0, 1.0, (samples, 4))
     failures, detail = 0, ""
@@ -111,7 +118,7 @@ def _suite_verify_engel(cfg, rng, samples, tol, report, seed):
     report.add("engel-flag", samples, 0, failures, detail=detail)
 
     direction = _cfg(cfg, "char_direction", [float],
-                     [0.0, 0.0, 0.0, 1.0] if "frame" not in cfg else None)
+                     [0.0, 0.0, 0.0, 1.0] if "frame" not in cfg else None, 4)
     if failures == 0 and direction is not None:
         worst = 0.0
         for ld in characteristic_line(frame, pts):
@@ -123,7 +130,7 @@ def _suite_verify_engel(cfg, rng, samples, tol, report, seed):
 def _base_contact(cfg):
     chart = _chart(cfg, "coords", CONTACT_CHART)
     if chart.dim != 3:
-        raise ConfigError("contact chart must be 3-dimensional")
+        raise ConfigError("config key 'coords' needs 3 names for a contact chart")
     (v0, v1), texts = _frame_fields(cfg, chart, "legendrian_frame",
                                     [["0", "1", "0"], ["1", "0", "y"]])
     return ParallelizedContact(chart, v0, v1), texts
@@ -237,7 +244,7 @@ def _suite_normal_form(cfg, rng, samples, tol, report, seed):
 def _suite_realize(cfg, rng, samples, tol, report, seed):
     contact, texts = _base_contact(cfg)
     domain = prolong(contact)
-    support = tuple(_cfg(cfg, "support", [float], [0.25, 1.3]))
+    support = tuple(_cfg(cfg, "support", [float], [0.25, 1.3], 2))
     h_text = _cfg(cfg, "h", str, "0.05*sin(x) + 0.04*z*cos(y) + 0.03*y")
     h = scalar_field_from_expr(domain.chart, h_text, name="h")
     gen = ContactIsotopyGenerator(domain, h, support)
@@ -272,7 +279,7 @@ def _gray_path(cfg):
     chart = CONTACT_CHART
     comps = _cfg(cfg, "form_components", [str],
                     ["t*(0.2*sin(x + 2*z) + 0.3*y*z) - y", "0*y",
-                     "1 + t*(0.15*x + 0.2*y + 0.05*z^2)"])
+                     "1 + t*(0.15*x + 0.2*y + 0.05*z^2)"], 3)
     exprs = [Expression(c, chart.coords + ("t",)) for c in comps]
 
     def rule(xs):
@@ -286,7 +293,10 @@ def _suite_gray(cfg, rng, samples, tol, report, seed):
     path, comps = _gray_path(cfg)
     t_max = _cfg(cfg, "t_max", float, 0.3)
     n_grid = _cfg(cfg, "grid", int, 5)
-    L = constant_field(CONTACT_CHART, _cfg(cfg, "legendrian", [float], [0.0, 1.0, 0.0]), name="L")
+    if n_grid < 2:
+        raise ConfigError(f"config key 'grid' must be at least 2: {n_grid}")
+    L = constant_field(CONTACT_CHART, _cfg(cfg, "legendrian", [float], [0.0, 1.0, 0.0], 3),
+                       name="L")
     pts = rng.uniform(-1.0, 1.0, (samples, 3))
 
     sol = gray_solve(path, L, np.linspace(0.0, t_max, n_grid), sample_points=pts[:10])

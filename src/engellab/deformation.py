@@ -8,23 +8,24 @@ stays Engel exactly while the spin function g, defined by
 [X, V] = f V + g U, stays above -1.  The Gray solver inverts the picture:
 given a path of contact forms whose time derivative kills a fixed Legendrian
 field L, it produces an isotopy pulling the moving planes back to the initial
-ones while preserving L.
+ones while preserving L.  The path is a rule in (x, t): one evaluation of it
+at order k + 1 gives theta_t, d theta_t and d/dt theta_t at order k, which is
+all that one Moser right-hand side reads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .calculus import (OneForm, ScalarField, VectorField, _coords_of, evaluation_scope,
-                       lie_bracket, lie_derivative_scalar, over_points)
-from .distributions import (DistributionFrame, line_angle, plane_principal_angle,
-                            reeb_field, reeb_vector)
+from .calculus import (ScalarField, VectorField, _coords_of, lie_bracket,
+                       lie_derivative_scalar, over_points)
+from .distributions import (DistributionFrame, _values, line_angle, plane_principal_angle,
+                            reeb_field, reeb_jets)
 from .errors import EngelLabError, GeometryError
 from .flow import flow, integrate_nonautonomous
-from .jets import Jet, jet_cross, jet_dot, jet_two_form
+from .jets import Jet, jet_cross, jet_d_matrix, jet_dot, jet_two_form
 from .prolongation import Slice, lift
 from .reporting import worst_of
 
@@ -213,64 +214,49 @@ def bottom_to_top(deformed, m, tol=1e-9):
     base component is the contact map realized by the deformation.
 
     W has unit vertical speed, so the flow time equals the theta span.
-    ``(N, 3)`` base points flow from the bottom slice as one stack of lanes.
+    ``(N, 3)`` base points flow from the bottom slice as one stack of lanes,
+    and one base point as a stack of one.
     """
-    m = np.asarray(_coords_of(m, None), dtype=float)
-    if m.ndim == 2:
-        q0 = np.column_stack([m, np.zeros(len(m))])
-        return flow(deformed.W, q0, deformed.theta_max, tol=tol).endpoint[:, :3]
-    q0 = m if m.shape == (4,) else np.append(m, 0.0)
-    span = deformed.theta_max - q0[3]
-    res = flow(deformed.W, q0, span, tol=tol)
-    return res.endpoint.coords[:3]
+    m = _coords_of(m, None)
+    rows = np.atleast_2d(m)
+    q0 = np.column_stack([rows, np.zeros(len(rows))])
+    top = flow(deformed.W, q0, deformed.theta_max, tol=tol).endpoint[:, :3]
+    return top if m.ndim == 2 else top[0]
 
 
 # -- Gray / Moser solver -------------------------------------------------------
 
 
 class ContactFormPath:
-    """A t-family of one-forms on a 3-chart, each component a rule in
+    """A t-family of one-forms theta_t on a 3-chart, its components a rule in
     (coordinates, t) with generic arithmetic."""
 
-    def __init__(self, chart, components, max_order=math.inf, name="theta_t"):
+    def __init__(self, chart, components):
         self.chart = chart
         self.components = components
-        self.max_order = max_order
-        self.name = name
 
-    def _ext_jets(self, coords, t, order):
-        seeds = Jet.seeds(list(coords) + [t], order)
-        return self.components(seeds)
-
-    def form_at(self, t):
-        """The one-form at frozen time t (t-variable restricted away)."""
-        path = self
-
-        def tfn(coords, order):
-            return [j.restrict(3) for j in path._ext_jets(coords, t, order)]
-
-        return OneForm(self.chart, taylor_fn=tfn, max_order=self.max_order,
-                       name=f"{self.name}[{t:.4f}]")
-
-    def dot_at(self, t):
-        """Time derivative of the family at frozen time t."""
-        path = self
-
-        def tfn(coords, order):
-            jets = path._ext_jets(coords, t, order + 1)
-            return [j.derivative(3).restrict(3) for j in jets]
-
-        return OneForm(self.chart, taylor_fn=tfn, max_order=self.max_order - 1,
-                       name=f"d/dt {self.name}[{t:.4f}]")
+    def jets(self, coords, t, order):
+        """theta_t to ``order + 1`` and d/dt theta_t to ``order`` around
+        ``coords`` (a point, or ``(dim, N)`` for a batch of N points), both
+        from one evaluation of the rule in (x, t) at ``order + 1``; a
+        component that the rule returns as a number is a constant."""
+        n = self.chart.dim
+        ext = self.components(Jet.seeds(list(coords) + [t], order + 1))
+        if len(ext) != n:
+            raise EngelLabError(f"rule returned {len(ext)} components, expected {n}")
+        ext = [j if isinstance(j, Jet) else Jet.constant(j, n + 1, order + 1) for j in ext]
+        return [j.restrict(n) for j in ext], [j.derivative(n).restrict(n) for j in ext]
 
 
 @dataclass
 class GraySolution:
     """Solved Moser system for a contact-form path with fixed Legendrian L.
 
-    ``transport`` integrates a point (and the initial contact plane and L
-    direction) over the grid and reports the pullback defects; ``g_log`` is
-    the logarithmic conformal scale accumulated along the trajectory.
+    ``transport`` integrates a point (and vector columns) over the grid and
+    ``pullback_defect`` reports the pullback defects; ``g_log`` is the
+    logarithmic conformal scale accumulated along the trajectory.  Each
+    right-hand side, hypothesis check and frame reads theta_t, d theta_t and
+    d/dt theta_t from one evaluation of the path (:meth:`ContactFormPath.jets`).
     """
 
     path: ContactFormPath
@@ -278,24 +264,23 @@ class GraySolution:
     t_grid: np.ndarray
     checks: list = dc_field(default_factory=list)
 
-    def moser_field_jets(self, t, coords, order, forms=None):
+    def moser_field_jets(self, t, coords, order):
         """Jets of X_t at a state: X = u L + v E with E = theta x L, where u
         solves the horizontal equation and v (the transverse component)
-        vanishes when the hypothesis dot-theta(L) = 0 holds.  ``forms`` is
-        the pair ``(form_at(t), dot_at(t))`` when the caller has built it."""
-        form, dot = forms or (self.path.form_at(t), self.path.dot_at(t))
+        vanishes when the hypothesis dot-theta(L) = 0 holds; then the jets
+        ``(theta_t, d theta_t, d/dt theta_t)`` that X is formed from, all at
+        ``order``."""
+        theta, dj = self.path.jets(coords, t, order)
+        a, M = [j.truncated(order) for j in theta], jet_d_matrix(theta)
         Lj = self.L.taylor(coords, order)
-        a = form.taylor(coords, order)
         Ej = jet_cross(a, Lj)
-        M = form.d_matrix(coords, order)
-        dj = dot.taylor(coords, order)
         dLE = jet_two_form(M, Lj, Ej)
         scale = np.sqrt(sum(c.value * c.value for c in Lj) * sum(c.value * c.value for c in Ej))
         if np.any(abs(dLE.value) < 1e-12 * np.maximum(scale, 1e-300)):
             raise GeometryError("d theta_t degenerates on the contact planes", point=coords)
         u = -1.0 * jet_dot(dj, Ej) * dLE.reciprocal()
         v = jet_dot(dj, Lj) * dLE.reciprocal()
-        return [u * li + v * ei for li, ei in zip(Lj, Ej)], u, v
+        return [u * li + v * ei for li, ei in zip(Lj, Ej)], (a, M, dj)
 
     def check_hypothesis(self, points):
         """dot-theta_t must annihilate L at the first and last grid times;
@@ -303,10 +288,10 @@ class GraySolution:
         :data:`HYPOTHESIS_TOL` (a NaN pairing at any point raises)."""
         worst = 0.0
         for t in (self.t_grid[0], self.t_grid[-1]):
-            dot = self.path.dot_at(t)
             for x in points:
-                num = abs(float(dot.pair(self.L, x).value))
-                den = max(np.linalg.norm(dot(x)) * np.linalg.norm(self.L(x)), 1e-300)
+                dot = self.path.jets(x, t, 0)[1]
+                num = abs(float(jet_dot(dot, self.L.taylor(x, 0)).value))
+                den = max(np.linalg.norm(_values(dot, x)) * np.linalg.norm(self.L(x)), 1e-300)
                 worst = worst_of(worst, num / den)
         if not worst <= HYPOTHESIS_TOL:
             raise GeometryError(
@@ -319,14 +304,13 @@ class GraySolution:
 
         def f(t, y):
             x = y.T[:3]
-            with evaluation_scope():
-                forms = sol.path.form_at(t), sol.path.dot_at(t)
-                jets = sol.moser_field_jets(t, x, 1, forms)[0]
-                R, dot = reeb_vector(forms[0], x), forms[1](x)
+            jets, (a, M, dot) = sol.moser_field_jets(t, x, 1)
+            R = reeb_jets([[m.truncated(0) for m in row] for row in M],
+                          [j.truncated(0) for j in a], x)
             # lane by lane on contiguous rows, so that the products are those
             # of a lone point; last, the log conformal scale dg/dt = -dot theta_t(R_t)
-            lanes = [np.ascontiguousarray(np.atleast_2d(a)) for a in (
-                y, np.array([j.value for j in jets]).T, dot.T, R.T,
+            lanes = [np.ascontiguousarray(np.atleast_2d(c)) for c in (
+                y, _values(jets, x).T, _values(dot, x).T, _values(R, x).T,
                 np.array([j.gradient() for j in jets]).reshape(3, 3, -1).transpose(2, 0, 1))]
             out = [np.concatenate([val, (DX @ yl[3:3 + 3 * n_vec].reshape(3, n_vec)).ravel(),
                                    [-float(np.dot(d, r))]]) for yl, val, d, r, DX in zip(*lanes)]
@@ -336,15 +320,12 @@ class GraySolution:
 
     def transport(self, x0, vectors=None):
         """Integrate the isotopy from ``x0`` over the grid, carrying optional
-        vector columns and the log-scale; fixed-grid RK4 so that refining
-        ``t_grid`` refines the answer.  ``(N, 3)`` start points, with
+        ``(3, k)`` vector columns and the log-scale; fixed-grid RK4 so that
+        refining ``t_grid`` refines the answer.  ``(N, 3)`` start points, with
         ``(N, 3, k)`` vectors, run as one stack of lanes."""
         x0 = np.asarray(x0, dtype=float)
         lead = x0.shape[:-1]
         V = np.zeros(lead + (3, 0)) if vectors is None else np.asarray(vectors, float)
-        V = np.atleast_2d(V) if V.ndim < 2 else V
-        if V.ndim == 2 and V.shape[0] != 3 and V.size:
-            V = V.T
         k = V.shape[-1]
         y = integrate_nonautonomous(self._rhs(k), np.concatenate(
             [x0, V.reshape(lead + (-1,)), np.zeros(lead + (1,))], -1), self.t_grid)
@@ -358,9 +339,11 @@ class GraySolution:
             b1 = np.cross(a, np.eye(3)[int(np.argmin(np.abs(a)))])
             return np.column_stack([b1, np.cross(a, b1), L])
 
-        form = self.path.form_at(t)
-        return over_points(points, lambda xs: list(map(frame, form(xs).T, self.L(xs).T)),
-                           lambda x: frame(form(x), self.L(x)))
+        def theta(xs):
+            return _values(self.path.jets(xs, t, 0)[0], xs)
+
+        return over_points(points, lambda xs: list(map(frame, theta(xs).T, self.L(xs).T)),
+                           lambda x: frame(theta(x), self.L(x)))
 
     def pullback_defect(self, x0):
         """Transport a basis of ker theta_0 at x0 and the L direction; report

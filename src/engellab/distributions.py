@@ -235,19 +235,21 @@ def _lines(frame, points, coords, tol):
 
 def reeb_vector(alpha, p):
     """The Reeb vector of a contact form at a point: ``alpha(Z) = 1``,
-    ``d alpha(Z, .) = 0``.
-
-    In dimension 3, the kernel of ``d alpha`` is spanned by the component
-    dual ``(da_23, da_31, da_12)``; normalizing by ``alpha`` gives Z.
-    """
-    jets = _reeb_jets(alpha, _coords_of(p, alpha.chart), 0)
+    ``d alpha(Z, .) = 0`` (see :func:`reeb_jets`)."""
+    coords = _coords_of(p, alpha.chart)
+    with evaluation_scope():
+        jets = reeb_jets(alpha.d_matrix(coords), alpha.taylor(coords, 0), coords)
     return np.array([j.value for j in jets])
 
 
-def _reeb_jets(alpha, coords, order):
-    M = alpha.d_matrix(coords, order)
+def reeb_jets(M, a, coords):
+    """Jets of the Reeb field of a contact form on a 3-dimensional chart from
+    those of its exterior derivative ``M`` and of the form ``a``, at one
+    order, around ``coords``.  The kernel of ``d alpha`` is spanned by the
+    component dual ``(da_23, da_31, da_12)``; normalizing by ``alpha`` gives
+    Z."""
     v = [M[1][2], M[2][0], M[0][1]]
-    pairing = jet_dot(alpha.taylor(coords, order), v)
+    pairing = jet_dot(a, v)
     if np.any(abs(pairing.value) < 1e-13):
         raise GeometryError("form is not contact at the point (alpha ^ d alpha = 0)", point=coords)
     inv = pairing.reciprocal()
@@ -255,11 +257,13 @@ def _reeb_jets(alpha, coords, order):
 
 
 def reeb_field(alpha):
-    """The Reeb vector field of a contact form on a 3-dimensional chart."""
+    """The Reeb vector field of a contact form on a 3-dimensional chart; the
+    form is evaluated once, for ``d alpha``, and sliced for the pairing."""
     if alpha.chart.dim != 3:
         raise EngelLabError("Reeb field construction needs a 3-dimensional chart")
     return VectorField(alpha.chart, max_order=alpha.max_order - 1, name=f"Reeb({alpha.name})",
-                       taylor_fn=lambda coords, order: _reeb_jets(alpha, coords, order))
+                       taylor_fn=lambda coords, order: reeb_jets(
+                           alpha.d_matrix(coords, order), alpha.taylor(coords, order), coords))
 
 
 def annihilator_form(v0, v1, name=""):

@@ -253,14 +253,13 @@ def flow_to_section(X, p, section, tol=DEFAULT_TOL, max_time=50.0, min_time=1e-6
     returned state and transport are integrator states.
 
     Returns a :class:`FlowResult` whose ``time`` is the crossing time.  If
-    ``vectors`` is given, they are transported to the crossing as well.
+    ``vectors`` (``(dim, k)`` columns) are given, they are transported to the
+    crossing as well.
     """
     chart = X.chart
     n = chart.dim
     if vectors is not None:
-        V = np.atleast_2d(np.asarray(vectors, dtype=float))
-        if V.shape[0] != n:
-            V = V.T
+        V = np.asarray(vectors, dtype=float)
         k = V.shape[1]
         y0 = np.concatenate([_coords_of(p, chart), V.ravel()])
         rhs = _augmented_rhs(X, n, k)

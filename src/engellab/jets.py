@@ -538,6 +538,18 @@ def jet_two_form(M, u, v):
     return acc
 
 
+def jet_d_matrix(a):
+    """Jets of the exterior derivative of a one-form from its component jets,
+    one order below them: ``d a_{ij} = d_i a_j - d_j a_i`` above the
+    diagonal, their exact negations below it, and zeros on it."""
+    n = len(a)
+    zero = Jet.constant(np.zeros(a[0].c.shape[:-1]), n, a[0].order - 1)
+    up = {(i, j): a[j].derivative(i) - a[i].derivative(j)
+          for i in range(n) for j in range(i + 1, n)}
+    return [[up[i, j] if i < j else -up[j, i] if i > j else zero for j in range(n)]
+            for i in range(n)]
+
+
 def jet_cross(a, b):
     """Cross product of two 3-component tuples."""
     return [a[1] * b[2] - a[2] * b[1],

@@ -57,15 +57,39 @@ def test_bad_config_exits_two(capsys, tmp_path):
     ("gray", {"grid": "five"}, "grid"),
     ("contactify", {"slices": 0.5}, "slices"),
     ("zoll-closedness", {"metric": "plane", "bound": "far"}, "bound"),
+    ("gray", {"form_components": ["t*x - y", "1"]}, "form_components"),
+    ("gray", {"legendrian": [0.0, 1.0]}, "legendrian"),
+    ("gray", {"grid": 0}, "grid"),
+    ("gray", {"grid": 1}, "grid"),
+    ("realize", {"support": [0.3]}, "support"),
+    ("verify-engel", {"char_direction": [0.0, 0.0, 1.0]}, "char_direction"),
+    ("prolong", {"legendrian_frame": [["0", "1", "0"]]}, "legendrian_frame"),
+    ("contactify", {"legendrian_frame": [["0", "1", "0"]]}, "legendrian_frame"),
+    ("realize", {"legendrian_frame": [["0", "1", "0"]]}, "legendrian_frame"),
+    ("verify-engel", {"coords": ["x", "y", "z"]}, "coords"),
+    ("prolong", {"coords": ["x", "y", "z", "w"]}, "coords"),
 ])
 def test_wrong_typed_config_value_exits_two(capsys, tmp_path, command, cfg, key):
-    # a config value of the wrong type is a config error naming its key,
-    # not a traceback
+    # a config value of the wrong type, or a list of the wrong length, is a
+    # config error naming its key, not a traceback
     p = tmp_path / "typed.json"
     p.write_text(json.dumps(cfg))
     code, out, err = run_cli(capsys, command, "--config", str(p))
     assert code == 2
     assert "config error" in err and repr(key) in err
+
+
+def test_gray_reads_a_number_component_as_a_constant(capsys, tmp_path):
+    # "0" evaluates to a number, not a jet: the path lifts it to a constant,
+    # and the checks are those of the default middle component "0*y"
+    comps = list(cli._gray_path({})[1])
+    comps[1] = "0"
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps({"form_components": comps}))
+    code, out, err = run_cli(capsys, "gray", "--config", str(p), "--format", "json")
+    default = run_cli(capsys, "gray", "--format", "json")
+    assert code == 0 and default[0] == 0
+    assert json.loads(out)["checks"] == json.loads(default[1])["checks"]
 
 
 def test_missing_config_exits_two(capsys):

@@ -13,6 +13,7 @@ from engellab.distributions import flag_ranks
 from engellab.errors import EngelLabError, GeometryError, IntegrationError
 from engellab.expressions import scalar_field_from_expr, vector_field_from_exprs
 from engellab.flow import integrate
+from engellab.jets import Jet, jet_dot
 from engellab.prolongation import ParallelizedContact, prolong
 from engellab.deformation import (ContactFormPath, ContactIsotopyGenerator,
                                   bottom_to_top, bump_window, gray_solve,
@@ -235,8 +236,9 @@ def test_moser_field_transverse_component_vanishes():
     rng = np.random.default_rng(8)
     for _ in range(5):
         x = rng.uniform(-0.5, 0.5, 3)
-        _, u, v = sol.moser_field_jets(rng.uniform(0, 1), x, 0)
-        assert abs(v.value) < 1e-13
+        # v = dot theta_t(L) / d theta_t(L, E)
+        _, (_, _, dot) = sol.moser_field_jets(rng.uniform(0, 1), x, 0)
+        assert abs(jet_dot(dot, L_field().taylor(x, 0)).value) < 1e-13
 
 
 def test_exactly_integrable_family_is_solved_exactly():
@@ -304,14 +306,33 @@ def test_pullback_defect_of_a_stack_equals_single_calls():
 
 
 def test_moser_rhs_shares_the_form_jets_with_the_reeb_term():
-    # one right-hand side evaluates the path at order 1 for theta_t and at
-    # order 2 for d theta_t and for d/dt theta_t at order 1; theta_t at order
-    # 1 and 0 for the Reeb vector, and d/dt theta_t at order 0, are slices of
-    # those jets: three rule calls
+    # one right-hand side evaluates the path once, at order 2 in (x, t):
+    # theta_t and d/dt theta_t at order 1, d theta_t, and the Reeb vector
+    # and d/dt theta_t values are all read from that one evaluation
     calls = []
     sol = gray_solve(_moser_path(calls), L_field(), np.linspace(0, 1, 5))
     sol._rhs(0)(0.3, np.array([0.1, -0.2, 0.3, 0.0]))
-    assert sorted(calls) == [1, 2, 2]
+    assert calls == [2]
+
+
+def test_path_jets_truncate_to_a_direct_evaluation():
+    # theta_t and d/dt theta_t from one evaluation at order k + 1, truncated
+    # to k - 1, are bit for bit the restriction of the rule's jets at order
+    # k - 1 and the t-derivative of its jets at order k, at a point and over
+    # a batch
+    path = _moser_path()
+    t = 0.37
+    for coords in (np.array([0.1, -0.2, 0.3]),
+                   np.random.default_rng(16).uniform(-0.5, 0.5, (3, 4))):
+        for k in (1, 2, 3):
+            theta, dot = path.jets(coords, t, k)
+            assert [j.order for j in theta] == [k + 1] * 3 and [j.order for j in dot] == [k] * 3
+            direct = path.components(Jet.seeds(list(coords) + [t], k - 1))
+            assert all(np.array_equal(j.truncated(k - 1).c, d.restrict(3).c)
+                       for j, d in zip(theta, direct))
+            direct = path.components(Jet.seeds(list(coords) + [t], k))
+            assert all(np.array_equal(j.truncated(k - 1).c, d.derivative(3).restrict(3).c)
+                       for j, d in zip(dot, direct))
 
 
 def test_transport_raises_at_a_nan_right_hand_side():
