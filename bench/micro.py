@@ -23,8 +23,12 @@ the first recorded.
 L2, pointwise geometry: ``flag_ranks`` at one point of the standard
 prolongation and of the deformed frame of the ``realize`` suite (its default
 Hamiltonian and support), the cost per point of one 200-point batch of that
-deformed frame, and ``normalize_pair`` / ``verify`` on a random order-4 pair
-of the ``normal-form`` suite.
+deformed frame, ``normalize_pair`` / ``verify`` on a random order-4 pair
+of the ``normal-form`` suite, and the ``plane_basis`` of the frame that
+``contactify`` induces on the slice theta = 0.7 of the standard
+prolongation, at one point and per point of a 60-point batch (the
+``contactify`` suite's points per slice; the batch row needs a
+``plane_basis`` that takes an ``(N, 3)`` array of points).
 
 L3, trajectories: one call of the Zoll right-hand side V1
 (``SphereAtlas.field("north")`` at a fixed state) and one of its order-1
@@ -47,7 +51,9 @@ geodesic-field evaluations of the return, the evaluations of the
 variational right-hand side (state plus transported vectors, event location
 included) of the transport and the development, the calls of the jet
 product kernel ``jets._product`` in one ``normalize_pair`` and one
-``verify``, and the calls of the contact-form path's rule (the ``gray``
+``verify``, the field evaluations (``_FieldBase._evaluate`` calls) per
+point of the induced ``plane_basis`` at one point and in the 60-point
+batch, and the calls of the contact-form path's rule (the ``gray``
 suite's default path) in one Moser right-hand side, at t = 0.15 and state
 (M, 0) with L = d/dy, and in one ``gray`` run at the suite's defaults.  The
 timings cannot resolve a change at L0 below about 2x on a shared machine;
@@ -78,12 +84,14 @@ from engellab.expressions import scalar_field_from_expr  # noqa: E402
 from engellab.jets import (Jet, jet_compose, jet_invert, jet_pushforward,  # noqa: E402
                            multi_indices)
 from engellab.normal_form import normalize_pair  # noqa: E402
-from engellab.prolongation import development_angle, prolong, slice_transport  # noqa: E402
+from engellab.prolongation import (contactify, development_angle, prolong,  # noqa: E402
+                                   slice_transport)
 from engellab.zoll import SphereAtlas, central_projection_check, first_return  # noqa: E402
 
 SIZES = ((4, 3), (3, 4))
 LOW_ORDERS = ((3, 0), (3, 1))
 BATCH = 200
+SLICE_POINTS = 60
 LANES = 3
 BATCH_PRODUCTS = ((3, 0, LANES), (3, 1, LANES), (3, 2, LANES), (4, 2, BATCH))
 REALIZE_H = "0.05*sin(x) + 0.04*z*cos(y) + 0.03*y"
@@ -293,6 +301,22 @@ def l2_items(items, counts):
         k: v / BATCH if k.endswith("_us") else v for k, v in batch.items()}
     counts["taylor_deformed_point"] = taylor_calls(lambda: flag_ranks(deformed, q))
     counts[f"taylor_deformed_batch{BATCH}"] = taylor_calls(lambda: flag_ranks(deformed, pts))
+
+    std = prolong(cli._base_contact({})[0])
+    induced = contactify(std.frame(), std.theta_slice(0.7))
+    ms = np.random.default_rng(4).uniform(-1.0, 1.0, (SLICE_POINTS, 3))
+
+    def bases():
+        return induced.plane_basis(ms)
+
+    items["contactify_plane_basis_point"] = per_call_us(lambda: induced.plane_basis(ms[0]))
+    batch = per_call_us(bases)
+    items[f"contactify_plane_basis_batch{SLICE_POINTS}_per_point"] = {
+        k: v / SLICE_POINTS if k.endswith("_us") else v for k, v in batch.items()}
+    counts["contactify_plane_basis_point_evaluations"] = evaluations_and_products(
+        lambda: induced.plane_basis(ms[0]))[0]
+    counts[f"contactify_plane_basis_batch{SLICE_POINTS}_evaluations_per_point"] = \
+        evaluations_and_products(bases)[0] / SLICE_POINTS
 
     pair = cli._random_pair(np.random.default_rng(4))
     res = normalize_pair(pair)

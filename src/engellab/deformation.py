@@ -285,19 +285,28 @@ class GraySolution:
     def check_hypothesis(self, points):
         """dot-theta_t must annihilate L at the first and last grid times;
         returns the worst relative pairing and raises unless it is within
-        :data:`HYPOTHESIS_TOL` (a NaN pairing at any point raises)."""
+        :data:`HYPOTHESIS_TOL` (a NaN pairing at any point raises).  The
+        points are evaluated as one batch per time, and folded in order."""
         worst = 0.0
         for t in (self.t_grid[0], self.t_grid[-1]):
-            for x in points:
-                dot = self.path.jets(x, t, 0)[1]
-                num = abs(float(jet_dot(dot, self.L.taylor(x, 0)).value))
-                den = max(np.linalg.norm(_values(dot, x)) * np.linalg.norm(self.L(x)), 1e-300)
-                worst = worst_of(worst, num / den)
+            worst = worst_of(worst, *over_points(points, lambda xs: self._pairings(xs, t),
+                                                 lambda x: self._pairings(x, t)[0]))
         if not worst <= HYPOTHESIS_TOL:
             raise GeometryError(
                 f"dot theta_t does not annihilate L (relative pairing {worst:.3e})")
         self.checks.append({"check": "hypothesis", "worst": worst})
         return worst
+
+    def _pairings(self, coords, t):
+        """|dot-theta_t(L)| / (|dot-theta_t| |L|) at a point, or at each
+        point of ``(3, N)`` coordinates."""
+        dot = self.path.jets(coords, t, 0)[1]
+        num = np.abs(jet_dot(dot, self.L.taylor(coords, 0)).value)
+        # one contiguous row per point, laid out as at a single point
+        dots, Ls = (np.ascontiguousarray(np.reshape(v, (3, -1)).T)
+                    for v in (_values(dot, coords), self.L(coords)))
+        return [n / max(np.linalg.norm(d) * np.linalg.norm(l), 1e-300)
+                for n, d, l in zip(np.broadcast_to(num, len(dots)), dots, Ls)]
 
     def _rhs(self, n_vec):
         sol = self

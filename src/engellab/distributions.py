@@ -10,10 +10,10 @@ near-degenerate cases can be audited instead of silently misclassified.
 the contact test), and form every bracket they need from those jets with
 :func:`~engellab.jets.jet_bracket`.  The frame columns are the fields'
 values, so a lone point of a component-rule field keeps its float path.
-:func:`flag_ranks` and :func:`characteristic_line` take one point or an
-``(N, dim)`` array of points.  A batch is evaluated in one evaluation scope
-with one stacked SVD per stage, and gives one result per row, each equal bit
-for bit to the result at that point alone.
+These three take one point or an ``(N, dim)`` array of points.  A batch is
+evaluated in one evaluation scope with one stacked SVD per stage, and gives
+one result per row, each equal bit for bit to the result at that point
+alone.
 """
 
 from __future__ import annotations
@@ -159,7 +159,8 @@ def is_engel(frame, p, tol=DEFAULT_RANK_TOL):
 def is_contact(frame_or_form, p, tol=DEFAULT_RANK_TOL):
     """Contact test on a 3-dimensional chart.
 
-    Frame variant: rank of {V0, V1, [V0, V1]} is 3.  Form variant:
+    Frame variant: rank of {V0, V1, [V0, V1]} is 3; for an ``(N, 3)`` array
+    of points, the list of the N verdicts, from one batch.  Form variant:
     ``alpha ^ d alpha`` is nondegenerate relative to the form's scale.
     """
     if isinstance(frame_or_form, OneForm):
@@ -176,11 +177,18 @@ def is_contact(frame_or_form, p, tol=DEFAULT_RANK_TOL):
         frame = DistributionFrame(list(frame_or_form))
     if frame.dim != 3 or frame.rank != 2:
         raise EngelLabError("contact frame test needs 2 fields on a 3-dimensional chart")
+    if np.ndim(p) == 2:
+        return over_points(p, lambda coords: _contact_verdicts(frame, coords, tol),
+                           lambda q: is_contact(frame, q, tol))
+    return _contact_verdicts(frame, p, tol)[0]
+
+
+def _contact_verdicts(frame, coords, tol):
     with evaluation_scope():
-        jets = [f.taylor(p, 1) for f in frame.fields]
-        cols = [f(p) for f in frame.fields]
-    r, _ = _ranks(_matrices(cols + [_values(jet_bracket(*jets), p)]), tol)
-    return int(r[0]) == 3
+        jets = [f.taylor(coords, 1) for f in frame.fields]
+        cols = [f(coords) for f in frame.fields]
+    r, _ = _ranks(_matrices(cols + [_values(jet_bracket(*jets), coords)]), tol)
+    return [bool(rk == 3) for rk in r]
 
 
 def characteristic_line(frame, p, tol=DEFAULT_RANK_TOL):

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (Chart, VectorField, _coords_of,
-                       coordinate_field, evaluation_scope, lie_bracket)
-from .distributions import (DistributionFrame, LineDirection, annihilator_form,
+from .calculus import (Chart, VectorField, _coords_of, coordinate_field,
+                       evaluation_scope, lie_bracket, over_points)
+from .distributions import (DistributionFrame, LineDirection, _matrices, annihilator_form,
                             characteristic_line, is_contact)
 from .errors import EngelLabError, GeometryError
 from .flow import DEFAULT_TOL, flow_to_section
-from .jets import Jet
+from .jets import Jet, _jet
 
 TRANSVERSALITY_MIN_ANGLE = 1e-3
 
@@ -49,20 +49,38 @@ class ParallelizedContact:
     def plane_basis(self, m):
         """The frame at ``m`` as the two columns of a matrix; both fields
         are evaluated in one evaluation scope, so the jets they share are
-        computed once."""
+        computed once.  For an ``(N, 3)`` array of points, the ``(N, 3, 2)``
+        stack of those matrices, from one batch (``over_points``)."""
+        if np.ndim(m) == 2:
+            return np.array(over_points(m, self._bases, self.plane_basis))
+        return self._bases(m)[0]
+
+    def _bases(self, coords):
         with evaluation_scope():
-            return np.column_stack([self.v0(m), self.v1(m)])
+            return _matrices([self.v0(coords), self.v1(coords)])
 
     def check(self, points):
-        """Contact at each point and (when a form was supplied) annihilation."""
-        for m in points:
-            if not is_contact(self.frame(), m):
-                raise GeometryError("frame is not contact at a sampled point", point=m)
-            a = self.alpha(m)
-            scale = np.linalg.norm(a) * max(np.linalg.norm(self.v0(m)), np.linalg.norm(self.v1(m)))
-            if abs(a @ self.v0(m)) > 1e-10 * scale or abs(a @ self.v1(m)) > 1e-10 * scale:
-                raise GeometryError("supplied form does not annihilate the frame", point=m)
+        """Contact at each point and annihilation of the frame by the form;
+        raises at the first point where either fails.  The points are
+        evaluated as one batch (``over_points``), ``alpha``, ``v0`` and
+        ``v1`` once each."""
+        rows = np.asarray(points, dtype=float)
+        over_points(rows, lambda coords: self._check(rows, coords),
+                    lambda m: self._check([m], m))
         return True
+
+    def _check(self, points, coords):
+        contact = is_contact(self.frame(), np.asarray(points))
+        # one contiguous row per point, so each point's vectors are laid out
+        # as at a single point
+        a, v0, v1 = (np.ascontiguousarray(np.reshape(f(coords), (3, -1)).T)
+                     for f in (self.alpha, self.v0, self.v1))
+        for m, ok, ak, v0k, v1k in zip(points, contact, a, v0, v1):
+            if not ok:
+                raise GeometryError("frame is not contact at a sampled point", point=m)
+            scale = np.linalg.norm(ak) * max(np.linalg.norm(v0k), np.linalg.norm(v1k))
+            if abs(ak @ v0k) > 1e-10 * scale or abs(ak @ v1k) > 1e-10 * scale:
+                raise GeometryError("supplied form does not annihilate the frame", point=m)
 
 
 @dataclass(frozen=True)
@@ -85,7 +103,8 @@ class Slice:
         return float(y[self.axis] - self.value)
 
     def embed_coords(self, m):
-        return np.insert(np.asarray(m, dtype=float), self.axis, self.value)
+        """Ambient coordinates of a slice point, or of each column of ``(dim, N)``."""
+        return np.insert(np.asarray(m, dtype=float), self.axis, self.value, axis=0)
 
     def project_coords(self, q):
         return np.delete(np.asarray(q, dtype=float), self.axis)
@@ -177,7 +196,9 @@ def contactify(frame, slc):
 
     D^2 is spanned by {X, Y, [X, Y]} with the input frame order fixed; the
     intersection is computed by eliminating the slice-normal component with a
-    pivot chosen by constant-term magnitude.
+    pivot chosen by constant-term magnitude.  The induced fields take a slice
+    point or ``(3, N)`` slice coordinates; each point of a batch takes its own
+    pivot, and its row is bit for bit its point's jets.
     """
     if frame.rank != 2 or frame.dim != 4:
         raise EngelLabError("contactification expects a rank-2 frame in dimension 4")
@@ -189,20 +210,20 @@ def contactify(frame, slc):
     def make_tfn(which):
         def tfn(coords, order):
             q = slc.embed_coords(coords)
-            gens = [f.taylor(q, order) for f in (X, Y, B)]
+            # the bracket first: it evaluates X and Y one order higher, and
+            # their jets at this order are then slices of those
+            bracket = B.taylor(q, order)
+            gens = [X.taylor(q, order), Y.taylor(q, order), bracket]
             # restrict every component jet to the slice hyperplane
             gens = [[c.restrict(axis) for c in g] for g in gens]
+            if q.ndim == 2:
+                return _eliminate_rows(gens, axis, which, q)
             normal = [g[axis] for g in gens]  # ds(B_k), s = coordinate constraint
             piv = max(range(3), key=lambda k: abs(normal[k].value))
             size = max(np.max(np.abs([c.value for g in gens for c in g])), 1e-300)
             if abs(normal[piv].value) < 1e-12 * size:
                 raise GeometryError("D^2 is tangent to the slice (intersection rank != 2)", point=q)
-            others = [k for k in range(3) if k != piv]
-            k = others[which]
-            ratio = normal[k] * normal[piv].reciprocal()
-            comb = [gens[k][i] - ratio * gens[piv][i] for i in range(4)]
-            # the slice-normal component cancels exactly; drop it
-            return [comb[i] for i in range(4) if i != axis]
+            return _eliminate(gens[which + (which >= piv)], gens[piv], axis)
 
         return tfn
 
@@ -210,6 +231,38 @@ def contactify(frame, slc):
     u1 = VectorField(chart3, taylor_fn=make_tfn(0), max_order=cap, name="TS^D2[0]")
     u2 = VectorField(chart3, taylor_fn=make_tfn(1), max_order=cap, name="TS^D2[1]")
     return ParallelizedContact(chart3, u1, u2)
+
+
+def _eliminate(gen, pivot, axis):
+    """``gen - (ds(gen) / ds(pivot)) pivot`` without its slice-normal
+    component, which cancels exactly."""
+    ratio = gen[axis] * pivot[axis].reciprocal()
+    return [gen[i] - ratio * pivot[i] for i in range(len(gen)) if i != axis]
+
+
+def _eliminate_rows(gens, axis, which, q):
+    """:func:`_eliminate` over a batch, each row with its own pivot: the
+    first largest ``|ds(B_k)|``, as ``max`` picks it at a point.  The rows of
+    the kept and pivot generators are gathered from the coefficient arrays,
+    point-sized jets broadcast first."""
+    n, order = gens[0][0].n, gens[0][0].order
+    rows = q.shape[1]
+    C = np.stack([np.broadcast_to(c.c, (rows, c.c.shape[-1])) for g in gens for c in g])
+    C = C.reshape(3, len(gens[0]), rows, -1)
+    values = np.abs(C[..., 0])
+    normal = values[:, axis]
+    piv, index = np.zeros(rows, dtype=int), np.arange(rows)
+    for k in (1, 2):
+        piv = np.where(normal[k] > normal[piv, index], k, piv)
+    size = np.max(values.reshape(-1, rows), axis=0)
+    size = np.where(1e-300 > size, 1e-300, size)
+    bad = np.flatnonzero(normal[piv, index] < 1e-12 * size)
+    if len(bad):
+        raise GeometryError("D^2 is tangent to the slice (intersection rank != 2)",
+                            point=q[:, bad[0]])
+    gen, pivot = ([_jet(n, order, C[k, i, index]) for i in range(len(gens[0]))]
+                  for k in (which + (which >= piv), piv))
+    return _eliminate(gen, pivot, axis)
 
 
 @dataclass

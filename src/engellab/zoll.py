@@ -344,6 +344,11 @@ class SingleChartSpace:
             out.extend([cos(x[i]), sin(x[i])] if i == 2 or self.periodic[i] else [x[i]])
         return np.array(out)
 
+    def embed_with_slope(self, state, slope, chart):
+        """``embed`` at a state where the geodesic field's value is known;
+        this embedding does not read it."""
+        return self.embed(state, chart)
+
     def point(self, state, chart):
         return self.embed(state, chart)[:-2]  # the base-point entries
 
@@ -419,9 +424,16 @@ class SphereAtlas:
     def embed(self, state, chart, order=0):
         """Point and unit tangent in R^6 (chart-independent), the tangent along
         d(point) u ~ (den u - 2 (x.u) x, 2 r (x.u)), den = |x|^2 + r^2 (order 1: jets)."""
-        ut, r = self._ut(chart), self.radius
-        x, u = (state, ut.unit_vector(state)) if order == 0 else (
-            Jet.seeds(state, 1), ut.V1.taylor(state, 1)[:2])
+        ut = self._ut(chart)
+        if order == 0:
+            return self.embed_with_slope(state, ut.unit_vector(state), chart)
+        return self.embed_with_slope(Jet.seeds(state, 1), ut.V1.taylor(state, 1)[:2], chart)
+
+    def embed_with_slope(self, state, slope, chart):
+        """``embed`` at a state where the geodesic field's value
+        ``slope = V1(state) = (u, psidot)`` is known (or u alone): the unit
+        vector u is read from it, not computed again."""
+        x, u, r = state, slope, self.radius
         xu, den = x[0] * u[0] + x[1] * u[1], x[0] * x[0] + x[1] * x[1] + r * r
         dp = np.array([den * u[0] - 2.0 * xu * x[0], den * u[1] - 2.0 * xu * x[1],
                        (-2.0 if chart == "south" else 2.0) * r * xu])
@@ -460,27 +472,33 @@ def first_return(space, state, chart, max_arclength=30.0, tol=1e-10):
     flow at the start.  The gates are checked on each step, by the cheap
     base point (``space.point``) where that decides them; a sign change of f
     on a step that ends inside the 0.6 capture is located on that step, to
-    |f| at its rounding floor.
+    |f| at its rounding floor.  At a step's ends the gates embed the states
+    with the end slopes that the integrator holds (``embed_with_slope``), and
+    a step starts with the value of f where the step before it ended.
     Returns (returned, arclength, defect, final_state, final_chart)."""
     start, base = space.embed(state, chart), space.point(state, chart)
     T0 = np.array([e.gradient() for e in space.embed(state, chart, order=1)]) @ space.field(chart)(state)
     T0 /= np.linalg.norm(T0)
     departed, found = False, []
+    end = None  # (chart, time, f) at the last step end where the gates took f
 
-    def section(y, ch):
-        e = space.embed(y, ch) - start
+    def section(e):
+        e = e - start
         return float(e @ T0), float(np.linalg.norm(e))
 
     def on_step(rhs, ch, t0, y0, t1, y1, h, k0, k1):
-        nonlocal departed
+        nonlocal departed, end
         dist = np.linalg.norm(space.point(y1, ch) - base)  # at most |e - start|
         if not departed:
-            departed = dist > 1.0 or section(y1, ch)[1] > 1.0
+            departed = dist > 1.0 or section(space.embed_with_slope(y1, k1, ch))[1] > 1.0
         elif dist < 0.6:
-            (f0, _), (f1, d1) = section(y0, ch), section(y1, ch)
+            f0 = end[2] if end and end[:2] == (ch, t0) else \
+                section(space.embed_with_slope(y0, k0, ch))[0]
+            f1, d1 = section(space.embed_with_slope(y1, k1, ch))
+            end = (ch, t1, f1)
             if d1 < 0.6 and (f0 * f1 < 0.0 or f1 == 0.0):
-                tau, y = _locate_crossing(rhs, lambda x: section(x, ch)[0], t0, y0, y1, h,
-                                          k0, k1, f0, f1, 1e-15)
+                tau, y = _locate_crossing(rhs, lambda x: section(space.embed(x, ch))[0],
+                                          t0, y0, y1, h, k0, k1, f0, f1, 1e-15)
                 found.append((float(t0 + tau), y))
         return bool(found)
 

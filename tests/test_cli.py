@@ -9,6 +9,7 @@ import pytest
 
 from engellab import cli
 from engellab.cli import main
+from engellab.deformation import GraySolution
 from engellab.distributions import DistributionFrame, LineDirection, flag_ranks
 from engellab.errors import GeometryError
 from engellab.expressions import vector_field_from_exprs
@@ -90,6 +91,39 @@ def test_gray_reads_a_number_component_as_a_constant(capsys, tmp_path):
     default = run_cli(capsys, "gray", "--format", "json")
     assert code == 0 and default[0] == 0
     assert json.loads(out)["checks"] == json.loads(default[1])["checks"]
+
+
+def test_refinement_halving_floors_a_rounding_level_coarse_defect(capsys, tmp_path, monkeypatch):
+    # a path that the coarse grid already solves to rounding: both defects
+    # are about 4.5e-16, and their ratio is noise, so the coarse defect is
+    # floored at REFINEMENT_FLOOR and the run passes
+    p = tmp_path / "exact.json"
+    p.write_text(json.dumps({"form_components": ["t*x - y", "0*y", "1"]}))
+    code, out, _ = run_cli(capsys, "gray", "--config", str(p), "--samples", "5")
+    assert code == 0, out
+    # the default path's coarse defect is above the floor: its ratio and
+    # detail are those of the unfloored division
+    _, samples, tol = cli.SUITES["gray"]
+    floored = cli.run("gray", {}, 0, samples, tol).records[-1]
+    monkeypatch.setattr(cli, "REFINEMENT_FLOOR", 1e-300)
+    plain = cli.run("gray", {}, 0, samples, tol).records[-1]
+    assert (floored.max_defect, floored.detail) == (plain.max_defect, plain.detail)
+    assert floored.passed
+    monkeypatch.undo()
+    # a fine defect above a floored coarse one still fails: scale the fine
+    # grid's plane defects (9 grid times) by 1e3
+    pullback = GraySolution.pullback_defect
+
+    def scaled(sol, x0):
+        reports = pullback(sol, x0)
+        if len(sol.t_grid) == 9:
+            for r in reports:
+                r["plane_defect"] *= 1e3
+        return reports
+
+    monkeypatch.setattr(GraySolution, "pullback_defect", scaled)
+    code, out, _ = run_cli(capsys, "gray", "--config", str(p), "--samples", "5")
+    assert code == 1 and "refinement-halving" in out and "FAIL" in out
 
 
 def test_missing_config_exits_two(capsys):

@@ -15,6 +15,7 @@ from engellab.expressions import scalar_field_from_expr, vector_field_from_exprs
 from engellab.flow import integrate
 from engellab.jets import Jet, jet_dot
 from engellab.prolongation import ParallelizedContact, prolong
+from engellab.reporting import worst_of
 from engellab.deformation import (ContactFormPath, ContactIsotopyGenerator,
                                   bottom_to_top, bump_window, gray_solve,
                                   realize_isotopy)
@@ -226,6 +227,31 @@ def test_hypothesis_check_fails_on_nan_pairing():
                       sample_points=pts[:1]).checks[0]["worst"] == 0.0
     with pytest.raises(GeometryError, match="nan"):
         gray_solve(_path(components), L_field(), np.linspace(0, 1, 5), sample_points=pts)
+
+
+def test_hypothesis_check_is_one_batch_per_time():
+    # the check evaluates the path once per time on all the sample points,
+    # and its worst pairing is the fold over the points, in order, of the
+    # pairings at each point alone, bit for bit
+    # (a pairing of about 1e-10, so that the worst is not zero)
+    calls = []
+
+    def components(s):
+        calls.append(s[0].order)
+        return [s[3] * s[0] - s[1], 1e-10 * s[3] * (s[0] + s[2].sin()), 1.0 + 0.0 * s[0]]
+
+    pts = np.random.default_rng(8).uniform(-1, 1, (10, 3))
+    sol = gray_solve(_path(components), L_field(), np.linspace(0, 0.4, 5), sample_points=pts)
+    assert calls == [1, 1]
+    worst = 0.0
+    for t in (0.0, 0.4):
+        for x in pts:
+            dot = sol.path.jets(x, t, 0)[1]
+            num = abs(float(jet_dot(dot, sol.L.taylor(x, 0)).value))
+            den = max(np.linalg.norm([j.value for j in dot]) * np.linalg.norm(sol.L(x)), 1e-300)
+            worst = worst_of(worst, num / den)
+    assert 0.0 < worst < 1e-8
+    assert np.float64(sol.checks[0]["worst"]).tobytes() == np.float64(worst).tobytes()
 
 
 def test_moser_field_transverse_component_vanishes():

@@ -11,7 +11,7 @@ from engellab.calculus import Chart
 from engellab.distributions import (LineDirection, flag_ranks, characteristic_line,
                                     is_contact, plane_principal_angle)
 from engellab.errors import EngelLabError, GeometryError
-from engellab.expressions import vector_field_from_exprs
+from engellab.expressions import one_form_from_exprs, vector_field_from_exprs
 from engellab.prolongation import (EngelDomain, ParallelizedContact, Slice,
                                    check_slice_transverse, contactify,
                                    development, development_angle,
@@ -80,9 +80,10 @@ def test_contactify_recovers_contact_planes():
 
 
 def test_plane_basis_evaluates_shared_jets_once(monkeypatch):
-    # one contactify sample: both induced fields read X = d/dtheta, Y = V
-    # and [X, Y] (whose order-1 jets need V0 and V1); in one scope that is
-    # 11 field evaluations, where the two fields alone make 20
+    # one contactify sample: both induced fields read [X, Y] first, which
+    # evaluates X = d/dtheta and Y = V (and through V, V0 and V1) at order 1,
+    # so X and Y at order 0 are slices of those; in one scope that is 7
+    # field evaluations, where the two fields alone make 12
     dom = prolong(standard_contact())
     induced = contactify(dom.frame(), dom.theta_slice(0.7))
     m = np.array([0.3, -0.2, 0.5])
@@ -95,10 +96,89 @@ def test_plane_basis_evaluates_shared_jets_once(monkeypatch):
 
     monkeypatch.setattr(calculus._FieldBase, "_evaluate", counted)
     basis = induced.plane_basis(m)
-    assert len(calls) == 11
+    assert len(calls) == 7
     calls.clear()
     assert np.array_equal(basis, np.column_stack([induced.v0(m), induced.v1(m)]))
-    assert len(calls) == 20
+    assert len(calls) == 12
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def test_contactify_batch_equals_points_bit_for_bit():
+    # the induced frame over a batch of slice points is, row by row, its
+    # jets at each point: on theta slices, and on the slice x = 0.2, where
+    # the normal components are those of (0, sin theta, cos theta) for
+    # (X, V, [X, V]), so points with theta above pi/4 pivot on V and the
+    # others on [X, V]
+    dom = prolong(perturbed_contact())
+    rng = np.random.default_rng(11)
+    slices = [dom.theta_slice(th) for th in (0.0, 0.7, 1.3)] + [Slice(dom.chart, 0, 0.2)]
+    for slc in slices:
+        pts = rng.uniform(-0.8, 0.8, (6, 3))
+        if slc.axis == 0:
+            pts[:, 2] = [0.1, 1.4, 0.5, 1.0, 0.3, 1.2]
+        induced = contactify(dom.frame(), slc)
+        for field in (induced.v0, induced.v1):
+            for order in (0, 1, 2):
+                batch = field.taylor(pts.T, order)
+                for k, m in enumerate(pts):
+                    for got, want in zip(batch, field.taylor(m, order)):
+                        assert np.array_equal(bits(np.broadcast_to(got.c, (6, len(want.c)))[k]),
+                                              bits(want.c))
+        stack = induced.plane_basis(pts)
+        assert stack.shape == (6, 3, 2)
+        for k, m in enumerate(pts):
+            assert np.array_equal(bits(stack[k]), bits(induced.plane_basis(m)))
+
+
+def test_contactify_batch_raises_at_first_degenerate_point():
+    # with V0 = d/dy and V1 = (z, 0, y), every generator of D^2 is tangent to
+    # the slice x = 0 where z = 0 (samples 2 and 4): a batch raises what the
+    # loop over the samples raises, the error at sample 2
+    base = ParallelizedContact(CH3, vector_field_from_exprs(CH3, ["0", "1", "0"]),
+                               vector_field_from_exprs(CH3, ["z", "0", "y"]))
+    dom = prolong(base)
+    slc = Slice(dom.chart, 0, 0.0)
+    induced = contactify(dom.frame(), slc)
+    pts = np.random.default_rng(12).uniform(0.2, 1.0, (6, 3))
+    pts[2, 1] = pts[4, 1] = 0.0
+    with pytest.raises(GeometryError) as alone:
+        induced.plane_basis(pts[2])
+    assert np.array_equal(alone.value.point, slc.embed_coords(pts[2]))
+    for call in (induced.plane_basis, lambda ps: induced.v0.taylor(ps.T, 1)):
+        with pytest.raises(GeometryError) as batch:
+            call(pts)
+        assert str(batch.value) == str(alone.value)
+        assert np.array_equal(batch.value.point, alone.value.point)
+
+
+def test_contact_check_of_a_batch_gives_the_point_verdicts():
+    # V0 = d/dy, V1 = (z, 0, y) is contact exactly where z != 0, and the
+    # form (x - y) dx + z dz pairs to x z with V1: a batch gives the
+    # verdicts of each point, and the check raises what the loop over the
+    # points raises first
+    v0 = vector_field_from_exprs(CH3, ["0", "1", "0"])
+    v1 = vector_field_from_exprs(CH3, ["z", "0", "y"])
+    alpha = one_form_from_exprs(CH3, ["x - y", "0", "z"])
+    contact = ParallelizedContact(CH3, v0, v1, alpha=alpha)
+    pts = np.random.default_rng(13).uniform(0.2, 1.0, (6, 3))
+    pts[:, 0] = 0.0
+    pts[[3, 5], 2] = 0.0
+    verdicts = is_contact(contact.frame(), pts)
+    assert verdicts == [is_contact(contact.frame(), m) for m in pts]
+    assert verdicts == [True, True, True, False, True, False]
+    for bad, message in ((3, "not contact"), (1, "does not annihilate")):
+        if bad == 1:
+            pts[1, 0] = 0.5  # now x z != 0 at sample 1, before sample 3
+        with pytest.raises(GeometryError, match=message) as batch:
+            contact.check(pts)
+        with pytest.raises(GeometryError, match=message) as alone:
+            contact.check([pts[bad]])
+        assert np.array_equal(batch.value.point, pts[bad])
+        assert np.array_equal(alone.value.point, pts[bad])
+    assert contact.check(np.delete(pts, [1, 3, 5], axis=0))
 
 
 def test_contactify_tangent_slice_raises():

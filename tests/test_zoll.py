@@ -195,6 +195,32 @@ def test_return_is_one_integration_per_chart_segment(monkeypatch):
     assert abs(float((atlas.embed(y, ych) - start) @ T0)) <= 1e-15
 
 
+def test_return_gates_read_the_unit_vector_from_the_end_slopes(monkeypatch):
+    # the gates embed a step's ends with the unit vector of the integrator's
+    # end slopes, so a return embeds afresh only the start, its jets, the
+    # locator's trials and the return point; the result is bit for bit that
+    # of gates that embed every end afresh
+    atlas = SphereAtlas()
+    state, ch = atlas.start_state([0.4, -0.3], 1.1)
+    embeds = []
+    embed = atlas.embed
+    monkeypatch.setattr(atlas, "embed", lambda *a, **kw: embeds.append(a) or embed(*a, **kw))
+    got = first_return(atlas, state, ch, tol=1e-10)
+    assert got[0] and len(embeds) <= 15
+    fresh = SphereAtlas()
+    with_slope = fresh.embed_with_slope
+
+    def fresh_gates(y, slope, chart):
+        # the gates pass V1(y) = (u, psidot); embed passes u alone
+        return with_slope(y, getattr(fresh, chart).unit_vector(y) if len(slope) == 3 else slope,
+                          chart)
+
+    monkeypatch.setattr(fresh, "embed_with_slope", fresh_gates)
+    want = first_return(fresh, state, ch, tol=1e-10)
+    assert got[1:3] == want[1:3] and got[4] == want[4]
+    assert got[3].tobytes() == want[3].tobytes()
+
+
 def test_embed_and_its_jets_match_sympy():
     # the embedded tangent is the differential of inverse stereographic
     # projection applied to the g-unit vector at fiber angle psi, which for
