@@ -81,16 +81,10 @@ class Chart:
 
     name: str
     coords: tuple
-    bounds: tuple = None  # optional ((lo, hi), ...) per coordinate
 
     @property
     def dim(self):
         return len(self.coords)
-
-    def contains(self, coords):
-        if self.bounds is None:
-            return True
-        return all(lo <= c <= hi for c, (lo, hi) in zip(coords, self.bounds))
 
     def point(self, coords):
         return Point(self, np.asarray(coords, dtype=float))
@@ -123,7 +117,11 @@ def _coords_of(point, chart):
                 f"point lives on chart {point.chart.name!r}, object on {chart.name!r}"
             )
         return point.coords
-    return np.asarray(point, dtype=float)
+    coords = np.asarray(point, dtype=float)
+    if chart is not None and (coords.ndim not in (1, 2) or len(coords) != len(chart.coords)):
+        raise EngelLabError(f"coordinates of shape {coords.shape} on chart {chart.name!r}: "
+                            f"need ({chart.dim},) for a point or ({chart.dim}, N) for a batch")
+    return coords
 
 
 class _FieldBase:

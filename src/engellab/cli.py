@@ -306,7 +306,7 @@ def _suite_gray(cfg, rng, samples, tol, report, seed):
     pts = rng.uniform(-1.0, 1.0, (samples, 3))
 
     sol = gray_solve(path, L, np.linspace(0.0, t_max, n_grid), sample_points=pts[:10])
-    report.add("hypothesis", 10, HYPOTHESIS_TOL, sol.checks[-1]["worst"])
+    report.add("hypothesis", len(pts[:10]), HYPOTHESIS_TOL, sol.checks[-1]["worst"])
 
     # one stack of lanes per grid; the refinement check reuses the first five
     defects = sol.pullback_defect(pts)

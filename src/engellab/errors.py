@@ -31,7 +31,7 @@ class GeometryError(EngelLabError):
 
 
 class IntegrationError(EngelLabError):
-    """The ODE integrator failed (step underflow, left chart bounds, no event)."""
+    """The ODE integrator failed (step underflow, step budget, non-finite state, no event)."""
 
 
 class ConfigError(EngelLabError):

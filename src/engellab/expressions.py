@@ -1,22 +1,30 @@
 """Tiny expression language for defining fields in CLI configs.
 
-Grammar (documented in README):
+Grammar (documented in README), with ``**`` for ``^`` and any whitespace
+between tokens:
 
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
-    factor  := ('-' | '+') factor | atom ('^' integer)?
+    factor  := ('-' | '+') factor | atom ('^' ['-'] number)?
     atom    := number | variable | func '(' expr ')' | '(' expr ')'
     func    := 'sin' | 'cos' | 'exp' | 'sqrt' | 'log'
+    number  := (digits '.' [digits] | '.' digits | digits) [('e' | 'E') ['+' | '-'] digits]
 
-This covers sums of monomial-coefficient terms plus the elementary functions
-of affine arguments used throughout the desk-scale examples, while staying
-trivially parseable.  Parsed expressions evaluate with generic arithmetic, so
+Python's parser (:func:`ast.parse`) reads the text, and its tree is compiled
+once into closures over a whitelist of this grammar's nodes.  Any other node
+or character, a non-integral exponent, and literals of another form (hex,
+octal, binary, underscored, complex, boolean) are a
+:class:`~engellab.errors.ConfigError`; the text is only parsed, never
+compiled to code nor run.  Expressions evaluate with generic arithmetic, so
 they work on floats and on jets.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import warnings
 
 from . import jets
 from .calculus import OneForm, ScalarField, VectorField
@@ -24,26 +32,18 @@ from .errors import ConfigError, ExpressionDomainError, JetDomainError
 
 _FUNCS = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp,
           "sqrt": jets.sqrt, "log": jets.log}
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^]))")
+# deepest expression tree: compiling and evaluating one recurse once a level
+MAX_DEPTH = 200
 
-
-def _tokenize(text):
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ConfigError(f"bad character in expression at: {text[pos:pos+10]!r}")
-        num, name, op = m.groups()
-        if num is not None:
-            tokens.append(("num", float(m.group(0))))
-        elif name is not None:
-            tokens.append(("name", name))
-        else:
-            tokens.append(("op", "^" if op == "**" else op))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
+_BAD_CHAR = re.compile(r"[^\w.+\-*/() ]", re.ASCII)
+_NUMBER = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+# what follows a power's base: its closing parentheses, '**', a signed literal
+_EXPONENT = re.compile(r"\)*\*\*(-?" + _NUMBER.pattern + ")")
+# leading zeros of a literal, which Python refuses in integer literals
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
 
 
 class Expression:
@@ -52,7 +52,20 @@ class Expression:
     def __init__(self, text, variables):
         self.text = text
         self.variables = tuple(variables)
-        self._ast = _Parser(_tokenize(text), set(variables)).parse()
+        src = " ".join(text.replace("^", "**").split())
+        bad = _BAD_CHAR.search(src)
+        if bad:
+            raise ConfigError(f"bad character in expression: {bad.group()!r}")
+        src = _LEADING_ZEROS.sub("", src)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a SyntaxWarning rejects too
+                tree = ast.parse(src, mode="eval").body
+        except SyntaxError as exc:
+            raise ConfigError(f"cannot parse expression: {exc.msg}") from None
+        except (RecursionError, MemoryError):  # the parser's stack overflowed
+            raise ConfigError("expression nested too deeply to parse") from None
+        self._fn = _compile(tree, src, set(self.variables))
 
     def __call__(self, env):
         """Evaluate on floats or jets; a domain error (of a float or a jet
@@ -60,7 +73,7 @@ class Expression:
         :class:`~engellab.errors.ExpressionDomainError` (a geometry error)
         at the evaluation point."""
         try:
-            return _eval(self._ast, env)
+            return self._fn(env)
         except (ValueError, ZeroDivisionError, OverflowError, JetDomainError) as exc:
             point = [v.value if isinstance(v, jets.Jet) else v
                      for v in (env[name] for name in self.variables)]
@@ -70,110 +83,53 @@ class Expression:
         return f"Expression({self.text!r})"
 
 
-class _Parser:
-    def __init__(self, tokens, varnames):
-        self.tokens = tokens
-        self.i = 0
-        self.varnames = varnames
+def _compile(tree, src, variables):
+    """One closure ``env -> value`` for the tree parsed from ``src``, of
+    whitelisted nodes only; an operation evaluates its left operand first."""
 
-    def peek(self):
-        return self.tokens[self.i]
+    def comp(node, depth):
+        if depth > MAX_DEPTH:
+            raise ConfigError(f"expression nested deeper than {MAX_DEPTH} levels")
+        match node:
+            case ast.Constant():
+                text = src[node.col_offset:node.end_col_offset]
+                if not _NUMBER.fullmatch(text):
+                    raise ConfigError(f"not a number literal: {text!r}")
+                value = float(text)
+                return lambda env: value
+            case ast.Name(id=name) if name in variables:
+                return operator.itemgetter(name)
+            case ast.Name(id=name):
+                raise ConfigError(f"unknown symbol {name!r} (variables: {sorted(variables)})")
+            case ast.UnaryOp(op=ast.UAdd(), operand=arg):
+                return comp(arg, depth + 1)
+            case ast.UnaryOp(op=ast.USub(), operand=arg):
+                f = comp(arg, depth + 1)
+                return lambda env: -f(env)
+            case ast.BinOp(op=ast.Pow()):
+                m = _EXPONENT.fullmatch(src[node.left.end_col_offset:node.end_col_offset]
+                                        .replace(" ", ""))
+                if not (m and float(m[1]).is_integer()):
+                    raise ConfigError("exponent must be an integer")
+                base, e = comp(node.left, depth + 1), int(float(m[1]))
+                if e >= 0:
+                    return lambda env: base(env) ** e
+                return lambda env: _negative_power(base(env), e)
+            case ast.BinOp(op=op) if type(op) in _BINOPS:
+                fn, left = _BINOPS[type(op)], comp(node.left, depth + 1)
+                right = comp(node.right, depth + 1)
+                return lambda env: fn(left(env), right(env))
+            case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if name in _FUNCS:
+                fn, f = _FUNCS[name], comp(arg, depth + 1)
+                return lambda env: fn(f(env))
+        raise ConfigError(f"not in the expression grammar: {ast.get_source_segment(src, node)!r}")
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ConfigError(f"expected {op!r}, got {val!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ConfigError(f"trailing tokens after expression: {self.peek()[1]!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.next()[1]
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.next()[1]
-            node = (op, node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek() == ("op", "-"):
-            self.next()
-            return ("neg", self.factor())
-        if self.peek() == ("op", "+"):
-            self.next()
-            return self.factor()
-        node = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            kind, val = self.next()
-            sign = 1
-            if (kind, val) == ("op", "-"):
-                sign = -1
-                kind, val = self.next()
-            if kind != "num" or val != int(val):
-                raise ConfigError("exponent must be an integer")
-            return ("pow", node, sign * int(val))
-        return node
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            return ("num", val)
-        if kind == "name":
-            if val in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", val, arg)
-            if val not in self.varnames:
-                raise ConfigError(f"unknown symbol {val!r} (variables: {sorted(self.varnames)})")
-            return ("var", val)
-        if (kind, val) == ("op", "("):
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ConfigError(f"unexpected token {val!r}")
+    return comp(tree, 0)
 
 
-def _eval(node, env):
-    tag = node[0]
-    if tag == "num":
-        return node[1]
-    if tag == "var":
-        return env[node[1]]
-    if tag == "neg":
-        return -_eval(node[1], env)
-    if tag == "+":
-        return _eval(node[1], env) + _eval(node[2], env)
-    if tag == "-":
-        return _eval(node[1], env) - _eval(node[2], env)
-    if tag == "*":
-        return _eval(node[1], env) * _eval(node[2], env)
-    if tag == "/":
-        return _eval(node[1], env) / _eval(node[2], env)
-    if tag == "pow":
-        e = node[2]
-        base = _eval(node[1], env)
-        if e < 0:
-            return (base ** (-e)).reciprocal() if hasattr(base, "reciprocal") else base ** e
-        return base ** e
-    if tag == "call":
-        return _FUNCS[node[1]](_eval(node[2], env))
-    raise ConfigError(f"corrupt expression node {tag!r}")
+def _negative_power(b, e):
+    """``b ** e`` for ``e < 0``; on a jet, the reciprocal of ``b ** -e``."""
+    return (b ** -e).reciprocal() if hasattr(b, "reciprocal") else b ** e
 
 
 def _component_rule(chart, texts):

@@ -126,6 +126,27 @@ def test_refinement_halving_floors_a_rounding_level_coarse_defect(capsys, tmp_pa
     assert code == 1 and "refinement-halving" in out and "FAIL" in out
 
 
+@pytest.mark.parametrize("argv,checked", [(("--samples", "5"), 5), ((), 10)])
+def test_gray_reports_the_hypothesis_samples_it_checked(capsys, argv, checked):
+    # the hypothesis check reads the first ten sample points, or all of fewer
+    code, out, _ = run_cli(capsys, "gray", *argv, "--format", "json")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 0 and checks["hypothesis"]["samples"] == checked
+
+
+@pytest.mark.parametrize("h", [
+    "(" * 1000 + "x" + ")" * 1000,
+    "-" * 5000 + "x",
+    "sin(" * 400 + "x" + ")" * 400,
+], ids=["parentheses", "minuses", "sines"])
+def test_deeply_nested_expression_exits_two(capsys, tmp_path, h):
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps({"h": h}))
+    code, out, err = run_cli(capsys, "realize", "--config", str(p), "--samples", "5")
+    assert code == 2
+    assert "config error" in err
+
+
 def test_missing_config_exits_two(capsys):
     code, out, err = run_cli(capsys, "verify-engel", "--config", "/nonexistent.json")
     assert code == 2

@@ -1,5 +1,7 @@
 """Reference suite for the tiny expression grammar."""
 
+import ast
+import builtins
 import math
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from engellab.calculus import Chart
 from engellab.errors import ConfigError
-from engellab.expressions import (Expression, one_form_from_exprs,
+from engellab.expressions import (MAX_DEPTH, Expression, one_form_from_exprs,
                                   scalar_field_from_expr, vector_field_from_exprs)
 from engellab.jets import Jet
 
@@ -28,6 +30,10 @@ CH = Chart("c", ("x", "y", "z"))
     ("-(x + y)*2", {"x": 1.0, "y": 2.0}, -6.0),
     ("1.5e2", {}, 150.0),
     ("+x", {"x": 2.0}, 2.0),
+    # whitespace of any kind between tokens, and decimal leading zeros
+    ("x\n+\ty ", {"x": 1.0, "y": 2.0}, 3.0),
+    ("007 + 00.5", {}, 7.5),
+    ("x ^ - 2.0", {"x": 2.0}, 0.25),
 ])
 def test_reference_values(text, env, value):
     e = Expression(text, tuple(env))
@@ -36,10 +42,42 @@ def test_reference_values(text, env, value):
 
 @pytest.mark.parametrize("text", [
     "x +", "sin x", "(x", "x ^ y", "x ^ 1.5", "2 $ 3", "unknown_sym", "",
+    # literals outside the number form
+    "0x10", "0b1", "0o7", "1_000", "1j", "True", "x + None",
+    # exponents other than a signed number literal
+    "x^(2)", "x^-(2)", "x^(-2)", "x^+2", "x^2^2", "x ^ 1e400",
+    # Python syntax outside the grammar
+    "x # comment", "sin(x,)", "sin(x, y)", "sin()", "x % 2", "x // 2", "x.real",
+    "x if y else 1", "-x(y)", "sin", "pow(x, 2)", "await x", "\uff58",
+    # a tree deeper than the limit (the CLI tests nest past the parser's own)
+    pytest.param("+".join(["x"] * (MAX_DEPTH + 2)), id="sum-deeper-than-MAX_DEPTH"),
 ])
 def test_parse_errors(text):
     with pytest.raises(ConfigError):
         Expression(text, ("x", "y"))
+
+
+def test_nesting_at_the_limit_evaluates():
+    e = Expression("+".join(["x"] * (MAX_DEPTH + 1)), ("x",))
+    assert e({"x": 1.0}) == MAX_DEPTH + 1
+    assert e({"x": Jet.seeds([1.0], 1)[0]}).gradient()[0] == MAX_DEPTH + 1
+
+
+def test_text_is_parsed_but_never_compiled_or_run(monkeypatch):
+    real_compile = builtins.compile
+
+    def parse_only(source, filename, mode, flags=0, *args, **kwargs):
+        assert flags & ast.PyCF_ONLY_AST, "config text compiled to code"
+        return real_compile(source, filename, mode, flags, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("config text run")
+
+    monkeypatch.setattr(builtins, "compile", parse_only)
+    monkeypatch.setattr(builtins, "eval", refuse)
+    monkeypatch.setattr(builtins, "exec", refuse)
+    e = Expression("sin(x)^2 + exp(-y)/3", ("x", "y"))
+    assert abs(e({"x": 0.5, "y": 0.0}) - (math.sin(0.5) ** 2 + 1 / 3)) < 1e-15
 
 
 def test_evaluates_on_jets():
