@@ -31,33 +31,39 @@ prolongation, at one point and per point of a 60-point batch (the
 ``plane_basis`` that takes an ``(N, 3)`` array of points).
 
 L3, trajectories: one call of the Zoll right-hand side V1
-(``SphereAtlas.field("north")`` at a fixed state) and one of its order-1
-jets at that state (the jet path of brackets and of the Hamiltonian
-alignment check), the first return on the round sphere from chart point
-(0.4, -0.3) with fiber angle 1.1 at tol 1e-10, one arc of
-``central_projection_check`` (its first arc at seed 1: 40 samples over
-arclength 1.2 at tol 1e-11), the full-circle ``slice_transport`` of the
+(``SphereAtlas.field("north")`` at a fixed state), the same call as a
+single-lane ``integrate`` makes it (through ``flow._field_rhs`` on a one-row
+state, the right-hand side of every Zoll and central-projection
+integration), one of its order-1 jets at that state (the jet path of
+brackets and of the Hamiltonian alignment check), the first return on the
+round sphere from chart point (0.4, -0.3) with fiber angle 1.1 at tol 1e-10,
+one arc of ``central_projection_check`` (its first arc at seed 1: 40 samples
+over arclength 1.2 at tol 1e-11), the full-circle ``slice_transport`` of the
 standard prolongation from m = (0.2, -0.1, 0.3) at tol 1e-11 (acceptance
-criterion 7's call), and
-``development_angle`` at q = (0.1, -0.2, 0.3, 1.0) at tol 1e-11 (criterion
-8's inclusion call).
+criterion 7's call), and ``development_angle`` at q = (0.1, -0.2, 0.3, 1.0)
+at tol 1e-11 (criterion 8's inclusion call).
 
 Each item is timed in 11 samples of a batch sized to take about 50 ms; the
 JSON printed holds the median and quartiles of the time per call in
 microseconds (per point for the batch item).  The ``counts`` block holds
-untimed counts: the field evaluations (``_FieldBase.taylor`` calls) of one
-deformed flag point, of the 200-point batch and of the arc, the
-geodesic-field evaluations of the return, the evaluations of the
-variational right-hand side (state plus transported vectors, event location
-included) of the transport and the development, the calls of the jet
-product kernel ``jets._product`` in one ``normalize_pair`` and one
-``verify``, the field evaluations (``_FieldBase._evaluate`` calls) per
-point of the induced ``plane_basis`` at one point and in the 60-point
-batch, and the calls of the contact-form path's rule (the ``gray``
-suite's default path) in one Moser right-hand side, at t = 0.15 and state
-(M, 0) with L = d/dy, and in one ``gray`` run at the suite's defaults.  The
-timings cannot resolve a change at L0 below about 2x on a shared machine;
-the counts are exact.
+untimed counts: the field evaluations (``_FieldBase.taylor`` calls and
+lone-point value reads) of one deformed flag point, of the 200-point batch
+and of the arc, the geodesic-field evaluations of the return, the
+evaluations of the variational right-hand side (state plus transported
+vectors, event location included) of the transport and the development, the
+calls of the jet product kernel ``jets._product`` in one ``normalize_pair``
+and one ``verify``, the field evaluations (``_FieldBase._evaluate`` calls)
+per point of the induced ``plane_basis`` at one point and in the 60-point
+batch, the calls of the contact-form path's rule (the ``gray`` suite's
+default path) in one Moser right-hand side, at t = 0.15 and state (M, 0)
+with L = d/dy, and in one ``gray`` run at the suite's defaults, and the jets
+built (``jets._jet`` calls) by one single-lane right-hand side of V1 at the
+fixed state and by one variational right-hand side of d/dtheta (the
+characteristic field of the standard prolongation, with three transported
+vectors) at (M, 1), both called as ``integrate`` calls them.  The timings
+cannot resolve a change at L0 below about 2x on a shared machine; the counts
+are exact, and the jet counts resolve the per-call work of the single-lane
+right-hand sides that the timings cannot.
 
 Imports engellab from the ``src/`` next to this directory and builds jets
 only through ``Jet(n, order, {multi_index: value})``, so the same file copied
@@ -126,18 +132,28 @@ def per_call_us(fn):
 
 
 def taylor_calls(fn):
-    """Field evaluations (``_FieldBase.taylor`` calls) made by ``fn()``."""
-    orig, count = calculus._FieldBase.taylor, [0]
+    """Field evaluations made by ``fn()``: ``_FieldBase.taylor`` calls, and
+    in a checkout whose lone-point values do not pass through ``taylor``,
+    the calls of that value path (``_FieldBase._scoped`` with ``values``)."""
+    base, count = calculus._FieldBase, [0]
+    saved = {name: getattr(base, name) for name in ("taylor", "_scoped") if hasattr(base, name)}
 
-    def counting(self, point, order):
+    def taylor(self, point, order):
         count[0] += 1
-        return orig(self, point, order)
+        return saved["taylor"](self, point, order)
 
-    calculus._FieldBase.taylor = counting
+    def scoped(self, coords, order, values=False):
+        count[0] += values
+        return saved["_scoped"](self, coords, order, values)
+
+    base.taylor = taylor
+    if "_scoped" in saved:
+        base._scoped = scoped
     try:
         fn()
     finally:
-        calculus._FieldBase.taylor = orig
+        for name, method in saved.items():
+            setattr(base, name, method)
     return count[0]
 
 
@@ -177,6 +193,28 @@ def kernel_products(fn):
     finally:
         jets._product = orig
     return count[0]
+
+
+def jets_built(fn):
+    """Jets built (``jets._jet`` calls, which every constructor and
+    operation makes) by ``fn()``."""
+    orig, count = jets._jet, [0]
+
+    def counting(*args):
+        count[0] += 1
+        return orig(*args)
+
+    jets._jet = counting
+    try:
+        fn()
+    finally:
+        jets._jet = orig
+    return count[0]
+
+
+def single_lane(f):
+    """``f`` as a single-lane ``integrate`` calls it: on a one-row state."""
+    return lambda t, s: f(t, s[0])[None]
 
 
 def path_rule_calls(fn):
@@ -358,7 +396,9 @@ def l3_items(items, counts):
     def arc():
         return central_projection_check(n_geodesics=1, seed=ARC_SEED)
 
+    v1_rhs, state = single_lane(flow._field_rhs(X)), STATE[None]
     items["v1_rhs_call"] = per_call_us(lambda: X(STATE))
+    items["v1_single_lane_rhs"] = per_call_us(lambda: v1_rhs(0.0, state))
     items["v1_jets_order1"] = per_call_us(lambda: X.taylor(STATE, 1))
     items["first_return_sphere"] = per_call_us(
         lambda: first_return(atlas, STATE.copy(), "north", tol=RETURN_TOL))
@@ -371,6 +411,10 @@ def l3_items(items, counts):
     counts["central_projection_field_evals"] = taylor_calls(arc)
     counts["slice_transport_rhs_evals"] = rhs_evals(transport)
     counts["development_angle_rhs_evals"] = rhs_evals(develop)
+    variational = single_lane(flow._augmented_rhs(std.vertical, 4, 3))
+    y = np.concatenate([M, [1.0], np.eye(4)[:, :3].ravel()])[None]
+    counts["v1_rhs_jets_built"] = jets_built(lambda: v1_rhs(0.0, state))
+    counts["vertical_variational_rhs_jets_built"] = jets_built(lambda: variational(0.0, y))
 
     def moser_rhs():
         L = calculus.constant_field(cli.CONTACT_CHART, [0.0, 1.0, 0.0])

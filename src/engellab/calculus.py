@@ -17,6 +17,13 @@ outlive one evaluation and parallel sampling stays safe.  A plan does: kept on
 the root field per order, it holds the highest order at which the first
 outermost call evaluated each field, and later ones evaluate each planned
 field once, at that order, however the orders are asked.
+
+At a lone point, ``field(p)`` pays only for the rule: an outermost call of a
+``taylor_fn`` field opens the memo under the plan of order 0 like ``taylor``
+and reads the values straight from the rule's outputs, a number ``v`` as
+``0.0 + v`` (the value of its constant jet, signs of zeros included) and a jet
+as its value, so no jet is built to be unwrapped again; a component rule runs
+on floats.  Inside an open scope the call reads the memo's order-0 jets.
 """
 
 from __future__ import annotations
@@ -148,57 +155,77 @@ class _FieldBase:
         coordinates.  An outermost call runs under this field's plan for
         ``order``, the first records it; the field itself is evaluated at
         ``order``, and :func:`evaluation_scope` blocks have no plan."""
+        return self._scoped(_coords_of(point, self.chart), order)
+
+    def _scoped(self, coords, order, values=False):
+        """The component jets at ``coords``, or with ``values`` (at order 0)
+        their values, through the open scope's memo.  With no scope open,
+        the field is evaluated under a scope of its plan for ``order`` (the
+        first such call records it), closed on the way out; its own jets are
+        not kept, since no other call asks for them."""
         if order > self.max_order:
             raise DerivativeOrderError(
                 f"field {self.name or type(self).__name__!r} only evaluable to order {self.max_order}, got {order}"
             )
-        coords = _coords_of(point, self.chart)
-        memo, token = _MEMO.get(), None
-        if memo is None:
-            # the outermost call opens the scope under the plan that its first
-            # call at this order recorded, and closes it on the way out
-            plan = self._plans.get(order)
-            memo = {None: plan or {}}
-            token = _MEMO.set(memo)
-        try:
+        memo = _MEMO.get()
+        if memo is not None:
             key = (self, coords.shape, coords.tobytes())
             hit = memo.get(key)
             if hit is None or hit[0] < order:
                 top = max(order, memo[None].get(self, order))
                 hit = memo[key] = (top, self._evaluate(coords, top))
-            out = list(hit[1]) if hit[0] == order else [j.truncated(order) for j in hit[1]]
-            if token is not None and plan is None:
-                self._plans[order] = plan = {}
-                for k, v in memo.items():
-                    if k and k[0] is not self and plan.get(k[0], -1) < v[0]:
-                        plan[k[0]] = v[0]
-            return out
+            jets = list(hit[1]) if hit[0] == order else [j.truncated(order) for j in hit[1]]
+            return [j.value for j in jets] if values else jets
+        plan = self._plans.get(order)
+        memo = {None: plan or {}}
+        token = _MEMO.set(memo)
+        try:
+            out = self._values(coords) if values else list(self._evaluate(coords, order))
         finally:
-            if token is not None:
-                _MEMO.reset(token)
+            _MEMO.reset(token)
+        if plan is None:
+            self._plans[order] = plan = {}
+            for k, v in memo.items():
+                if k and plan.get(k[0], -1) < v[0]:
+                    plan[k[0]] = v[0]
+        return out
+
+    def _outputs(self, coords, order):
+        """The rule's outputs at ``coords``, jets and numbers, one per
+        component."""
+        if self.taylor_fn is not None:
+            out = self.taylor_fn(coords, order)
+        else:
+            out = self.components(Jet.seeds(coords, order))
+        out = [out] if isinstance(out, Jet) else list(out)
+        if len(out) != self._ncomp():
+            raise EngelLabError(f"rule returned {len(out)} components, expected {self._ncomp()}")
+        return out
 
     def _evaluate(self, coords, order):
-        if self.taylor_fn is not None:
-            jets = self.taylor_fn(coords, order)
-        else:
-            seeds = Jet.seeds(coords, order)
-            jets = self.components(seeds)
-        jets = [jets] if isinstance(jets, Jet) else list(jets)
         out = []
-        for j in jets:
+        for j in self._outputs(coords, order):
             if not isinstance(j, Jet):
                 j = Jet.constant(j, self.chart.dim, order)
             elif j.order != order:
                 j = j.truncated(order)
             out.append(j)
-        if len(out) != self._ncomp():
-            raise EngelLabError(f"rule returned {len(out)} components, expected {self._ncomp()}")
         return tuple(out)
+
+    def _values(self, coords):
+        """The values of :meth:`_evaluate` at order 0, read from the rule's
+        outputs without wrapping numbers in jets: ``v`` as ``0.0 + v``, the
+        value of ``Jet.constant(v)``."""
+        return [j.value if isinstance(j, Jet) else 0.0 + float(j)
+                for j in self._outputs(coords, 0)]
 
     def __call__(self, point):
         """Component values at a point; for ``(dim, N)`` coordinates, an
         ``(n_components, N)`` array of the values at each point of the batch,
-        from order-0 jets (a scalar field gives its ``(N,)`` row)."""
+        from order-0 jets (a scalar field gives its ``(N,)`` row).  At a
+        point a component rule runs on floats, and a ``taylor_fn`` field
+        gives the values of its order-0 jets (:meth:`_values` when the call
+        is outermost)."""
         coords = _coords_of(point, self.chart)
         if coords.ndim == 2:
             jets = self.taylor(coords, 0)
@@ -211,7 +238,7 @@ class _FieldBase:
             vals = [vals] if not hasattr(vals, "__len__") else vals
             arr = np.array([v.value if isinstance(v, Jet) else float(v) for v in vals])
         else:
-            arr = np.array([j.value for j in self.taylor(coords, 0)])
+            arr = np.array(self._scoped(coords, 0, values=True))
         if self.n_components == 1:
             return float(arr[0])
         return arr
@@ -312,8 +339,9 @@ def _same_chart(a, b):
 
 
 def constant_field(chart, vec, name=""):
+    """The field of components ``vec``; its jets are constants, no seeds."""
     vec = [float(v) for v in vec]
-    return VectorField(chart, components=lambda xs: list(vec), name=name)
+    return VectorField(chart, taylor_fn=lambda coords, order: vec, name=name)
 
 
 def coordinate_field(chart, i, name=None):

@@ -26,6 +26,8 @@ import operator
 import re
 import warnings
 
+import numpy as np
+
 from . import jets
 from .calculus import OneForm, ScalarField, VectorField
 from .errors import ConfigError, ExpressionDomainError, JetDomainError
@@ -68,13 +70,15 @@ class Expression:
         self._fn = _compile(tree, src, set(self.variables))
 
     def __call__(self, env):
-        """Evaluate on floats or jets; a domain error (of a float or a jet
-        function), division by zero or overflow becomes a
+        """Evaluate on floats or jets, with NumPy's float errors raised; a
+        domain error (of a float or a jet function), division by zero,
+        overflow or an invalid operation becomes a
         :class:`~engellab.errors.ExpressionDomainError` (a geometry error)
         at the evaluation point."""
         try:
-            return self._fn(env)
-        except (ValueError, ZeroDivisionError, OverflowError, JetDomainError) as exc:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                return self._fn(env)
+        except (ValueError, ArithmeticError, JetDomainError) as exc:
             point = [v.value if isinstance(v, jets.Jet) else v
                      for v in (env[name] for name in self.variables)]
             raise ExpressionDomainError(f"{self.text!r}: {exc}", point=point) from exc

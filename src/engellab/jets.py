@@ -274,10 +274,15 @@ class Jet:
     @staticmethod
     def constant(value, n, order):
         _check_order(order)
-        c = np.zeros(getattr(value, "shape", ()) + (_TABLES[n].count[order],))
-        # a float zero constant is +0.0; a batch keeps its values as given,
-        # signs of zeros included, as the float rules of expression fields do
-        c.T[0] = value if isinstance(value, _ARRAY) else 0.0 + value
+        size = _TABLES[n].count[order]
+        if isinstance(value, _ARRAY):
+            # a batch keeps its values as given, signs of zeros included, as
+            # the float rules of expression fields do
+            c = np.zeros(value.shape + (size,))
+            c[..., 0] = value
+        else:
+            c = np.zeros(size)
+            c[0] = 0.0 + value  # a float zero constant is +0.0
         return _jet(n, order, c)
 
     @staticmethod
@@ -285,14 +290,15 @@ class Jet:
         """The coordinate function ``x_i`` expanded around ``x_i = base``."""
         j = Jet.constant(base, n, order)
         if order >= 1:
-            j.c.T[_TABLES[n].units[i]] = 1.0
+            j.c[..., _TABLES[n].units[i]] = 1.0
         return j
 
     @staticmethod
     def seeds(coords, order):
         """Identity jets centered at ``coords`` (one per variable); a
         ``(dim, N)`` array gives the seeds of a batch of N points."""
-        return [Jet.variable(i, len(coords), order, base=c if isinstance(c, _ARRAY) else float(c))
+        n = len(coords)
+        return [Jet.variable(i, n, order, c if isinstance(c, _ARRAY) else float(c))
                 for i, c in enumerate(coords)]
 
     # -- basic access ------------------------------------------------------

@@ -57,10 +57,12 @@ class SurfaceMetric:
 
     def value_and_gradient(self, p):
         """The floats g[i][j] and dg[i][j][k] = d_k g_ij at ``p``, read from
-        one evaluation of the rule on order-1 seeds."""
-        G = self.jets(p, 1)
-        return ([[g.value for g in row] for row in G],
-                [[g.gradient() for g in row] for row in G])
+        one evaluation of the rule on order-1 seeds; a number entry ``v``
+        reads as the jet ``Jet.constant(v)``: value ``0.0 + v``, zero
+        gradient."""
+        G = self.g_rule(Jet.seeds(np.asarray(p, dtype=float)[:2], 1))
+        return ([[g.value if isinstance(g, Jet) else 0.0 + float(g) for g in row] for row in G],
+                [[g.gradient() if isinstance(g, Jet) else [0.0, 0.0] for g in row] for row in G])
 
     def matrix(self, p):
         G = self.jets(np.asarray(p, dtype=float), 0)

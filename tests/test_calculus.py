@@ -21,7 +21,10 @@ from engellab.errors import IntegrationError
 from engellab.jets import Jet, jet_bracket, multi_indices
 from engellab.expressions import (one_form_from_exprs, scalar_field_from_expr,
                                   vector_field_from_exprs)
-from engellab.flow import flow, flow_to_section, integrate
+from engellab.cli import _base_contact
+from engellab.flow import _augmented_rhs, _field_rhs, flow, flow_to_section, integrate
+from engellab.prolongation import prolong
+from engellab.zoll import SphereAtlas
 
 CH3 = Chart("c3", ("x", "y", "z"))
 CH4 = Chart("c4", ("x", "y", "z", "w"))
@@ -236,6 +239,11 @@ def test_memo_evaluates_shared_leaf_once_per_taylor_call():
     w, l, sj = W.taylor(p, 2), L.taylor(p, 2), s.jet(p, 2)
     want = [(a + b) + sj * b - b * 0.5 for a, b in zip(w, l)]
     assert _bits(got) == _bits(want)
+    # a value at a lone point shares the leaf too, and reads no jets of C
+    calls.clear()
+    values = C(p)
+    assert calls == {(0, tuple(p)): 1}
+    assert [float(v).hex() for v in values] == [j[(0,) * 4].hex() for j in want]
 
 
 def test_memo_evaluates_shared_leaf_once_per_flag_point():
@@ -414,13 +422,107 @@ def test_field_evaluation_bit_for_bit(coords, order, consts, extra):
         seeds = Jet.seeds(coords_, order_ + extra)
         return [seeds[0] * seeds[2], c, Jet.constant(a, 3, max(order_ - extra, 0))]
 
-    cases = [(constant_field(CH3, consts), lambda: list(consts)),
-             (VectorField(CH3, components=rule), lambda: rule(Jet.seeds(coords, order))),
-             (VectorField(CH3, taylor_fn=tfn), lambda: tfn(np.asarray(coords), order))]
+    cases = [(constant_field(CH3, consts), lambda o: list(consts)),
+             (VectorField(CH3, components=rule), lambda o: rule(Jet.seeds(coords, o))),
+             (VectorField(CH3, taylor_fn=tfn), lambda o: tfn(np.asarray(coords), o))]
     for field, raw in cases:
         got = field.taylor(coords, order)
-        assert _bits(got) == _bits(_former_evaluation(raw(), 3, order))
+        assert _bits(got) == _bits(_former_evaluation(raw(order), 3, order))
         assert all(j.order <= order for j in got)
+        if field.taylor_fn is not None:  # a component rule runs on floats at a point
+            want = [j.value for j in _former_evaluation(raw(0), 3, 0)]
+            assert _hex(field(coords)) == _hex(want)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_lone_point_values_equal_jet_values_bit_for_bit():
+    # at a point, a taylor_fn field's values come from its rule's outputs with
+    # no jets around them; they are the values of its order-0 jets and the
+    # batch rows, signs of zeros included (a number v reads as 0.0 + v)
+    def numbers(coords, order):
+        return [-0.0, 3, np.float64(-2.5)]
+
+    def seeded(coords, order):
+        x, y, z = Jet.seeds(coords, order)
+        return [x * y, -z, x * 0.0 - 0.0 * y]
+
+    def mixed(coords, order):
+        x, y, z = Jet.seeds(coords, order)
+        return [-0.0, (x * z).sin(), 0.5 * coords[1] - 0.0]
+
+    atlas = SphereAtlas()
+    rng = np.random.default_rng(19)
+    pts = np.column_stack([rng.uniform(-1.5, 1.5, (5, 2)), rng.uniform(-3.0, 3.0, 5)])
+    origin = np.array([0.0, -0.0, 0.7])  # where mixed's 0.5 * y - 0.0 is -0.0
+    fields = [atlas.field("north"), atlas.field("south"),
+              constant_field(CH3, [-0.0, 0.0, 2.0])] + [
+        VectorField(CH3, taylor_fn=tfn) for tfn in (numbers, seeded, mixed)]
+    for field in fields:
+        got = field(origin)
+        assert _hex(got) == _hex([j.value for j in field.taylor(origin, 0)])
+        # a batch keeps the signs of the zeros its rule returns in arrays
+        # (Jet.constant), so its rows are compared away from them
+        batch = field(np.ascontiguousarray(pts.T))
+        for p, row in zip(pts, batch.T):
+            got = field(p)
+            assert isinstance(got, np.ndarray) and got.shape == (3,)
+            assert _hex(got) == _hex([j.value for j in field.taylor(p, 0)]) == _hex(row)
+    assert _hex(fields[2](pts[1])) == _hex([0.0, 0.0, 2.0])
+    assert _hex(fields[3](pts[1])) == _hex([0.0, 3.0, -2.5])
+    s = ScalarField(CH3, taylor_fn=lambda c, o: [-0.0])
+    assert _hex([s(pts[1])]) == _hex([0.0]) and isinstance(s(pts[1]), float)
+
+
+def test_lone_point_call_closes_its_scope_on_return_and_on_error():
+    L = counting_field(CH3, Counter(), lambda s: [s[0], s[1], s[2]])
+    (L * 2.0)([0.1, 0.2, 0.3])
+    assert calculus._MEMO.get() is None
+
+    def failing(coords, order):
+        raise EngelLabError("rule failed")
+
+    bad = L + VectorField(CH3, taylor_fn=failing)
+    with pytest.raises(EngelLabError):
+        bad([0.1, 0.2, 0.3])
+    assert calculus._MEMO.get() is None
+    assert bad._plans == {}  # a failed call records no plan
+    wrong = VectorField(CH3, taylor_fn=lambda c, o: [1.0, 2.0])
+    with pytest.raises(EngelLabError, match="2 components, expected 3"):
+        wrong([0.1, 0.2, 0.3])
+    assert calculus._MEMO.get() is None
+
+
+def test_single_lane_right_hand_sides_build_few_jets(monkeypatch):
+    # the jets one right-hand side builds as integrate calls it: the geodesic
+    # field V1 reads the metric's order-1 jets and computes on floats; the
+    # variational equation of d/dtheta needs only its four constant jets
+    from engellab import jets
+
+    built, calls = [0], [0]
+    make = jets._jet
+
+    def counted_jet(*args):
+        built[0] += 1
+        return make(*args)
+
+    def counted(f):
+        def rhs(t, y):
+            calls[0] += 1
+            return f(t, y)
+        return rhs
+
+    vertical = prolong(_base_contact({})[0]).vertical
+    y0 = np.concatenate([[0.2, -0.1, 0.3, 0.5], np.eye(4)[:, :2].ravel()])
+    for f, y, cap in ((_field_rhs(SphereAtlas().field("north")), [0.4, -0.3, 1.1], 12),
+                      (_augmented_rhs(vertical, 4, 2), y0, 4)):
+        built[0] = calls[0] = 0
+        monkeypatch.setattr(jets, "_jet", counted_jet)
+        integrate(counted(f), np.asarray(y, dtype=float), 0.0, 0.5, tol=1e-9)
+        monkeypatch.undo()
+        assert calls[0] > 6 and built[0] <= cap * calls[0]
 
 
 def test_flow_constant_and_rotation():

@@ -211,6 +211,19 @@ def test_jet_domain_error_exits_three(capsys, tmp_path):
     assert "at point" in err
 
 
+def test_lone_point_jet_overflow_exits_three(capsys, tmp_path):
+    # the profile's order-1 jets at a lone point overflow: a geometry error
+    # at the point, as on floats and in batches, not an inf metric
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps({"metric": "revolution", "profile": "exp(1000*u)^2",
+                             "expect_return": False}))
+    code, out, err = run_cli(capsys, "zoll-closedness", "--config", str(p),
+                             "--samples", "4")
+    assert code == 3
+    assert "geometry error: 'exp(1000*u)^2': overflow" in err
+    assert "at point" in err
+
+
 def test_sheared_engel_frame_reads_its_characteristic_line(capsys, tmp_path):
     # the standard Engel frame after a linear shear: its characteristic line
     # is exactly (1, 2, 3, 1), so the line angle must read rounding (arccos

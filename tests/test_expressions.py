@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from engellab.calculus import Chart
-from engellab.errors import ConfigError
+from engellab.errors import ConfigError, ExpressionDomainError
 from engellab.expressions import (MAX_DEPTH, Expression, one_form_from_exprs,
                                   scalar_field_from_expr, vector_field_from_exprs)
 from engellab.jets import Jet
@@ -87,6 +87,23 @@ def test_evaluates_on_jets():
     assert abs(got.value - (0.15 + math.sin(0.3))) < 1e-14
     # d/dx at the base point
     assert abs(got.gradient()[0] - (0.5 + math.cos(0.3))) < 1e-14
+
+
+def test_jet_overflow_is_a_domain_error_at_the_point():
+    # on floats exp(100)^10 overflows and raises; on jets at a lone point it
+    # raises the same error, where it used to give an inf jet and a warning
+    f = scalar_field_from_expr(Chart("c", ("x",)), "exp(x)^10")
+    for evaluate in (lambda: f([100.0]), lambda: f.taylor([100.0], 1),
+                     lambda: f.taylor([100.0], 0)):
+        with pytest.raises(ExpressionDomainError) as err:
+            evaluate()
+        assert err.value.point == [100.0]
+    with pytest.raises(ExpressionDomainError, match="overflow"):
+        Expression("exp(x)^10", ("x",))({"x": Jet.variable(0, 1, 1, base=100.0)})
+    for text in ("x/y", "1/x"):  # NumPy scalars: invalid and divide raise too
+        with pytest.raises(ExpressionDomainError):
+            Expression(text, ("x", "y"))({"x": np.float64(0.0), "y": np.float64(0.0)})
+    assert f([1.0]) == math.exp(1.0) ** 10
 
 
 def test_field_constructors_validate_arity():

@@ -83,18 +83,24 @@ def test_plane_basis_evaluates_shared_jets_once(monkeypatch):
     # one contactify sample: both induced fields read [X, Y] first, which
     # evaluates X = d/dtheta and Y = V (and through V, V0 and V1) at order 1,
     # so X and Y at order 0 are slices of those; in one scope that is 7
-    # field evaluations, where the two fields alone make 12
+    # field evaluations, where the two fields alone make 12 (each field's own
+    # evaluation at a lone point reads values, not jets)
     dom = prolong(standard_contact())
     induced = contactify(dom.frame(), dom.theta_slice(0.7))
     m = np.array([0.3, -0.2, 0.5])
     calls = []
-    evaluate = calculus._FieldBase._evaluate
+    evaluate, values = calculus._FieldBase._evaluate, calculus._FieldBase._values
 
     def counted(field, coords, order):
         calls.append((field.name, order))
         return evaluate(field, coords, order)
 
+    def counted_values(field, coords):
+        calls.append((field.name, 0))
+        return values(field, coords)
+
     monkeypatch.setattr(calculus._FieldBase, "_evaluate", counted)
+    monkeypatch.setattr(calculus._FieldBase, "_values", counted_values)
     basis = induced.plane_basis(m)
     assert len(calls) == 7
     calls.clear()
