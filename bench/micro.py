@@ -15,7 +15,8 @@ variables at order 2 over 200 rows (a flag batch).
 L1, composite fields: the contact isotopy generator X of the ``realize``
 suite (its default Hamiltonian and support) at order 0 on a three-lane
 stack, the shape of the stacked integrations that dominate that suite.  Its
-``counts`` are the field evaluations (``_FieldBase._evaluate`` calls) and the
+``counts`` are the field evaluations (``_FieldBase._evaluate`` calls, and
+``_values`` calls, the value reads of an outermost call) and the
 Jet products (``Jet.__mul__`` and ``__rmul__`` with two jet operands) of the
 first call of a new generator and of the second call, which may reuse what
 the first recorded.
@@ -52,8 +53,8 @@ and of the arc, the geodesic-field evaluations of the return, the
 evaluations of the variational right-hand side (state plus transported
 vectors, event location included) of the transport and the development, the
 calls of the jet product kernel ``jets._product`` in one ``normalize_pair``
-and one ``verify``, the field evaluations (``_FieldBase._evaluate`` calls)
-per point of the induced ``plane_basis`` at one point and in the 60-point
+and one ``verify``, the field evaluations (``_FieldBase._evaluate`` and
+``_values`` calls) per point of the induced ``plane_basis`` at one point and in the 60-point
 batch, the calls of the contact-form path's rule (the ``gray`` suite's
 default path) in one Moser right-hand side, at t = 0.15 and state (M, 0)
 with L = d/dy, and in one ``gray`` run at the suite's defaults, and the jets
@@ -239,15 +240,20 @@ def path_rule_calls(fn):
 
 
 def evaluations_and_products(fn):
-    """Field evaluations (``_FieldBase._evaluate`` calls) and products of two
-    jets made by ``fn()``."""
+    """Field evaluations (``_FieldBase._evaluate`` and ``_values`` calls)
+    and products of two jets made by ``fn()``."""
     saved = {name: getattr(cls, name) for cls, name in (
-        (calculus._FieldBase, "_evaluate"), (Jet, "__mul__"), (Jet, "__rmul__"))}
+        (calculus._FieldBase, "_evaluate"), (calculus._FieldBase, "_values"),
+        (Jet, "__mul__"), (Jet, "__rmul__"))}
     count = {"evaluate": 0, "products": 0}
 
     def evaluate(self, coords, order):
         count["evaluate"] += 1
         return saved["_evaluate"](self, coords, order)
+
+    def values(self, coords):
+        count["evaluate"] += 1
+        return saved["_values"](self, coords)
 
     def product(name):
         def counting(a, b):
@@ -255,12 +261,13 @@ def evaluations_and_products(fn):
             return saved[name](a, b)
         return counting
 
-    calculus._FieldBase._evaluate = evaluate
+    calculus._FieldBase._evaluate, calculus._FieldBase._values = evaluate, values
     Jet.__mul__, Jet.__rmul__ = product("__mul__"), product("__rmul__")
     try:
         fn()
     finally:
         calculus._FieldBase._evaluate = saved["_evaluate"]
+        calculus._FieldBase._values = saved["_values"]
         Jet.__mul__, Jet.__rmul__ = saved["__mul__"], saved["__rmul__"]
     return count["evaluate"], count["products"]
 

@@ -18,12 +18,12 @@ the root field per order, it holds the highest order at which the first
 outermost call evaluated each field, and later ones evaluate each planned
 field once, at that order, however the orders are asked.
 
-At a lone point, ``field(p)`` pays only for the rule: an outermost call of a
+Values take one path at a point and over a batch, so a batch row is its
+point's values bit for bit: ``field(p)`` runs a component rule on the
+coordinates themselves (floats, or float arrays), and an outermost call of a
 ``taylor_fn`` field opens the memo under the plan of order 0 like ``taylor``
-and reads the values straight from the rule's outputs, a number ``v`` as
-``0.0 + v`` (the value of its constant jet, signs of zeros included) and a jet
-as its value, so no jet is built to be unwrapped again; a component rule runs
-on floats.  Inside an open scope the call reads the memo's order-0 jets.
+and reads the rule's outputs, a number ``v`` as ``0.0 + v`` (the value of its
+constant jet) and a jet as its value; inside an open scope, the memo's jets.
 """
 
 from __future__ import annotations
@@ -80,6 +80,20 @@ def over_points(points, batch, one):
             return batch(np.ascontiguousarray(rows.T))
     except _BATCH_ERRORS:
         return [one(p) for p in points]
+
+
+def _column(entries, coords):
+    """Jets' values, numbers or arrays as the column a field call at
+    ``coords`` gives: ``(k,)`` at a point, ``(k, N)`` for N points."""
+    shape = np.shape(coords)[1:]
+    return np.array([np.broadcast_to(e.value if isinstance(e, Jet) else e, shape)
+                     for e in entries])
+
+
+def _rows(column):
+    """A ``(k,)`` or ``(k, N)`` column as contiguous ``(1, k)`` or ``(N, k)``
+    rows, so that each point's vector is laid out as at a single point."""
+    return np.ascontiguousarray(np.reshape(column, (len(column), -1)).T)
 
 
 @dataclass(frozen=True)
@@ -192,12 +206,13 @@ class _FieldBase:
 
     def _outputs(self, coords, order):
         """The rule's outputs at ``coords``, jets and numbers, one per
-        component."""
+        component; for ``order=None``, a component rule's on the coordinates
+        themselves."""
         if self.taylor_fn is not None:
             out = self.taylor_fn(coords, order)
         else:
-            out = self.components(Jet.seeds(coords, order))
-        out = [out] if isinstance(out, Jet) else list(out)
+            out = self.components(list(coords) if order is None else Jet.seeds(coords, order))
+        out = list(out) if hasattr(out, "__len__") else [out]
         if len(out) != self._ncomp():
             raise EngelLabError(f"rule returned {len(out)} components, expected {self._ncomp()}")
         return out
@@ -216,32 +231,25 @@ class _FieldBase:
         """The values of :meth:`_evaluate` at order 0, read from the rule's
         outputs without wrapping numbers in jets: ``v`` as ``0.0 + v``, the
         value of ``Jet.constant(v)``."""
-        return [j.value if isinstance(j, Jet) else 0.0 + float(j)
-                for j in self._outputs(coords, 0)]
+        return [j.value if isinstance(j, Jet) else 0.0 + j for j in self._outputs(coords, 0)]
 
     def __call__(self, point):
-        """Component values at a point; for ``(dim, N)`` coordinates, an
-        ``(n_components, N)`` array of the values at each point of the batch,
-        from order-0 jets (a scalar field gives its ``(N,)`` row).  At a
-        point a component rule runs on floats, and a ``taylor_fn`` field
-        gives the values of its order-0 jets (:meth:`_values` when the call
-        is outermost)."""
+        """Component values at a point, a float for a scalar field; for
+        ``(dim, N)`` coordinates, the ``(n_components, N)`` array of the
+        values at each point of the batch (a scalar field gives its ``(N,)``
+        row).  A component rule runs on the coordinates, floats at a point
+        and float arrays over a batch; a ``taylor_fn`` field gives the values
+        of its order-0 jets (:meth:`_values` when the call is outermost)."""
         coords = _coords_of(point, self.chart)
-        if coords.ndim == 2:
-            jets = self.taylor(coords, 0)
-            arr = np.empty((len(jets), coords.shape[1]))
-            for row, j in zip(arr, jets):
-                row[:] = j.value
-            return arr[0] if self.n_components == 1 else arr
         if self.taylor_fn is None:
-            vals = self.components(list(coords))
-            vals = [vals] if not hasattr(vals, "__len__") else vals
-            arr = np.array([v.value if isinstance(v, Jet) else float(v) for v in vals])
+            vals = self._outputs(coords, None)
         else:
-            arr = np.array(self._scoped(coords, 0, values=True))
-        if self.n_components == 1:
-            return float(arr[0])
-        return arr
+            vals = self._scoped(coords, 0, values=True)
+        if coords.ndim == 2:
+            arr = _column(vals, coords)
+            return arr[0] if self.n_components == 1 else arr
+        vals = [v.value if isinstance(v, Jet) else float(v) for v in vals]
+        return vals[0] if self.n_components == 1 else np.array(vals)
 
     def jacobian(self, point):
         """Matrix of first partials, rows = components, columns = variables."""

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .calculus import (ScalarField, VectorField, _coords_of, lie_bracket,
+from .calculus import (ScalarField, VectorField, _column, _coords_of, _rows, lie_bracket,
                        lie_derivative_scalar, over_points)
-from .distributions import (DistributionFrame, _values, line_angle, plane_principal_angle,
-                            reeb_field, reeb_jets)
+from .distributions import (DistributionFrame, line_angle, plane_principal_angle, reeb_field,
+                            reeb_jets)
 from .errors import EngelLabError, GeometryError
 from .flow import flow, integrate_nonautonomous
 from .jets import Jet, jet_cross, jet_d_matrix, jet_dot, jet_two_form
@@ -302,9 +302,7 @@ class GraySolution:
         point of ``(3, N)`` coordinates."""
         dot = self.path.jets(coords, t, 0)[1]
         num = np.abs(jet_dot(dot, self.L.taylor(coords, 0)).value)
-        # one contiguous row per point, laid out as at a single point
-        dots, Ls = (np.ascontiguousarray(np.reshape(v, (3, -1)).T)
-                    for v in (_values(dot, coords), self.L(coords)))
+        dots, Ls = _rows(_column(dot, coords)), _rows(self.L(coords))
         return [n / max(np.linalg.norm(d) * np.linalg.norm(l), 1e-300)
                 for n, d, l in zip(np.broadcast_to(num, len(dots)), dots, Ls)]
 
@@ -318,9 +316,9 @@ class GraySolution:
                           [j.truncated(0) for j in a], x)
             # lane by lane on contiguous rows, so that the products are those
             # of a lone point; last, the log conformal scale dg/dt = -dot theta_t(R_t)
-            lanes = [np.ascontiguousarray(np.atleast_2d(c)) for c in (
-                y, _values(jets, x).T, _values(dot, x).T, _values(R, x).T,
-                np.array([j.gradient() for j in jets]).reshape(3, 3, -1).transpose(2, 0, 1))]
+            grads = np.array([j.gradient() for j in jets]).reshape(3, 3, -1).transpose(2, 0, 1)
+            lanes = [_rows(y.T), *(_rows(_column(v, x)) for v in (jets, dot, R)),
+                     np.ascontiguousarray(grads)]
             out = [np.concatenate([val, (DX @ yl[3:3 + 3 * n_vec].reshape(3, n_vec)).ravel(),
                                    [-float(np.dot(d, r))]]) for yl, val, d, r, DX in zip(*lanes)]
             return out[0] if y.ndim == 1 else np.array(out)
@@ -349,7 +347,7 @@ class GraySolution:
             return np.column_stack([b1, np.cross(a, b1), L])
 
         def theta(xs):
-            return _values(self.path.jets(xs, t, 0)[0], xs)
+            return _column(self.path.jets(xs, t, 0)[0], xs)
 
         return over_points(points, lambda xs: list(map(frame, theta(xs).T, self.L(xs).T)),
                            lambda x: frame(theta(x), self.L(x)))

@@ -9,10 +9,9 @@ near-degenerate cases can be audited instead of silently misclassified.
 :func:`is_contact` evaluate the frame fields once, at order 2 (order 1 for
 the contact test), and form every bracket they need from those jets with
 :func:`~engellab.jets.jet_bracket`.  The frame columns are the fields'
-values, so a lone point of a component-rule field keeps its float path.
-These three take one point or an ``(N, dim)`` array of points.  A batch is
-evaluated in one evaluation scope with one stacked SVD per stage, and gives
-one result per row, each equal bit for bit to the result at that point
+values.  These three take one point or an ``(N, dim)`` array of points.  A
+batch is evaluated in one evaluation scope with one stacked SVD per stage, and
+gives one result per row, each equal bit for bit to the result at that point
 alone.
 """
 
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import OneForm, Point, VectorField, _coords_of, evaluation_scope, over_points
+from .calculus import OneForm, Point, VectorField, _column, _rows, evaluation_scope, over_points
 from .errors import EngelLabError, GeometryError
 from .jets import jet_bracket, jet_cross, jet_dot
 
@@ -107,12 +106,6 @@ def _matrices(cols):
     return M[None] if M.ndim == 2 else M.transpose(1, 0, 2)
 
 
-def _values(jets, coords):
-    """The values of jets as a column, as a field call at ``coords`` gives
-    them: ``(dim,)`` at a point, ``(dim, N)`` for a batch of N points."""
-    return np.array([np.broadcast_to(j.value, np.shape(coords)[1:]) for j in jets])
-
-
 def _ranks(M, tol):
     """Numerical ranks and singular values of stacked matrices."""
     sv = np.linalg.svd(M, compute_uv=False)
@@ -140,9 +133,9 @@ def _flag_reports(frame, points, coords, tol):
     if (r1 < frame.rank).any():
         raise GeometryError(f"frame degenerate at {points[0]}", point=points[0])
     brackets = [jet_bracket(a, b) for i, a in enumerate(jets) for b in jets[i + 1:]]
-    cols2 = cols1 + [_values(b, coords) for b in brackets]
+    cols2 = cols1 + [_column(b, coords) for b in brackets]
     r2, sv2 = _ranks(_matrices(cols2), tol)
-    cols3 = cols2 + [_values(jet_bracket(f, b), coords) for f in jets for b in brackets]
+    cols3 = cols2 + [_column(jet_bracket(f, b), coords) for f in jets for b in brackets]
     r3, sv3 = _ranks(_matrices(cols3), tol)
     return [FlagReport(point=q, ranks=(int(r1[k]), int(r2[k]), int(r3[k])),
                        singular_values=[sv1[k], sv2[k], sv3[k]], tol=tol)
@@ -187,7 +180,7 @@ def _contact_verdicts(frame, coords, tol):
     with evaluation_scope():
         jets = [f.taylor(coords, 1) for f in frame.fields]
         cols = [f(coords) for f in frame.fields]
-    r, _ = _ranks(_matrices(cols + [_values(jet_bracket(*jets), coords)]), tol)
+    r, _ = _ranks(_matrices(cols + [_column(jet_bracket(*jets), coords)]), tol)
     return [bool(rk == 3) for rk in r]
 
 
@@ -212,16 +205,14 @@ def _lines(frame, points, coords, tol):
         X, Y = (f.taylor(coords, 2) for f in frame.fields)
         vals = [f(coords) for f in frame.fields]
     B = jet_bracket(X, Y)
-    vals.append(_values(B, coords))
+    vals.append(_column(B, coords))
     # orthogonal complement of D^2 in coordinates, via SVD
     U, sv, _ = np.linalg.svd(_matrices(vals))
     if (sv[:, 2] <= tol * sv[:, 0]).any():
         raise GeometryError("distribution is not Engel at the point (rank D^2 < 3)",
                             point=points[0])
-    vals += [_values(jet_bracket(B, X), coords), _values(jet_bracket(B, Y), coords)]
-    # one contiguous (N, dim) block per field, so each point's vectors are
-    # laid out as at a single point
-    x0, y0, b0, bx, by = (np.ascontiguousarray(np.reshape(v, (len(v), -1)).T) for v in vals)
+    vals += [_column(jet_bracket(B, X), coords), _column(jet_bracket(B, Y), coords)]
+    x0, y0, b0, bx, by = map(_rows, vals)
     out = []
     for k, q in enumerate(points):
         normal = U[k, :, 3]
@@ -244,10 +235,7 @@ def _lines(frame, points, coords, tol):
 def reeb_vector(alpha, p):
     """The Reeb vector of a contact form at a point: ``alpha(Z) = 1``,
     ``d alpha(Z, .) = 0`` (see :func:`reeb_jets`)."""
-    coords = _coords_of(p, alpha.chart)
-    with evaluation_scope():
-        jets = reeb_jets(alpha.d_matrix(coords), alpha.taylor(coords, 0), coords)
-    return np.array([j.value for j in jets])
+    return reeb_field(alpha)(p)
 
 
 def reeb_jets(M, a, coords):

@@ -16,7 +16,8 @@ or character, a non-integral exponent, and literals of another form (hex,
 octal, binary, underscored, complex, boolean) are a
 :class:`~engellab.errors.ConfigError`; the text is only parsed, never
 compiled to code nor run.  Expressions evaluate with generic arithmetic, so
-they work on floats and on jets.
+they work on floats, jets and the float arrays of a batch, where the functions
+and ``^`` (:func:`~engellab.jets.power`) go entry by entry as on floats.
 """
 
 from __future__ import annotations
@@ -116,9 +117,7 @@ def _compile(tree, src, variables):
                 if not (m and float(m[1]).is_integer()):
                     raise ConfigError("exponent must be an integer")
                 base, e = comp(node.left, depth + 1), int(float(m[1]))
-                if e >= 0:
-                    return lambda env: base(env) ** e
-                return lambda env: _negative_power(base(env), e)
+                return lambda env: jets.power(base(env), e)
             case ast.BinOp(op=op) if type(op) in _BINOPS:
                 fn, left = _BINOPS[type(op)], comp(node.left, depth + 1)
                 right = comp(node.right, depth + 1)
@@ -129,11 +128,6 @@ def _compile(tree, src, variables):
         raise ConfigError(f"not in the expression grammar: {ast.get_source_segment(src, node)!r}")
 
     return comp(tree, 0)
-
-
-def _negative_power(b, e):
-    """``b ** e`` for ``e < 0``; on a jet, the reciprocal of ``b ** -e``."""
-    return (b ** -e).reciprocal() if hasattr(b, "reciprocal") else b ** e
 
 
 def _component_rule(chart, texts):

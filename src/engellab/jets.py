@@ -17,8 +17,9 @@ of a batch in one ``np.bincount`` over the row-shifted result positions.  A
 batch row equals its point's jet bit for bit: the arithmetic runs in the same
 order, and the series of the analytic functions are computed entry by entry by
 the one-point code (with :mod:`math`, whose rounding NumPy's may not share,
-and its domain checks).  Orders are capped at :data:`MAX_ORDER`; the normal-form
-pipeline needs at most order 6.
+and its domain checks).  A constant's term is ``0.0 + value`` at a point and
+in a batch alike, so a zero constant is +0.0.  Orders are capped at
+:data:`MAX_ORDER`; the normal-form pipeline needs at most order 6.
 
 Composition goes through :func:`jet_composer`: it builds the table of the
 monomials ``inner^k`` once, a degree at a time (each degree one batch product
@@ -276,13 +277,11 @@ class Jet:
         _check_order(order)
         size = _TABLES[n].count[order]
         if isinstance(value, _ARRAY):
-            # a batch keeps its values as given, signs of zeros included, as
-            # the float rules of expression fields do
             c = np.zeros(value.shape + (size,))
-            c[..., 0] = value
+            np.add(value, 0.0, out=c[..., 0])
         else:
             c = np.zeros(size)
-            c[0] = 0.0 + value  # a float zero constant is +0.0
+            c[0] = 0.0 + value
         return _jet(n, order, c)
 
     @staticmethod
@@ -347,10 +346,9 @@ class Jet:
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            batch = isinstance(other, _ARRAY)
-            c = np.tile(self.c, (len(other), 1)) if batch and self.c.ndim == 1 else self.c.copy()
-            if batch or other != 0.0:  # a float zero keeps the sign of a zero constant
-                c.T[0] += other
+            tile = isinstance(other, _ARRAY) and self.c.ndim == 1
+            c = np.tile(self.c, (len(other), 1)) if tile else self.c.copy()
+            c.T[0] += other
             return _jet(self.n, self.order, c)
         a, b, order = self._aligned(other)
         return _jet(self.n, order, a + b)
@@ -516,6 +514,16 @@ def _dispatch(f):
 
 
 sin, cos, exp, sqrt, log = map(_dispatch, (math.sin, math.cos, math.exp, math.sqrt, math.log))
+
+
+def power(x, e):
+    """``x ** e`` for an integer ``e``: of a jet by products (for ``e < 0``,
+    the reciprocal of ``x ** -e``), of a float, or of each entry of a batch's
+    array (IEEE 754 leaves the rounding of powers open, and NumPy's array
+    powers round otherwise than float powers)."""
+    if isinstance(x, Jet):
+        return x ** e if e >= 0 else (x ** -e).reciprocal()
+    return np.array([v ** e for v in x.tolist()]) if isinstance(x, _ARRAY) else x ** e
 
 
 # -- jet tuples: contractions, brackets, composition, inversion, pushforward ------

@@ -26,7 +26,7 @@ import numpy as np
 from .calculus import Chart, VectorField
 from .errors import EngelLabError, GeometryError
 from .jets import (MAX_ORDER, Jet, jet_bracket, jet_compose, jet_composer, jet_dot,
-                   jet_identity, jet_invert, jet_pushforward)
+                   jet_identity, jet_invert, jet_pushforward, power)
 from .reporting import worst_of
 
 ODE_CHART = Chart("ode_slope", ("x", "y", "p"))
@@ -36,7 +36,7 @@ def jet_polyval(jet, values):
     """Evaluate the truncated polynomial of a jet at a displacement."""
     acc = 0.0
     for k, v in jet.items():
-        acc = acc + math.prod((x ** e for x, e in zip(values, k) if e), start=v)
+        acc = acc + math.prod((power(x, e) for x, e in zip(values, k) if e), start=v)
     return acc
 
 

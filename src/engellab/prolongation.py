@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (Chart, VectorField, _coords_of, coordinate_field,
+from .calculus import (Chart, VectorField, _coords_of, _rows, coordinate_field,
                        evaluation_scope, lie_bracket, over_points)
 from .distributions import (DistributionFrame, LineDirection, _matrices, annihilator_form,
                             characteristic_line, is_contact)
@@ -71,10 +71,7 @@ class ParallelizedContact:
 
     def _check(self, points, coords):
         contact = is_contact(self.frame(), np.asarray(points))
-        # one contiguous row per point, so each point's vectors are laid out
-        # as at a single point
-        a, v0, v1 = (np.ascontiguousarray(np.reshape(f(coords), (3, -1)).T)
-                     for f in (self.alpha, self.v0, self.v1))
+        a, v0, v1 = (_rows(f(coords)) for f in (self.alpha, self.v0, self.v1))
         for m, ok, ak, v0k, v1k in zip(points, contact, a, v0, v1):
             if not ok:
                 raise GeometryError("frame is not contact at a sampled point", point=m)

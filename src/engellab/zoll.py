@@ -193,12 +193,17 @@ def stereographic_sphere_metric(radius=1.0, which="north"):
 
 def revolution_metric(profile, name="revolution"):
     """Surface of revolution du^2 + rho(u)^2 dv^2 with a scalar profile rho
-    (a rule of one generic argument, positive on the working interval)."""
+    (a rule of one generic argument, positive on the working interval); a
+    rho^2 that is not finite is an ``ExpressionDomainError`` at the point."""
     ch = Chart(name, ("u", "v"))
 
     def rule(xs):
         rho = profile(xs[0])
-        return [[1.0, 0.0], [0.0, rho * rho]]
+        g11 = rho * rho
+        if not np.isfinite(g11.c if isinstance(g11, Jet) else g11).all():
+            raise ExpressionDomainError("metric entry rho^2 is not finite",
+                                        point=[_value(x) for x in xs])
+        return [[1.0, 0.0], [0.0, g11]]
 
     return SurfaceMetric(ch, rule, name=name)
 

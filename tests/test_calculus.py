@@ -456,20 +456,20 @@ def test_lone_point_values_equal_jet_values_bit_for_bit():
     atlas = SphereAtlas()
     rng = np.random.default_rng(19)
     pts = np.column_stack([rng.uniform(-1.5, 1.5, (5, 2)), rng.uniform(-3.0, 3.0, 5)])
-    origin = np.array([0.0, -0.0, 0.7])  # where mixed's 0.5 * y - 0.0 is -0.0
+    # the first point is where mixed's 0.5 * y - 0.0 is -0.0, which reads
+    # +0.0 (Jet.constant) at the point and in its batch row alike
+    pts = np.vstack([[0.0, -0.0, 0.7], pts])
     fields = [atlas.field("north"), atlas.field("south"),
               constant_field(CH3, [-0.0, 0.0, 2.0])] + [
         VectorField(CH3, taylor_fn=tfn) for tfn in (numbers, seeded, mixed)]
     for field in fields:
-        got = field(origin)
-        assert _hex(got) == _hex([j.value for j in field.taylor(origin, 0)])
-        # a batch keeps the signs of the zeros its rule returns in arrays
-        # (Jet.constant), so its rows are compared away from them
         batch = field(np.ascontiguousarray(pts.T))
-        for p, row in zip(pts, batch.T):
+        jets = field.taylor(np.ascontiguousarray(pts.T), 0)
+        for k, (p, row) in enumerate(zip(pts, batch.T)):
             got = field(p)
             assert isinstance(got, np.ndarray) and got.shape == (3,)
             assert _hex(got) == _hex([j.value for j in field.taylor(p, 0)]) == _hex(row)
+            assert _hex(row) == _hex([np.broadcast_to(j.value, len(pts))[k] for j in jets])
     assert _hex(fields[2](pts[1])) == _hex([0.0, 0.0, 2.0])
     assert _hex(fields[3](pts[1])) == _hex([0.0, 3.0, -2.5])
     s = ScalarField(CH3, taylor_fn=lambda c, o: [-0.0])

@@ -213,15 +213,27 @@ def test_jet_domain_error_exits_three(capsys, tmp_path):
 
 def test_lone_point_jet_overflow_exits_three(capsys, tmp_path):
     # the profile's order-1 jets at a lone point overflow: a geometry error
-    # at the point, as on floats and in batches, not an inf metric
+    # at the point, as on floats and in batches, not an inf metric; the
+    # metric entry rho^2 overflows at the first sample, before the profile
     p = tmp_path / "overflow.json"
     p.write_text(json.dumps({"metric": "revolution", "profile": "exp(1000*u)^2",
                              "expect_return": False}))
     code, out, err = run_cli(capsys, "zoll-closedness", "--config", str(p),
                              "--samples", "4")
     assert code == 3
-    assert "geometry error: 'exp(1000*u)^2': overflow" in err
-    assert "at point" in err
+    assert "geometry error: metric entry rho^2 is not finite at point" in err
+
+
+def test_revolution_metric_overflow_exits_three(capsys, tmp_path):
+    # exp(400*u) is finite on the samples but its square, the metric entry
+    # rho^2, is not: an inf metric passed the no-return check with exit 0
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps({"metric": "revolution", "profile": "exp(400*u)",
+                             "expect_return": False, "bound": 5}))
+    code, out, err = run_cli(capsys, "zoll-closedness", "--config", str(p),
+                             "--samples", "3")
+    assert code == 3, out
+    assert err.strip().startswith("geometry error: metric entry rho^2 is not finite at point")
 
 
 def test_sheared_engel_frame_reads_its_characteristic_line(capsys, tmp_path):

@@ -395,16 +395,23 @@ def test_generator_evaluates_each_field_at_its_highest_order(monkeypatch):
     # X at order 0 on a three-lane stack: the rescaled base form (unnamed)
     # is read at order 1 by the Reeb field's d alpha and at order 0 by its
     # pairing, and the second is a slice of the first, so 1/dalpha(V0,V1)
-    # and what it reads are evaluated at orders 1 and 2 only
+    # and what it reads are evaluated at orders 1 and 2 only; X's own
+    # outermost call reads values (_values), counted as an order-0 evaluation
     gen = _realize_generator()
     stack = np.random.default_rng(15).uniform([-0.5] * 3 + [0.3], [0.5] * 3 + [1.2], (3, 4)).T
     calls, requests, highest = Counter(), [], {}
-    evaluate, taylor = calculus._FieldBase._evaluate, calculus._FieldBase.taylor
+    evaluate, values = calculus._FieldBase._evaluate, calculus._FieldBase._values
+    taylor = calculus._FieldBase.taylor
 
     def counted(field, coords, order):
         calls[(field.name, order)] += 1
         highest[(field, coords.shape, coords.tobytes())] = order
         return evaluate(field, coords, order)
+
+    def counted_values(field, coords):
+        calls[(field.name, 0)] += 1
+        highest[(field, coords.shape, coords.tobytes())] = 0
+        return values(field, coords)
 
     def recorded(field, point, order):
         coords = np.array(point)
@@ -414,6 +421,7 @@ def test_generator_evaluates_each_field_at_its_highest_order(monkeypatch):
         return out
 
     monkeypatch.setattr(calculus._FieldBase, "_evaluate", counted)
+    monkeypatch.setattr(calculus._FieldBase, "_values", counted_values)
     monkeypatch.setattr(calculus._FieldBase, "taylor", recorded)
     first = gen.X(stack)
     assert calls == {
@@ -444,6 +452,7 @@ def test_generator_evaluates_each_field_at_its_highest_order(monkeypatch):
     calls.clear()
     highest.clear()
     monkeypatch.setattr(calculus._FieldBase, "_evaluate", counted)
+    monkeypatch.setattr(calculus._FieldBase, "_values", counted_values)
     second = gen.X(stack)
     assert calls == {
         ("X", 0): 1, ("(+)", 0): 1, ("", 0): 6, ("", 1): 2, ("Z", 0): 1, ("Reeb()", 0): 1,

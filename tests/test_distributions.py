@@ -169,6 +169,11 @@ def _contact(v0, v1):
 
 
 SUPPORT = (0.25, 1.3)
+# Engel frames whose components divide or take powers, which jets round
+# otherwise than floats do, and NumPy's powers otherwise than Python's
+ROUNDING_FRAMES = {
+    "division": (["0", "0", "0", "1"], ["1", "x + w/3", "y/(1+z*z)", "0"]),
+    "power": (["0", "0", "0", "1"], ["1", "w + w^3", "y + 0.1*y^2 + 0.1*(z+2)^-2", "0"])}
 
 
 @functools.cache
@@ -184,6 +189,8 @@ def batch_frame(name):
     if name == "perturbed":
         return prolong(_contact(["0.1*z", "1 + 0.1*x", "0.05*x*y"],
                                 ["1", "0.1*sin(z)", "y + 0.1*x"])).frame()
+    if name in ROUNDING_FRAMES:
+        return DistributionFrame([vector_field_from_exprs(CH4, c) for c in ROUNDING_FRAMES[name]])
     dom = prolong(standard)
     h = scalar_field_from_expr(dom.chart, "0.05*sin(x) + 0.04*z*cos(y) + 0.03*y")
     return realize_isotopy(dom, ContactIsotopyGenerator(dom, h, SUPPORT),
@@ -225,7 +232,8 @@ unit = st.floats(-1.0, 1.0)
 point_sets = st.lists(st.tuples(unit, unit, unit, st.floats(0.0, 1.0)), min_size=1, max_size=6)
 
 
-@pytest.mark.parametrize("name", ["normal-form", "prolonged", "perturbed", "so3", "deformed"])
+@pytest.mark.parametrize("name", ["normal-form", "prolonged", "perturbed", "so3", "deformed",
+                                  *ROUNDING_FRAMES])
 @settings(max_examples=12, deadline=None)
 @given(raw=point_sets)
 def test_batch_equals_points_bit_for_bit(name, raw):

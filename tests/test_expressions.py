@@ -106,6 +106,18 @@ def test_jet_overflow_is_a_domain_error_at_the_point():
     assert f([1.0]) == math.exp(1.0) ** 10
 
 
+@pytest.mark.parametrize("text", ["x^2", "x^3", "x^-2", "x/y", "(x + y)^3/y^2"])
+def test_arrays_evaluate_entry_by_entry_bit_for_bit(text):
+    # a batch's array gives, entry by entry, the value at each point alone:
+    # NumPy's array powers round otherwise than Python's float powers
+    rng = np.random.default_rng(20)
+    x, y = rng.uniform(-3.0, 3.0, (2, 100_000))
+    e = Expression(text, ("x", "y"))
+    got = e({"x": x, "y": y})
+    want = [e({"x": a, "y": b}) for a, b in zip(x.tolist(), y.tolist())]
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
 def test_field_constructors_validate_arity():
     with pytest.raises(ConfigError):
         vector_field_from_exprs(CH, ["x", "y"])

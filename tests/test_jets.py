@@ -343,10 +343,11 @@ def ref_variable(i, n, order, base):
 
 def ref_add(a, b):
     if not isinstance(b, Ref):
+        # a float adds to the constant term, a zero included: -0.0 + 0.0 is
+        # +0.0 as on floats (the sparse kernel skipped a float zero)
         out = Ref(a.n, a.order, a.c)
-        if b != 0.0:
-            z = (0,) * a.n
-            out.c[z] = out.c.get(z, 0.0) + float(b)
+        z = (0,) * a.n
+        out.c[z] = out.c.get(z, 0.0) + float(b)
         return out
     order = min(a.order, b.order)
     out = Ref(a.n, order, {k: v for k, v in a.c.items() if sum(k) <= order})
@@ -459,6 +460,17 @@ def test_scalar_ops_bit_for_bit(pair, s, data):
     assert bits(a * s) == bits(ref_mul(ref_of(a), s))
     assert bits(s * a) == bits(ref_mul(ref_of(a), s))
     assert bits(a + s) == bits(ref_add(ref_of(a), s))
+
+
+def test_float_zero_adds_to_the_constant_term():
+    # as on floats, -0.0 + 0.0 is +0.0 and -0.0 - 0.0 is -0.0, at a point
+    # and in each row of a batch, and a zero constant is +0.0
+    j = Jet(2, 1, {(0, 0): -0.0, (1, 0): 1.0})
+    for s, sign in ((0.0, "0x0.0p+0"), (-0.0, "-0x0.0p+0")):
+        assert (j + s).value.hex() == (j - (-s)).value.hex() == sign
+        assert [v.hex() for v in (j + np.array([s, s])).value] == [sign, sign]
+    for value in (-0.0, np.array([-0.0, 1.0])):
+        assert np.copysign(1.0, Jet.constant(value, 2, 1).c[..., 0]).min() == 1.0
 
 
 @settings(max_examples=200, deadline=None)

@@ -163,6 +163,16 @@ def test_ode_roundtrip_exact():
     assert ode.f_jet.max_coeff_diff(f.truncated(k)) < 1e-11
 
 
+def test_ode_pair_batch_equals_points_bit_for_bit():
+    # V1 of a polynomial equation runs its rule on the coordinates: a batch
+    # row is its point's values, the powers of the monomials included
+    _, V1 = pair_from_ode(random_f(np.random.default_rng(21), order=4, amp=3.0))
+    pts = np.random.default_rng(22).uniform(-1.5, 1.5, (500, 3))
+    batch = V1(np.ascontiguousarray(pts.T))
+    for k, p in enumerate(pts):
+        assert np.array_equal(batch[:, k].view(np.int64), V1(p).view(np.int64))
+
+
 def test_ode_rhs_matches_polynomial():
     f = Jet(3, 3)
     f[(1, 1, 0)] = 2.0   # f = 2 x y + p^2

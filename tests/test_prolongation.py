@@ -34,6 +34,15 @@ def perturbed_contact():
     return ParallelizedContact(CH3, v0, v1)
 
 
+# Legendrian frames whose components divide and take powers (contact on the
+# unit cube), which jets and NumPy's powers round otherwise than floats do
+DIVISION_CONTACT = ParallelizedContact(CH3, vector_field_from_exprs(CH3, ["x/3", "1", "0"]),
+                                       vector_field_from_exprs(CH3, ["1", "0", "y/(1+z*z)"]))
+POWER_CONTACT = ParallelizedContact(
+    CH3, vector_field_from_exprs(CH3, ["0", "1", "0.1*x^3"]),
+    vector_field_from_exprs(CH3, ["1", "0", "y + 0.1*y^2 + 0.1*(z+2)^-2"]))
+
+
 def test_prolonged_frame_is_engel():
     rng = np.random.default_rng(0)
     for base in (standard_contact(), perturbed_contact()):
@@ -117,26 +126,33 @@ def test_contactify_batch_equals_points_bit_for_bit():
     # jets at each point: on theta slices, and on the slice x = 0.2, where
     # the normal components are those of (0, sin theta, cos theta) for
     # (X, V, [X, V]), so points with theta above pi/4 pivot on V and the
-    # others on [X, V]
-    dom = prolong(perturbed_contact())
+    # others on [X, V]; and the base frame's values, from its component rules
+    # on float arrays, are row by row those at each point, for Legendrian
+    # frames that divide and take powers too
     rng = np.random.default_rng(11)
-    slices = [dom.theta_slice(th) for th in (0.0, 0.7, 1.3)] + [Slice(dom.chart, 0, 0.2)]
-    for slc in slices:
-        pts = rng.uniform(-0.8, 0.8, (6, 3))
-        if slc.axis == 0:
-            pts[:, 2] = [0.1, 1.4, 0.5, 1.0, 0.3, 1.2]
-        induced = contactify(dom.frame(), slc)
-        for field in (induced.v0, induced.v1):
-            for order in (0, 1, 2):
-                batch = field.taylor(pts.T, order)
-                for k, m in enumerate(pts):
-                    for got, want in zip(batch, field.taylor(m, order)):
-                        assert np.array_equal(bits(np.broadcast_to(got.c, (6, len(want.c)))[k]),
-                                              bits(want.c))
-        stack = induced.plane_basis(pts)
-        assert stack.shape == (6, 3, 2)
+    for base in (perturbed_contact(), DIVISION_CONTACT, POWER_CONTACT):
+        dom = prolong(base)
+        slices = [dom.theta_slice(th) for th in (0.0, 0.7, 1.3)] + [Slice(dom.chart, 0, 0.2)]
+        for slc in slices:
+            pts = rng.uniform(-0.8, 0.8, (6, 3))
+            if slc.axis == 0:
+                pts[:, 2] = [0.1, 1.4, 0.5, 1.0, 0.3, 1.2]
+            induced = contactify(dom.frame(), slc)
+            for field in (induced.v0, induced.v1):
+                for order in (0, 1, 2):
+                    batch = field.taylor(pts.T, order)
+                    for k, m in enumerate(pts):
+                        for got, want in zip(batch, field.taylor(m, order)):
+                            assert np.array_equal(
+                                bits(np.broadcast_to(got.c, (6, len(want.c)))[k]), bits(want.c))
+            stack = induced.plane_basis(pts)
+            assert stack.shape == (6, 3, 2)
+            for k, m in enumerate(pts):
+                assert np.array_equal(bits(stack[k]), bits(induced.plane_basis(m)))
+        pts = rng.uniform(-0.8, 0.8, (200, 3))
+        stack = base.plane_basis(pts)
         for k, m in enumerate(pts):
-            assert np.array_equal(bits(stack[k]), bits(induced.plane_basis(m)))
+            assert np.array_equal(bits(stack[k]), bits(base.plane_basis(m)))
 
 
 def test_contactify_batch_raises_at_first_degenerate_point():
