@@ -61,16 +61,19 @@ with L = d/dy, and in one ``gray`` run at the suite's defaults, and the jets
 built (``jets._jet`` calls) by one single-lane right-hand side of V1 at the
 fixed state and by one variational right-hand side of d/dtheta (the
 characteristic field of the standard prolongation, with three transported
-vectors) at (M, 1), both called as ``integrate`` calls them.  The timings
-cannot resolve a change at L0 below about 2x on a shared machine; the counts
-are exact, and the jet counts resolve the per-call work of the single-lane
-right-hand sides that the timings cannot.
+vectors) at (M, 1), both called as ``integrate`` calls them, and the
+function calls (Python and built-in, as ``cProfile`` counts them, after one
+warm call) of that single-lane right-hand side of V1 and of that Moser
+right-hand side.  The timings cannot resolve a change at L0 below about 2x
+on a shared machine; the counts are exact, and the jet and call counts
+resolve the per-call work of the right-hand sides that the timings cannot.
 
 Imports engellab from the ``src/`` next to this directory and builds jets
 only through ``Jet(n, order, {multi_index: value})``, so the same file copied
 into another checkout measures that checkout.
 """
 
+import cProfile
 import json
 import platform
 import random
@@ -211,6 +214,18 @@ def jets_built(fn):
     finally:
         jets._jet = orig
     return count[0]
+
+
+def python_calls(fn):
+    """Function calls, Python and built-in, that ``cProfile`` counts in one
+    ``fn()`` made after a warm call.  They are summed over the profiler's
+    entries, one per code object: ``pstats`` keys its table by file, line
+    and name, so comprehensions nested on one line overwrite each other
+    there in an order that varies from run to run."""
+    fn()
+    profile = cProfile.Profile()
+    profile.runcall(fn)
+    return sum(entry.callcount for entry in profile.getstats())
 
 
 def single_lane(f):
@@ -421,15 +436,18 @@ def l3_items(items, counts):
     variational = single_lane(flow._augmented_rhs(std.vertical, 4, 3))
     y = np.concatenate([M, [1.0], np.eye(4)[:, :3].ravel()])[None]
     counts["v1_rhs_jets_built"] = jets_built(lambda: v1_rhs(0.0, state))
+    counts["v1_single_lane_rhs_calls"] = python_calls(lambda: v1_rhs(0.0, state))
     counts["vertical_variational_rhs_jets_built"] = jets_built(lambda: variational(0.0, y))
 
     def moser_rhs():
         L = calculus.constant_field(cli.CONTACT_CHART, [0.0, 1.0, 0.0])
-        sol = gray_solve(cli._gray_path({})[0], L, np.linspace(0.0, 0.3, 5))
-        sol._rhs(0)(0.15, np.append(M, 0.0))
+        return gray_solve(cli._gray_path({})[0], L, np.linspace(0.0, 0.3, 5))._rhs(0)
 
     _, samples, tol = cli.SUITES["gray"]
-    counts["gray_moser_rhs_path_rule_calls"] = path_rule_calls(moser_rhs)
+    y_moser = np.append(M, 0.0)
+    counts["gray_moser_rhs_path_rule_calls"] = path_rule_calls(lambda: moser_rhs()(0.15, y_moser))
+    rhs = moser_rhs()
+    counts["gray_moser_rhs_calls"] = python_calls(lambda: rhs(0.15, y_moser))
     counts["gray_run_path_rule_calls"] = path_rule_calls(
         lambda: cli.run("gray", {}, 0, samples, tol))
 

@@ -4,6 +4,8 @@ A field is defined either by a component rule (a callable evaluated with
 generic arithmetic, so it works on floats and on :class:`~engellab.jets.Jet`
 seeds alike) or by a custom ``taylor_fn`` for fields produced by geometric
 constructions (brackets, pointwise linear solves, frame recombinations).
+Surface metrics (g's entries) and contact-form paths (on the chart (x, t))
+are component-rule fields too, so every rule's outputs become jets here.
 Given ``(dim, N)`` coordinates, a field evaluates a batch of N points in one
 pass, on jets with one coefficient row per point (see :mod:`engellab.jets`).
 Evaluation is pure.  Within one evaluation scope a memo holds each (field,
@@ -24,6 +26,8 @@ coordinates themselves (floats, or float arrays), and an outermost call of a
 ``taylor_fn`` field opens the memo under the plan of order 0 like ``taylor``
 and reads the rule's outputs, a number ``v`` as ``0.0 + v`` (the value of its
 constant jet) and a jet as its value; inside an open scope, the memo's jets.
+A metric's ``value_and_gradient`` reads its rule's outputs on order-1 seeds
+the same way, with no memo, since it sits in the geodesic integrator's loop.
 """
 
 from __future__ import annotations

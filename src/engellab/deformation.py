@@ -8,9 +8,9 @@ stays Engel exactly while the spin function g, defined by
 [X, V] = f V + g U, stays above -1.  The Gray solver inverts the picture:
 given a path of contact forms whose time derivative kills a fixed Legendrian
 field L, it produces an isotopy pulling the moving planes back to the initial
-ones while preserving L.  The path is a rule in (x, t): one evaluation of it
-at order k + 1 gives theta_t, d theta_t and d/dt theta_t at order k, which is
-all that one Moser right-hand side reads.
+ones while preserving L.  The path is a field on the chart (x, t): one
+evaluation of its rule at order k + 1 gives theta_t, d theta_t and d/dt
+theta_t at order k, which is all that one Moser right-hand side reads.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .calculus import (ScalarField, VectorField, _column, _coords_of, _rows, lie_bracket,
-                       lie_derivative_scalar, over_points)
+from .calculus import (Chart, ScalarField, VectorField, _column, _coords_of, _FieldBase, _rows,
+                       lie_bracket, lie_derivative_scalar, over_points)
 from .distributions import (DistributionFrame, line_angle, plane_principal_angle, reeb_field,
                             reeb_jets)
 from .errors import EngelLabError, GeometryError
@@ -227,25 +227,23 @@ def bottom_to_top(deformed, m, tol=1e-9):
 # -- Gray / Moser solver -------------------------------------------------------
 
 
-class ContactFormPath:
-    """A t-family of one-forms theta_t on a 3-chart, its components a rule in
-    (coordinates, t) with generic arithmetic."""
+class ContactFormPath(_FieldBase):
+    """A t-family of one-forms theta_t on a 3-chart: the field on the chart
+    (x, t) whose components, a rule with generic arithmetic, are theta_t's."""
 
-    def __init__(self, chart, components):
-        self.chart = chart
-        self.components = components
+    n_components = 3
+
+    def __init__(self, chart, rule):
+        super().__init__(Chart(chart.name, chart.coords + ("t",)), components=rule, name="theta_t")
 
     def jets(self, coords, t, order):
         """theta_t to ``order + 1`` and d/dt theta_t to ``order`` around
         ``coords`` (a point, or ``(dim, N)`` for a batch of N points), both
-        from one evaluation of the rule in (x, t) at ``order + 1``; a
-        component that the rule returns as a number is a constant."""
-        n = self.chart.dim
-        ext = self.components(Jet.seeds(list(coords) + [t], order + 1))
-        if len(ext) != n:
-            raise EngelLabError(f"rule returned {len(ext)} components, expected {n}")
-        ext = [j if isinstance(j, Jet) else Jet.constant(j, n + 1, order + 1) for j in ext]
-        return [j.restrict(n) for j in ext], [j.derivative(n).restrict(n) for j in ext]
+        from one ``taylor`` evaluation at ``order + 1`` on the coordinates
+        with a t row appended."""
+        xt = np.concatenate([coords, np.full((1,) + np.shape(coords)[1:], t)])
+        ext = self.taylor(xt, order + 1)
+        return [j.restrict(3) for j in ext], [j.derivative(3).restrict(3) for j in ext]
 
 
 @dataclass

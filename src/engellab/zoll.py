@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import Chart, OneForm, VectorField
+from .calculus import Chart, OneForm, VectorField, _FieldBase
 from .errors import (EngelLabError, ExpressionDomainError, GeometryError,
                      IntegrationError, JetDomainError)
 from .distributions import line_angle
@@ -28,46 +28,37 @@ from .prolongation import ParallelizedContact, prolong
 from .reporting import worst_of
 
 
-class SurfaceMetric:
-    """A Riemannian metric on a 2-chart, given by a matrix rule evaluable
-    with generic arithmetic (floats or jets).
+class SurfaceMetric(_FieldBase):
+    """A Riemannian metric on a 2-chart: the field whose four components are
+    g's entries in row-major order, given by a matrix rule ``g_rule`` that
+    works with generic arithmetic (floats or jets).  ``value_and_gradient``
+    reads the floats g and dg from one evaluation on order-1 seeds, and
+    ``christoffel`` forms the symbols from them."""
 
-    The rule is the one description of the metric.  ``jets`` evaluates it on
-    seed jets of any order; ``value_and_gradient`` evaluates it once on
-    order-1 seeds and returns the floats g and dg, from which ``christoffel``
-    forms the symbols.
-    """
+    n_components = 4
 
     def __init__(self, chart, g_rule, name=""):
         if chart.dim != 2:
             raise EngelLabError("surface metric needs a 2-dimensional chart")
-        self.chart = chart
+        super().__init__(chart, components=lambda xs: [e for row in self.g_rule(xs) for e in row],
+                         name=name)
         self.g_rule = g_rule
-        self.name = name
-
-    def jets(self, coords, order, n_vars=2, positions=(0, 1)):
-        """Component jets g_ij; optionally embedded into more variables."""
-        seeds = Jet.seeds(np.asarray(coords, dtype=float)[:2], order)
-        G = self.g_rule(seeds)
-        out = [[G[i][j] if isinstance(G[i][j], Jet) else Jet.constant(float(G[i][j]), 2, order)
-                for j in range(2)] for i in range(2)]
-        if n_vars != 2:
-            out = [[g.embed(n_vars, list(positions)) for g in row] for row in out]
-        return out
 
     def value_and_gradient(self, p):
         """The floats g[i][j] and dg[i][j][k] = d_k g_ij at ``p``, read from
         one evaluation of the rule on order-1 seeds; a number entry ``v``
         reads as the jet ``Jet.constant(v)``: value ``0.0 + v``, zero
         gradient."""
-        G = self.g_rule(Jet.seeds(np.asarray(p, dtype=float)[:2], 1))
-        return ([[g.value if isinstance(g, Jet) else 0.0 + float(g) for g in row] for row in G],
-                [[g.gradient() if isinstance(g, Jet) else [0.0, 0.0] for g in row] for row in G])
+        G = self._outputs(np.asarray(p, dtype=float)[:2], 1)
+        g = [j.value if isinstance(j, Jet) else 0.0 + j for j in G]
+        dg = [j.gradient() if isinstance(j, Jet) else [0.0, 0.0] for j in G]
+        return [g[:2], g[2:]], [dg[:2], dg[2:]]
 
     def matrix(self, p):
-        G = self.jets(np.asarray(p, dtype=float), 0)
-        M = np.array([[G[i][j].value for j in range(2)] for i in range(2)])
-        if np.linalg.det(M) <= 0 or M[0, 0] <= 0:
+        """g at ``p`` as a 2x2 array; a metric that is not positive definite
+        there, a NaN entry included, is a ``GeometryError``."""
+        M = self(p).reshape(2, 2)
+        if not (M[0, 0] > 0 and np.linalg.det(M) > 0):
             raise GeometryError("metric is not positive definite", point=p)
         return M
 
@@ -166,7 +157,8 @@ def _inputs(metric, coords, order):
     jets of order k + 1."""
     if order == 0:
         return (*metric.value_and_gradient(coords[:2]), coords[2])
-    G = metric.jets(coords, order + 1, n_vars=3, positions=(0, 1))
+    G = [c.embed(3, (0, 1)) for c in metric.taylor(coords[:2], order + 1)]
+    G = [G[:2], G[2:]]
     return ([[c.truncated(order) for c in row] for row in G],
             [[[c.derivative(k) for k in (0, 1)] for c in row] for row in G],
             Jet.variable(2, 3, order, base=coords[2]))
@@ -199,7 +191,8 @@ def revolution_metric(profile, name="revolution"):
 
     def rule(xs):
         rho = profile(xs[0])
-        g11 = rho * rho
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf is rejected below
+            g11 = rho * rho
         if not np.isfinite(g11.c if isinstance(g11, Jet) else g11).all():
             raise ExpressionDomainError("metric entry rho^2 is not finite",
                                         point=[_value(x) for x in xs])
@@ -631,7 +624,8 @@ def legendre_ray_map_inverse(metric, x, p):
 def kinetic_hamiltonian_field(metric, x, p):
     """The Hamiltonian field of H = (1/2) g^ij p_i p_j at (x, p), computed
     from derivative jets of the inverse metric: (dH/dp, -dH/dx)."""
-    Ginv = _inverse(metric.jets(np.asarray(x, dtype=float), 1))
+    G = metric.taylor(x, 1)
+    Ginv = _inverse([G[:2], G[2:]])
     p = np.asarray(p, dtype=float)
     dHdp = np.zeros(2)
     dHdx = np.zeros(2)

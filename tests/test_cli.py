@@ -3,6 +3,7 @@ handling."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,12 +215,17 @@ def test_jet_domain_error_exits_three(capsys, tmp_path):
 def test_lone_point_jet_overflow_exits_three(capsys, tmp_path):
     # the profile's order-1 jets at a lone point overflow: a geometry error
     # at the point, as on floats and in batches, not an inf metric; the
-    # metric entry rho^2 overflows at the first sample, before the profile
+    # metric entry rho^2 overflows at the first sample, before the profile,
+    # and that product, which the finiteness check rejects, raises no
+    # RuntimeWarning on the way
     p = tmp_path / "overflow.json"
     p.write_text(json.dumps({"metric": "revolution", "profile": "exp(1000*u)^2",
                              "expect_return": False}))
-    code, out, err = run_cli(capsys, "zoll-closedness", "--config", str(p),
-                             "--samples", "4")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "zoll-closedness", "--config", str(p),
+                                 "--samples", "4")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == 3
     assert "geometry error: metric entry rho^2 is not finite at point" in err
 

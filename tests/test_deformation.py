@@ -345,20 +345,24 @@ def test_path_jets_truncate_to_a_direct_evaluation():
     # theta_t and d/dt theta_t from one evaluation at order k + 1, truncated
     # to k - 1, are bit for bit the restriction of the rule's jets at order
     # k - 1 and the t-derivative of its jets at order k, at a point and over
-    # a batch
-    path = _moser_path()
+    # a batch; a component that the rule returns as a number is a constant
+    def direct(path, coords, order):
+        return [j if isinstance(j, Jet) else Jet.constant(j, 4, order)
+                for j in path.components(Jet.seeds(list(coords) + [t], order))]
+
     t = 0.37
-    for coords in (np.array([0.1, -0.2, 0.3]),
-                   np.random.default_rng(16).uniform(-0.5, 0.5, (3, 4))):
-        for k in (1, 2, 3):
-            theta, dot = path.jets(coords, t, k)
-            assert [j.order for j in theta] == [k + 1] * 3 and [j.order for j in dot] == [k] * 3
-            direct = path.components(Jet.seeds(list(coords) + [t], k - 1))
-            assert all(np.array_equal(j.truncated(k - 1).c, d.restrict(3).c)
-                       for j, d in zip(theta, direct))
-            direct = path.components(Jet.seeds(list(coords) + [t], k))
-            assert all(np.array_equal(j.truncated(k - 1).c, d.derivative(3).restrict(3).c)
-                       for j, d in zip(dot, direct))
+    number = _path(lambda s: [s[3] * s[0] - s[1], 0.25, 1.0 + s[3] * s[2].sin()])
+    for path in (_moser_path(), number):
+        for coords in (np.array([0.1, -0.2, 0.3]),
+                       np.random.default_rng(16).uniform(-0.5, 0.5, (3, 4))):
+            for k in (1, 2, 3):
+                theta, dot = path.jets(coords, t, k)
+                assert [j.order for j in theta] == [k + 1] * 3
+                assert [j.order for j in dot] == [k] * 3
+                assert all(np.array_equal(j.truncated(k - 1).c, d.restrict(3).c)
+                           for j, d in zip(theta, direct(path, coords, k - 1)))
+                assert all(np.array_equal(j.truncated(k - 1).c, d.derivative(3).restrict(3).c)
+                           for j, d in zip(dot, direct(path, coords, k)))
 
 
 def test_transport_raises_at_a_nan_right_hand_side():

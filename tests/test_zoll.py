@@ -11,9 +11,9 @@ from scipy.integrate import solve_ivp
 from engellab import zoll
 from engellab.calculus import Chart, lie_bracket
 from engellab.distributions import flag_ranks, is_contact
-from engellab.errors import GeometryError
+from engellab.errors import EngelLabError, GeometryError
 from engellab.flow import integrate
-from engellab.jets import Jet
+from engellab.jets import Jet, sin
 from engellab.zoll import (SingleChartSpace, SphereAtlas, SurfaceMetric, UnitTangentChart,
                            central_projection, central_projection_check,
                            closedness_report, euclidean_metric, first_return,
@@ -45,7 +45,7 @@ def fd_christoffel(metric, p, h=1e-6):
 
 
 def sine_revolution_metric():
-    return revolution_metric(lambda u: 2.0 + u.sin() if hasattr(u, "sin") else 2.0 + math.sin(u))
+    return revolution_metric(lambda u: 2.0 + sin(u))
 
 
 def skew_metric():
@@ -70,6 +70,54 @@ def test_christoffel_against_finite_differences():
             got = metric.christoffel(p)
             want = fd_christoffel(metric, p)
             assert np.max(np.abs(got - want)) < 1e-7, metric.name
+
+
+def test_metric_jets_values_and_batches_equal_the_rule():
+    # a metric is the field of g's four entries: its jets are the rule's on
+    # seed jets, a number entry a constant jet, bit for bit; value_and_gradient
+    # reads the values and gradients of the rule on order-1 seeds; a batch's
+    # values are each point's matrix, bit for bit
+    rng = np.random.default_rng(3)
+    for metric in [m() for m in METRICS] + [euclidean_metric()]:
+        pts = rng.uniform(-0.8, 0.8, (6, 2))
+        for x in pts:
+            for k in range(4):
+                rule = [e for row in metric.g_rule(Jet.seeds(x, k)) for e in row]
+                for got, e in zip(metric.taylor(x, k), rule, strict=True):
+                    if isinstance(e, Jet):
+                        want = e.c
+                    else:
+                        want = np.zeros(got.c.shape)
+                        want[0] = 0.0 + e
+                    assert got.c.tobytes() == want.tobytes(), (metric.name, k)
+            rule = [e for row in metric.g_rule(Jet.seeds(x, 1)) for e in row]
+            g, dg = metric.value_and_gradient(x)
+            assert np.array(g).tobytes() == np.array(
+                [e.value if isinstance(e, Jet) else 0.0 + e for e in rule]).reshape(2, 2).tobytes()
+            assert np.array(dg).tobytes() == np.array(
+                [e.gradient() if isinstance(e, Jet) else [0.0, 0.0] for e in rule]
+            ).reshape(2, 2, 2).tobytes()
+        batch = metric(pts.T)
+        assert batch.shape == (4, len(pts))
+        for column, x in zip(batch.T, pts):
+            assert column.reshape(2, 2).tobytes() == metric.matrix(x).tobytes(), metric.name
+
+
+def test_nan_or_misshapen_metric_fails_loudly():
+    # a NaN entry is not positive definite, where it passed the det and g00
+    # tests and gave a NaN covector; a rule of the wrong shape is named as
+    # such, not an IndexError
+    chart = Chart("bad", ("x", "y"))
+    nan_metric = SurfaceMetric(chart, lambda xs: [[math.nan, 0.0], [0.0, 1.0]])
+    for call in (lambda: nan_metric.matrix([0.1, 0.2]),
+                 lambda: legendre_ray_map(nan_metric, [0.1, 0.2], [1.0, 0.0])):
+        with pytest.raises(GeometryError, match="not positive definite"):
+            call()
+    wide = SurfaceMetric(chart, lambda xs: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for call in (lambda: wide.matrix([0.1, 0.2]), lambda: wide.value_and_gradient([0.1, 0.2]),
+                 lambda: wide.taylor([0.1, 0.2], 2)):
+        with pytest.raises(EngelLabError, match="rule returned 9 components, expected 4"):
+            call()
 
 
 def test_geodesic_field_jets_solve_the_geodesic_equation():
