@@ -10,7 +10,9 @@ Operands are dense random jets from a fixed seed; the change for compose,
 invert and pushforward is an origin-preserving tuple with a diagonally
 dominant linear part.  The batch product of two dense batch jets: 3
 variables at orders 0, 1 and 2 over 3 rows (a stack of lanes), and 4
-variables at order 2 over 200 rows (a flag batch).
+variables at order 2 over 200 rows (a flag batch).  The order-0 operands are
+built by ``Jet.constant``, so in a checkout where order 0 is values the
+order-0 items time the product of two floats or two arrays.
 
 L1, composite fields: the contact isotopy generator X of the ``realize``
 suite (its default Hamiltonian and support) at order 0 on a three-lane
@@ -19,7 +21,12 @@ stack, the shape of the stacked integrations that dominate that suite.  Its
 ``_values`` calls, the value reads of an outermost call) and the
 Jet products (``Jet.__mul__`` and ``__rmul__`` with two jet operands) of the
 first call of a new generator and of the second call, which may reuse what
-the first recorded.
+the first recorded; ``generator_x_3_lanes_jets_built`` counts the jets built
+by one call (``jets._jet`` calls, wherever a module binds it, and ``Jet``
+constructions), and ``generator_x_3_lanes_order0_jets`` and
+``flag_ranks_prolonged_point_order0_jets`` the jets of order 0 among those
+built by that call and by one ``flag_ranks`` point of the standard
+prolongation (a flags-workload point).
 
 L2, pointwise geometry: ``flag_ranks`` at one point of the standard
 prolongation and of the deformed frame of the ``realize`` suite (its default
@@ -137,27 +144,24 @@ def per_call_us(fn):
 
 def taylor_calls(fn):
     """Field evaluations made by ``fn()``: ``_FieldBase.taylor`` calls, and
-    in a checkout whose lone-point values do not pass through ``taylor``,
-    the calls of that value path (``_FieldBase._scoped`` with ``values``)."""
+    the lone-point value reads of ``taylor_fn`` fields (their calls, which
+    read the values through the memo without calling ``taylor``)."""
     base, count = calculus._FieldBase, [0]
-    saved = {name: getattr(base, name) for name in ("taylor", "_scoped") if hasattr(base, name)}
+    taylor, call = base.taylor, base.__call__
 
-    def taylor(self, point, order):
+    def counted_taylor(self, point, order):
         count[0] += 1
-        return saved["taylor"](self, point, order)
+        return taylor(self, point, order)
 
-    def scoped(self, coords, order, values=False):
-        count[0] += values
-        return saved["_scoped"](self, coords, order, values)
+    def counted_call(self, point):
+        count[0] += self.taylor_fn is not None
+        return call(self, point)
 
-    base.taylor = taylor
-    if "_scoped" in saved:
-        base._scoped = scoped
+    base.taylor, base.__call__ = counted_taylor, counted_call
     try:
         fn()
     finally:
-        for name, method in saved.items():
-            setattr(base, name, method)
+        base.taylor, base.__call__ = taylor, call
     return count[0]
 
 
@@ -199,20 +203,32 @@ def kernel_products(fn):
     return count[0]
 
 
-def jets_built(fn):
-    """Jets built (``jets._jet`` calls, which every constructor and
-    operation makes) by ``fn()``."""
-    orig, count = jets._jet, [0]
+def jets_built(fn, order=None):
+    """Jets built by ``fn()``: ``jets._jet`` calls, which every constructor
+    and operation makes (wherever an engellab module binds ``_jet``), and
+    ``Jet(n, order, coeffs)`` constructions; with ``order``, those of that
+    order only."""
+    orig, init, count = jets._jet, Jet.__init__, [0]
+    bound = [m for m in sys.modules.values()
+             if getattr(m, "__name__", "").startswith("engellab") and getattr(m, "_jet", None) is orig]
 
-    def counting(*args):
-        count[0] += 1
-        return orig(*args)
+    def counting(n, order_, c):
+        count[0] += order is None or order_ == order
+        return orig(n, order_, c)
 
-    jets._jet = counting
+    def constructing(self, n, order_, coeffs=None):
+        count[0] += order is None or order_ == order
+        return init(self, n, order_, coeffs)
+
+    for module in bound:
+        module._jet = counting
+    Jet.__init__ = constructing
     try:
         fn()
     finally:
-        jets._jet = orig
+        for module in bound:
+            module._jet = orig
+        Jet.__init__ = init
     return count[0]
 
 
@@ -255,20 +271,19 @@ def path_rule_calls(fn):
 
 
 def evaluations_and_products(fn):
-    """Field evaluations (``_FieldBase._evaluate`` and ``_values`` calls)
-    and products of two jets made by ``fn()``."""
-    saved = {name: getattr(cls, name) for cls, name in (
-        (calculus._FieldBase, "_evaluate"), (calculus._FieldBase, "_values"),
-        (Jet, "__mul__"), (Jet, "__rmul__"))}
+    """Field evaluations (``_FieldBase._evaluate`` calls, and ``_values``
+    calls in a checkout that reads lone-point values there) and products of
+    two jets made by ``fn()``."""
+    names = [name for name in ("_evaluate", "_values") if hasattr(calculus._FieldBase, name)]
+    saved = {name: getattr(calculus._FieldBase, name) for name in names}
+    saved.update({name: getattr(Jet, name) for name in ("__mul__", "__rmul__")})
     count = {"evaluate": 0, "products": 0}
 
-    def evaluate(self, coords, order):
-        count["evaluate"] += 1
-        return saved["_evaluate"](self, coords, order)
-
-    def values(self, coords):
-        count["evaluate"] += 1
-        return saved["_values"](self, coords)
+    def evaluation(name):
+        def counting(self, *args):
+            count["evaluate"] += 1
+            return saved[name](self, *args)
+        return counting
 
     def product(name):
         def counting(a, b):
@@ -276,20 +291,27 @@ def evaluations_and_products(fn):
             return saved[name](a, b)
         return counting
 
-    calculus._FieldBase._evaluate, calculus._FieldBase._values = evaluate, values
+    for name in names:
+        setattr(calculus._FieldBase, name, evaluation(name))
     Jet.__mul__, Jet.__rmul__ = product("__mul__"), product("__rmul__")
     try:
         fn()
     finally:
-        calculus._FieldBase._evaluate = saved["_evaluate"]
-        calculus._FieldBase._values = saved["_values"]
+        for name in names:
+            setattr(calculus._FieldBase, name, saved[name])
         Jet.__mul__, Jet.__rmul__ = saved["__mul__"], saved["__rmul__"]
     return count["evaluate"], count["products"]
 
 
 def dense_jet(rng, n, order, const):
+    if order == 0:
+        return Jet.constant(const, n, 0)
     return Jet(n, order, {k: const if sum(k) == 0 else rng.uniform(-1.0, 1.0)
                           for k in multi_indices(n, order)})
+
+
+def batch_jet(n, order, coeffs):
+    return Jet(n, order, coeffs) if order else Jet.constant(coeffs[(0,) * n], n, 0)
 
 
 def origin_change(rng, n, order):
@@ -326,8 +348,8 @@ def l0_items(items):
         items[f"mul_n{n}_o{order}"] = per_call_us(lambda: a * b)
     rows_rng = np.random.default_rng(4)
     for n, order, rows in BATCH_PRODUCTS:
-        a, b = (Jet(n, order, {k: rows_rng.uniform(-1.0, 1.0, rows)
-                               for k in multi_indices(n, order)}) for _ in range(2))
+        a, b = (batch_jet(n, order, {k: rows_rng.uniform(-1.0, 1.0, rows)
+                                     for k in multi_indices(n, order)}) for _ in range(2))
         items[f"mul_n{n}_o{order}_batch{rows}"] = per_call_us(lambda: a * b)
 
 
@@ -346,6 +368,8 @@ def l1_items(items, counts):
         evaluations, products = evaluations_and_products(lambda: gen.X(stack))
         counts[f"generator_x_{LANES}_lanes{call}_evaluations"] = evaluations
         counts[f"generator_x_{LANES}_lanes{call}_jet_products"] = products
+    counts[f"generator_x_{LANES}_lanes_jets_built"] = jets_built(lambda: gen.X(stack))
+    counts[f"generator_x_{LANES}_lanes_order0_jets"] = jets_built(lambda: gen.X(stack), 0)
     items[f"generator_x_{LANES}_lanes"] = per_call_us(lambda: gen.X(stack))
 
 
@@ -355,6 +379,8 @@ def l2_items(items, counts):
     pts = cli._domain_points(np.random.default_rng(4), BATCH, domain.theta_max)
     q = pts[0]
     items["flag_ranks_prolonged_point"] = per_call_us(lambda: flag_ranks(domain.frame(), q))
+    counts["flag_ranks_prolonged_point_order0_jets"] = jets_built(
+        lambda: flag_ranks(domain.frame(), q), 0)
     items["flag_ranks_deformed_point"] = per_call_us(lambda: flag_ranks(deformed, q))
     batch = per_call_us(lambda: flag_ranks(deformed, pts))
     items[f"flag_ranks_deformed_batch{BATCH}_per_point"] = {

@@ -8,26 +8,33 @@ Surface metrics (g's entries) and contact-form paths (on the chart (x, t))
 are component-rule fields too, so every rule's outputs become jets here.
 Given ``(dim, N)`` coordinates, a field evaluates a batch of N points in one
 pass, on jets with one coefficient row per point (see :mod:`engellab.jets`).
-Evaluation is pure.  Within one evaluation scope a memo holds each (field,
-point)'s jets at the highest order asked so far: a lower order gets them
-truncated, bit for bit the jets of an evaluation at that order, and a higher
-order evaluates and replaces them.  The outermost :meth:`_FieldBase.taylor`
-call opens the memo that the nested calls of composite and bracket closures
-share, and :func:`evaluation_scope` widens it to a pointwise check.  It lives
-in a context variable and is dropped when its scope closes, so no jets
-outlive one evaluation and parallel sampling stays safe.  A plan does: kept on
-the root field per order, it holds the highest order at which the first
-outermost call evaluated each field, and later ones evaluate each planned
-field once, at that order, however the orders are asked.
+Order 0 is values: ``taylor(p, 0)`` gives the components' values, floats at
+a point and ``(N,)`` arrays over a batch (a number in every row, like a
+point-sized jet above order 0, stays a float), and no jet is built for them;
+a component rule runs on the coordinates' values, and each value is
+``0.0 + value``, as a number ``v`` that a rule returns reads ``0.0 + v`` at
+every order.  Evaluation is pure.  Within one evaluation scope a memo holds
+each (field, point)'s jets at the highest order asked so far: a lower order
+gets them truncated, bit for bit the jets of an evaluation at that order, and
+a higher order evaluates and replaces them.  Order 0 gets their values, which
+are a fresh evaluation's wherever the rule's arithmetic on values is that of
+jets on their constant terms: sums, products and the analytic functions, not
+``x / y`` (on jets ``x * (1/y)``) or ``x ** k`` (on jets, products).  The
+outermost :meth:`_FieldBase.taylor` call opens the memo that the nested calls
+of composite and bracket closures share, and :func:`evaluation_scope` widens
+it to a pointwise check.  It lives in a context variable and is dropped when
+its scope closes, so no jets outlive one evaluation and parallel sampling
+stays safe.  A plan does: kept on the root field per order, it holds the
+highest order at which the first outermost call evaluated each field, and
+later ones evaluate each planned field once, at that order, however the
+orders are asked.
 
 Values take one path at a point and over a batch, so a batch row is its
 point's values bit for bit: ``field(p)`` runs a component rule on the
-coordinates themselves (floats, or float arrays), and an outermost call of a
-``taylor_fn`` field opens the memo under the plan of order 0 like ``taylor``
-and reads the rule's outputs, a number ``v`` as ``0.0 + v`` (the value of its
-constant jet) and a jet as its value; inside an open scope, the memo's jets.
-A metric's ``value_and_gradient`` reads its rule's outputs on order-1 seeds
-the same way, with no memo, since it sits in the geodesic integrator's loop.
+coordinates themselves (floats, or float arrays), and a ``taylor_fn`` field
+gives ``taylor(p, 0)``.  A metric's ``value_and_gradient`` reads its rule's
+outputs on order-1 seeds the same way, with no memo, since it sits in the
+geodesic integrator's loop.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartMismatchError, DerivativeOrderError, EngelLabError
-from .jets import Jet, jet_bracket, jet_d_matrix, jet_dot, jet_two_form
+from .jets import Jet, jet_bracket, jet_d_matrix, jet_dot, jet_two_form, reciprocal
 
 INF_ORDER = math.inf
 
@@ -89,9 +96,15 @@ def over_points(points, batch, one):
 def _column(entries, coords):
     """Jets' values, numbers or arrays as the column a field call at
     ``coords`` gives: ``(k,)`` at a point, ``(k, N)`` for N points."""
-    shape = np.shape(coords)[1:]
-    return np.array([np.broadcast_to(e.value if isinstance(e, Jet) else e, shape)
-                     for e in entries])
+    out = np.empty((len(entries),) + np.shape(coords)[1:])
+    for k, e in enumerate(entries):
+        out[k] = e.value if isinstance(e, Jet) else e
+    return out
+
+
+def _order_zero(outputs):
+    """Jets and numbers as values, each ``0.0 + value``."""
+    return [0.0 + (j.value if isinstance(j, Jet) else j) for j in outputs]
 
 
 def _rows(column):
@@ -170,17 +183,18 @@ class _FieldBase:
     def taylor(self, point, order):
         """Jets of the components around ``point``, to total degree
         ``order``; around each point of a batch for ``(dim, N)``
-        coordinates.  An outermost call runs under this field's plan for
-        ``order``, the first records it; the field itself is evaluated at
+        coordinates.  At order 0, the values: floats at a point, ``(N,)``
+        arrays over a batch.  An outermost call runs under this field's plan
+        for ``order``, the first records it; the field itself is evaluated at
         ``order``, and :func:`evaluation_scope` blocks have no plan."""
         return self._scoped(_coords_of(point, self.chart), order)
 
-    def _scoped(self, coords, order, values=False):
-        """The component jets at ``coords``, or with ``values`` (at order 0)
-        their values, through the open scope's memo.  With no scope open,
-        the field is evaluated under a scope of its plan for ``order`` (the
-        first such call records it), closed on the way out; its own jets are
-        not kept, since no other call asks for them."""
+    def _scoped(self, coords, order):
+        """The component jets (values at order 0) at ``coords`` through the
+        open scope's memo.  With no scope open, the field is evaluated under a
+        scope of its plan for ``order`` (the first such call records it),
+        closed on the way out; its own jets are not kept, since no other call
+        asks for them."""
         if order > self.max_order:
             raise DerivativeOrderError(
                 f"field {self.name or type(self).__name__!r} only evaluable to order {self.max_order}, got {order}"
@@ -192,13 +206,16 @@ class _FieldBase:
             if hit is None or hit[0] < order:
                 top = max(order, memo[None].get(self, order))
                 hit = memo[key] = (top, self._evaluate(coords, top))
-            jets = list(hit[1]) if hit[0] == order else [j.truncated(order) for j in hit[1]]
-            return [j.value for j in jets] if values else jets
+            if hit[0] == order:
+                return list(hit[1])
+            if order == 0:
+                return _order_zero(hit[1])
+            return [j.truncated(order) for j in hit[1]]
         plan = self._plans.get(order)
         memo = {None: plan or {}}
         token = _MEMO.set(memo)
         try:
-            out = self._values(coords) if values else list(self._evaluate(coords, order))
+            out = list(self._evaluate(coords, order))
         finally:
             _MEMO.reset(token)
         if plan is None:
@@ -222,6 +239,11 @@ class _FieldBase:
         return out
 
     def _evaluate(self, coords, order):
+        """The rule's outputs at ``order``: jets of that order, a number
+        ``v`` as the constant ``0.0 + v``; at order 0 the values, each
+        ``0.0 + value``."""
+        if order == 0:
+            return tuple(_order_zero(self._outputs(coords, 0)))
         out = []
         for j in self._outputs(coords, order):
             if not isinstance(j, Jet):
@@ -231,28 +253,22 @@ class _FieldBase:
             out.append(j)
         return tuple(out)
 
-    def _values(self, coords):
-        """The values of :meth:`_evaluate` at order 0, read from the rule's
-        outputs without wrapping numbers in jets: ``v`` as ``0.0 + v``, the
-        value of ``Jet.constant(v)``."""
-        return [j.value if isinstance(j, Jet) else 0.0 + j for j in self._outputs(coords, 0)]
-
     def __call__(self, point):
         """Component values at a point, a float for a scalar field; for
         ``(dim, N)`` coordinates, the ``(n_components, N)`` array of the
         values at each point of the batch (a scalar field gives its ``(N,)``
         row).  A component rule runs on the coordinates, floats at a point
-        and float arrays over a batch; a ``taylor_fn`` field gives the values
-        of its order-0 jets (:meth:`_values` when the call is outermost)."""
+        and float arrays over a batch; a ``taylor_fn`` field gives
+        ``taylor(point, 0)``."""
         coords = _coords_of(point, self.chart)
         if self.taylor_fn is None:
             vals = self._outputs(coords, None)
         else:
-            vals = self._scoped(coords, 0, values=True)
+            vals = self._scoped(coords, 0)
         if coords.ndim == 2:
             arr = _column(vals, coords)
             return arr[0] if self.n_components == 1 else arr
-        vals = [v.value if isinstance(v, Jet) else float(v) for v in vals]
+        vals = [float(v) for v in vals]
         return vals[0] if self.n_components == 1 else np.array(vals)
 
     def jacobian(self, point):
@@ -265,7 +281,9 @@ class _FieldBase:
     def _combine(self, rule, *others, name=""):
         """A field of this type whose component jets are ``rule`` applied to
         the taylor jets of ``self`` and ``others``, evaluable to the smallest
-        order any operand allows."""
+        order any operand allows.  It is built as a ``_FieldBase`` on this
+        chart, so a subclass whose constructor takes a rule of its own (a
+        surface metric, a contact-form path) combines too."""
         operands = (self,) + others
         for other in others:
             _same_chart(self, other)
@@ -273,8 +291,10 @@ class _FieldBase:
         def tfn(coords, order):
             return rule(*[f.taylor(coords, order) for f in operands])
 
-        return type(self)(self.chart, taylor_fn=tfn,
-                          max_order=min(f.max_order for f in operands), name=name)
+        out = object.__new__(type(self))
+        _FieldBase.__init__(out, self.chart, taylor_fn=tfn,
+                            max_order=min(f.max_order for f in operands), name=name)
+        return out
 
     def __add__(self, other):
         if isinstance(other, _FieldBase) and other.n_components == self.n_components:
@@ -336,7 +356,7 @@ class ScalarField(_FieldBase):
     n_components = 1
 
     def reciprocal(self):
-        return self._combine(lambda a: [a[0].reciprocal()])
+        return self._combine(lambda a: [reciprocal(a[0])])
 
     def jet(self, point, order):
         return self.taylor(point, order)[0]

@@ -25,7 +25,8 @@ from .distributions import (DistributionFrame, line_angle, plane_principal_angle
                             reeb_jets)
 from .errors import EngelLabError, GeometryError
 from .flow import flow, integrate_nonautonomous
-from .jets import Jet, jet_cross, jet_d_matrix, jet_dot, jet_two_form
+from .jets import (Jet, _jet, exp, jet_cross, jet_d_matrix, jet_dot, jet_two_form, reciprocal,
+                   restrict, value)
 from .prolongation import Slice, lift
 from .reporting import worst_of
 
@@ -46,17 +47,17 @@ def bump_window(chart4, lo, hi, name="window"):
         th = coords[3]
         outside = (th - lo < _WINDOW_EDGE) | (hi - th < _WINDOW_EDGE)
         if outside.all():
-            return [Jet(4, order)]
+            return [0.0]
         masked = outside.any()
         if masked:
             # a batch reaching outside: those points take the center, so
             # that exp sees no overflowing argument, and are zeroed after
             th = np.where(outside, 0.5 * (lo + hi), th)
         tj = Jet.variable(3, 4, order, base=th)
-        arg = (tj - lo).reciprocal() + (hi - tj).reciprocal()
-        w = (Jet.constant(peak, 4, order) - arg).exp()
+        w = exp(Jet.constant(peak, 4, order) - (reciprocal(tj - lo) + reciprocal(hi - tj)))
         if masked:
-            w = Jet(4, order, {k: np.where(outside, 0.0, v) for k, v in w.items()})
+            w = (_jet(4, order, np.where(outside[:, None], 0.0, w.c)) if order
+                 else np.where(outside, 0.0, w))
         return [w]
 
     return ScalarField(chart4, taylor_fn=tfn, name=name)
@@ -128,9 +129,9 @@ def _normalizer_inverse(base):
 
     def tfn(coords, order):
         c = base.alpha.d_apply(base.v0, base.v1, coords, order)
-        if np.any(abs(c.value) < 1e-13):
+        if np.any(abs(value(c)) < 1e-13):
             raise GeometryError("d alpha degenerates on the contact planes", point=coords)
-        return [c.reciprocal()]
+        return [reciprocal(c)]
 
     return ScalarField(base.chart, taylor_fn=tfn, max_order=base.alpha.max_order - 1,
                        name="1/dalpha(V0,V1)")
@@ -243,7 +244,7 @@ class ContactFormPath(_FieldBase):
         with a t row appended."""
         xt = np.concatenate([coords, np.full((1,) + np.shape(coords)[1:], t)])
         ext = self.taylor(xt, order + 1)
-        return [j.restrict(3) for j in ext], [j.derivative(3).restrict(3) for j in ext]
+        return [j.restrict(3) for j in ext], [restrict(j.derivative(3), 3) for j in ext]
 
 
 @dataclass
@@ -273,11 +274,12 @@ class GraySolution:
         Lj = self.L.taylor(coords, order)
         Ej = jet_cross(a, Lj)
         dLE = jet_two_form(M, Lj, Ej)
-        scale = np.sqrt(sum(c.value * c.value for c in Lj) * sum(c.value * c.value for c in Ej))
-        if np.any(abs(dLE.value) < 1e-12 * np.maximum(scale, 1e-300)):
+        Lv, Ev = ([value(c) for c in T] for T in (Lj, Ej))
+        scale = np.sqrt(sum(c * c for c in Lv) * sum(c * c for c in Ev))
+        if np.any(abs(value(dLE)) < 1e-12 * np.maximum(scale, 1e-300)):
             raise GeometryError("d theta_t degenerates on the contact planes", point=coords)
-        u = -1.0 * jet_dot(dj, Ej) * dLE.reciprocal()
-        v = jet_dot(dj, Lj) * dLE.reciprocal()
+        u = -1.0 * jet_dot(dj, Ej) * reciprocal(dLE)
+        v = jet_dot(dj, Lj) * reciprocal(dLE)
         return [u * li + v * ei for li, ei in zip(Lj, Ej)], (a, M, dj)
 
     def check_hypothesis(self, points):
@@ -299,7 +301,7 @@ class GraySolution:
         """|dot-theta_t(L)| / (|dot-theta_t| |L|) at a point, or at each
         point of ``(3, N)`` coordinates."""
         dot = self.path.jets(coords, t, 0)[1]
-        num = np.abs(jet_dot(dot, self.L.taylor(coords, 0)).value)
+        num = np.abs(jet_dot(dot, self.L.taylor(coords, 0)))
         dots, Ls = _rows(_column(dot, coords)), _rows(self.L(coords))
         return [n / max(np.linalg.norm(d) * np.linalg.norm(l), 1e-300)
                 for n, d, l in zip(np.broadcast_to(num, len(dots)), dots, Ls)]

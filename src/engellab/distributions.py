@@ -24,7 +24,7 @@ import numpy as np
 
 from .calculus import OneForm, Point, VectorField, _column, _rows, evaluation_scope, over_points
 from .errors import EngelLabError, GeometryError
-from .jets import jet_bracket, jet_cross, jet_dot
+from .jets import jet_bracket, jet_cross, jet_dot, reciprocal, value
 
 DEFAULT_RANK_TOL = 1e-7
 
@@ -161,7 +161,7 @@ def is_contact(frame_or_form, p, tol=DEFAULT_RANK_TOL):
         if alpha.chart.dim != 3:
             raise EngelLabError("contact form test needs a 3-dimensional chart")
         a = alpha(p)
-        M = [[j.value for j in row] for row in alpha.d_matrix(p)]
+        M = alpha.d_matrix(p)
         vol = a[0] * M[1][2] - a[1] * M[0][2] + a[2] * M[0][1]
         scale = np.linalg.norm(a) * max(np.max(np.abs(M)), 1e-300)
         return abs(vol) > tol * max(scale, 1e-300)
@@ -246,9 +246,9 @@ def reeb_jets(M, a, coords):
     Z."""
     v = [M[1][2], M[2][0], M[0][1]]
     pairing = jet_dot(a, v)
-    if np.any(abs(pairing.value) < 1e-13):
+    if np.any(abs(value(pairing)) < 1e-13):
         raise GeometryError("form is not contact at the point (alpha ^ d alpha = 0)", point=coords)
-    inv = pairing.reciprocal()
+    inv = reciprocal(pairing)
     return [vi * inv for vi in v]
 
 

@@ -80,8 +80,7 @@ class Expression:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 return self._fn(env)
         except (ValueError, ArithmeticError, JetDomainError) as exc:
-            point = [v.value if isinstance(v, jets.Jet) else v
-                     for v in (env[name] for name in self.variables)]
+            point = [jets.value(env[name]) for name in self.variables]
             raise ExpressionDomainError(f"{self.text!r}: {exc}", point=point) from exc
 
     def __repr__(self):

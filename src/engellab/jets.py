@@ -21,6 +21,12 @@ and its domain checks).  A constant's term is ``0.0 + value`` at a point and
 in a batch alike, so a zero constant is +0.0.  Orders are capped at
 :data:`MAX_ORDER`; the normal-form pipeline needs at most order 6.
 
+Order 0 is values: the Taylor coefficient of order 0 is the value, so a jet
+has order 1 or more.  ``Jet.constant``, ``Jet.variable`` and ``Jet.seeds`` at
+order 0 give ``0.0 + value``, and ``truncated(0)`` and the derivative of an
+order-1 jet give values (floats at a point, arrays over a batch).  The generic
+helpers below take jets and values alike, so code runs at every order.
+
 Composition goes through :func:`jet_composer`: it builds the table of the
 monomials ``inner^k`` once, a degree at a time (each degree one batch product
 of its parent monomials and the matching inner components), and composes
@@ -225,8 +231,6 @@ def _product(a, b, table):
     and ``b``, from the product table of the result's order: every
     coefficient sums its term pairs from 0.0 in the table's order."""
     P, Q, R, size, flat = table
-    if size == 1:  # order 0: the one pair of the constant terms
-        return 0.0 + a[..., :1] * b[..., :1]
     if a.ndim == 1 and b.ndim == 1:
         return np.bincount(R, a[P] * b[Q], size)
     terms = _take(a, P) * _take(b, Q)
@@ -255,13 +259,16 @@ class Jet:
 
     ``coeffs`` maps multi-index tuples to coefficients (floats, or arrays
     over a batch); keys must be multi-indices of degree at most ``order``,
-    others fail with ``KeyError``.
+    others fail with ``KeyError``.  The order is at least 1: at order 0 a
+    jet is its value, which the constructors below return.
     """
 
     __slots__ = ("n", "order", "c")
 
     def __init__(self, n, order, coeffs=None):
         _check_order(order)
+        if order == 0:
+            raise DerivativeOrderError("a jet of order 0 is its value; use the value itself")
         coeffs = dict(coeffs or {})
         self.n = n
         self.order = order
@@ -274,7 +281,10 @@ class Jet:
 
     @staticmethod
     def constant(value, n, order):
+        """The constant ``value``; at order 0 the value ``0.0 + value``."""
         _check_order(order)
+        if order == 0:
+            return 0.0 + value
         size = _TABLES[n].count[order]
         if isinstance(value, _ARRAY):
             c = np.zeros(value.shape + (size,))
@@ -286,16 +296,18 @@ class Jet:
 
     @staticmethod
     def variable(i, n, order, base=0.0):
-        """The coordinate function ``x_i`` expanded around ``x_i = base``."""
+        """The coordinate function ``x_i`` expanded around ``x_i = base``;
+        at order 0 its value ``0.0 + base``."""
         j = Jet.constant(base, n, order)
-        if order >= 1:
+        if order:
             j.c[..., _TABLES[n].units[i]] = 1.0
         return j
 
     @staticmethod
     def seeds(coords, order):
         """Identity jets centered at ``coords`` (one per variable); a
-        ``(dim, N)`` array gives the seeds of a batch of N points."""
+        ``(dim, N)`` array gives the seeds of a batch of N points.  At order
+        0, the coordinates' values."""
         n = len(coords)
         return [Jet.variable(i, n, order, c if isinstance(c, _ARRAY) else float(c))
                 for i, c in enumerate(coords)]
@@ -329,14 +341,15 @@ class Jet:
         return float(c[0]) if c.ndim == 1 else c[:, 0]
 
     def gradient(self):
-        if self.order == 0:
-            return [0.0] * self.n
         g = _take(self.c, _TABLES[self.n].units)
         return g.tolist() if g.ndim == 1 else list(g.T)
 
     def truncated(self, order):
+        """The jet to ``order``, a copy; to order 0, its value."""
         order = min(order, self.order)
         _check_order(order)
+        if order == 0:
+            return self.value
         return _jet(self.n, order, self.c[..., :_TABLES[self.n].count[order]].copy())
 
     def copy(self):
@@ -450,9 +463,11 @@ class Jet:
     # -- calculus --------------------------------------------------------------
 
     def derivative(self, i):
-        """Partial derivative with respect to variable ``i`` (order drops by 1)."""
-        if self.order == 0:
-            return _jet(self.n, 0, np.zeros(self.c.shape))
+        """Partial derivative with respect to variable ``i`` (order drops by
+        1); of an order-1 jet, its value."""
+        if self.order == 1:
+            c, p = self.c, _TABLES[self.n].units[i]
+            return float(c[p]) if c.ndim == 1 else c[:, p]
         src, exponent = _TABLES[self.n].derivatives[self.order][i]
         return _jet(self.n, self.order - 1, _take(self.c, src) * exponent)
 
@@ -526,6 +541,40 @@ def power(x, e):
     return np.array([v ** e for v in x.tolist()]) if isinstance(x, _ARRAY) else x ** e
 
 
+# -- generic helpers for code that runs at every order, order 0 (values) included
+
+
+def value(x):
+    """The value of a jet (its constant term); a value is its own."""
+    return x.value if isinstance(x, Jet) else x
+
+
+def truncate(x, order):
+    """A jet truncated to ``order`` (to order 0, its value); a value as it is."""
+    return x.truncated(order) if isinstance(x, Jet) else x
+
+
+def embed(x, n_new, positions):
+    """A jet in ``n_new`` variables (:meth:`Jet.embed`); a value as it is."""
+    return x.embed(n_new, positions) if isinstance(x, Jet) else x
+
+
+def restrict(x, i):
+    """A jet restricted to the hyperplane of variable ``i`` at its base value
+    (:meth:`Jet.restrict`); a value as it is."""
+    return x.restrict(i) if isinstance(x, Jet) else x
+
+
+def reciprocal(x):
+    """``1 / x`` of a jet, a float, or each entry of a batch's array; a zero
+    divisor raises :class:`JetDomainError`, of a value as of a jet."""
+    if isinstance(x, Jet):
+        return x.reciprocal()
+    if (x == 0.0).any() if isinstance(x, _ARRAY) else x == 0.0:
+        raise JetDomainError("division by a zero value")
+    return 1.0 / x
+
+
 # -- jet tuples: contractions, brackets, composition, inversion, pushforward ------
 
 
@@ -577,15 +626,22 @@ def jet_bracket(A, B):
 
     Both tuples are truncated to the common order first, so no product forms
     terms that the sum then drops; the result is bit for bit the bracket of
-    the untruncated tuples at that order."""
+    the untruncated tuples at that order.  At common order 1 the bracket is
+    values: the first partials (read off the gradients, with no truncation)
+    times the tuples' values."""
     order = min(j.order for j in list(A) + list(B))
-    A, B = ([j if j.order == order else j.truncated(order) for j in T] for T in (A, B))
     n = len(A)
+    if order == 1:
+        a, b = ([j.value for j in T] for T in (A, B))
+        dA, dB = ([j.gradient() for j in T] for T in (A, B))
+    else:
+        a, b = ([j if j.order == order else j.truncated(order) for j in T] for T in (A, B))
+        dA, dB = ([[j.derivative(k) for k in range(n)] for j in T] for T in (a, b))
     out = []
     for i in range(n):
         acc = None
         for j in range(n):
-            term = B[i].derivative(j) * A[j] - A[i].derivative(j) * B[j]
+            term = dB[i][j] * a[j] - dA[i][j] * b[j]
             acc = term if acc is None else acc + term
         out.append(acc)
     return out
@@ -720,6 +776,8 @@ def jet_pushforward(change, field, through=None):
     change = _as_tuple(change)
     field = _as_tuple(field)
     n = change[0].n
+    if min(c.order for c in change) == 1:  # the derivatives are values: so is the result
+        return [jet_dot(c.gradient(), [value(f) for f in field]) for c in change]
     if through is None:
         through = jet_composer(jet_invert(change))
     return [through(jet_dot([c.derivative(j) for j in range(n)], field)) for c in change]

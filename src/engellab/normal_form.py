@@ -26,7 +26,8 @@ import numpy as np
 from .calculus import Chart, VectorField
 from .errors import EngelLabError, GeometryError
 from .jets import (MAX_ORDER, Jet, jet_bracket, jet_compose, jet_composer, jet_dot,
-                   jet_identity, jet_invert, jet_pushforward, power)
+                   jet_identity, jet_invert, jet_pushforward, power, reciprocal,
+                   value)
 from .reporting import worst_of
 
 ODE_CHART = Chart("ode_slope", ("x", "y", "p"))
@@ -55,7 +56,7 @@ class LegendrianPairJet:
         M = np.column_stack([
             [j.value for j in self.Y_jet],
             [j.value for j in self.X_jet],
-            [j.value for j in jet_bracket(self.Y_jet, self.X_jet)],
+            [value(j) for j in jet_bracket(self.Y_jet, self.X_jet)],
         ])
         sv = np.linalg.svd(M, compute_uv=False)
         if sv[-1] <= 1e-9 * max(sv[0], 1e-300):
@@ -171,9 +172,12 @@ def normalize_pair(pair):
     A twist (the y-derivative of that component at 0) of at most 1e-9 in
     magnitude is not contact and raises.
     All pushforwards are computed at jet level, and every applied change is
-    recorded in ``steps``.
+    recorded in ``steps``.  f comes one order below the pushforwards, so a
+    pair of order 1, which would give f's value alone (zero by
+    construction), raises.
     """
-    k = pair.order
+    if pair.order < 2:
+        raise EngelLabError("the normal form needs pair jets of order 2 or more")
     st = straighten([j.copy() for j in pair.Y_jet])
     total = st.change
     Y_scale = st.scale
@@ -209,7 +213,7 @@ def normalize_pair(pair):
     steps[-1].update(c1=c1, c2=c2)
 
     f3 = X[2]
-    twist = f3.derivative(1).value
+    twist = value(f3.derivative(1))
     if abs(twist) <= 1e-9:
         raise GeometryError("plane field is not contact (zero twist of the d/dz component)")
     if twist < 0.0:
@@ -293,9 +297,9 @@ def prolong_point_map(phi_jets):
     order = min(Xj.order, Yj.order)
     Xe = Xj.embed(3, [0, 1]).truncated(order)
     Ye = Yj.embed(3, [0, 1]).truncated(order)
-    p = Jet.variable(2, 3, order)
+    p = Jet.variable(2, 3, order - 1)  # at the derivatives' order
     num = Ye.derivative(0) + p * Ye.derivative(1)
     den = Xe.derivative(0) + p * Xe.derivative(1)
-    if abs(den.value) < 1e-12:
+    if abs(value(den)) < 1e-12:
         raise GeometryError("lifted slope blows up at the origin (vertical image direction)")
-    return [Xe, Ye, num * den.reciprocal()]
+    return [Xe, Ye, num * reciprocal(den)]

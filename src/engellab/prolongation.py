@@ -23,7 +23,7 @@ from .distributions import (DistributionFrame, LineDirection, _matrices, annihil
                             characteristic_line, is_contact)
 from .errors import EngelLabError, GeometryError
 from .flow import DEFAULT_TOL, flow_to_section
-from .jets import Jet, _jet
+from .jets import Jet, _jet, cos, embed, reciprocal, restrict, sin, value
 
 TRANSVERSALITY_MIN_ANGLE = 1e-3
 
@@ -118,7 +118,7 @@ def lift(chart4, field3, name=""):
     component; the lift has the type of ``field3``."""
 
     def tfn(coords, order):
-        return [j.embed(4, [0, 1, 2]) for j in field3.taylor(coords[:3], order)] + [Jet(4, order)]
+        return [embed(j, 4, [0, 1, 2]) for j in field3.taylor(coords[:3], order)] + [0.0]
 
     return type(field3)(chart4, taylor_fn=tfn, max_order=field3.max_order,
                         name=name or f"lift({field3.name})")
@@ -145,13 +145,11 @@ class EngelDomain:
         base = self.base
 
         def tfn(coords, order):
-            v0 = [j.embed(4, [0, 1, 2]) for j in base.v0.taylor(coords[:3], order)]
-            v1 = [j.embed(4, [0, 1, 2]) for j in base.v1.taylor(coords[:3], order)]
+            v0 = [embed(j, 4, [0, 1, 2]) for j in base.v0.taylor(coords[:3], order)]
+            v1 = [embed(j, 4, [0, 1, 2]) for j in base.v1.taylor(coords[:3], order)]
             th = Jet.variable(3, 4, order, base=coords[3]) + phase
-            c, s = th.cos(), th.sin()
-            out = [c * a + s * b for a, b in zip(v0, v1)]
-            out.append(Jet(4, order))
-            return out
+            c, s = cos(th), sin(th)
+            return [c * a + s * b for a, b in zip(v0, v1)] + [0.0]
 
         return VectorField(self.chart, taylor_fn=tfn,
                            max_order=min(base.v0.max_order, base.v1.max_order), name=name)
@@ -212,13 +210,13 @@ def contactify(frame, slc):
             bracket = B.taylor(q, order)
             gens = [X.taylor(q, order), Y.taylor(q, order), bracket]
             # restrict every component jet to the slice hyperplane
-            gens = [[c.restrict(axis) for c in g] for g in gens]
+            gens = [[restrict(c, axis) for c in g] for g in gens]
             if q.ndim == 2:
                 return _eliminate_rows(gens, axis, which, q)
-            normal = [g[axis] for g in gens]  # ds(B_k), s = coordinate constraint
-            piv = max(range(3), key=lambda k: abs(normal[k].value))
-            size = max(np.max(np.abs([c.value for g in gens for c in g])), 1e-300)
-            if abs(normal[piv].value) < 1e-12 * size:
+            normal = [value(g[axis]) for g in gens]  # ds(B_k), s = coordinate constraint
+            piv = max(range(3), key=lambda k: abs(normal[k]))
+            size = max(np.max(np.abs([value(c) for g in gens for c in g])), 1e-300)
+            if abs(normal[piv]) < 1e-12 * size:
                 raise GeometryError("D^2 is tangent to the slice (intersection rank != 2)", point=q)
             return _eliminate(gens[which + (which >= piv)], gens[piv], axis)
 
@@ -233,18 +231,19 @@ def contactify(frame, slc):
 def _eliminate(gen, pivot, axis):
     """``gen - (ds(gen) / ds(pivot)) pivot`` without its slice-normal
     component, which cancels exactly."""
-    ratio = gen[axis] * pivot[axis].reciprocal()
+    ratio = gen[axis] * reciprocal(pivot[axis])
     return [gen[i] - ratio * pivot[i] for i in range(len(gen)) if i != axis]
 
 
 def _eliminate_rows(gens, axis, which, q):
     """:func:`_eliminate` over a batch, each row with its own pivot: the
     first largest ``|ds(B_k)|``, as ``max`` picks it at a point.  The rows of
-    the kept and pivot generators are gathered from the coefficient arrays,
-    point-sized jets broadcast first."""
-    n, order = gens[0][0].n, gens[0][0].order
-    rows = q.shape[1]
-    C = np.stack([np.broadcast_to(c.c, (rows, c.c.shape[-1])) for g in gens for c in g])
+    the kept and pivot generators are gathered from the coefficient arrays
+    (at order 0, the values as one column), point-sized ones broadcast first."""
+    first, rows = gens[0][0], q.shape[1]
+    n, order = (first.n, first.order) if isinstance(first, Jet) else (0, 0)
+    coeffs = [c.c if order else np.reshape(c, (-1, 1)) for g in gens for c in g]
+    C = np.stack([np.broadcast_to(c, (rows, c.shape[-1])) for c in coeffs])
     C = C.reshape(3, len(gens[0]), rows, -1)
     values = np.abs(C[..., 0])
     normal = values[:, axis]
@@ -257,8 +256,8 @@ def _eliminate_rows(gens, axis, which, q):
     if len(bad):
         raise GeometryError("D^2 is tangent to the slice (intersection rank != 2)",
                             point=q[:, bad[0]])
-    gen, pivot = ([_jet(n, order, C[k, i, index]) for i in range(len(gens[0]))]
-                  for k in (which + (which >= piv), piv))
+    gen, pivot = ([_jet(n, order, C[k, i, index]) if order else C[k, i, index, 0]
+                   for i in range(len(gens[0]))] for k in (which + (which >= piv), piv))
     return _eliminate(gen, pivot, axis)
 
 

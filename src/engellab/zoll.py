@@ -23,7 +23,7 @@ from .errors import (EngelLabError, ExpressionDomainError, GeometryError,
                      IntegrationError, JetDomainError)
 from .distributions import line_angle
 from .flow import _dopri_step, _field_rhs, _locate_crossing, integrate
-from .jets import Jet, cos, jet_dot, sin, sqrt
+from .jets import Jet, cos, jet_dot, sin, sqrt, value
 from .prolongation import ParallelizedContact, prolong
 from .reporting import worst_of
 
@@ -46,9 +46,8 @@ class SurfaceMetric(_FieldBase):
 
     def value_and_gradient(self, p):
         """The floats g[i][j] and dg[i][j][k] = d_k g_ij at ``p``, read from
-        one evaluation of the rule on order-1 seeds; a number entry ``v``
-        reads as the jet ``Jet.constant(v)``: value ``0.0 + v``, zero
-        gradient."""
+        one evaluation of the rule on order-1 seeds; a number entry ``v`` is
+        a constant, as at every order: value ``0.0 + v``, zero gradient."""
         G = self._outputs(np.asarray(p, dtype=float)[:2], 1)
         g = [j.value if isinstance(j, Jet) else 0.0 + j for j in G]
         dg = [j.gradient() if isinstance(j, Jet) else [0.0, 0.0] for j in G]
@@ -65,12 +64,6 @@ class SurfaceMetric(_FieldBase):
     def christoffel(self, p):
         """Gamma^i_jk at ``p`` as an array, in floats."""
         return np.array(_christoffel(*self.value_and_gradient(p)))
-
-
-def _value(x):
-    """The value of a float or a jet: a float at a point, an array over a
-    batch."""
-    return x.value if isinstance(x, Jet) else x
 
 
 def _anywhere(holds):
@@ -93,7 +86,7 @@ def _inverse(g):
     """g^-1 by the 2x2 formula."""
     (g00, g01), (g10, g11) = g
     det = g00 * g11 - g01 * g10
-    if _anywhere(abs(_value(det)) < 1e-13):
+    if _anywhere(abs(value(det)) < 1e-13):
         raise GeometryError("metric degenerates")
     over = _over(det)
     return ((over(g11), over(-g01)), (over(-g10), over(g00)))
@@ -114,13 +107,13 @@ def _frame(g, dg):
     partials of each by the chain rule: returns (a, w0, b), (da, dw0, db)."""
     (g00, g01), (_, g11) = g
     (d00, d01), (_, d11) = dg
-    if _anywhere(_value(g00) <= 0.0):
+    if _anywhere(value(g00) <= 0.0):
         raise JetDomainError("metric is not positive definite: g00 <= 0")
     over_g00 = _over(g00)
     a = 1.0 / sqrt(g00)
     w0 = over_g00(-g01)
     n2 = g11 + w0 * g01
-    if _anywhere(_value(n2) <= 0.0):
+    if _anywhere(value(n2) <= 0.0):
         raise JetDomainError("metric is not positive definite: det g <= 0")
     over_n2 = _over(n2)
     b = 1.0 / sqrt(n2)
@@ -195,7 +188,7 @@ def revolution_metric(profile, name="revolution"):
             g11 = rho * rho
         if not np.isfinite(g11.c if isinstance(g11, Jet) else g11).all():
             raise ExpressionDomainError("metric entry rho^2 is not finite",
-                                        point=[_value(x) for x in xs])
+                                        point=[value(x) for x in xs])
         return [[1.0, 0.0], [0.0, g11]]
 
     return SurfaceMetric(ch, rule, name=name)
@@ -264,7 +257,7 @@ def _so3_field(omega, name):
     def rule(xs):
         a, b, c = xs
         w2 = 1.0 - (a * a + b * b + c * c)
-        if _anywhere(_value(w2) <= 0.0):
+        if _anywhere(value(w2) <= 0.0):
             raise GeometryError("quaternion chart leaves the unit ball")
         w = sqrt(w2)
         # vector part of q * (0, e/2)

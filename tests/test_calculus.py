@@ -15,15 +15,16 @@ from engellab import calculus
 from engellab.calculus import (Chart, OneForm, Point, ScalarField, VectorField,
                                constant_field, coordinate_field, evaluation_scope,
                                lie_bracket, lie_derivative_scalar)
-from engellab.distributions import DistributionFrame, flag_ranks
+from engellab.distributions import DistributionFrame, flag_ranks, reeb_field
 from engellab.errors import ChartMismatchError, DerivativeOrderError, EngelLabError
 from engellab.errors import IntegrationError
-from engellab.jets import Jet, jet_bracket, multi_indices
+from engellab import jets
+from engellab.jets import Jet, jet_bracket, multi_indices, sin, value
 from engellab.expressions import (one_form_from_exprs, scalar_field_from_expr,
                                   vector_field_from_exprs)
 from engellab.cli import _base_contact
 from engellab.flow import _augmented_rhs, _field_rhs, flow, flow_to_section, integrate
-from engellab.prolongation import prolong
+from engellab.prolongation import contactify, lift, prolong
 from engellab.zoll import SphereAtlas
 
 CH3 = Chart("c3", ("x", "y", "z"))
@@ -316,9 +317,9 @@ def test_flag_batch_evaluates_shared_leaf_once_per_order():
 def test_memo_serves_lower_orders_as_slices_of_the_highest():
     # within a scope a field is evaluated at the highest order asked so far;
     # a lower order is a truncation of those jets, bit for bit the jets a
-    # fresh evaluation at that order gives
+    # fresh evaluation at that order gives (at order 0, the values)
     calls = Counter()
-    L = counting_field(CH3, calls, lambda s: [s[0] * s[1], (s[2] + 0.5).sin(),
+    L = counting_field(CH3, calls, lambda s: [s[0] * s[1], sin(s[2] + 0.5),
                                               s[0] / (2.0 + s[1])])
     p = [0.2, 0.3, -0.1]
     fresh = {k: _bits(L.taylor(p, k)) for k in (0, 1, 2, 3)}
@@ -335,16 +336,19 @@ def test_memo_serves_lower_orders_as_slices_of_the_highest():
 def test_d_matrix_is_antisymmetric_and_batch_rows_equal_points():
     alpha = one_form_from_exprs(CH3, ["-y*exp(x) + z^2", "sin(x*z)", "exp(x) + x*y/(2 + z)"])
     pts = np.random.default_rng(14).uniform(-1.0, 1.0, (4, 3))
+    def coeffs(j):  # order 0 is values: one coefficient, the value
+        return j.c if isinstance(j, Jet) else np.asarray(j)[..., None]
+
     for order in (0, 1, 2):
         batch = alpha.d_matrix(np.ascontiguousarray(pts.T), order)
         for r, p in enumerate(pts):
             M, a = alpha.d_matrix(p, order), alpha.taylor(p, order + 1)
             for i in range(3):
-                assert M[i][i].order == order and not np.any(M[i][i].c)
+                assert getattr(M[i][i], "order", 0) == order and not np.any(coeffs(M[i][i]))
                 for j in range(3):
-                    assert batch[i][j].c[r].tobytes() == M[i][j].c.tobytes()
+                    assert coeffs(batch[i][j])[r].tobytes() == coeffs(M[i][j]).tobytes()
                     if i < j:
-                        assert M[j][i].c.tobytes() == (-M[i][j].c).tobytes()
+                        assert coeffs(M[j][i]).tobytes() == (-coeffs(M[i][j])).tobytes()
                         assert _bits([M[i][j]]) == _bits([a[j].derivative(i) - a[i].derivative(j)])
 
 
@@ -393,12 +397,17 @@ def test_jet_bracket_antisymmetry_and_jacobi(X, Y, Z):
 
 
 def _bits(jets):
-    return [(j.order, [(k, float(v).hex()) for k, v in j.items()]) for j in jets]
+    """Order and every term's bits; order 0 is values, one term each."""
+    return [(j.order, [(k, float(v).hex()) for k, v in j.items()]) if isinstance(j, Jet)
+            else (0, [((0,) * 3, float(j).hex())]) for j in jets]
 
 
 def _former_evaluation(raw, n, order):
     """The former ``_FieldBase._evaluate`` loop: every component through
-    ``Jet.constant`` (floats) and one more ``truncated(order)`` copy."""
+    ``Jet.constant`` (floats) and one more ``truncated(order)`` copy; order 0
+    is values, each ``0.0 + value``."""
+    if order == 0:
+        return [0.0 + value(j) for j in raw]
     return [(j if isinstance(j, Jet) else Jet.constant(float(j), n, order)).truncated(order)
             for j in raw]
 
@@ -416,7 +425,7 @@ def test_field_evaluation_bit_for_bit(coords, order, consts, extra):
     a, b, c = consts
 
     def rule(xs):
-        return [xs[0] * xs[1] + a, b, (xs[2] * 0.5 + c).sin()]
+        return [xs[0] * xs[1] + a, b, sin(xs[2] * 0.5 + c)]
 
     def tfn(coords_, order_):
         seeds = Jet.seeds(coords_, order_ + extra)
@@ -428,9 +437,9 @@ def test_field_evaluation_bit_for_bit(coords, order, consts, extra):
     for field, raw in cases:
         got = field.taylor(coords, order)
         assert _bits(got) == _bits(_former_evaluation(raw(order), 3, order))
-        assert all(j.order <= order for j in got)
+        assert all(getattr(j, "order", 0) <= order for j in got)
         if field.taylor_fn is not None:  # a component rule runs on floats at a point
-            want = [j.value for j in _former_evaluation(raw(0), 3, 0)]
+            want = _former_evaluation(raw(0), 3, 0)
             assert _hex(field(coords)) == _hex(want)
 
 
@@ -439,9 +448,13 @@ def _hex(values):
 
 
 def test_lone_point_values_equal_jet_values_bit_for_bit():
-    # at a point, a taylor_fn field's values come from its rule's outputs with
-    # no jets around them; they are the values of its order-0 jets and the
-    # batch rows, signs of zeros included (a number v reads as 0.0 + v)
+    # at a point, a field's values come from its rule's outputs with no jets
+    # around them; they are its order-0 evaluation (values) and the batch
+    # rows, signs of zeros included (a number v reads as 0.0 + v).  A
+    # component rule that divides and takes powers runs on floats at order 0
+    # as at a point (x / 3 is not x * (1/3) in every bit), at 2000 points
+    # more; not at the first point, since a lone-point call runs a component
+    # rule on the coordinates as given, and order 0 seeds 0.0 + y for y = -0.0
     def numbers(coords, order):
         return [-0.0, 3, np.float64(-2.5)]
 
@@ -451,7 +464,7 @@ def test_lone_point_values_equal_jet_values_bit_for_bit():
 
     def mixed(coords, order):
         x, y, z = Jet.seeds(coords, order)
-        return [-0.0, (x * z).sin(), 0.5 * coords[1] - 0.0]
+        return [-0.0, sin(x * z), 0.5 * coords[1] - 0.0]
 
     atlas = SphereAtlas()
     rng = np.random.default_rng(19)
@@ -459,21 +472,110 @@ def test_lone_point_values_equal_jet_values_bit_for_bit():
     # the first point is where mixed's 0.5 * y - 0.0 is -0.0, which reads
     # +0.0 (Jet.constant) at the point and in its batch row alike
     pts = np.vstack([[0.0, -0.0, 0.7], pts])
+    dividing = vector_field_from_exprs(CH3, ["x/3", "y/(1+z*z)", "z^3"])
     fields = [atlas.field("north"), atlas.field("south"),
               constant_field(CH3, [-0.0, 0.0, 2.0])] + [
-        VectorField(CH3, taylor_fn=tfn) for tfn in (numbers, seeded, mixed)]
-    for field in fields:
-        batch = field(np.ascontiguousarray(pts.T))
-        jets = field.taylor(np.ascontiguousarray(pts.T), 0)
-        for k, (p, row) in enumerate(zip(pts, batch.T)):
+        VectorField(CH3, taylor_fn=tfn) for tfn in (numbers, seeded, mixed)] + [dividing]
+    many = np.column_stack([rng.uniform(-1.5, 1.5, (2000, 2)), rng.uniform(-3.0, 3.0, 2000)])
+    for field, points in [(f, pts) for f in fields[:-1]] + [(dividing, pts[1:]),
+                                                             (dividing, many)]:
+        batch = field(np.ascontiguousarray(points.T))
+        jets = field.taylor(np.ascontiguousarray(points.T), 0)
+        for k, (p, row) in enumerate(zip(points, batch.T)):
             got = field(p)
             assert isinstance(got, np.ndarray) and got.shape == (3,)
-            assert _hex(got) == _hex([j.value for j in field.taylor(p, 0)]) == _hex(row)
-            assert _hex(row) == _hex([np.broadcast_to(j.value, len(pts))[k] for j in jets])
+            assert _hex(got) == _hex(field.taylor(p, 0)) == _hex(row)
+            assert _hex(row) == _hex([np.broadcast_to(j, len(points))[k] for j in jets])
     assert _hex(fields[2](pts[1])) == _hex([0.0, 0.0, 2.0])
     assert _hex(fields[3](pts[1])) == _hex([0.0, 3.0, -2.5])
     s = ScalarField(CH3, taylor_fn=lambda c, o: [-0.0])
     assert _hex([s(pts[1])]) == _hex([0.0]) and isinstance(s(pts[1]), float)
+
+
+def _order_zero_fields():
+    """A component rule, a taylor_fn field, a combinator, a lift, a bracket
+    and a Reeb field, with the lift's chart."""
+    rule = vector_field_from_exprs(CH3, ["x*y + z", "sin(z) - x", "x/(2 + y)"], name="rule")
+
+    def tfn(coords, order):
+        x, y, z = Jet.seeds(coords, order)
+        return [x * y - z, jets.exp(0.5 * x) + y, z * z - x]
+
+    seeded = VectorField(CH3, taylor_fn=tfn, name="seeded")
+    f = scalar_field_from_expr(CH3, "1 + 0.1*x*z", name="f")
+    alpha = one_form_from_exprs(CH3, ["-y + 0.1*z*z", "0.2*x", "1 + 0.1*x*y"], name="alpha")
+    chart4 = Chart("c3_x_S1", CH3.coords + ("theta",))
+    return [rule, seeded, f * rule + seeded, lie_bracket(rule, seeded), reeb_field(alpha),
+            lift(chart4, seeded)], chart4
+
+
+def test_order_zero_is_values():
+    # taylor(p, 0) gives the components' values and no jets: floats at a
+    # point, (N,) arrays over a batch, bit for bit the field's call there; a
+    # number in every row (the lift's vertical 0.0) stays a float
+    fields, chart4 = _order_zero_fields()
+    rng = np.random.default_rng(22)
+    pts = rng.uniform(-0.5, 0.5, (5, 3))
+    for field in fields:
+        dim = field.chart.dim
+        ps = pts if dim == 3 else np.column_stack([pts, rng.uniform(0, 1, 5)])
+        batch = field.taylor(np.ascontiguousarray(ps.T), 0)
+        constant = [0.0] if field.chart is chart4 else []
+        assert [v for v in batch if not isinstance(v, np.ndarray)] == constant, field.name
+        assert all(v.shape == (5,) for v in batch if isinstance(v, np.ndarray)), field.name
+        for k, p in enumerate(ps):
+            got = field.taylor(p, 0)
+            assert all(isinstance(v, float) for v in got), field.name
+            assert _hex(got) == _hex(field(p)) == _hex([np.broadcast_to(v, 5)[k] for v in batch])
+
+
+def test_no_code_path_builds_a_jet_of_order_zero(monkeypatch):
+    # every kernel result and constructor is counted: order-0 evaluations,
+    # brackets of order-1 jets, flag points and batches, the contactified
+    # frame, the deformation generator, a Moser right-hand side and the
+    # geodesic field build no order-0 jet; and none can be built
+    from engellab import cli, deformation, prolongation
+
+    built = Counter()
+    make, init = jets._jet, Jet.__init__
+
+    def counted(n, order, c):
+        built[order] += 1
+        return make(n, order, c)
+
+    def constructed(self, n, order, coeffs=None):
+        built[order] += 1
+        return init(self, n, order, coeffs)
+
+    for module in (jets, prolongation, deformation):
+        monkeypatch.setattr(module, "_jet", counted)
+    monkeypatch.setattr(Jet, "__init__", constructed)
+    fields, _ = _order_zero_fields()
+    pts = np.random.default_rng(23).uniform(-0.5, 0.5, (4, 3))
+    for field in fields:
+        ps = pts if field.chart.dim == 3 else np.column_stack([pts, np.full(4, 0.3)])
+        field.taylor(ps[0], 0)
+        field(ps[0])
+        field.taylor(np.ascontiguousarray(ps.T), 0)
+        field(np.ascontiguousarray(ps.T))
+    dom = prolong(_base_contact({})[0])
+    qs = np.column_stack([pts, np.linspace(0.2, 1.2, 4)])
+    flag_ranks(dom.frame(), qs[0])
+    flag_ranks(dom.frame(), qs)
+    induced = contactify(dom.frame(), dom.theta_slice(0.7))
+    induced.plane_basis(pts[0])
+    induced.plane_basis(pts)
+    h = scalar_field_from_expr(dom.chart, "0.05*sin(x) + 0.04*z*cos(y) + 0.03*y", name="h")
+    gen = deformation.ContactIsotopyGenerator(dom, h, (0.25, 1.3))
+    gen.X(qs[0])
+    gen.X(np.ascontiguousarray(qs.T))
+    L = constant_field(cli.CONTACT_CHART, [0.0, 1.0, 0.0])
+    sol = deformation.gray_solve(cli._gray_path({})[0], L, np.linspace(0.0, 0.3, 5), pts)
+    sol._rhs(0)(0.15, np.append(pts[0], 0.0))
+    SphereAtlas().field("north")(np.array([0.4, -0.3, 1.1]))
+    assert built[0] == 0 and built[1] > 0
+    with pytest.raises(DerivativeOrderError):
+        Jet(3, 0)
 
 
 def test_lone_point_call_closes_its_scope_on_return_and_on_error():

@@ -13,7 +13,7 @@ from engellab.distributions import flag_ranks
 from engellab.errors import EngelLabError, GeometryError, IntegrationError
 from engellab.expressions import scalar_field_from_expr, vector_field_from_exprs
 from engellab.flow import integrate
-from engellab.jets import Jet, jet_dot
+from engellab.jets import Jet, jet_dot, restrict, sin, value
 from engellab.prolongation import ParallelizedContact, prolong
 from engellab.reporting import worst_of
 from engellab.deformation import (ContactFormPath, ContactIsotopyGenerator,
@@ -219,7 +219,7 @@ def test_hypothesis_check_fails_on_nan_pairing():
     # a NaN pairing after a good point is neither above the tolerance nor
     # droppable: the check must raise instead of reporting the good worst
     def components(s):
-        bad = float("nan") if s[0].value > 0.0 else 0.0
+        bad = float("nan") if value(s[0]) > 0.0 else 0.0
         return [s[3] * s[0] - s[1], s[3] * bad, 1.0 + 0.0 * s[0]]
 
     pts = [[-0.5, 0.1, 0.2], [0.5, 0.1, 0.2], [-0.3, 0.4, 0.1]]
@@ -238,7 +238,7 @@ def test_hypothesis_check_is_one_batch_per_time():
 
     def components(s):
         calls.append(s[0].order)
-        return [s[3] * s[0] - s[1], 1e-10 * s[3] * (s[0] + s[2].sin()), 1.0 + 0.0 * s[0]]
+        return [s[3] * s[0] - s[1], 1e-10 * s[3] * (s[0] + sin(s[2])), 1.0 + 0.0 * s[0]]
 
     pts = np.random.default_rng(8).uniform(-1, 1, (10, 3))
     sol = gray_solve(_path(components), L_field(), np.linspace(0, 0.4, 5), sample_points=pts)
@@ -247,15 +247,15 @@ def test_hypothesis_check_is_one_batch_per_time():
     for t in (0.0, 0.4):
         for x in pts:
             dot = sol.path.jets(x, t, 0)[1]
-            num = abs(float(jet_dot(dot, sol.L.taylor(x, 0)).value))
-            den = max(np.linalg.norm([j.value for j in dot]) * np.linalg.norm(sol.L(x)), 1e-300)
+            num = abs(float(jet_dot(dot, sol.L.taylor(x, 0))))  # order 0 is values
+            den = max(np.linalg.norm(dot) * np.linalg.norm(sol.L(x)), 1e-300)
             worst = worst_of(worst, num / den)
     assert 0.0 < worst < 1e-8
     assert np.float64(sol.checks[0]["worst"]).tobytes() == np.float64(worst).tobytes()
 
 
 def test_moser_field_transverse_component_vanishes():
-    path = _path(lambda s: [s[3] * (0.2 * (s[0] + 2 * s[2]).sin() + 0.3 * s[1] * s[2]) - s[1],
+    path = _path(lambda s: [s[3] * (0.2 * sin(s[0] + 2 * s[2]) + 0.3 * s[1] * s[2]) - s[1],
                             0.0 * s[1],
                             1.0 + s[3] * (0.15 * s[0] + 0.2 * s[1] + 0.05 * s[2] * s[2])])
     sol = gray_solve(path, L_field(), np.linspace(0, 1, 5))
@@ -264,13 +264,13 @@ def test_moser_field_transverse_component_vanishes():
         x = rng.uniform(-0.5, 0.5, 3)
         # v = dot theta_t(L) / d theta_t(L, E)
         _, (_, _, dot) = sol.moser_field_jets(rng.uniform(0, 1), x, 0)
-        assert abs(jet_dot(dot, L_field().taylor(x, 0)).value) < 1e-13
+        assert abs(jet_dot(dot, L_field().taylor(x, 0))) < 1e-13  # order 0 is values
 
 
 def test_exactly_integrable_family_is_solved_exactly():
     # coefficients independent of y make the Moser flow linear in t, which a
     # single RK4 step reproduces with zero defect
-    path = _path(lambda s: [s[3] * (0.2 * (s[0] + 2 * s[2]).sin()) - s[1],
+    path = _path(lambda s: [s[3] * (0.2 * sin(s[0] + 2 * s[2])) - s[1],
                             0.0 * s[1],
                             1.0 + s[3] * (0.15 * s[0] + 0.05 * s[2] * s[2])])
     sol = gray_solve(path, L_field(), np.linspace(0, 1, 3))
@@ -282,7 +282,7 @@ def test_exactly_integrable_family_is_solved_exactly():
 
 
 def test_defect_refines_at_fourth_order():
-    path = _path(lambda s: [s[3] * (0.2 * (s[0] + 2 * s[2]).sin() + 0.3 * s[1] * s[2]) - s[1],
+    path = _path(lambda s: [s[3] * (0.2 * sin(s[0] + 2 * s[2]) + 0.3 * s[1] * s[2]) - s[1],
                             0.0 * s[1],
                             1.0 + s[3] * (0.15 * s[0] + 0.2 * s[1] + 0.05 * s[2] * s[2])])
     L = L_field()
@@ -297,7 +297,7 @@ def test_defect_refines_at_fourth_order():
 
 
 def test_legendrian_is_preserved():
-    path = _path(lambda s: [s[3] * (0.2 * (s[0] + 2 * s[2]).sin() + 0.3 * s[1] * s[2]) - s[1],
+    path = _path(lambda s: [s[3] * (0.2 * sin(s[0] + 2 * s[2]) + 0.3 * s[1] * s[2]) - s[1],
                             0.0 * s[1],
                             1.0 + s[3] * (0.15 * s[0] + 0.2 * s[1] + 0.05 * s[2] * s[2])])
     sol = gray_solve(path, L_field(), np.linspace(0, 1, 9))
@@ -311,7 +311,7 @@ def _moser_path(calls=None):
     def components(s):
         if calls is not None:
             calls.append(s[0].order)
-        return [s[3] * (0.2 * (s[0] + 2 * s[2]).sin() + 0.3 * s[1] * s[2]) - s[1],
+        return [s[3] * (0.2 * sin(s[0] + 2 * s[2]) + 0.3 * s[1] * s[2]) - s[1],
                 0.0 * s[1], 1.0 + s[3] * (0.15 * s[0] + 0.2 * s[1] + 0.05 * s[2] * s[2])]
     return _path(components)
 
@@ -341,17 +341,35 @@ def test_moser_rhs_shares_the_form_jets_with_the_reeb_term():
     assert calls == [2]
 
 
+def test_path_arithmetic_keeps_the_path_type():
+    # a contact-form path combines like any field: (2 theta_t) has theta and
+    # d/dt theta twice the path's, bit for bit, at a point and over a batch
+    path = _moser_path()
+    doubled = path * 2.0
+    assert isinstance(doubled, ContactFormPath) and doubled.chart == path.chart
+    for coords in (np.array([0.1, -0.2, 0.3]), np.random.default_rng(25).uniform(-0.5, 0.5, (3, 4))):
+        for order in (0, 1, 2):
+            for got, want in zip(doubled.jets(coords, 0.37, order), path.jets(coords, 0.37, order)):
+                assert [j.c.tobytes() if isinstance(j, Jet) else np.asarray(j).tobytes()
+                        for j in got] == [(j * 2.0).c.tobytes() if isinstance(j, Jet)
+                                          else np.asarray(j * 2.0).tobytes() for j in want]
+
+
 def test_path_jets_truncate_to_a_direct_evaluation():
     # theta_t and d/dt theta_t from one evaluation at order k + 1, truncated
     # to k - 1, are bit for bit the restriction of the rule's jets at order
     # k - 1 and the t-derivative of its jets at order k, at a point and over
     # a batch; a component that the rule returns as a number is a constant
+    # (to order 0, the values)
+    def coeffs(j):
+        return j.c if isinstance(j, Jet) else np.asarray(j)
+
     def direct(path, coords, order):
         return [j if isinstance(j, Jet) else Jet.constant(j, 4, order)
                 for j in path.components(Jet.seeds(list(coords) + [t], order))]
 
     t = 0.37
-    number = _path(lambda s: [s[3] * s[0] - s[1], 0.25, 1.0 + s[3] * s[2].sin()])
+    number = _path(lambda s: [s[3] * s[0] - s[1], 0.25, 1.0 + s[3] * sin(s[2])])
     for path in (_moser_path(), number):
         for coords in (np.array([0.1, -0.2, 0.3]),
                        np.random.default_rng(16).uniform(-0.5, 0.5, (3, 4))):
@@ -359,9 +377,10 @@ def test_path_jets_truncate_to_a_direct_evaluation():
                 theta, dot = path.jets(coords, t, k)
                 assert [j.order for j in theta] == [k + 1] * 3
                 assert [j.order for j in dot] == [k] * 3
-                assert all(np.array_equal(j.truncated(k - 1).c, d.restrict(3).c)
+                assert all(np.array_equal(coeffs(j.truncated(k - 1)), coeffs(restrict(d, 3)))
                            for j, d in zip(theta, direct(path, coords, k - 1)))
-                assert all(np.array_equal(j.truncated(k - 1).c, d.derivative(3).restrict(3).c)
+                assert all(np.array_equal(coeffs(j.truncated(k - 1)),
+                                          coeffs(restrict(d.derivative(3), 3)))
                            for j, d in zip(dot, direct(path, coords, k)))
 
 
@@ -400,22 +419,16 @@ def test_generator_evaluates_each_field_at_its_highest_order(monkeypatch):
     # is read at order 1 by the Reeb field's d alpha and at order 0 by its
     # pairing, and the second is a slice of the first, so 1/dalpha(V0,V1)
     # and what it reads are evaluated at orders 1 and 2 only; X's own
-    # outermost call reads values (_values), counted as an order-0 evaluation
+    # outermost call evaluates its values, order 0
     gen = _realize_generator()
     stack = np.random.default_rng(15).uniform([-0.5] * 3 + [0.3], [0.5] * 3 + [1.2], (3, 4)).T
     calls, requests, highest = Counter(), [], {}
-    evaluate, values = calculus._FieldBase._evaluate, calculus._FieldBase._values
-    taylor = calculus._FieldBase.taylor
+    evaluate, taylor = calculus._FieldBase._evaluate, calculus._FieldBase.taylor
 
     def counted(field, coords, order):
         calls[(field.name, order)] += 1
         highest[(field, coords.shape, coords.tobytes())] = order
         return evaluate(field, coords, order)
-
-    def counted_values(field, coords):
-        calls[(field.name, 0)] += 1
-        highest[(field, coords.shape, coords.tobytes())] = 0
-        return values(field, coords)
 
     def recorded(field, point, order):
         coords = np.array(point)
@@ -425,7 +438,6 @@ def test_generator_evaluates_each_field_at_its_highest_order(monkeypatch):
         return out
 
     monkeypatch.setattr(calculus._FieldBase, "_evaluate", counted)
-    monkeypatch.setattr(calculus._FieldBase, "_values", counted_values)
     monkeypatch.setattr(calculus._FieldBase, "taylor", recorded)
     first = gen.X(stack)
     assert calls == {
@@ -436,7 +448,10 @@ def test_generator_evaluates_each_field_at_its_highest_order(monkeypatch):
         ("h", 0): 1, ("h", 1): 1, ("window", 0): 1, ("window", 1): 1,
         ("V", 0): 1, ("U", 0): 1}
     # every request, the slices included, is bit for bit the jets a fresh
-    # scope evaluates at that order
+    # scope evaluates at that order (order 0 is values)
+    def bits(j):
+        return (j.order, j.c.tobytes()) if isinstance(j, Jet) else (0, np.asarray(j).tobytes())
+
     monkeypatch.undo()
     assert sorted((f.name, o) for f, _, o, sliced, _ in requests if sliced) == [
         ("", 0), ("legendrian_frame[0]", 0), ("legendrian_frame[0]", 0),
@@ -445,7 +460,7 @@ def test_generator_evaluates_each_field_at_its_highest_order(monkeypatch):
     for field, coords, order, _, got in requests:
         with evaluation_scope():
             want = field._evaluate(coords, order)
-        assert [(j.order, j.c.tobytes()) for j in got] == [(j.order, j.c.tobytes()) for j in want]
+        assert [bits(j) for j in got] == [bits(j) for j in want]
 
     # later calls run under the plan the first recorded: each field once, at
     # the highest order the first call asked of it, no (0, 1) or (1, 2) pairs;
@@ -456,7 +471,6 @@ def test_generator_evaluates_each_field_at_its_highest_order(monkeypatch):
     calls.clear()
     highest.clear()
     monkeypatch.setattr(calculus._FieldBase, "_evaluate", counted)
-    monkeypatch.setattr(calculus._FieldBase, "_values", counted_values)
     second = gen.X(stack)
     assert calls == {
         ("X", 0): 1, ("(+)", 0): 1, ("", 0): 6, ("", 1): 2, ("Z", 0): 1, ("Reeb()", 0): 1,

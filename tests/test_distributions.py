@@ -17,7 +17,7 @@ from engellab.distributions import (DistributionFrame, characteristic_line,
 from engellab.errors import ExpressionDomainError, GeometryError
 from engellab.expressions import (one_form_from_exprs, scalar_field_from_expr,
                                   vector_field_from_exprs)
-from engellab.jets import jet_bracket
+from engellab.jets import jet_bracket, value
 from engellab.prolongation import ParallelizedContact, prolong
 from engellab.zoll import so3_engel_frame
 
@@ -112,7 +112,7 @@ def test_reeb_of_standard_form():
     a = alpha(p)
     assert abs(a @ Z(p) - 1.0) < 1e-12
     # d alpha(Z, .) = 0
-    M = np.array([[c.value for c in row] for row in alpha.d_matrix(p)])
+    M = np.array(alpha.d_matrix(p))  # order 0 is values
     assert np.max(np.abs(M @ Z(p))) < 1e-12
 
 
@@ -123,7 +123,7 @@ def test_reeb_scaled_form():
     Z = reeb_vector(alpha, p)
     a = alpha(p)
     assert abs(a @ Z - 1.0) < 1e-12
-    M = np.array([[c.value for c in row] for row in alpha.d_matrix(p)])
+    M = np.array(alpha.d_matrix(p))  # order 0 is values
     assert np.max(np.abs(M @ Z)) < 1e-12
 
 
@@ -220,11 +220,12 @@ def bits(a):
 
 def bracket_values(frame, coords):
     """The values of [X, Y], [X, [X, Y]], [Y, [X, Y]], [[X, Y], X] and
-    [[X, Y], Y] from the frame's order-2 jets at a point or batch."""
+    [[X, Y], Y] from the frame's order-2 jets at a point or batch (the
+    brackets of brackets are order 0, values)."""
     with evaluation_scope():
         X, Y = (f.taylor(coords, 2) for f in frame.fields)
     B = jet_bracket(X, Y)
-    return [[j.value for j in jets] for jets in
+    return [[value(j) for j in jets] for jets in
             (B, jet_bracket(X, B), jet_bracket(Y, B), jet_bracket(B, X), jet_bracket(B, Y))]
 
 

@@ -14,7 +14,7 @@ from engellab import jets as jets_mod
 from engellab.errors import DerivativeOrderError, EngelLabError, JetDomainError
 from engellab.jets import (MAX_ORDER, Jet, jet_bracket, jet_compose, jet_composer,
                            jet_identity, jet_invert, jet_pushforward, jet_two_form,
-                           linear_part, multi_indices)
+                           linear_part, multi_indices, truncate)
 
 X, Y, Z = sp.symbols("x y z")
 
@@ -173,7 +173,7 @@ def nan_blind(c):
 def origin_map(rng, n, m, order, rows=None):
     """``m`` origin-preserving jets in ``n`` variables with random terms,
     some of them signed zeros, infinities or NaNs; over ``rows`` batch rows
-    when given."""
+    when given.  At order 0, their values (the signed zeros drawn)."""
     shape = () if rows is None else (rows,)
     special = np.array([0.0, -0.0, np.inf, np.nan, 1.0])
     out = []
@@ -184,7 +184,8 @@ def origin_map(rng, n, m, order, rows=None):
             hit = rng.random(shape) < 0.1
             v = np.where(hit, rng.choice(special, shape), v)
             coeffs[k] = np.where(rng.random(shape) < 0.5, 0.0, -0.0) if sum(k) == 0 else v
-        out.append(Jet(n, order, {k: v if rows else float(v) for k, v in coeffs.items()}))
+        coeffs = {k: v if rows else float(v) for k, v in coeffs.items()}
+        out.append(Jet(n, order, coeffs) if order else coeffs[(0,) * n])
     return out
 
 
@@ -193,15 +194,21 @@ def test_composer_equals_the_per_monomial_loop_bit_for_bit():
     rng = np.random.default_rng(15)
     for n, m, order in product((1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 4)):
         inner = origin_map(rng, n, m, order)
-        outer = [Jet(m, order, {k: rng.uniform(-1.0, 1.0) for k in multi_indices(m, order)})
-                 for _ in range(2)]
+        outer = [{k: rng.uniform(-1.0, 1.0) for k in multi_indices(m, order)} for _ in range(2)]
+        if order == 0:
+            # order 0 is values: the origin's, and nothing to compose
+            assert all(v == 0.0 for v in inner)
+            continue
+        outer = [Jet(m, order, o) for o in outer]
         through = jet_composer(inner)
         want = compose_by_monomials(outer, inner)
         for got in (through(outer), [through(o) for o in outer], jet_compose(outer, inner)):
             assert [g.order for g in got] == [order, order]
             assert [nan_blind(g.c) for g in got] == [nan_blind(w) for w in want]
-        # an outer of lower order reads the leading slice of the table
-        for low in range(order):
+        # an outer of lower order reads the leading slice of the table; to
+        # order 0 an outer is its value, the composition's at the origin
+        assert [o.truncated(0) for o in outer] == [w[..., 0] for w in want]
+        for low in range(1, order):
             lower = [o.truncated(low) for o in outer]
             got = through(lower)
             assert [g.order for g in got] == [low, low]
@@ -231,7 +238,8 @@ def test_composer_batch_rows_equal_their_points_bit_for_bit():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mixed_order_bracket_equals_the_bracket_of_truncated_tuples():
     # an order-2 tuple against an order-1 one: truncating both to order 1
-    # first gives the bits of the products over the untruncated tuples
+    # first gives the bits of the products over the untruncated tuples, the
+    # derivatives' values times the tuples' values
     rng = np.random.default_rng(17)
     for rows in (None, 4):
         A = origin_map(rng, 3, 3, 2, rows)
@@ -240,12 +248,14 @@ def test_mixed_order_bracket_equals_the_bracket_of_truncated_tuples():
         for i in range(3):
             acc = None
             for j in range(3):
-                term = B[i].derivative(j) * A[j] - A[i].derivative(j) * B[j]
+                term = (B[i].derivative(j) * A[j].value
+                        - A[i].derivative(j).value * B[j].value)
                 acc = term if acc is None else acc + term
             want.append(acc)
         for got in (jet_bracket(A, B), jet_bracket([a.truncated(1) for a in A], B)):
-            assert [g.order for g in got] == [0, 0, 0]
-            assert [nan_blind(g.c) for g in got] == [nan_blind(w.c) for w in want]
+            assert not any(isinstance(g, Jet) for g in got)  # order 0 is values
+            assert [nan_blind(np.asarray(g)) for g in got] == [nan_blind(np.asarray(w))
+                                                              for w in want]
 
 
 def test_invert_series_reversion():
@@ -281,6 +291,12 @@ def test_pushforward_of_coordinate_field_through_shear():
     got = jet_pushforward(change, field)
     assert got[0].max_coeff_diff(jet_of_expr(sp.Integer(1), (X, Y), 3)) < 1e-13
     assert got[1].max_coeff_diff(jet_of_expr(2 * X, (X, Y), 3)) < 1e-13
+    # from order-1 jets the pushforward is order 0, the values of the jets
+    # above: d/dy through (x + 0.5 y, y + x^2) is (0.5, 1) at the origin
+    change[0] = change[0] + 0.5 * jet_of_expr(Y, (X, Y), 4)
+    field = field[::-1]
+    low = jet_pushforward([c.truncated(1) for c in change], [f.truncated(1) for f in field])
+    assert low == [g.value for g in jet_pushforward(change, field)] == [0.5, 1.0]
 
 
 def test_embed_restrict_swap():
@@ -322,7 +338,8 @@ class Ref:
 
 
 def ref_of(j):
-    return Ref(j.n, j.order, dict(j.items()))
+    """The reference of a jet; order 0 is values, and a value is its own."""
+    return Ref(j.n, j.order, dict(j.items())) if isinstance(j, Jet) else j
 
 
 def ref_constant(value, n, order):
@@ -342,6 +359,8 @@ def ref_variable(i, n, order, base):
 
 
 def ref_add(a, b):
+    if not isinstance(a, Ref):  # a value: it adds to a jet's constant term
+        return ref_add(b, a) if isinstance(b, Ref) else a + b
     if not isinstance(b, Ref):
         # a float adds to the constant term, a zero included: -0.0 + 0.0 is
         # +0.0 as on floats (the sparse kernel skipped a float zero)
@@ -358,6 +377,8 @@ def ref_add(a, b):
 
 
 def ref_mul(a, b):
+    if not isinstance(a, Ref):  # a value: it scales a jet
+        return ref_mul(b, a) if isinstance(b, Ref) else a * b
     if not isinstance(b, Ref):
         s = float(b)
         return Ref(a.n, a.order, {k: v * s for k, v in a.c.items()})
@@ -376,6 +397,8 @@ def ref_mul(a, b):
 
 
 def ref_truncated(a, order):
+    if not isinstance(a, Ref):
+        return a
     if order >= a.order:
         return Ref(a.n, min(order, a.order), a.c)
     return Ref(a.n, order, {k: v for k, v in a.c.items() if sum(k) <= order})
@@ -415,7 +438,10 @@ def ref_analytic(a, series):
 
 
 def bits(j):
-    """Order and every coefficient's exact bits, in graded order."""
+    """Order and every coefficient's exact bits, in graded order; a value
+    is order 0."""
+    if not isinstance(j, (Jet, Ref)):
+        return 0, [float(j).hex()]
     coeffs = j.c if isinstance(j, Ref) else dict(j.items())
     return j.order, [float(coeffs.get(k, 0.0)).hex() for k in multi_indices(j.n, j.order)]
 
@@ -426,17 +452,26 @@ COEFFS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1.0, -1.0])
 @st.composite
 def jets(draw, n, max_order=MAX_ORDER):
     """A jet of random order with a random subset of its terms set, the
-    others 0.0."""
+    others 0.0; at order 0, that value."""
     order = draw(st.integers(0, max_order))
     keys = draw(st.permutations(multi_indices(n, order)))
     keys = keys[:draw(st.integers(0, len(keys)))]
-    return Jet(n, order, {k: draw(COEFFS) for k in keys})
+    coeffs = {k: draw(COEFFS) for k in keys}
+    return Jet(n, order, coeffs) if order else coeffs.get((0,) * n, 0.0)
 
 
 @st.composite
 def jet_pairs(draw):
     n = draw(st.integers(1, 4))
     return draw(jets(n)), draw(jets(n))
+
+
+def n_and_order(pair):
+    """The variable count of a pair (1 if both are values) and its first
+    member's order."""
+    a, b = pair
+    n = next((j.n for j in pair if isinstance(j, Jet)), 1)
+    return n, a.order if isinstance(a, Jet) else 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -454,9 +489,10 @@ def test_ring_ops_bit_for_bit(pair):
 @given(jet_pairs(), COEFFS, st.data())
 def test_scalar_ops_bit_for_bit(pair, s, data):
     a, _ = pair
-    assert bits(Jet.constant(s, a.n, a.order)) == bits(ref_constant(s, a.n, a.order))
-    i = data.draw(st.integers(0, a.n - 1))
-    assert bits(Jet.variable(i, a.n, a.order, s)) == bits(ref_variable(i, a.n, a.order, s))
+    n, order = n_and_order(pair)
+    assert bits(Jet.constant(s, n, order)) == bits(ref_constant(s, n, order))
+    i = data.draw(st.integers(0, n - 1))
+    assert bits(Jet.variable(i, n, order, s)) == bits(ref_variable(i, n, order, s))
     assert bits(a * s) == bits(ref_mul(ref_of(a), s))
     assert bits(s * a) == bits(ref_mul(ref_of(a), s))
     assert bits(a + s) == bits(ref_add(ref_of(a), s))
@@ -477,19 +513,21 @@ def test_float_zero_adds_to_the_constant_term():
 @given(jet_pairs(), st.integers(0, MAX_ORDER + 1), st.data())
 def test_truncated_and_derivatives_bit_for_bit(pair, order, data):
     a, _ = pair
-    got = a.truncated(min(order, MAX_ORDER))
+    got = truncate(a, min(order, MAX_ORDER))
     assert bits(got) == bits(ref_truncated(ref_of(a), min(order, MAX_ORDER)))
-    assert got.c is not a.c
-    i = data.draw(st.integers(0, a.n - 1))
-    assert bits(a.derivative(i)) == bits(ref_derivative(ref_of(a), i))
-    assert bits(a.antiderivative(i)) == bits(ref_antiderivative(ref_of(a), i))
+    assert not isinstance(got, Jet) or got.c is not a.c
+    i = data.draw(st.integers(0, n_and_order(pair)[0] - 1))
+    if isinstance(a, Jet):  # a value has no derivative data
+        assert bits(a.derivative(i)) == bits(ref_derivative(ref_of(a), i))
+        assert bits(a.antiderivative(i)) == bits(ref_antiderivative(ref_of(a), i))
 
 
 @settings(max_examples=150, deadline=None)
 @given(jet_pairs(), st.lists(COEFFS, min_size=1, max_size=MAX_ORDER + 1))
 def test_analytic_bit_for_bit(pair, series):
     a, _ = pair
-    assert bits(a._analytic(series)) == bits(ref_analytic(ref_of(a), series))
+    if isinstance(a, Jet):  # of a value, the analytic functions are math's
+        assert bits(a._analytic(series)) == bits(ref_analytic(ref_of(a), series))
 
 
 @settings(max_examples=300, deadline=None)
@@ -497,7 +535,8 @@ def test_analytic_bit_for_bit(pair, series):
        st.lists(COEFFS, min_size=1, max_size=3))
 def test_analytic_low_order_bit_for_bit(a, series):
     # the low orders of most field evaluations, sampled more densely
-    assert bits(a._analytic(series)) == bits(ref_analytic(ref_of(a), series))
+    if isinstance(a, Jet):  # of a value, the analytic functions are math's
+        assert bits(a._analytic(series)) == bits(ref_analytic(ref_of(a), series))
 
 
 def test_batched_analytic_equals_points_bit_for_bit():
@@ -507,15 +546,19 @@ def test_batched_analytic_equals_points_bit_for_bit():
     # and Python's float power on some of these inputs
     rng = np.random.default_rng(11)
     N = 3000
+    def terms(x):  # order 0 is values
+        return dict(x.items()) if isinstance(x, Jet) else {(0, 0): x}
+
     for order in (0, 1, 2):
         coeffs = {k: rng.uniform(0.05, 3.0, N) if sum(k) == 0 else rng.uniform(-1.0, 1.0, N)
                   for k in multi_indices(2, order)}
-        batch = Jet(2, order, coeffs)
+        batch = Jet(2, order, coeffs) if order else coeffs[(0, 0)]
         for name in ("exp", "log", "sqrt", "sin", "cos", "reciprocal"):
-            got = dict(getattr(batch, name)().items())
+            fn = getattr(jets_mod, name)
+            got = terms(fn(batch))
             for i in range(N):
-                want = dict(getattr(Jet(2, order, {k: float(v[i]) for k, v in coeffs.items()}),
-                                    name)().items())
+                point = {k: float(v[i]) for k, v in coeffs.items()}
+                want = terms(fn(Jet(2, order, point) if order else point[(0, 0)]))
                 assert list(got) == list(want)
                 assert [float(np.broadcast_to(c, (N,))[i]).hex() for c in got.values()] == \
                     [float(c).hex() for c in want.values()]
@@ -546,6 +589,13 @@ def test_batch_products_equal_point_products_bit_for_bit():
     for n, order, N in product((2, 3, 4), (0, 1, 2, 3), (1, 2, 3, 200)):
         order_b = int(rng.integers(order, 4))  # the product truncates at the lower order
         ca, cb = coeffs(n, order, N), coeffs(n, order_b, N)
+        if order == 0:
+            # order 0 is values: the values of b, times a's values, row by row
+            a, b = ca[(0,) * n], truncate(Jet(n, order_b, cb), 0) if order_b else cb[(0,) * n]
+            for got in (a * b, b * a):
+                assert [nan_blind(r) for r in got] == [nan_blind(np.float64(float(x) * float(y)))
+                                                       for x, y in zip(a, b)]
+            continue
         a, b = Jet(n, order, ca), Jet(n, order_b, cb)
         rows = [(Jet(n, order, {k: float(v[i]) for k, v in ca.items()}),
                  Jet(n, order_b, {k: float(v[i]) for k, v in cb.items()})) for i in range(N)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from engellab.calculus import Chart
-from engellab.errors import GeometryError
+from engellab.errors import EngelLabError, GeometryError
 from engellab.expressions import vector_field_from_exprs
 from engellab.jets import (Jet, jet_compose, jet_identity, jet_invert,
                            jet_pushforward, multi_indices)
@@ -228,6 +228,16 @@ def test_vertical_image_direction_raises():
     y2 = Jet.variable(1, 2, order)
     with pytest.raises(GeometryError):
         prolong_point_map([y2, x2 + y2 * y2])  # X_x + p X_y = p at p = 0
+
+
+def test_pair_of_order_one_fails_loudly():
+    # f is read one order below the pushforwards: an order-1 pair would give
+    # its value alone, zero by construction, so the normal form refuses it
+    pair = LegendrianPairJet(field_jets(["0", "1", "0"], order=1),
+                             field_jets(["1", "0", "y"], order=1), 1)
+    with pytest.raises(EngelLabError, match="order 2 or more"):
+        normalize_pair(pair)
+    assert normalize_pair(random_pair(np.random.default_rng(4), order=2)).f_jet.order == 1
 
 
 def test_steps_audit_trail():

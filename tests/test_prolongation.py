@@ -12,6 +12,7 @@ from engellab.distributions import (LineDirection, flag_ranks, characteristic_li
                                     is_contact, plane_principal_angle)
 from engellab.errors import EngelLabError, GeometryError
 from engellab.expressions import one_form_from_exprs, vector_field_from_exprs
+from engellab.jets import Jet
 from engellab.prolongation import (EngelDomain, ParallelizedContact, Slice,
                                    check_slice_transverse, contactify,
                                    development, development_angle,
@@ -93,23 +94,18 @@ def test_plane_basis_evaluates_shared_jets_once(monkeypatch):
     # evaluates X = d/dtheta and Y = V (and through V, V0 and V1) at order 1,
     # so X and Y at order 0 are slices of those; in one scope that is 7
     # field evaluations, where the two fields alone make 12 (each field's own
-    # evaluation at a lone point reads values, not jets)
+    # evaluation at a lone point is at order 0: values, not jets)
     dom = prolong(standard_contact())
     induced = contactify(dom.frame(), dom.theta_slice(0.7))
     m = np.array([0.3, -0.2, 0.5])
     calls = []
-    evaluate, values = calculus._FieldBase._evaluate, calculus._FieldBase._values
+    evaluate = calculus._FieldBase._evaluate
 
     def counted(field, coords, order):
         calls.append((field.name, order))
         return evaluate(field, coords, order)
 
-    def counted_values(field, coords):
-        calls.append((field.name, 0))
-        return values(field, coords)
-
     monkeypatch.setattr(calculus._FieldBase, "_evaluate", counted)
-    monkeypatch.setattr(calculus._FieldBase, "_values", counted_values)
     basis = induced.plane_basis(m)
     assert len(calls) == 7
     calls.clear()
@@ -119,6 +115,11 @@ def test_plane_basis_evaluates_shared_jets_once(monkeypatch):
 
 def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def coeffs(j):
+    """A jet's coefficients; order 0 is values, one coefficient each."""
+    return j.c if isinstance(j, Jet) else np.asarray(j)[..., None]
 
 
 def test_contactify_batch_equals_points_bit_for_bit():
@@ -143,8 +144,9 @@ def test_contactify_batch_equals_points_bit_for_bit():
                     batch = field.taylor(pts.T, order)
                     for k, m in enumerate(pts):
                         for got, want in zip(batch, field.taylor(m, order)):
+                            got, want = coeffs(got), coeffs(want)
                             assert np.array_equal(
-                                bits(np.broadcast_to(got.c, (6, len(want.c)))[k]), bits(want.c))
+                                bits(np.broadcast_to(got, (6, want.shape[-1]))[k]), bits(want))
             stack = induced.plane_basis(pts)
             assert stack.shape == (6, 3, 2)
             for k, m in enumerate(pts):

@@ -74,7 +74,8 @@ def test_christoffel_against_finite_differences():
 
 def test_metric_jets_values_and_batches_equal_the_rule():
     # a metric is the field of g's four entries: its jets are the rule's on
-    # seed jets, a number entry a constant jet, bit for bit; value_and_gradient
+    # seed jets, a number entry a constant jet, bit for bit (order 0 is
+    # values, the rule's on the coordinates, each 0.0 + v); value_and_gradient
     # reads the values and gradients of the rule on order-1 seeds; a batch's
     # values are each point's matrix, bit for bit
     rng = np.random.default_rng(3)
@@ -84,12 +85,14 @@ def test_metric_jets_values_and_batches_equal_the_rule():
             for k in range(4):
                 rule = [e for row in metric.g_rule(Jet.seeds(x, k)) for e in row]
                 for got, e in zip(metric.taylor(x, k), rule, strict=True):
-                    if isinstance(e, Jet):
-                        want = e.c
+                    if k == 0:
+                        got, want = np.float64(got), np.float64(0.0 + e)
+                    elif isinstance(e, Jet):
+                        got, want = got.c, e.c
                     else:
-                        want = np.zeros(got.c.shape)
+                        got, want = got.c, np.zeros(got.c.shape)
                         want[0] = 0.0 + e
-                    assert got.c.tobytes() == want.tobytes(), (metric.name, k)
+                    assert got.tobytes() == want.tobytes(), (metric.name, k)
             rule = [e for row in metric.g_rule(Jet.seeds(x, 1)) for e in row]
             g, dg = metric.value_and_gradient(x)
             assert np.array(g).tobytes() == np.array(
@@ -101,6 +104,19 @@ def test_metric_jets_values_and_batches_equal_the_rule():
         assert batch.shape == (4, len(pts))
         for column, x in zip(batch.T, pts):
             assert column.reshape(2, 2).tobytes() == metric.matrix(x).tobytes(), metric.name
+
+
+def test_metric_arithmetic_keeps_the_metric_type():
+    # a metric combines like any field: g * 2.0 is a SurfaceMetric whose
+    # matrix is 2 g bit for bit, and whose Christoffel symbols are g's bit for
+    # bit (scaling by a power of two is exact)
+    rng = np.random.default_rng(24)
+    for metric in [m() for m in METRICS] + [euclidean_metric()]:
+        doubled = metric * 2.0
+        assert isinstance(doubled, SurfaceMetric)
+        for x in rng.uniform(-0.8, 0.8, (5, 2)):
+            assert doubled.matrix(x).tobytes() == (2 * metric.matrix(x)).tobytes()
+            assert doubled.christoffel(x).tobytes() == metric.christoffel(x).tobytes()
 
 
 def test_nan_or_misshapen_metric_fails_loudly():
@@ -130,9 +146,12 @@ def test_geodesic_field_jets_solve_the_geodesic_equation():
     for ut in (UnitTangentChart(m()) for m in METRICS):
         rng = np.random.default_rng(1)
         states = np.column_stack([rng.uniform(-1.5, 1.5, (10, 2)), rng.uniform(0, 2 * math.pi, 10)])
+        def coeffs(j):  # order 0 is values: one coefficient each
+            return j.c if isinstance(j, Jet) else np.asarray(j)[..., None]
+
         for field, order in ((ut.V1, 0), (ut.V1, 1), (ut.alpha, 0), (ut.alpha, 1)):
-            rows = np.array([[j.c for j in field.taylor(q, order)] for q in states])
-            batch = np.array([np.broadcast_to(j.c, rows[:, 0].shape)
+            rows = np.array([[coeffs(j) for j in field.taylor(q, order)] for q in states])
+            batch = np.array([np.broadcast_to(coeffs(j), rows[:, 0].shape)
                               for j in field.taylor(states.T, order)])
             assert np.array_equal(batch.transpose(1, 0, 2), rows), (ut.metric.name, order)
         for q in states:
