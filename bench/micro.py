@@ -26,7 +26,13 @@ by one call (``jets._jet`` calls, wherever a module binds it, and ``Jet``
 constructions), and ``generator_x_3_lanes_order0_jets`` and
 ``flag_ranks_prolonged_point_order0_jets`` the jets of order 0 among those
 built by that call and by one ``flag_ranks`` point of the standard
-prolongation (a flags-workload point).
+prolongation (a flags-workload point).  For one call after the first (a
+call under the plan the first recorded) and for one round of the
+``deformation`` workload at seed 1 (``perfbench/workloads.py``'s
+``run_round``, which builds its own fields), ``*_kernel_products`` counts
+the calls of the jet product kernel ``jets._product``, ``*_jet_allocations``
+the ``jets._jet`` calls and ``*_number_outputs`` the field outputs above
+order 0 that are numbers, not jets (of ``_FieldBase._evaluate``).
 
 L2, pointwise geometry: ``flag_ranks`` at one point of the standard
 prolongation and of the deformed frame of the ``realize`` suite (its default
@@ -89,7 +95,8 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
@@ -104,6 +111,7 @@ from engellab.normal_form import normalize_pair  # noqa: E402
 from engellab.prolongation import (contactify, development_angle, prolong,  # noqa: E402
                                    slice_transport)
 from engellab.zoll import SphereAtlas, central_projection_check, first_return  # noqa: E402
+import workloads  # noqa: E402
 
 SIZES = ((4, 3), (3, 4))
 LOW_ORDERS = ((3, 0), (3, 1))
@@ -230,6 +238,32 @@ def jets_built(fn, order=None):
             module._jet = orig
         Jet.__init__ = init
     return count[0]
+
+
+def number_outputs(fn):
+    """Field outputs above order 0 that are numbers, not jets, among those
+    of every ``_FieldBase._evaluate`` call made by ``fn()``."""
+    evaluate, count = calculus._FieldBase._evaluate, [0]
+
+    def counting(self, coords, order):
+        out = evaluate(self, coords, order)
+        count[0] += sum(not isinstance(j, Jet) for j in out) if order else 0
+        return out
+
+    calculus._FieldBase._evaluate = counting
+    try:
+        fn()
+    finally:
+        calculus._FieldBase._evaluate = evaluate
+    return count[0]
+
+
+def layer_counts(counts, name, fn):
+    """The kernel products, jet allocations and number outputs of ``fn()``,
+    each from a run of its own."""
+    counts[f"{name}_kernel_products"] = kernel_products(fn)
+    counts[f"{name}_jet_allocations"] = jets_built(fn)
+    counts[f"{name}_number_outputs"] = number_outputs(fn)
 
 
 def python_calls(fn):
@@ -370,6 +404,8 @@ def l1_items(items, counts):
         counts[f"generator_x_{LANES}_lanes{call}_jet_products"] = products
     counts[f"generator_x_{LANES}_lanes_jets_built"] = jets_built(lambda: gen.X(stack))
     counts[f"generator_x_{LANES}_lanes_order0_jets"] = jets_built(lambda: gen.X(stack), 0)
+    layer_counts(counts, f"generator_x_{LANES}_lanes_planned", lambda: gen.X(stack))
+    layer_counts(counts, "deformation_round", lambda: workloads.run_round("deformation", 1))
     items[f"generator_x_{LANES}_lanes"] = per_call_us(lambda: gen.X(stack))
 
 

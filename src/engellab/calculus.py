@@ -5,15 +5,18 @@ generic arithmetic, so it works on floats and on :class:`~engellab.jets.Jet`
 seeds alike) or by a custom ``taylor_fn`` for fields produced by geometric
 constructions (brackets, pointwise linear solves, frame recombinations).
 Surface metrics (g's entries) and contact-form paths (on the chart (x, t))
-are component-rule fields too, so every rule's outputs become jets here.
+are component-rule fields too, so every rule's outputs are read here.
 Given ``(dim, N)`` coordinates, a field evaluates a batch of N points in one
 pass, on jets with one coefficient row per point (see :mod:`engellab.jets`).
-Order 0 is values: ``taylor(p, 0)`` gives the components' values, floats at
-a point and ``(N,)`` arrays over a batch (a number in every row, like a
-point-sized jet above order 0, stays a float), and no jet is built for them;
-a component rule runs on the coordinates' values, and each value is
-``0.0 + value``, as a number ``v`` that a rule returns reads ``0.0 + v`` at
-every order.  Evaluation is pure.  Within one evaluation scope a memo holds
+A constant is a number at every order: a number ``v`` that a rule returns
+stays a number, ``0.0 + v``, and is never wrapped as a constant jet, so
+``taylor`` gives jets and numbers (read them with the generic helpers of
+:mod:`engellab.jets`, under which a number's derivatives are 0.0).  Order 0
+is values: ``taylor(p, 0)`` gives the components' values, floats at a point
+and ``(N,)`` arrays over a batch (a number in every row, like a point-sized
+jet above order 0, stays a float), and no jet is built for them; a component
+rule runs on the coordinates' values ``0.0 + x``, and each value is ``0.0 +
+value``.  Evaluation is pure.  Within one evaluation scope a memo holds
 each (field, point)'s jets at the highest order asked so far: a lower order
 gets them truncated, bit for bit the jets of an evaluation at that order, and
 a higher order evaluates and replaces them.  Order 0 gets their values, which
@@ -47,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartMismatchError, DerivativeOrderError, EngelLabError
-from .jets import Jet, jet_bracket, jet_d_matrix, jet_dot, jet_two_form, reciprocal
+from .jets import (Jet, derivative, gradient, jet_bracket, jet_d_matrix, jet_dot,
+                   jet_two_form, reciprocal, truncate)
 
 INF_ORDER = math.inf
 
@@ -210,7 +214,7 @@ class _FieldBase:
                 return list(hit[1])
             if order == 0:
                 return _order_zero(hit[1])
-            return [j.truncated(order) for j in hit[1]]
+            return [truncate(j, order) for j in hit[1]]
         plan = self._plans.get(order)
         memo = {None: plan or {}}
         token = _MEMO.set(memo)
@@ -227,44 +231,37 @@ class _FieldBase:
 
     def _outputs(self, coords, order):
         """The rule's outputs at ``coords``, jets and numbers, one per
-        component; for ``order=None``, a component rule's on the coordinates
-        themselves."""
+        component; a component rule runs on the seeds (at order 0, the
+        coordinates' values ``0.0 + x``)."""
         if self.taylor_fn is not None:
             out = self.taylor_fn(coords, order)
         else:
-            out = self.components(list(coords) if order is None else Jet.seeds(coords, order))
+            out = self.components(Jet.seeds(coords, order))
         out = list(out) if hasattr(out, "__len__") else [out]
         if len(out) != self._ncomp():
             raise EngelLabError(f"rule returned {len(out)} components, expected {self._ncomp()}")
         return out
 
     def _evaluate(self, coords, order):
-        """The rule's outputs at ``order``: jets of that order, a number
-        ``v`` as the constant ``0.0 + v``; at order 0 the values, each
+        """The rule's outputs at ``order``: jets of that order and numbers,
+        each number ``v`` as ``0.0 + v``; at order 0 the values, each
         ``0.0 + value``."""
+        out = self._outputs(coords, order)
         if order == 0:
-            return tuple(_order_zero(self._outputs(coords, 0)))
-        out = []
-        for j in self._outputs(coords, order):
-            if not isinstance(j, Jet):
-                j = Jet.constant(j, self.chart.dim, order)
-            elif j.order != order:
-                j = j.truncated(order)
-            out.append(j)
-        return tuple(out)
+            return tuple(_order_zero(out))
+        return tuple([(j if j.order == order else j.truncated(order))
+                      if isinstance(j, Jet) else 0.0 + j for j in out])
 
     def __call__(self, point):
         """Component values at a point, a float for a scalar field; for
         ``(dim, N)`` coordinates, the ``(n_components, N)`` array of the
         values at each point of the batch (a scalar field gives its ``(N,)``
-        row).  A component rule runs on the coordinates, floats at a point
-        and float arrays over a batch; a ``taylor_fn`` field gives
-        ``taylor(point, 0)``."""
+        row).  A component rule is evaluated at order 0, as ``taylor(point,
+        0)`` evaluates it but with no memo: on the coordinates' values ``0.0 +
+        x``, floats at a point and float arrays over a batch, each output
+        ``0.0 + v``; a ``taylor_fn`` field gives ``taylor(point, 0)``."""
         coords = _coords_of(point, self.chart)
-        if self.taylor_fn is None:
-            vals = self._outputs(coords, None)
-        else:
-            vals = self._scoped(coords, 0)
+        vals = self._evaluate(coords, 0) if self.taylor_fn is None else self._scoped(coords, 0)
         if coords.ndim == 2:
             arr = _column(vals, coords)
             return arr[0] if self.n_components == 1 else arr
@@ -272,9 +269,11 @@ class _FieldBase:
         return vals[0] if self.n_components == 1 else np.array(vals)
 
     def jacobian(self, point):
-        """Matrix of first partials, rows = components, columns = variables."""
-        jets = self.taylor(point, 1)
-        return np.array([j.gradient() for j in jets])
+        """Matrix of first partials, rows = components, columns = variables;
+        over a batch, each partial is the ``(N,)`` row of its values."""
+        coords = _coords_of(point, self.chart)
+        return np.array([_column(gradient(j, self.chart.dim), coords)
+                         for j in self.taylor(coords, 1)])
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -410,7 +409,7 @@ def lie_derivative_scalar(X, f):
     def tfn(coords, order):
         xj = X.taylor(coords, order)
         fj = f.jet(coords, order + 1)
-        return [jet_dot([fj.derivative(j) for j in range(n)], xj)]
+        return [jet_dot([derivative(fj, j) for j in range(n)], xj)]
 
     return ScalarField(X.chart, taylor_fn=tfn,
                        max_order=min(X.max_order, f.max_order - 1))

@@ -25,8 +25,8 @@ from .distributions import (DistributionFrame, line_angle, plane_principal_angle
                             reeb_jets)
 from .errors import EngelLabError, GeometryError
 from .flow import flow, integrate_nonautonomous
-from .jets import (Jet, _jet, exp, jet_cross, jet_d_matrix, jet_dot, jet_two_form, reciprocal,
-                   restrict, value)
+from .jets import (Jet, _jet, derivative, exp, gradient, jet_cross, jet_d_matrix, jet_dot,
+                   jet_two_form, reciprocal, restrict, truncate, value)
 from .prolongation import Slice, lift
 from .reporting import worst_of
 
@@ -54,7 +54,7 @@ def bump_window(chart4, lo, hi, name="window"):
             # that exp sees no overflowing argument, and are zeroed after
             th = np.where(outside, 0.5 * (lo + hi), th)
         tj = Jet.variable(3, 4, order, base=th)
-        w = exp(Jet.constant(peak, 4, order) - (reciprocal(tj - lo) + reciprocal(hi - tj)))
+        w = exp(peak - (reciprocal(tj - lo) + reciprocal(hi - tj)))
         if masked:
             w = (_jet(4, order, np.where(outside[:, None], 0.0, w.c)) if order
                  else np.where(outside, 0.0, w))
@@ -244,7 +244,7 @@ class ContactFormPath(_FieldBase):
         with a t row appended."""
         xt = np.concatenate([coords, np.full((1,) + np.shape(coords)[1:], t)])
         ext = self.taylor(xt, order + 1)
-        return [j.restrict(3) for j in ext], [restrict(j.derivative(3), 3) for j in ext]
+        return [restrict(j, 3) for j in ext], [restrict(derivative(j, 3), 3) for j in ext]
 
 
 @dataclass
@@ -270,7 +270,7 @@ class GraySolution:
         ``(theta_t, d theta_t, d/dt theta_t)`` that X is formed from, all at
         ``order``."""
         theta, dj = self.path.jets(coords, t, order)
-        a, M = [j.truncated(order) for j in theta], jet_d_matrix(theta)
+        a, M = [truncate(j, order) for j in theta], jet_d_matrix(theta)
         Lj = self.L.taylor(coords, order)
         Ej = jet_cross(a, Lj)
         dLE = jet_two_form(M, Lj, Ej)
@@ -312,11 +312,12 @@ class GraySolution:
         def f(t, y):
             x = y.T[:3]
             jets, (a, M, dot) = sol.moser_field_jets(t, x, 1)
-            R = reeb_jets([[m.truncated(0) for m in row] for row in M],
-                          [j.truncated(0) for j in a], x)
+            R = reeb_jets([[truncate(m, 0) for m in row] for row in M],
+                          [truncate(j, 0) for j in a], x)
             # lane by lane on contiguous rows, so that the products are those
             # of a lone point; last, the log conformal scale dg/dt = -dot theta_t(R_t)
-            grads = np.array([j.gradient() for j in jets]).reshape(3, 3, -1).transpose(2, 0, 1)
+            grads = np.array([_column(gradient(j, 3), x) for j in jets]
+                             ).reshape(3, 3, -1).transpose(2, 0, 1)
             lanes = [_rows(y.T), *(_rows(_column(v, x)) for v in (jets, dot, R)),
                      np.ascontiguousarray(grads)]
             out = [np.concatenate([val, (DX @ yl[3:3 + 3 * n_vec].reshape(3, n_vec)).ravel(),

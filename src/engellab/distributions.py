@@ -232,16 +232,10 @@ def _lines(frame, points, coords, tol):
     return out
 
 
-def reeb_vector(alpha, p):
-    """The Reeb vector of a contact form at a point: ``alpha(Z) = 1``,
-    ``d alpha(Z, .) = 0`` (see :func:`reeb_jets`)."""
-    return reeb_field(alpha)(p)
-
-
 def reeb_jets(M, a, coords):
     """Jets of the Reeb field of a contact form on a 3-dimensional chart from
-    those of its exterior derivative ``M`` and of the form ``a``, at one
-    order, around ``coords``.  The kernel of ``d alpha`` is spanned by the
+    those of its exterior derivative ``M`` and of the form ``a`` (numbers
+    among them), at one order, around ``coords``.  The kernel of ``d alpha`` is spanned by the
     component dual ``(da_23, da_31, da_12)``; normalizing by ``alpha`` gives
     Z."""
     v = [M[1][2], M[2][0], M[0][1]]

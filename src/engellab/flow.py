@@ -22,6 +22,7 @@ import numpy as np
 
 from .calculus import Point, _coords_of, over_points
 from .errors import IntegrationError
+from .jets import gradient, value
 
 DEFAULT_TOL = 1e-9
 
@@ -171,8 +172,8 @@ def _augmented_rhs(X, n, k):
 
     def f(t, y):
         jets = X.taylor(y[:n], 1)  # values and Jacobian from one evaluation
-        v = np.array([j.value for j in jets])
-        DX = np.array([j.gradient() for j in jets])
+        v = np.array([value(j) for j in jets])
+        DX = np.array([gradient(j, n) for j in jets])
         return np.concatenate([v, (DX @ y[n:].reshape(n, k)).ravel()])
 
     return f

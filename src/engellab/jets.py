@@ -17,15 +17,20 @@ of a batch in one ``np.bincount`` over the row-shifted result positions.  A
 batch row equals its point's jet bit for bit: the arithmetic runs in the same
 order, and the series of the analytic functions are computed entry by entry by
 the one-point code (with :mod:`math`, whose rounding NumPy's may not share,
-and its domain checks).  A constant's term is ``0.0 + value`` at a point and
-in a batch alike, so a zero constant is +0.0.  Orders are capped at
-:data:`MAX_ORDER`; the normal-form pipeline needs at most order 6.
+and its domain checks).  Orders are capped at :data:`MAX_ORDER`; the
+normal-form pipeline needs at most order 6.
 
-Order 0 is values: the Taylor coefficient of order 0 is the value, so a jet
-has order 1 or more.  ``Jet.constant``, ``Jet.variable`` and ``Jet.seeds`` at
+A constant is its value at every order: a number (a float, or an ``(N,)``
+array over a batch) stands for the constant jet of that value, whose other
+terms are 0.0, and is not wrapped as one.  Arithmetic of a jet with a number
+is a shift of the constant term or a scaling of every term, not the dense
+product with the number's constant jet; the two agree in every coefficient
+up to the sign of a zero (the product sums its term pairs from 0.0).  Order 0
+is values too: the Taylor coefficient of order 0 is the value, so a jet has
+order 1 or more.  ``Jet.constant``, ``Jet.variable`` and ``Jet.seeds`` at
 order 0 give ``0.0 + value``, and ``truncated(0)`` and the derivative of an
-order-1 jet give values (floats at a point, arrays over a batch).  The generic
-helpers below take jets and values alike, so code runs at every order.
+order-1 jet give values.  The generic helpers below take jets and numbers
+alike (the derivatives of a number are 0.0), so code runs at every order.
 
 Composition goes through :func:`jet_composer`: it builds the table of the
 monomials ``inner^k`` once, a degree at a time (each degree one batch product
@@ -242,6 +247,12 @@ def _scalar(s):
     return s[:, None] if isinstance(s, _ARRAY) else float(s)
 
 
+# the jet methods of a NumPy ufunc with a jet first or second
+_JET_UFUNCS = {np.add: ("__add__", "__radd__"), np.subtract: ("__sub__", "__rsub__"),
+               np.multiply: ("__mul__", "__rmul__"),
+               np.true_divide: ("__truediv__", "__rtruediv__")}
+
+
 def _jet(n, order, c):
     """A jet around the coefficient array ``c`` (taken, not copied), for
     results whose order the kernel already knows to be valid."""
@@ -308,6 +319,8 @@ class Jet:
         """Identity jets centered at ``coords`` (one per variable); a
         ``(dim, N)`` array gives the seeds of a batch of N points.  At order
         0, the coordinates' values."""
+        if not order:
+            return [0.0 + (c if isinstance(c, _ARRAY) else float(c)) for c in coords]
         n = len(coords)
         return [Jet.variable(i, n, order, c if isinstance(c, _ARRAY) else float(c))
                 for i, c in enumerate(coords)]
@@ -357,6 +370,19 @@ class Jet:
 
     # -- ring operations ----------------------------------------------------
 
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        """``+ - * /`` of a jet with a NumPy float array (a batch's number)
+        or scalar are the jet's own arithmetic, where NumPy would make an
+        array of jets, one per entry; an array of jets works entry by entry,
+        as any array of objects does."""
+        names = _JET_UFUNCS.get(ufunc)
+        if names is None or method != "__call__" or kwargs or any(
+                isinstance(x, _ARRAY) and x.dtype == object for x in inputs):
+            boxed = [np.array(x, dtype=object) if isinstance(x, Jet) else x for x in inputs]
+            return getattr(ufunc, method)(*boxed, **kwargs)
+        a, b = inputs
+        return getattr(a, names[0])(b) if a is self else getattr(b, names[1])(a)
+
     def __add__(self, other):
         if not isinstance(other, Jet):
             tile = isinstance(other, _ARRAY) and self.c.ndim == 1
@@ -402,14 +428,19 @@ class Jet:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
+        """A power by products; ``x ** 0`` is the number 1.0.  The first
+        factor is the base plus 0.0, bit for bit its product with the
+        constant jet 1.0 where its terms are finite (that product sums each
+        term from 0.0)."""
         if not isinstance(exponent, int) or exponent < 0:
             raise EngelLabError("jet powers must be nonnegative integers")
-        result = Jet.constant(1.0, self.n, self.order)
+        result = 1.0
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = (result * base if isinstance(result, Jet)
+                          else _jet(self.n, self.order, base.c + 0.0))
             base = base * base if e > 1 else base
             e >>= 1
         return result
@@ -434,12 +465,15 @@ class Jet:
         batch = isinstance(series[0], _ARRAY)  # then every term of the series is
         # the constant term times 0 is, like a0 - a0, zero (or NaN)
         power = d = self.c * t.nonconstant[order]
-        out = Jet.constant(series[0], n, order).c
+        out = np.zeros(d.shape)
         for m in range(1, min(len(series), order + 1)):
             if m > 1:
                 power = _product(power, d, t.products[order])
             if batch or series[m] != 0.0:
                 out = out + power * _scalar(series[m])
+        # the terms above add zeros (or NaN) to the constant term, so adding
+        # ``0.0 + series[0]`` last gives the sum that starts from its constant jet
+        out.T[0] += 0.0 + series[0]
         return _jet(n, order, out)
 
     def reciprocal(self):
@@ -554,6 +588,19 @@ def truncate(x, order):
     return x.truncated(order) if isinstance(x, Jet) else x
 
 
+def derivative(x, i):
+    """The partial derivative of a jet in variable ``i``; of a value, 0.0."""
+    return x.derivative(i) if isinstance(x, Jet) else 0.0
+
+
+def gradient(x, n):
+    """The first partials of a jet; of a value in ``n`` variables, zeros
+    (over a batch, one zero row per partial)."""
+    if isinstance(x, Jet):
+        return x.gradient()
+    return [np.zeros(x.shape) if isinstance(x, _ARRAY) else 0.0] * n
+
+
 def embed(x, n_new, positions):
     """A jet in ``n_new`` variables (:meth:`Jet.embed`); a value as it is."""
     return x.embed(n_new, positions) if isinstance(x, Jet) else x
@@ -602,14 +649,13 @@ def jet_two_form(M, u, v):
 
 
 def jet_d_matrix(a):
-    """Jets of the exterior derivative of a one-form from its component jets,
-    one order below them: ``d a_{ij} = d_i a_j - d_j a_i`` above the
-    diagonal, their exact negations below it, and zeros on it."""
+    """Jets of the exterior derivative of a one-form from its component jets
+    (numbers among them), one order below them: ``d a_{ij} = d_i a_j - d_j
+    a_i`` above the diagonal, their exact negations below it, and 0.0 on it."""
     n = len(a)
-    zero = Jet.constant(np.zeros(a[0].c.shape[:-1]), n, a[0].order - 1)
-    up = {(i, j): a[j].derivative(i) - a[i].derivative(j)
+    up = {(i, j): derivative(a[j], i) - derivative(a[i], j)
           for i in range(n) for j in range(i + 1, n)}
-    return [[up[i, j] if i < j else -up[j, i] if i > j else zero for j in range(n)]
+    return [[up[i, j] if i < j else -up[j, i] if i > j else 0.0 for j in range(n)]
             for i in range(n)]
 
 
@@ -622,21 +668,23 @@ def jet_cross(a, b):
 
 def jet_bracket(A, B):
     """Lie bracket ``DB.A - DA.B`` of two jet-tuple vector fields, one order
-    below their common order.
+    below the common order of the jets among their entries; a number entry
+    is a constant, whose derivatives are 0.0.
 
     Both tuples are truncated to the common order first, so no product forms
     terms that the sum then drops; the result is bit for bit the bracket of
-    the untruncated tuples at that order.  At common order 1 the bracket is
-    values: the first partials (read off the gradients, with no truncation)
-    times the tuples' values."""
-    order = min(j.order for j in list(A) + list(B))
+    the untruncated tuples at that order.  At common order 1, and when every
+    entry is a number, the bracket is values: the first partials (read off
+    the gradients, with no truncation) times the tuples' values."""
     n = len(A)
+    order = min([j.order for j in list(A) + list(B) if isinstance(j, Jet)], default=1)
     if order == 1:
-        a, b = ([j.value for j in T] for T in (A, B))
-        dA, dB = ([j.gradient() for j in T] for T in (A, B))
+        a, b = ([value(j) for j in T] for T in (A, B))
+        dA, dB = ([gradient(j, n) for j in T] for T in (A, B))
     else:
-        a, b = ([j if j.order == order else j.truncated(order) for j in T] for T in (A, B))
-        dA, dB = ([[j.derivative(k) for k in range(n)] for j in T] for T in (a, b))
+        a, b = ([j.truncated(order) if isinstance(j, Jet) and j.order > order else j
+                 for j in T] for T in (A, B))
+        dA, dB = ([[derivative(j, k) for k in range(n)] for j in T] for T in (a, b))
     out = []
     for i in range(n):
         acc = None

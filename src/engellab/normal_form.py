@@ -44,7 +44,10 @@ def jet_polyval(jet, values):
 @dataclass
 class LegendrianPairJet:
     """Jets at a point of the two fields (Y spans the line to be
-    straightened, X the transverse one); must span a contact plane field."""
+    straightened, X the transverse one); must span a contact plane field.
+    The pair keeps copies of the jets it is given, and a number component
+    as its constant jet at ``order``, since the normal form computes on
+    jets."""
 
     Y_jet: list
     X_jet: list
@@ -53,6 +56,7 @@ class LegendrianPairJet:
     def __post_init__(self):
         if len(self.Y_jet) != 3 or len(self.X_jet) != 3:
             raise EngelLabError("pair jets need 3 components each")
+        self.Y_jet, self.X_jet = _as_jets(self.Y_jet, self.order), _as_jets(self.X_jet, self.order)
         M = np.column_stack([
             [j.value for j in self.Y_jet],
             [j.value for j in self.X_jet],
@@ -64,8 +68,13 @@ class LegendrianPairJet:
 
     @classmethod
     def from_fields(cls, Y, X, point, order=4):
-        return cls([j.copy() for j in Y.taylor(point, order)],
-                   [j.copy() for j in X.taylor(point, order)], order)
+        return cls(Y.taylor(point, order), X.taylor(point, order), order)
+
+
+def _as_jets(entries, order):
+    """Copies of the jets among ``entries`` and the constant jets, in 3
+    variables at ``order``, of the numbers among them."""
+    return [j.copy() if isinstance(j, Jet) else Jet.constant(j, 3, order) for j in entries]
 
 
 @dataclass
@@ -88,8 +97,9 @@ def _linear_pushforward(A, field):
 
 
 def straighten(Y_jet):
-    """Flow-box coordinates for a nonvanishing field jet: returns a change
-    with ``pushforward(change, scale * Y) = d/dy`` exactly at jet level.
+    """Flow-box coordinates for a nonvanishing field jet (a number component
+    read as its constant jet): returns a change with
+    ``pushforward(change, scale * Y) = d/dy`` exactly at jet level.
 
     After aligning Y(0) with d/dy by a linear change and scaling the
     y-component to 1, the x- and z-target coordinates are corrected by a
@@ -97,8 +107,11 @@ def straighten(Y_jet):
     (one antiderivative in y per pass, so the change carries one order more
     than the input).
     """
-    Y_jet = list(Y_jet)
-    order = min(j.order for j in Y_jet)
+    orders = [j.order for j in Y_jet if isinstance(j, Jet)]
+    if not orders:
+        raise EngelLabError("straighten needs a jet among the components to take its order")
+    order = min(orders)
+    Y_jet = _as_jets(Y_jet, order)
     v0 = np.array([j.value for j in Y_jet])
     if np.linalg.norm(v0) < 1e-12:
         raise GeometryError("field vanishes at the origin; no flow box")
@@ -178,7 +191,7 @@ def normalize_pair(pair):
     """
     if pair.order < 2:
         raise EngelLabError("the normal form needs pair jets of order 2 or more")
-    st = straighten([j.copy() for j in pair.Y_jet])
+    st = straighten(pair.Y_jet)
     total = st.change
     Y_scale = st.scale
     X = jet_pushforward(st.change, [j.copy() for j in pair.X_jet])
@@ -279,8 +292,7 @@ def pair_from_ode(f):
                                components=lambda xs: [1.0, xs[2], jet_polyval(f, xs)])
 
     def tfn(coords, order):
-        return [Jet.constant(1.0, 3, order), Jet.variable(2, 3, order, base=coords[2]),
-                f.taylor(coords, order)[0]]
+        return [1.0, Jet.variable(2, 3, order, base=coords[2]), f.taylor(coords, order)[0]]
 
     return V0, VectorField(ODE_CHART, taylor_fn=tfn, max_order=f.max_order, name="ode.V1")
 

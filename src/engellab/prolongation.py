@@ -237,15 +237,12 @@ def _eliminate(gen, pivot, axis):
 
 def _eliminate_rows(gens, axis, which, q):
     """:func:`_eliminate` over a batch, each row with its own pivot: the
-    first largest ``|ds(B_k)|``, as ``max`` picks it at a point.  The rows of
-    the kept and pivot generators are gathered from the coefficient arrays
-    (at order 0, the values as one column), point-sized ones broadcast first."""
-    first, rows = gens[0][0], q.shape[1]
-    n, order = (first.n, first.order) if isinstance(first, Jet) else (0, 0)
-    coeffs = [c.c if order else np.reshape(c, (-1, 1)) for g in gens for c in g]
-    C = np.stack([np.broadcast_to(c, (rows, c.shape[-1])) for c in coeffs])
-    C = C.reshape(3, len(gens[0]), rows, -1)
-    values = np.abs(C[..., 0])
+    first largest ``|ds(B_k)|``, as ``max`` picks it at a point.  The rows
+    of each pivot are eliminated together on the generators as they are, so
+    each row's arithmetic, numbers included, is its point's; the groups'
+    results are then put back in row order (:func:`_merge`)."""
+    rows = q.shape[1]
+    values = np.abs([[np.broadcast_to(value(c), rows) for c in g] for g in gens])
     normal = values[:, axis]
     piv, index = np.zeros(rows, dtype=int), np.arange(rows)
     for k in (1, 2):
@@ -256,9 +253,41 @@ def _eliminate_rows(gens, axis, which, q):
     if len(bad):
         raise GeometryError("D^2 is tangent to the slice (intersection rank != 2)",
                             point=q[:, bad[0]])
-    gen, pivot = ([_jet(n, order, C[k, i, index]) if order else C[k, i, index, 0]
-                   for i in range(len(gens[0]))] for k in (which + (which >= piv), piv))
-    return _eliminate(gen, pivot, axis)
+    if (piv == piv[0]).all():
+        k = int(piv[0])
+        return _eliminate(gens[which + (which >= k)], gens[k], axis)
+    groups = [(k, np.flatnonzero(piv == k)) for k in range(3) if (piv == k).any()]
+    parts = [_eliminate(*([_rows_of(e, at) for e in gens[i]] for i in (which + (which >= k), k)),
+                        axis) for k, at in groups]
+    return [_merge([p[i] for p in parts], [at for _, at in groups], rows)
+            for i in range(len(parts[0]))]
+
+
+def _rows_of(entry, at):
+    """The rows ``at`` of a batch's jet or array; a point-sized jet or a
+    float, the same in every row, as it is."""
+    if isinstance(entry, Jet):
+        return _jet(entry.n, entry.order, entry.c[at]) if entry.c.ndim == 2 else entry
+    return entry[at] if isinstance(entry, np.ndarray) else entry
+
+
+def _merge(results, ats, rows):
+    """One batch entry from the results of row groups: values where every
+    result is a number, else a jet, where a number's rows are its constant
+    jet's (``0.0 + v``, then zeros), as a field reads that number."""
+    jets = [r for r in results if isinstance(r, Jet)]
+    if not jets:
+        out = np.empty(rows)
+        for r, at in zip(results, ats):
+            out[at] = r
+        return out
+    out = np.zeros((rows, jets[0].c.shape[-1]))
+    for r, at in zip(results, ats):
+        if isinstance(r, Jet):
+            out[at] = r.c
+        else:
+            out[at, 0] = 0.0 + r
+    return _jet(jets[0].n, jets[0].order, out)
 
 
 @dataclass

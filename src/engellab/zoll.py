@@ -23,7 +23,7 @@ from .errors import (EngelLabError, ExpressionDomainError, GeometryError,
                      IntegrationError, JetDomainError)
 from .distributions import line_angle
 from .flow import _dopri_step, _field_rhs, _locate_crossing, integrate
-from .jets import Jet, cos, jet_dot, sin, sqrt, value
+from .jets import Jet, cos, derivative, embed, gradient, jet_dot, sin, sqrt, truncate, value
 from .prolongation import ParallelizedContact, prolong
 from .reporting import worst_of
 
@@ -46,8 +46,10 @@ class SurfaceMetric(_FieldBase):
 
     def value_and_gradient(self, p):
         """The floats g[i][j] and dg[i][j][k] = d_k g_ij at ``p``, read from
-        one evaluation of the rule on order-1 seeds; a number entry ``v`` is
-        a constant, as at every order: value ``0.0 + v``, zero gradient."""
+        one evaluation of the rule on order-1 seeds, with no memo; a number
+        entry stays a number, as at every order: its value ``0.0 + v``, its
+        gradient zeros (read inline, since the geodesic integrator's loop
+        calls this)."""
         G = self._outputs(np.asarray(p, dtype=float)[:2], 1)
         g = [j.value if isinstance(j, Jet) else 0.0 + j for j in G]
         dg = [j.gradient() if isinstance(j, Jet) else [0.0, 0.0] for j in G]
@@ -150,10 +152,10 @@ def _inputs(metric, coords, order):
     jets of order k + 1."""
     if order == 0:
         return (*metric.value_and_gradient(coords[:2]), coords[2])
-    G = [c.embed(3, (0, 1)) for c in metric.taylor(coords[:2], order + 1)]
+    G = [embed(c, 3, (0, 1)) for c in metric.taylor(coords[:2], order + 1)]
     G = [G[:2], G[2:]]
-    return ([[c.truncated(order) for c in row] for row in G],
-            [[[c.derivative(k) for k in (0, 1)] for c in row] for row in G],
+    return ([[truncate(c, order) for c in row] for row in G],
+            [[[derivative(c, k) for k in (0, 1)] for c in row] for row in G],
             Jet.variable(2, 3, order, base=coords[2]))
 
 
@@ -624,9 +626,9 @@ def kinetic_hamiltonian_field(metric, x, p):
     dHdx = np.zeros(2)
     for i in range(2):
         for j in range(2):
-            dHdp[i] += Ginv[i][j].value * p[j]
+            dHdp[i] += value(Ginv[i][j]) * p[j]
             for k in range(2):
-                dHdx[k] += 0.5 * Ginv[i][j].gradient()[k] * p[i] * p[j]
+                dHdx[k] += 0.5 * gradient(Ginv[i][j], 2)[k] * p[i] * p[j]
     return np.concatenate([dHdp, -dHdx])
 
 
@@ -637,7 +639,7 @@ def hamiltonian_alignment(metric, state):
     g, dg, psi = _inputs(metric, coords, 1)
     u, _, psidot = _contact_element(g, dg, psi)
     pj = [jet_dot(g[i], u) for i in range(2)]  # p_i = g_ij u^j
-    v1 = [u[0].value, u[1].value, psidot.value]
-    push = v1[:2] + [sum(d * v for d, v in zip(p.gradient(), v1)) for p in pj]
-    XH = kinetic_hamiltonian_field(metric, coords[:2], np.array([p.value for p in pj]))
+    v1 = [value(u[0]), value(u[1]), value(psidot)]
+    push = v1[:2] + [sum(d * v for d, v in zip(gradient(p, 3), v1)) for p in pj]
+    XH = kinetic_hamiltonian_field(metric, coords[:2], np.array([value(p) for p in pj]))
     return line_angle(np.array(push), XH)

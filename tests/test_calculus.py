@@ -19,7 +19,7 @@ from engellab.distributions import DistributionFrame, flag_ranks, reeb_field
 from engellab.errors import ChartMismatchError, DerivativeOrderError, EngelLabError
 from engellab.errors import IntegrationError
 from engellab import jets
-from engellab.jets import Jet, jet_bracket, multi_indices, sin, value
+from engellab.jets import Jet, gradient, jet_bracket, multi_indices, sin, value
 from engellab.expressions import (one_form_from_exprs, scalar_field_from_expr,
                                   vector_field_from_exprs)
 from engellab.cli import _base_contact
@@ -164,11 +164,16 @@ def test_scalar_field_arithmetic():
     assert abs(lie_derivative_scalar(X, f)(p) - (p[1] * p[1] + p[0])) < 1e-13
 
     # order-2 combinators against componentwise jet arithmetic, bit for bit
-    # (Jet products are not commutative in the low bits: the scalar goes first)
+    # (Jet products are not commutative in the low bits: the scalar goes
+    # first); a component that stays a number (X's "0") is compared as the
+    # constant jet it stands for, with its derivatives 0.0
     def same(field, want):
         got = field.taylor(p, 2)
         assert len(got) == len(want)
-        assert all(a.order == 2 and a.max_coeff_diff(b) == 0.0 for a, b in zip(got, want))
+        assert all(_constant_jet(a, 2).order == 2
+                   and _constant_jet(a, 2).max_coeff_diff(_constant_jet(b, 2)) == 0.0
+                   for a, b in zip(got, want))
+        assert all(isinstance(a, Jet) or gradient(a, 3) == [0.0] * 3 for a in got)
 
     Y = vector_field_from_exprs(CH3, ["x*z", "sin(y)", "1 + y^2"])
     a = one_form_from_exprs(CH3, ["z", "x*y", "cos(x)"])
@@ -344,9 +349,17 @@ def test_d_matrix_is_antisymmetric_and_batch_rows_equal_points():
         for r, p in enumerate(pts):
             M, a = alpha.d_matrix(p, order), alpha.taylor(p, order + 1)
             for i in range(3):
-                assert getattr(M[i][i], "order", 0) == order and not np.any(coeffs(M[i][i]))
+                # the diagonal is the number +0.0, the zero constant jet's
+                # value, whose derivatives read 0.0 as that jet's terms do
+                diagonal = _constant_jet(M[i][i], order)
+                assert getattr(diagonal, "order", 0) == order and not np.any(coeffs(diagonal))
+                assert isinstance(M[i][i], float) and M[i][i].hex() == "0x0.0p+0"
+                assert gradient(M[i][i], 3) == [0.0] * 3
                 for j in range(3):
-                    assert coeffs(batch[i][j])[r].tobytes() == coeffs(M[i][j]).tobytes()
+                    want = coeffs(_constant_jet(M[i][j], order))
+                    got = np.broadcast_to(coeffs(_constant_jet(batch[i][j], order)),
+                                          (len(pts), want.shape[-1]))
+                    assert got[r].tobytes() == want.tobytes()
                     if i < j:
                         assert coeffs(M[j][i]).tobytes() == (-coeffs(M[i][j])).tobytes()
                         assert _bits([M[i][j]]) == _bits([a[j].derivative(i) - a[i].derivative(j)])
@@ -396,6 +409,13 @@ def test_jet_bracket_antisymmetry_and_jacobi(X, Y, Z):
     assert _max_coeff(total) < 1e-10
 
 
+def _constant_jet(x, order, n=3):
+    """A jet as it is; a number as the constant jet that it stands for at
+    ``order`` (at order 0, as it is): its value the number's bits, its other
+    terms +0.0."""
+    return x if isinstance(x, Jet) or order == 0 else Jet(n, order, {(0,) * n: x})
+
+
 def _bits(jets):
     """Order and every term's bits; order 0 is values, one term each."""
     return [(j.order, [(k, float(v).hex()) for k, v in j.items()]) if isinstance(j, Jet)
@@ -421,7 +441,9 @@ _CONSTANTS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3, 1e-300])
 def test_field_evaluation_bit_for_bit(coords, order, consts, extra):
     # constant fields, rule fields mixing jets and floats, and taylor_fn
     # fields returning jets above, at and below the requested order: values,
-    # signs of zeros and key order equal the former evaluation's
+    # signs of zeros and key order equal the former evaluation's, which
+    # wrapped a number as a constant jet; a number now stays a number, the
+    # value of that jet bit for bit, with derivatives 0.0
     a, b, c = consts
 
     def rule(xs):
@@ -436,7 +458,11 @@ def test_field_evaluation_bit_for_bit(coords, order, consts, extra):
              (VectorField(CH3, taylor_fn=tfn), lambda o: tfn(np.asarray(coords), o))]
     for field, raw in cases:
         got = field.taylor(coords, order)
-        assert _bits(got) == _bits(_former_evaluation(raw(order), 3, order))
+        former = _former_evaluation(raw(order), 3, order)
+        assert _bits([_constant_jet(j, order) for j in got]) == _bits(former)
+        assert [isinstance(j, Jet) for j in got] == [
+            isinstance(j, Jet) and order > 0 for j in raw(order)]
+        assert all(gradient(j, 3) == [0.0] * 3 for j in got if not isinstance(j, Jet))
         assert all(getattr(j, "order", 0) <= order for j in got)
         if field.taylor_fn is not None:  # a component rule runs on floats at a point
             want = _former_evaluation(raw(0), 3, 0)
@@ -452,9 +478,9 @@ def test_lone_point_values_equal_jet_values_bit_for_bit():
     # around them; they are its order-0 evaluation (values) and the batch
     # rows, signs of zeros included (a number v reads as 0.0 + v).  A
     # component rule that divides and takes powers runs on floats at order 0
-    # as at a point (x / 3 is not x * (1/3) in every bit), at 2000 points
-    # more; not at the first point, since a lone-point call runs a component
-    # rule on the coordinates as given, and order 0 seeds 0.0 + y for y = -0.0
+    # as at a point (x / 3 is not x * (1/3) in every bit), at the first point,
+    # where y = -0.0 (a call and order 0 alike run the rule on 0.0 + y), and
+    # at 2000 points more
     def numbers(coords, order):
         return [-0.0, 3, np.float64(-2.5)]
 
@@ -470,15 +496,14 @@ def test_lone_point_values_equal_jet_values_bit_for_bit():
     rng = np.random.default_rng(19)
     pts = np.column_stack([rng.uniform(-1.5, 1.5, (5, 2)), rng.uniform(-3.0, 3.0, 5)])
     # the first point is where mixed's 0.5 * y - 0.0 is -0.0, which reads
-    # +0.0 (Jet.constant) at the point and in its batch row alike
+    # +0.0 at the point and in its batch row alike
     pts = np.vstack([[0.0, -0.0, 0.7], pts])
     dividing = vector_field_from_exprs(CH3, ["x/3", "y/(1+z*z)", "z^3"])
     fields = [atlas.field("north"), atlas.field("south"),
               constant_field(CH3, [-0.0, 0.0, 2.0])] + [
         VectorField(CH3, taylor_fn=tfn) for tfn in (numbers, seeded, mixed)] + [dividing]
     many = np.column_stack([rng.uniform(-1.5, 1.5, (2000, 2)), rng.uniform(-3.0, 3.0, 2000)])
-    for field, points in [(f, pts) for f in fields[:-1]] + [(dividing, pts[1:]),
-                                                             (dividing, many)]:
+    for field, points in [(f, pts) for f in fields] + [(dividing, many)]:
         batch = field(np.ascontiguousarray(points.T))
         jets = field.taylor(np.ascontiguousarray(points.T), 0)
         for k, (p, row) in enumerate(zip(points, batch.T)):

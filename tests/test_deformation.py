@@ -359,10 +359,14 @@ def test_path_jets_truncate_to_a_direct_evaluation():
     # theta_t and d/dt theta_t from one evaluation at order k + 1, truncated
     # to k - 1, are bit for bit the restriction of the rule's jets at order
     # k - 1 and the t-derivative of its jets at order k, at a point and over
-    # a batch; a component that the rule returns as a number is a constant
-    # (to order 0, the values)
+    # a batch; a component that the rule returns as a number is a constant:
+    # it stays a number, compared as the constant jet it stands for (its
+    # value the number's bits, its derivatives 0.0; to order 0, the values)
     def coeffs(j):
         return j.c if isinstance(j, Jet) else np.asarray(j)
+
+    def constant_jet(j, order):
+        return j if isinstance(j, Jet) or order == 0 else Jet(3, order, {(0, 0, 0): j})
 
     def direct(path, coords, order):
         return [j if isinstance(j, Jet) else Jet.constant(j, 4, order)
@@ -375,6 +379,8 @@ def test_path_jets_truncate_to_a_direct_evaluation():
                        np.random.default_rng(16).uniform(-0.5, 0.5, (3, 4))):
             for k in (1, 2, 3):
                 theta, dot = path.jets(coords, t, k)
+                theta = [constant_jet(j, k + 1) for j in theta]
+                dot = [constant_jet(j, k) for j in dot]
                 assert [j.order for j in theta] == [k + 1] * 3
                 assert [j.order for j in dot] == [k] * 3
                 assert all(np.array_equal(coeffs(j.truncated(k - 1)), coeffs(restrict(d, 3)))
@@ -382,6 +388,9 @@ def test_path_jets_truncate_to_a_direct_evaluation():
                 assert all(np.array_equal(coeffs(j.truncated(k - 1)),
                                           coeffs(restrict(d.derivative(3), 3)))
                            for j, d in zip(dot, direct(path, coords, k)))
+                raw = path.components(Jet.seeds(list(coords) + [t], k + 1))
+                assert [isinstance(j, Jet) for j in path.jets(coords, t, k)[0]] == [
+                    isinstance(j, Jet) for j in raw]
 
 
 def test_transport_raises_at_a_nan_right_hand_side():

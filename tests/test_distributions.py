@@ -13,7 +13,7 @@ from engellab.deformation import ContactIsotopyGenerator, realize_isotopy
 from engellab.distributions import (DistributionFrame, characteristic_line,
                                     flag_ranks, is_contact,
                                     is_engel, plane_principal_angle, reeb_field,
-                                    reeb_vector, annihilator_form)
+                                    annihilator_form)
 from engellab.errors import ExpressionDomainError, GeometryError
 from engellab.expressions import (one_form_from_exprs, scalar_field_from_expr,
                                   vector_field_from_exprs)
@@ -106,7 +106,7 @@ def test_reeb_of_standard_form():
     rng = np.random.default_rng(2)
     for _ in range(10):
         p = rng.uniform(-1, 1, 3)
-        assert np.allclose(reeb_vector(alpha, p), [0, 0, 1], atol=1e-12)
+        assert np.allclose(reeb_field(alpha)(p), [0, 0, 1], atol=1e-12)
     Z = reeb_field(alpha)
     p = [0.4, -0.2, 0.6]
     a = alpha(p)
@@ -120,7 +120,7 @@ def test_reeb_scaled_form():
     # Reeb direction tracks the form scaling: alpha -> e^x alpha
     alpha = one_form_from_exprs(CH3, ["-y*exp(x)", "0", "exp(x)"])
     p = [0.3, 0.5, -0.1]
-    Z = reeb_vector(alpha, p)
+    Z = reeb_field(alpha)(p)
     a = alpha(p)
     assert abs(a @ Z - 1.0) < 1e-12
     M = np.array(alpha.d_matrix(p))  # order 0 is values
@@ -143,7 +143,7 @@ def test_annihilator_form():
 def test_non_contact_reeb_raises():
     flat = one_form_from_exprs(CH3, ["0", "0", "1"])
     with pytest.raises(GeometryError):
-        reeb_vector(flat, [0, 0, 0])
+        reeb_field(flat)([0, 0, 0])
 
 
 def test_plane_principal_angle_accuracy():

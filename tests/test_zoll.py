@@ -13,7 +13,7 @@ from engellab.calculus import Chart, lie_bracket
 from engellab.distributions import flag_ranks, is_contact
 from engellab.errors import EngelLabError, GeometryError
 from engellab.flow import integrate
-from engellab.jets import Jet, sin
+from engellab.jets import Jet, gradient, sin
 from engellab.zoll import (SingleChartSpace, SphereAtlas, SurfaceMetric, UnitTangentChart,
                            central_projection, central_projection_check,
                            closedness_report, euclidean_metric, first_return,
@@ -74,8 +74,9 @@ def test_christoffel_against_finite_differences():
 
 def test_metric_jets_values_and_batches_equal_the_rule():
     # a metric is the field of g's four entries: its jets are the rule's on
-    # seed jets, a number entry a constant jet, bit for bit (order 0 is
-    # values, the rule's on the coordinates, each 0.0 + v); value_and_gradient
+    # seed jets, bit for bit; a number entry stays a number, the value of its
+    # constant jet, with derivatives 0.0 (order 0 is values, the rule's on
+    # the coordinates, each 0.0 + v); value_and_gradient
     # reads the values and gradients of the rule on order-1 seeds; a batch's
     # values are each point's matrix, bit for bit
     rng = np.random.default_rng(3)
@@ -90,7 +91,9 @@ def test_metric_jets_values_and_batches_equal_the_rule():
                     elif isinstance(e, Jet):
                         got, want = got.c, e.c
                     else:
-                        got, want = got.c, np.zeros(got.c.shape)
+                        assert not isinstance(got, Jet) and gradient(got, 2) == [0.0, 0.0]
+                        got = Jet(2, k, {(0, 0): got}).c
+                        want = np.zeros(got.shape)
                         want[0] = 0.0 + e
                     assert got.tobytes() == want.tobytes(), (metric.name, k)
             rule = [e for row in metric.g_rule(Jet.seeds(x, 1)) for e in row]
@@ -146,12 +149,15 @@ def test_geodesic_field_jets_solve_the_geodesic_equation():
     for ut in (UnitTangentChart(m()) for m in METRICS):
         rng = np.random.default_rng(1)
         states = np.column_stack([rng.uniform(-1.5, 1.5, (10, 2)), rng.uniform(0, 2 * math.pi, 10)])
-        def coeffs(j):  # order 0 is values: one coefficient each
-            return j.c if isinstance(j, Jet) else np.asarray(j)[..., None]
+        def coeffs(j, order):  # order 0 is values: one coefficient each; a
+            # number above order 0 (alpha's dpsi component) is its constant jet
+            if isinstance(j, Jet):
+                return j.c
+            return Jet(3, order, {(0, 0, 0): j}).c if order else np.asarray(j)[..., None]
 
         for field, order in ((ut.V1, 0), (ut.V1, 1), (ut.alpha, 0), (ut.alpha, 1)):
-            rows = np.array([[coeffs(j) for j in field.taylor(q, order)] for q in states])
-            batch = np.array([np.broadcast_to(coeffs(j), rows[:, 0].shape)
+            rows = np.array([[coeffs(j, order) for j in field.taylor(q, order)] for q in states])
+            batch = np.array([np.broadcast_to(coeffs(j, order), rows[:, 0].shape)
                               for j in field.taylor(states.T, order)])
             assert np.array_equal(batch.transpose(1, 0, 2), rows), (ut.metric.name, order)
         for q in states:
