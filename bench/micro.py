@@ -27,9 +27,10 @@ constructions), and ``generator_x_3_lanes_order0_jets`` and
 ``flag_ranks_prolonged_point_order0_jets`` the jets of order 0 among those
 built by that call and by one ``flag_ranks`` point of the standard
 prolongation (a flags-workload point).  For one call after the first (a
-call under the plan the first recorded) and for one round of the
-``deformation`` workload at seed 1 (``perfbench/workloads.py``'s
-``run_round``, which builds its own fields), ``*_kernel_products`` counts
+call under the plan the first recorded) and for one deformation round at
+seed 1 (the ``realize`` and ``gray`` suites at the samples, tolerances and
+config the benchmark's ``deformation`` workload runs them with, each
+building its own fields), ``*_kernel_products`` counts
 the calls of the jet product kernel ``jets._product``, ``*_jet_allocations``
 the ``jets._jet`` calls and ``*_number_outputs`` the field outputs above
 order 0 that are numbers, not jets (of ``_FieldBase._evaluate``).
@@ -95,8 +96,7 @@ import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
@@ -111,7 +111,6 @@ from engellab.normal_form import normalize_pair  # noqa: E402
 from engellab.prolongation import (contactify, development_angle, prolong,  # noqa: E402
                                    slice_transport)
 from engellab.zoll import SphereAtlas, central_projection_check, first_return  # noqa: E402
-import workloads  # noqa: E402
 
 SIZES = ((4, 3), (3, 4))
 LOW_ORDERS = ((3, 0), (3, 1))
@@ -387,6 +386,12 @@ def l0_items(items):
         items[f"mul_n{n}_o{order}_batch{rows}"] = per_call_us(lambda: a * b)
 
 
+def deformation_round(seed):
+    """The suites of one ``deformation`` workload round, as it runs them."""
+    cli.run("realize", {"h": REALIZE_H, "support": list(REALIZE_SUPPORT)}, seed, 200, 1e-6)
+    cli.run("gray", {}, seed, 20, 1e-6)
+
+
 def realize_generator():
     domain = prolong(cli._base_contact({})[0])
     h = scalar_field_from_expr(domain.chart, REALIZE_H, name="h")
@@ -405,7 +410,7 @@ def l1_items(items, counts):
     counts[f"generator_x_{LANES}_lanes_jets_built"] = jets_built(lambda: gen.X(stack))
     counts[f"generator_x_{LANES}_lanes_order0_jets"] = jets_built(lambda: gen.X(stack), 0)
     layer_counts(counts, f"generator_x_{LANES}_lanes_planned", lambda: gen.X(stack))
-    layer_counts(counts, "deformation_round", lambda: workloads.run_round("deformation", 1))
+    layer_counts(counts, "deformation_round", lambda: deformation_round(1))
     items[f"generator_x_{LANES}_lanes"] = per_call_us(lambda: gen.X(stack))
 
 

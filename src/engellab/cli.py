@@ -213,8 +213,7 @@ def _normal_pair_of(f_jet):
     one = Jet.constant(1.0, 3, order)
     zero = Jet(3, order)
     y = Jet.variable(1, 3, order)
-    return LegendrianPairJet([zero.copy(), one.copy(), zero.copy()],
-                             [one.copy(), f_jet.copy(), y], order)
+    return LegendrianPairJet([zero, one, zero], [one, f_jet, y], order)
 
 
 def _suite_normal_form(cfg, rng, samples, tol, report, seed):

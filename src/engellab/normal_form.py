@@ -96,10 +96,13 @@ def _linear_pushforward(A, field):
     return [jet_dot(comp, [float(a) for a in row]) for row in A]
 
 
-def straighten(Y_jet):
-    """Flow-box coordinates for a nonvanishing field jet (a number component
-    read as its constant jet): returns a change with
-    ``pushforward(change, scale * Y) = d/dy`` exactly at jet level.
+def straighten(Y_jet, order=None):
+    """Flow-box coordinates for a nonvanishing field jet: returns a change
+    with ``pushforward(change, scale * Y) = d/dy`` exactly at jet level.
+
+    The field is read at ``order`` and at the orders of its jets, whichever
+    is least; a number component is read as its constant jet, so a field
+    whose components are all numbers needs ``order``.
 
     After aligning Y(0) with d/dy by a linear change and scaling the
     y-component to 1, the x- and z-target coordinates are corrected by a
@@ -107,9 +110,9 @@ def straighten(Y_jet):
     (one antiderivative in y per pass, so the change carries one order more
     than the input).
     """
-    orders = [j.order for j in Y_jet if isinstance(j, Jet)]
+    orders = [j.order for j in Y_jet if isinstance(j, Jet)] + ([] if order is None else [order])
     if not orders:
-        raise EngelLabError("straighten needs a jet among the components to take its order")
+        raise EngelLabError("straighten needs an order when every component is a number")
     order = min(orders)
     Y_jet = _as_jets(Y_jet, order)
     v0 = np.array([j.value for j in Y_jet])
@@ -194,7 +197,7 @@ def normalize_pair(pair):
     st = straighten(pair.Y_jet)
     total = st.change
     Y_scale = st.scale
-    X = jet_pushforward(st.change, [j.copy() for j in pair.X_jet])
+    X = jet_pushforward(st.change, pair.X_jet)
     steps = [{"step": "straighten", "scale0": st.scale.value}]
 
     def apply_linear(A, label):

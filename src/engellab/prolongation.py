@@ -253,9 +253,6 @@ def _eliminate_rows(gens, axis, which, q):
     if len(bad):
         raise GeometryError("D^2 is tangent to the slice (intersection rank != 2)",
                             point=q[:, bad[0]])
-    if (piv == piv[0]).all():
-        k = int(piv[0])
-        return _eliminate(gens[which + (which >= k)], gens[k], axis)
     groups = [(k, np.flatnonzero(piv == k)) for k in range(3) if (piv == k).any()]
     parts = [_eliminate(*([_rows_of(e, at) for e in gens[i]] for i in (which + (which >= k), k)),
                         axis) for k, at in groups]

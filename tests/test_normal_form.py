@@ -79,6 +79,23 @@ def test_straighten_scaled_field():
     assert pushed[1].max_coeff_diff(Jet.constant(1.0, 3, 3)) < 1e-13
 
 
+def test_straighten_constant_field_at_an_order():
+    # d/dy is its own flow box; its components are all numbers, so the
+    # order to read them at is given
+    Y = field_jets(["0", "1", "0"])
+    assert not any(isinstance(j, Jet) for j in Y)
+    with pytest.raises(EngelLabError, match="needs an order"):
+        straighten(Y)
+    st = straighten(Y, order=4)
+    ident = jet_identity(3, 5)
+    for got, want in zip(st.change, ident):
+        assert got.order == 5 and got.max_coeff_diff(want) == 0.0
+    assert st.scale.max_coeff_diff(Jet.constant(1.0, 3, 5)) == 0.0
+    pushed = jet_pushforward(st.change, [st.scale * Jet.constant(v, 3, 4) for v in Y])
+    for g, w in zip(pushed, [Jet(3, 4), Jet.constant(1.0, 3, 4), Jet(3, 4)]):
+        assert g.max_coeff_diff(w) == 0.0
+
+
 def test_straighten_vanishing_field_raises():
     Y = field_jets(["x", "y", "z"])
     with pytest.raises(GeometryError):
