@@ -1,4 +1,4 @@
-"""Charts, points, and derivative-propagating vector fields / one-forms.
+"""Charts and derivative-propagating vector fields / one-forms.
 
 A field is defined either by a component rule (a callable evaluated with
 generic arithmetic, so it works on floats and on :class:`~engellab.jets.Jet`
@@ -44,16 +44,13 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartMismatchError, DerivativeOrderError, EngelLabError
+from .errors import ChartMismatchError, EngelLabError
 from .jets import (Jet, derivative, gradient, jet_bracket, jet_d_matrix, jet_dot,
                    jet_two_form, reciprocal, truncate)
-
-INF_ORDER = math.inf
 
 # (highest order evaluated, its jets) by (field, coordinate shape and bytes)
 # of the open evaluation scope, and its plan by the key None; the key holds
@@ -128,39 +125,10 @@ class Chart:
     def dim(self):
         return len(self.coords)
 
-    def point(self, coords):
-        return Point(self, np.asarray(coords, dtype=float))
-
-
-class Point:
-    """A point in a chart: identifier plus finite coordinates."""
-
-    __slots__ = ("chart", "coords")
-
-    def __init__(self, chart, coords):
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (chart.dim,):
-            raise EngelLabError(
-                f"point has {coords.shape} coordinates, chart {chart.name!r} has dimension {chart.dim}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise EngelLabError("point coordinates must be finite")
-        self.chart = chart
-        self.coords = coords
-
-    def __repr__(self):
-        return f"Point({self.chart.name}, {np.array2string(self.coords, precision=6)})"
-
 
 def _coords_of(point, chart):
-    if isinstance(point, Point):
-        if chart is not None and point.chart is not chart and point.chart.name != chart.name:
-            raise ChartMismatchError(
-                f"point lives on chart {point.chart.name!r}, object on {chart.name!r}"
-            )
-        return point.coords
     coords = np.asarray(point, dtype=float)
-    if chart is not None and (coords.ndim not in (1, 2) or len(coords) != len(chart.coords)):
+    if coords.ndim not in (1, 2) or len(coords) != len(chart.coords):
         raise EngelLabError(f"coordinates of shape {coords.shape} on chart {chart.name!r}: "
                             f"need ({chart.dim},) for a point or ({chart.dim}, N) for a batch")
     return coords
@@ -171,13 +139,12 @@ class _FieldBase:
 
     n_components = None  # None: same as chart dimension; 1 for scalars
 
-    def __init__(self, chart, components=None, taylor_fn=None, max_order=INF_ORDER, name=""):
+    def __init__(self, chart, components=None, taylor_fn=None, name=""):
         if components is None and taylor_fn is None:
             raise EngelLabError("need a component rule or a taylor_fn")
         self.chart = chart
         self.components = components
         self.taylor_fn = taylor_fn
-        self.max_order = max_order
         self.name = name
         self._plans = {}  # order -> plan of the outermost calls at that order
 
@@ -199,10 +166,6 @@ class _FieldBase:
         scope of its plan for ``order`` (the first such call records it),
         closed on the way out; its own jets are not kept, since no other call
         asks for them."""
-        if order > self.max_order:
-            raise DerivativeOrderError(
-                f"field {self.name or type(self).__name__!r} only evaluable to order {self.max_order}, got {order}"
-            )
         memo = _MEMO.get()
         if memo is not None:
             key = (self, coords.shape, coords.tobytes())
@@ -279,10 +242,10 @@ class _FieldBase:
 
     def _combine(self, rule, *others, name=""):
         """A field of this type whose component jets are ``rule`` applied to
-        the taylor jets of ``self`` and ``others``, evaluable to the smallest
-        order any operand allows.  It is built as a ``_FieldBase`` on this
-        chart, so a subclass whose constructor takes a rule of its own (a
-        surface metric, a contact-form path) combines too."""
+        the taylor jets of ``self`` and ``others``.  It is built as a
+        ``_FieldBase`` on this chart, so a subclass whose constructor takes a
+        rule of its own (a surface metric, a contact-form path) combines
+        too."""
         operands = (self,) + others
         for other in others:
             _same_chart(self, other)
@@ -291,8 +254,7 @@ class _FieldBase:
             return rule(*[f.taylor(coords, order) for f in operands])
 
         out = object.__new__(type(self))
-        _FieldBase.__init__(out, self.chart, taylor_fn=tfn,
-                            max_order=min(f.max_order for f in operands), name=name)
+        _FieldBase.__init__(out, self.chart, taylor_fn=tfn, name=name)
         return out
 
     def __add__(self, other):
@@ -387,18 +349,15 @@ def coordinate_field(chart, i, name=None):
 def lie_bracket(X, Y):
     """The vector field ``[X, Y] = DY.X - DX.Y``.
 
-    Evaluable to one order less than its arguments; bilinear and antisymmetric.
+    At order k it evaluates its arguments at order k + 1; bilinear and
+    antisymmetric.
     """
     _same_chart(X, Y)
-    cap = min(X.max_order, Y.max_order) - 1
-    if cap < 0:
-        raise DerivativeOrderError("bracket arguments must be evaluable to order >= 1")
 
     def tfn(coords, order):
         return jet_bracket(X.taylor(coords, order + 1), Y.taylor(coords, order + 1))
 
-    return VectorField(X.chart, taylor_fn=tfn, max_order=cap,
-                       name=f"[{X.name},{Y.name}]")
+    return VectorField(X.chart, taylor_fn=tfn, name=f"[{X.name},{Y.name}]")
 
 
 def lie_derivative_scalar(X, f):
@@ -411,5 +370,4 @@ def lie_derivative_scalar(X, f):
         fj = f.jet(coords, order + 1)
         return [jet_dot([derivative(fj, j) for j in range(n)], xj)]
 
-    return ScalarField(X.chart, taylor_fn=tfn,
-                       max_order=min(X.max_order, f.max_order - 1))
+    return ScalarField(X.chart, taylor_fn=tfn)

@@ -19,15 +19,15 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .calculus import (Chart, ScalarField, VectorField, _column, _coords_of, _FieldBase, _rows,
-                       lie_bracket, lie_derivative_scalar, over_points)
+from .calculus import (Chart, ScalarField, VectorField, _column, _FieldBase, _rows, lie_bracket,
+                       lie_derivative_scalar, over_points)
 from .distributions import (DistributionFrame, line_angle, plane_principal_angle, reeb_field,
                             reeb_jets)
 from .errors import EngelLabError, GeometryError
 from .flow import flow, integrate_nonautonomous
 from .jets import (Jet, _jet, derivative, exp, gradient, jet_cross, jet_d_matrix, jet_dot,
                    jet_two_form, reciprocal, restrict, truncate, value)
-from .prolongation import Slice, lift
+from .prolongation import lift
 from .reporting import worst_of
 
 # window margin below which exp(-1/s) is treated as exactly zero
@@ -84,21 +84,17 @@ class ContactIsotopyGenerator:
         chart4 = domain.chart
         base = domain.base
 
-        window = bump_window(chart4, lo, hi)
-        self.h = h * window if h is not None else None
+        self.h = h * bump_window(chart4, lo, hi)
 
         inv_c = _normalizer_inverse(base)
         alpha_hat3 = base.alpha * inv_c
         self.alpha_hat = lift(chart4, alpha_hat3, name="alpha_hat")
         self.Z = lift(chart4, reeb_field(alpha_hat3), name="Z")
 
-        if self.h is None:
-            self.X = VectorField(chart4, components=lambda xs: [0.0] * 4, name="X")
-        else:
-            dhV = lie_derivative_scalar(domain.V, self.h)
-            dhU = lie_derivative_scalar(domain.U, self.h)
-            self.X = self.h * self.Z + (-dhU) * domain.V + dhV * domain.U
-            self.X.name = "X"
+        dhV = lie_derivative_scalar(domain.V, self.h)
+        dhU = lie_derivative_scalar(domain.U, self.h)
+        self.X = self.h * self.Z + (-dhU) * domain.V + dhV * domain.U
+        self.X.name = "X"
 
     def automorphism_residual(self, q):
         """|L_X alpha mod alpha| relative residual on the contact planes:
@@ -119,8 +115,7 @@ class ContactIsotopyGenerator:
 def _pair_scalar(alpha, X):
     def tfn(coords, order):
         return [alpha.pair(X, coords, order)]
-    return ScalarField(alpha.chart, taylor_fn=tfn,
-                       max_order=min(alpha.max_order, X.max_order))
+    return ScalarField(alpha.chart, taylor_fn=tfn)
 
 
 def _normalizer_inverse(base):
@@ -133,8 +128,7 @@ def _normalizer_inverse(base):
             raise GeometryError("d alpha degenerates on the contact planes", point=coords)
         return [reciprocal(c)]
 
-    return ScalarField(base.chart, taylor_fn=tfn, max_order=base.alpha.max_order - 1,
-                       name="1/dalpha(V0,V1)")
+    return ScalarField(base.chart, taylor_fn=tfn, name="1/dalpha(V0,V1)")
 
 
 class DeformedEngel:
@@ -156,15 +150,8 @@ class DeformedEngel:
         self.f = self._coefficient_field(False, "f")
         self.spin_samples = []  # g at the points realize_isotopy validated
 
-    @property
-    def char_field(self):
-        return self.W
-
     def frame(self):
         return DistributionFrame([self.W, self.V])
-
-    def theta_slice(self, value):
-        return Slice(self.chart, 3, float(value))
 
     def _coefficient_field(self, pick_second, name):
         """Coefficient of [X, V] = f V + g U via the normalized d alpha:
@@ -179,8 +166,7 @@ class DeformedEngel:
                 return [a.d_apply(V, B, coords, order)]
             return [a.d_apply(B, U, coords, order)]
 
-        return ScalarField(self.chart, taylor_fn=tfn,
-                           max_order=min(a.max_order - 1, B.max_order), name=name)
+        return ScalarField(self.chart, taylor_fn=tfn, name=name)
 
     def _spin_field(self):
         return self._coefficient_field(True, "g")
@@ -218,7 +204,7 @@ def bottom_to_top(deformed, m, tol=1e-9):
     ``(N, 3)`` base points flow from the bottom slice as one stack of lanes,
     and one base point as a stack of one.
     """
-    m = _coords_of(m, None)
+    m = np.asarray(m, dtype=float)
     rows = np.atleast_2d(m)
     q0 = np.column_stack([rows, np.zeros(len(rows))])
     top = flow(deformed.W, q0, deformed.theta_max, tol=tol).endpoint[:, :3]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import OneForm, Point, VectorField, _column, _rows, evaluation_scope, over_points
+from .calculus import OneForm, VectorField, _column, _rows, evaluation_scope, over_points
 from .errors import EngelLabError, GeometryError
 from .jets import jet_bracket, jet_cross, jet_dot, reciprocal, value
 
@@ -71,7 +71,6 @@ class FlagReport:
 class LineDirection:
     """An oriented line in a tangent space."""
 
-    base: object
     direction: np.ndarray
 
     def __post_init__(self):
@@ -166,8 +165,6 @@ def is_contact(frame_or_form, p, tol=DEFAULT_RANK_TOL):
         scale = np.linalg.norm(a) * max(np.max(np.abs(M)), 1e-300)
         return abs(vol) > tol * max(scale, 1e-300)
     frame = frame_or_form
-    if not isinstance(frame, DistributionFrame):
-        frame = DistributionFrame(list(frame_or_form))
     if frame.dim != 3 or frame.rank != 2:
         raise EngelLabError("contact frame test needs 2 fields on a 3-dimensional chart")
     if np.ndim(p) == 2:
@@ -227,8 +224,7 @@ def _lines(frame, points, coords, tol):
         v = c2 * x0[k] - c1 * y0[k]
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
-        base = q if isinstance(q, Point) else frame.chart.point(q)
-        out.append(LineDirection(base=base, direction=v))
+        out.append(LineDirection(direction=v))
     return out
 
 
@@ -251,7 +247,7 @@ def reeb_field(alpha):
     form is evaluated once, for ``d alpha``, and sliced for the pairing."""
     if alpha.chart.dim != 3:
         raise EngelLabError("Reeb field construction needs a 3-dimensional chart")
-    return VectorField(alpha.chart, max_order=alpha.max_order - 1, name=f"Reeb({alpha.name})",
+    return VectorField(alpha.chart, name=f"Reeb({alpha.name})",
                        taylor_fn=lambda coords, order: reeb_jets(
                            alpha.d_matrix(coords, order), alpha.taylor(coords, order), coords))
 
@@ -261,7 +257,7 @@ def annihilator_form(v0, v1, name=""):
     realized as the coordinate cross product of their component vectors."""
     if v0.chart.dim != 3:
         raise EngelLabError("annihilator construction needs a 3-dimensional chart")
-    return OneForm(v0.chart, max_order=min(v0.max_order, v1.max_order), name=name,
+    return OneForm(v0.chart, name=name,
                    taylor_fn=lambda coords, order: jet_cross(v0.taylor(coords, order),
                                                              v1.taylor(coords, order)))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import Point, _coords_of, over_points
+from .calculus import _coords_of, over_points
 from .errors import IntegrationError
 from .jets import gradient, value
 
@@ -29,7 +29,7 @@ DEFAULT_TOL = 1e-9
 
 @dataclass
 class FlowResult:
-    endpoint: Point  # or the end states of a stack of lanes
+    endpoint: np.ndarray  # (dim,) at a point, (N, dim) for a stack of lanes
     time: float
     step_count: int
     est_error: float
@@ -164,7 +164,7 @@ def flow(X, p, t, tol=DEFAULT_TOL):
     # lanes are rows, which the field checks as its (dim, N) batches
     y0 = np.asarray(p, dtype=float) if np.ndim(p) == 2 else _coords_of(p, X.chart)
     y, err, steps = integrate(_field_rhs(X), y0, 0.0, t, tol=tol)
-    return FlowResult(Point(X.chart, y) if y.ndim == 1 else y, t, steps, err)
+    return FlowResult(y, t, steps, err)
 
 
 def _augmented_rhs(X, n, k):
@@ -281,7 +281,7 @@ def flow_to_section(X, p, section, tol=DEFAULT_TOL, max_time=50.0, min_time=1e-6
     if not crossing:
         raise IntegrationError("no section crossing within the time budget")
     yc = crossing["y"]
-    res = FlowResult(Point(chart, yc[:n]), crossing["t"], steps, err)
+    res = FlowResult(yc[:n], crossing["t"], steps, err)
     if k:
         res.transport = yc[n:].reshape(n, k)
     return res

@@ -297,7 +297,7 @@ def pair_from_ode(f):
     def tfn(coords, order):
         return [1.0, Jet.variable(2, 3, order, base=coords[2]), f.taylor(coords, order)[0]]
 
-    return V0, VectorField(ODE_CHART, taylor_fn=tfn, max_order=f.max_order, name="ode.V1")
+    return V0, VectorField(ODE_CHART, taylor_fn=tfn, name="ode.V1")
 
 
 def prolong_point_map(phi_jets):

@@ -88,16 +88,12 @@ class Slice:
     ambient_chart: Chart
     axis: int
     value: float
-    name: str = ""
 
     @property
     def slice_chart(self):
         coords = tuple(c for i, c in enumerate(self.ambient_chart.coords) if i != self.axis)
-        label = self.name or f"{self.ambient_chart.name}|{self.ambient_chart.coords[self.axis]}={self.value:g}"
+        label = f"{self.ambient_chart.name}|{self.ambient_chart.coords[self.axis]}={self.value:g}"
         return Chart(label, coords)
-
-    def constraint(self, y):
-        return float(y[self.axis] - self.value)
 
     def embed_coords(self, m):
         """Ambient coordinates of a slice point, or of each column of ``(dim, N)``."""
@@ -120,8 +116,7 @@ def lift(chart4, field3, name=""):
     def tfn(coords, order):
         return [embed(j, 4, [0, 1, 2]) for j in field3.taylor(coords[:3], order)] + [0.0]
 
-    return type(field3)(chart4, taylor_fn=tfn, max_order=field3.max_order,
-                        name=name or f"lift({field3.name})")
+    return type(field3)(chart4, taylor_fn=tfn, name=name or f"lift({field3.name})")
 
 
 class EngelDomain:
@@ -151,8 +146,7 @@ class EngelDomain:
             c, s = cos(th), sin(th)
             return [c * a + s * b for a, b in zip(v0, v1)] + [0.0]
 
-        return VectorField(self.chart, taylor_fn=tfn,
-                           max_order=min(base.v0.max_order, base.v1.max_order), name=name)
+        return VectorField(self.chart, taylor_fn=tfn, name=name)
 
     @property
     def char_field(self):
@@ -222,9 +216,8 @@ def contactify(frame, slc):
 
         return tfn
 
-    cap = min(X.max_order, Y.max_order) - 1
-    u1 = VectorField(chart3, taylor_fn=make_tfn(0), max_order=cap, name="TS^D2[0]")
-    u2 = VectorField(chart3, taylor_fn=make_tfn(1), max_order=cap, name="TS^D2[1]")
+    u1 = VectorField(chart3, taylor_fn=make_tfn(0), name="TS^D2[0]")
+    u2 = VectorField(chart3, taylor_fn=make_tfn(1), name="TS^D2[1]")
     return ParallelizedContact(chart3, u1, u2)
 
 
@@ -320,13 +313,13 @@ def development(domain, q, tol=DEFAULT_TOL):
         res = flow_to_section(field, qc, lambda y: float(y[3]), tol=tol,
                               min_time=0.0, max_time=1.5 * abs(theta) / speed + 1e-3,
                               vectors=np.array([v]).T)
-        foot4, T = res.endpoint.coords, res.transport
+        foot4, T = res.endpoint, res.transport
     direction = T[:3, 0]
     foot = foot4[:3]
     a = domain.base.alpha(foot)
     scale = np.linalg.norm(a) * np.linalg.norm(direction)
     residual = abs(a @ direction) / max(scale, 1e-300)
-    line = LineDirection(base=domain.base.chart.point(foot), direction=direction)
+    line = LineDirection(direction=direction)
     return DevelopmentResult(line=line, foot=foot, contact_residual=residual)
 
 
@@ -396,7 +389,7 @@ def slice_transport(domain, slice_a, slice_b, m, tol=DEFAULT_TOL, min_time=1e-6)
     res = flow_to_section(W, q0, lambda y: float(y[slice_b.axis] - target),
                           tol=tol, min_time=min_time, max_time=budget,
                           vectors=basis)
-    y = res.endpoint.coords
+    y = res.endpoint
     Wy = W(y)
     T = res.transport.copy()
     for k in range(T.shape[1]):

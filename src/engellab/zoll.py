@@ -353,9 +353,6 @@ class SingleChartSpace:
     def needs_transition(self, state, chart):
         return False
 
-    def transition(self, state, chart):
-        raise GeometryError("single-chart space has no transitions")
-
     def escaped(self, state, chart):
         return self.bound is not None and np.hypot(state[0], state[1]) > self.bound
 

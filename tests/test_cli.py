@@ -257,7 +257,7 @@ def test_sheared_engel_frame_reads_its_characteristic_line(capsys, tmp_path):
 
 def test_nan_direction_is_a_nan_angle_and_fails(capsys, tmp_path):
     # min(1.0, nan) is 1.0, so the arccos angle read a NaN direction as 0.0
-    ld = LineDirection(base=None, direction=np.array([0.0, 0.0, 0.0, 1.0]))
+    ld = LineDirection(direction=np.array([0.0, 0.0, 0.0, 1.0]))
     assert math.isnan(ld.angle_to([math.nan, 0.0, 0.0, 1.0]))
     p = tmp_path / "nan_direction.json"
     p.write_text('{"char_direction": [NaN, 0, 0, 1]}')

@@ -116,7 +116,7 @@ def test_frame_unperturbed_outside_support():
 
 def test_trivial_generator_is_identity():
     dom = prolong(standard_contact())
-    gen = ContactIsotopyGenerator(dom, None, SUPPORT)
+    gen = ContactIsotopyGenerator(dom, scalar_field_from_expr(dom.chart, "0"), SUPPORT)
     deformed = realize_isotopy(dom, gen)
     m = [0.3, -0.2, 0.4]
     assert np.allclose(bottom_to_top(deformed, m, tol=1e-11), m, atol=1e-12)

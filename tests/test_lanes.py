@@ -10,7 +10,7 @@ import pytest
 from engellab.calculus import Chart
 from engellab.errors import GeometryError, IntegrationError
 from engellab.expressions import vector_field_from_exprs
-from engellab.flow import flow, integrate, integrate_nonautonomous
+from engellab.flow import flow, flow_to_section, integrate, integrate_nonautonomous
 
 
 def stackable(one, calls=None):
@@ -133,7 +133,12 @@ def test_flow_of_a_stack_equals_flows_of_its_points():
     pts = np.array([[1.0, 0.0], [0.2, -0.4], [0.0, 0.05]])
     res = flow(R, pts, 2.0, tol=1e-10)
     alone = [flow(R, p, 2.0, tol=1e-10) for p in pts]
-    assert bits(res.endpoint) == bits([r.endpoint.coords for r in alone])
+    # a single point's endpoint is a (dim,) float array, as a stack's rows are
+    crossing = flow_to_section(R, pts[0], lambda y: float(y[1]), min_time=0.1)
+    for r in alone + [crossing]:
+        assert isinstance(r.endpoint, np.ndarray)
+        assert r.endpoint.shape == (2,) and r.endpoint.dtype == np.float64
+    assert bits(res.endpoint) == bits([r.endpoint for r in alone])
     assert bits(res.est_error) == bits([r.est_error for r in alone])
     assert res.step_count == sum(r.step_count for r in alone)
 

@@ -226,7 +226,7 @@ def test_slice_transversality_check(monkeypatch):
         check_slice_transverse(dom, Slice(dom.chart, 0, 0.0), [0.0, 0.2, 0.3, 0.1])
     # a NaN characteristic direction is a NaN angle, which fails the check
     monkeypatch.setattr(prolongation, "characteristic_line", lambda frame, q: LineDirection(
-        base=q, direction=np.array([0.0, 0.0, 0.0, math.nan])))
+        direction=np.array([0.0, 0.0, 0.0, math.nan])))
     with pytest.raises(GeometryError):
         check_slice_transverse(dom, slc, [0.1, 0.2, 0.3])
 
