@@ -67,11 +67,15 @@ and of the arc, the geodesic-field evaluations of the return, the
 evaluations of the variational right-hand side (state plus transported
 vectors, event location included) of the transport and the development, the
 calls of the jet product kernel ``jets._product`` in one ``normalize_pair``
-and one ``verify``, the field evaluations (``_FieldBase._evaluate`` and
-``_values`` calls) per point of the induced ``plane_basis`` at one point and in the 60-point
-batch, the calls of the contact-form path's rule (the ``gray`` suite's
-default path) in one Moser right-hand side, at t = 0.15 and state (M, 0)
-with L = d/dy, and in one ``gray`` run at the suite's defaults, and the jets
+and one ``verify``, with the term pairs that those calls multiply and the
+monomial tables (``jet_composer`` calls) that they set up, by the kind that
+the inner map's coefficients allow (``full``, ``origin``: constant terms
+zero and every coefficient finite, ``linear``: that and nothing above degree
+1; see :func:`composer_tables`), the field evaluations
+(``_FieldBase._evaluate`` and ``_values`` calls) per point of the induced
+``plane_basis`` at one point and in the 60-point batch, the calls of the
+contact-form path's rule (the ``gray`` suite's default path) in one Moser
+right-hand side, at t = 0.15 and state (M, 0) with L = d/dy, and in one ``gray`` run at the suite's defaults, and the jets
 built (``jets._jet`` calls) by one single-lane right-hand side of V1 at the
 fixed state and by one variational right-hand side of d/dtheta (the
 characteristic field of the standard prolongation, with three transported
@@ -89,6 +93,7 @@ into another checkout measures that checkout.
 
 import cProfile
 import json
+import math
 import platform
 import random
 import statistics
@@ -208,6 +213,72 @@ def kernel_products(fn):
     finally:
         jets._product = orig
     return count[0]
+
+
+def product_terms(fn):
+    """Term pairs that the jet product kernel ``jets._product`` multiplies
+    in ``fn()``: the pairs of each call's table times the rows of its
+    operands."""
+    orig, count = jets._product, [0]
+
+    def counting(a, b, table):
+        count[0] += len(table[0]) * math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+        return orig(a, b, table)
+
+    jets._product = counting
+    try:
+        fn()
+    finally:
+        jets._product = orig
+    return count[0]
+
+
+def composer_tables(fn):
+    """Monomial tables that ``fn()`` sets up (``jet_composer`` calls,
+    wherever an engellab module binds it), by the kind that the
+    coefficients of the inner map allow: ``linear`` when every constant term
+    is 0.0 or -0.0, every coefficient finite and nothing above degree 1
+    nonzero, ``origin`` for the first two alone, and ``full`` otherwise.
+    The kinds are read off the coefficients, so a checkout that builds every
+    table in full counts them alike."""
+    orig, kinds = jets.jet_composer, dict.fromkeys(("full", "origin", "linear"), 0)
+    bound = [m for m in sys.modules.values()
+             if getattr(m, "__name__", "").startswith("engellab")
+             and getattr(m, "jet_composer", None) is orig]
+
+    def counting(inner, order=jets.MAX_ORDER):
+        maps = inner if isinstance(inner, (list, tuple)) else [inner]
+        n = maps[0].n
+        width = len(multi_indices(n, min([order] + [g.order for g in maps])))
+        c = np.stack(np.broadcast_arrays(*[g.c[..., :width] for g in maps]))
+        if np.any(c[..., 0] != 0.0) or not np.isfinite(c).all():
+            kinds["full"] += 1
+        else:
+            kinds["origin" if np.any(c[..., n + 1:] != 0.0) else "linear"] += 1
+        return orig(inner, order)
+
+    for module in bound:
+        module.jet_composer = counting
+    try:
+        fn()
+    finally:
+        for module in bound:
+            module.jet_composer = orig
+    return kinds
+
+
+def normal_form_counts(pair):
+    """The kernel products, the product terms and the composer tables by
+    kind of one ``normalize_pair`` of ``pair`` and of one ``verify`` of its
+    result."""
+    res = normalize_pair(pair)
+    counts = {}
+    for name, fn in (("normalize_pair_o4", lambda: normalize_pair(pair)),
+                     ("verify_o4", lambda: res.verify(pair))):
+        counts[f"{name}_kernel_products"] = kernel_products(fn)
+        counts[f"{name}_product_terms"] = product_terms(fn)
+        counts[f"{name}_composer_tables"] = composer_tables(fn)
+    return counts
 
 
 def jets_built(fn, order=None):
@@ -449,8 +520,7 @@ def l2_items(items, counts):
     res = normalize_pair(pair)
     items["normalize_pair_o4"] = per_call_us(lambda: normalize_pair(pair))
     items["verify_o4"] = per_call_us(lambda: res.verify(pair))
-    counts["normalize_pair_o4_kernel_products"] = kernel_products(lambda: normalize_pair(pair))
-    counts["verify_o4_kernel_products"] = kernel_products(lambda: res.verify(pair))
+    counts.update(normal_form_counts(pair))
 
 
 class CountingAtlas(SphereAtlas):

@@ -183,8 +183,12 @@ def _suite_contactify(cfg, rng, samples, tol, report, seed):
 
 
 def _random_jet(rng, order, const=0.0, amp=0.3):
-    return Jet(3, order, {k: rng.uniform(-amp, amp) / (1.0 + sum(k)) ** 2 if sum(k) else const
-                          for k in multi_indices(3, order)})
+    """A jet in 3 variables with constant term ``const``; each other term is
+    one uniform draw from [-amp, amp), in graded order, over (1 + degree)^2."""
+    degrees = np.array([sum(k) for k in multi_indices(3, order)[1:]])
+    j = Jet(3, order, {(0, 0, 0): const})
+    j.c[1:] = rng.uniform(-amp, amp, len(degrees)) / (1.0 + degrees) ** 2
+    return j
 
 
 def _random_pair(rng, order=4):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .calculus import OneForm, VectorField, _column, _rows, evaluation_scope, over_points
 from .errors import EngelLabError, GeometryError
-from .jets import jet_bracket, jet_cross, jet_dot, reciprocal, value
+from .jets import jet_bracket, jet_cross, jet_d_matrix, jet_dot, reciprocal, value
 
 DEFAULT_RANK_TOL = 1e-7
 
@@ -159,8 +159,9 @@ def is_contact(frame_or_form, p, tol=DEFAULT_RANK_TOL):
         alpha = frame_or_form
         if alpha.chart.dim != 3:
             raise EngelLabError("contact form test needs a 3-dimensional chart")
-        a = alpha(p)
-        M = alpha.d_matrix(p)
+        jets = alpha.taylor(p, 1)  # the values and d alpha from one evaluation
+        a = np.array([value(j) for j in jets])
+        M = jet_d_matrix(jets)
         vol = a[0] * M[1][2] - a[1] * M[0][2] + a[2] * M[0][1]
         scale = np.linalg.norm(a) * max(np.max(np.abs(M)), 1e-300)
         return abs(vol) > tol * max(scale, 1e-300)

@@ -217,11 +217,20 @@ def _illinois(trial, lo, s_lo, hi, s_hi, x, tol, max_iter):
     return best[1], best[2]
 
 
+# the rounding of a section that is a difference of unit-scale values, a few
+# ulps of 1 (the sphere's first-return section differences unit vectors)
+_SECTION_ROUNDING = 2.0 ** -50  # 4 eps
+
+
 def _locate_crossing(rhs, section, t0, y0, y1, h, k0, k1, s0, s1, tol, n=None):
     """``(tau, y)`` at the zero of ``section`` (of the first ``n`` entries;
     ``s0``, ``s1`` of opposite signs) on the step ``(t0, y0, k0)`` -> ``(t0 +
     h, y1, k1)``: the root on the step's cubic Hermite interpolant is the
-    first trial, then Illinois on fresh steps until ``|section| < tol``."""
+    first trial, then Illinois on fresh steps until ``|section| < tol``.
+
+    The interpolant's root is sought to ``1e-2 * tol``, but not below
+    :data:`_SECTION_ROUNDING`: a value below the rounding of the section is
+    noise, and the interpolant is far less accurate than that anyway."""
     x0, x1, d0, d1 = y0[:n], y1[:n], h * k0[:n], h * k1[:n]
 
     def on_interpolant(theta):
@@ -231,7 +240,8 @@ def _locate_crossing(rhs, section, t0, y0, y1, h, k0, k1, s0, s1, tol, n=None):
         y = _dopri_step(rhs, t0, y0, tau, k0)[1]
         return section(y[:n]), y
 
-    theta, _ = _illinois(on_interpolant, 0.0, s0, 1.0, s1, None, 1e-2 * tol, 60)
+    theta, _ = _illinois(on_interpolant, 0.0, s0, 1.0, s1, None,
+                         max(1e-2 * tol, _SECTION_ROUNDING), 60)
     return _illinois(fresh_step, 0.0, s0, h, s1, theta * h, tol, 60)
 
 

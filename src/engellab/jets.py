@@ -36,7 +36,15 @@ Composition goes through :func:`jet_composer`: it builds the table of the
 monomials ``inner^k`` once, a degree at a time (each degree one batch product
 of its parent monomials and the matching inner components), and composes
 every outer given to it from that table, so callers that compose several
-outers through one inner map pay for its table once.
+outers through one inner map pay for its table once.  It reads the inner
+map's coefficients once: when every constant term is ±0.0 and every
+coefficient finite (and the table cannot overflow), the terms that this makes
+zero are skipped, in the table's products and in the sums over it, and more
+of them for a linear inner; an outer with nothing above degree 1 needs no
+table above degree 1.  A skipped term is ±0.0, and a sum from 0.0 never holds
+-0.0, so every coefficient is bit for bit the full sum's.  An inner whose
+constants are only near zero, with a coefficient that is not finite, or whose
+table could overflow takes the full tables.
 """
 
 from __future__ import annotations
@@ -152,12 +160,17 @@ class _Graded:
     p-major order, ``R[j]`` the position of their sum, and ``flat(rows)``
     the positions ``R + size * row`` over ``rows`` batch rows, flattened
     (kept for a few row counts, up to :data:`_KEPT_INDEX` entries);
+    ``blocks[order, d, linear]`` is the part of ``products[order]`` that
+    can be nonzero in the degree-``d`` block of a monomial table over an
+    inner map with zero constants and finite terms: the pairs of a term of
+    degree ``d - 1`` or more (exactly ``d - 1`` for a ``linear`` inner) with
+    a term of degree 1 or more (exactly 1), in the same order.
     ``derivatives[order][i]`` gives, for each term of degree below ``order``,
     the position of the term with exponent ``i`` raised, and that exponent.
     """
 
-    __slots__ = ("n", "keys", "pos", "count", "units", "nonconstant", "parents", "firsts",
-                 "products", "derivatives")
+    __slots__ = ("n", "keys", "pos", "count", "degrees", "units", "nonconstant", "parents",
+                 "firsts", "products", "blocks", "derivatives")
 
     def __init__(self, n):
         layers = [_of_degree(n, d) for d in range(MAX_ORDER + 1)]
@@ -166,6 +179,7 @@ class _Graded:
         self.keys = keys
         self.pos = {k: p for p, k in enumerate(keys)}
         self.count = list(accumulate(len(layer) for layer in layers))
+        self.degrees = np.array([sum(k) for k in keys])
         self.units = np.array([self.pos[tuple(int(j == i) for j in range(n))] for i in range(n)])
         self.nonconstant = [np.array([0.0] + [1.0] * (size - 1)) for size in self.count]
         firsts = [next((i for i, e in enumerate(k) if e), 0) for k in keys]
@@ -173,6 +187,7 @@ class _Graded:
         self.parents = np.array([0] + [self.pos[k[:i] + (k[i] - 1,) + k[i + 1:]]
                                        for k, i in zip(keys[1:], firsts[1:])])
         self.products = _Lazy(self._products)
+        self.blocks = _Lazy(self._block)
         self.derivatives = _Lazy(self._derivatives)
 
     def _products(self, order):
@@ -180,10 +195,20 @@ class _Graded:
         pairs = [(p, q) for p in range(count[order]) for q in range(count[order - sum(keys[p])])]
         P, Q = np.array(pairs).T.copy()
         R = np.array([self.pos[tuple(map(add, keys[p], keys[q]))] for p, q in pairs])
-        size = count[order]
+        return self._table(P, Q, R, count[order])
+
+    @staticmethod
+    def _table(P, Q, R, size):
         flat = functools.lru_cache(maxsize=8)(
             lambda rows: (R + size * np.arange(rows)[:, None]).ravel())
         return P, Q, R, size, flat
+
+    def _block(self, key):
+        order, d, linear = key
+        P, Q, R, size, _ = self.products[order]
+        dp, dq = self.degrees[P], self.degrees[Q]
+        keep = (dp == d - 1) & (dq == 1) if linear else (dp >= d - 1) & (dq >= 1)
+        return self._table(P[keep], Q[keep], R[keep], size)
 
     def _derivatives(self, order):
         below = self.keys[:self.count[order - 1]]
@@ -711,19 +736,65 @@ def _compose_index(size, width):
     return np.tile(np.arange(width), size)
 
 
+@functools.cache
+def _compose_pairs(m, n, order, linear, size):
+    """The (monomial, term) pairs of a composition to ``order`` over the
+    first ``size`` monomials in ``m`` variables of an inner map in ``n``
+    variables with zero constants that can be nonzero, monomial-major: a
+    monomial of degree at most the term's (exactly it, for a ``linear``
+    inner), and the constant monomial only at the constant term.  Returns the
+    monomials, the terms and the pairs' positions in the flattened
+    ``(size, width)`` table."""
+    dm, dn = _TABLES[m].degrees[:size], _TABLES[n].degrees[:_TABLES[n].count[order]]
+    p, j = (a.ravel() for a in np.meshgrid(np.arange(size), np.arange(len(dn)), indexing="ij"))
+    keep = dm[p] == dn[j] if linear else (dm[p] <= dn[j]) & ((p > 0) | (j == 0))
+    return p[keep], j[keep], p[keep] * len(dn) + j[keep]
+
+
+def _structure(comps, n, top):
+    """What the coefficients ``comps`` of an inner map to order ``top`` make
+    zero in its monomial tables: ``"linear"`` when every constant term is
+    ±0.0, every coefficient finite and nothing above degree 1 nonzero,
+    ``"origin"`` for the first two alone, and None otherwise (a NaN constant
+    is not zero).  The tables must not overflow either: a coefficient of a
+    product is at most the product of the factors' sums of absolute values,
+    so none does while the largest coefficient times the number of terms,
+    raised to ``top``, stays below 1e300."""
+    if comps[..., 0].any():
+        return None
+    scale = float(np.abs(comps).max()) * comps.shape[-1]  # inf or NaN with any of them
+    if not scale <= 1e300 ** (1.0 / top):
+        return None
+    return "origin" if comps[..., _TABLES[n].count[1]:].any() else "linear"
+
+
 def jet_composer(inner, order=MAX_ORDER):
     """``outer -> outer o inner`` for an origin-preserving jet tuple ``inner``.
 
     The monomials ``inner^k`` in graded order, up to the inner order (or
-    ``order``, if lower), are built once, a degree at a time: degree ``d``
-    is one batch product of the degree ``d - 1`` monomials ``inner^(k - e_i)``
-    times the components ``inner_i``, ``i`` the first variable of ``k``, each
-    row bit for bit the product of its two jets.  The returned function takes
-    an outer jet, or a list of them, in ``len(inner)`` variables and returns
-    the composition truncated at the common order: every coefficient sums the
-    outer coefficients times the monomials in graded order from 0.0.  An
-    outer of lower order reads the leading slice of the table, which is bit
-    for bit the table of that order.
+    ``order``, if lower), are built a degree at a time, each degree once
+    and when an outer first needs it: degree ``d`` is one batch product of
+    the degree ``d - 1`` monomials ``inner^(k - e_i)`` times the components
+    ``inner_i``, ``i`` the first variable of ``k``, each row bit for bit the
+    product of its two jets.  The returned function takes an outer jet, or a
+    list of them, in ``len(inner)`` variables and returns the composition
+    truncated at the common order: every coefficient sums the outer
+    coefficients times the monomials in graded order from 0.0.  An outer of
+    lower order reads the leading slice of the table, which is bit for bit
+    the table of that order.
+
+    Terms that are exactly zero are skipped when the inner map allows it: when
+    every constant term is ±0.0 and every coefficient finite (and the table
+    cannot overflow), a monomial of degree ``d`` has +0.0 below degree
+    ``d`` (and above it too, for a linear inner), so degree ``d`` only pairs
+    the terms of degree ``d - 1`` or more with those of degree 1 or more
+    (exactly ``d - 1`` and exactly 1, for a linear inner), degree 1 is the
+    components plus 0.0, and an outer with finite coefficients sums for each
+    term only the monomials of degree at most its own (exactly its own).  An
+    outer with nothing above degree 1 reads the constant and degree-1
+    monomials alone, and needs no table above them.  A skipped term is ±0.0
+    and a sum from 0.0 never holds -0.0, so every coefficient is bit for bit
+    the full sum's.
     """
     inner = _as_tuple(inner)
     _check_origin(inner, "inner jets must have zero constant term (shift explicitly)")
@@ -735,14 +806,25 @@ def jet_composer(inner, order=MAX_ORDER):
     # the inner components as one (..., m, width) array, batch axes first
     comps = np.stack(np.broadcast_arrays(*[g.c[..., :width] for g in inner]), axis=-2)
     rows = comps.shape[:-2]
+    kind = _structure(comps, n, top)
     table = np.zeros(rows + (t.count[top], width))
     table[..., 0, 0] = 1.0
-    product = _TABLES[n].products[top]
-    for d in range(1, top + 1):
-        lo, hi = t.count[d - 1], t.count[d]
-        a = table[..., t.parents[lo:hi], :].reshape(-1, width)
-        b = comps[..., t.firsts[lo:hi], :].reshape(-1, width)
-        table[..., lo:hi, :] = _product(a, b, product).reshape(rows + (hi - lo, width))
+    built = 0
+
+    def grow(degree):
+        nonlocal built
+        for d in range(built + 1, degree + 1):
+            lo, hi = t.count[d - 1], t.count[d]
+            b = comps[..., t.firsts[lo:hi], :]
+            if kind and d == 1:
+                table[..., lo:hi, :] = b + 0.0
+                continue
+            product = (_TABLES[n].blocks[top, d, kind == "linear"] if kind
+                       else _TABLES[n].products[top])
+            a = table[..., t.parents[lo:hi], :].reshape(-1, width)
+            table[..., lo:hi, :] = _product(a, b.reshape(-1, width), product).reshape(
+                rows + (hi - lo, width))
+        built = max(built, degree)
 
     def compose(outer):
         single = isinstance(outer, Jet)
@@ -752,13 +834,22 @@ def jet_composer(inner, order=MAX_ORDER):
                                 f"inner has {m} components")
         o = min(top, min(x.order for x in outs))
         size, w = t.count[o], _TABLES[n].count[o]
+        if kind and all(not x.c[..., t.count[1]:size].any() for x in outs):
+            size = t.count[1]  # linear outers
+        grow(o if size > t.count[1] else 1)
         monomials = table[..., :size, :w]
-        index = _compose_index(size, w)
+        if kind:
+            p, j, pairs = _compose_pairs(m, n, o, kind == "linear", size)
+            nonzero = monomials.reshape(rows + (-1,))[..., pairs]
         results = []
         for x in outs:
-            terms = x.c[..., :size, None] * monomials
-            results.append(_jet(n, o, _accumulate(index, terms.reshape(terms.shape[:-2] + (-1,)),
-                                                  w)))
+            if kind and np.isfinite(x.c[..., :size]).all():
+                c = _accumulate(j, _take(x.c, p) * nonzero, w)
+            else:
+                terms = x.c[..., :size, None] * monomials
+                c = _accumulate(_compose_index(size, w), terms.reshape(terms.shape[:-2] + (-1,)),
+                                w)
+            results.append(_jet(n, o, c))
         return results[0] if single else results
 
     return compose
@@ -767,7 +858,8 @@ def jet_composer(inner, order=MAX_ORDER):
 def jet_compose(outer, inner):
     """Taylor coefficients of ``outer o inner``, truncated at the common
     order: ``jet_composer(inner)`` applied to ``outer`` (a jet or a list of
-    jets), with the monomial table built only to the outer order.
+    jets), with the monomial table built only to the outer order (to degree
+    1, for an outer with nothing above it, when the inner map allows it).
 
     ``inner`` must map the origin to the origin (zero constant terms).
     Callers that compose several outers through one inner should build its

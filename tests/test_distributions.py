@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engellab.calculus import Chart, evaluation_scope
+from engellab.calculus import Chart, OneForm, evaluation_scope
 from engellab.deformation import ContactIsotopyGenerator, realize_isotopy
 from engellab.distributions import (DistributionFrame, characteristic_line,
                                     flag_ranks, is_contact,
@@ -99,6 +99,20 @@ def test_is_contact_frame_and_form():
         vector_field_from_exprs(CH3, ["0", "1", "0"]),
     ])
     assert not is_contact(integ, p)
+
+
+def test_contact_form_test_runs_the_rule_once_per_point():
+    calls = []
+
+    def rule(xs):
+        calls.append(1)
+        return [-xs[1], 0.0, 1.0 + 0.0 * xs[0]]
+
+    alpha = OneForm(CH3, components=rule)
+    for p in ([0.3, 0.1, -0.2], [-0.5, 0.4, 0.9]):
+        calls.clear()
+        assert is_contact(alpha, p)
+        assert len(calls) == 1
 
 
 def test_reeb_of_standard_form():

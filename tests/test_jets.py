@@ -235,6 +235,119 @@ def test_composer_batch_rows_equal_their_points_bit_for_bit():
             assert nan_blind(got.c[r]) == nan_blind(jet_composer(point)(outer).c)
 
 
+def zero_origin_map(rng, n, m, order, rows=None, linear=False):
+    """``m`` jets in ``n`` variables with finite random terms, some of them
+    signed zeros, and constant terms 0.0 or -0.0; when ``linear``, signed
+    zeros alone above degree 1.  Over ``rows`` batch rows when given."""
+    shape = () if rows is None else (rows,)
+    out = []
+    for _ in range(m):
+        coeffs = {}
+        for k in multi_indices(n, order):
+            zero = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+            v = np.where(rng.random(shape) < 0.1, zero, rng.uniform(-1.0, 1.0, shape))
+            v = zero if sum(k) == 0 or (linear and sum(k) > 1) else v
+            coeffs[k] = v if rows else float(v)
+        out.append(Jet(n, order, coeffs))
+    return out
+
+
+def outer_jet(rng, m, order, linear=False, special=False):
+    """A jet in ``m`` variables with random terms: signed zeros alone above
+    degree 1 when ``linear``, and some infinities and NaNs below when
+    ``special``."""
+    coeffs = {}
+    for k in multi_indices(m, order):
+        v = rng.uniform(-1.0, 1.0)
+        if special and rng.random() < 0.2:
+            v = rng.choice([np.inf, -np.inf, np.nan])
+        coeffs[k] = float(rng.choice([0.0, -0.0]) if linear and sum(k) > 1 else v)
+    return Jet(m, order, coeffs)
+
+
+def table_products(monkeypatch):
+    """Record the number of term pairs of each ``jets._product`` call."""
+    orig, pairs = jets_mod._product, []
+
+    def recording(a, b, table):
+        pairs.append(len(table[0]))
+        return orig(a, b, table)
+
+    monkeypatch.setattr(jets_mod, "_product", recording)
+    return pairs
+
+
+def test_structured_composer_equals_the_per_monomial_loop_bit_for_bit(monkeypatch):
+    # inners with signed-zero constants and finite terms, linear or not, skip
+    # the terms that are zero; the outers are dense and linear, each with and
+    # without infinities and NaNs among their terms
+    rng = np.random.default_rng(25)
+    pairs = table_products(monkeypatch)
+    for n, m, order, linear in product((1, 2, 3), (1, 2, 3), (1, 2, 4), (False, True)):
+        inner = zero_origin_map(rng, n, m, order, linear=linear)
+        outers = [outer_jet(rng, m, order, lin, special)
+                  for lin, special in product((False, True), (False, True))]
+        lower = [[o.truncated(low) for o in outers] for low in range(1, order)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = [compose_by_monomials(o, inner) for o in [outers] + lower]
+            pairs.clear()
+            through = jet_composer(inner)
+            results = [through(outers), [through(o) for o in outers],
+                       [jet_compose(o, inner) for o in outers]]
+            lower_results = [through(o) for o in lower]
+        for got in results:
+            assert [g.order for g in got] == [order] * 4
+            assert [nan_blind(g.c) for g in got] == [nan_blind(w) for w in want[0]]
+        for got, w in zip(lower_results, want[1:]):
+            assert [nan_blind(g.c) for g in got] == [nan_blind(c) for c in w]
+        full = len(jets_mod._TABLES[n].products[order][0])
+        # degrees 2 and up, once for the shared table and once for each of
+        # the two outers above degree 1 in a table of its own
+        assert len(pairs) == 3 * (order - 1)
+        assert all(p < full for p in pairs)
+        # a linear outer reads the constant and degree-1 monomials alone
+        pairs.clear()
+        jet_compose(outers[2], inner)
+        assert pairs == []
+
+
+def test_structured_composer_batch_rows_equal_their_points_bit_for_bit():
+    rng = np.random.default_rng(26)
+    N = 5
+    for n, order, linear in product((2, 3), (2, 4), (False, True)):
+        inner = (zero_origin_map(rng, n, 2, order, rows=N, linear=linear)
+                 + zero_origin_map(rng, n, 1, order, linear=linear))
+        outers = [outer_jet(rng, 3, order), outer_jet(rng, 3, order, linear=True)]
+        got = jet_composer(inner)(outers)
+        assert ([nan_blind(g.c) for g in got]
+                == [nan_blind(w) for w in compose_by_monomials(outers, inner)])
+        for r in range(N):
+            point = [Jet(n, order, {k: float(v[r]) if np.ndim(v) else v for k, v in g.items()})
+                     for g in inner]
+            assert ([nan_blind(g.c[r]) for g in got]
+                    == [nan_blind(g.c) for g in jet_composer(point)(outers)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_composer_takes_the_full_tables_unless_constants_are_zero_and_terms_finite(monkeypatch):
+    # a constant within 1e-13 of zero passes the origin check but is not
+    # zero, and an infinity, or a product that overflows, makes the zero
+    # terms NaN: none of them skips a term
+    rng = np.random.default_rng(27)
+    pairs = table_products(monkeypatch)
+    order = 4
+    full = len(jets_mod._TABLES[3].products[order][0])
+    for k, v in (((0, 0, 0), 1e-14), ((0, 2, 1), np.inf), ((1, 0, 0), 1e100)):
+        inner = zero_origin_map(rng, 3, 3, order, linear=True)
+        inner[1][k] = v
+        outers = [outer_jet(rng, 3, order), outer_jet(rng, 3, order, linear=True)]
+        want = compose_by_monomials(outers, inner)
+        pairs.clear()
+        got = jet_composer(inner)(outers)
+        assert pairs == [full] * order
+        assert [nan_blind(g.c) for g in got] == [nan_blind(w) for w in want]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mixed_order_bracket_equals_the_bracket_of_truncated_tuples():
     # an order-2 tuple against an order-1 one: truncating both to order 1

@@ -8,7 +8,7 @@ import pytest
 import sympy as sp
 from scipy.integrate import solve_ivp
 
-from engellab import zoll
+from engellab import flow, zoll
 from engellab.calculus import Chart, lie_bracket
 from engellab.distributions import flag_ranks, is_contact
 from engellab.errors import EngelLabError, GeometryError
@@ -266,6 +266,35 @@ def test_return_is_one_integration_per_chart_segment(monkeypatch):
     start = atlas.embed(state, ch)
     T0 = np.concatenate([start[3:], -start[:3]]) / math.sqrt(2.0)  # see the embed test
     assert abs(float((atlas.embed(y, ych) - start) @ T0)) <= 1e-15
+
+
+def test_return_locator_seeks_the_interpolant_root_to_the_section_rounding(monkeypatch):
+    # the interpolant root is sought no closer than the section's rounding,
+    # which a few trials reach (Illinois on a target of 1e-17 took 6 to 9
+    # here), and the fresh steps then meet tol 1e-15
+    trials = []
+    illinois = flow._illinois
+
+    def counted(trial, *args):
+        count = [0]
+
+        def counting(x):
+            count[0] += 1
+            return trial(x)
+
+        out = illinois(counting, *args)
+        trials.append(count[0])
+        return out
+
+    monkeypatch.setattr(flow, "_illinois", counted)
+    atlas = SphereAtlas()
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        trials.clear()
+        state, ch = atlas.start_state(rng.uniform(-1.0, 1.0, 2), rng.uniform(0.0, 2.0 * math.pi))
+        ok, s, defect, _, _ = first_return(atlas, state, ch, tol=1e-10)
+        assert ok and defect < 1e-7 and abs(s - 2.0 * math.pi) < 1e-7
+        assert len(trials) == 2 and trials[0] <= 4 and trials[1] <= 4
 
 
 def test_return_gates_read_the_unit_vector_from_the_end_slopes(monkeypatch):
