@@ -37,13 +37,18 @@ order 0 that are numbers, not jets (of ``_FieldBase._evaluate``).
 
 L2, pointwise geometry: ``flag_ranks`` at one point of the standard
 prolongation and of the deformed frame of the ``realize`` suite (its default
-Hamiltonian and support), the cost per point of one 200-point batch of that
-deformed frame, ``normalize_pair`` / ``verify`` on a random order-4 pair
-of the ``normal-form`` suite, and the ``plane_basis`` of the frame that
-``contactify`` induces on the slice theta = 0.7 of the standard
-prolongation, at one point and per point of a 60-point batch (the
-``contactify`` suite's points per slice; the batch row needs a
-``plane_basis`` that takes an ``(N, 3)`` array of points).
+Hamiltonian and support), the cost per point of one 200-point batch of each
+(the standard one's is the rank stages and the building of its
+``FlagReport``s), the cost per point of the characteristic lines of the
+standard prolongation's 200-point batch and their angles to d/dtheta (as
+``verify-engel`` and ``prolong`` take them), ``normalize_pair`` / ``verify``
+on a random order-4 pair of the ``normal-form`` suite, the ``plane_basis``
+of the frame that ``contactify`` induces on the slice theta = 0.7 of the
+standard prolongation, at one point and per point of a 60-point batch (the
+batch row needs a ``plane_basis`` that takes an ``(N, 3)`` array of
+points), and the largest principal angle per pair between those 60 bases
+and the base's (as ``contactify`` takes them).  The angles are one call of
+the batched form where the checkout has it, else one call per line or pair.
 
 L3, trajectories: one call of the Zoll right-hand side V1
 (``SphereAtlas.field("north")`` at a fixed state), the same call as a
@@ -105,10 +110,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from engellab import calculus, cli, flow, jets  # noqa: E402
+from engellab import calculus, cli, distributions, flow, jets  # noqa: E402
 from engellab.deformation import (ContactIsotopyGenerator, gray_solve,  # noqa: E402
                                   realize_isotopy)
-from engellab.distributions import flag_ranks  # noqa: E402
+from engellab.distributions import characteristic_line, flag_ranks  # noqa: E402
 from engellab.expressions import scalar_field_from_expr  # noqa: E402
 from engellab.jets import (Jet, jet_compose, jet_invert, jet_pushforward,  # noqa: E402
                            multi_indices)
@@ -485,18 +490,47 @@ def l1_items(items, counts):
     items[f"generator_x_{LANES}_lanes"] = per_call_us(lambda: gen.X(stack))
 
 
+def per_point(timing, n):
+    return {k: v / n if k.endswith("_us") else v for k, v in timing.items()}
+
+
+def line_angles_of(lines, direction):
+    """The angles between ``lines`` and ``direction``: one
+    ``distributions.line_angles`` call in a checkout that has it, else one
+    ``angle_to`` per line."""
+    batched = getattr(distributions, "line_angles", None)
+    if batched is None:
+        return [ld.angle_to(direction) for ld in lines]
+    return batched(np.array([ld.direction for ld in lines]), direction)
+
+
+def principal_angles_of(A, B):
+    """The largest principal angles between the ``(N, d, k)`` stacks of
+    bases ``A`` and ``B``: one ``distributions.principal_angles`` call in a
+    checkout that has it, else one ``plane_principal_angle`` per pair."""
+    batched = getattr(distributions, "principal_angles", None)
+    if batched is None:
+        return [distributions.plane_principal_angle(a.T, b.T) for a, b in zip(A, B)]
+    return batched(A, B)
+
+
 def l2_items(items, counts):
     domain, gen = realize_generator()
     deformed = realize_isotopy(domain, gen, validate=False).frame()
     pts = cli._domain_points(np.random.default_rng(4), BATCH, domain.theta_max)
     q = pts[0]
+    vertical = np.array([0.0, 0.0, 0.0, 1.0])
+    items[f"flag_ranks_prolonged_batch{BATCH}_per_point"] = per_point(
+        per_call_us(lambda: flag_ranks(domain.frame(), pts)), BATCH)
+    items[f"characteristic_lines_angles_prolonged_batch{BATCH}_per_point"] = per_point(
+        per_call_us(lambda: line_angles_of(characteristic_line(domain.frame(), pts), vertical)),
+        BATCH)
     items["flag_ranks_prolonged_point"] = per_call_us(lambda: flag_ranks(domain.frame(), q))
     counts["flag_ranks_prolonged_point_order0_jets"] = jets_built(
         lambda: flag_ranks(domain.frame(), q), 0)
     items["flag_ranks_deformed_point"] = per_call_us(lambda: flag_ranks(deformed, q))
-    batch = per_call_us(lambda: flag_ranks(deformed, pts))
-    items[f"flag_ranks_deformed_batch{BATCH}_per_point"] = {
-        k: v / BATCH if k.endswith("_us") else v for k, v in batch.items()}
+    items[f"flag_ranks_deformed_batch{BATCH}_per_point"] = per_point(
+        per_call_us(lambda: flag_ranks(deformed, pts)), BATCH)
     counts["taylor_deformed_point"] = taylor_calls(lambda: flag_ranks(deformed, q))
     counts[f"taylor_deformed_batch{BATCH}"] = taylor_calls(lambda: flag_ranks(deformed, pts))
 
@@ -508,9 +542,11 @@ def l2_items(items, counts):
         return induced.plane_basis(ms)
 
     items["contactify_plane_basis_point"] = per_call_us(lambda: induced.plane_basis(ms[0]))
-    batch = per_call_us(bases)
-    items[f"contactify_plane_basis_batch{SLICE_POINTS}_per_point"] = {
-        k: v / SLICE_POINTS if k.endswith("_us") else v for k, v in batch.items()}
+    items[f"contactify_plane_basis_batch{SLICE_POINTS}_per_point"] = per_point(
+        per_call_us(bases), SLICE_POINTS)
+    induced_bases, contact_bases = bases(), std.base.plane_basis(ms)
+    items[f"contactify_principal_angles_batch{SLICE_POINTS}_per_pair"] = per_point(
+        per_call_us(lambda: principal_angles_of(induced_bases, contact_bases)), SLICE_POINTS)
     counts["contactify_plane_basis_point_evaluations"] = evaluations_and_products(
         lambda: induced.plane_basis(ms[0]))[0]
     counts[f"contactify_plane_basis_batch{SLICE_POINTS}_evaluations_per_point"] = \

@@ -23,8 +23,8 @@ import numpy as np
 from .calculus import Chart, constant_field, lie_bracket, over_points
 from .deformation import (HYPOTHESIS_TOL, ContactFormPath, ContactIsotopyGenerator,
                           bottom_to_top, gray_solve, realize_isotopy)
-from .distributions import (DistributionFrame, characteristic_line,
-                            flag_ranks, plane_principal_angle)
+from .distributions import (DistributionFrame, characteristic_line, flag_ranks, line_angles,
+                            principal_angles)
 from .errors import ConfigError, EngelLabError, GeometryError
 from .expressions import Expression, scalar_field_from_expr, vector_field_from_exprs
 from .flow import integrate
@@ -111,22 +111,22 @@ def _suite_verify_engel(cfg, rng, samples, tol, report, seed):
                                   [["0", "0", "0", "1"], ["1", "w", "y", "0"]])
     frame = DistributionFrame(fields)
     pts = rng.uniform(-1.0, 1.0, (samples, 4))
-    failures, detail = 0, ""
-    for p, rep in zip(pts, flag_ranks(frame, pts)):
-        if not rep.is_engel:
-            failures += 1
-            if not detail:
-                detail = f"ranks {rep.ranks} at {np.round(p, 4).tolist()}"
-    report.add("engel-flag", samples, 0, failures, detail=detail)
+    bad = [(p, rep.ranks) for p, rep in zip(pts, flag_ranks(frame, pts)) if not rep.is_engel]
+    detail = f"ranks {bad[0][1]} at {np.round(bad[0][0], 4).tolist()}" if bad else ""
+    report.add("engel-flag", samples, 0, len(bad), detail=detail)
 
     direction = _cfg(cfg, "char_direction", [float],
                      [0.0, 0.0, 0.0, 1.0] if "frame" not in cfg else None, 4)
-    if failures == 0 and direction is not None:
-        worst = 0.0
-        for ld in characteristic_line(frame, pts):
-            worst = worst_of(worst, ld.angle_to(np.asarray(direction, dtype=float)))
-        report.add("characteristic-line", samples, tol, worst)
+    if not bad and direction is not None:
+        report.add("characteristic-line", samples, tol,
+                   worst_of(0.0, *_line_defects(frame, pts, direction)))
     return {"frame": texts}
+
+
+def _line_defects(frame, pts, direction):
+    """The angles of the characteristic lines at ``pts`` to ``direction``, from one call."""
+    rows = [ld.direction for ld in characteristic_line(frame, pts)]
+    return line_angles(np.reshape(rows, (len(rows), frame.dim)), direction)
 
 
 def _base_contact(cfg):
@@ -146,11 +146,9 @@ def _suite_prolong(cfg, rng, samples, tol, report, seed):
     frame = domain.frame()
     qs = _domain_points(rng, samples, domain.theta_max)
     engel = np.array([rep.is_engel for rep in flag_ranks(frame, qs)], dtype=bool)
-    failures, worst = samples - int(engel.sum()), 0.0
-    for ld in characteristic_line(frame, qs[engel]):
-        worst = worst_of(worst, ld.angle_to([0.0, 0.0, 0.0, 1.0]))
-    report.add("engel-flag", samples, 0, failures)
-    report.add("characteristic-line", samples, tol, worst)
+    report.add("engel-flag", samples, 0, samples - int(engel.sum()))
+    report.add("characteristic-line", samples, tol,
+               worst_of(0.0, *_line_defects(frame, qs[engel], [0.0, 0.0, 0.0, 1.0])))
     return {"legendrian_frame": texts, "full_circle": full}
 
 
@@ -176,8 +174,8 @@ def _suite_contactify(cfg, rng, samples, tol, report, seed):
         bases = over_points(ms, lambda coords: list(zip(induced.plane_basis(coords.T),
                                                         contact.plane_basis(coords.T))),
                             lambda m: (induced.plane_basis(m), contact.plane_basis(m)))
-        for induced_basis, contact_basis in bases:
-            worst = worst_of(worst, plane_principal_angle(induced_basis.T, contact_basis.T))
+        induced_bases, contact_bases = map(np.array, zip(*bases))
+        worst = worst_of(worst, *principal_angles(induced_bases, contact_bases))
     report.add("slice-plane-recovery", per * len(values), tol, worst)
     return {"legendrian_frame": texts, "slices": values}
 
@@ -419,10 +417,8 @@ def _suite_so3(cfg, rng, samples, tol, report, seed):
         AB = lie_bracket(A, B)
         rows.append(over_points(vs, lambda coords: (AB(coords) - C(coords)).T,
                                 lambda v: AB(v) - C(v)))
-    worst = 0.0
-    for defects in zip(*rows):
-        worst = worst_of(worst, *(float(np.max(np.abs(d))) for d in defects))
-    report.add("so3-bracket-table", 20, tol, worst)
+    defects = np.max(np.abs(np.array(rows)), axis=2).T
+    report.add("so3-bracket-table", 20, tol, worst_of(0.0, *defects.ravel().tolist()))
     return {}
 
 

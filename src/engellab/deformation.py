@@ -21,8 +21,8 @@ import numpy as np
 
 from .calculus import (Chart, ScalarField, VectorField, _column, _FieldBase, _rows, lie_bracket,
                        lie_derivative_scalar, over_points)
-from .distributions import (DistributionFrame, line_angle, plane_principal_angle, reeb_field,
-                            reeb_jets)
+from .distributions import (DistributionFrame, _norms, line_angles, principal_angles,
+                            reeb_field, reeb_jets)
 from .errors import EngelLabError, GeometryError
 from .flow import flow, integrate_nonautonomous
 from .jets import (Jet, _jet, derivative, exp, gradient, jet_cross, jet_d_matrix, jet_dot,
@@ -289,8 +289,7 @@ class GraySolution:
         dot = self.path.jets(coords, t, 0)[1]
         num = np.abs(jet_dot(dot, self.L.taylor(coords, 0)))
         dots, Ls = _rows(_column(dot, coords)), _rows(self.L(coords))
-        return [n / max(np.linalg.norm(d) * np.linalg.norm(l), 1e-300)
-                for n, d, l in zip(np.broadcast_to(num, len(dots)), dots, Ls)]
+        return (num / np.maximum(_norms(dots) * _norms(Ls), 1e-300)).tolist()
 
     def _rhs(self, n_vec):
         sol = self
@@ -348,9 +347,11 @@ class GraySolution:
         V = np.array(self._frames(self.t_grid[0], np.atleast_2d(x0)))
         runs = self.transport(x0, V[0] if x0.ndim == 1 else V)
         ends, cols, g_log = (np.asarray(r)[None] if x0.ndim == 1 else r for r in runs)
-        reports = [{"endpoint": e, "plane_defect": plane_principal_angle(c.T[:2], f.T[:2]),
-                    "L_defect": line_angle(c[:, 2], f[:, 2]), "g_log": float(g)}
-                   for e, c, g, f in zip(ends, cols, g_log, self._frames(self.t_grid[-1], ends))]
+        frames = np.array(self._frames(self.t_grid[-1], ends))
+        planes = principal_angles(cols[..., :2], frames[..., :2])
+        lines = line_angles(cols[..., 2], frames[..., 2])
+        reports = [{"endpoint": e, "plane_defect": p, "L_defect": d, "g_log": float(g)}
+                   for e, p, d, g in zip(ends, planes, lines, g_log)]
         return reports[0] if x0.ndim == 1 else reports
 
 

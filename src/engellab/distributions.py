@@ -12,7 +12,10 @@ the contact test), and form every bracket they need from those jets with
 values.  These three take one point or an ``(N, dim)`` array of points.  A
 batch is evaluated in one evaluation scope with one stacked SVD per stage, and
 gives one result per row, each equal bit for bit to the result at that point
-alone.
+alone.  What follows the evaluation is computed over the batch as well: the
+characteristic lines' kernel step and normalization, the angles between lines
+(:func:`line_angles`) and the principal angles between planes
+(:func:`principal_angles`); a point or a pair is the one-row case.
 """
 
 from __future__ import annotations
@@ -74,27 +77,56 @@ class LineDirection:
     direction: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        norm = np.linalg.norm(d)
-        if norm == 0.0:
-            raise EngelLabError("line direction must be nonzero")
-        self.direction = d / norm
+        self.direction = _unit_rows(np.reshape(self.direction, (1, -1)))[0]
+
+    @classmethod
+    def of_rows(cls, V):
+        """The lines of the rows of an ``(N, dim)`` array, each as ``LineDirection(row)``."""
+        lines = [cls.__new__(cls) for _ in range(len(V))]
+        for line, d in zip(lines, _unit_rows(V)):
+            line.direction = d
+        return lines
 
     def angle_to(self, other):
         """Unoriented angle between lines (in [0, pi/2])."""
-        v = other.direction if isinstance(other, LineDirection) else np.asarray(other, float)
+        v = other.direction if isinstance(other, LineDirection) else other
         return line_angle(self.direction, v)
 
 
+def _dots(A, B):
+    """Row-by-row dot products, each rounded as ``np.dot`` of the two rows
+    (``einsum`` and row sums add in another order)."""
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def _norms(V):
+    return np.sqrt(_dots(V, V))
+
+
+def _unit_rows(V):
+    """The rows of an ``(N, dim)`` array over their norms; a zero row raises."""
+    V = np.ascontiguousarray(V, dtype=float)  # a strided row's products round otherwise
+    norms = _norms(V)
+    if (norms == 0.0).any():
+        raise EngelLabError("line direction must be nonzero")
+    return V / norms[:, None]
+
+
+def line_angles(U, V):
+    """Unoriented angles in [0, pi/2] between the lines of the rows of two
+    ``(N, dim)`` arrays (or lone vectors), atan2(|v - (v.u) u|, |v.u|) on
+    unit vectors.  The sine keeps small angles to rounding, where arccos of
+    the cosine reads about 1e-8 between identical lines; a NaN stays NaN."""
+    U, V = (_unit_rows(W) for W in np.broadcast_arrays(np.atleast_2d(U), np.atleast_2d(V)))
+    c = _dots(U, V)
+    R = V - c[:, None] * U
+    # math.atan2 entry by entry: NumPy's arctan2 rounds otherwise
+    return [math.atan2(s, abs(x)) for s, x in zip(_norms(R).tolist(), c.tolist())]
+
+
 def line_angle(u, v):
-    """Unoriented angle in [0, pi/2] between the lines of two nonzero
-    vectors, atan2(|v - (v.u) u|, |v.u|) on unit vectors.  The sine keeps
-    small angles to rounding, where arccos of the cosine reads about 1e-8
-    between identical lines; a NaN stays NaN."""
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    c = float(np.dot(u, v))
-    return math.atan2(float(np.linalg.norm(v - c * u)), abs(c))
+    """The one-row case of :func:`line_angles`."""
+    return line_angles(u, v)[0]
 
 
 def _matrices(cols):
@@ -136,9 +168,9 @@ def _flag_reports(frame, points, coords, tol):
     r2, sv2 = _ranks(_matrices(cols2), tol)
     cols3 = cols2 + [_column(jet_bracket(f, b), coords) for f in jets for b in brackets]
     r3, sv3 = _ranks(_matrices(cols3), tol)
-    return [FlagReport(point=q, ranks=(int(r1[k]), int(r2[k]), int(r3[k])),
-                       singular_values=[sv1[k], sv2[k], sv3[k]], tol=tol)
-            for k, q in enumerate(points)]
+    ranks = np.stack([r1, r2, r3], axis=1).tolist()
+    return [FlagReport(point=q, ranks=tuple(r), singular_values=[s1, s2, s3], tol=tol)
+            for q, r, s1, s2, s3 in zip(points, ranks, sv1, sv2, sv3)]
 
 
 def is_engel(frame, p, tol=DEFAULT_RANK_TOL):
@@ -211,22 +243,19 @@ def _lines(frame, points, coords, tol):
                             point=points[0])
     vals += [_column(jet_bracket(B, X), coords), _column(jet_bracket(B, Y), coords)]
     x0, y0, b0, bx, by = map(_rows, vals)
-    out = []
-    for k, q in enumerate(points):
-        normal = U[k, :, 3]
-        c1 = float(normal @ bx[k])
-        c2 = float(normal @ by[k])
-        scale = max(abs(c1), abs(c2))
-        if scale <= tol * max(np.linalg.norm(b0[k]), 1.0):
-            raise GeometryError("characteristic kernel is not one-dimensional numerically",
-                                point=q)
-        # [[X,Y], aX + bY] mod D^2 has coefficient a*c1 + b*c2 (the non-tensorial
-        # terms land inside D^2); kernel direction is (c2, -c1) in frame coords
-        v = c2 * x0[k] - c1 * y0[k]
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        out.append(LineDirection(direction=v))
-    return out
+    normal = U[:, :, 3]  # a strided view: a contiguous copy's products round otherwise
+    c1, c2 = _dots(normal, bx), _dots(normal, by)
+    # np.maximum keeps a NaN c2 (max() drops it): its NaN line fails the angle checks
+    flat = np.maximum(np.abs(c1), np.abs(c2)) <= tol * np.maximum(_norms(b0), 1.0)
+    if flat.any():
+        raise GeometryError("characteristic kernel is not one-dimensional numerically",
+                            point=points[int(np.argmax(flat))])
+    # [[X,Y], aX + bY] mod D^2 has coefficient a*c1 + b*c2 (the non-tensorial
+    # terms land inside D^2); kernel direction is (c2, -c1) in frame coords,
+    # its largest component made positive
+    V = c2[:, None] * x0 - c1[:, None] * y0
+    negative = V[np.arange(len(V)), np.argmax(np.abs(V), axis=1)] < 0
+    return LineDirection.of_rows(np.where(negative[:, None], -V, V))
 
 
 def reeb_jets(M, a, coords):
@@ -263,16 +292,16 @@ def annihilator_form(v0, v1, name=""):
                                                              v1.taylor(coords, order)))
 
 
-def plane_principal_angle(basis_a, basis_b):
-    """Largest principal angle between the spans of two column bases.
+def principal_angles(A, B):
+    """Largest principal angles between the column spans of two ``(N, d, k)``
+    stacks of bases, from the sine (the residual of projecting one
+    orthonormal basis onto the other span), which stays accurate for small
+    angles where the cosine formula loses half the digits."""
+    QA, QB = np.linalg.qr(A)[0], np.linalg.qr(B)[0]
+    R = QB - QA @ (QA.transpose(0, 2, 1) @ QB)
+    return np.arcsin(np.minimum(np.linalg.svd(R, compute_uv=False).max(axis=1), 1.0)).tolist()
 
-    Computed from the sine (the residual of projecting one orthonormal basis
-    onto the other span), which stays accurate for small angles where the
-    cosine formula loses half the digits.
-    """
-    A = np.linalg.qr(np.column_stack(basis_a))[0]
-    B = np.linalg.qr(np.column_stack(basis_b))[0]
-    R = B - A @ (A.T @ B)
-    s = np.linalg.svd(R, compute_uv=False)
-    # min(x, 1.0), not min(1.0, x): a NaN sine stays NaN
-    return float(np.arcsin(min(s.max() if len(s) else 0.0, 1.0)))
+
+def plane_principal_angle(basis_a, basis_b):
+    """The one-pair case of :func:`principal_angles`, for lists of basis vectors."""
+    return principal_angles(np.column_stack(basis_a)[None], np.column_stack(basis_b)[None])[0]

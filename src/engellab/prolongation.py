@@ -19,8 +19,8 @@ import numpy as np
 
 from .calculus import (Chart, VectorField, _coords_of, _rows, coordinate_field,
                        evaluation_scope, lie_bracket, over_points)
-from .distributions import (DistributionFrame, LineDirection, _matrices, annihilator_form,
-                            characteristic_line, is_contact)
+from .distributions import (DistributionFrame, LineDirection, _dots, _matrices, _norms,
+                            annihilator_form, characteristic_line, is_contact)
 from .errors import EngelLabError, GeometryError
 from .flow import DEFAULT_TOL, flow_to_section
 from .jets import Jet, _jet, cos, embed, reciprocal, restrict, sin, value
@@ -70,14 +70,15 @@ class ParallelizedContact:
         return True
 
     def _check(self, points, coords):
-        contact = is_contact(self.frame(), np.asarray(points))
+        contact = np.array(is_contact(self.frame(), np.asarray(points)), dtype=bool)
         a, v0, v1 = (_rows(f(coords)) for f in (self.alpha, self.v0, self.v1))
-        for m, ok, ak, v0k, v1k in zip(points, contact, a, v0, v1):
-            if not ok:
-                raise GeometryError("frame is not contact at a sampled point", point=m)
-            scale = np.linalg.norm(ak) * max(np.linalg.norm(v0k), np.linalg.norm(v1k))
-            if abs(ak @ v0k) > 1e-10 * scale or abs(ak @ v1k) > 1e-10 * scale:
-                raise GeometryError("supplied form does not annihilate the frame", point=m)
+        scale = 1e-10 * (_norms(a) * np.maximum(_norms(v0), _norms(v1)))
+        # a NaN pairing or scale fails
+        bad = ~(contact & (np.abs(_dots(a, v0)) <= scale) & (np.abs(_dots(a, v1)) <= scale))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise GeometryError("frame is not contact at a sampled point" if not contact[k] else
+                                "supplied form does not annihilate the frame", point=points[k])
 
 
 @dataclass(frozen=True)

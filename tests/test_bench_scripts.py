@@ -55,3 +55,15 @@ def test_micro_normal_form_counts(monkeypatch):
         tables = counts[f"{call}_composer_tables"]
         assert sorted(tables) == ["full", "linear", "origin"] and sum(tables.values()) > 0
         assert counts[f"{call}_product_terms"] > counts[f"{call}_kernel_products"] > 0
+
+
+def test_micro_l2_items(monkeypatch):
+    # each timed call runs once, untimed
+    module, _ = _load("micro.py", monkeypatch)
+    monkeypatch.setattr(module, "per_call_us", lambda fn: (fn(), {"median_us": 1.0})[1])
+    items = {}
+    module.l2_items(items, {})
+    for name in ("flag_ranks_prolonged_batch200_per_point",
+                 "characteristic_lines_angles_prolonged_batch200_per_point",
+                 "contactify_principal_angles_batch60_per_pair"):
+        assert items[name]["median_us"] > 0

@@ -8,12 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-from engellab import cli
+from engellab import cli, distributions
 from engellab.cli import main
 from engellab.deformation import GraySolution
-from engellab.distributions import DistributionFrame, LineDirection, flag_ranks
+from engellab.distributions import DistributionFrame, FlagReport, LineDirection, flag_ranks
 from engellab.errors import GeometryError
 from engellab.expressions import vector_field_from_exprs
+from engellab.jets import value
 from engellab.zoll import ClosednessReport, SampleReturn
 
 
@@ -267,12 +268,51 @@ def test_nan_direction_is_a_nan_angle_and_fails(capsys, tmp_path):
 
 
 def test_nan_defect_in_middle_sample_fails(monkeypatch):
-    defects = iter([0.0, float("nan"), 0.0])
-    monkeypatch.setattr(cli, "plane_principal_angle", lambda got, want: next(defects))
+    # the slice's three principal angles come from one call
+    monkeypatch.setattr(cli, "principal_angles", lambda got, want: [0.0, float("nan"), 0.0])
     report = cli.run("contactify", {"slices": [0.0]}, 0, 3, 1e-8)
     rec, = report.records
     assert rec.max_defect != rec.max_defect
     assert not rec.passed and not report.passed
+
+
+def test_nan_c2_fails_the_characteristic_line_check(monkeypatch):
+    # a NaN pairing of the D^2 normal with [[X, Y], Y]: max(|c1|, |c2|)
+    # would drop it, np.maximum keeps it; the kernel direction is NaN and so
+    # is its angle, which fails the check
+    real_lines, real_bracket = distributions._lines, distributions.jet_bracket
+
+    def lines(frame, points, coords, tol):
+        calls = []
+
+        def bracket(a, b):  # [X, Y], [[X, Y], X], then [[X, Y], Y]
+            calls.append(b)
+            out = real_bracket(a, b)
+            return [math.nan * value(j) for j in out] if len(calls) == 3 else out
+
+        monkeypatch.setattr(distributions, "jet_bracket", bracket)
+        try:
+            return real_lines(frame, points, coords, tol)
+        finally:
+            monkeypatch.setattr(distributions, "jet_bracket", real_bracket)
+
+    monkeypatch.setattr(distributions, "_lines", lines)
+    for samples in (1, 5):
+        report = cli.run("verify-engel", {}, 0, samples, 1e-8)
+        flag, line = report.records
+        assert flag.passed and math.isnan(line.max_defect)
+        assert not line.passed and not report.passed
+
+
+def test_prolong_reports_when_no_sample_is_engel(monkeypatch):
+    # no Engel sample leaves no characteristic line to measure: the flag
+    # check fails and the line check reads 0.0 over no lines
+    monkeypatch.setattr(cli, "flag_ranks", lambda frame, qs: [
+        FlagReport(point=q, ranks=(2, 3, 3), singular_values=[], tol=1e-7) for q in qs])
+    report = cli.run("prolong", {}, 0, 4, 1e-8)
+    flag, line = report.records
+    assert flag.max_defect == 4 and not flag.passed
+    assert line.samples == 4 and line.max_defect == 0.0 and line.passed
 
 
 def test_random_pair_draws_have_a_budget(monkeypatch):

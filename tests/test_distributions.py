@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from engellab.calculus import Chart, OneForm, evaluation_scope
 from engellab.deformation import ContactIsotopyGenerator, realize_isotopy
-from engellab.distributions import (DistributionFrame, characteristic_line,
-                                    flag_ranks, is_contact,
-                                    is_engel, plane_principal_angle, reeb_field,
+from engellab.distributions import (DistributionFrame, LineDirection, characteristic_line,
+                                    flag_ranks, is_contact, is_engel, line_angle, line_angles,
+                                    plane_principal_angle, principal_angles, reeb_field,
                                     annihilator_form)
-from engellab.errors import ExpressionDomainError, GeometryError
+from engellab.errors import EngelLabError, ExpressionDomainError, GeometryError
 from engellab.expressions import (one_form_from_exprs, scalar_field_from_expr,
                                   vector_field_from_exprs)
 from engellab.jets import jet_bracket, value
@@ -243,6 +243,24 @@ def bracket_values(frame, coords):
             (B, jet_bracket(X, B), jet_bracket(Y, B), jet_bracket(B, X), jet_bracket(B, Y))]
 
 
+def reference_line(frame, p):
+    """The characteristic direction at one point by the per-point formulas:
+    the normal of D^2 from the SVD of the values of X, Y and [X, Y], the
+    pairings c1, c2 of [[X, Y], X] and [[X, Y], Y] with it, the kernel
+    direction c2 X - c1 Y with its largest component positive, normalized."""
+    with evaluation_scope():
+        X, Y = (f.taylor(p, 2) for f in frame.fields)
+        x0, y0 = (f(p) for f in frame.fields)
+    B = jet_bracket(X, Y)
+    b0 = np.array([value(j) for j in B])
+    normal = np.linalg.svd(np.column_stack([x0, y0, b0]))[0][:, 3]
+    c1, c2 = (float(normal @ np.array([value(j) for j in jet_bracket(B, F)])) for F in (X, Y))
+    v = c2 * x0 - c1 * y0
+    if v[np.argmax(np.abs(v))] < 0:
+        v = -v
+    return v / np.linalg.norm(v)
+
+
 unit = st.floats(-1.0, 1.0)
 point_sets = st.lists(st.tuples(unit, unit, unit, st.floats(0.0, 1.0)), min_size=1, max_size=6)
 
@@ -265,6 +283,7 @@ def test_batch_equals_points_bit_for_bit(name, raw):
             assert np.array_equal(bits(got), bits(want))
         assert np.array_equal(bits(lines[k].direction),
                               bits(characteristic_line(frame, p).direction))
+        assert np.array_equal(bits(lines[k].direction), bits(reference_line(frame, p)))
         for v, w in zip(values, bracket_values(frame, p)):
             got = [np.broadcast_to(c, len(pts))[k] for c in v]
             assert np.array_equal(bits(got), bits(w))
@@ -274,6 +293,9 @@ def test_empty_batch():
     frame = standard_engel_frame()
     assert flag_ranks(frame, np.zeros((0, 4))) == []
     assert characteristic_line(frame, np.zeros((0, 4))) == []
+    assert line_angles(np.zeros((0, 4)), [0.0, 0.0, 0.0, 1.0]) == []
+    assert LineDirection.of_rows(np.zeros((0, 4))) == []
+    assert principal_angles(np.zeros((0, 4, 2)), np.zeros((0, 4, 2))) == []
 
 
 def test_batch_raises_at_first_domain_error_point():
@@ -304,3 +326,104 @@ def test_batch_raises_at_first_degenerate_point():
     assert str(batch.value) == str(alone.value)
     assert batch.value.point is not None
     assert np.array_equal(batch.value.point, pts[2])
+
+
+# -- batched angles: each row as the per-pair formulas give it ------------------
+
+
+def reference_line_angle(u, v):
+    """The angle between two lines, one pair at a time."""
+    u = u / np.linalg.norm(u)
+    v = v / np.linalg.norm(v)
+    c = float(np.dot(u, v))
+    return math.atan2(float(np.linalg.norm(v - c * u)), abs(c))
+
+
+def reference_principal_angle(a, b):
+    """The largest principal angle between two column spans, one pair at a
+    time."""
+    A, B = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+    s = np.linalg.svd(B - A @ (A.T @ B), compute_uv=False)
+    return float(np.arcsin(min(s.max(), 1.0)))
+
+
+def same_floats(got, want):
+    """Equal bit for bit, or both NaN."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (math.isnan(g) and math.isnan(w)) or np.array_equal(bits(g), bits(w))
+
+
+# how a row's second vector or basis is drawn against its first
+PAIRINGS = ["random", "near", "opposite-near", "same", "nan"]
+
+
+def paired(rng, a, kind):
+    if kind == "random":
+        return rng.normal(size=a.shape)
+    if kind == "near":  # about 1e-9 apart, where the sine form matters
+        return a + 1e-9 * rng.normal(size=a.shape)
+    if kind == "opposite-near":
+        return -3.0 * a + 1e-9 * rng.normal(size=a.shape)
+    if kind == "same":
+        return a.copy()
+    out = rng.normal(size=a.shape)
+    out.flat[0] = math.nan
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(st.sampled_from(PAIRINGS), max_size=8))
+def test_line_angles_equal_the_pair_formula_bit_for_bit(seed, kinds):
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(len(kinds), 4))
+    V = np.array([paired(rng, u, kind) for u, kind in zip(U, kinds)]).reshape(-1, 4)
+    want = [reference_line_angle(u, v) for u, v in zip(U, V)]
+    same_floats(line_angles(U, V), want)
+    same_floats([line_angle(u, v) for u, v in zip(U, V)], want)
+    # strided columns, and a lone vector against every row
+    W = np.stack([U, V], axis=2)
+    same_floats(line_angles(W[:, :, 0], W[:, :, 1]), want)
+    if len(U):
+        same_floats(line_angles(U, V[0]), [reference_line_angle(u, V[0]) for u in U])
+    for ld, v in zip(LineDirection.of_rows(V), V):
+        assert np.array_equal(bits(ld.direction), bits(LineDirection(v).direction))
+        assert np.array_equal(bits(ld.direction), bits(v / np.linalg.norm(v)))
+
+
+def test_zero_direction_raises_in_every_line_form():
+    rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    for call in (lambda: line_angles(rows, [0.0, 0.0, 0.0, 1.0]),
+                 lambda: line_angles([0.0, 0.0, 0.0, 1.0], rows),
+                 lambda: line_angle(rows[0], rows[1]),
+                 lambda: LineDirection(rows[1]),
+                 lambda: LineDirection.of_rows(rows)):
+        with pytest.raises(EngelLabError, match="nonzero"):
+            call()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([3, 4]),
+       kinds=st.lists(st.sampled_from(PAIRINGS[:-1]), max_size=8))
+def test_principal_angles_equal_the_pair_formula_bit_for_bit(seed, dim, kinds):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(len(kinds), dim, 2))
+    B = np.array([paired(rng, a, kind) for a, kind in zip(A, kinds)]).reshape(-1, dim, 2)
+    want = [reference_principal_angle(a, b) for a, b in zip(A, B)]
+    same_floats(principal_angles(A, B), want)
+    same_floats([plane_principal_angle(a.T, b.T) for a, b in zip(A, B)], want)
+    # the bases as strided views of wider stacks
+    wide = np.concatenate([B, A], axis=2)
+    same_floats(principal_angles(wide[:, :, 2:], wide[:, :, :2]), want)
+
+
+def test_nan_basis_raises_in_both_principal_angle_forms():
+    # the SVD of a NaN residual does not converge, in a stack as for one pair
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(3, 4, 2))
+    B = A.copy()
+    B[1, 2, 1] = math.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        plane_principal_angle(A[1].T, B[1].T)
+    with pytest.raises(np.linalg.LinAlgError):
+        principal_angles(A, B)

@@ -205,6 +205,25 @@ def test_contact_check_of_a_batch_gives_the_point_verdicts():
     assert contact.check(np.delete(pts, [1, 3, 5], axis=0))
 
 
+def test_nan_form_fails_the_annihilation_check():
+    # dz - y dx annihilates V0 = d/dy and V1 = (1, 0, y), except that its
+    # dx component is NaN where x > 0.5: a NaN pairing fails the check (a
+    # "> tol" test let it pass), at the first such sample of a batch
+    def rule(coords, order):
+        x, y = np.asarray(coords[0]), np.asarray(coords[1])
+        return [np.where(x > 0.5, math.nan, -y), 0.0 * x, 0.0 * x + 1.0]
+
+    contact = standard_contact()
+    nan_form = ParallelizedContact(CH3, contact.v0, contact.v1,
+                                   alpha=calculus.OneForm(CH3, name="nan", taylor_fn=rule))
+    pts = np.array([[0.1, 0.2, 0.3], [0.7, 0.1, 0.2], [0.9, 0.1, 0.2]])
+    for points, bad in ((pts, 1), ([pts[2]], 2)):
+        with pytest.raises(GeometryError, match="does not annihilate") as err:
+            nan_form.check(points)
+        assert np.array_equal(err.value.point, pts[bad])
+    assert nan_form.check(pts[:1])
+
+
 def test_contactify_tangent_slice_raises():
     dom = prolong(standard_contact())
     # a theta slice is fine, but slicing along x at the origin makes D^2
