@@ -245,7 +245,10 @@ def composer_tables(fn):
     is 0.0 or -0.0, every coefficient finite and nothing above degree 1
     nonzero, ``origin`` for the first two alone, and ``full`` otherwise.
     The kinds are read off the coefficients, so a checkout that builds every
-    table in full counts them alike."""
+    table in full counts them alike.  A checkout with one composition path
+    builds no table in full: there an inner counted ``full`` has constants
+    only near zero, which compose as 0.0 through the structured tables (one
+    with a coefficient that is not finite raises)."""
     orig, kinds = jets.jet_composer, dict.fromkeys(("full", "origin", "linear"), 0)
     bound = [m for m in sys.modules.values()
              if getattr(m, "__name__", "").startswith("engellab")
@@ -497,11 +500,14 @@ def per_point(timing, n):
 def line_angles_of(lines, direction):
     """The angles between ``lines`` and ``direction``: one
     ``distributions.line_angles`` call in a checkout that has it, else one
-    ``angle_to`` per line."""
+    ``angle_to`` per line.  ``lines`` is what ``characteristic_line`` returns
+    for a batch: the ``(N, dim)`` array of the unit directions, or in an older
+    checkout a list of line objects with a ``direction`` each."""
     batched = getattr(distributions, "line_angles", None)
     if batched is None:
         return [ld.angle_to(direction) for ld in lines]
-    return batched(np.array([ld.direction for ld in lines]), direction)
+    rows = lines if isinstance(lines, np.ndarray) else [ld.direction for ld in lines]
+    return batched(np.array(rows), direction)
 
 
 def principal_angles_of(A, B):

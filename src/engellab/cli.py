@@ -119,14 +119,8 @@ def _suite_verify_engel(cfg, rng, samples, tol, report, seed):
                      [0.0, 0.0, 0.0, 1.0] if "frame" not in cfg else None, 4)
     if not bad and direction is not None:
         report.add("characteristic-line", samples, tol,
-                   worst_of(0.0, *_line_defects(frame, pts, direction)))
+                   worst_of(0.0, *line_angles(characteristic_line(frame, pts), direction)))
     return {"frame": texts}
-
-
-def _line_defects(frame, pts, direction):
-    """The angles of the characteristic lines at ``pts`` to ``direction``, from one call."""
-    rows = [ld.direction for ld in characteristic_line(frame, pts)]
-    return line_angles(np.reshape(rows, (len(rows), frame.dim)), direction)
 
 
 def _base_contact(cfg):
@@ -147,8 +141,9 @@ def _suite_prolong(cfg, rng, samples, tol, report, seed):
     qs = _domain_points(rng, samples, domain.theta_max)
     engel = np.array([rep.is_engel for rep in flag_ranks(frame, qs)], dtype=bool)
     report.add("engel-flag", samples, 0, samples - int(engel.sum()))
+    lines = characteristic_line(frame, qs[engel])
     report.add("characteristic-line", samples, tol,
-               worst_of(0.0, *_line_defects(frame, qs[engel], [0.0, 0.0, 0.0, 1.0])))
+               worst_of(0.0, *line_angles(lines, [0.0, 0.0, 0.0, 1.0])))
     return {"legendrian_frame": texts, "full_circle": full}
 
 

@@ -15,7 +15,9 @@ gives one result per row, each equal bit for bit to the result at that point
 alone.  What follows the evaluation is computed over the batch as well: the
 characteristic lines' kernel step and normalization, the angles between lines
 (:func:`line_angles`) and the principal angles between planes
-(:func:`principal_angles`); a point or a pair is the one-row case.
+(:func:`principal_angles`); a point or a pair is the one-row case.  A line is
+its unit direction: a ``(dim,)`` array at a point, the rows of an
+``(N, dim)`` array for a batch.
 """
 
 from __future__ import annotations
@@ -68,29 +70,6 @@ class FlagReport:
     @property
     def is_engel(self):
         return self.ranks == (2, 3, 4)
-
-
-@dataclass
-class LineDirection:
-    """An oriented line in a tangent space."""
-
-    direction: np.ndarray
-
-    def __post_init__(self):
-        self.direction = _unit_rows(np.reshape(self.direction, (1, -1)))[0]
-
-    @classmethod
-    def of_rows(cls, V):
-        """The lines of the rows of an ``(N, dim)`` array, each as ``LineDirection(row)``."""
-        lines = [cls.__new__(cls) for _ in range(len(V))]
-        for line, d in zip(lines, _unit_rows(V)):
-            line.direction = d
-        return lines
-
-    def angle_to(self, other):
-        """Unoriented angle between lines (in [0, pi/2])."""
-        v = other.direction if isinstance(other, LineDirection) else other
-        return line_angle(self.direction, v)
 
 
 def _dots(A, B):
@@ -215,18 +194,20 @@ def _contact_verdicts(frame, coords, tol):
 
 
 def characteristic_line(frame, p, tol=DEFAULT_RANK_TOL):
-    """The characteristic direction of an Engel frame at ``p``: the kernel of
-    ``v -> [[X, Y], v] mod D^2`` inside the plane spanned by the frame, from
-    one order-2 evaluation of the frame.  Its largest component is made
-    positive.
+    """The characteristic line of an Engel frame at ``p``, as its unit
+    ``(dim,)`` direction: the kernel of ``v -> [[X, Y], v] mod D^2`` inside
+    the plane spanned by the frame, from one order-2 evaluation of the frame,
+    its largest component made positive.
 
-    For an ``(N, dim)`` array of points, the list of the N directions.
+    For an ``(N, dim)`` array of points, the ``(N, dim)`` array of the N
+    directions.
     """
     if frame.rank != 2:
         raise EngelLabError("characteristic line needs a rank-2 frame")
     if np.ndim(p) == 2:
-        return over_points(p, lambda coords: _lines(frame, p, coords, tol),
-                           lambda q: characteristic_line(frame, q, tol))
+        lines = over_points(p, lambda coords: _lines(frame, p, coords, tol),
+                            lambda q: characteristic_line(frame, q, tol))
+        return np.reshape(lines, (len(p), frame.dim))
     return _lines(frame, [p], p, tol)[0]
 
 
@@ -255,7 +236,7 @@ def _lines(frame, points, coords, tol):
     # its largest component made positive
     V = c2[:, None] * x0 - c1[:, None] * y0
     negative = V[np.arange(len(V)), np.argmax(np.abs(V), axis=1)] < 0
-    return LineDirection.of_rows(np.where(negative[:, None], -V, V))
+    return _unit_rows(np.where(negative[:, None], -V, V))
 
 
 def reeb_jets(M, a, coords):
@@ -296,10 +277,14 @@ def principal_angles(A, B):
     """Largest principal angles between the column spans of two ``(N, d, k)``
     stacks of bases, from the sine (the residual of projecting one
     orthonormal basis onto the other span), which stays accurate for small
-    angles where the cosine formula loses half the digits."""
-    QA, QB = np.linalg.qr(A)[0], np.linalg.qr(B)[0]
+    angles where the cosine formula loses half the digits.  A pair with an
+    entry that is not finite has a NaN angle."""
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
+    QA, QB = np.linalg.qr(A[finite])[0], np.linalg.qr(B[finite])[0]
     R = QB - QA @ (QA.transpose(0, 2, 1) @ QB)
-    return np.arcsin(np.minimum(np.linalg.svd(R, compute_uv=False).max(axis=1), 1.0)).tolist()
+    angles = np.full(len(finite), np.nan)
+    angles[finite] = np.arcsin(np.minimum(np.linalg.svd(R, compute_uv=False).max(axis=1), 1.0))
+    return angles.tolist()
 
 
 def plane_principal_angle(basis_a, basis_b):

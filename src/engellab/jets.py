@@ -36,15 +36,11 @@ Composition goes through :func:`jet_composer`: it builds the table of the
 monomials ``inner^k`` once, a degree at a time (each degree one batch product
 of its parent monomials and the matching inner components), and composes
 every outer given to it from that table, so callers that compose several
-outers through one inner map pay for its table once.  It reads the inner
-map's coefficients once: when every constant term is ±0.0 and every
-coefficient finite (and the table cannot overflow), the terms that this makes
-zero are skipped, in the table's products and in the sums over it, and more
-of them for a linear inner; an outer with nothing above degree 1 needs no
-table above degree 1.  A skipped term is ±0.0, and a sum from 0.0 never holds
--0.0, so every coefficient is bit for bit the full sum's.  An inner whose
-constants are only near zero, with a coefficient that is not finite, or whose
-table could overflow takes the full tables.
+outers through one inner map pay for its table once.  The inner map fixes the
+origin: its constant terms, each within 1e-13 of zero, compose as 0.0, and a
+coefficient that is not finite, or a table that could overflow, raises.  The
+terms that the zero constants make zero are skipped, which leaves every
+coefficient bit for bit the full sum's.
 """
 
 from __future__ import annotations
@@ -720,22 +716,6 @@ def jet_bracket(A, B):
     return out
 
 
-def _check_origin(jets, message):
-    """Raise ``EngelLabError(message)`` unless every constant term is within
-    1e-13 of zero (a NaN one is not)."""
-    for g in jets:
-        v = g.value
-        if not (np.all(np.abs(v) <= 1e-13) if isinstance(v, _ARRAY) else abs(v) <= 1e-13):
-            raise EngelLabError(message)
-
-
-@functools.cache
-def _compose_index(size, width):
-    """The result position of each (monomial, term) pair of a composition
-    over ``size`` monomials of ``width`` terms, monomial-major."""
-    return np.tile(np.arange(width), size)
-
-
 @functools.cache
 def _compose_pairs(m, n, order, linear, size):
     """The (monomial, term) pairs of a composition to ``order`` over the
@@ -751,53 +731,30 @@ def _compose_pairs(m, n, order, linear, size):
     return p[keep], j[keep], p[keep] * len(dn) + j[keep]
 
 
-def _structure(comps, n, top):
-    """What the coefficients ``comps`` of an inner map to order ``top`` make
-    zero in its monomial tables: ``"linear"`` when every constant term is
-    ±0.0, every coefficient finite and nothing above degree 1 nonzero,
-    ``"origin"`` for the first two alone, and None otherwise (a NaN constant
-    is not zero).  The tables must not overflow either: a coefficient of a
-    product is at most the product of the factors' sums of absolute values,
-    so none does while the largest coefficient times the number of terms,
-    raised to ``top``, stays below 1e300."""
-    if comps[..., 0].any():
-        return None
-    scale = float(np.abs(comps).max()) * comps.shape[-1]  # inf or NaN with any of them
-    if not scale <= 1e300 ** (1.0 / top):
-        return None
-    return "origin" if comps[..., _TABLES[n].count[1]:].any() else "linear"
-
-
 def jet_composer(inner, order=MAX_ORDER):
     """``outer -> outer o inner`` for an origin-preserving jet tuple ``inner``.
 
+    The inner constant terms must be within 1e-13 of zero (a NaN one is not)
+    and compose as 0.0; a coefficient that is not finite, inner or outer, or
+    an inner map whose table could overflow raises :class:`JetDomainError`.
     The monomials ``inner^k`` in graded order, up to the inner order (or
-    ``order``, if lower), are built a degree at a time, each degree once
-    and when an outer first needs it: degree ``d`` is one batch product of
-    the degree ``d - 1`` monomials ``inner^(k - e_i)`` times the components
-    ``inner_i``, ``i`` the first variable of ``k``, each row bit for bit the
-    product of its two jets.  The returned function takes an outer jet, or a
-    list of them, in ``len(inner)`` variables and returns the composition
-    truncated at the common order: every coefficient sums the outer
-    coefficients times the monomials in graded order from 0.0.  An outer of
-    lower order reads the leading slice of the table, which is bit for bit
-    the table of that order.
-
-    Terms that are exactly zero are skipped when the inner map allows it: when
-    every constant term is ±0.0 and every coefficient finite (and the table
-    cannot overflow), a monomial of degree ``d`` has +0.0 below degree
-    ``d`` (and above it too, for a linear inner), so degree ``d`` only pairs
-    the terms of degree ``d - 1`` or more with those of degree 1 or more
-    (exactly ``d - 1`` and exactly 1, for a linear inner), degree 1 is the
-    components plus 0.0, and an outer with finite coefficients sums for each
-    term only the monomials of degree at most its own (exactly its own).  An
-    outer with nothing above degree 1 reads the constant and degree-1
-    monomials alone, and needs no table above them.  A skipped term is ±0.0
-    and a sum from 0.0 never holds -0.0, so every coefficient is bit for bit
-    the full sum's.
+    ``order``, if lower), are built a degree at a time when an outer first
+    needs them: degree 1 is the components plus 0.0, degree ``d`` one batch
+    product of the monomials ``inner^(k - e_i)`` times the components
+    ``inner_i``, ``i`` the first variable of ``k``.  As a monomial of degree
+    ``d`` is +0.0 below degree ``d`` (and above it, for a linear inner), the
+    product pairs only the terms of degree ``d - 1`` or more with those of
+    degree 1 or more (exactly ``d - 1`` and 1, for a linear inner), and each
+    coefficient of a composition sums, in graded order from 0.0, the outer
+    coefficients times the monomials of degree at most its own (exactly its
+    own).  A skipped term is ±0.0 and a sum from 0.0 never holds -0.0, so
+    every coefficient is bit for bit the full sum's.  The returned function
+    takes an outer jet, or a list of them, in ``len(inner)`` variables and
+    returns the composition truncated at the common order; an outer of lower
+    order reads the leading slice of the table, and one with nothing above
+    degree 1 needs no table above degree 1.
     """
     inner = _as_tuple(inner)
-    _check_origin(inner, "inner jets must have zero constant term (shift explicitly)")
     m, n = len(inner), inner[0].n
     if any(g.n != n for g in inner):
         raise EngelLabError("inner jets must share one variable count")
@@ -805,24 +762,28 @@ def jet_composer(inner, order=MAX_ORDER):
     t, width = _TABLES[m], _TABLES[n].count[top]
     # the inner components as one (..., m, width) array, batch axes first
     comps = np.stack(np.broadcast_arrays(*[g.c[..., :width] for g in inner]), axis=-2)
+    if not (np.abs(comps[..., 0]) <= 1e-13).all():
+        raise EngelLabError("inner jets must have zero constant term (shift explicitly)")
+    comps[..., 0] = 0.0
+    # a coefficient of a product is at most the product of the factors' sums
+    # of absolute values; an inf or NaN coefficient fails the bound too
+    if not float(np.abs(comps).max()) * width <= 1e300 ** (1.0 / top):
+        raise JetDomainError("inner jets must have finite terms that cannot overflow "
+                             "their monomial table")
+    linear = not comps[..., _TABLES[n].count[1]:].any()
     rows = comps.shape[:-2]
-    kind = _structure(comps, n, top)
     table = np.zeros(rows + (t.count[top], width))
     table[..., 0, 0] = 1.0
-    built = 0
+    table[..., 1:t.count[1], :] = comps[..., t.firsts[1:t.count[1]], :] + 0.0
+    built = 1
 
     def grow(degree):
         nonlocal built
         for d in range(built + 1, degree + 1):
             lo, hi = t.count[d - 1], t.count[d]
-            b = comps[..., t.firsts[lo:hi], :]
-            if kind and d == 1:
-                table[..., lo:hi, :] = b + 0.0
-                continue
-            product = (_TABLES[n].blocks[top, d, kind == "linear"] if kind
-                       else _TABLES[n].products[top])
             a = table[..., t.parents[lo:hi], :].reshape(-1, width)
-            table[..., lo:hi, :] = _product(a, b.reshape(-1, width), product).reshape(
+            b = comps[..., t.firsts[lo:hi], :].reshape(-1, width)
+            table[..., lo:hi, :] = _product(a, b, _TABLES[n].blocks[top, d, linear]).reshape(
                 rows + (hi - lo, width))
         built = max(built, degree)
 
@@ -834,22 +795,14 @@ def jet_composer(inner, order=MAX_ORDER):
                                 f"inner has {m} components")
         o = min(top, min(x.order for x in outs))
         size, w = t.count[o], _TABLES[n].count[o]
-        if kind and all(not x.c[..., t.count[1]:size].any() for x in outs):
+        if not all(np.isfinite(x.c[..., :size]).all() for x in outs):
+            raise JetDomainError("outer jets must have finite terms")
+        if all(not x.c[..., t.count[1]:size].any() for x in outs):
             size = t.count[1]  # linear outers
         grow(o if size > t.count[1] else 1)
-        monomials = table[..., :size, :w]
-        if kind:
-            p, j, pairs = _compose_pairs(m, n, o, kind == "linear", size)
-            nonzero = monomials.reshape(rows + (-1,))[..., pairs]
-        results = []
-        for x in outs:
-            if kind and np.isfinite(x.c[..., :size]).all():
-                c = _accumulate(j, _take(x.c, p) * nonzero, w)
-            else:
-                terms = x.c[..., :size, None] * monomials
-                c = _accumulate(_compose_index(size, w), terms.reshape(terms.shape[:-2] + (-1,)),
-                                w)
-            results.append(_jet(n, o, c))
+        p, j, pairs = _compose_pairs(m, n, o, linear, size)
+        nonzero = table[..., :size, :w].reshape(rows + (-1,))[..., pairs]
+        results = [_jet(n, o, _accumulate(j, _take(x.c, p) * nonzero, w)) for x in outs]
         return results[0] if single else results
 
     return compose
@@ -859,11 +812,8 @@ def jet_compose(outer, inner):
     """Taylor coefficients of ``outer o inner``, truncated at the common
     order: ``jet_composer(inner)`` applied to ``outer`` (a jet or a list of
     jets), with the monomial table built only to the outer order (to degree
-    1, for an outer with nothing above it, when the inner map allows it).
-
-    ``inner`` must map the origin to the origin (zero constant terms).
-    Callers that compose several outers through one inner should build its
-    :func:`jet_composer` once.
+    1, for an outer with nothing above it).  Callers that compose several
+    outers through one inner should build its :func:`jet_composer` once.
     """
     order = outer.order if isinstance(outer, Jet) else min(o.order for o in outer)
     return jet_composer(inner, order)(outer)
@@ -886,7 +836,7 @@ def jet_invert(change):
     change = _as_tuple(change)
     n = change[0].n
     order = min(f.order for f in change)
-    _check_origin(change, "jet_invert requires an origin-preserving change")
+    through_change = jet_composer(change)  # which checks the origin and the terms
     A = np.array(linear_part(change))
     if not np.linalg.cond(A) < 1e14:
         raise EngelLabError("singular linear part")
@@ -894,7 +844,7 @@ def jet_invert(change):
     ident = jet_identity(n, order)
     inverse_linear = [jet_dot(ident, row.tolist()) for row in np.linalg.inv(A)]
     G = inverse_linear
-    through_change, through_linear = jet_composer(change), jet_composer(inverse_linear)
+    through_linear = jet_composer(inverse_linear)
     for _ in range(order - 1):
         GF = through_change(G)
         corr = through_linear([ident[i] - GF[i] for i in range(n)])

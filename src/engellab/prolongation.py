@@ -7,7 +7,8 @@ oriented prolongation) carrying the frame { d/dtheta, V(theta, m) } with
 ``V = cos(theta) V0 + sin(theta) V1``.  Leaves of the characteristic line
 field are integrated with event detection on slice constraints, and the
 projection to the bottom slice is realized dynamically by flowing, not by a
-global quotient chart.
+global quotient chart.  A line, characteristic or developed, is its unit
+direction vector.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .calculus import (Chart, VectorField, _coords_of, _rows, coordinate_field,
                        evaluation_scope, lie_bracket, over_points)
-from .distributions import (DistributionFrame, LineDirection, _dots, _matrices, _norms,
+from .distributions import (DistributionFrame, _dots, _matrices, _norms, _unit_rows,
                             annihilator_form, characteristic_line, is_contact)
 from .errors import EngelLabError, GeometryError
 from .flow import DEFAULT_TOL, flow_to_section
@@ -173,8 +174,8 @@ def check_slice_transverse(domain_like, slc, p):
     """Angle between the characteristic line and the slice at an embedded
     point must exceed :data:`TRANSVERSALITY_MIN_ANGLE`."""
     q = slc.embed_coords(p) if len(np.atleast_1d(p)) == 3 else np.asarray(p, float)
-    ld = characteristic_line(domain_like.frame(), q)
-    angle = math.asin(min(abs(ld.direction[slc.axis]), 1.0))
+    line = characteristic_line(domain_like.frame(), q)
+    angle = math.asin(min(abs(line[slc.axis]), 1.0))
     if not angle > TRANSVERSALITY_MIN_ANGLE:  # a NaN angle fails too
         raise GeometryError("slice is not transverse to the characteristic line field", point=q)
     return angle
@@ -283,9 +284,10 @@ def _merge(results, ats, rows):
 
 @dataclass
 class DevelopmentResult:
-    """Developed direction at the foot point of a leaf."""
+    """Developed direction at the foot point of a leaf: ``line`` is its unit
+    vector."""
 
-    line: LineDirection
+    line: np.ndarray
     foot: np.ndarray  # coordinates on the contactification (bottom) chart
     contact_residual: float
 
@@ -320,7 +322,7 @@ def development(domain, q, tol=DEFAULT_TOL):
     a = domain.base.alpha(foot)
     scale = np.linalg.norm(a) * np.linalg.norm(direction)
     residual = abs(a @ direction) / max(scale, 1e-300)
-    line = LineDirection(direction=direction)
+    line = _unit_rows(np.reshape(direction, (1, -1)))[0]
     return DevelopmentResult(line=line, foot=foot, contact_residual=residual)
 
 
@@ -329,7 +331,7 @@ def development_coefficients(domain, q, tol=DEFAULT_TOL):
     at the foot point, plus the development result."""
     dev = development(domain, q, tol=tol)
     Bas = domain.base.plane_basis(dev.foot)
-    coeffs, res, _, _ = np.linalg.lstsq(Bas, dev.line.direction, rcond=None)
+    coeffs, res, _, _ = np.linalg.lstsq(Bas, dev.line, rcond=None)
     return coeffs, dev
 
 

@@ -15,7 +15,7 @@ from engellab.calculus import Chart, constant_field, lie_bracket
 from engellab.deformation import (ContactFormPath, ContactIsotopyGenerator,
                                   bottom_to_top, gray_solve, realize_isotopy)
 from engellab.distributions import (DistributionFrame, characteristic_line,
-                                    flag_ranks, is_contact,
+                                    flag_ranks, is_contact, line_angle,
                                     plane_principal_angle)
 from engellab.errors import GeometryError
 from engellab.expressions import scalar_field_from_expr, vector_field_from_exprs
@@ -58,7 +58,7 @@ def test_criterion_1_engel_normal_form_frame():
     rng = np.random.default_rng(101)
     pts = np.array([rng.uniform(-1.0, 1.0, 4) for _ in range(1000)])
     ok = all(rep.is_engel for rep in flag_ranks(frame, pts))
-    worst = max(ld.angle_to([0, 0, 0, 1]) for ld in characteristic_line(frame, pts)) \
+    worst = max(line_angle(line, [0, 0, 0, 1]) for line in characteristic_line(frame, pts)) \
         if ok else 0.0
     ok = ok and worst < 1e-8
     verdict(1, "standard frame has flag (2,3,4); characteristic line is d/dw",

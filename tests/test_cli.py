@@ -11,7 +11,7 @@ import pytest
 from engellab import cli, distributions
 from engellab.cli import main
 from engellab.deformation import GraySolution
-from engellab.distributions import DistributionFrame, FlagReport, LineDirection, flag_ranks
+from engellab.distributions import DistributionFrame, FlagReport, flag_ranks, line_angle
 from engellab.errors import GeometryError
 from engellab.expressions import vector_field_from_exprs
 from engellab.jets import value
@@ -165,6 +165,17 @@ def test_geometry_error_exits_three(capsys, tmp_path):
     assert "at point" in err  # offending point is logged
 
 
+@pytest.mark.xfail(strict=True, reason="the spin grid and the flag samples miss the bump, "
+                                       "so realize passes; a certified range of g would fail it")
+def test_narrow_bump_that_breaks_the_engel_condition_fails(capsys, tmp_path):
+    # near m = (0.3, 0.3, 0.3) the spin reaches about -1.48 (a dense scan of
+    # [0.2, 0.4]^3 x theta), where the flag ranks drop to (2, 2, 3)
+    p = tmp_path / "bump.json"
+    p.write_text(json.dumps({"h": "0.008*exp(-200*((x-0.3)^2+(y-0.3)^2+(z-0.3)^2))"}))
+    code, out, err = run_cli(capsys, "realize", "--config", str(p))
+    assert code == 1, out
+
+
 def test_expression_domain_error_exits_three(capsys, tmp_path):
     # sqrt of a negative coordinate: a geometry error at the sample point,
     # not a crash with a traceback
@@ -258,8 +269,7 @@ def test_sheared_engel_frame_reads_its_characteristic_line(capsys, tmp_path):
 
 def test_nan_direction_is_a_nan_angle_and_fails(capsys, tmp_path):
     # min(1.0, nan) is 1.0, so the arccos angle read a NaN direction as 0.0
-    ld = LineDirection(direction=np.array([0.0, 0.0, 0.0, 1.0]))
-    assert math.isnan(ld.angle_to([math.nan, 0.0, 0.0, 1.0]))
+    assert math.isnan(line_angle(np.array([0.0, 0.0, 0.0, 1.0]), [math.nan, 0.0, 0.0, 1.0]))
     p = tmp_path / "nan_direction.json"
     p.write_text('{"char_direction": [NaN, 0, 0, 1]}')
     code, out, _ = run_cli(capsys, "verify-engel", "--config", str(p), "--samples", "20")

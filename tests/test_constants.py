@@ -383,7 +383,7 @@ def test_flag_suites_batch_reports_equal_points():
             assert rep.ranks == alone.ranks == (2, 3, 4)
             assert all(s.tobytes() == w.tobytes()
                        for s, w in zip(rep.singular_values, alone.singular_values))
-            assert line.direction.tobytes() == characteristic_line(frame, p).direction.tobytes()
+            assert line.tobytes() == characteristic_line(frame, p).tobytes()
 
 
 def test_isotopy_generator_batch_rows_equal_points():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from engellab.calculus import Chart, OneForm, evaluation_scope
 from engellab.deformation import ContactIsotopyGenerator, realize_isotopy
-from engellab.distributions import (DistributionFrame, LineDirection, characteristic_line,
+from engellab.distributions import (DistributionFrame, _unit_rows, characteristic_line,
                                     flag_ranks, is_contact, is_engel, line_angle, line_angles,
                                     plane_principal_angle, principal_angles, reeb_field,
                                     annihilator_form)
@@ -80,9 +80,9 @@ def test_characteristic_line_of_standard_frame():
     for _ in range(20):
         p = rng.uniform(-1, 1, 4)
         for fr in (frame, DistributionFrame(frame.fields[::-1])):
-            ld = characteristic_line(fr, p)
-            assert ld.angle_to([0, 0, 0, 1]) < 1e-10
-            assert ld.direction[3] > 0.0
+            line = characteristic_line(fr, p)
+            assert line_angle(line, [0, 0, 0, 1]) < 1e-10
+            assert line[3] > 0.0
 
 
 def test_is_contact_frame_and_form():
@@ -281,9 +281,8 @@ def test_batch_equals_points_bit_for_bit(name, raw):
         assert batch[k].ranks == one.ranks == (2, 3, 4)
         for got, want in zip(batch[k].singular_values, one.singular_values):
             assert np.array_equal(bits(got), bits(want))
-        assert np.array_equal(bits(lines[k].direction),
-                              bits(characteristic_line(frame, p).direction))
-        assert np.array_equal(bits(lines[k].direction), bits(reference_line(frame, p)))
+        assert np.array_equal(bits(lines[k]), bits(characteristic_line(frame, p)))
+        assert np.array_equal(bits(lines[k]), bits(reference_line(frame, p)))
         for v, w in zip(values, bracket_values(frame, p)):
             got = [np.broadcast_to(c, len(pts))[k] for c in v]
             assert np.array_equal(bits(got), bits(w))
@@ -292,9 +291,8 @@ def test_batch_equals_points_bit_for_bit(name, raw):
 def test_empty_batch():
     frame = standard_engel_frame()
     assert flag_ranks(frame, np.zeros((0, 4))) == []
-    assert characteristic_line(frame, np.zeros((0, 4))) == []
+    assert characteristic_line(frame, np.zeros((0, 4))).shape == (0, 4)
     assert line_angles(np.zeros((0, 4)), [0.0, 0.0, 0.0, 1.0]) == []
-    assert LineDirection.of_rows(np.zeros((0, 4))) == []
     assert principal_angles(np.zeros((0, 4, 2)), np.zeros((0, 4, 2))) == []
 
 
@@ -386,9 +384,9 @@ def test_line_angles_equal_the_pair_formula_bit_for_bit(seed, kinds):
     same_floats(line_angles(W[:, :, 0], W[:, :, 1]), want)
     if len(U):
         same_floats(line_angles(U, V[0]), [reference_line_angle(u, V[0]) for u in U])
-    for ld, v in zip(LineDirection.of_rows(V), V):
-        assert np.array_equal(bits(ld.direction), bits(LineDirection(v).direction))
-        assert np.array_equal(bits(ld.direction), bits(v / np.linalg.norm(v)))
+    for line, v in zip(_unit_rows(V), V):
+        assert np.array_equal(bits(line), bits(_unit_rows(v[None])[0]))
+        assert np.array_equal(bits(line), bits(v / np.linalg.norm(v)))
 
 
 def test_zero_direction_raises_in_every_line_form():
@@ -396,8 +394,8 @@ def test_zero_direction_raises_in_every_line_form():
     for call in (lambda: line_angles(rows, [0.0, 0.0, 0.0, 1.0]),
                  lambda: line_angles([0.0, 0.0, 0.0, 1.0], rows),
                  lambda: line_angle(rows[0], rows[1]),
-                 lambda: LineDirection(rows[1]),
-                 lambda: LineDirection.of_rows(rows)):
+                 lambda: _unit_rows(rows[1:]),
+                 lambda: _unit_rows(rows)):
         with pytest.raises(EngelLabError, match="nonzero"):
             call()
 
@@ -417,13 +415,16 @@ def test_principal_angles_equal_the_pair_formula_bit_for_bit(seed, dim, kinds):
     same_floats(principal_angles(wide[:, :, 2:], wide[:, :, :2]), want)
 
 
-def test_nan_basis_raises_in_both_principal_angle_forms():
-    # the SVD of a NaN residual does not converge, in a stack as for one pair
+def test_nan_basis_is_a_nan_angle_in_both_principal_angle_forms():
+    # a pair with a NaN or an infinite entry has a NaN angle, in a stack as
+    # for one pair, and the finite pairs of the stack keep their bits
     rng = np.random.default_rng(3)
-    A = rng.normal(size=(3, 4, 2))
-    B = A.copy()
+    A = rng.normal(size=(4, 4, 2))
+    B = A + 1e-3 * rng.normal(size=A.shape)
     B[1, 2, 1] = math.nan
-    with pytest.raises(np.linalg.LinAlgError):
-        plane_principal_angle(A[1].T, B[1].T)
-    with pytest.raises(np.linalg.LinAlgError):
-        principal_angles(A, B)
+    A[2, 0, 0] = math.inf
+    got = principal_angles(A, B)
+    assert math.isnan(got[1]) and math.isnan(got[2])
+    same_floats([got[0], got[3]], [reference_principal_angle(A[k], B[k]) for k in (0, 3)])
+    for k in (1, 2):
+        assert math.isnan(plane_principal_angle(A[k].T, B[k].T))

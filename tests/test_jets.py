@@ -170,12 +170,13 @@ def nan_blind(c):
     return np.where(np.isnan(c), np.nan, c).tobytes()
 
 
-def origin_map(rng, n, m, order, rows=None):
+def origin_map(rng, n, m, order, rows=None, finite=False):
     """``m`` origin-preserving jets in ``n`` variables with random terms,
-    some of them signed zeros, infinities or NaNs; over ``rows`` batch rows
-    when given.  At order 0, their values (the signed zeros drawn)."""
+    some of them signed zeros, infinities or NaNs (no infinities or NaNs
+    when ``finite``); over ``rows`` batch rows when given.  At order 0, their
+    values (the signed zeros drawn)."""
     shape = () if rows is None else (rows,)
-    special = np.array([0.0, -0.0, np.inf, np.nan, 1.0])
+    special = np.array([0.0, -0.0, 1.0] if finite else [0.0, -0.0, np.inf, np.nan, 1.0])
     out = []
     for _ in range(m):
         coeffs = {}
@@ -189,11 +190,10 @@ def origin_map(rng, n, m, order, rows=None):
     return out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_composer_equals_the_per_monomial_loop_bit_for_bit():
     rng = np.random.default_rng(15)
     for n, m, order in product((1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 4)):
-        inner = origin_map(rng, n, m, order)
+        inner = origin_map(rng, n, m, order, finite=True)
         outer = [{k: rng.uniform(-1.0, 1.0) for k in multi_indices(m, order)} for _ in range(2)]
         if order == 0:
             # order 0 is values: the origin's, and nothing to compose
@@ -218,14 +218,14 @@ def test_composer_equals_the_per_monomial_loop_bit_for_bit():
             through(Jet(m + 1, order))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_composer_batch_rows_equal_their_points_bit_for_bit():
     # a batch inner, with one component a point jet: each row of the
     # composition is the composition through that row's inner at a point
     rng = np.random.default_rng(16)
     N = 5
     for n, order in ((2, 3), (3, 4)):
-        inner = origin_map(rng, n, 2, order, rows=N) + origin_map(rng, n, 1, order)
+        inner = (origin_map(rng, n, 2, order, rows=N, finite=True)
+                 + origin_map(rng, n, 1, order, finite=True))
         outer = Jet(3, order, {k: rng.uniform(-1.0, 1.0) for k in multi_indices(3, order)})
         got = jet_composer(inner)(outer)
         assert nan_blind(got.c) == nan_blind(compose_by_monomials([outer], inner)[0])
@@ -252,15 +252,12 @@ def zero_origin_map(rng, n, m, order, rows=None, linear=False):
     return out
 
 
-def outer_jet(rng, m, order, linear=False, special=False):
-    """A jet in ``m`` variables with random terms: signed zeros alone above
-    degree 1 when ``linear``, and some infinities and NaNs below when
-    ``special``."""
+def outer_jet(rng, m, order, linear=False):
+    """A jet in ``m`` variables with random terms, signed zeros alone above
+    degree 1 when ``linear``."""
     coeffs = {}
     for k in multi_indices(m, order):
         v = rng.uniform(-1.0, 1.0)
-        if special and rng.random() < 0.2:
-            v = rng.choice([np.inf, -np.inf, np.nan])
         coeffs[k] = float(rng.choice([0.0, -0.0]) if linear and sum(k) > 1 else v)
     return Jet(m, order, coeffs)
 
@@ -279,35 +276,32 @@ def table_products(monkeypatch):
 
 def test_structured_composer_equals_the_per_monomial_loop_bit_for_bit(monkeypatch):
     # inners with signed-zero constants and finite terms, linear or not, skip
-    # the terms that are zero; the outers are dense and linear, each with and
-    # without infinities and NaNs among their terms
+    # the terms that are zero; the outers are dense and linear
     rng = np.random.default_rng(25)
     pairs = table_products(monkeypatch)
     for n, m, order, linear in product((1, 2, 3), (1, 2, 3), (1, 2, 4), (False, True)):
         inner = zero_origin_map(rng, n, m, order, linear=linear)
-        outers = [outer_jet(rng, m, order, lin, special)
-                  for lin, special in product((False, True), (False, True))]
+        outers = [outer_jet(rng, m, order, lin) for lin in (False, True)]
         lower = [[o.truncated(low) for o in outers] for low in range(1, order)]
-        with np.errstate(invalid="ignore", over="ignore"):
-            want = [compose_by_monomials(o, inner) for o in [outers] + lower]
-            pairs.clear()
-            through = jet_composer(inner)
-            results = [through(outers), [through(o) for o in outers],
-                       [jet_compose(o, inner) for o in outers]]
-            lower_results = [through(o) for o in lower]
+        want = [compose_by_monomials(o, inner) for o in [outers] + lower]
+        pairs.clear()
+        through = jet_composer(inner)
+        results = [through(outers), [through(o) for o in outers],
+                   [jet_compose(o, inner) for o in outers]]
+        lower_results = [through(o) for o in lower]
         for got in results:
-            assert [g.order for g in got] == [order] * 4
+            assert [g.order for g in got] == [order] * 2
             assert [nan_blind(g.c) for g in got] == [nan_blind(w) for w in want[0]]
         for got, w in zip(lower_results, want[1:]):
             assert [nan_blind(g.c) for g in got] == [nan_blind(c) for c in w]
         full = len(jets_mod._TABLES[n].products[order][0])
-        # degrees 2 and up, once for the shared table and once for each of
-        # the two outers above degree 1 in a table of its own
-        assert len(pairs) == 3 * (order - 1)
+        # degrees 2 and up, once for the shared table and once for the
+        # outer above degree 1 in a table of its own
+        assert len(pairs) == 2 * (order - 1)
         assert all(p < full for p in pairs)
         # a linear outer reads the constant and degree-1 monomials alone
         pairs.clear()
-        jet_compose(outers[2], inner)
+        jet_compose(outers[1], inner)
         assert pairs == []
 
 
@@ -328,24 +322,41 @@ def test_structured_composer_batch_rows_equal_their_points_bit_for_bit():
                     == [nan_blind(g.c) for g in jet_composer(point)(outers)])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_composer_takes_the_full_tables_unless_constants_are_zero_and_terms_finite(monkeypatch):
-    # a constant within 1e-13 of zero passes the origin check but is not
-    # zero, and an infinity, or a product that overflows, makes the zero
-    # terms NaN: none of them skips a term
+def test_composer_zeroes_near_zero_constants_and_rejects_non_finite_terms(monkeypatch):
+    # a constant within 1e-13 of zero composes as 0.0, through the structured
+    # tables; an infinity or a NaN, in the inner map or in an outer (at a
+    # point or in one batch row), and an inner whose table could overflow
+    # raise
     rng = np.random.default_rng(27)
     pairs = table_products(monkeypatch)
     order = 4
     full = len(jets_mod._TABLES[3].products[order][0])
-    for k, v in (((0, 0, 0), 1e-14), ((0, 2, 1), np.inf), ((1, 0, 0), 1e100)):
-        inner = zero_origin_map(rng, 3, 3, order, linear=True)
-        inner[1][k] = v
-        outers = [outer_jet(rng, 3, order), outer_jet(rng, 3, order, linear=True)]
-        want = compose_by_monomials(outers, inner)
+    outers = [outer_jet(rng, 3, order), outer_jet(rng, 3, order, linear=True)]
+    for linear in (False, True):
+        inner = zero_origin_map(rng, 3, 3, order, linear=linear)
+        want = [g.c for g in jet_composer(inner)(outers)]
+        near = [g.copy() for g in inner]
+        near[1][(0, 0, 0)] = 1e-14
         pairs.clear()
-        got = jet_composer(inner)(outers)
-        assert pairs == [full] * order
-        assert [nan_blind(g.c) for g in got] == [nan_blind(w) for w in want]
+        got = jet_composer(near)(outers)
+        assert len(pairs) == order - 1 and all(p < full for p in pairs)
+        assert [g.c.tobytes() for g in got] == [w.tobytes() for w in want]
+    for k, v in (((0, 2, 1), np.inf), ((1, 0, 0), np.nan), ((1, 0, 0), 1e100)):
+        inner = zero_origin_map(rng, 3, 3, order)
+        inner[1][k] = v
+        with pytest.raises(JetDomainError):
+            jet_composer(inner)
+    inner = zero_origin_map(rng, 3, 3, order, rows=4)
+    for v in (np.inf, np.nan):
+        bad = outer_jet(rng, 3, order)
+        bad[(1, 1, 0)] = v
+        batch = Jet(3, order, {k: np.full(4, c) for k, c in outers[0].items()})
+        batch[(0, 1, 0)] = np.array([0.5, 0.25, v, 0.0])
+        for outer in (bad, [outers[0], bad], batch):
+            with pytest.raises(JetDomainError):
+                jet_composer(inner)(outer)
+            with pytest.raises(JetDomainError):
+                jet_compose(outer, inner)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

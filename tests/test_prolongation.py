@@ -8,8 +8,8 @@ import pytest
 
 from engellab import calculus, prolongation
 from engellab.calculus import Chart
-from engellab.distributions import (LineDirection, flag_ranks, characteristic_line,
-                                    is_contact, plane_principal_angle)
+from engellab.distributions import (flag_ranks, characteristic_line, is_contact, line_angle,
+                                    plane_principal_angle)
 from engellab.errors import EngelLabError, GeometryError
 from engellab.expressions import one_form_from_exprs, vector_field_from_exprs
 from engellab.jets import Jet
@@ -60,8 +60,8 @@ def test_characteristic_line_is_vertical():
     rng = np.random.default_rng(1)
     for _ in range(10):
         p = np.append(rng.uniform(-1, 1, 3), rng.uniform(0.0, 1.5))
-        ld = characteristic_line(dom.frame(), p)
-        assert ld.angle_to([0, 0, 0, 1]) < 1e-8
+        line = characteristic_line(dom.frame(), p)
+        assert line_angle(line, [0, 0, 0, 1]) < 1e-8
 
 
 def test_contactify_recovers_contact_planes():
@@ -244,8 +244,8 @@ def test_slice_transversality_check(monkeypatch):
     with pytest.raises(GeometryError):
         check_slice_transverse(dom, Slice(dom.chart, 0, 0.0), [0.0, 0.2, 0.3, 0.1])
     # a NaN characteristic direction is a NaN angle, which fails the check
-    monkeypatch.setattr(prolongation, "characteristic_line", lambda frame, q: LineDirection(
-        direction=np.array([0.0, 0.0, 0.0, math.nan])))
+    monkeypatch.setattr(prolongation, "characteristic_line",
+                        lambda frame, q: np.array([0.0, 0.0, 0.0, math.nan]))
     with pytest.raises(GeometryError):
         check_slice_transverse(dom, slc, [0.1, 0.2, 0.3])
 
