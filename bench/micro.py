@@ -53,11 +53,14 @@ the batched form where the checkout has it, else one call per line or pair.
 L3, trajectories: one call of the Zoll right-hand side V1
 (``SphereAtlas.field("north")`` at a fixed state), the same call as a
 single-lane ``integrate`` makes it (through ``flow._field_rhs`` on a one-row
-state, the right-hand side of every Zoll and central-projection
-integration), one of its order-1 jets at that state (the jet path of
-brackets and of the Hamiltonian alignment check), the first return on the
-round sphere from chart point (0.4, -0.3) with fiber angle 1.1 at tol 1e-10,
-one arc of ``central_projection_check`` (its first arc at seed 1: 40 samples
+state), one call on a stack of 4 lanes (the fixed state and three more, as
+a ``(3, 4)`` batch: the shape of a 4-sample report's stage), one of its
+order-1 jets at that state (the jet path of brackets and of the Hamiltonian
+alignment check), the first return on the round sphere from chart point
+(0.4, -0.3) with fiber angle 1.1 at tol 1e-10, the 4-sample
+``closedness_report`` of the round sphere at seed 1 (the ``zoll-closedness``
+suite of the ``trajectories`` workload), one arc of
+``central_projection_check`` (its first arc at seed 1: 40 samples
 over arclength 1.2 at tol 1e-11), the full-circle ``slice_transport`` of the
 standard prolongation from m = (0.2, -0.1, 0.3) at tol 1e-11 (acceptance
 criterion 7's call), and ``development_angle`` at q = (0.1, -0.2, 0.3, 1.0)
@@ -69,14 +72,20 @@ microseconds (per point for the batch item).  The ``counts`` block holds
 untimed counts: the field evaluations (``_FieldBase.taylor`` calls and
 lone-point value reads) of one deformed flag point, of the 200-point batch
 and of the arc, the geodesic-field evaluations of the return, the
-evaluations of the variational right-hand side (state plus transported
-vectors, event location included) of the transport and the development, the
-calls of the jet product kernel ``jets._product`` in one ``normalize_pair``
-and one ``verify``, with the term pairs that those calls multiply and the
-monomial tables (``jet_composer`` calls) that they set up, by the kind that
-the inner map's coefficients allow (``full``, ``origin``: constant terms
-zero and every coefficient finite, ``linear``: that and nothing above degree
-1; see :func:`composer_tables`), the field evaluations
+geodesic-field calls of the 4-sample report (a call on a stack of lanes
+counts once), the evaluations of the variational right-hand side (state
+plus transported vectors, event location included) of the transport and the
+development, the calls of the jet product kernel ``jets._product`` in one
+``normalize_pair`` and one ``verify``, with the term pairs that those calls
+multiply and the monomial tables (``jet_composer`` calls) that they set up,
+by the kind that the inner map's coefficients allow (``full``,
+``near_origin``: constant terms within 1e-13 of zero, not all zero, and every
+coefficient finite, ``origin``: constant terms zero and every coefficient
+finite, ``linear``: that and nothing above degree 1; see
+:func:`composer_tables`), for the random pair of generator 4 and for the
+second pair that the ``normal-form`` round draws at seed 1 (prefixed
+``round_pair_``), whose normalization composes inners with near-zero
+constants, the field evaluations
 (``_FieldBase._evaluate`` and ``_values`` calls) per point of the induced
 ``plane_basis`` at one point and in the 60-point batch, the calls of the
 contact-form path's rule (the ``gray`` suite's default path) in one Moser
@@ -120,7 +129,8 @@ from engellab.jets import (Jet, jet_compose, jet_invert, jet_pushforward,  # noq
 from engellab.normal_form import normalize_pair  # noqa: E402
 from engellab.prolongation import (contactify, development_angle, prolong,  # noqa: E402
                                    slice_transport)
-from engellab.zoll import SphereAtlas, central_projection_check, first_return  # noqa: E402
+from engellab.zoll import (SphereAtlas, central_projection_check,  # noqa: E402
+                           closedness_report, first_return)
 
 SIZES = ((4, 3), (3, 4))
 LOW_ORDERS = ((3, 0), (3, 1))
@@ -243,13 +253,15 @@ def composer_tables(fn):
     wherever an engellab module binds it), by the kind that the
     coefficients of the inner map allow: ``linear`` when every constant term
     is 0.0 or -0.0, every coefficient finite and nothing above degree 1
-    nonzero, ``origin`` for the first two alone, and ``full`` otherwise.
-    The kinds are read off the coefficients, so a checkout that builds every
-    table in full counts them alike.  A checkout with one composition path
-    builds no table in full: there an inner counted ``full`` has constants
-    only near zero, which compose as 0.0 through the structured tables (one
-    with a coefficient that is not finite raises)."""
-    orig, kinds = jets.jet_composer, dict.fromkeys(("full", "origin", "linear"), 0)
+    nonzero, ``origin`` for the first two alone, ``near_origin`` when every
+    coefficient is finite and every constant term within 1e-13 of zero, not
+    all of them zero, and ``full`` otherwise.  The kinds are read off the
+    coefficients, so a checkout that builds every table in full counts them
+    alike.  A checkout with one composition path builds no table in full: it
+    composes a ``near_origin`` inner's constants as 0.0 through the
+    structured tables."""
+    orig = jets.jet_composer
+    kinds = dict.fromkeys(("full", "near_origin", "origin", "linear"), 0)
     bound = [m for m in sys.modules.values()
              if getattr(m, "__name__", "").startswith("engellab")
              and getattr(m, "jet_composer", None) is orig]
@@ -259,8 +271,10 @@ def composer_tables(fn):
         n = maps[0].n
         width = len(multi_indices(n, min([order] + [g.order for g in maps])))
         c = np.stack(np.broadcast_arrays(*[g.c[..., :width] for g in maps]))
-        if np.any(c[..., 0] != 0.0) or not np.isfinite(c).all():
+        if not np.isfinite(c).all() or np.any(np.abs(c[..., 0]) > 1e-13):
             kinds["full"] += 1
+        elif np.any(c[..., 0] != 0.0):
+            kinds["near_origin"] += 1
         else:
             kinds["origin" if np.any(c[..., n + 1:] != 0.0) else "linear"] += 1
         return orig(inner, order)
@@ -275,18 +289,24 @@ def composer_tables(fn):
     return kinds
 
 
-def normal_form_counts(pair):
+def normal_form_counts(pair, prefix=""):
     """The kernel products, the product terms and the composer tables by
     kind of one ``normalize_pair`` of ``pair`` and of one ``verify`` of its
-    result."""
+    result, each name led by ``prefix``."""
     res = normalize_pair(pair)
     counts = {}
     for name, fn in (("normalize_pair_o4", lambda: normalize_pair(pair)),
                      ("verify_o4", lambda: res.verify(pair))):
-        counts[f"{name}_kernel_products"] = kernel_products(fn)
-        counts[f"{name}_product_terms"] = product_terms(fn)
-        counts[f"{name}_composer_tables"] = composer_tables(fn)
+        counts[f"{prefix}{name}_kernel_products"] = kernel_products(fn)
+        counts[f"{prefix}{name}_product_terms"] = product_terms(fn)
+        counts[f"{prefix}{name}_composer_tables"] = composer_tables(fn)
     return counts
+
+
+def round_pair(seed=1, index=1):
+    """Pair ``index`` of those the ``normal-form`` suite draws at ``seed``."""
+    rng = np.random.default_rng(seed)
+    return [cli._random_pair(rng) for _ in range(index + 1)][index]
 
 
 def jets_built(fn, order=None):
@@ -563,21 +583,31 @@ def l2_items(items, counts):
     items["normalize_pair_o4"] = per_call_us(lambda: normalize_pair(pair))
     items["verify_o4"] = per_call_us(lambda: res.verify(pair))
     counts.update(normal_form_counts(pair))
+    counts.update(normal_form_counts(round_pair(), "round_pair_"))
+
+
+class CountedField:
+    """A field whose calls are counted in ``owner.evals``; every other
+    attribute is the field's."""
+
+    def __init__(self, owner, field):
+        self.owner, self.field = owner, field
+
+    def __call__(self, point):
+        self.owner.evals += 1
+        return self.field(point)
+
+    def __getattr__(self, name):
+        return getattr(self.field, name)
 
 
 class CountingAtlas(SphereAtlas):
-    """The sphere atlas with a count of geodesic-field evaluations."""
+    """The sphere atlas with a count of geodesic-field calls."""
 
     evals = 0
 
     def field(self, chart):
-        X = super().field(chart)
-
-        def counting(state):
-            self.evals += 1
-            return X(state)
-
-        return counting
+        return CountedField(self, super().field(chart))
 
 
 def l3_items(items, counts):
@@ -598,17 +628,24 @@ def l3_items(items, counts):
         return central_projection_check(n_geodesics=1, seed=ARC_SEED)
 
     v1_rhs, state = single_lane(flow._field_rhs(X)), STATE[None]
+    stack = np.column_stack([STATE, np.random.default_rng(4).uniform(-1.0, 1.0, (3, 3))])
     items["v1_rhs_call"] = per_call_us(lambda: X(STATE))
     items["v1_single_lane_rhs"] = per_call_us(lambda: v1_rhs(0.0, state))
+    items["v1_stack_4_lanes"] = per_call_us(lambda: X(stack))
     items["v1_jets_order1"] = per_call_us(lambda: X.taylor(STATE, 1))
     items["first_return_sphere"] = per_call_us(
         lambda: first_return(atlas, STATE.copy(), "north", tol=RETURN_TOL))
+    items["closedness_4_samples"] = per_call_us(
+        lambda: closedness_report(atlas, n_samples=4, seed=ARC_SEED))
     items["central_projection_arc"] = per_call_us(arc)
     items["slice_transport_full_circle"] = per_call_us(transport)
     items["development_angle"] = per_call_us(develop)
     counting = CountingAtlas()
     first_return(counting, STATE.copy(), "north", tol=RETURN_TOL)
     counts["first_return_field_evals"] = counting.evals
+    counting = CountingAtlas()
+    closedness_report(counting, n_samples=4, seed=ARC_SEED)
+    counts["closedness_4_samples_field_calls"] = counting.evals
     counts["central_projection_field_evals"] = taylor_calls(arc)
     counts["slice_transport_rhs_evals"] = rhs_evals(transport)
     counts["development_angle_rhs_evals"] = rhs_evals(develop)

@@ -228,8 +228,7 @@ class _FieldBase:
         if coords.ndim == 2:
             arr = _column(vals, coords)
             return arr[0] if self.n_components == 1 else arr
-        vals = [float(v) for v in vals]
-        return vals[0] if self.n_components == 1 else np.array(vals)
+        return float(vals[0]) if self.n_components == 1 else np.array(vals, dtype=float)
 
     def jacobian(self, point):
         """Matrix of first partials, rows = components, columns = variables;

@@ -67,12 +67,13 @@ def _conforms(value, kind):
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _cfg(cfg, key, kind, default=None, length=None):
+def _cfg(cfg, key, kind, default=None, length=None, low=None, above=None):
     """The config value at ``key``, checked to be of ``kind`` (``int``,
     ``float``, ``bool`` or ``str``, or ``[kind]`` for a non-empty list of
     them, of ``length`` entries when given; an int is a float too), or
-    ``default`` when the key is absent.  A value of another kind or length is
-    a ConfigError naming the key."""
+    ``default`` when the key is absent.  A value of another kind or length,
+    or a number below ``low`` or not above ``above``, is a ConfigError naming
+    the key."""
     if key not in cfg:
         return default
     value = cfg[key]
@@ -80,6 +81,8 @@ def _cfg(cfg, key, kind, default=None, length=None):
         raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
     if length is not None and len(value) != length:
         raise ConfigError(f"config key {key!r} needs {length} entries: {value!r}")
+    if low is not None and not value >= low or above is not None and not value > above:
+        raise ConfigError(f"config key {key!r} is out of range: {value!r}")
     return float(value) if kind is float else value
 
 
@@ -294,9 +297,7 @@ def _gray_path(cfg):
 def _suite_gray(cfg, rng, samples, tol, report, seed):
     path, comps = _gray_path(cfg)
     t_max = _cfg(cfg, "t_max", float, 0.3)
-    n_grid = _cfg(cfg, "grid", int, 5)
-    if n_grid < 2:
-        raise ConfigError(f"config key 'grid' must be at least 2: {n_grid}")
+    n_grid = _cfg(cfg, "grid", int, 5, low=2)
     L = constant_field(CONTACT_CHART, _cfg(cfg, "legendrian", [float], [0.0, 1.0, 0.0], 3),
                        name="L")
     pts = rng.uniform(-1.0, 1.0, (samples, 3))
@@ -328,8 +329,8 @@ def _space_from_config(cfg):
         radius = _cfg(cfg, "radius", float, 1.0)
         return SphereAtlas(radius), {"metric": "sphere", "radius": radius}, 2.0 * math.pi * radius
     if kind == "plane":
-        return SingleChartSpace(euclidean_metric(), bound=_cfg(cfg, "bound", float, 50.0)), \
-            {"metric": "plane"}, None
+        bound = _cfg(cfg, "bound", float, 50.0, above=0.0)
+        return SingleChartSpace(euclidean_metric(), bound=bound), {"metric": "plane"}, None
     if kind == "revolution":
         text = _cfg(cfg, "profile", str)
         if text is None:
@@ -341,7 +342,7 @@ def _space_from_config(cfg):
 
         metric = revolution_metric(profile)
         space = SingleChartSpace(metric, periodic=(False, True),
-                                 bound=_cfg(cfg, "bound", float, None))
+                                 bound=_cfg(cfg, "bound", float, None, above=0.0))
         return space, {"metric": "revolution", "profile": text}, _cfg(cfg, "period", float, None)
     raise ConfigError(f"unknown metric kind {kind!r} (sphere | plane | revolution)")
 
@@ -349,8 +350,8 @@ def _space_from_config(cfg):
 def _suite_zoll_closedness(cfg, rng, samples, tol, report, seed):
     space, echo, period = _space_from_config(cfg)
     rep = closedness_report(space, n_samples=samples, seed=seed,
-                            max_arclength=_cfg(cfg, "max_arclength", float, 30.0),
-                            sample_radius=_cfg(cfg, "sample_radius", float, 1.5))
+                            max_arclength=_cfg(cfg, "max_arclength", float, 30.0, above=0.0),
+                            sample_radius=_cfg(cfg, "sample_radius", float, 1.5, low=0.0))
     expect = _cfg(cfg, "expect_return", bool, echo["metric"] == "sphere")
     if expect:
         report.add("all-return", samples, 0, samples - rep.n_returned)

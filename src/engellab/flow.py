@@ -68,7 +68,8 @@ def _dopri_step(f, t, y, h, k1):
     return ks, _lincomb(y, h, _B, ks)
 
 
-def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None, h0=None):
+def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None, h0=None,
+              lanes=None):
     """Adaptive DOPRI5 for ``dy/dt = f(t, y)`` from t0 to t1.
 
     Local error per step is held below ``tol`` (scaled by state magnitude);
@@ -76,40 +77,49 @@ def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None, h
     Returns ``(y, est_error, steps)`` with ``steps`` the accepted steps.
     ``observer(t_prev, y_prev, t, y, h, k_prev, k)`` is called after each
     accepted step with the slopes ``f`` at both ends; when it returns true,
-    integration stops there and ``y`` is the state at ``t``.  Every attempted
-    step, rejected ones included, counts toward ``max_steps``.  A non-finite
-    error estimate (a NaN or overflowing right-hand side) raises
-    :class:`IntegrationError`.
+    integration stops there and ``y`` is the state at ``t``; when it returns
+    ``(y, k)``, the run restarts in place from state ``y`` with slope ``k``,
+    as a run from ``t`` with ``h0 = h`` would.  Every attempted step, rejected
+    ones included, counts toward ``max_steps``.  A non-finite error estimate
+    (a NaN or overflowing right-hand side) raises :class:`IntegrationError`.
 
     The rows of an ``(N, dim)`` ``y0`` are lanes, each with the steps,
-    budget, observer calls and state of its own run; ``f`` gets the
+    budget, observer calls, restarts and state of its own run; ``f`` gets the
     unfinished lanes, with their times, once per stage.  The result holds
     every lane's state and error estimate and all their steps.  Errors are
     those of a loop over the lanes (:func:`~engellab.calculus.over_points`).
+    With a list ``lanes``, lanes can have right-hand sides of their own: the
+    run keeps ``lanes`` equal to the indices of the rows that ``f`` gets,
+    passes the observer the lane's index first, and raises a lane's error.
     """
     y = np.asarray(y0, dtype=float)
+    if lanes is not None:
+        ys, est, steps = zip(*_dopri(f, y, t0, t1, tol, max_steps, observer, h0, lanes))
+        return np.array(ys), np.array(est), sum(steps)
+    obs = observer and (lambda i, *step: observer(*step))
     if y.ndim == 1:
         return _dopri(lambda t, s: f(t, s[0])[None], y[None], t0, t1, tol, max_steps,
-                      observer, h0)[0]
+                      obs, h0, [])[0]
 
     def rhs(t, s):
         return f(np.ravel(t) if np.ndim(t) else np.full(len(s), t), s)
 
     ys, est, steps = zip(*over_points(
-        y, lambda coords: _dopri(rhs, coords.T, t0, t1, tol, max_steps, observer, h0),
+        y, lambda coords: _dopri(rhs, coords.T, t0, t1, tol, max_steps, obs, h0, []),
         lambda lane: integrate(f, lane, t0, t1, tol, max_steps, observer, h0)))
     return np.array(ys), np.array(est), sum(steps)
 
 
-def _dopri(f, y, t0, t1, tol, max_steps, observer, h0):
+def _dopri(f, y, t0, t1, tol, max_steps, observer, h0, lanes):
     """The DOPRI5 loop over the lanes ``y`` (rows), with the controller per
     lane on scalars, giving ``(state, error, steps)`` per lane; ``f`` gets the
-    stage times as a column, or as a number while one lane is left."""
+    stage times as a column, or as a number while one lane is left, ``lanes``
+    the indices of its rows, and the observer a lane's index first."""
     n, span = len(y), t1 - t0
     sign = 1.0 if span > 0 else -1.0
     t, h = [t0] * n, [sign * min(abs(span), h0 or max(abs(span) / 16.0, 1e-6))] * n
     est, attempts, steps, out = [0.0] * n, [0] * n, [0] * n, list(y)
-    lanes = list(range(n)) if span != 0.0 else []
+    lanes[:] = range(n) if span != 0.0 else []
     k1 = f(t0, y) if lanes else None
     while lanes:
         for i in lanes:
@@ -138,8 +148,13 @@ def _dopri(f, y, t0, t1, tol, max_steps, observer, h0):
                 if abs(hi) < 1e-14 and sign * (ti + hi - t1) < 0.0:
                     raise IntegrationError("step underflow (stiffness?)")
                 t[i], est[i], steps[i] = ti + hi, est[i] + e * scale[j], steps[i] + 1
-                if observer is not None and observer(ti, y[j], t[i], y_new[j], hi, k1[j],
-                                                     ks[6][j]) or sign * (t1 - t[i]) <= 0.0:
+                stop = observer is not None and observer(i, ti, y[j], t[i], y_new[j], hi, k1[j],
+                                                         ks[6][j])
+                if isinstance(stop, tuple):  # a restart in place, on copies of the ends
+                    y_new, ks[6] = y_new.copy(), ks[6].copy()
+                    y_new[j], ks[6][j] = stop
+                    stop, h[i] = False, sign * min(abs(t1 - t[i]), abs(hi))
+                if stop or sign * (t1 - t[i]) <= 0.0:
                     out[i] = y_new[j]
                     continue
             keep.append(j)
@@ -148,7 +163,7 @@ def _dopri(f, y, t0, t1, tol, max_steps, observer, h0):
             y_new, ks[6] = np.where(take, y_new, y), np.where(take, ks[6], k1)
         y, k1 = y_new, ks[6]
         if len(keep) < len(lanes):
-            y, k1, lanes = y[keep], k1[keep], [lanes[j] for j in keep]
+            y, k1, lanes[:] = y[keep], k1[keep], [lanes[j] for j in keep]
     return list(zip(out, est, steps))
 
 

@@ -8,17 +8,22 @@ and the geodesic field V1 frame the contact planes; the contact form pairs
 the metric with the normal of the moving direction.  Closedness of geodesics
 is measured, never assumed: the report integrates each sampled contact
 element across the atlas and records the distance in an embedding between the
-start and the first return candidate.
+start and the first return candidate.  The returns of a report, and the arcs
+of the central-projection check, run as the lanes of one adaptive run, each
+with its own chart, steps, observer and transitions; lanes in one chart share
+each V1 call, which reads the metric once for all of them and forms each
+contact element on that lane's floats, so each lane steps as it does alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .calculus import Chart, OneForm, VectorField, _FieldBase
+from .calculus import Chart, OneForm, VectorField, _FieldBase, over_points
 from .errors import (EngelLabError, ExpressionDomainError, GeometryError,
                      IntegrationError, JetDomainError)
 from .distributions import line_angle
@@ -32,8 +37,8 @@ class SurfaceMetric(_FieldBase):
     """A Riemannian metric on a 2-chart: the field whose four components are
     g's entries in row-major order, given by a matrix rule ``g_rule`` that
     works with generic arithmetic (floats or jets).  ``value_and_gradient``
-    reads the floats g and dg from one evaluation on order-1 seeds, and
-    ``christoffel`` forms the symbols from them."""
+    reads the floats g and dg from one evaluation on order-1 seeds, for a
+    point or a batch, and ``christoffel`` forms the symbols from them."""
 
     n_components = 4
 
@@ -45,15 +50,20 @@ class SurfaceMetric(_FieldBase):
         self.g_rule = g_rule
 
     def value_and_gradient(self, p):
-        """The floats g[i][j] and dg[i][j][k] = d_k g_ij at ``p``, read from
-        one evaluation of the rule on order-1 seeds, with no memo; a number
-        entry stays a number, as at every order: its value ``0.0 + v``, its
-        gradient zeros (read inline, since the geodesic integrator's loop
-        calls this)."""
-        G = self._outputs(np.asarray(p, dtype=float)[:2], 1)
-        g = [j.value if isinstance(j, Jet) else 0.0 + j for j in G]
-        dg = [j.gradient() if isinstance(j, Jet) else [0.0, 0.0] for j in G]
-        return [g[:2], g[2:]], [dg[:2], dg[2:]]
+        """The floats g[i][j] and dg[i][j][k] = d_k g_ij at ``p`` (for ``(2,
+        N)`` coordinates, each point's ``(g, dg)`` as its own call gives them),
+        from one evaluation of the rule on order-1 seeds with no memo; a
+        number entry stays a number: its value ``0.0 + v``, its gradient
+        zeros."""
+        coords = np.asarray(p, dtype=float)[:2]
+        rows = [j.c.tolist() if isinstance(j, Jet) else [0.0 + j, 0.0, 0.0]
+                for j in self._outputs(coords, 1)]
+        # each point's (value, d/dx2, d/dx1) of each entry, repeated if shared
+        rows = [r if isinstance(r[0], list) else [r] * (coords.size // 2) for r in rows]
+        pairs = [([[a[0], b[0]], [c[0], d[0]]],
+                  [[[a[2], a[1]], [b[2], b[1]]], [[c[2], c[1]], [d[2], d[1]]]])
+                 for a, b, c, d in zip(*rows)]
+        return pairs if coords.ndim == 2 else pairs[0]
 
     def matrix(self, p):
         """g at ``p`` as a 2x2 array; a metric that is not positive definite
@@ -147,9 +157,9 @@ def _contact_element(g, dg, psi):
 
 
 def _inputs(metric, coords, order):
-    """g, dg and psi at (x1, x2, psi) = ``coords``: floats at order 0; at
-    order k, jets of order k in those 3 variables, dg the partials of g's
-    jets of order k + 1."""
+    """g, dg and psi at (x1, x2, psi) = ``coords``: floats at a point at
+    order 0; at order k, jets of order k in those 3 variables, dg the
+    partials of g's jets of order k + 1."""
     if order == 0:
         return (*metric.value_and_gradient(coords[:2]), coords[2])
     G = [embed(c, 3, (0, 1)) for c in metric.taylor(coords[:2], order + 1)]
@@ -157,6 +167,26 @@ def _inputs(metric, coords, order):
     return ([[truncate(c, order) for c in row] for row in G],
             [[[derivative(c, k) for k in (0, 1)] for c in row] for row in G],
             Jet.variable(2, 3, order, base=coords[2]))
+
+
+def _pointwise(metric, coords, order, form):
+    """``form(g, dg, psi)``, a list of components, at (x1, x2, psi) =
+    ``coords``; over a batch at order 0, on each point's floats after one
+    metric read, so each row is its point's values bit for bit."""
+    if order or coords.ndim == 1:
+        return form(*_inputs(metric, coords, order))
+    gs, dgs = zip(*metric.value_and_gradient(coords))
+    return [np.array(c) for c in zip(*map(form, gs, dgs, coords[2]))]
+
+
+def _v1(g, dg, psi):
+    u, _, psidot = _contact_element(g, dg, psi)
+    return [u[0], u[1], psidot]
+
+
+def _alpha(g, dg, psi):
+    _, uperp, _ = _contact_element(g, dg, psi)
+    return [jet_dot([g[0][j], g[1][j]], uperp) for j in range(2)] + [0.0]
 
 
 def euclidean_metric(name="plane"):
@@ -202,8 +232,9 @@ class UnitTangentChart:
     psi is measured against the Gram-Schmidt orthonormal frame (E1 along
     d/dx1).  The moving unit vector, the geodesic field V1 and the contact
     form g(u_perp, dpi .) come from one formula, ``_contact_element``,
-    evaluated on floats at order 0 (V1 sits in every integrator's inner loop)
-    and on jets in (x1, x2, psi) above.
+    evaluated on floats at order 0 (V1 sits in every integrator's inner loop;
+    over a batch, point by point after one metric read) and on jets in
+    (x1, x2, psi) above.
     """
 
     def __init__(self, metric):
@@ -212,17 +243,10 @@ class UnitTangentChart:
                            tuple(metric.chart.coords) + ("psi",))
         self.V0 = VectorField(self.chart, components=lambda xs: [0.0, 0.0, 1.0],
                               name="V0")
-        self.V1 = VectorField(self.chart, taylor_fn=self._v1_jets, name="V1")
-        self.alpha = OneForm(self.chart, taylor_fn=self._alpha_jets, name="alpha")
-
-    def _v1_jets(self, coords, order):
-        u, _, psidot = _contact_element(*_inputs(self.metric, coords, order))
-        return [u[0], u[1], psidot]
-
-    def _alpha_jets(self, coords, order):
-        g, dg, psi = _inputs(self.metric, coords, order)
-        _, uperp, _ = _contact_element(g, dg, psi)
-        return [jet_dot([g[0][j], g[1][j]], uperp) for j in range(2)] + [0.0]
+        self.V1 = VectorField(self.chart, taylor_fn=partial(_pointwise, metric, form=_v1),
+                              name="V1")
+        self.alpha = OneForm(self.chart, taylor_fn=partial(_pointwise, metric, form=_alpha),
+                             name="alpha")
 
     def unit_vector(self, p):
         """Coordinate components of the unit vector at angle psi, in floats."""
@@ -432,42 +456,43 @@ class SphereAtlas:
         return np.concatenate([self.point(x, chart), dp / sqrt(dp @ dp)])
 
 
-def _geodesic(space, state, chart, length, tol, on_step):
-    """Follow the geodesic field from ``state`` for arclength ``length``, one
-    ``integrate`` run per chart segment; ``on_step(rhs, chart, t0, y0, t1,
-    y1, h, k0, k1)`` observes each step and ends the geodesic by returning
-    true, as does an escape.  Returns the arclength, state and chart there."""
-    # later segments open at the last accepted step; the integrator's default,
-    # a sixteenth of the span, would send trial stages off the chart
-    s, y, ch, h0 = 0.0, state, chart, 1.0 / 64.0
-    while True:
-        rhs, stop = _field_rhs(space.field(ch)), {}  # the field is only called
+def _geodesics(space, starts, length, tol, on_steps):
+    """Follow the geodesic field from each ``(state, chart)`` of ``starts``
+    for arclength ``length``, as lanes of one run: ``on_steps[i](rhs, chart,
+    t0, y0, t1, y1, h, k0, k1)`` observes lane i's steps (``rhs``: V1 on a
+    point) and ends it by returning true, as does an escape; a transition
+    restarts it in place.  Returns each lane's (arclength, state, chart)."""
+    charts, ends, lanes = [ch for _, ch in starts], {}, []
 
-        def observe(t0, y0, t1, y1, h, k0, k1, ch=ch, rhs=rhs, stop=stop):
-            nonlocal h0
-            h0 = h
-            end = on_step(rhs, ch, t0, y0, t1, y1, h, k0, k1) or space.escaped(y1, ch)
-            if end or space.needs_transition(y1, ch):
-                stop.update(t=float(t1), y=y1, end=end)
-            return bool(stop)
+    def rhs(t, y):
+        out = np.empty_like(y)
+        for ch in {charts[i] for i in lanes}:
+            rows = [j for j, i in enumerate(lanes) if charts[i] == ch]
+            rows = rows[0] if len(rows) == 1 else rows if len(rows) < len(y) else slice(None)
+            out[rows] = space.field(ch)(y[rows].T).T
+        return out
 
-        y_end = integrate(rhs, y, s, length, tol=tol, observer=observe, h0=h0)[0]
-        if not stop or stop["end"]:
-            return stop.get("t", length), stop.get("y", y_end), ch
-        s, (y, ch) = stop["t"], space.transition(stop["y"], ch)
+    def observe(i, t0, y0, t1, y1, h, k0, k1):
+        ch = charts[i]
+        if on_steps[i](_field_rhs(space.field(ch)), ch, t0, y0, t1, y1, h, k0, k1) \
+                or space.escaped(y1, ch):
+            ends[i] = float(t1)
+            return True
+        if space.needs_transition(y1, ch):
+            y, charts[i] = space.transition(y1, ch)
+            return y, space.field(charts[i])(y)
+        return False
+
+    # a restart tries the last accepted step, and the first 1/64: a sixteenth
+    # of the span would send trial stages off the chart
+    ys = integrate(rhs, [y for y, _ in starts], 0.0, length, tol=tol, observer=observe,
+                   h0=1.0 / 64.0, lanes=lanes)[0]
+    return [(ends.get(i, length), y, ch) for i, (y, ch) in enumerate(zip(ys, charts))]
 
 
-def first_return(space, state, chart, max_arclength=30.0, tol=1e-10):
-    """Integrate a contact element until its embedded image e first comes
-    back within 0.6 of the start after departing beyond 1, and stop on the
-    section f = (e - e(start)) . T0 = 0, T0 the derivative of e along the
-    flow at the start.  The gates are checked on each step, by the cheap
-    base point (``space.point``) where that decides them; a sign change of f
-    on a step that ends inside the 0.6 capture is located on that step, to
-    |f| at its rounding floor.  At a step's ends the gates embed the states
-    with the end slopes that the integrator holds (``embed_with_slope``), and
-    a step starts with the value of f where the step before it ended.
-    Returns (returned, arclength, defect, final_state, final_chart)."""
+def _return(space, state, chart):
+    """The step observer of the first return from ``state`` (see
+    :func:`first_return`), and the reader of the return off its end."""
     start, base = space.embed(state, chart), space.point(state, chart)
     T0 = np.array([e.gradient() for e in space.embed(state, chart, order=1)]) @ space.field(chart)(state)
     T0 /= np.linalg.norm(T0)
@@ -494,40 +519,67 @@ def first_return(space, state, chart, max_arclength=30.0, tol=1e-10):
                 found.append((float(t0 + tau), y))
         return bool(found)
 
-    s, y, ch = _geodesic(space, state, chart, max_arclength, tol, on_step)
-    if not found:
-        return False, s, math.inf, y, ch
-    (s, y), = found
-    return True, s, float(np.linalg.norm(space.embed(y, ch) - start)), y, ch
+    def result(s, y, ch):
+        if not found:
+            return False, s, math.inf, y, ch
+        (s, y), = found
+        return True, s, float(np.linalg.norm(space.embed(y, ch) - start)), y, ch
+
+    return on_step, result
+
+
+def _returns(space, starts, max_arclength, tol):
+    """:func:`first_return` from each ``(state, chart)`` of ``starts``."""
+    gates = [_return(space, *start) for start in starts]
+    ends = _geodesics(space, starts, max_arclength, tol, [on_step for on_step, _ in gates])
+    return [result(*end) for (_, result), end in zip(gates, ends)]
+
+
+def first_return(space, state, chart, max_arclength=30.0, tol=1e-10):
+    """Integrate a contact element until its embedded image e first comes
+    back within 0.6 of the start after departing beyond 1, and stop on the
+    section f = (e - e(start)) . T0 = 0, T0 the derivative of e along the
+    flow at the start.  The gates are checked on each step, by the cheap
+    base point (``space.point``) where that decides them; a sign change of f
+    on a step that ends inside the 0.6 capture is located on that step, to
+    |f| at its rounding floor.  At a step's ends the gates embed the states
+    with the end slopes that the integrator holds (``embed_with_slope``), and
+    a step starts with the value of f where the step before it ended.  It is
+    the one-lane case of :func:`closedness_report`'s stack of returns.
+    Returns (returned, arclength, defect, final_state, final_chart)."""
+    return _returns(space, [(state, chart)], max_arclength, tol)[0]
 
 
 def closedness_report(space, n_samples=50, max_arclength=30.0, tol=1e-10,
                       seed=0, sample_radius=1.5):
-    """Sample random contact elements and measure first-return defects."""
+    """Sample random contact elements and measure first-return defects.  The
+    returns run as lanes of one integration; if a lane raises, each sample
+    runs alone, so notes and errors are those of a loop over the samples."""
     rng = np.random.default_rng(seed)
-    samples = []
-    worst = 0.0
-    n_ret = 0
+    starts = []
     for _ in range(n_samples):
         r = sample_radius * math.sqrt(rng.uniform(0.0, 1.0))
         ang = rng.uniform(0.0, 2.0 * math.pi)
         psi = rng.uniform(0.0, 2.0 * math.pi)
-        state, chart = space.start_state([r * math.cos(ang), r * math.sin(ang)], psi)
+        starts.append(space.start_state([r * math.cos(ang), r * math.sin(ang)], psi))
+
+    def alone(i):
         try:
-            ok, s, d, _, _ = first_return(space, state, chart,
-                                          max_arclength=max_arclength, tol=tol)
-            note = "" if ok else "no return within budget"
+            return first_return(space, *starts[i], max_arclength=max_arclength, tol=tol)[:3] + ("",)
         except ExpressionDomainError:
             raise  # the configured metric is undefined here, whatever the sample
         except (GeometryError, IntegrationError) as exc:
-            ok, s, d, note = False, math.nan, math.inf, str(exc)
-        samples.append(SampleReturn(state=state, chart=chart, returned=ok,
-                                    arclength=s, defect=d, note=note))
-        if ok:
-            n_ret += 1
-            worst = worst_of(worst, d)
-    return ClosednessReport(samples=samples, seed=seed, max_defect=worst,
-                            n_returned=n_ret)
+            return False, math.nan, math.inf, str(exc)
+
+    # the samples by index: one stack of lanes, or each alone if a lane raises
+    results = over_points(range(n_samples), lambda _: [
+        ret[:3] + ("",) for ret in _returns(space, starts, max_arclength, tol)], alone)
+    samples = [SampleReturn(state=state, chart=chart, returned=ok, arclength=s, defect=d,
+                            note=note or ("" if ok else "no return within budget"))
+               for (state, chart), (ok, s, d, note) in zip(starts, results)]
+    return ClosednessReport(samples=samples, seed=seed,
+                            max_defect=worst_of(0.0, *(s.defect for s in samples if s.returned)),
+                            n_returned=sum(s.returned for s in samples))
 
 
 # -- central projection --------------------------------------------------------
@@ -553,14 +605,14 @@ def line_fit_residual(points):
 def central_projection_check(n_geodesics=50, seed=0, arc=1.2, n_points=40):
     """Integrate great-circle arcs near the pole at tol 1e-11, project
     centrally, and fit lines; returns the per-arc and maximal perpendicular
-    residuals.  An arc is one integration per chart segment; its sample k is
-    the state at arclength k * arc / n_points, from a fresh step of the
-    accepted step that contains it, and the arc ends there or at a height
-    <= 0.05."""
+    residuals.  The arcs run as lanes (each alone if a lane raises); an arc's
+    sample k is the state at arclength k * arc / n_points, from a fresh step
+    of the accepted step that contains it, and the arc ends there or at a
+    height <= 0.05."""
     rng = np.random.default_rng(seed)
     atlas = SphereAtlas()
     ds = arc / n_points
-    residuals = []
+    starts = []
     for _ in range(n_geodesics):
         # start high on the sphere: chart origin is the south pole, so radii
         # beyond 1 sit on the upper hemisphere; transitions keep the arc in a
@@ -568,23 +620,26 @@ def central_projection_check(n_geodesics=50, seed=0, arc=1.2, n_points=40):
         r = rng.uniform(2.0, 4.0)
         ang = rng.uniform(0.0, 2.0 * math.pi)
         psi = rng.uniform(0.0, 2.0 * math.pi)
-        y = np.array([r * math.cos(ang), r * math.sin(ang), psi])
-        pts = []
+        starts.append([r * math.cos(ang), r * math.sin(ang), psi])
 
-        def on_step(rhs, ch, t0, y0, t1, y1, h, k0, k1, pts=pts):
-            while len(pts) < n_points and len(pts) * ds <= t1:
-                tau = len(pts) * ds - t0
-                p = atlas.point(y1 if tau == h else _dopri_step(rhs, t0, y0, tau, k0)[1], ch)
-                if p[2] <= 0.05:
-                    return True
-                pts.append(central_projection(p))
-            return False
+    def on_step(pts, rhs, ch, t0, y0, t1, y1, h, k0, k1):
+        while len(pts) < n_points and len(pts) * ds <= t1:
+            tau = len(pts) * ds - t0  # 0 only for sample 0, the start
+            p = atlas.point(y1 if tau == h else y0 if tau == 0.0 else
+                            _dopri_step(rhs, t0, y0, tau, k0)[1], ch)
+            if p[2] <= 0.05:
+                return True
+            pts.append(central_projection(p))
+        return False
 
-        # sample 0 is the start, the end of a step of size 0
-        if not on_step(None, "north", 0.0, y, 0.0, y, 0.0, None, None):
-            _geodesic(atlas, y, "north", (n_points - 1) * ds, 1e-11, on_step)
-        if len(pts) >= 5:
-            residuals.append(line_fit_residual(pts))
+    def arcs(ys):
+        pts = [[] for _ in ys]
+        _geodesics(atlas, [(y, "north") for y in ys], (n_points - 1) * ds, 1e-11,
+                   [partial(on_step, p) for p in pts])
+        return pts
+
+    residuals = [line_fit_residual(pts) for pts in over_points(
+        starts, lambda coords: arcs(coords.T), lambda y: arcs([y])[0]) if len(pts) >= 5]
     if not residuals:
         raise GeometryError("no arcs stayed on the open hemisphere")
     return {"residuals": residuals, "max_residual": float(worst_of(*residuals)),

@@ -1,7 +1,7 @@
 """The scripts under bench/ still import: every engellab name they import
 exists, and so does every attribute they read off an engellab module or
 class, or off the benchmark's workloads module.  No round runs; micro.py's
-normal-form counts run on one pair."""
+normal-form counts run on two pairs."""
 
 import ast
 import importlib.util
@@ -53,8 +53,14 @@ def test_micro_normal_form_counts(monkeypatch):
     assert sorted(counts) == sorted(names)
     for call in ("normalize_pair_o4", "verify_o4"):
         tables = counts[f"{call}_composer_tables"]
-        assert sorted(tables) == ["full", "linear", "origin"] and sum(tables.values()) > 0
+        assert sorted(tables) == ["full", "linear", "near_origin", "origin"]
+        assert sum(tables.values()) > 0
         assert counts[f"{call}_product_terms"] > counts[f"{call}_kernel_products"] > 0
+    # the normal-form round's second pair at seed 1 composes inners whose
+    # constants are near zero, not zero; none of them is counted as full
+    tables = module.normal_form_counts(module.round_pair(), "round_pair_")[
+        "round_pair_normalize_pair_o4_composer_tables"]
+    assert tables["near_origin"] > 0 and tables["full"] == 0
 
 
 def test_micro_l2_items(monkeypatch):
@@ -67,3 +73,15 @@ def test_micro_l2_items(monkeypatch):
                  "characteristic_lines_angles_prolonged_batch200_per_point",
                  "contactify_principal_angles_batch60_per_pair"):
         assert items[name]["median_us"] > 0
+
+
+def test_micro_l3_items(monkeypatch):
+    # each timed call runs once, untimed; a 4-sample report calls V1 on its
+    # stack of lanes, so it makes fewer field calls than 4 returns alone
+    module, _ = _load("micro.py", monkeypatch)
+    monkeypatch.setattr(module, "per_call_us", lambda fn: (fn(), {"median_us": 1.0})[1])
+    items, counts = {}, {}
+    module.l3_items(items, counts)
+    assert items["v1_stack_4_lanes"]["median_us"] > 0
+    assert items["closedness_4_samples"]["median_us"] > 0
+    assert 0 < counts["closedness_4_samples_field_calls"] < 4 * counts["first_return_field_evals"]

@@ -82,6 +82,25 @@ def test_wrong_typed_config_value_exits_two(capsys, tmp_path, command, cfg, key)
     assert "config error" in err and repr(key) in err
 
 
+@pytest.mark.parametrize("cfg,key", [
+    ({"metric": "plane", "bound": 0}, "bound"),
+    ({"metric": "revolution", "profile": "sin(u)", "bound": -2.0}, "bound"),
+    ({"metric": "plane", "max_arclength": -1}, "max_arclength"),
+    ({"metric": "sphere", "max_arclength": -1}, "max_arclength"),
+    ({"metric": "sphere", "sample_radius": -3}, "sample_radius"),
+])
+def test_vacuous_zoll_config_exits_two(capsys, tmp_path, cfg, key):
+    # a bound or arclength that is not positive, or a negative sample radius,
+    # leaves nothing to measure: the plane's no-return check passed on
+    # samples that escaped or ran backwards, the sphere's all-return check
+    # failed (exit 1); both are config errors naming the key
+    p = tmp_path / "vacuous.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "zoll-closedness", "--config", str(p))
+    assert code == 2
+    assert "config error" in err and repr(key) in err
+
+
 def test_gray_reads_a_number_component_as_a_constant(capsys, tmp_path):
     # "0" evaluates to a number, not a jet: the path lifts it to a constant,
     # and the checks are those of the default middle component "0*y"

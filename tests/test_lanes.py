@@ -87,6 +87,55 @@ def test_stacked_integrate_observer_sees_each_lane_and_stops_it():
     assert stacked[1.0][-1][2] < 0.5 and stacked[25.0][-1][2] == 0.5
 
 
+def test_stacked_restarts_equal_segmented_runs_bit_for_bit():
+    # each lane has a right-hand side of its own, x' = cos(w t) + 0.1 x with
+    # its w read through ``lanes``, and restarts in place from x - 0.5 when
+    # x passes 0.3; the stack takes, lane by lane, the steps of runs alone
+    # that stop there and open the next run at that time with h0 the last
+    # accepted step
+    w = [1.0, 400.0, 25.0, 3.0]
+    y0 = np.array([[0.0], [0.25], [0.28], [0.2]])
+
+    def one(i, t, y):
+        return np.array([math.cos(w[i] * t) + 0.1 * y[0]])
+
+    lanes, stacked = [], {}
+
+    def f(t, y):
+        ts = np.ravel(t) if np.ndim(t) else [t] * len(y)
+        return np.array([one(i, ti, yi) for i, ti, yi in zip(lanes, ts, y)])
+
+    def observe(i, t0, y_prev, t, y, h, k_prev, k):
+        stacked.setdefault(i, []).append((t0, bits(y_prev), t, bits(y), h, bits(k_prev), bits(k)))
+        if y[0] > 0.3:
+            return y - 0.5, one(i, t, y - 0.5)
+        return False
+
+    ys, _, _ = integrate(f, y0, 0.0, 2.0, tol=1e-9, observer=observe, lanes=lanes)
+    assert lanes == []
+    restarts = []
+    for i, lane in enumerate(y0):
+        seen, t, y, h0, runs = [], 0.0, lane, None, 0
+        while True:
+            stop = {}
+
+            def obs(t0, y_prev, t, y, h, k_prev, k):
+                seen.append((t0, bits(y_prev), t, bits(y), h, bits(k_prev), bits(k)))
+                if y[0] > 0.3:
+                    stop.update(t=t, y=y - 0.5, h=h)
+                return bool(stop)
+
+            end, _, _ = integrate(lambda t, y: one(i, t, y), y, t, 2.0, tol=1e-9, observer=obs,
+                                  h0=h0)
+            runs += 1
+            if not stop:
+                break
+            t, y, h0 = stop["t"], stop["y"], stop["h"]
+        assert stacked[i] == seen and bits(ys[i]) == bits(end), i
+        restarts.append(runs - 1)
+    assert min(restarts) > 0 and len(set(restarts)) > 1
+
+
 def attempts(lane, *args, **kwargs):
     """Attempted steps of a lane alone: one right-hand-side call to start,
     six per attempt."""

@@ -238,11 +238,11 @@ def test_sphere_first_return_period():
     assert abs(s - 2.0 * math.pi) < 1e-7
 
 
-def test_return_is_one_integration_per_chart_segment(monkeypatch):
-    # a return integrates each chart segment once, the first from arclength
-    # 0 at the opening step 1/64 and each later one from where the one
-    # before stopped for its transition: no restarts, no probes.  The return
-    # is located on the step that makes it, so the section value
+def test_return_is_one_integration_restarted_at_each_transition(monkeypatch):
+    # a return is one integrate run from arclength 0 at the opening step
+    # 1/64, whatever its transitions: the lane restarts in place in the other
+    # chart wherever it passes the switch radius (no second run, no probes).
+    # The return is located on the step that makes it, so the section value
     # f = (e - e(start)) . T0 is at its rounding floor there
     calls, stops = [], []
     inner = zoll.integrate
@@ -258,14 +258,92 @@ def test_return_is_one_integration_per_chart_segment(monkeypatch):
     state, ch = atlas.start_state([0.4, -0.3], 1.1)
     ok, s, defect, y, ych = first_return(atlas, state, ch, tol=1e-10)
     assert ok and defect < 1e-7 and abs(s - 2.0 * math.pi) < 1e-7
-    assert len(stops) >= 1 and len(calls) == len(stops) + 1
-    assert calls[0] == (0.0, 1.0 / 64.0)
+    assert len(stops) >= 1 and calls == [(0.0, 1.0 / 64.0)]
     assert all(np.hypot(*stop[:2]) > atlas.switch_radius for stop in stops)
-    times = [t0 for t0, _ in calls] + [s]
-    assert all(a < b for a, b in zip(times, times[1:]))
     start = atlas.embed(state, ch)
     T0 = np.concatenate([start[3:], -start[:3]]) / math.sqrt(2.0)  # see the embed test
     assert abs(float((atlas.embed(y, ych) - start) @ T0)) <= 1e-15
+
+
+def lane_by_lane(monkeypatch):
+    """Make zoll run its stacks as the loop over their lanes."""
+    monkeypatch.setattr(zoll, "over_points", lambda points, batch, one: [one(p) for p in points])
+
+
+def sample_bits(rep):
+    return [(s.returned, bits(s.arclength), bits(s.defect), s.note, s.chart, bits(s.state))
+            for s in rep.samples]
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_stacked_returns_equal_lone_returns_bit_for_bit(monkeypatch):
+    # lanes that transition at different times, and finish at different
+    # arclengths, take the steps of their returns alone; so do lanes that
+    # escape the plane's bound at different times
+    atlas = SphereAtlas()
+    transition, moves = atlas.transition, []
+    monkeypatch.setattr(atlas, "transition", lambda y, ch: moves.append(ch) or transition(y, ch))
+    stacked = [closedness_report(atlas, n_samples=n, tol=1e-10, seed=seed)
+               for seed in (1, 2, 3) for n in (4, 12)]
+    assert moves and all(rep.n_returned == rep.n_samples for rep in stacked)
+    assert all(len({s.arclength for s in rep.samples}) > 1 for rep in stacked)
+    # the plane's steps grow fourfold, so its lanes escape at step ends
+    plane = SingleChartSpace(euclidean_metric(), bound=4.0)
+    rng = np.random.default_rng(4)
+    starts = [plane.start_state(rng.uniform(-2.0, 2.0, 2), psi)
+              for psi in rng.uniform(0.0, 2.0 * math.pi, 5)]
+    escapes = zoll._returns(plane, starts, 20.0, 1e-10)
+    assert len({s for _, s, _, _, _ in escapes}) > 1
+    lane_by_lane(monkeypatch)
+    alone = [closedness_report(atlas, n_samples=n, tol=1e-10, seed=seed)
+             for seed in (1, 2, 3) for n in (4, 12)]
+    assert [sample_bits(r) for r in stacked] == [sample_bits(r) for r in alone]
+    assert [r.max_defect for r in stacked] == [r.max_defect for r in alone]
+    for got, start in zip(escapes, starts):
+        want = first_return(plane, *start, max_arclength=20.0, tol=1e-10)
+        assert got[:3] == want[:3] and got[4] == want[4] and bits(got[3]) == bits(want[3])
+        assert not got[0] and np.hypot(*got[3][:2]) > 4.0
+
+
+def test_a_raising_lane_gives_the_report_of_the_lone_loop(monkeypatch):
+    # one lane's transition fails: the report reruns its samples one by one,
+    # so the failing sample carries its own note and the others return.  The
+    # failing lane is told by its great circle, whose normal p x t the flow
+    # keeps
+    atlas = SphereAtlas()
+    rng = np.random.default_rng(5)
+    starts = [atlas.start_state(rng.uniform(-1.0, 1.0, 2), psi)
+              for psi in rng.uniform(0.0, 2.0 * math.pi, 4)]
+
+    def normal(y, ch):
+        return np.cross(*np.split(atlas.embed(y, ch), 2))
+
+    target, transition = normal(*starts[2]), atlas.transition
+
+    def failing(y, ch):
+        if np.linalg.norm(normal(y, ch) - target) < 1e-6:
+            raise GeometryError("forced transition failure", point=y)
+        return transition(y, ch)
+
+    monkeypatch.setattr(atlas, "transition", failing)
+    monkeypatch.setattr(atlas, "start_state", lambda x, psi, it=iter(starts): next(it))
+    rep = closedness_report(atlas, n_samples=4, tol=1e-10, seed=0)
+    assert [s.returned for s in rep.samples] == [True, True, False, True]
+    assert rep.samples[2].note.startswith("forced transition failure")
+    lane_by_lane(monkeypatch)
+    monkeypatch.setattr(atlas, "start_state", lambda x, psi, it=iter(starts): next(it))
+    assert sample_bits(rep) == sample_bits(closedness_report(atlas, n_samples=4, tol=1e-10, seed=0))
+
+
+def test_stacked_arcs_equal_lone_arcs_bit_for_bit(monkeypatch):
+    stacked = central_projection_check(n_geodesics=12, seed=3)
+    lane_by_lane(monkeypatch)
+    alone = central_projection_check(n_geodesics=12, seed=3)
+    assert stacked["n_arcs"] == alone["n_arcs"] > 1
+    assert bits(stacked["residuals"]) == bits(alone["residuals"])
 
 
 def test_return_locator_seeks_the_interpolant_root_to_the_section_rounding(monkeypatch):
@@ -357,25 +435,33 @@ def test_arc_samples_match_scipy(monkeypatch):
     # sample k of an arc is the integrator state at arclength k * arc /
     # n_points; on the unit sphere a geodesic solves p'' = -p in R^3, here
     # integrated by scipy from each arc's embedded start with t_eval at the
-    # sample arclengths
-    starts, points = [], []
-    geodesic, project = zoll._geodesic, zoll.central_projection
+    # sample arclengths.  The arcs run as lanes: each lane's observer tags
+    # the samples it takes, the first of them the start
+    starts, points, lane = [], [], [None]
+    geodesics, project = zoll._geodesics, zoll.central_projection
 
-    def logged_geodesic(space, state, chart, *args):
-        starts.append((space.embed(state, chart), len(points) - 1))  # sample 0 is taken
-        return geodesic(space, state, chart, *args)
+    def tagged(i, on_step):
+        def observe(*args):
+            lane[0] = i
+            return on_step(*args)
+        return observe
 
-    monkeypatch.setattr(zoll, "_geodesic", logged_geodesic)
-    monkeypatch.setattr(zoll, "central_projection", lambda p: points.append(p) or project(p))
+    def logged_geodesics(space, lanes, length, tol, on_steps):
+        starts.extend(space.embed(state, chart) for state, chart in lanes)
+        return geodesics(space, lanes, length, tol, [tagged(i, o) for i, o in enumerate(on_steps)])
+
+    monkeypatch.setattr(zoll, "_geodesics", logged_geodesics)
+    monkeypatch.setattr(zoll, "central_projection", lambda p: points.append((lane[0], p)) or project(p))
     arc, n_points = 1.2, 40
     central_projection_check(n_geodesics=6, seed=6, arc=arc, n_points=n_points)
-    ends = [first for _, first in starts[1:]] + [len(points)]
-    assert len(starts) == 6 and max(b - a for (_, a), b in zip(starts, ends)) == n_points
-    for (e0, first), end in zip(starts, ends):
-        s = np.arange(end - first) * (arc / n_points)
+    arcs = [[p for i, p in points if i == k] for k in range(len(starts))]
+    assert len(starts) == 6 and max(map(len, arcs)) == n_points
+    assert all(np.array_equal(samples[0], e0[:3]) for e0, samples in zip(starts, arcs))
+    for e0, samples in zip(starts, arcs):
+        s = np.arange(len(samples)) * (arc / n_points)
         sol = solve_ivp(lambda _, z: np.concatenate([z[3:], -z[:3]]), (0.0, s[-1]), e0,
                         method="DOP853", t_eval=s, rtol=1e-13, atol=1e-13)
-        assert np.max(np.abs(np.array(points[first:end]) - sol.y[:3].T)) < 1e-9
+        assert np.max(np.abs(np.array(samples) - sol.y[:3].T)) < 1e-9
 
 
 def test_central_projection_keeps_a_nan_residual(monkeypatch):
