@@ -42,7 +42,10 @@ Hamiltonian and support), the cost per point of one 200-point batch of each
 ``FlagReport``s), the cost per point of the characteristic lines of the
 standard prolongation's 200-point batch and their angles to d/dtheta (as
 ``verify-engel`` and ``prolong`` take them), ``normalize_pair`` / ``verify``
-on a random order-4 pair of the ``normal-form`` suite, the ``plane_basis``
+on a random order-4 pair of the ``normal-form`` suite, the cost per pair of
+``normalize_pair`` / ``verify`` on 10 pairs drawn by ``cli._random_pair``
+from generator 1 (one call on their stack where the checkout has
+``LegendrianPairJet.stack``, else one call per pair), the ``plane_basis``
 of the frame that ``contactify`` induces on the slice theta = 0.7 of the
 standard prolongation, at one point and per point of a 60-point batch (the
 batch row needs a ``plane_basis`` that takes an ``(N, 3)`` array of
@@ -126,7 +129,7 @@ from engellab.distributions import characteristic_line, flag_ranks  # noqa: E402
 from engellab.expressions import scalar_field_from_expr  # noqa: E402
 from engellab.jets import (Jet, jet_compose, jet_invert, jet_pushforward,  # noqa: E402
                            multi_indices)
-from engellab.normal_form import normalize_pair  # noqa: E402
+from engellab.normal_form import LegendrianPairJet, normalize_pair  # noqa: E402
 from engellab.prolongation import (contactify, development_angle, prolong,  # noqa: E402
                                    slice_transport)
 from engellab.zoll import (SphereAtlas, central_projection_check,  # noqa: E402
@@ -136,6 +139,7 @@ SIZES = ((4, 3), (3, 4))
 LOW_ORDERS = ((3, 0), (3, 1))
 BATCH = 200
 SLICE_POINTS = 60
+PAIRS = 10
 LANES = 3
 BATCH_PRODUCTS = ((3, 0, LANES), (3, 1, LANES), (3, 2, LANES), (4, 2, BATCH))
 REALIZE_H = "0.05*sin(x) + 0.04*z*cos(y) + 0.03*y"
@@ -301,6 +305,20 @@ def normal_form_counts(pair, prefix=""):
         counts[f"{prefix}{name}_product_terms"] = product_terms(fn)
         counts[f"{prefix}{name}_composer_tables"] = composer_tables(fn)
     return counts
+
+
+def normal_forms(pairs):
+    """``normalize_pair`` over ``pairs`` and ``verify`` over its results,
+    as two calls: one call each on the pairs' stack in a checkout that has
+    ``LegendrianPairJet.stack``, else one call per pair."""
+    stack = getattr(LegendrianPairJet, "stack", None)
+    if stack is None:
+        results = [normalize_pair(p) for p in pairs]
+        return (lambda: [normalize_pair(p) for p in pairs],
+                lambda: [r.verify(p) for r, p in zip(results, pairs)])
+    pair = stack(pairs)
+    res = normalize_pair(pair)
+    return lambda: normalize_pair(pair), lambda: res.verify(pair)
 
 
 def round_pair(seed=1, index=1):
@@ -582,6 +600,11 @@ def l2_items(items, counts):
     res = normalize_pair(pair)
     items["normalize_pair_o4"] = per_call_us(lambda: normalize_pair(pair))
     items["verify_o4"] = per_call_us(lambda: res.verify(pair))
+    rng = np.random.default_rng(1)
+    normalize_all, verify_all = normal_forms([cli._random_pair(rng) for _ in range(PAIRS)])
+    items[f"normalize_pair_o4_batch{PAIRS}_per_pair"] = per_point(
+        per_call_us(normalize_all), PAIRS)
+    items[f"verify_o4_batch{PAIRS}_per_pair"] = per_point(per_call_us(verify_all), PAIRS)
     counts.update(normal_form_counts(pair))
     counts.update(normal_form_counts(round_pair(), "round_pair_"))
 

@@ -560,8 +560,10 @@ class Jet:
     # -- comparison / display ------------------------------------------------------
 
     def max_coeff_diff(self, other):
+        """The largest coefficient deviation: a float, or one per batch row."""
         size = _TABLES[self.n].count[min(self.order, other.order)]
-        return float(np.max(np.abs(self.c[..., :size] - other.c[..., :size])))
+        worst = np.max(np.abs(self.c[..., :size] - other.c[..., :size]), axis=-1)
+        return worst if worst.ndim else float(worst)
 
     def __repr__(self):
         body = " + ".join(f"{v if isinstance(v, _ARRAY) else format(v, '.6g')}*x^{k}"
@@ -824,12 +826,28 @@ def jet_identity(n, order):
 
 
 def linear_part(change):
-    """Degree-1 coefficient matrix of an origin-preserving jet tuple."""
-    return [f.gradient() for f in change]
+    """Degree-1 coefficient matrix of an origin-preserving jet tuple: ``(n,
+    n)`` at a point, an ``(N, n, n)`` stack over a batch."""
+    units = _TABLES[change[0].n].units
+    return np.stack(np.broadcast_arrays(*[_take(f.c, units) for f in change]), axis=-2)
+
+
+def jet_linear(A, order):
+    """The jet tuple of ``x -> A x`` at ``order``; an ``(N, n, n)`` stack of
+    matrices gives a batch, row ``k`` the map of ``A[k]``."""
+    ident = jet_identity(A.shape[-1], order)
+    return [jet_dot(ident, row) for row in _matrix_rows(A)]
+
+
+def _matrix_rows(A):
+    """The rows of a matrix as lists of floats; of an ``(N, n, n)`` stack,
+    row ``i`` as the ``(n, N)`` array of its entries over the stack."""
+    return A.tolist() if A.ndim == 2 else np.swapaxes(A.T, 0, 1)
 
 
 def jet_invert(change):
-    """Compositional inverse of an origin-preserving jet tuple.
+    """Compositional inverse of an origin-preserving jet tuple; over a
+    batch, of each row's tuple.
 
     ``jet_compose(inverse, change)`` is the identity to the jets' order.
     """
@@ -837,13 +855,12 @@ def jet_invert(change):
     n = change[0].n
     order = min(f.order for f in change)
     through_change = jet_composer(change)  # which checks the origin and the terms
-    A = np.array(linear_part(change))
-    if not np.linalg.cond(A) < 1e14:
+    A = linear_part(change)
+    if not (np.linalg.cond(A) < 1e14).all():
         raise EngelLabError("singular linear part")
     # G <- G + (id - G o F) o A^-1, from G = A^-1; each pass fixes one more order
     ident = jet_identity(n, order)
-    inverse_linear = [jet_dot(ident, row.tolist()) for row in np.linalg.inv(A)]
-    G = inverse_linear
+    G = inverse_linear = jet_linear(np.linalg.inv(A), order)
     through_linear = jet_composer(inverse_linear)
     for _ in range(order - 1):
         GF = through_change(G)

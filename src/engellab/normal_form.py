@@ -13,7 +13,9 @@ projective-equivalence experiments on such equations.
 
 Every sub-change is a jet-level pushforward, so each claimed identity is a
 computation rather than a formula transcribed on faith; the steps are logged
-for audit.
+for audit.  A pair's jets may be a stack of rows, one per pair: the chain
+runs once, each value-dependent choice made row by row, and each row is its
+lone pair's bit for bit (a lone pair is the case with no row axis).
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .calculus import Chart, VectorField
-from .errors import EngelLabError, GeometryError
-from .jets import (MAX_ORDER, Jet, jet_bracket, jet_compose, jet_composer, jet_dot,
-                   jet_identity, jet_invert, jet_pushforward, power, reciprocal,
-                   value)
-from .reporting import worst_of
+from .errors import EngelLabError, GeometryError, JetDomainError
+from .jets import (MAX_ORDER, Jet, _jet, _matrix_rows, jet_bracket, jet_compose,
+                   jet_composer, jet_dot, jet_identity, jet_invert, jet_linear,
+                   jet_pushforward, power, reciprocal, value)
 
 ODE_CHART = Chart("ode_slope", ("x", "y", "p"))
 
@@ -45,9 +46,11 @@ def jet_polyval(jet, values):
 class LegendrianPairJet:
     """Jets at a point of the two fields (Y spans the line to be
     straightened, X the transverse one); must span a contact plane field.
-    The pair keeps copies of the jets it is given, and a number component
-    as its constant jet at ``order``, since the normal form computes on
-    jets."""
+    A stack of N pairs holds one ``(N, count)`` coefficient row per pair in
+    every jet; a lone pair is the case with no row axis.  The pair keeps
+    copies of its jets with the stack's rows, and a number component as its
+    constant jet at ``order``.  A coefficient that is not finite raises
+    :class:`JetDomainError`, naming its component (and row, in a stack)."""
 
     Y_jet: list
     X_jet: list
@@ -56,25 +59,55 @@ class LegendrianPairJet:
     def __post_init__(self):
         if len(self.Y_jet) != 3 or len(self.X_jet) != 3:
             raise EngelLabError("pair jets need 3 components each")
-        self.Y_jet, self.X_jet = _as_jets(self.Y_jet, self.order), _as_jets(self.X_jet, self.order)
-        M = np.column_stack([
-            [j.value for j in self.Y_jet],
-            [j.value for j in self.X_jet],
-            [value(j) for j in jet_bracket(self.Y_jet, self.X_jet)],
-        ])
+        jets = _as_jets(list(self.Y_jet) + list(self.X_jet), self.order)
+        self.Y_jet, self.X_jet = _finite(jets[:3], "Y"), _finite(jets[3:], "X")
+        M = np.stack([_values(self.Y_jet), _values(self.X_jet),
+                      _values(jet_bracket(self.Y_jet, self.X_jet))], axis=-1)
         sv = np.linalg.svd(M, compute_uv=False)
-        if sv[-1] <= 1e-9 * max(sv[0], 1e-300):
+        if (sv[..., -1] <= 1e-9 * np.maximum(sv[..., 0], 1e-300)).any():
             raise GeometryError("pair is not contact at the origin")
 
     @classmethod
     def from_fields(cls, Y, X, point, order=4):
+        """The pair of the fields' jets at ``point``; at ``(3, N)`` points,
+        the stack of the N points' pairs, from one batch evaluation."""
         return cls(Y.taylor(point, order), X.taylor(point, order), order)
+
+    @classmethod
+    def stack(cls, pairs):
+        """The stack of lone ``pairs``, row k holding pair k."""
+        def rows(jets):
+            order = min(j.order for j in jets)
+            return _jet(3, order, np.stack([j.truncated(order).c for j in jets]))
+
+        return cls([rows(c) for c in zip(*(p.Y_jet for p in pairs))],
+                   [rows(c) for c in zip(*(p.X_jet for p in pairs))],
+                   min(p.order for p in pairs))
 
 
 def _as_jets(entries, order):
     """Copies of the jets among ``entries`` and the constant jets, in 3
-    variables at ``order``, of the numbers among them."""
-    return [j.copy() if isinstance(j, Jet) else Jet.constant(j, 3, order) for j in entries]
+    variables at ``order``, of the numbers among them, each with the rows
+    of the stack that they form."""
+    jets = [j if isinstance(j, Jet) else Jet.constant(j, 3, order) for j in entries]
+    rows = np.broadcast_shapes(*(j.c.shape[:-1] for j in jets))
+    return [_jet(3, j.order, np.broadcast_to(j.c, rows + j.c.shape[-1:]).copy()) for j in jets]
+
+
+def _finite(jets, name):
+    """``jets``, the components of field ``name``, if every coefficient is
+    finite; else a :class:`JetDomainError` naming the first bad one."""
+    for i, j in enumerate(jets):
+        if not np.isfinite(j.c).all():
+            bad = np.flatnonzero(~np.isfinite(j.c).all(axis=-1))
+            row = f" in row {bad[0]}" if j.c.ndim > 1 else ""
+            raise JetDomainError(f"pair jet {name}[{i}] has a coefficient that is not finite{row}")
+    return jets
+
+
+def _values(jets):
+    """The values of jets of one stack as the last axis of one array."""
+    return np.array([value(j) for j in jets]).T
 
 
 @dataclass
@@ -83,17 +116,12 @@ class StraightenResult:
     scale: Jet     # in old coordinates; scale * Y pushes to d/dy exactly
 
 
-def _linear_change(A, order):
-    """Jet tuple of x -> A x."""
-    ident = jet_identity(len(A), order)
-    return [jet_dot(ident, [float(a) for a in row]) for row in A]
-
-
 def _linear_pushforward(A, field):
-    """Exact pushforward through x -> A x (no order loss)."""
+    """Exact pushforward through x -> A x (no order loss); an ``(N, 3, 3)``
+    stack of matrices pushes row k of the field through ``A[k]``."""
     order = min(f.order for f in field)
-    comp = jet_compose(field, _linear_change(np.linalg.inv(A), order))
-    return [jet_dot(comp, [float(a) for a in row]) for row in A]
+    comp = jet_compose(field, jet_linear(np.linalg.inv(A), order))
+    return [jet_dot(comp, row) for row in _matrix_rows(A)]
 
 
 def straighten(Y_jet, order=None):
@@ -102,7 +130,10 @@ def straighten(Y_jet, order=None):
 
     The field is read at ``order`` and at the orders of its jets, whichever
     is least; a number component is read as its constant jet, so a field
-    whose components are all numbers needs ``order``.
+    whose components are all numbers needs ``order``.  A stack of fields
+    (jets with one row per field) gives the stack of their changes, each
+    row's pivot chosen on its own; a coefficient that is not finite raises
+    :class:`JetDomainError`.
 
     After aligning Y(0) with d/dy by a linear change and scaling the
     y-component to 1, the x- and z-target coordinates are corrected by a
@@ -114,20 +145,14 @@ def straighten(Y_jet, order=None):
     if not orders:
         raise EngelLabError("straighten needs an order when every component is a number")
     order = min(orders)
-    Y_jet = _as_jets(Y_jet, order)
-    v0 = np.array([j.value for j in Y_jet])
-    if np.linalg.norm(v0) < 1e-12:
+    Y_jet = _finite(_as_jets(Y_jet, order), "Y")
+    v0 = _values(Y_jet)
+    if (np.linalg.norm(v0, axis=-1) < 1e-12).any():
         raise GeometryError("field vanishes at the origin; no flow box")
-    m = int(np.argmax(np.abs(v0)))
-    cols = []
-    for j in range(3):
-        if j == 1:
-            cols.append(v0)
-        elif j == m:
-            cols.append(np.array([0.0, 1.0, 0.0]))
-        else:
-            cols.append(np.eye(3)[j])
-    M = np.column_stack(cols)  # M e_y = v0, invertible by pivot choice
+    # M e_y = v0, invertible with e_y in the column of the largest |v0_j|
+    pivot = np.eye(3)[np.argmax(np.abs(v0), axis=-1)]
+    M = np.where(pivot[..., None, :] == 1.0, np.eye(3)[:, 1:2], np.eye(3))
+    M[..., :, 1] = v0
     L = np.linalg.inv(M)
     YL = _linear_pushforward(L, Y_jet)
     s = YL[1].reciprocal()
@@ -140,7 +165,7 @@ def straighten(Y_jet, order=None):
         g3 = -(c + a * g3.derivative(0) + c * g3.derivative(2)).antiderivative(1)
     ident = jet_identity(3, min(order + 1, MAX_ORDER))
     flowbox = [ident[0] + g1, ident[1], ident[2] + g3]
-    through_lin = jet_composer(_linear_change(L, min(order + 1, MAX_ORDER)))
+    through_lin = jet_composer(jet_linear(L, min(order + 1, MAX_ORDER)))
     return StraightenResult(change=through_lin(flowbox), scale=through_lin(s))
 
 
@@ -161,7 +186,8 @@ class NormalFormResult:
 
     def verify(self, pair):
         """Recompute both pushforwards from scratch and return the maximum
-        coefficient deviation from the normal form."""
+        coefficient deviation from the normal form: a float, or for a stack
+        one per row (NaN where a row has one)."""
         through = jet_composer(jet_invert(self.change))
         Ys = jet_pushforward(self.change, [self.Y_scale * j for j in pair.Y_jet], through)
         Xs = jet_pushforward(self.change, [self.X_scale * j for j in pair.X_jet], through)
@@ -169,11 +195,10 @@ class NormalFormResult:
         ident = jet_identity(3, order)
         zero = Jet(3, order)
         one = Jet.constant(1.0, 3, order)
-        worst = 0.0
-        for got, want in [(Ys[0], zero), (Ys[1], one), (Ys[2], zero),
-                          (Xs[0], one), (Xs[1], self.f_jet), (Xs[2], ident[1])]:
-            worst = worst_of(worst, got.max_coeff_diff(want))
-        return worst
+        worst = np.max([got.max_coeff_diff(want) for got, want in [
+            (Ys[0], zero), (Ys[1], one), (Ys[2], zero),
+            (Xs[0], one), (Xs[1], self.f_jet), (Xs[2], ident[1])]], axis=0)
+        return worst if worst.ndim else float(worst)
 
 
 def normalize_pair(pair):
@@ -191,6 +216,9 @@ def normalize_pair(pair):
     recorded in ``steps``.  f comes one order below the pushforwards, so a
     pair of order 1, which would give f's value alone (zero by
     construction), raises.
+    Over a stack, each choice is a row mask or a stack of matrices (the
+    identity in rows that skip a step), and a step records the rows it
+    changed with their data.
     """
     if pair.order < 2:
         raise EngelLabError("the normal form needs pair jets of order 2 or more")
@@ -198,43 +226,51 @@ def normalize_pair(pair):
     total = st.change
     Y_scale = st.scale
     X = jet_pushforward(st.change, pair.X_jet)
-    steps = [{"step": "straighten", "scale0": st.scale.value}]
+    rows = np.shape(st.scale.value)
+    steps = []
 
-    def apply_linear(A, label):
+    def log(label, changed=True, **data):
+        if rows:
+            mask = np.broadcast_to(changed, rows)
+            data = {"rows": np.flatnonzero(mask).tolist(),
+                    **{k: np.asarray(v)[mask].tolist() for k, v in data.items()}}
+        steps.append({"step": label, **data})
+
+    def apply_linear(A, label, changed=True, **data):
         nonlocal X, total
+        if not np.any(changed):
+            return
+        A = np.where(np.asarray(changed)[..., None, None], A, np.eye(3))
         order = min(j.order for j in total)
         X = _linear_pushforward(A, X)
-        total = jet_compose(_linear_change(A, order), total)
-        steps.append({"step": label})
+        total = jet_compose(jet_linear(A, order), total)
+        log(label, changed, **data)
 
-    size = max(abs(X[0].value), abs(X[2].value))
-    if size < 1e-12:
+    log("straighten", scale0=st.scale.value)
+    x0, z0 = abs(X[0].value), abs(X[2].value)
+    if np.any(np.maximum(x0, z0) < 1e-12):
         raise GeometryError("pair not transverse at the origin")
-    if abs(X[0].value) < abs(X[2].value):
-        # pivot on the larger transverse component; dividing by a small
-        # d/dx value amplifies every later coefficient
-        apply_linear(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]),
-                     "swap-x-z")
-    if X[0].value < 0.0:
-        apply_linear(np.diag([-1.0, 1.0, 1.0]), "flip-x")
+    # pivot on the larger transverse component; dividing by a small d/dx
+    # value amplifies every later coefficient
+    apply_linear(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]),
+                 "swap-x-z", x0 < z0)
+    apply_linear(np.diag([-1.0, 1.0, 1.0]), "flip-x", X[0].value < 0.0)
 
     r = X[0].reciprocal()
     X_scale = jet_compose(r, total)
     X = [r * c for c in X]
-    steps.append({"step": "divide-X", "pivot": 1.0 / r.value})
+    log("divide-X", pivot=1.0 / r.value)
 
     c1, c2 = -X[1].value, -X[2].value
-    apply_linear(np.array([[1.0, 0.0, 0.0], [c1, 1.0, 0.0], [c2, 0.0, 1.0]]),
-                 "affine-shift")
-    steps[-1].update(c1=c1, c2=c2)
+    shift = np.broadcast_to(np.eye(3), rows + (3, 3)).copy()
+    shift[..., 1, 0], shift[..., 2, 0] = c1, c2
+    apply_linear(shift, "affine-shift", c1=c1, c2=c2)
 
-    f3 = X[2]
-    twist = value(f3.derivative(1))
-    if abs(twist) <= 1e-9:
+    twist = value(X[2].derivative(1))
+    if np.any(abs(twist) <= 1e-9):
         raise GeometryError("plane field is not contact (zero twist of the d/dz component)")
-    if twist < 0.0:
-        apply_linear(np.diag([1.0, 1.0, -1.0]), "flip-z")
-        f3 = X[2]
+    apply_linear(np.diag([1.0, 1.0, -1.0]), "flip-z", twist < 0.0)
+    f3 = X[2]
 
     order = min(j.order for j in X)
     ident = jet_identity(3, order)
@@ -244,16 +280,16 @@ def normalize_pair(pair):
     total = jet_compose(sub, total)
     h = through_sub_inv(f3.derivative(1))  # new Y = h d/dy
     Y_scale = Y_scale * jet_compose(h, total).reciprocal()
-    steps.append({"step": "substitute-ybar", "twist": twist})
+    log("substitute-ybar", twist=twist)
 
     a = -0.5 * X[1].value
-    if a != 0.0:
+    if np.any(a != 0.0):
         order = min(j.order for j in X)
         ident = jet_identity(3, min(order + 1, MAX_ORDER))
         Q = [ident[0], ident[1] + 2.0 * a * ident[0], ident[2] + a * ident[0] * ident[0]]
         X = jet_pushforward(Q, X)
         total = jet_compose(Q, total)
-        steps.append({"step": "quadratic-shear", "a": a})
+        log("quadratic-shear", a != 0.0, a=a)
 
     f = X[1]
     f[(0, 0, 0)] = 0.0  # constant is zero by construction; drop roundoff

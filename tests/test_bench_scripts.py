@@ -71,7 +71,8 @@ def test_micro_l2_items(monkeypatch):
     module.l2_items(items, {})
     for name in ("flag_ranks_prolonged_batch200_per_point",
                  "characteristic_lines_angles_prolonged_batch200_per_point",
-                 "contactify_principal_angles_batch60_per_pair"):
+                 "contactify_principal_angles_batch60_per_pair",
+                 "normalize_pair_o4_batch10_per_pair", "verify_o4_batch10_per_pair"):
         assert items[name]["median_us"] > 0
 
 

@@ -446,3 +446,41 @@ def test_ode_audit_in_config_echo(capsys, tmp_path):
 def test_invalid_sample_count_rejected(capsys):
     code, out, err = run_cli(capsys, "verify-engel", "--samples", "-3")
     assert code == 2
+
+
+def test_normal_form_stack_that_raises_reruns_the_lone_loop(capsys, monkeypatch):
+    # the suite normalizes its random pairs as one stack; a stack holding a
+    # pair of zero twist (its d/dz component is zero) raises, the pairs rerun
+    # one by one, and the report is the lone loop's error and exit code
+    from engellab.jets import Jet
+    draw, normalize, stack, rows = (cli._random_pair, cli.normalize_pair,
+                                    cli.LegendrianPairJet.stack, [])
+
+    def drawn(rng, order=4):
+        pair = draw(rng, order)
+        if len(rows) == 2:  # the third draw
+            pair = cli._normal_pair_of(Jet(3, order))
+            pair.X_jet[2] = Jet(3, order)
+        rows.append(pair)
+        return pair
+
+    def normalizing(pair):
+        rows.append(pair.Y_jet[0].c.shape[:-1])
+        return normalize(pair)
+
+    def stacking(pairs):
+        rows.append(len(pairs))
+        return stack(pairs)
+
+    monkeypatch.setattr(cli, "_random_pair", drawn)
+    monkeypatch.setattr(cli, "normalize_pair", normalizing)
+    monkeypatch.setattr(cli.LegendrianPairJet, "stack", stacking)
+    code, out, err = run_cli(capsys, "normal-form", "--samples", "5", "--seed", "1")
+    with pytest.raises(GeometryError) as lone:
+        normalize(rows[2])
+    assert code == 3 and out == ""
+    assert err.strip() == f"geometry error: {lone.value}"
+    assert "zero twist" in err
+    # five draws, the stack (whose contact check raises at row 2), then the
+    # lone loop: two normalizations each of pairs 0 and 1, and pair 2's
+    assert rows[5:] == [5, (), (), (), (), ()]

@@ -816,6 +816,20 @@ def test_compose_invert_round_trips(change):
             assert c.max_coeff_diff(i_) < 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(origin_changes(), min_size=2, max_size=5))
+def test_stacked_invert_equals_each_rows_invert_bit_for_bit(changes):
+    # a stack of changes, one row each, inverts row by row: the linear parts
+    # as one (N, n, n) stack, each row's inverse its lone inverse
+    stack = [Jet(3, 4, {k: np.array([c[i][k] for c in changes]) for k in multi_indices(3, 4)})
+             for i in range(3)]
+    assert linear_part(stack).shape == (len(changes), 3, 3)
+    got = jet_invert(stack)
+    for r, change in enumerate(changes):
+        for g, w in zip(got, jet_invert(change)):
+            assert g.c[r].tobytes() == w.c.tobytes()
+
+
 @st.composite
 def two_form_operands(draw, order=2):
     """An antisymmetric matrix of jets, its upper entries drawn and the lower

@@ -263,3 +263,109 @@ def test_steps_audit_trail():
     names = [s["step"] for s in res.steps]
     assert names[0] == "straighten"
     assert "divide-X" in names and "substitute-ybar" in names
+
+
+# -- stacks of pairs --------------------------------------------------------------
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _defects(pair):
+    """What the normal-form suite reads of a pair: the verify residual,
+    |f(0)|, the idempotence defect, and f."""
+    res = normalize_pair(pair)
+    res2 = normalize_pair(normal_pair(res.f_jet))
+    idem = res2.f_jet.max_coeff_diff(res.f_jet.truncated(res2.f_jet.order))
+    return res.verify(pair), abs(res.f_jet.value), idem, res.f_jet
+
+
+def test_stacked_normal_forms_equal_lone_bit_for_bit():
+    # the random pairs of the normal-form suite, 10 per seed over seeds 0-39,
+    # and stacks of 2 and 4 of them: each row is its lone pair's, bit for bit
+    from engellab.cli import _random_pair
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        pairs = [_random_pair(rng) for _ in range(10)]
+        lone = [_defects(p) for p in pairs]
+        for rows in [slice(0, 10)] + ([slice(0, 2), slice(3, 7)] if seed < 3 else []):
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                got = _defects(LegendrianPairJet.stack(pairs[rows]))
+            for r, want in enumerate(lone[rows]):
+                for g, w in zip(got[:3], want[:3]):
+                    assert _bits(g[r]) == _bits(w)
+                assert got[3].c[r].tobytes() == want[3].c.tobytes()
+
+
+def test_stacked_rows_that_skip_a_step_equal_lone_bit_for_bit():
+    # pairs already in normal form skip the flips and the quadratic shear
+    # that random pairs take; in a stack, those rows get the identity, and
+    # every row's change, scales and f are its lone pair's bit for bit
+    rng = np.random.default_rng(4)
+    f = random_f(rng)
+    f[(0, 0, 0)] = f[(0, 1, 0)] = 0.0
+    pairs = [random_pair(rng), normal_pair(f), random_pair(rng), random_pair(rng), normal_pair(f)]
+    results = [normalize_pair(p) for p in pairs]
+    res = normalize_pair(LegendrianPairJet.stack(pairs))
+    for r, lone in enumerate(results):
+        for got, want in zip(res.change + [res.Y_scale, res.X_scale, res.f_jet],
+                             lone.change + [lone.Y_scale, lone.X_scale, lone.f_jet]):
+            assert got.c[r].tobytes() == want.c.tobytes()
+    # each step records the rows it changed, with their data
+    lone, steps = [r.steps for r in results], res.steps
+    for step in steps:
+        changed = [r for r, s in enumerate(lone) if step["step"] in [t["step"] for t in s]]
+        assert step["rows"] == changed
+        for key, values in step.items():
+            if key not in ("step", "rows"):
+                assert values == [next(t[key] for t in lone[r] if t["step"] == step["step"])
+                                  for r in changed]
+    assert {s["step"] for s in steps} == {t["step"] for s in lone for t in s}
+    assert any(0 < len(step["rows"]) < len(pairs) for step in steps)
+
+
+ODE_TEXT = "0.3*x*p + y^2 - 0.2*sin(p) + 0.1*x^3"
+
+
+def test_pair_from_fields_at_points_is_the_stack_of_their_pairs():
+    # one batch taylor of the ODE pair at 5 points gives each point's pair
+    # jets, bit for bit, and its normal form, residual and equation
+    from engellab.expressions import scalar_field_from_expr
+    V0, V1 = pair_from_ode(scalar_field_from_expr(ODE_CHART, ODE_TEXT, name="f"))
+    pts = np.random.default_rng(5).uniform(-0.5, 0.5, (5, 3))
+    stack = LegendrianPairJet.from_fields(V0, V1, np.ascontiguousarray(pts.T))
+    res = normalize_pair(stack)
+    residuals, ode = res.verify(stack), extract_ode(res)
+    assert residuals.shape == (5,)
+    for r, p in enumerate(pts):
+        pair = LegendrianPairJet.from_fields(V0, V1, p)
+        for got, want in zip(stack.Y_jet + stack.X_jet, pair.Y_jet + pair.X_jet):
+            assert got.c[r].tobytes() == want.c.tobytes()
+        lone = normalize_pair(pair)
+        assert res.f_jet.c[r].tobytes() == lone.f_jet.c.tobytes()
+        assert _bits(residuals[r]) == _bits(lone.verify(pair))
+        assert ode.f_jet.c[r].tobytes() == extract_ode(lone).f_jet.c.tobytes()
+        assert residuals[r] < 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_pair_jet_is_a_domain_error(bad):
+    from engellab.errors import JetDomainError
+    f = random_f(np.random.default_rng(6))
+    f[(0, 0, 0)] = 0.0
+    Y = [Jet(3, 4), Jet.constant(1.0, 3, 4), Jet(3, 4)]
+    X = [Jet.constant(1.0, 3, 4), f, Jet.variable(1, 3, 4)]
+    broken = f.copy()
+    broken[(0, 0, 0)] = bad
+    with pytest.raises(JetDomainError, match=r"pair jet X\[1\] .*not finite$"):
+        LegendrianPairJet(Y, [X[0], broken, X[2]], 4)
+    # in a stack, the error names the row
+    rows = Jet(3, 4, {k: np.array([v, v, v]) for k, v in f.items()})
+    rows[(0, 1, 0)] = np.array([0.1, bad, 0.2])
+    with pytest.raises(JetDomainError, match=r"pair jet X\[1\] .*not finite in row 1"):
+        LegendrianPairJet(Y, [X[0], rows, X[2]], 4)
+    # straighten, given the field alone
+    Ybad = [Jet(3, 4), Jet.constant(1.0, 3, 4) + Jet.constant(bad, 3, 4), Jet(3, 4)]
+    with pytest.raises(JetDomainError, match=r"pair jet Y\[1\]"):
+        straighten(Ybad)
