@@ -75,10 +75,12 @@ microseconds (per point for the batch item).  The ``counts`` block holds
 untimed counts: the field evaluations (``_FieldBase.taylor`` calls and
 lone-point value reads) of one deformed flag point, of the 200-point batch
 and of the arc, the geodesic-field evaluations of the return, the
-geodesic-field calls of the 4-sample report (a call on a stack of lanes
-counts once), the evaluations of the variational right-hand side (state
-plus transported vectors, event location included) of the transport and the
-development, the calls of the jet product kernel ``jets._product`` in one
+geodesic-field calls of the 4-sample report and of a 4-arc
+``central_projection_check`` at seed 1 (a call on a stack of lanes counts
+once, and so does a call shared by charts with one field), the
+evaluations of the variational right-hand side (state plus transported
+vectors, event location included) of the transport and the development, the
+calls of the jet product kernel ``jets._product`` in one
 ``normalize_pair`` and one ``verify``, with the term pairs that those calls
 multiply and the monomial tables (``jet_composer`` calls) that they set up,
 by the kind that the inner map's coefficients allow (``full``,
@@ -122,7 +124,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from engellab import calculus, cli, distributions, flow, jets  # noqa: E402
+from engellab import calculus, cli, distributions, flow, jets, zoll  # noqa: E402
 from engellab.deformation import (ContactIsotopyGenerator, gray_solve,  # noqa: E402
                                   realize_isotopy)
 from engellab.distributions import characteristic_line, flag_ranks  # noqa: E402
@@ -625,12 +627,30 @@ class CountedField:
 
 
 class CountingAtlas(SphereAtlas):
-    """The sphere atlas with a count of geodesic-field calls."""
+    """The sphere atlas with a count of geodesic-field calls: one counted
+    wrapper per underlying field, so charts that share a field share it."""
 
-    evals = 0
+    def __init__(self, radius=1.0):
+        super().__init__(radius)
+        self.evals, self.counted = 0, {}
 
     def field(self, chart):
-        return CountedField(self, super().field(chart))
+        field = super().field(chart)
+        if id(field) not in self.counted:
+            self.counted[id(field)] = CountedField(self, field)
+        return self.counted[id(field)]
+
+
+def arc_field_calls(n_arcs):
+    """Geodesic-field calls of ``central_projection_check`` over ``n_arcs``
+    arcs at seed ``ARC_SEED``, on a counting atlas in place of its own."""
+    made, atlas = [], zoll.SphereAtlas
+    zoll.SphereAtlas = lambda *args: made.append(CountingAtlas(*args)) or made[-1]
+    try:
+        central_projection_check(n_geodesics=n_arcs, seed=ARC_SEED)
+    finally:
+        zoll.SphereAtlas = atlas
+    return sum(a.evals for a in made)
 
 
 def l3_items(items, counts):
@@ -670,6 +690,7 @@ def l3_items(items, counts):
     closedness_report(counting, n_samples=4, seed=ARC_SEED)
     counts["closedness_4_samples_field_calls"] = counting.evals
     counts["central_projection_field_evals"] = taylor_calls(arc)
+    counts["central_projection_4_arcs_field_calls"] = arc_field_calls(4)
     counts["slice_transport_rhs_evals"] = rhs_evals(transport)
     counts["development_angle_rhs_evals"] = rhs_evals(develop)
     variational = single_lane(flow._augmented_rhs(std.vertical, 4, 3))

@@ -8,10 +8,10 @@ J. Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner, *Solving ODEs I*,
 II.5): it advances with the fifth-order solution and controls the error of
 the embedded fourth-order one.  The last stage of a step is the slope at its
 end point and the first stage of the next step (FSAL), so an attempted step
-costs six right-hand-side evaluations.  ``flow_to_section`` locates a
-crossing on the step that makes it.  Non-autonomous systems that need a
-fixed grid (Gray's method measures fourth-order refinement) use
-``integrate_nonautonomous``, classical RK4.
+costs six right-hand-side evaluations; steps land on output times (II.6).
+``flow_to_section`` locates a crossing on the step that makes it.
+Non-autonomous systems that need a fixed grid (Gray's method measures
+fourth-order refinement) use ``integrate_nonautonomous``, classical RK4.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import _coords_of, over_points
-from .errors import IntegrationError
+from .errors import EngelLabError, IntegrationError
 from .jets import gradient, value
 
 DEFAULT_TOL = 1e-9
@@ -73,7 +73,10 @@ def integrate(f, y0, t0, t1, tol=DEFAULT_TOL, max_steps=200000, observer=None, h
     """Adaptive DOPRI5 for ``dy/dt = f(t, y)`` from t0 to t1.
 
     Local error per step is held below ``tol`` (scaled by state magnitude);
-    the first step tried is ``h0`` (default: a sixteenth of the span).
+    the first step tried is ``h0`` (default: a sixteenth of the span).  A
+    ``t1`` of finite times increasing from t0 ends the run at the last, with a
+    step cut to end on each and the step after a cut at least the uncut one
+    (other sequences: :class:`~engellab.errors.EngelLabError`).
     Returns ``(y, est_error, steps)`` with ``steps`` the accepted steps.
     ``observer(t_prev, y_prev, t, y, h, k_prev, k)`` is called after each
     accepted step with the slopes ``f`` at both ends; when it returns true,
@@ -115,10 +118,14 @@ def _dopri(f, y, t0, t1, tol, max_steps, observer, h0, lanes):
     lane on scalars, giving ``(state, error, steps)`` per lane; ``f`` gets the
     stage times as a column, or as a number while one lane is left, ``lanes``
     the indices of its rows, and the observer a lane's index first."""
-    n, span = len(y), t1 - t0
+    marks = (t1,) if np.ndim(t1) == 0 else tuple(map(float, t1))
+    if np.ndim(t1) and not (marks and np.isfinite(marks).all() and min(np.diff((t0,) + marks)) > 0):
+        raise EngelLabError(f"end times must be finite and increase from t0 = {t0}: {marks}")
+    n, t1, span = len(y), marks[-1], marks[-1] - t0
     sign = 1.0 if span > 0 else -1.0
     t, h = [t0] * n, [sign * min(abs(span), h0 or max(abs(span) / 16.0, 1e-6))] * n
     est, attempts, steps, out = [0.0] * n, [0] * n, [0] * n, list(y)
+    mark, uncut = [0] * n, [0.0] * n  # per lane: the next end time, the step before a cut
     lanes[:] = range(n) if span != 0.0 else []
     k1 = f(t0, y) if lanes else None
     while lanes:
@@ -126,8 +133,8 @@ def _dopri(f, y, t0, t1, tol, max_steps, observer, h0, lanes):
             if attempts[i] >= max_steps:
                 raise IntegrationError("integrator exceeded step budget")
             attempts[i] += 1
-            if sign * (t[i] + h[i] - t1) > 0.0:
-                h[i] = t1 - t[i]
+            uncut[i] = h[i] if sign * (t[i] + h[i] - marks[mark[i]]) > 0.0 else 0.0
+            h[i] = marks[mark[i]] - t[i] if uncut[i] else h[i]
         tc, hc = (t[lanes[0]], h[lanes[0]]) if len(lanes) == 1 else (
             np.array([[t[i]] for i in lanes]), np.array([[h[i]] for i in lanes]))
         ks, y_new = _dopri_step(f, tc, y, hc, k1)
@@ -143,17 +150,21 @@ def _dopri(f, y, t0, t1, tol, max_steps, observer, h0, lanes):
             h[i] = hi * (min(4.0, max(0.1, 0.9 * (tol / e) ** 0.2)) if e > 0.0 else 4.0)
             take.append(e <= tol or abs(hi) < 1e-13 * (1.0 + abs(ti)))
             if take[-1]:
-                # a tiny closing step (h capped to the remaining span) is fine;
-                # an underflowing step in mid-span means the controller stalled
-                if abs(hi) < 1e-14 and sign * (ti + hi - t1) < 0.0:
+                # a tiny step cut to an end time is fine; an underflowing
+                # step in mid-span means the controller stalled
+                if abs(hi) < 1e-14 and not uncut[i] and sign * (ti + hi - t1) < 0.0:
                     raise IntegrationError("step underflow (stiffness?)")
-                t[i], est[i], steps[i] = ti + hi, est[i] + e * scale[j], steps[i] + 1
+                # a cut step ends on the end time itself, and does not shrink the next
+                t[i] = marks[mark[i]] if uncut[i] else ti + hi
+                h[i], tried = sign * max(abs(h[i]), abs(uncut[i])), uncut[i] or hi
+                mark[i] += t[i] == marks[mark[i]] and mark[i] + 1 < len(marks)
+                est[i], steps[i] = est[i] + e * scale[j], steps[i] + 1
                 stop = observer is not None and observer(i, ti, y[j], t[i], y_new[j], hi, k1[j],
                                                          ks[6][j])
                 if isinstance(stop, tuple):  # a restart in place, on copies of the ends
                     y_new, ks[6] = y_new.copy(), ks[6].copy()
                     y_new[j], ks[6][j] = stop
-                    stop, h[i] = False, sign * min(abs(t1 - t[i]), abs(hi))
+                    stop, h[i] = False, sign * min(abs(t1 - t[i]), abs(tried))
                 if stop or sign * (t1 - t[i]) <= 0.0:
                     out[i] = y_new[j]
                     continue

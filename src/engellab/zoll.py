@@ -10,9 +10,10 @@ is measured, never assumed: the report integrates each sampled contact
 element across the atlas and records the distance in an embedding between the
 start and the first return candidate.  The returns of a report, and the arcs
 of the central-projection check, run as the lanes of one adaptive run, each
-with its own chart, steps, observer and transitions; lanes in one chart share
-each V1 call, which reads the metric once for all of them and forms each
-contact element on that lane's floats, so each lane steps as it does alone.
+with its own chart, steps, observer and transitions; lanes whose charts share
+a field share each V1 call, which reads the metric once for all of them and
+forms each contact element on that lane's floats, so each lane steps as it
+does alone; an arc's samples are ends of steps landed on their arclengths.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .calculus import Chart, OneForm, VectorField, _FieldBase, over_points
 from .errors import (EngelLabError, ExpressionDomainError, GeometryError,
                      IntegrationError, JetDomainError)
 from .distributions import line_angle
-from .flow import _dopri_step, _field_rhs, _locate_crossing, integrate
+from .flow import _field_rhs, _locate_crossing, integrate
 from .jets import Jet, cos, derivative, embed, gradient, jet_dot, sin, sqrt, truncate, value
 from .prolongation import ParallelizedContact, prolong
 from .reporting import worst_of
@@ -194,10 +195,10 @@ def euclidean_metric(name="plane"):
     return SurfaceMetric(ch, lambda xs: [[1.0, 0.0], [0.0, 1.0]], name=name)
 
 
-def stereographic_sphere_metric(radius=1.0, which="north"):
+def stereographic_sphere_metric(radius=1.0):
     """Round sphere in a stereographic chart: g = 4 r^4 / (r^2 + |x|^2)^2
     times the identity (with the sphere radius r)."""
-    ch = Chart(f"sphere_{which}", ("x1", "x2"))
+    ch = Chart("sphere", ("x1", "x2"))
     r2 = radius * radius
 
     def rule(xs):
@@ -205,7 +206,7 @@ def stereographic_sphere_metric(radius=1.0, which="north"):
         lam = 4.0 * r2 * r2 / (q + r2) ** 2
         return [[lam, 0.0], [0.0, lam]]
 
-    return SurfaceMetric(ch, rule, name=f"round_sphere_{which}")
+    return SurfaceMetric(ch, rule, name="round_sphere")
 
 
 def revolution_metric(profile, name="revolution"):
@@ -377,18 +378,18 @@ class SingleChartSpace:
     def needs_transition(self, state, chart):
         return False
 
-    def escaped(self, state, chart):
-        return self.bound is not None and np.hypot(state[0], state[1]) > self.bound
+    def beyond(self, state):  # positive once a lane has escaped
+        return -math.inf if self.bound is None else float(np.hypot(*state[:2]) - self.bound)
 
 
 class SphereAtlas:
     """Two stereographic charts of the round sphere with the inversion
-    transition applied beyond radius 2 (in units of the sphere radius)."""
+    transition applied beyond radius 2 (in units of the sphere radius); the
+    inversion is an isometry, so ``north`` and ``south`` name one chart."""
 
     def __init__(self, radius=1.0):
         self.radius = radius
-        self.north = UnitTangentChart(stereographic_sphere_metric(radius, "north"))
-        self.south = UnitTangentChart(stereographic_sphere_metric(radius, "south"))
+        self.north = self.south = UnitTangentChart(stereographic_sphere_metric(radius))
         self.switch_radius = 2.0 * radius
 
     def _ut(self, chart):
@@ -403,8 +404,8 @@ class SphereAtlas:
     def needs_transition(self, state, chart):
         return np.hypot(state[0], state[1]) > self.switch_radius
 
-    def escaped(self, state, chart):
-        return False  # the atlas covers the whole sphere
+    def beyond(self, state):
+        return -math.inf  # the atlas covers the whole sphere
 
     def transition(self, state, chart):
         """Inversion x -> r^2 x / |x|^2: the unit vector is pushed through
@@ -458,36 +459,42 @@ class SphereAtlas:
 
 def _geodesics(space, starts, length, tol, on_steps):
     """Follow the geodesic field from each ``(state, chart)`` of ``starts``
-    for arclength ``length``, as lanes of one run: ``on_steps[i](rhs, chart,
-    t0, y0, t1, y1, h, k0, k1)`` observes lane i's steps (``rhs``: V1 on a
-    point) and ends it by returning true, as does an escape; a transition
-    restarts it in place.  Returns each lane's (arclength, state, chart)."""
+    for arclength ``length`` (or :func:`integrate`'s end times), as lanes of
+    one run, one V1 call per field and stage: ``on_steps[i](rhs, chart, t0,
+    y0, t1, y1, h, k0, k1)`` observes lane i's steps (``rhs``: V1 on a point)
+    and ends it by returning true; an escape ends it where ``space.beyond``
+    is 0 (at 0 if it starts beyond), and a transition restarts it in place.
+    Returns each lane's (arclength, state, chart)."""
     charts, ends, lanes = [ch for _, ch in starts], {}, []
 
     def rhs(t, y):
-        out = np.empty_like(y)
-        for ch in {charts[i] for i in lanes}:
-            rows = [j for j, i in enumerate(lanes) if charts[i] == ch]
+        out, field = np.empty_like(y), {ch: space.field(ch) for ch in {charts[i] for i in lanes}}
+        for X in {id(X): X for X in field.values()}.values():
+            rows = [j for j, i in enumerate(lanes) if field[charts[i]] is X]
             rows = rows[0] if len(rows) == 1 else rows if len(rows) < len(y) else slice(None)
-            out[rows] = space.field(ch)(y[rows].T).T
+            out[rows] = X(y[rows].T).T
         return out
 
     def observe(i, t0, y0, t1, y1, h, k0, k1):
-        ch = charts[i]
-        if on_steps[i](_field_rhs(space.field(ch)), ch, t0, y0, t1, y1, h, k0, k1) \
-                or space.escaped(y1, ch):
-            ends[i] = float(t1)
-            return True
-        if space.needs_transition(y1, ch):
+        ch, v1 = charts[i], _field_rhs(space.field(charts[i]))
+        b0, b1 = space.beyond(y0), space.beyond(y1)
+        if max(b0, b1) > 0.0:  # escaped: only a start can be beyond the bound
+            tau, y = (0.0, y0) if b0 > 0.0 else _locate_crossing(
+                v1, space.beyond, t0, y0, y1, h, k0, k1, b0, b1, 1e-12)
+            ends[i] = float(t0 + tau), y
+        elif on_steps[i](v1, ch, t0, y0, t1, y1, h, k0, k1):
+            ends[i] = float(t1), y1
+        elif space.needs_transition(y1, ch):
             y, charts[i] = space.transition(y1, ch)
             return y, space.field(charts[i])(y)
-        return False
+        return i in ends
 
     # a restart tries the last accepted step, and the first 1/64: a sixteenth
     # of the span would send trial stages off the chart
     ys = integrate(rhs, [y for y, _ in starts], 0.0, length, tol=tol, observer=observe,
                    h0=1.0 / 64.0, lanes=lanes)[0]
-    return [(ends.get(i, length), y, ch) for i, (y, ch) in enumerate(zip(ys, charts))]
+    return [(*ends.get(i, (float(np.max(length)), y)), ch)
+            for i, (y, ch) in enumerate(zip(ys, charts))]
 
 
 def _return(space, state, chart):
@@ -575,7 +582,8 @@ def closedness_report(space, n_samples=50, max_arclength=30.0, tol=1e-10,
     results = over_points(range(n_samples), lambda _: [
         ret[:3] + ("",) for ret in _returns(space, starts, max_arclength, tol)], alone)
     samples = [SampleReturn(state=state, chart=chart, returned=ok, arclength=s, defect=d,
-                            note=note or ("" if ok else "no return within budget"))
+                            note=note or ("" if ok else "no return within budget"
+                                          if s >= max_arclength else "escaped beyond the bound"))
                for (state, chart), (ok, s, d, note) in zip(starts, results)]
     return ClosednessReport(samples=samples, seed=seed,
                             max_defect=worst_of(0.0, *(s.defect for s in samples if s.returned)),
@@ -606,9 +614,9 @@ def central_projection_check(n_geodesics=50, seed=0, arc=1.2, n_points=40):
     """Integrate great-circle arcs near the pole at tol 1e-11, project
     centrally, and fit lines; returns the per-arc and maximal perpendicular
     residuals.  The arcs run as lanes (each alone if a lane raises); an arc's
-    sample k is the state at arclength k * arc / n_points, from a fresh step
-    of the accepted step that contains it, and the arc ends there or at a
-    height <= 0.05."""
+    sample k is the state at arclength k * arc / n_points, the end of the
+    step that the integrator lands there, and the arc ends at sample
+    n_points - 1 or at a height <= 0.05."""
     rng = np.random.default_rng(seed)
     atlas = SphereAtlas()
     ds = arc / n_points
@@ -623,10 +631,10 @@ def central_projection_check(n_geodesics=50, seed=0, arc=1.2, n_points=40):
         starts.append([r * math.cos(ang), r * math.sin(ang), psi])
 
     def on_step(pts, rhs, ch, t0, y0, t1, y1, h, k0, k1):
-        while len(pts) < n_points and len(pts) * ds <= t1:
-            tau = len(pts) * ds - t0  # 0 only for sample 0, the start
-            p = atlas.point(y1 if tau == h else y0 if tau == 0.0 else
-                            _dopri_step(rhs, t0, y0, tau, k0)[1], ch)
+        for y in ([] if pts else [y0]) + [y1]:  # sample 0 is the start
+            if pts and t1 != len(pts) * ds:
+                return False
+            p = atlas.point(y, ch)
             if p[2] <= 0.05:
                 return True
             pts.append(central_projection(p))
@@ -634,8 +642,8 @@ def central_projection_check(n_geodesics=50, seed=0, arc=1.2, n_points=40):
 
     def arcs(ys):
         pts = [[] for _ in ys]
-        _geodesics(atlas, [(y, "north") for y in ys], (n_points - 1) * ds, 1e-11,
-                   [partial(on_step, p) for p in pts])
+        _geodesics(atlas, [(y, "north") for y in ys], [k * ds for k in range(1, n_points)],
+                   1e-11, [partial(on_step, p) for p in pts])
         return pts
 
     residuals = [line_fit_residual(pts) for pts in over_points(

@@ -2,8 +2,9 @@
 pass/fail line per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-complete; the whole gate took 27 s single-process (Python 3.11, shared 2-CPU
-machine, one run), 7.6 s of it criterion 5 and 16.0 s criterion 9.  Criteria 1, 2, 3 and 5 draw their flag samples (and criterion
+complete; the whole gate took 12.7 s single-process (Python 3.11, shared
+2-CPU machine, median of 3 runs), 6.4 s of it criterion 5 and 4.0 s
+criterion 9.  Criteria 1, 2, 3 and 5 draw their flag samples (and criterion
 5 its spin probes) point by point and evaluate them as one batch.
 """
 

@@ -86,3 +86,6 @@ def test_micro_l3_items(monkeypatch):
     assert items["v1_stack_4_lanes"]["median_us"] > 0
     assert items["closedness_4_samples"]["median_us"] > 0
     assert 0 < counts["closedness_4_samples_field_calls"] < 4 * counts["first_return_field_evals"]
+    # an arc's 40 samples are step ends: 4 arcs make fewer field calls than
+    # a fresh five-stage step per sample would
+    assert 0 < counts["central_projection_4_arcs_field_calls"] < 4 * 39 * 5

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from engellab.calculus import Chart
-from engellab.errors import GeometryError, IntegrationError
+from engellab.errors import EngelLabError, GeometryError, IntegrationError
 from engellab.expressions import vector_field_from_exprs
 from engellab.flow import flow, flow_to_section, integrate, integrate_nonautonomous
 
@@ -175,6 +175,67 @@ def test_stacked_integrate_raises_the_error_of_the_lane_loop():
         integrate(stackable(one), y0, 0.0, 1.0)
     assert bits(stacked.value.point) == bits(alone.value.point)
     assert alone.value.point[1] == 0.8
+
+
+def step_log(seen):
+    """An observer that records each accepted step's (t0, t, h) and ends."""
+    def obs(t0, y_prev, t, y, h, k_prev, k):
+        seen.append((t0, t, h, bits(y_prev), bits(y), bits(k_prev), bits(k)))
+        return False
+    return obs
+
+
+def test_steps_land_bit_for_bit_on_each_end_time():
+    # a sequence of end times: some step ends on each time, exactly, and no
+    # step passes one; the run ends at the last
+    times = [0.0123, 0.05, 0.1 / 3.0 + 0.1, 0.17, 0.3]
+    for lane in ([0.0, 1.0], [0.3, 400.0], [-0.2, 25.0]):
+        seen = []
+        y, _, steps = integrate(stackable(chirp), lane, 0.0, times, tol=1e-9,
+                                observer=step_log(seen))
+        ends = [t for _, t, *_ in seen]
+        assert set(times) <= set(ends) and ends[-1] == times[-1] and steps == len(seen)
+        assert not any(t0 < m < t for t0, t, *_ in seen for m in times)
+        assert y.tobytes() == seen[-1][4]
+
+
+def test_the_step_after_a_cut_step_is_not_shrunk_by_the_cut():
+    # on y' = 0 every error estimate is 0, so the controller quadruples each
+    # step: from h0 = 1/64 the steps 1/64, 4/64 and 16/64 reach 21/64, the
+    # next (1) is cut to end on 0.5, and the one after is that uncut step,
+    # not four times the cut one (11/16)
+    seen = []
+    integrate(lambda t, y: 0.0 * y, [1.0], 0.0, [0.5, 2.0], h0=1.0 / 64.0,
+              observer=step_log(seen))
+    assert [h for _, _, h, *_ in seen] == [1 / 64, 4 / 64, 16 / 64, 11 / 64, 1.0, 0.5]
+    assert [t for _, t, *_ in seen] == [1 / 64, 5 / 64, 21 / 64, 0.5, 1.5, 2.0]
+
+
+def test_stacked_lanes_with_end_times_equal_lanes_alone_bit_for_bit():
+    # the lanes cut their own steps at the times, reject and finish in their
+    # own rounds, and take the steps of their runs alone
+    y0 = np.array([[0.0, 1.0], [0.3, 400.0], [-0.2, 25.0], [1.0, 0.0]])
+    times = np.linspace(0.0, 0.3, 8)[1:]
+    stacked = {}
+
+    def by_lane(t0, y_prev, t, y, h, k_prev, k):
+        return step_log(stacked.setdefault(y[1], []))(t0, y_prev, t, y, h, k_prev, k)
+
+    ys, est, steps = integrate(stackable(chirp), y0, 0.0, times, tol=1e-9, observer=by_lane)
+    for lane, y, e in zip(y0, ys, est):
+        seen = []
+        alone = integrate(stackable(chirp), lane, 0.0, times, tol=1e-9, observer=step_log(seen))
+        assert stacked[lane[1]] == seen
+        assert bits(y) == bits(alone[0]) and bits(e) == bits(alone[1])
+    assert steps == sum(map(len, stacked.values()))
+
+
+@pytest.mark.parametrize("times", [[0.2, 0.1, 0.3], [0.1, 0.1, 0.3], [0.0, 0.3], [-0.1, 0.3],
+                                   [0.1, math.inf], [0.1, math.nan, 0.3], []])
+def test_end_times_that_are_not_increasing_finite_times_after_t0_raise(times):
+    for y0 in ([0.0, 1.0], [[0.0, 1.0], [0.3, 2.0]]):
+        with pytest.raises(EngelLabError, match="end times"):
+            integrate(stackable(chirp), y0, 0.0, times)
 
 
 def test_flow_of_a_stack_equals_flows_of_its_points():

@@ -290,7 +290,8 @@ def test_stacked_returns_equal_lone_returns_bit_for_bit(monkeypatch):
                for seed in (1, 2, 3) for n in (4, 12)]
     assert moves and all(rep.n_returned == rep.n_samples for rep in stacked)
     assert all(len({s.arclength for s in rep.samples}) > 1 for rep in stacked)
-    # the plane's steps grow fourfold, so its lanes escape at step ends
+    # the plane's steps grow fourfold, so its lanes pass the bound mid-step
+    # and end on it, each at its own arclength
     plane = SingleChartSpace(euclidean_metric(), bound=4.0)
     rng = np.random.default_rng(4)
     starts = [plane.start_state(rng.uniform(-2.0, 2.0, 2), psi)
@@ -305,7 +306,7 @@ def test_stacked_returns_equal_lone_returns_bit_for_bit(monkeypatch):
     for got, start in zip(escapes, starts):
         want = first_return(plane, *start, max_arclength=20.0, tol=1e-10)
         assert got[:3] == want[:3] and got[4] == want[4] and bits(got[3]) == bits(want[3])
-        assert not got[0] and np.hypot(*got[3][:2]) > 4.0
+        assert not got[0] and abs(np.hypot(*got[3][:2]) - 4.0) < 1e-12
 
 
 def test_a_raising_lane_gives_the_report_of_the_lone_loop(monkeypatch):
@@ -483,6 +484,58 @@ def test_closedness_report_sphere_and_plane():
     plane = SingleChartSpace(euclidean_metric(), bound=12.0)
     rep = closedness_report(plane, n_samples=4, max_arclength=20.0, seed=4)
     assert rep.n_returned == 0
+
+
+def test_an_escaping_lane_ends_where_its_line_crosses_the_bound():
+    # on the plane a geodesic is the line x + s u, which leaves |x| < R at
+    # s = -x.u + sqrt((x.u)^2 - |x|^2 + R^2); the lane ends there, on the
+    # step that crosses, not at a later step end, and its note says so.  A
+    # start beyond the bound ends at arclength 0
+    plane = SingleChartSpace(euclidean_metric(), bound=12.0)
+    x, psi = np.array([1.0, 0.5]), 0.3
+    u = np.array([math.cos(psi), math.sin(psi)])
+    s = -(x @ u) + math.sqrt((x @ u) ** 2 - x @ x + 144.0)
+    ok, got, defect, y, chart = first_return(plane, *plane.start_state(x, psi), max_arclength=20.0)
+    assert not ok and defect == math.inf and chart == "main"
+    assert abs(got - s) < 1e-9 and np.max(np.abs(y[:2] - (x + s * u))) < 1e-9
+    start = plane.start_state([12.5, -1.0], psi)
+    ok, got, _, y, _ = first_return(plane, *start, max_arclength=20.0)
+    assert not ok and got == 0.0 and bits(y) == bits(start[0])
+    rep = closedness_report(plane, n_samples=4, max_arclength=20.0, seed=4)
+    assert all(smp.note == "escaped beyond the bound" and smp.arclength < 20.0
+               for smp in rep.samples)
+    short = closedness_report(plane, n_samples=4, max_arclength=5.0, seed=4)
+    assert all(smp.note == "no return within budget" for smp in short.samples)
+
+
+def test_round_atlas_stack_makes_one_v1_call_per_stage(monkeypatch):
+    # the inversion is an isometry of the stereographic round metric, so the
+    # atlas's charts share one geodesic field, and lanes in both charts
+    # share each V1 call; each lane still steps as it does alone
+    atlas = SphereAtlas()
+    assert atlas.north is atlas.south and atlas.field("north") is atlas.field("south")
+    V1, v1_calls, stages = atlas.field("north"), [], []
+    monkeypatch.setattr(atlas, "field", lambda chart: counted)
+
+    def counted(p):
+        v1_calls.append(np.shape(p))
+        return V1(p)
+
+    inner = zoll.integrate
+
+    def logged(f, *args, **kw):
+        return inner(lambda t, y: stages.append(len(y)) or f(t, y), *args, **kw)
+
+    monkeypatch.setattr(zoll, "integrate", logged)
+    rng = np.random.default_rng(8)
+    starts = [(np.append(rng.uniform(-1.0, 1.0, 2), psi), chart)
+              for psi, chart in zip(rng.uniform(0.0, 2.0 * math.pi, 4), ["north", "south"] * 2)]
+    ends = zoll._geodesics(atlas, starts, 1.0, 1e-10, [lambda *step: False] * 4)
+    assert stages[0] == 4 and len(v1_calls) == len(stages) and v1_calls[0] == (3, 4)
+    monkeypatch.undo()
+    for (s, y, chart), start in zip(ends, starts):
+        alone = zoll._geodesics(atlas, [start], 1.0, 1e-10, [lambda *step: False])
+        assert (s, chart) == alone[0][::2] and bits(y) == bits(alone[0][1])
 
 
 def test_atlas_transition_consistency():
