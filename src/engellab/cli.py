@@ -43,12 +43,30 @@ CONTACT_CHART = Chart("standard_contact", ("x", "y", "z"))
 # the smallest coarse defect that gray's refinement-halving check divides by
 REFINEMENT_FLOOR = 100 * np.finfo(float).eps
 
+def _finite(kind):
+    """A JSON number parser into ``kind`` that rejects what a float cannot
+    hold: NaN, an infinity, or a literal that overflows."""
+
+    def parse(text):
+        try:
+            number = kind(text)
+            if math.isfinite(number):
+                return number
+        except (OverflowError, ValueError):
+            pass
+        shown = text if len(text) <= 40 else text[:37] + "..."
+        raise ConfigError(f"config numbers must be finite: {shown}")
+
+    return parse
+
+
 def _load_config(path):
     if path is None:
         return {}
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite(float), parse_int=_finite(int),
+                            parse_constant=_finite(float))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
@@ -333,7 +351,7 @@ def _suite_gray(cfg, rng, samples, tol, report, seed):
 def _space_from_config(cfg):
     kind = _cfg(cfg, "metric", str, "sphere")
     if kind == "sphere":
-        radius = _cfg(cfg, "radius", float, 1.0)
+        radius = _cfg(cfg, "radius", float, 1.0, above=0.0)
         return SphereAtlas(radius), {"metric": "sphere", "radius": radius}, 2.0 * math.pi * radius
     if kind == "plane":
         bound = _cfg(cfg, "bound", float, 50.0, above=0.0)
@@ -379,7 +397,7 @@ def _suite_zoll_closedness(cfg, rng, samples, tol, report, seed):
 
 
 def _suite_central_projection(cfg, rng, samples, tol, report, seed):
-    arc = _cfg(cfg, "arc", float, 1.2)
+    arc = _cfg(cfg, "arc", float, 1.2, above=0.0)
     out = central_projection_check(n_geodesics=samples, seed=seed, arc=arc)
     report.add("line-fit", out["n_arcs"], tol, out["max_residual"])
 
@@ -480,8 +498,8 @@ def main(argv=None):
         samples = args.samples if args.samples is not None else \
             _cfg(cfg, "samples", int, default_samples)
         tol = args.tol if args.tol is not None else _cfg(cfg, "tol", float, default_tol)
-        if samples <= 0 or tol <= 0:
-            raise ConfigError("samples and tol must be positive")
+        if samples <= 0 or not 0 < tol < math.inf:
+            raise ConfigError("samples and tol must be positive, and tol finite")
         report = run(args.command, cfg, args.seed, samples, tol)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """The scripts under bench/ still import: every engellab name they import
 exists, and so does every attribute they read off an engellab module or
-class, or off the benchmark's workloads module.  No round runs; micro.py's
-normal-form counts run on two pairs."""
+class, or off the benchmark's workloads module.  The one round run is the
+deformation round of micro.py's L1 counts; its normal-form counts run on two
+pairs."""
 
 import ast
 import importlib.util
@@ -89,3 +90,35 @@ def test_micro_l3_items(monkeypatch):
     # an arc's 40 samples are step ends: 4 arcs make fewer field calls than
     # a fresh five-stage step per sample would
     assert 0 < counts["central_projection_4_arcs_field_calls"] < 4 * 39 * 5
+
+
+def test_micro_wrapped_rebinds_every_module_and_restores(monkeypatch):
+    module, _ = _load("micro.py", monkeypatch)
+    from engellab import deformation, jets, normal_form, prolongation
+    bound = {"jet_composer": {jets, normal_form},
+             "_jet": {jets, deformation, normal_form, prolongation}}
+    originals = {name: getattr(jets, name) for name in bound}
+    with pytest.raises(RuntimeError):
+        with module.wrapped(jets, "jet_composer", lambda f: ("wrapped", f)), \
+                module.wrapped(jets, "_jet", lambda f: ("wrapped", f)):
+            for name, modules in bound.items():
+                rebound = {m for m in list(sys.modules.values())
+                           if getattr(m, name, None) == ("wrapped", originals[name])}
+                assert rebound >= modules
+            raise RuntimeError
+    for name, modules in bound.items():
+        assert all(getattr(m, name) is originals[name] for m in modules)
+
+
+def test_micro_l1_items(monkeypatch):
+    # each timed call runs once, untimed; the counts are exact, and a
+    # generator's second call reuses the plan its first recorded
+    module, _ = _load("micro.py", monkeypatch)
+    monkeypatch.setattr(module, "per_call_us", lambda fn: (fn(), {"median_us": 1.0})[1])
+    runs = [{}, {}]
+    for counts in runs:
+        module.l1_items({}, counts)
+    assert runs[0] == runs[1]
+    counts = runs[0]
+    assert 0 < counts["generator_x_3_lanes_second_call_evaluations"] \
+        < counts["generator_x_3_lanes_evaluations"]

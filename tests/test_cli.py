@@ -101,6 +101,32 @@ def test_vacuous_zoll_config_exits_two(capsys, tmp_path, cfg, key):
     assert "config error" in err and repr(key) in err
 
 
+@pytest.mark.parametrize("command,text,argv", [
+    ("zoll-closedness", None, ("--tol", "inf")),
+    ("zoll-closedness", None, ("--tol", "nan")),
+    ("contactify", '{"slices": [1e400]}', ()),
+    ("zoll-closedness", '{"radius": NaN}', ()),
+    ("zoll-closedness", '{"radius": -Infinity}', ()),
+    ("verify-engel", '{"samples": 1' + "0" * 400 + "}", ()),
+    ("central-projection", '{"arc": 0}', ()),
+    ("central-projection", '{"arc": -1}', ()),
+    ("zoll-closedness", '{"radius": -1}', ()),
+    ("zoll-closedness", '{"radius": 0}', ()),
+])
+def test_non_finite_or_non_positive_number_exits_two(capsys, tmp_path, command, text, argv):
+    # JSON has no NaN or infinity, and a tolerance, arc or radius that is not
+    # a positive finite number leaves nothing to measure: an infinite tol
+    # passed every check, a NaN one failed them all, an overflowing slice
+    # ended in a traceback and a zero arc or radius in a geometry error
+    if text is not None:
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        argv += ("--config", str(p))
+    code, _, err = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert "config error" in err
+
+
 def test_gray_reads_a_number_component_as_a_constant(capsys, tmp_path):
     # "0" evaluates to a number, not a jet: the path lifts it to a constant,
     # and the checks are those of the default middle component "0*y"
@@ -291,9 +317,9 @@ def test_nan_direction_is_a_nan_angle_and_fails(capsys, tmp_path):
     assert math.isnan(line_angle(np.array([0.0, 0.0, 0.0, 1.0]), [math.nan, 0.0, 0.0, 1.0]))
     p = tmp_path / "nan_direction.json"
     p.write_text('{"char_direction": [NaN, 0, 0, 1]}')
-    code, out, _ = run_cli(capsys, "verify-engel", "--config", str(p), "--samples", "20")
-    assert code == 1
-    assert "overall: FAIL" in out
+    code, _, err = run_cli(capsys, "verify-engel", "--config", str(p), "--samples", "20")
+    assert code == 2
+    assert "config error" in err
 
 
 def test_nan_defect_in_middle_sample_fails(monkeypatch):
